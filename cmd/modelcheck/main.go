@@ -134,8 +134,8 @@ func run(args []string) error {
 			if sp.Resumed {
 				resumed = " (resumed)"
 			}
-			fmt.Printf("spill: %d flushes / %d compactions to disk, %d tier lookups (%d hits), frontier %d spilled / %d loaded, %d checkpoints, %d I/O retries%s\n",
-				sp.Flushes, sp.Compactions, sp.Lookups, sp.LookupHits,
+			fmt.Printf("spill: %d flushes / %d compactions to disk, %d tier lookups (%d hits, %d block reads / %d bytes), frontier %d spilled / %d loaded, %d checkpoints, %d I/O retries%s\n",
+				sp.Flushes, sp.Compactions, sp.Lookups, sp.LookupHits, sp.BlockReads, sp.BlockBytes,
 				sp.FrontierSpilled, sp.FrontierLoaded, sp.Checkpoints, sp.Retries, resumed)
 		}
 	}

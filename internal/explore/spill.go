@@ -1,11 +1,14 @@
 package explore
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,9 +31,10 @@ import (
 //     (fingerprint, key), grouped into checksummed block frames, with an
 //     in-memory block index and a per-run bloom filter.  A membership
 //     probe that misses RAM walks the shard's runs newest-first: bloom
-//     test, binary search of the block index, one random-access block
-//     read.  When a shard accumulates too many runs they are merge-
-//     compacted into one.
+//     test, binary search of the block index, one bounded checksum-
+//     verified block read into the shard's own buffer, and a scan of
+//     the block where it lies — no allocation.  When a shard accumulates
+//     too many runs they are stream-merged into one.
 //   - spillQueue: the cold half of the frontier.  A worker whose pending
 //     queue runs deep spills the oldest half to a segment file (items
 //     encoded by the caller — the valency engine uses the compact
@@ -65,10 +69,26 @@ const (
 // spillVersion versions every spill artifact (runs, segments, manifest).
 const spillVersion = 1
 
-// runBlockEntries is the number of entries per run block frame: large
-// enough to amortize the frame envelope, small enough that one lookup
-// reads a few KiB.
+// runBlockEntries is the number of entries per run block frame a writer
+// emits.  A probe reads and checksums one whole block, so the block is
+// the unit of probe cost, and in a graph search most probes are hits
+// that no bloom filter can skip: 256 entries is ~9 KiB read and hashed
+// per probe for counter-walk's ~24-byte keys.  What the block size buys
+// is the RAM block index: 24 bytes per block = 0.09 B per entry, beside
+// a bloom filter that costs 2–4 B per entry.  Smaller blocks trade that
+// RAM for probe time (32 entries: ~1.1 KiB per probe and 0.75 B per
+// entry, measured 2.4x faster on a probe-bound job; see DESIGN.md §6) —
+// a retune readers are already prepared for, below.
 const runBlockEntries = 256
+
+// maxRunBlockEntries is the largest block a reader accepts.  Readers
+// take any count up to it, so a run file resumes whatever block size its
+// writer used and the writer's choice can move without a format change.
+const maxRunBlockEntries = 256
+
+// runWriteChunk is how many encoded bytes a run writer gathers before
+// it issues one write: blocks are small, writes should not be.
+const runWriteChunk = 64 << 10
 
 // maxRunsPerShard triggers merge-compaction: a lookup miss costs one
 // bloom test per run, so unbounded run counts would decay probes.
@@ -118,11 +138,16 @@ type SpillStats struct {
 	// merges.
 	Flushes     int64 `json:"flushes,omitempty"`
 	Compactions int64 `json:"compactions,omitempty"`
-	// Lookups counts membership probes that consulted the disk tier
-	// (bloom filters short most of them); LookupHits found the key on
-	// disk.
+	// Lookups counts membership probes that consulted the disk tier;
+	// LookupHits found the key on disk.  In a graph search most probes
+	// are hits — re-discoveries of an evicted configuration — and a hit
+	// always reads a block; the bloom filters only short the misses.
 	Lookups    int64 `json:"lookups,omitempty"`
 	LookupHits int64 `json:"lookup_hits,omitempty"`
+	// BlockReads counts the run blocks actually fetched from disk (by
+	// probes and by compaction merges), BlockBytes their encoded bytes.
+	BlockReads int64 `json:"block_reads,omitempty"`
+	BlockBytes int64 `json:"block_bytes,omitempty"`
 	// FrontierSpilled/FrontierLoaded count pending items written to and
 	// reloaded from segment files.
 	FrontierSpilled int64 `json:"frontier_spilled,omitempty"`
@@ -146,28 +171,42 @@ type spillEntry struct {
 }
 
 // tierBlock is one block's index entry: its frame offset and the
-// fingerprint range of the sorted entries inside.
+// fingerprint range of the sorted entries inside.  The frame's length is
+// the distance to the next block's offset (tierRun.end for the last).
 type tierBlock struct {
 	off         int64
 	first, last uint64
 }
 
 // tierRun is one sorted run file: the on-disk entries plus the RAM-side
-// lookup structures (block index and bloom filter, ~3 bytes per entry).
+// lookup structures (bloom filter 2–4 bytes and block index 0.09 bytes
+// per entry).
 type tierRun struct {
 	name   string
 	count  int64
 	bytes  int64 // key bytes resident in the run
+	end    int64 // offset just past the last block frame
 	bloom  []uint64
 	blocks []tierBlock
 	f      frame.File
 }
 
-// tierShard is one worker's run set; owner-access only (the engine
-// serializes checkpoint/resume access).
+// tierShard is one worker's run set, with the buffers and counters its
+// probes and flushes use; owner-access only (the engine serializes
+// checkpoint/resume access), so none of it is shared or atomic.
 type tierShard struct {
 	gen  int64
 	runs []*tierRun // oldest first; lookups walk newest first
+
+	probe []byte    // block buffer of lookup and openRun
+	w     runWriter // its buffers outlive the run they last wrote
+
+	lookups, hits          int64
+	blockReads, blockBytes int64
+
+	// Shards sit side by side in one slice and each is written by its own
+	// worker on every probe: keep neighbours off each other's cache line.
+	_ [64]byte
 }
 
 // spillTier is the disk-resident half of a sharded visited set.
@@ -175,6 +214,10 @@ type spillTier struct {
 	fs     frame.FS
 	dir    string
 	shards []tierShard
+
+	// blockEntries is the writers' block size: runBlockEntries, except in
+	// tests that want a small run cut into many blocks.
+	blockEntries int64
 
 	// deferDelete keeps superseded files on disk until the next durable
 	// manifest no longer references them (crash-safe compaction); off
@@ -186,14 +229,12 @@ type spillTier struct {
 	retries     atomic.Int64
 	flushes     atomic.Int64
 	compactions atomic.Int64
-	lookups     atomic.Int64
-	hits        atomic.Int64
 	collFlushed atomic.Int64
 	softFails   atomic.Int64
 }
 
 func newSpillTier(fs frame.FS, dir string, shards int, deferDelete bool) *spillTier {
-	return &spillTier{fs: fs, dir: dir, shards: make([]tierShard, shards), deferDelete: deferDelete}
+	return &spillTier{fs: fs, dir: dir, shards: make([]tierShard, shards), blockEntries: runBlockEntries, deferDelete: deferDelete}
 }
 
 // --- bloom filter ---
@@ -253,14 +294,21 @@ func encodeRunHeader(shard int, gen, count int64) []byte {
 // and registers it for lookups.  Entries must all belong to shard; the
 // slice is sorted in place.  On success the shard may be compacted.
 func (t *spillTier) flush(shard int, entries []spillEntry, collisions int64) error {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].fp != entries[j].fp {
-			return entries[i].fp < entries[j].fp
+	slices.SortFunc(entries, func(a, b spillEntry) int {
+		if a.fp != b.fp {
+			return cmp.Compare(a.fp, b.fp)
 		}
-		return entries[i].key < entries[j].key
+		return strings.Compare(a.key, b.key)
 	})
 	sh := &t.shards[shard]
-	run, err := t.writeRun(shard, sh.gen+1, entries)
+	run, err := t.writeRun(shard, sh.gen+1, int64(len(entries)), func(rw *runWriter) error {
+		for i := range entries {
+			if err := addRunEntry(rw, entries[i].fp, entries[i].id, entries[i].key); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return err
 	}
@@ -274,52 +322,96 @@ func (t *spillTier) flush(shard int, entries []spillEntry, collisions int64) err
 	return nil
 }
 
-// writeRun durably writes one sorted run file and opens it for lookups,
-// building the block index and bloom filter along the way.  The whole
-// write retries as a unit: WriteFileAtomic never exposes a partial file
-// under the final name, so a retry simply rewrites the temp sibling.
-func (t *spillTier) writeRun(shard int, gen int64, entries []spillEntry) (*tierRun, error) {
-	run := &tierRun{name: runName(shard, gen), count: int64(len(entries))}
+// runWriter lays out one run file from entries arriving in (fp, key)
+// order: it cuts them into block frames, builds the run's block index
+// and bloom filter as it goes, and gathers frames into large writes.
+// The header carries the entry count, so every block's count is known
+// when the block opens.
+type runWriter struct {
+	w     io.Writer
+	run   *tierRun
+	per   int64  // entries to a full block
+	left  int64  // entries still to come
+	blk   int64  // of those, into the open block
+	first uint64 // first fingerprint of the open block
+
+	payload []byte // the open block
+	out     []byte // encoded frames not yet written
+	written int64  // bytes handed to w
+}
+
+// begin resets rw (keeping its buffers) and run's lookup structures for
+// one write attempt and queues the header frame.
+func (rw *runWriter) begin(w io.Writer, run *tierRun, shard int, gen, per int64) {
+	*rw = runWriter{w: w, run: run, per: per, left: run.count, payload: rw.payload[:0], out: rw.out[:0]}
+	run.bytes = 0
+	run.bloom = make([]uint64, bloomSize(run.count))
+	run.blocks = make([]tierBlock, 0, (run.count+per-1)/per)
+	rw.out = frame.Append(rw.out, frameRunHeader, encodeRunHeader(shard, gen, run.count))
+}
+
+// addRunEntry appends the next entry; keys arrive as interned strings
+// from a flush and as block-buffer bytes from a merge.
+func addRunEntry[K string | []byte](rw *runWriter, fp uint64, id int64, key K) error {
+	if rw.left == 0 {
+		return fmt.Errorf("explore: spill run %s holds more entries than its header count %d", rw.run.name, rw.run.count)
+	}
+	if rw.blk == 0 {
+		rw.blk = min(rw.left, rw.per)
+		rw.first = fp
+		rw.payload = binary.AppendUvarint(rw.payload[:0], uint64(rw.blk))
+	}
+	rw.payload = binary.BigEndian.AppendUint64(rw.payload, fp)
+	rw.payload = binary.AppendUvarint(rw.payload, uint64(id))
+	rw.payload = binary.AppendUvarint(rw.payload, uint64(len(key)))
+	rw.payload = append(rw.payload, key...)
+	bloomAdd(rw.run.bloom, fp)
+	rw.run.bytes += int64(len(key))
+	rw.left--
+	if rw.blk--; rw.blk > 0 {
+		return nil
+	}
+	rw.run.blocks = append(rw.run.blocks, tierBlock{off: rw.written + int64(len(rw.out)), first: rw.first, last: fp})
+	rw.out = frame.Append(rw.out, frameRunBlock, rw.payload)
+	if len(rw.out) >= runWriteChunk {
+		return rw.write()
+	}
+	return nil
+}
+
+func (rw *runWriter) write() error {
+	n, err := rw.w.Write(rw.out)
+	rw.written += int64(n)
+	rw.out = rw.out[:0]
+	return err
+}
+
+// finish writes what is still gathered and closes the index.
+func (rw *runWriter) finish() error {
+	if rw.left != 0 {
+		return fmt.Errorf("explore: spill run %s is %d entries short of its header count %d", rw.run.name, rw.left, rw.run.count)
+	}
+	err := rw.write()
+	rw.run.end = rw.written
+	return err
+}
+
+// writeRun durably writes one sorted run file of count entries and opens
+// it for lookups; emit feeds the entries, in order, to the writer it is
+// handed.  The whole write retries as a unit — emit is called again from
+// the start — because WriteFileAtomic never exposes a partial file under
+// the final name, so a retry simply rewrites the temp sibling.
+func (t *spillTier) writeRun(shard int, gen, count int64, emit func(rw *runWriter) error) (*tierRun, error) {
+	run := &tierRun{name: runName(shard, gen), count: count}
 	path := filepath.Join(t.dir, run.name)
+	rw := &t.shards[shard].w
 	err := retryIO(&t.retries, func() error {
-		run.bloom = make([]uint64, bloomSize(int64(len(entries))))
-		run.blocks = run.blocks[:0]
-		run.bytes = 0
-		// Offsets are deterministic given the entries, so the index can
-		// be built while writing: header frame first, then block frames.
-		off := int64(0)
-		hdr := encodeRunHeader(shard, gen, int64(len(entries)))
 		return frame.WriteFileAtomic(t.fs, path, func(w io.Writer) error {
-			if err := frame.Write(w, frameRunHeader, hdr); err != nil {
+			rw.begin(w, run, shard, gen, t.blockEntries)
+			if err := emit(rw); err != nil {
 				return err
 			}
-			off += int64(4 + 1 + len(hdr) + 8)
-			var payload []byte
-			for start := 0; start < len(entries); start += runBlockEntries {
-				end := start + runBlockEntries
-				if end > len(entries) {
-					end = len(entries)
-				}
-				blk := entries[start:end]
-				payload = payload[:0]
-				payload = binary.AppendUvarint(payload, uint64(len(blk)))
-				for _, e := range blk {
-					payload = binary.BigEndian.AppendUint64(payload, e.fp)
-					payload = binary.AppendUvarint(payload, uint64(e.id))
-					payload = binary.AppendUvarint(payload, uint64(len(e.key)))
-					payload = append(payload, e.key...)
-					bloomAdd(run.bloom, e.fp)
-					run.bytes += int64(len(e.key))
-				}
-				if err := frame.Write(w, frameRunBlock, payload); err != nil {
-					return err
-				}
-				run.blocks = append(run.blocks, tierBlock{
-					off: off, first: blk[0].fp, last: blk[len(blk)-1].fp,
-				})
-				off += int64(4 + 1 + len(payload) + 8)
-			}
-			return nil
+			return rw.finish()
 		})
 	})
 	if err != nil {
@@ -345,61 +437,15 @@ func (t *spillTier) writeRun(shard int, gen int64, entries []spillEntry) (*tierR
 func (t *spillTier) openRun(shard int, name string, wantCount int64) (*tierRun, error) {
 	path := filepath.Join(t.dir, name)
 	run := &tierRun{name: name, count: wantCount}
+	buf := &t.shards[shard].probe
 	err := retryIO(&t.retries, func() error {
-		if run.f != nil {
-			run.f.Close()
-			run.f = nil
-		}
 		f, err := t.fs.Open(path)
 		if err != nil {
 			return err
 		}
-		run.blocks = run.blocks[:0]
-		run.bloom = make([]uint64, bloomSize(wantCount))
-		run.bytes = 0
-		typ, hdr, next, err := frame.ReadAt(f, 0)
-		if err != nil || typ != frameRunHeader {
+		if err := run.index(f, buf); err != nil {
 			f.Close()
-			return fmt.Errorf("bad run header (type %d): %w", typ, err)
-		}
-		r := &spillReader{b: hdr}
-		if v := r.uvarint("version"); v != spillVersion {
-			f.Close()
-			return fmt.Errorf("run version %d, want %d", v, spillVersion)
-		}
-		r.uvarint("shard")
-		r.uvarint("gen")
-		count := int64(r.uvarint("count"))
-		if r.fail != nil || count != wantCount {
-			f.Close()
-			return fmt.Errorf("run header count %d, manifest says %d", count, wantCount)
-		}
-		var seen int64
-		off := next
-		for seen < count {
-			typ, payload, nx, err := frame.ReadAt(f, off)
-			if err != nil || typ != frameRunBlock {
-				f.Close()
-				return fmt.Errorf("bad run block at %d: %w", off, err)
-			}
-			entries, err := decodeRunBlock(payload)
-			if err != nil {
-				f.Close()
-				return err
-			}
-			for _, e := range entries {
-				bloomAdd(run.bloom, e.fp)
-				run.bytes += int64(len(e.key))
-			}
-			run.blocks = append(run.blocks, tierBlock{
-				off: off, first: entries[0].fp, last: entries[len(entries)-1].fp,
-			})
-			seen += int64(len(entries))
-			off = nx
-		}
-		if seen != count {
-			f.Close()
-			return fmt.Errorf("run holds %d entries, header says %d", seen, count)
+			return err
 		}
 		run.f = f
 		return nil
@@ -410,26 +456,168 @@ func (t *spillTier) openRun(shard int, name string, wantCount int64) (*tierRun, 
 	return run, nil
 }
 
-// decodeRunBlock parses one block frame's payload (already checksum-
-// verified by the frame layer) into entries.
-func decodeRunBlock(payload []byte) ([]spillEntry, error) {
-	r := &spillReader{b: payload}
-	n := r.uvarint("block count")
-	if r.fail != nil || n == 0 || n > runBlockEntries {
-		return nil, fmt.Errorf("explore: spill block count %d out of range", n)
+// index walks f's frames from the start and (re)builds run's lookup
+// structures; the header must agree with run.count.
+func (run *tierRun) index(f frame.File, buf *[]byte) error {
+	run.blocks = run.blocks[:0]
+	run.bloom = make([]uint64, bloomSize(run.count))
+	run.bytes = 0
+	typ, hdr, off, err := frame.ReadAtInto(f, 0, 0, buf)
+	if err != nil || typ != frameRunHeader {
+		return fmt.Errorf("bad run header (type %d): %w", typ, err)
 	}
-	entries := make([]spillEntry, 0, n)
-	for i := uint64(0); i < n && r.fail == nil; i++ {
-		var e spillEntry
-		e.fp = r.fixed64("entry fp")
-		e.id = int64(r.uvarint("entry id"))
-		e.key = string(r.bytes("entry key"))
-		entries = append(entries, e)
+	r := &spillReader{b: hdr}
+	if v := r.uvarint("version"); v != spillVersion {
+		return fmt.Errorf("run version %d, want %d", v, spillVersion)
 	}
-	if err := r.err(); err != nil {
+	r.uvarint("shard")
+	r.uvarint("gen")
+	count := int64(r.uvarint("count"))
+	if r.fail != nil || count != run.count {
+		return fmt.Errorf("run header count %d, manifest says %d", count, run.count)
+	}
+	var seen int64
+	for seen < count {
+		typ, payload, next, err := frame.ReadAtInto(f, off, 0, buf)
+		if err != nil || typ != frameRunBlock {
+			return fmt.Errorf("bad run block at %d: %w", off, err)
+		}
+		it, err := iterBlock(payload)
+		if err != nil {
+			return err
+		}
+		blk := tierBlock{off: off}
+		for first := true; it.next(); first = false {
+			if first {
+				blk.first = it.fp
+			}
+			blk.last = it.fp
+			bloomAdd(run.bloom, it.fp)
+			run.bytes += int64(len(it.key()))
+			seen++
+		}
+		if err := it.err(); err != nil {
+			return err
+		}
+		run.blocks = append(run.blocks, blk)
+		off = next
+	}
+	if seen != count {
+		return fmt.Errorf("run holds %d entries, header says %d", seen, count)
+	}
+	run.end = off
+	return nil
+}
+
+// blockIter walks the entries of one block frame's payload (already
+// checksum-verified by the frame layer) where they lie: no entry slice,
+// no strings, and — the payload is indexed, never re-sliced — no pointer
+// stores, so the scan runs free of GC write barriers.
+type blockIter struct {
+	b          []byte
+	off        int // next undecoded byte
+	left       int // entries not yet decoded
+	fp         uint64
+	id         int64
+	kOff, kEnd int // the entry's key is b[kOff:kEnd]
+	fail       error
+}
+
+func iterBlock(payload []byte) (blockIter, error) {
+	n, k := binary.Uvarint(payload)
+	if k <= 0 || n == 0 || n > maxRunBlockEntries {
+		return blockIter{}, fmt.Errorf("explore: spill block count %d out of range", n)
+	}
+	return blockIter{b: payload, off: k, left: int(n)}, nil
+}
+
+// next decodes the following entry into fp, id and key; false is the end
+// of the block or a malformed entry — err tells them apart.
+func (it *blockIter) next() bool {
+	if it.left == 0 {
+		return false
+	}
+	b := it.b[it.off:]
+	if len(b) < 8 {
+		return it.truncated("entry fp")
+	}
+	id, n := binary.Uvarint(b[8:])
+	if n <= 0 {
+		return it.truncated("entry id")
+	}
+	klen, m := binary.Uvarint(b[8+n:])
+	if m <= 0 || uint64(len(b)-8-n-m) < klen {
+		return it.truncated("entry key")
+	}
+	it.fp, it.id = binary.BigEndian.Uint64(b), int64(id)
+	it.kOff = it.off + 8 + n + m
+	it.kEnd = it.kOff + int(klen)
+	it.off = it.kEnd
+	it.left--
+	return true
+}
+
+func (it *blockIter) truncated(what string) bool {
+	it.left, it.fail = 0, errTruncated(what)
+	return false
+}
+
+func (it *blockIter) key() []byte { return it.b[it.kOff:it.kEnd] }
+
+// err reports why next returned false: nil only when every entry decoded
+// and the payload ended with the last one.
+func (it *blockIter) err() error {
+	if it.fail == nil && it.off != len(it.b) {
+		return fmt.Errorf("explore: %d trailing bytes in spill frame", len(it.b)-it.off)
+	}
+	return it.fail
+}
+
+// searchBlock looks (fp, key) up in one block payload without decoding
+// it: entries are sorted, so the scan stops at the first larger
+// fingerprint, and key bytes are compared only on a fingerprint match.
+func searchBlock(payload []byte, fp uint64, key []byte) (id int64, found bool, err error) {
+	it, err := iterBlock(payload)
+	if err != nil {
+		return 0, false, err
+	}
+	for it.next() {
+		if it.fp > fp {
+			return 0, false, nil
+		}
+		if it.fp == fp && bytes.Equal(it.key(), key) {
+			return it.id, true, nil
+		}
+	}
+	return 0, false, it.err()
+}
+
+// readBlock fetches run's j-th block into *buf — one read of exactly the
+// frame, its checksum verified on every fetch — and returns the payload,
+// valid until *buf is reused.
+func (t *spillTier) readBlock(sh *tierShard, run *tierRun, j int, buf *[]byte) ([]byte, error) {
+	off, end := run.blocks[j].off, run.end
+	if j+1 < len(run.blocks) {
+		end = run.blocks[j+1].off
+	}
+	var payload []byte
+	err := retryIO(&t.retries, func() error {
+		typ, p, _, err := frame.ReadAtInto(run.f, off, int(end-off), buf)
+		if err != nil {
+			return err
+		}
+		if typ != frameRunBlock {
+			return fmt.Errorf("frame type %d where block expected", typ)
+		}
+		payload = p
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return entries, nil
+	sh.blockReads++
+	sh.blockBytes += end - off
+	return payload, nil
 }
 
 // lookup probes shard's runs, newest first, for (fp, key).  A hit
@@ -441,49 +629,81 @@ func (t *spillTier) lookup(shard int, fp uint64, key []byte) (int64, bool, error
 	if len(sh.runs) == 0 {
 		return 0, false, nil
 	}
-	t.lookups.Add(1)
+	sh.lookups++
 	for i := len(sh.runs) - 1; i >= 0; i-- {
 		run := sh.runs[i]
 		if !bloomHas(run.bloom, fp) {
 			continue
 		}
-		j := sort.Search(len(run.blocks), func(j int) bool { return run.blocks[j].last >= fp })
+		// First block whose range can hold fp; equal fingerprints may
+		// straddle a block boundary, so walk on while first <= fp.
+		j, hi := 0, len(run.blocks)
+		for j < hi {
+			if m := int(uint(j+hi) >> 1); run.blocks[m].last < fp {
+				j = m + 1
+			} else {
+				hi = m
+			}
+		}
 		for ; j < len(run.blocks) && run.blocks[j].first <= fp; j++ {
-			var entries []spillEntry
-			err := retryIO(&t.retries, func() error {
-				typ, payload, _, err := frame.ReadAt(run.f, run.blocks[j].off)
-				if err != nil {
-					return err
-				}
-				if typ != frameRunBlock {
-					return fmt.Errorf("frame type %d where block expected", typ)
-				}
-				entries, err = decodeRunBlock(payload)
-				return err
-			})
+			var id int64
+			var found bool
+			payload, err := t.readBlock(sh, run, j, &sh.probe)
+			if err == nil {
+				id, found, err = searchBlock(payload, fp, key)
+			}
 			if err != nil {
 				return 0, false, fmt.Errorf("explore: spill lookup in %s: %w", run.name, err)
 			}
-			k := sort.Search(len(entries), func(k int) bool {
-				if entries[k].fp != fp {
-					return entries[k].fp > fp
-				}
-				return entries[k].key >= string(key)
-			})
-			if k < len(entries) && entries[k].fp == fp && entries[k].key == string(key) {
-				t.hits.Add(1)
-				return entries[k].id, true, nil
+			if found {
+				sh.hits++
+				return id, true, nil
 			}
 		}
 	}
 	return 0, false, nil
 }
 
-// compact merges all of shard's runs into one.  Run key sets are
-// disjoint (a key spills at most once: later probes find it on disk and
-// are never re-admitted), so the merge is a concatenation re-sort.  The
-// superseded files are deleted only after the next durable manifest no
-// longer references them.
+// runCursor streams one run's entries in order for the compaction merge,
+// holding one block at a time.
+type runCursor struct {
+	run  *tierRun
+	next int // next block to load
+	buf  []byte
+	it   blockIter
+	done bool
+}
+
+// advance moves c to its run's next entry (c.it.fp, id, key()), loading
+// the next block when the current one is spent; done is set at the end.
+func (c *runCursor) advance(t *spillTier, sh *tierShard) error {
+	for !c.it.next() {
+		if err := c.it.err(); err != nil {
+			return err
+		}
+		if c.next == len(c.run.blocks) {
+			c.done = true
+			return nil
+		}
+		payload, err := t.readBlock(sh, c.run, c.next, &c.buf)
+		if err != nil {
+			return err
+		}
+		c.next++
+		if c.it, err = iterBlock(payload); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compact merges all of shard's runs into one.  The runs are sorted and
+// their key sets disjoint (a key spills at most once: later probes find
+// it on disk and are never re-admitted), so the merge streams — one
+// block cursor per run feeding the run writer, a block of memory per
+// run — and writes exactly the run a flush of the union would have.
+// The superseded files are deleted only after the next durable manifest
+// no longer references them.
 func (t *spillTier) compact(shard int) error {
 	sh := &t.shards[shard]
 	if len(sh.runs) < 2 {
@@ -493,34 +713,38 @@ func (t *spillTier) compact(shard int) error {
 	for _, run := range sh.runs {
 		total += run.count
 	}
-	entries := make([]spillEntry, 0, total)
-	for _, run := range sh.runs {
-		for _, blk := range run.blocks {
-			var blkEntries []spillEntry
-			err := retryIO(&t.retries, func() error {
-				typ, payload, _, err := frame.ReadAt(run.f, blk.off)
-				if err != nil {
-					return err
-				}
-				if typ != frameRunBlock {
-					return fmt.Errorf("frame type %d where block expected", typ)
-				}
-				blkEntries, err = decodeRunBlock(payload)
-				return err
-			})
-			if err != nil {
+	merged, err := t.writeRun(shard, sh.gen+1, total, func(rw *runWriter) error {
+		cursors := make([]runCursor, len(sh.runs))
+		for i, run := range sh.runs {
+			c := &cursors[i]
+			c.run = run
+			if err := c.advance(t, sh); err != nil {
 				return fmt.Errorf("explore: compact %s: %w", run.name, err)
 			}
-			entries = append(entries, blkEntries...)
 		}
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].fp != entries[j].fp {
-			return entries[i].fp < entries[j].fp
+		for {
+			var least *runCursor
+			for i := range cursors {
+				c := &cursors[i]
+				if c.done {
+					continue
+				}
+				if least == nil || c.it.fp < least.it.fp ||
+					(c.it.fp == least.it.fp && bytes.Compare(c.it.key(), least.it.key()) < 0) {
+					least = c
+				}
+			}
+			if least == nil {
+				return nil
+			}
+			if err := addRunEntry(rw, least.it.fp, least.it.id, least.it.key()); err != nil {
+				return err
+			}
+			if err := least.advance(t, sh); err != nil {
+				return fmt.Errorf("explore: compact %s: %w", least.run.name, err)
+			}
 		}
-		return entries[i].key < entries[j].key
 	})
-	merged, err := t.writeRun(shard, sh.gen+1, entries)
 	if err != nil {
 		return err
 	}
@@ -560,16 +784,28 @@ func (t *spillTier) prune() {
 	}
 }
 
-// stats sums the tier's end-of-run numbers.
-func (t *spillTier) stats() (keys, bytes int64, runs int) {
-	for i := range t.shards {
-		for _, run := range t.shards[i].runs {
-			keys += run.count
-			bytes += run.bytes
-			runs++
-		}
+// stats sums the tier's end-of-run numbers over the shards; the workers
+// have joined, so the owner-only counters are safe to read.
+func (t *spillTier) stats() SpillStats {
+	st := SpillStats{
+		Flushes:     t.flushes.Load(),
+		Compactions: t.compactions.Load(),
+		Retries:     t.retries.Load(),
+		SoftFails:   t.softFails.Load(),
 	}
-	return
+	for i := range t.shards {
+		sh := &t.shards[i]
+		for _, run := range sh.runs {
+			st.Keys += run.count
+			st.Bytes += run.bytes
+			st.Runs++
+		}
+		st.Lookups += sh.lookups
+		st.LookupHits += sh.hits
+		st.BlockReads += sh.blockReads
+		st.BlockBytes += sh.blockBytes
+	}
+	return st
 }
 
 // shardKeys returns the on-disk entry count of one shard (census).
@@ -802,9 +1038,13 @@ type spillReader struct {
 	fail error
 }
 
+func errTruncated(what string) error {
+	return fmt.Errorf("explore: truncated %s in spill frame", what)
+}
+
 func (r *spillReader) seterr(what string) {
 	if r.fail == nil {
-		r.fail = fmt.Errorf("explore: truncated %s in spill frame", what)
+		r.fail = errTruncated(what)
 	}
 }
 

@@ -3,6 +3,7 @@ package explore_test
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -307,6 +308,124 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	res = g.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
 	if res.Err != nil || res.Stats.Admitted != ref.Stats.Admitted {
 		t.Fatalf("pristine resume: err=%v admitted=%d want %d", res.Err, res.Stats.Admitted, ref.Stats.Admitted)
+	}
+}
+
+// rewriteRunLayout re-lays one run file out the way another writer would
+// have: the same header and the same entries in the same order, per to a
+// block, one frame.Write each.  It returns the largest block it wrote.
+func rewriteRunLayout(t *testing.T, path string, per int) int {
+	t.Helper()
+	const frameRunHeader, frameRunBlock = 0x52, 0x42
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	typ, hdr, err := frame.Read(f)
+	if err != nil || typ != frameRunHeader {
+		t.Fatalf("%s: header type %d err %v", path, typ, err)
+	}
+	var entries []explore.RefEntry
+	for {
+		typ, payload, err := frame.Read(f)
+		if err == io.EOF {
+			break
+		}
+		if err != nil || typ != frameRunBlock {
+			t.Fatalf("%s: block type %d err %v", path, typ, err)
+		}
+		blk, err := explore.DecodeRunBlockRef(payload)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		entries = append(entries, blk...)
+	}
+	largest := 0
+	err = frame.WriteFileAtomic(frame.OS{}, path, func(w io.Writer) error {
+		if err := frame.Write(w, frameRunHeader, hdr); err != nil {
+			return err
+		}
+		for len(entries) > 0 {
+			blk := entries[:min(len(entries), per)]
+			entries = entries[len(blk):]
+			largest = max(largest, len(blk))
+			payload := binary.AppendUvarint(nil, uint64(len(blk)))
+			for _, e := range blk {
+				payload = binary.BigEndian.AppendUint64(payload, e.FP)
+				payload = binary.AppendUvarint(payload, uint64(e.ID))
+				payload = binary.AppendUvarint(payload, uint64(len(e.Key)))
+				payload = append(payload, e.Key...)
+			}
+			if err := frame.Write(w, frameRunBlock, payload); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return largest
+}
+
+// TestSpillResumeOtherBlockLayout: run files laid out by another writer
+// — 256-entry blocks written one frame at a time, as before the run
+// writer gathered frames into chunks, and 32-entry blocks, as a writer
+// with a smaller block size would (spillVersion is the same for all) —
+// and named by a manifest must resume, to the census and completion of
+// an uninterrupted run.
+func TestSpillResumeOtherBlockLayout(t *testing.T) {
+	for _, per := range []int{256, 32} {
+		t.Run(fmt.Sprintf("%d-entry-blocks", per), func(t *testing.T) { testSpillResumeOtherBlockLayout(t, per) })
+	}
+}
+
+func testSpillResumeOtherBlockLayout(t *testing.T, per int) {
+	g := spillGraph{n: 4000}
+	ref := g.run(1, explore.ShardedOptions[uint64]{})
+
+	probe := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
+	if res := g.run(1, explore.ShardedOptions[uint64]{Spill: spillCfg(t.TempDir(), probe, 256)}); res.Err != nil {
+		t.Fatalf("probe: %v", res.Err)
+	}
+	dir := t.TempDir()
+	chaos := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
+	chaos.KillAtOp(probe.Ops() / 2)
+	g.run(1, explore.ShardedOptions[uint64]{Spill: spillCfg(dir, chaos, 256)})
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); err != nil {
+		t.Fatalf("no manifest survived the kill: %v", err)
+	}
+
+	runs, _ := filepath.Glob(filepath.Join(dir, "*.run"))
+	largest := 0
+	for _, path := range runs {
+		largest = max(largest, rewriteRunLayout(t, path, per))
+	}
+	if largest != per {
+		t.Fatalf("largest rewritten block holds %d entries in %d runs; the drill needs full %d-entry blocks", largest, len(runs), per)
+	}
+
+	cfg := spillCfg(dir, nil, 256)
+	cfg.Resume = true
+	res := g.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
+	if res.Err != nil {
+		t.Fatalf("resume over rewritten runs failed: %v", res.Err)
+	}
+	st := res.Stats
+	if !st.Spill.Resumed || st.Incomplete {
+		t.Fatalf("resumed=%v incomplete=%v", st.Spill.Resumed, st.Incomplete)
+	}
+	if st.Admitted != ref.Stats.Admitted || st.Processed != ref.Stats.Processed || len(res.Edges) != len(ref.Edges) {
+		t.Fatalf("admitted/processed/edges %d/%d/%d, uninterrupted %d/%d/%d",
+			st.Admitted, st.Processed, len(res.Edges), ref.Stats.Admitted, ref.Stats.Processed, len(ref.Edges))
+	}
+	if st.Census.Keys != ref.Stats.Census.Keys || st.Census.Collisions != ref.Stats.Census.Collisions {
+		t.Fatalf("census keys/collisions %d/%d, uninterrupted %d/%d",
+			st.Census.Keys, st.Census.Collisions, ref.Stats.Census.Keys, ref.Stats.Census.Collisions)
+	}
+	if st.Spill.Lookups == 0 || st.Spill.BlockReads == 0 {
+		t.Fatalf("the resumed run never probed the rewritten runs: %+v", st.Spill)
 	}
 }
 

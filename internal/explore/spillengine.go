@@ -637,20 +637,9 @@ func (e *sharded[T]) tryResume() (bool, error) {
 func (e *sharded[T]) spillFinish(res *ShardedResult) {
 	sp := e.sp
 	st := &res.Stats
-	keys, bytes, runs := sp.tier.stats()
-	st.Spill = SpillStats{
-		Keys:        keys,
-		Bytes:       bytes,
-		Runs:        runs,
-		Flushes:     sp.tier.flushes.Load(),
-		Compactions: sp.tier.compactions.Load(),
-		Lookups:     sp.tier.lookups.Load(),
-		LookupHits:  sp.tier.hits.Load(),
-		Checkpoints: sp.ckpts.Load(),
-		Resumed:     sp.resumed,
-		Retries:     sp.tier.retries.Load(),
-		SoftFails:   sp.tier.softFails.Load(),
-	}
+	st.Spill = sp.tier.stats()
+	st.Spill.Checkpoints = sp.ckpts.Load()
+	st.Spill.Resumed = sp.resumed
 	for _, q := range sp.qs {
 		st.Spill.FrontierSpilled += q.spilled.Load()
 		st.Spill.FrontierLoaded += q.loaded.Load()

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 )
 
 // FNV-1a 64 constants (hash/fnv's), inlined to keep the package
@@ -96,28 +97,72 @@ func Read(r io.Reader) (byte, []byte, error) {
 
 // ReadAt decodes the frame starting at offset off of f, verifying the
 // embedded fingerprint, and returns its type, payload, and the offset of
-// the byte after the frame.  This is the random-access read the spill
-// tier's block lookups use: one frame is decoded without touching the
-// rest of the file.
+// the byte after the frame.  The payload is freshly allocated; callers
+// on a hot path use ReadAtInto.
 func ReadAt(f io.ReaderAt, off int64) (typ byte, payload []byte, next int64, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, 4), hdr[:]); err != nil {
-		return 0, nil, 0, err
+	var buf []byte
+	return ReadAtInto(f, off, 0, &buf)
+}
+
+// ReadAtInto is ReadAt into a caller-owned buffer: *buf is grown when
+// the frame does not fit and handed back for the next call, and the
+// returned payload aliases it, so it is valid only until *buf is used
+// again.  size is the frame's encoded length when the caller knows it
+// (the spill tier's block index does) and 0 otherwise: a correct size
+// fetches the whole frame with one f.ReadAt, any other value costs a
+// second read for the remainder, never a wrong result.  This is the
+// random-access read the spill tier's block lookups use: one frame is
+// read, checksummed and returned without touching the rest of the file
+// or the heap.
+func ReadAtInto(f io.ReaderAt, off int64, size int, buf *[]byte) (typ byte, payload []byte, next int64, err error) {
+	if size < 4 {
+		size = 4
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	b := slices.Grow((*buf)[:0], size)[:size]
+	*buf = b
+	got, err := f.ReadAt(b, off)
+	if got < 4 {
+		return 0, nil, 0, shortRead(got, err)
+	}
+	n := binary.BigEndian.Uint32(b)
 	if n < 9 || n > MaxFrame {
 		return 0, nil, 0, fmt.Errorf("frame: length %d out of range at offset %d", n, off)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off+4, int64(n)), body); err != nil {
-		return 0, nil, 0, err
+	need := 4 + int(n)
+	if got < need {
+		if got < size {
+			return 0, nil, 0, shortRead(got, err) // the file ends inside the frame
+		}
+		b = slices.Grow(b, need-got)[:need]
+		more, err := f.ReadAt(b[got:], off+int64(got))
+		if more < need-got {
+			return 0, nil, 0, shortRead(got+more, err)
+		}
 	}
-	sum := binary.BigEndian.Uint64(body[n-8:])
-	body = body[:n-8]
-	if Fingerprint(body) != sum {
+	body := b[4 : need-8]
+	if Fingerprint(body) != binary.BigEndian.Uint64(b[need-8:]) {
 		return 0, nil, 0, fmt.Errorf("frame: checksum mismatch at offset %d", off)
 	}
-	return body[0], body[1:], off + 4 + int64(n), nil
+	// Only a verified frame may leave the caller holding a larger buffer:
+	// a corrupted length prefix must not pin MaxFrame bytes for the rest
+	// of the run.
+	*buf = b
+	return body[0], body[1:], off + int64(need), nil
+}
+
+// shortRead names the failure of an f.ReadAt that returned fewer bytes
+// than the frame needs: the reader's own error, or — at the end of the
+// file — io.EOF at a frame boundary and io.ErrUnexpectedEOF inside one,
+// as io.ReadFull reports them.
+func shortRead(got int, err error) error {
+	switch {
+	case err != nil && err != io.EOF:
+		return err
+	case got == 0:
+		return io.EOF
+	default:
+		return io.ErrUnexpectedEOF
+	}
 }
 
 // WriteFileAtomic durably replaces path with the given frame sequence:

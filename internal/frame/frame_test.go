@@ -126,3 +126,91 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 		}
 	}
 }
+
+// TestReadAtIntoAgreesWithReadAt: the buffer-reusing read is the same
+// decoder as ReadAt — frame for frame, whatever size the caller guessed —
+// it reuses the caller's buffer, and it rejects short reads, bad lengths
+// and checksum mismatches with ReadAt's own errors.
+func TestReadAtIntoAgreesWithReadAt(t *testing.T) {
+	var raw []byte
+	var offs []int
+	for i, n := range []int{0, 1, 600, 13, 5000, 32} {
+		offs = append(offs, len(raw))
+		raw = Append(raw, byte(i+1), bytes.Repeat([]byte{byte(i + 1)}, n))
+	}
+	offs = append(offs, len(raw))
+	f := bytes.NewReader(raw)
+
+	var buf []byte
+	for i := 0; i+1 < len(offs); i++ {
+		off, size := int64(offs[i]), offs[i+1]-offs[i]
+		wantTyp, want, wantNext, err := ReadAt(f, off)
+		if err != nil || wantNext != int64(offs[i+1]) {
+			t.Fatalf("frame %d: ReadAt next %d err %v", i, wantNext, err)
+		}
+		// The exact size, no size, an underestimate, an overestimate that
+		// runs into the next frame or past the end of the file.
+		for _, hint := range []int{size, 0, 3, size - 1, size + 1, size + 40, len(raw)} {
+			typ, p, next, err := ReadAtInto(f, off, hint, &buf)
+			if err != nil || typ != wantTyp || next != wantNext || !bytes.Equal(p, want) {
+				t.Fatalf("frame %d hint %d: type %d next %d err %v, payload equal %v", i, hint, typ, next, err, bytes.Equal(p, want))
+			}
+			if len(p) > 0 && &p[0] != &buf[5] {
+				t.Fatalf("frame %d hint %d: payload does not alias the caller's buffer", i, hint)
+			}
+		}
+	}
+	// Once grown to the largest frame the buffer is reused as is.
+	before := &buf[0]
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i+1 < len(offs); i++ {
+			if _, _, _, err := ReadAtInto(f, int64(offs[i]), offs[i+1]-offs[i], &buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 || &buf[0] != before {
+		t.Fatalf("steady-state reads allocate %v times (buffer moved: %v)", allocs, &buf[0] != before)
+	}
+
+	// Rejections: both entry points, same verdict, same words.
+	same := func(name string, data []byte, off int64, hint int) {
+		t.Helper()
+		r := bytes.NewReader(data)
+		_, _, _, errAt := ReadAt(r, off)
+		_, _, _, errInto := ReadAtInto(r, off, hint, &buf)
+		if errAt == nil || errInto == nil || errAt.Error() != errInto.Error() {
+			t.Fatalf("%s: ReadAt says %v, ReadAtInto(hint %d) says %v", name, errAt, hint, errInto)
+		}
+	}
+	last := offs[len(offs)-2]
+	for cut := last + 1; cut < len(raw); cut++ {
+		same("file ends inside the frame", raw[:cut], int64(last), len(raw)-last)
+		same("file ends inside the frame", raw[:cut], int64(last), 0)
+	}
+	same("read at the end of the file", raw, int64(len(raw)), 64)
+	if _, _, _, err := ReadAt(f, int64(len(raw))); err != io.EOF {
+		t.Fatalf("read at the end of the file: %v, want io.EOF", err)
+	}
+	if _, _, _, err := ReadAt(bytes.NewReader(raw[:len(raw)-1]), int64(last)); err != io.ErrUnexpectedEOF {
+		t.Fatalf("read of a torn frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	for _, n := range []uint32{0, 8, MaxFrame + 1, 1<<32 - 1} {
+		bad := append([]byte(nil), raw...)
+		bad[offs[2]], bad[offs[2]+1], bad[offs[2]+2], bad[offs[2]+3] = byte(n>>24), byte(n>>16), byte(n>>8), byte(n)
+		same("length out of range", bad, int64(offs[2]), offs[3]-offs[2])
+	}
+	for i := offs[2] + 4; i < offs[3]; i += 37 {
+		bad := append([]byte(nil), raw...)
+		bad[i] ^= 0x08
+		same("bit flip", bad, int64(offs[2]), offs[3]-offs[2])
+	}
+	// A length prefix corrupted upwards must not leave the caller holding
+	// a buffer of that size.
+	bad := append([]byte(nil), raw...)
+	bad[offs[2]+1] = 0x80 // 600-byte frame now claims 8 MiB
+	small := make([]byte, 0, 16)
+	if _, _, _, err := ReadAtInto(bytes.NewReader(bad), int64(offs[2]), 0, &small); err == nil || cap(small) > 1<<20 {
+		t.Fatalf("corrupt length: err %v, caller's buffer grew to %d bytes", err, cap(small))
+	}
+}

@@ -522,6 +522,8 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 			aggStats.Spill.Compactions += spill.Compactions
 			aggStats.Spill.Lookups += spill.Lookups
 			aggStats.Spill.LookupHits += spill.LookupHits
+			aggStats.Spill.BlockReads += spill.BlockReads
+			aggStats.Spill.BlockBytes += spill.BlockBytes
 			aggStats.Spill.FrontierSpilled += spill.FrontierSpilled
 			aggStats.Spill.FrontierLoaded += spill.FrontierLoaded
 			aggStats.Spill.Checkpoints += spill.Checkpoints

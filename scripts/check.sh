@@ -156,5 +156,10 @@ stage="bench smoke"
 # without paying for a measurement run; scripts/bench.sh does the real
 # measured comparison.
 go test -run=NONE -bench=. -benchtime=1x -timeout 15m ./...
+# The repo's benchmark (BENCHMARK.json -> bench/, a nested module the
+# commands above never build): 1 warm-up + 2 ops of all six workloads,
+# non-zero exit on a wrong verdict or a failed op, and the timeout turns
+# a hung workload into a red gate here instead of in the pipeline.
+timeout 300 bash bench/run.sh --smoke
 stage="done"
 echo "check.sh: all stages passed"
