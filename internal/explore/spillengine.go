@@ -529,15 +529,29 @@ func (e *sharded[T]) tryResume() (bool, error) {
 		}
 		return false, fmt.Errorf("explore: open spill manifest: %w", err)
 	}
-	typ, payload, rerr := frame.Read(f)
+	// A transient read fault is indistinguishable from a torn manifest on
+	// one attempt, and refusing is permanent for the caller: only a
+	// manifest that reads wrong every time is refused.
+	var typ byte
+	var payload []byte
 	var trailing bool
-	if rerr == nil {
-		var one [1]byte
-		if n, _ := f.Read(one[:]); n != 0 {
-			trailing = true
+	rerr := retryIO(&sp.tier.retries, func() error {
+		if f == nil {
+			var err error
+			if f, err = sp.fs.Open(path); err != nil {
+				return err
+			}
 		}
-	}
-	f.Close()
+		defer func() { f.Close(); f = nil }()
+		var err error
+		if typ, payload, err = frame.Read(f); err != nil {
+			return err
+		}
+		var one [1]byte
+		n, _ := f.Read(one[:])
+		trailing = n != 0
+		return nil
+	})
 	if rerr != nil || typ != frameManifest || trailing {
 		return false, fmt.Errorf("explore: spill manifest is corrupt or truncated; refusing to resume — delete %s to restart from scratch", path)
 	}

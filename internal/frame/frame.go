@@ -170,6 +170,12 @@ func shortRead(got int, err error) error {
 // and the directory is fsync'd.  A crash at any instant leaves either
 // the previous file or the new one — never a torn hybrid.  write is
 // handed the open temp file and emits the frames (typically via Write).
+//
+// One writer per path at a time: the temp sibling is always path+".tmp",
+// so two concurrent calls for one path would truncate and rename each
+// other's half-written file.  Callers serialise per path themselves —
+// the service does it with one record writer per job and one Put in
+// flight per artifact hash — and need no lock across different paths.
 func WriteFileAtomic(fsys FS, path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)

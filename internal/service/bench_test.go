@@ -8,74 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"randsync/internal/dist"
 	"randsync/internal/frame"
-	"randsync/internal/valency"
 )
-
-// BenchmarkServiceOverhead prices the service layer: the same workload
-// checked by a direct serial valency.Check call and by a full
-// submit-over-HTTP / schedule / execute / store / fetch round trip
-// through an in-process daemon.  The API, scheduler and artifact-store
-// overhead is the gap between the two paths; the invariant is
-// configuration-count equality — the service may cost time, never
-// change what was explored.
-func BenchmarkServiceOverhead(b *testing.B) {
-	base := JobSpec{Tenant: "bench", Protocol: "counter-walk", N: 3}
-	if err := base.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	proto, err := dist.Resolve(base.ProtoSpec())
-	if err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("path=direct", func(b *testing.B) {
-		var configs int
-		for i := 0; i < b.N; i++ {
-			rep := valency.Check(proto, base.Inputs, valency.Options{})
-			configs = rep.Configs
-		}
-		b.ReportMetric(float64(configs), "configs")
-	})
-
-	b.Run("path=service", func(b *testing.B) {
-		s, err := New(Config{DataDir: b.TempDir(), MaxActive: 1, Workers: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer s.Close()
-		c := &Client{Base: "http://checkd", HTTP: Inproc(Handler(s))}
-		var configs int
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			spec := base
-			// A fresh seed per iteration mints a distinct job hash over
-			// the identical workload (counter-walk ignores the seed), so
-			// every iteration pays the full pipeline instead of deduping
-			// onto the first verdict.
-			spec.Seed = uint64(i + 1)
-			sr, err := c.Submit(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Follow the event stream rather than polling, so the
-			// measurement is pipeline latency, not poll cadence.
-			st, err := c.Events(sr.Job.ID, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st == nil || st.State != StateDone {
-				b.Fatalf("job ended %+v, want done", st)
-			}
-			if _, err := c.Artifact(st.Artifact); err != nil {
-				b.Fatal(err)
-			}
-			configs = st.Configs
-		}
-		b.ReportMetric(float64(configs), "configs")
-	})
-}
 
 // flakyFS fails spill-file creation while a fault window is armed.  The
 // *fs.PathError it returns is exactly what a real transient disk fault

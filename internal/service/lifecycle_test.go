@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -292,12 +293,21 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// The first run holds at the engine's door until the disk is dead, so
+	// the kill lands mid-run however fast the job is.
+	started, killed := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.testHook = func(*JobSpec) {
+		once.Do(func() { close(started) })
+		<-killed
+	}
 	st, _, err := s.Submit(testSpec("alice", 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, st.ID, StateRunning, 10*time.Second)
+	<-started
 	chaos.KillFromNow()
+	close(killed)
 	got := waitDone(t, s, st.ID)
 	if got.State != StateFailed {
 		t.Fatalf("state %q, want failed once the budget is spent", got.State)

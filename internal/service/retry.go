@@ -147,6 +147,9 @@ type Health struct {
 	Running int `json:"running"`
 	// Tenants breaks the counts down per tenant.
 	Tenants map[string]TenantHealth `json:"tenants,omitempty"`
+	// Persist is the disk's slice: records and artifacts written, and how
+	// long a commit takes.
+	Persist PersistHealth `json:"persist"`
 }
 
 // Health status values.

@@ -20,13 +20,17 @@
 // per-job attempt budget, tenant quotas bound queue growth, and every
 // engine invocation runs under recover so a panicking protocol fails
 // one job instead of the daemon.
+//
+// Durability is per job (commit.go).  Server.mu and Store.mu are
+// memory-only locks — neither is ever held across a frame.FS call — so
+// one tenant's fsyncs never stall another tenant's submit, status read
+// or event stream, and two tenants' commits overlap on the disk.
 package service
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
@@ -208,14 +212,18 @@ func (c *Config) fill() {
 
 // Server is the coordinator: one mutex owns the job table, the
 // per-tenant queues and the scheduler counters; jobs run on their own
-// goroutines and re-enter the lock only to report transitions.
+// goroutines and re-enter the lock only to report transitions.  The
+// mutex guards memory only: every frame.FS call — job records, the
+// artifact store, directory creation — happens with it released.
 type Server struct {
 	cfg   Config
 	store *Store
 
-	mu           sync.Mutex
-	events       *sync.Cond // broadcast on every job transition
-	idle         *sync.Cond // broadcast when active drops to zero
+	mu     sync.Mutex
+	events *sync.Cond // broadcast on every publication
+	// idle is broadcast when active drops to zero, when a job's record
+	// writer goes idle, and when a commit someone waits on lands.
+	idle         *sync.Cond
 	jobs         map[string]*job
 	queues       map[string][]*job // per-tenant FIFO
 	tenants      []string          // first-seen order, the round-robin ring
@@ -226,6 +234,8 @@ type Server struct {
 	paused       bool
 	closed       bool
 	seq          int64
+	writers      int          // jobs whose record writer is running
+	persist      persistStats // the commit path's counters
 
 	// testHook, when set by a same-package test, runs at the top of
 	// every engine invocation — inside the recover guard — so the panic
@@ -235,8 +245,14 @@ type Server struct {
 }
 
 type job struct {
+	// st is the scheduler's view: every transition mutates it under s.mu
+	// the moment it is decided.  pub is the published view — what Job,
+	// Jobs, healthz and the event streams show; it follows st at once for
+	// states nobody is promised on disk (running, a pending retry) and
+	// only after the record is durable for the rest (commit.go).
 	st  JobStatus
-	ver int64 // bumped on every transition; event streams follow it
+	pub JobStatus
+	ver int64 // bumped on every publication, 0 until the first; event streams follow it
 
 	// stop is the run's interrupt channel, non-nil while the job
 	// executes; stopReason (set under s.mu before the close) tells the
@@ -246,6 +262,13 @@ type job struct {
 
 	deadlineTimer *time.Timer // fires deadlineExpired; nil without a deadline
 	retryTimer    *time.Timer // fires retryReady; nil without a pending retry
+
+	// The job's record writer (commit.go): next is the snapshot waiting
+	// to be written, writing says a goroutine owns job.rec and its staging
+	// file, hasDir that the job directory exists.
+	next    *commit
+	writing bool
+	hasDir  bool
 }
 
 // New opens (creating if needed) a server over dataDir, reloads the
@@ -305,15 +328,28 @@ func (s *Server) loadJobs() error {
 		}
 	}
 	sort.Strings(ids) // deterministic reload order
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Every record is read before the lock is taken: nothing contends for
+	// it yet, but the lock never covers a disk call, here included.
+	var loaded []*JobStatus
 	for _, id := range ids {
 		st, err := s.readJobRecord(id)
 		if err != nil {
 			s.cfg.Logf("service: skipping job %s: %v", id, err)
 			continue
 		}
-		j := &job{st: *st}
+		loaded = append(loaded, st)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, st := range loaded {
+		j := &job{st: *st, hasDir: true}
+		if !j.st.terminal() {
+			// Backoff delays do not survive restarts: the job goes
+			// straight back in line.
+			j.st.NextRetryMS = 0
+		}
+		s.jobs[j.st.ID] = j
+		s.publishLocked(j, &j.st) // what the disk says, until a transition below says more
 		if j.st.Seq > s.seq {
 			s.seq = j.st.Seq
 		}
@@ -323,14 +359,9 @@ func (s *Server) loadJobs() error {
 			// checkpoint on disk is the resume point.
 			j.st.State = StateQueued
 			j.st.Resumes++
-			if err := s.writeJobLocked(j); err != nil {
-				s.cfg.Logf("service: requeue job %s: %v", id, err)
-			}
+			s.persistLocked(j, nil)
 			fallthrough
 		case StateQueued:
-			// Backoff delays do not survive restarts: the job goes
-			// straight back in line.
-			j.st.NextRetryMS = 0
 			if j.st.DeadlineAtMS > 0 && time.Now().UnixMilli() >= j.st.DeadlineAtMS {
 				s.finishLocked(j, StateTimeout)
 			} else {
@@ -338,7 +369,6 @@ func (s *Server) loadJobs() error {
 				s.enqueueLocked(j)
 			}
 		}
-		s.jobs[j.st.ID] = j
 	}
 	return nil
 }
@@ -384,33 +414,16 @@ func (s *Server) readJobRecordOnce(id string) (*JobStatus, error) {
 	return &st, nil
 }
 
-// writeJobLocked persists j's record atomically and bumps its event
-// version.  A handful of write attempts ride out transient disk faults;
-// WriteFileAtomic makes the retry safe (the previous record survives a
-// failed attempt intact).  Callers hold s.mu.
-func (s *Server) writeJobLocked(j *job) error {
-	payload, err := json.Marshal(&j.st)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(s.jobDir(j.st.ID), "job.rec")
-	for attempt := 0; attempt < 4; attempt++ {
-		if err = frame.WriteFileAtomic(s.cfg.FS, path, func(w io.Writer) error {
-			return frame.Write(w, frameJob, payload)
-		}); err == nil {
-			break
-		}
-	}
-	j.ver++
-	s.events.Broadcast()
-	return err
-}
-
 // Submit validates, dedups and enqueues a job.  A spec whose ID matches
 // an existing queued, running or done job is a duplicate: the existing
 // status is returned and nothing is enqueued.  Resubmitting a failed,
 // timed-out or cancelled job re-runs it (resuming from any checkpoint
 // its earlier runs left).  Over-quota submissions return *QuotaError.
+//
+// Submit returns only once the job's queued record is on disk — a
+// duplicate that finds the first copy's record still in flight waits
+// for it too — and the job is handed to the scheduler only then, so an
+// acknowledged job survives any crash and a refused one never ran.
 func (s *Server) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, false, err
@@ -418,26 +431,25 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, bool, error) {
 	id := spec.ID()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j := s.settledLocked(id)
 	if s.closed {
 		return JobStatus{}, false, ErrShuttingDown
 	}
-	if j, ok := s.jobs[id]; ok {
+	if j != nil {
 		switch j.st.State {
 		case StateQueued, StateRunning, StateDone:
-			return j.st, true, nil
+			return j.pub, true, nil
 		}
 	}
 	if err := s.quotaLocked(spec.Tenant); err != nil {
 		return JobStatus{}, false, err
 	}
-	if err := s.cfg.FS.MkdirAll(s.jobDir(id)); err != nil {
-		return JobStatus{}, false, fmt.Errorf("service: create job dir: %w", err)
-	}
-	j := s.jobs[id]
-	if j == nil {
+	fresh := j == nil
+	if fresh {
 		j = &job{st: JobStatus{SchemaVersion: valency.ReportSchemaVersion, ID: id}}
 		s.jobs[id] = j
 	}
+	prev := j.st
 	// A resubmission of a terminal job starts a fresh lifecycle over the
 	// old checkpoints: outcome fields reset, history counters persist.
 	j.st.Spec = spec
@@ -452,13 +464,38 @@ func (s *Server) Submit(spec JobSpec) (JobStatus, bool, error) {
 	if spec.DeadlineSeconds > 0 {
 		j.st.DeadlineAtMS = time.Now().UnixMilli() + int64(spec.DeadlineSeconds)*1000
 	}
-	if err := s.writeJobLocked(j); err != nil {
-		return JobStatus{}, false, err
+	// Until the record lands the job sits in the table — duplicates find
+	// it, quotas count it — but in no queue, so nothing can run it.
+	var (
+		landed bool
+		out    JobStatus
+		werr   error
+	)
+	s.persistLocked(j, func(st *JobStatus, err error) {
+		landed, werr = true, err
+		if err != nil {
+			// The previous record (or none) is what the disk still holds;
+			// put the table back in step with it.
+			if fresh {
+				delete(s.jobs, id)
+			} else {
+				j.st = prev
+			}
+			return
+		}
+		s.publishLocked(j, st)
+		s.armDeadlineLocked(j)
+		s.enqueueLocked(j)
+		s.dispatchLocked()
+		out = j.pub // dispatch is eager, so this may already say running
+	})
+	for !landed {
+		s.idle.Wait()
 	}
-	s.armDeadlineLocked(j)
-	s.enqueueLocked(j)
-	s.dispatchLocked()
-	return j.st, false, nil
+	if werr != nil {
+		return JobStatus{}, false, werr
+	}
+	return out, false, nil
 }
 
 // quotaLocked enforces the global queue bound and the submitting
@@ -548,13 +585,14 @@ func (s *Server) dispatchLocked() {
 		}
 		j.st.State = StateRunning
 		j.st.Runs++
-		if err := s.writeJobLocked(j); err != nil {
-			s.cfg.Logf("service: persist job %s: %v", j.st.ID, err)
-		}
 		s.active++
 		s.activeTenant[j.st.Spec.Tenant]++
 		j.stop = make(chan struct{})
 		j.stopReason = ""
+		// Nobody waits on the running record, and a restart treats it
+		// exactly like queued except for Resumes++, so it is written
+		// behind the dispatch: the slot is taken without waiting on disk.
+		s.persistLocked(j, nil)
 		go s.runJob(j)
 	}
 }
@@ -578,7 +616,13 @@ func (s *Server) stopRunLocked(j *job, reason string) {
 }
 
 // finishLocked moves j to a terminal state, stamps its completion
-// sequence number, stops its timers and persists the record.
+// sequence number, stops its timers and persists the record.  The state
+// (and its Seq) is published only once the record is on disk.  A done
+// record that cannot be written turns the run into a failure (classified
+// like any other, so a disk hiccup retries): done promises the verdict
+// survives a restart.  The other terminal states have nothing to fall
+// back to, so theirs is logged and the state published anyway — the
+// daemon stays honest in memory, and a restart re-runs the job.
 func (s *Server) finishLocked(j *job, state string) {
 	if j.deadlineTimer != nil {
 		j.deadlineTimer.Stop()
@@ -592,9 +636,15 @@ func (s *Server) finishLocked(j *job, state string) {
 	s.seq++
 	j.st.State = state
 	j.st.Seq = s.seq
-	if werr := s.writeJobLocked(j); werr != nil {
-		s.cfg.Logf("service: persist job %s: %v", j.st.ID, werr)
-	}
+	s.persistLocked(j, func(st *JobStatus, err error) {
+		if err != nil && st.State == StateDone {
+			j.st.Verdict, j.st.Configs, j.st.Artifact, j.st.Seq = "", 0, "", 0
+			s.armDeadlineLocked(j)
+			s.failLocked(j, err)
+			return
+		}
+		s.publishLocked(j, st)
+	})
 }
 
 // armDeadlineLocked (re-)arms j's deadline timer from DeadlineAtMS.
@@ -645,35 +695,43 @@ func (s *Server) deadlineExpired(j *job) {
 func (s *Server) Cancel(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.settledLocked(id)
+	if j == nil {
 		return JobStatus{}, ErrNoSuchJob
 	}
 	switch {
 	case j.st.terminal():
-		return j.st, ErrAlreadyTerminal
+		return j.pub, ErrAlreadyTerminal
 	case j.st.State == StateRunning:
 		if !j.st.CancelRequested {
 			j.st.CancelRequested = true
 			s.stopRunLocked(j, stopCancel)
-			if werr := s.writeJobLocked(j); werr != nil {
-				s.cfg.Logf("service: persist job %s: %v", j.st.ID, werr)
-			}
+			s.persistLocked(j, nil)
 		}
 	default: // queued, possibly in backoff
 		s.removeQueuedLocked(j)
 		j.st.CancelRequested = true
 		s.finishLocked(j, StateCancelled)
 		s.dispatchLocked()
+		// The answer says cancelled, so it waits for the record.
+		for j.writing {
+			s.idle.Wait()
+		}
 	}
-	return j.st, nil
+	return j.pub, nil
 }
 
 // runJob executes one job to a verdict, a checkpointed interrupt, a
 // retryable failure, or a terminal failure, then frees its scheduler
-// slot.
+// slot.  A verdict's document goes into the store before the lock is
+// taken, so done is only ever recorded over a durable artifact; the
+// record itself is written after the slot is released.
 func (s *Server) runJob(j *job) {
 	rep, err := s.executeRecovered(j)
+	var verdict, artifact string
+	if err == nil {
+		verdict, artifact, err = s.storeVerdict(rep, &j.st.Spec)
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -685,7 +743,10 @@ func (s *Server) runJob(j *job) {
 
 	switch {
 	case err == nil:
-		err = s.completeLocked(j, rep)
+		j.st.Verdict = verdict
+		j.st.Configs = rep.Configs
+		j.st.Artifact = artifact
+		s.finishLocked(j, StateDone)
 	case errors.Is(err, valency.ErrInterrupted) || errors.Is(err, dist.ErrInterrupted):
 		// The engine drained to a checkpoint; the stop reason says where
 		// the job goes next.
@@ -699,15 +760,12 @@ func (s *Server) runJob(j *job) {
 			// generation resumes it.
 			j.st.State = StateQueued
 			j.st.Resumes++
-			if werr := s.writeJobLocked(j); werr != nil {
-				s.cfg.Logf("service: persist job %s: %v", j.st.ID, werr)
-			}
+			s.persistLocked(j, nil)
 		}
-		err = nil
-	}
-	if err != nil {
-		// A cancel or deadline that raced the engine's own failure still
-		// wins: the user asked for the job to end, and it has.
+	default:
+		// A cancel or deadline that raced the engine's own failure (or
+		// the store's) still wins: the user asked for the job to end, and
+		// it has.
 		switch reason {
 		case stopCancel:
 			s.finishLocked(j, StateCancelled)
@@ -723,25 +781,23 @@ func (s *Server) runJob(j *job) {
 	s.dispatchLocked()
 }
 
-// completeLocked lands a successful run: document, artifact, done.  The
-// returned error (document rendering or store failure) sends the job
-// down the failure-classification path instead.
-func (s *Server) completeLocked(j *job, rep *valency.Report) error {
-	doc, err := VerdictDocument(rep, &j.st.Spec)
+// storeVerdict renders a successful run's document and lands it in the
+// artifact store, returning what the job record keeps of it: the verdict
+// word and the document's address.  The returned error (document
+// rendering or store failure) sends the job down the
+// failure-classification path instead.
+func (s *Server) storeVerdict(rep *valency.Report, spec *JobSpec) (verdict, artifact string, err error) {
+	doc, err := VerdictDocument(rep, spec)
 	if err != nil {
-		return err
+		return "", "", err
 	}
-	hash, _, err := s.store.Put(doc)
+	artifact, _, err = s.store.Put(doc)
 	if err != nil {
-		return err
+		return "", "", err
 	}
 	var parsed valency.JSONReport
 	_ = json.Unmarshal(doc, &parsed)
-	j.st.Verdict = parsed.Verdict
-	j.st.Configs = rep.Configs
-	j.st.Artifact = hash
-	s.finishLocked(j, StateDone)
-	return nil
+	return parsed.Verdict, artifact, nil
 }
 
 // failLocked classifies a run failure: a transient failure with budget
@@ -758,9 +814,7 @@ func (s *Server) failLocked(j *job, err error) {
 		j.st.State = StateQueued
 		delay := s.cfg.retryDelay(frame.Fingerprint([]byte(j.st.ID)), j.st.Retries)
 		j.st.NextRetryMS = time.Now().UnixMilli() + delay.Milliseconds()
-		if werr := s.writeJobLocked(j); werr != nil {
-			s.cfg.Logf("service: persist job %s: %v", j.st.ID, werr)
-		}
+		s.persistLocked(j, nil)
 		s.cfg.Logf("service: job %s transient failure (retry %d/%d in %v): %v",
 			j.st.ID, j.st.Retries, s.cfg.RetryMax, delay, err)
 		j.retryTimer = time.AfterFunc(delay, func() { s.retryReady(j) })
@@ -782,9 +836,7 @@ func (s *Server) retryReady(j *job) {
 		return
 	}
 	j.st.NextRetryMS = 0
-	if werr := s.writeJobLocked(j); werr != nil {
-		s.cfg.Logf("service: persist job %s: %v", j.st.ID, werr)
-	}
+	s.persistLocked(j, nil)
 	s.enqueueLocked(j)
 	s.dispatchLocked()
 }
@@ -865,20 +917,24 @@ func (s *Server) Job(id string) (JobStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
+	if !ok || j.ver == 0 {
 		return JobStatus{}, false
 	}
-	return j.st, true
+	return j.pub, true
 }
 
 // Jobs lists every known job, ordered by ID.
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]JobStatus, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		out = append(out, j.st)
+		if j.ver > 0 {
+			out = append(out, j.pub)
+		}
 	}
+	s.mu.Unlock()
+	// Sorted outside the lock: the table grows without bound over a
+	// daemon's life and a listing must not stall submits.
 	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
@@ -892,29 +948,33 @@ func (s *Server) Artifact(hash string) ([]byte, error) { return s.store.Get(hash
 // otherwise ok — plus per-tenant depths, retry counters and the last
 // failure message.
 func (s *Server) Health() Health {
+	stored := s.store.Stats() // its own lock; taken first so the two never nest
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	h := Health{Status: HealthOK, Tenants: make(map[string]TenantHealth)}
+	h := Health{Status: HealthOK, Tenants: make(map[string]TenantHealth), Persist: s.persist.health(stored)}
 	if s.closed {
 		h.Status = HealthDraining
 	}
 	degraded := false
 	for _, j := range s.jobs {
-		t := j.st.Spec.Tenant
+		if j.ver == 0 {
+			continue // a first submission whose record is still in flight
+		}
+		t := j.pub.Spec.Tenant
 		th := h.Tenants[t]
-		th.Retries += int64(j.st.Retries)
-		switch j.st.State {
+		th.Retries += int64(j.pub.Retries)
+		switch j.pub.State {
 		case StateQueued:
 			h.Queued++
 			th.Queued++
-			if j.st.NextRetryMS != 0 {
+			if j.pub.NextRetryMS != 0 {
 				th.Retrying++
 				degraded = true
 			}
 		case StateRunning:
 			h.Running++
 			th.Running++
-			if j.st.Retries > 0 {
+			if j.pub.Retries > 0 {
 				degraded = true
 			}
 		case StateFailed:
@@ -943,14 +1003,14 @@ func (s *Server) WaitChange(id string, since int64, cancelled func() bool) (JobS
 	defer s.mu.Unlock()
 	for {
 		j, ok := s.jobs[id]
-		if !ok {
+		if !ok || j.ver == 0 {
 			return JobStatus{}, since, false
 		}
 		if j.ver > since {
-			return j.st, j.ver, !j.st.terminal()
+			return j.pub, j.ver, !j.pub.terminal()
 		}
-		if s.closed || j.st.terminal() || (cancelled != nil && cancelled()) {
-			return j.st, j.ver, false
+		if s.closed || j.pub.terminal() || (cancelled != nil && cancelled()) {
+			return j.pub, j.ver, false
 		}
 		s.events.Wait()
 	}
@@ -979,8 +1039,8 @@ func (s *Server) Queued() (queued, running int) {
 // is interrupted and writes a final checkpoint, interrupted jobs go
 // back to the queue as persisted records, pending deadline and retry
 // timers are stopped (their jobs stay queued; a restart re-arms or
-// re-enqueues), and Close returns once no job is running.  A later New
-// over the same DataDir resumes them.
+// re-enqueues), and Close returns once no job is running and no job
+// record is in flight.  A later New over the same DataDir resumes them.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -999,7 +1059,7 @@ func (s *Server) Close() error {
 			j.retryTimer = nil
 		}
 	}
-	for s.active > 0 {
+	for s.active > 0 || s.writers > 0 {
 		s.idle.Wait()
 	}
 	s.events.Broadcast() // end every event stream

@@ -253,8 +253,8 @@ func TestDuplicateSubmission(t *testing.T) {
 	if a.Artifact != b.Artifact {
 		t.Fatalf("same logical job stored twice: %s vs %s", a.Artifact, b.Artifact)
 	}
-	if puts, dedups := s.store.Stats(); puts != 1 || dedups != 1 {
-		t.Fatalf("store stats = (%d puts, %d dedups), want (1, 1)", puts, dedups)
+	if got := s.store.Stats(); got != (StoreStats{Puts: 1, Dedups: 1}) {
+		t.Fatalf("store stats = %+v, want 1 put, 1 dedup", got)
 	}
 }
 

@@ -34,14 +34,34 @@ var ErrNotFound = errors.New("service: artifact not found")
 // artifact.  Get re-derives the address from the payload on the way
 // out: a file renamed to the wrong hash can never serve the wrong
 // document.
+//
+// The mutex guards the counters and the table of writes in flight and
+// is never held across a filesystem call: a Get takes no lock at all,
+// Puts of different documents overlap on the disk, and concurrent Puts
+// of one document share a single write — which is also what keeps
+// WriteFileAtomic's one-writer-per-path rule.
 type Store struct {
 	dir string
 	fs  frame.FS
 
-	mu     sync.Mutex
-	puts   int64 // documents actually written
-	dedups int64 // Put calls answered by an existing identical file
-	swept  int64 // orphaned temp files removed at open
+	mu       sync.Mutex
+	inflight map[string]*putCall // Puts writing right now, by hash
+	stats    StoreStats
+	swept    int64 // orphaned temp files removed at open
+}
+
+// StoreStats counts what the store's Puts came to.
+type StoreStats struct {
+	Puts      int64 // documents actually written
+	Dedups    int64 // Puts answered by an existing identical file
+	Coalesced int64 // Puts that joined a concurrent Put of the same document
+}
+
+// putCall is one write in flight; followers wait on done and share the
+// leader's outcome.
+type putCall struct {
+	done chan struct{}
+	err  error
 }
 
 // NewStore opens (creating if needed) the artifact store rooted at dir
@@ -58,7 +78,7 @@ func NewStore(dir string, fsys frame.FS) (*Store, error) {
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("service: create artifact dir: %w", err)
 	}
-	s := &Store{dir: dir, fs: fsys}
+	s := &Store{dir: dir, fs: fsys, inflight: make(map[string]*putCall)}
 	if ents, err := fsys.ReadDir(dir); err == nil {
 		for _, e := range ents {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".tmp") {
@@ -74,11 +94,7 @@ func NewStore(dir string, fsys frame.FS) (*Store, error) {
 
 // Swept reports how many orphaned temp files the open-time sweep
 // removed.
-func (s *Store) Swept() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.swept
-}
+func (s *Store) Swept() int64 { return s.swept }
 
 // ArtifactHash is the content address of a document: its FNV-1a 64
 // fingerprint as sixteen lowercase hex digits.
@@ -103,43 +119,66 @@ func ValidArtifactHash(h string) bool {
 func (s *Store) path(hash string) string { return filepath.Join(s.dir, hash+".art") }
 
 // Put stores the document and returns its address.  created reports
-// whether a file was written: an identical document already present is
-// the dedup hit, and a present-but-unreadable file (a torn write a
-// crashed process left behind pre-rename would never be visible, but a
-// corrupted disk block might) is silently repaired by rewriting.
+// whether this call wrote a file: an identical document already present
+// is the dedup hit, a Put that finds the same document being written
+// waits for that write and shares its outcome, and a present-but-
+// unreadable file (a torn write a crashed process left behind pre-rename
+// would never be visible, but a corrupted disk block might) is silently
+// repaired by rewriting.
 func (s *Store) Put(payload []byte) (hash string, created bool, err error) {
 	hash = ArtifactHash(payload)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, err := s.get(hash); err == nil {
+	if c := s.inflight[hash]; c != nil {
+		s.stats.Coalesced++
+		s.mu.Unlock()
+		<-c.done
+		return hash, false, c.err
+	}
+	c := &putCall{done: make(chan struct{})}
+	s.inflight[hash] = c
+	s.mu.Unlock()
+
+	created, c.err = s.put(hash, payload)
+
+	s.mu.Lock()
+	delete(s.inflight, hash)
+	switch {
+	case c.err != nil:
+	case created:
+		s.stats.Puts++
+	default:
+		s.stats.Dedups++
+	}
+	s.mu.Unlock()
+	close(c.done)
+	return hash, created, c.err
+}
+
+// put is the leader's half of Put, run with no lock held.
+func (s *Store) put(hash string, payload []byte) (created bool, err error) {
+	if _, err := s.Get(hash); err == nil {
 		// Content addressing makes the equality check implicit: a file at
 		// this address that passes frame and address verification IS this
 		// payload.
-		s.dedups++
-		return hash, false, nil
+		return false, nil
 	}
 	err = frame.WriteFileAtomic(s.fs, s.path(hash), func(w io.Writer) error {
 		return frame.Write(w, frameArtifact, payload)
 	})
 	if err != nil {
-		return hash, false, fmt.Errorf("service: store artifact %s: %w", hash, err)
+		return false, fmt.Errorf("service: store artifact %s: %w", hash, err)
 	}
-	s.puts++
-	return hash, true, nil
+	return true, nil
 }
 
 // Get returns the document stored at hash, verifying both the frame
-// fingerprint and that the payload re-derives the address.
+// fingerprint and that the payload re-derives the address.  It takes no
+// lock: the rename that lands an artifact is atomic, so a Get racing a
+// Put sees the finished file or none.
 func (s *Store) Get(hash string) ([]byte, error) {
 	if !ValidArtifactHash(hash) {
 		return nil, fmt.Errorf("service: invalid artifact hash %q", hash)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.get(hash)
-}
-
-func (s *Store) get(hash string) ([]byte, error) {
 	f, err := s.fs.Open(s.path(hash))
 	if errors.Is(err, iofs.ErrNotExist) {
 		return nil, ErrNotFound
@@ -168,9 +207,9 @@ func (s *Store) get(hash string) ([]byte, error) {
 	return payload, nil
 }
 
-// Stats reports (documents written, Put calls deduped) so far.
-func (s *Store) Stats() (puts, dedups int64) {
+// Stats reports what the store's Puts came to so far.
+func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.puts, s.dedups
+	return s.stats
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"randsync/internal/fault"
 	"randsync/internal/frame"
@@ -56,8 +57,8 @@ func TestStoreDedup(t *testing.T) {
 	if h1 != h2 {
 		t.Fatalf("hashes differ for identical bytes: %s vs %s", h1, h2)
 	}
-	if puts, dedups := st.Stats(); puts != 1 || dedups != 1 {
-		t.Fatalf("stats = (%d puts, %d dedups), want (1, 1)", puts, dedups)
+	if got := st.Stats(); got != (StoreStats{Puts: 1, Dedups: 1}) {
+		t.Fatalf("stats = %+v, want 1 put, 1 dedup", got)
 	}
 }
 
@@ -223,5 +224,71 @@ func TestStoreKillSweep(t *testing.T) {
 		if err := os.RemoveAll(kdir); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStorePutCoalesces: while one Put is parked inside its fsync, more
+// Puts of the same document join it instead of writing (the staging
+// name is fixed, so a second writer would be a bug, not just waste),
+// and a Put and a Get of other documents go straight through.
+func TestStorePutCoalesces(t *testing.T) {
+	disk := &parkFS{FS: frame.OS{}}
+	defer disk.openAll()
+	st, err := NewStore(t.TempDir(), disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, _, err := st.Put([]byte("another document"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	doc := []byte("the contended document")
+	const followers = 3
+	g := disk.arm(ArtifactHash(doc))
+	results := make(chan error, 1+followers)
+	put := func() {
+		_, _, err := st.Put(append([]byte(nil), doc...))
+		results <- err
+	}
+	go put()
+	awaitParked(t, g)
+	for i := 0; i < followers; i++ {
+		go put()
+	}
+	within(t, "followers joining the parked Put", func() {
+		for st.Stats().Coalesced < followers {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	within(t, "other documents while a Put is parked", func() {
+		if _, err := st.Get(other); err != nil {
+			t.Errorf("Get of another hash: %v", err)
+		}
+		if _, created, err := st.Put([]byte("a third document")); err != nil || !created {
+			t.Errorf("Put of another document: created=%v err=%v", created, err)
+		}
+		if _, err := st.Get(ArtifactHash(doc)); !errors.Is(err, ErrNotFound) {
+			t.Errorf("Get of the document still being written: err=%v, want ErrNotFound", err)
+		}
+	})
+	select {
+	case err := <-results:
+		t.Fatalf("a Put returned with the write's fsync still parked (err=%v)", err)
+	default:
+	}
+	g.open()
+	within(t, "the Puts after the release", func() {
+		for i := 0; i < 1+followers; i++ {
+			if err := <-results; err != nil {
+				t.Errorf("Put: %v", err)
+			}
+		}
+	})
+	if got := st.Stats(); got != (StoreStats{Puts: 3, Coalesced: followers}) {
+		t.Fatalf("stats = %+v, want 3 puts, %d coalesced", got, followers)
+	}
+	if got, err := st.Get(ArtifactHash(doc)); err != nil || string(got) != string(doc) {
+		t.Fatalf("Get after the release = %q, %v", got, err)
 	}
 }

@@ -56,16 +56,7 @@
 # the slowdown ratio plus flush/compaction/lookup/frontier-spill counts
 # are recorded as the price of never truncating under a memory budget.
 #
-# A sixth stage runs BenchmarkServiceOverhead (internal/service) and
-# emits BENCH_pr9.json: the same workload checked by a direct serial
-# valency.Check call versus a full submit/schedule/execute/store/fetch
-# round trip through an in-process checkd daemon (HTTP API over the
-# loopback harness, per-tenant scheduler, content-addressed artifact
-# store).  The acceptance check is configuration-count equality — the
-# service may add latency, never change what was explored — and the
-# per-job overhead ratio is recorded as the price of the service layer.
-#
-# A seventh stage runs BenchmarkRetryOverhead (internal/service) and
+# A sixth stage runs BenchmarkRetryOverhead (internal/service) and
 # emits BENCH_pr10.json: the same job run through a healthy daemon
 # versus one whose disk deterministically fails the first spill write
 # of every job, forcing one classified transient failure + capped
@@ -76,8 +67,8 @@
 # retry-vs-clean overhead ratio is recorded as the price of the
 # failure-recovery machinery.
 #
-# Usage: scripts/bench.sh [output.json] [dist-output.json] [recovery-output.json] [scaling-output.json] [spill-output.json] [service-output.json] [retry-output.json]
-#        (defaults: BENCH_pr3.json BENCH_pr4.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr9.json BENCH_pr10.json)
+# Usage: scripts/bench.sh [output.json] [dist-output.json] [recovery-output.json] [scaling-output.json] [spill-output.json] [retry-output.json]
+#        (defaults: BENCH_pr3.json BENCH_pr4.json BENCH_pr5.json BENCH_pr6.json BENCH_pr7.json BENCH_pr10.json)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -86,15 +77,13 @@ distout="${2:-BENCH_pr4.json}"
 recout="${3:-BENCH_pr5.json}"
 scaleout="${4:-BENCH_pr6.json}"
 spillout="${5:-BENCH_pr7.json}"
-svcout="${6:-BENCH_pr9.json}"
-retryout="${7:-BENCH_pr10.json}"
+retryout="${6:-BENCH_pr10.json}"
 raw="$(mktemp)"
 distraw="$(mktemp)"
 recraw="$(mktemp)"
 spillraw="$(mktemp)"
-svcraw="$(mktemp)"
 retryraw="$(mktemp)"
-trap 'rm -f "$raw" "$distraw" "$recraw" "$spillraw" "$svcraw" "$retryraw"' EXIT
+trap 'rm -f "$raw" "$distraw" "$recraw" "$spillraw" "$retryraw"' EXIT
 
 cores="$( (nproc || getconf _NPROCESSORS_ONLN || echo 1) 2>/dev/null | head -1 )"
 
@@ -470,66 +459,6 @@ if ! grep -q '"pass": true' "$spillout"; then
 	exit 1
 fi
 echo "bench.sh: spill acceptance passed"
-
-# ---- service stage: direct check vs the full checkd pipeline ----
-echo "== ./internal/service (-benchtime=1x)" >&2
-go test -run=NONE -bench='^BenchmarkServiceOverhead' -benchtime=1x -timeout 20m ./internal/service | tee "$svcraw" >&2
-
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
-function jnum(v) { return (v == int(v)) ? sprintf("%.0f", v) : sprintf("%.6g", v) }
-/^goos: /  { goos = $2 }
-/^goarch: / { goarch = $2 }
-/^cpu: /   { sub(/^cpu: /, ""); cpu = $0 }
-/^Benchmark/ {
-	name = $1
-	sub(/-[0-9]+$/, "", name)
-	iters = $2
-	m = ""
-	for (i = 3; i + 1 <= NF; i += 2) {
-		val = $(i); unit = $(i + 1)
-		if (m != "") m = m ", "
-		m = m sprintf("\"%s\": %s", unit, jnum(val))
-		metric[name, unit] = val
-	}
-	if ((name, "configs") in metric && metric[name, "ns/op"] > 0) {
-		cps = metric[name, "configs"] * 1e9 / metric[name, "ns/op"]
-		m = m sprintf(", \"configs/s\": %s", jnum(cps))
-		metric[name, "configs/s"] = cps
-	}
-	if (benches != "") benches = benches ",\n"
-	benches = benches sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"metrics\": {%s}}", name, iters, m)
-}
-END {
-	printf "{\n"
-	printf "  \"generated\": \"%s\",\n", date
-	printf "  \"host\": {\"goos\": \"%s\", \"goarch\": \"%s\", \"cpu\": \"%s\"},\n", goos, goarch, cpu
-	printf "  \"benchmarks\": [\n%s\n  ],\n", benches
-	root = "BenchmarkServiceOverhead/path="
-	direct = root "direct"; svc = root "service"
-	have = ((direct, "configs") in metric) && ((svc, "configs") in metric)
-	equal = have && (metric[direct, "configs"] == metric[svc, "configs"])
-	overhead = (have && metric[direct, "ns/op"] > 0) ? metric[svc, "ns/op"] / metric[direct, "ns/op"] : 0
-	printf "  \"acceptance\": {\n"
-	printf "    \"benchmark\": \"BenchmarkServiceOverhead\",\n"
-	printf "    \"workload\": \"counter-walk n=3, inputs 0,1,1, all schedules and coins; service path = submit + schedule + execute + store + fetch over the in-process HTTP harness\",\n"
-	printf "    \"criterion\": \"the submitted job explores the identical configuration count as a direct serial valency.Check of the same workload, same run; the API+scheduler overhead ratio is recorded\",\n"
-	printf "    \"direct_configs\": %s,\n", have ? jnum(metric[direct, "configs"]) : "null"
-	printf "    \"service_configs\": %s,\n", have ? jnum(metric[svc, "configs"]) : "null"
-	printf "    \"direct_configs_per_sec\": %s,\n", have ? jnum(metric[direct, "configs/s"]) : "null"
-	printf "    \"service_configs_per_sec\": %s,\n", have ? jnum(metric[svc, "configs/s"]) : "null"
-	printf "    \"service_vs_direct_overhead\": %.3f,\n", overhead
-	printf "    \"pass\": %s\n", equal ? "true" : "false"
-	printf "  }\n"
-	printf "}\n"
-}
-' "$svcraw" > "$svcout"
-
-echo "wrote $svcout"
-if ! grep -q '"pass": true' "$svcout"; then
-	echo "bench.sh: FAILED service acceptance — the submitted job and the direct check disagree on configuration count" >&2
-	exit 1
-fi
-echo "bench.sh: service acceptance passed"
 
 # ---- retry stage: healthy daemon vs forced transient failure + retry ----
 echo "== ./internal/service retry (-benchtime=3x)" >&2

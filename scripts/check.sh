@@ -84,7 +84,12 @@ stage="service smoke"
 # Checker-as-a-service drill, in two parts.  First the focused race
 # pass over the coordinator's scheduler, restart/resume and kill drills
 # (the multi-second drills hide behind -short in the broad race pass
-# above, so pin them here by name).  Then the live-daemon drill: start
+# above, so pin them here by name), and three rounds of the commit-path
+# drills: no fsync under Server.mu or Store.mu (a lock-order mistake
+# there fails by name here instead of hanging a benchmark workload), a
+# disk kill at every operation of two concurrent jobs' lifecycle, one
+# writer per record, and coalesced artifact writes.  Then the
+# live-daemon drill: start
 # checkd on an ephemeral port, probe it, run a job to its verdict
 # through the API, submit a second job asynchronously, SIGTERM the
 # daemon mid-run (graceful drain to checkpoints), restart it over the
@@ -93,6 +98,9 @@ stage="service smoke"
 go test -race -count=1 -timeout 10m \
 	-run 'TestTenantFairness|TestDuplicateSubmission|TestGracefulRestartResume|TestHardKillResume|TestEndToEndLifecycle|TestCheckSpillInterruptResume|TestLoopbackInterruptResume' \
 	./internal/service/ ./internal/valency/ ./internal/dist/
+go test -race -count=3 -timeout 10m \
+	-run 'TestNoFsyncUnderLock|TestCommitCrashSweep|TestCommitOneWriterPerRecord|TestStorePutCoalesces' \
+	./internal/service/
 svcdir="$(mktemp -d)"
 go build -o "$svcdir/checkd" ./cmd/checkd
 go build -o "$svcdir/distcheck" ./cmd/distcheck
