@@ -21,6 +21,7 @@ package hierarchy
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"runtime"
 
 	"randsync/internal/explore"
@@ -47,6 +48,10 @@ type Machine struct {
 	Start0 int          // start state for input 0
 	Start1 int          // start state for input 1
 	id     uint64
+	// states is the compiled step table (compile), shared by machines
+	// that differ only in their start states; nil for a hand-built
+	// machine, which Init compiles on demand.
+	states []machineState
 }
 
 var _ sim.Protocol = Machine{}
@@ -73,49 +78,76 @@ func (Machine) Identical() bool { return true }
 
 // Init implements sim.Protocol.
 func (m Machine) Init(pid, n int, input int64) sim.State {
+	states := m.states
+	if states == nil {
+		states = compile(m.Type, m.Free)
+	}
 	start := m.Start0
 	if input == 1 {
 		start = m.Start1
 	}
-	return machineState{m: m, state: start}
+	return &states[start]
 }
 
+// machineState is one state of a compiled machine.  A machine's states
+// live in one table — the free states, then decide0 and decide1 — and a
+// step returns a pointer into it, so neither the step nor the sim.State
+// conversion allocates.  Tables are immutable once compiled.
 type machineState struct {
-	m     Machine
-	state int
+	state  int
+	action sim.Action
+	// next[r] is the successor on response r; nil for a response outside
+	// the op's domain, on which the state self-loops (the checker then
+	// reports livelock, disqualifying the machine).
+	next [respSlots]*machineState
 }
 
-var _ sim.State = machineState{}
+var _ sim.State = (*machineState)(nil)
+
+// respSlots bounds the response values of every enumeration domain:
+// responses lie in [0, respSlots), so a response indexes next directly.
+const respSlots = 3
+
+// compile builds the step table of a machine with the given type and
+// free-state actions.  A type without an enumeration domain leaves every
+// response out of domain, as the per-step lookup it replaces did.
+func compile(t object.Type, free []actionSpec) []machineState {
+	states := make([]machineState, len(free)+2)
+	for i := range states {
+		states[i].state = i
+	}
+	states[len(free)].action = sim.Action{Kind: sim.ActDecide, Value: 0}
+	states[len(free)+1].action = sim.Action{Kind: sim.ActDecide, Value: 1}
+	for i, spec := range free {
+		s := &states[i]
+		s.action = sim.Action{Kind: sim.ActOperate, Obj: 0, Op: spec.op}
+		for r := range s.next {
+			if k := responseIndex(t, spec.op, int64(r)); k >= 0 && k < len(spec.next) {
+				s.next[r] = &states[spec.next[k]]
+			}
+		}
+	}
+	return states
+}
 
 // Action implements sim.State.
-func (s machineState) Action() sim.Action {
-	switch s.state {
-	case s.m.decide0State():
-		return sim.Action{Kind: sim.ActDecide, Value: 0}
-	case s.m.decide1State():
-		return sim.Action{Kind: sim.ActDecide, Value: 1}
-	}
-	return sim.Action{Kind: sim.ActOperate, Obj: 0, Op: s.m.Free[s.state].op}
-}
+func (s *machineState) Action() sim.Action { return s.action }
 
 // Advance implements sim.State.
-func (s machineState) Advance(result int64) sim.State {
-	if s.state >= len(s.m.Free) {
+func (s *machineState) Advance(result int64) sim.State {
+	if s.action.Kind == sim.ActDecide {
 		return sim.Halted{}
 	}
-	spec := s.m.Free[s.state]
-	idx := responseIndex(s.m.Type, spec.op, result)
-	if idx < 0 || idx >= len(spec.next) {
-		// Out-of-domain response: treat as self-loop (the checker then
-		// reports livelock, disqualifying the machine).
-		return s
+	if result >= 0 && result < respSlots {
+		if next := s.next[result]; next != nil {
+			return next
+		}
 	}
-	s.state = spec.next[idx]
 	return s
 }
 
 // Key implements sim.State.
-func (s machineState) Key() string { return fmt.Sprintf("m%d", s.state) }
+func (s *machineState) Key() string { return fmt.Sprintf("m%d", s.state) }
 
 // machineKeyTag is machineState's compact-encoding type tag (the
 // protocol package owns 0x10–0x19; sim reserves 0x00 and 0x01).
@@ -123,7 +155,7 @@ const machineKeyTag byte = 0x30
 
 // AppendKey implements sim.KeyAppender, keeping the enumeration search on
 // the allocation-free visited-key path.
-func (s machineState) AppendKey(buf []byte) []byte {
+func (s *machineState) AppendKey(buf []byte) []byte {
 	buf = append(buf, machineKeyTag)
 	return binary.AppendVarint(buf, int64(s.state))
 }
@@ -133,43 +165,53 @@ func (s machineState) AppendKey(buf []byte) []byte {
 type domain struct {
 	values []int64 // possible object values
 	ops    []object.Op
-	// resps[i] is the response domain of ops[i].
+	// resps[i] is the response domain of ops[i]; every response lies in
+	// [0, respSlots).
 	resps [][]int64
 }
 
-// domainFor returns the enumeration domain for the supported types.
+// The enumeration domains are shared, immutable package values: nothing
+// may modify them or the slices they hold.
+var (
+	registerDomain = domain{
+		// Values: 0 (initial), 1, 2 (the two proposals).
+		values: []int64{0, 1, 2},
+		ops: []object.Op{
+			{Kind: object.Read},
+			{Kind: object.Write, Arg: 1},
+			{Kind: object.Write, Arg: 2},
+		},
+		resps: [][]int64{{0, 1, 2}, {0}, {0}},
+	}
+	stickyDomain = domain{
+		values: []int64{0, 1, 2},
+		ops: []object.Op{
+			{Kind: object.Read},
+			{Kind: object.Stick, Arg: 1},
+			{Kind: object.Stick, Arg: 2},
+		},
+		resps: [][]int64{{0, 1, 2}, {1, 2}, {1, 2}},
+	}
+	tasDomain = domain{
+		values: []int64{0, 1},
+		ops: []object.Op{
+			{Kind: object.Read},
+			{Kind: object.TestAndSet},
+		},
+		resps: [][]int64{{0, 1}, {0, 1}},
+	}
+)
+
+// domainFor returns the enumeration domain for the supported types,
+// without allocating.
 func domainFor(t object.Type) (domain, error) {
 	switch t.(type) {
 	case object.RegisterType:
-		// Values: 0 (initial), 1, 2 (the two proposals).
-		return domain{
-			values: []int64{0, 1, 2},
-			ops: []object.Op{
-				{Kind: object.Read},
-				{Kind: object.Write, Arg: 1},
-				{Kind: object.Write, Arg: 2},
-			},
-			resps: [][]int64{{0, 1, 2}, {0}, {0}},
-		}, nil
+		return registerDomain, nil
 	case object.StickyBitType:
-		return domain{
-			values: []int64{0, 1, 2},
-			ops: []object.Op{
-				{Kind: object.Read},
-				{Kind: object.Stick, Arg: 1},
-				{Kind: object.Stick, Arg: 2},
-			},
-			resps: [][]int64{{0, 1, 2}, {1, 2}, {1, 2}},
-		}, nil
+		return stickyDomain, nil
 	case object.TestAndSetType:
-		return domain{
-			values: []int64{0, 1},
-			ops: []object.Op{
-				{Kind: object.Read},
-				{Kind: object.TestAndSet},
-			},
-			resps: [][]int64{{0, 1}, {0, 1}},
-		}, nil
+		return tasDomain, nil
 	}
 	return domain{}, fmt.Errorf("hierarchy: no enumeration domain for %s", t.Name())
 }
@@ -256,11 +298,63 @@ func buildSpecs(d domain, states int) []actionSpec {
 	return specs
 }
 
+// maxSpecs caps the action specs one free state chooses among.  Every
+// class whose machine count fits in a uint64 stays far below it (at most
+// 640 specs: sticky bit, six free states), so in practice it refuses only
+// a freeStates so large that the spec table itself would be the problem.
+const maxSpecs = 1 << 12
+
+// classSize validates the (t, freeStates) class and returns its domain
+// and machine count, specs^freeStates · freeStates² for specs action
+// specs per free state.  It refuses freeStates < 1, more than maxSpecs
+// specs and a count that overflows uint64 — before building anything,
+// since freeStates may come off the wire.
+func classSize(t object.Type, freeStates int) (domain, uint64, error) {
+	d, err := domainFor(t)
+	if err != nil {
+		return d, 0, err
+	}
+	if freeStates < 1 {
+		return d, 0, fmt.Errorf("hierarchy: %d free states for %s; need at least 1", freeStates, t.Name())
+	}
+	states := uint64(freeStates) + 2
+	var specs uint64
+	ok := true
+	for _, resps := range d.resps {
+		perOp := uint64(1)
+		for range resps {
+			if perOp, ok = mul(perOp, states); !ok || perOp > maxSpecs {
+				break
+			}
+		}
+		if specs += perOp; !ok || specs > maxSpecs {
+			return d, 0, fmt.Errorf("hierarchy: %d free states for %s: more than %d action specs per state",
+				freeStates, t.Name(), maxSpecs)
+		}
+	}
+	count, ok := mul(uint64(freeStates), uint64(freeStates))
+	for k := 0; ok && k < freeStates; k++ {
+		count, ok = mul(count, specs)
+	}
+	if !ok {
+		return d, 0, fmt.Errorf("hierarchy: %d free states for %s: machine count overflows uint64",
+			freeStates, t.Name())
+	}
+	return d, count, nil
+}
+
+// mul returns a·b and whether it fits in a uint64.
+func mul(a, b uint64) (uint64, bool) {
+	hi, lo := bits.Mul64(a, b)
+	return lo, hi == 0
+}
+
 // enumerateSubtree visits every machine whose free-state assignment
 // extends prefix, in canonical enumeration order, with ids starting at
 // baseID+1.  The id of a machine is a pure function of its position in
 // the enumeration, so disjoint subtrees can be visited concurrently and
-// still agree with a serial full enumeration.
+// still agree with a serial full enumeration.  Each assignment is
+// compiled once and shared by its freeStates² start-state pairs.
 func enumerateSubtree(t object.Type, specs []actionSpec, freeStates int,
 	prefix []actionSpec, baseID uint64, visit func(Machine)) {
 	assign := make([]actionSpec, freeStates)
@@ -269,15 +363,18 @@ func enumerateSubtree(t object.Type, specs []actionSpec, freeStates int,
 	var rec func(pos int)
 	rec = func(pos int) {
 		if pos == freeStates {
+			free := append([]actionSpec(nil), assign...)
+			states := compile(t, free)
 			for s0 := 0; s0 < freeStates; s0++ {
 				for s1 := 0; s1 < freeStates; s1++ {
 					id++
 					visit(Machine{
 						Type:   t,
-						Free:   append([]actionSpec(nil), assign...),
+						Free:   free,
 						Start0: s0,
 						Start1: s1,
 						id:     id,
+						states: states,
 					})
 				}
 			}
@@ -303,14 +400,14 @@ func Search(t object.Type, freeStates int) (*Result, error) {
 
 // SearchWith is Search with explicit Options.
 func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
-	d, err := domainFor(t)
+	d, count, err := classSize(t, freeStates)
 	if err != nil {
 		return nil, err
 	}
 	specs := buildSpecs(d, freeStates+2)
 	workers := opts.workers()
 
-	if workers <= 1 || freeStates < 1 {
+	if workers <= 1 {
 		res := &Result{}
 		enumerateSubtree(t, specs, freeStates, nil, 0, func(m Machine) {
 			res.Enumerated++
@@ -329,10 +426,7 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 	// independent contiguous id range, checked by whichever worker steals
 	// it.  Per-worker tallies are merged afterwards; the reported Example
 	// is the lowest-id solver, which is exactly the serial first find.
-	perSub := uint64(freeStates * freeStates)
-	for k := 1; k < freeStates; k++ {
-		perSub *= uint64(len(specs))
-	}
+	perSub := count / uint64(len(specs))
 	results := make([]Result, workers)
 	roots := make([]int, len(specs))
 	for i := range roots {
@@ -386,18 +480,11 @@ func (o Options) solves(m Machine) bool {
 
 // MachineCount returns the size of the enumeration for freeStates free
 // states over one object of type t — the valid MachineByID id range is
-// [1, MachineCount].
+// [1, MachineCount].  It is an error for freeStates < 1 or for a class
+// too large to count in a uint64.
 func MachineCount(t object.Type, freeStates int) (uint64, error) {
-	d, err := domainFor(t)
-	if err != nil {
-		return 0, err
-	}
-	specs := buildSpecs(d, freeStates+2)
-	total := uint64(freeStates * freeStates)
-	for k := 0; k < freeStates; k++ {
-		total *= uint64(len(specs))
-	}
-	return total, nil
+	_, count, err := classSize(t, freeStates)
+	return count, err
 }
 
 // MachineByID reconstructs the machine with the given enumeration id —
@@ -406,11 +493,10 @@ func MachineCount(t object.Type, freeStates int) (uint64, error) {
 // freeStates, id) builds the identical machine.  The distributed checker
 // uses this to name enumerated machines in wire-format job specs.
 func MachineByID(t object.Type, freeStates int, id uint64) (Machine, error) {
-	d, err := domainFor(t)
+	d, total, err := classSize(t, freeStates)
 	if err != nil {
 		return Machine{}, err
 	}
-	total, _ := MachineCount(t, freeStates)
 	if id < 1 || id > total {
 		return Machine{}, fmt.Errorf("hierarchy: machine id %d out of range [1,%d] for %s with %d free states",
 			id, total, t.Name(), freeStates)
@@ -429,7 +515,7 @@ func MachineByID(t object.Type, freeStates int, id uint64) (Machine, error) {
 		free[pos] = specs[x%uint64(len(specs))]
 		x /= uint64(len(specs))
 	}
-	return Machine{Type: t, Free: free, Start0: s0, Start1: s1, id: id}, nil
+	return Machine{Type: t, Free: free, Start0: s0, Start1: s1, id: id, states: compile(t, free)}, nil
 }
 
 // Describe renders a machine's program for display.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"randsync/internal/object"
+	"randsync/internal/sim"
 	"randsync/internal/valency"
 )
 
@@ -17,8 +18,8 @@ func TestRegisterSearchFindsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("register: %d machines enumerated, %d solve consensus", res.Enumerated, res.Solvers)
-	if res.Enumerated < 10000 {
-		t.Fatalf("enumeration suspiciously small: %d", res.Enumerated)
+	if res.Enumerated != 20736 {
+		t.Fatalf("enumerated %d register machines, want 20736", res.Enumerated)
 	}
 	if res.Solvers != 0 {
 		t.Fatalf("%d register machines claim to solve consensus; example:\n%s",
@@ -34,8 +35,8 @@ func TestStickySearchFindsSolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("sticky bit: %d machines enumerated, %d solve consensus", res.Enumerated, res.Solvers)
-	if res.Solvers == 0 {
-		t.Fatal("expected sticky-bit machines that solve consensus")
+	if res.Enumerated != 36864 || res.Solvers != 36 || res.Example.ID() != 26863 {
+		t.Fatalf("sticky census %d machines / %d solvers, want 36864 / 36 with example id 26863", res.Enumerated, res.Solvers)
 	}
 	// Re-verify the example independently, including at n=3: a sticky-bit
 	// solution generalizes beyond two processes.
@@ -58,6 +59,9 @@ func TestTASSearchFindsNothingAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("test&set: %d machines enumerated, %d solve consensus", res.Enumerated, res.Solvers)
+	if res.Enumerated != 4096 {
+		t.Fatalf("enumerated %d test&set machines, want 4096", res.Enumerated)
+	}
 	if res.Solvers != 0 {
 		t.Fatalf("%d test&set-only machines claim to solve consensus; example:\n%s",
 			res.Solvers, Describe(*res.Example))
@@ -124,6 +128,59 @@ func TestMachineSemantics(t *testing.T) {
 	}
 }
 
+// TestMachineStepAllocs is the allocation budget of the search's inner
+// loop.  A compiled machine's steps allocate nothing, and the
+// solo-termination prefilter rejecting a machine (S0 reads forever, so
+// the solo run spends its whole 64-step budget) stays within
+// maxPrefilterAllocs (23 measured; the machine with per-step domain
+// lookups and value-typed states allocated 473 times on that call, and
+// 7 times per Advance).
+func TestMachineStepAllocs(t *testing.T) {
+	m, err := MachineByID(object.StickyBitType{}, 2, 26863)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.Init(0, 2, 0)
+	a := s.Action()
+	if a.Kind != sim.ActOperate {
+		t.Fatalf("start state action %v, want an operation", a)
+	}
+	_, resp := m.Type.Apply(m.Type.Init(), a.Op)
+	buf := make([]byte, 0, 16)
+	var next sim.State
+	for name, f := range map[string]func(){
+		"Action":    func() { a = s.Action() },
+		"Advance":   func() { next = s.Advance(resp) },
+		"AppendKey": func() { buf = s.(sim.KeyAppender).AppendKey(buf[:0]) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.0f times per call, want 0", name, n)
+		}
+	}
+	if next == s {
+		t.Fatal("the step did not leave the start state")
+	}
+
+	const maxPrefilterAllocs = 32
+	rejected, err := MachineByID(object.RegisterType{}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Check: func(Machine) bool {
+		t.Fatal("machine 1 passed the prefilter")
+		return false
+	}}
+	var solved bool
+	n := testing.AllocsPerRun(20, func() { solved = opts.solves(rejected) })
+	if solved {
+		t.Fatal("machine 1 solves consensus")
+	}
+	t.Logf("prefilter rejection: %.0f allocations", n)
+	if n > maxPrefilterAllocs {
+		t.Errorf("prefilter rejection allocates %.0f times, want at most %d", n, maxPrefilterAllocs)
+	}
+}
+
 func TestResponseIndex(t *testing.T) {
 	reg := object.RegisterType{}
 	if responseIndex(reg, object.Op{Kind: object.Read}, 2) != 2 {
@@ -144,13 +201,15 @@ func TestDomainRejectsUnsupported(t *testing.T) {
 }
 
 // TestRegisterSearchDeep extends the impossibility enumeration to three
-// free states: 22,143,375 machines, still zero solvers (about five
-// minutes; skipped with -short).
+// free states: 22,143,375 machines, still zero solvers (61 s on two
+// vCPUs, 95 s on one; skipped with -short).  It fans out over GOMAXPROCS
+// workers: TestSearchParallelMatchesSerial pins that the worker count
+// does not change the Result.
 func TestRegisterSearchDeep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("22M-machine enumeration skipped in -short mode")
 	}
-	res, err := Search(object.RegisterType{}, 3)
+	res, err := SearchWith(object.RegisterType{}, 3, Options{Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

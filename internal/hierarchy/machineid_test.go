@@ -1,7 +1,10 @@
 package hierarchy
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"randsync/internal/object"
@@ -81,5 +84,51 @@ func TestSearchWithCheckHook(t *testing.T) {
 	}
 	if calls == 0 || calls > base.Enumerated {
 		t.Errorf("Check called %d times for %d machines", calls, base.Enumerated)
+	}
+}
+
+// TestClassSizeRejects: MachineCount, MachineByID and SearchWith refuse a
+// class with fewer than one free state, with more than maxSpecs action
+// specs per state, or whose machine count overflows a uint64 — with an
+// error, before building anything — and still count the largest classes
+// that fit.
+func TestClassSizeRejects(t *testing.T) {
+	reg, sticky, tas := object.RegisterType{}, object.StickyBitType{}, object.TestAndSetType{}
+	for _, tc := range []struct {
+		typ  object.Type
+		free int
+		want string
+	}{
+		{reg, -1, "need at least 1"},
+		{reg, 0, "need at least 1"},
+		{reg, 1000, "action specs per state"},
+		{tas, math.MaxInt, "action specs per state"},
+		{sticky, 7, "overflows uint64"},
+		{tas, 8, "overflows uint64"},
+	} {
+		name := fmt.Sprintf("%s F=%d", tc.typ.Name(), tc.free)
+		if _, err := MachineCount(tc.typ, tc.free); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: MachineCount err = %v, want mention of %q", name, err, tc.want)
+		}
+		if _, err := MachineByID(tc.typ, tc.free, 1); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: MachineByID err = %v, want mention of %q", name, err, tc.want)
+		}
+		if _, err := SearchWith(tc.typ, tc.free, Options{Workers: 2}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: SearchWith err = %v, want mention of %q", name, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		typ  object.Type
+		free int
+		want uint64
+	}{
+		{reg, 3, 22143375},
+		{reg, 6, 528 * 528 * 528 * 528 * 528 * 528 * 36},
+		{sticky, 6, 640 * 640 * 640 * 640 * 640 * 640 * 36},
+		{tas, 7, 162 * 162 * 162 * 162 * 162 * 162 * 162 * 49},
+	} {
+		if got, err := MachineCount(tc.typ, tc.free); err != nil || got != tc.want {
+			t.Errorf("%s F=%d: MachineCount = %d, %v; want %d", tc.typ.Name(), tc.free, got, err, tc.want)
+		}
 	}
 }

@@ -162,6 +162,16 @@ func TestHTTPMalformedRequests(t *testing.T) {
 	check("wrong inputs arity", post(`{"tenant":"a","protocol":"cas","n":2,"inputs":[1]}`), http.StatusBadRequest)
 	check("bad engine", post(`{"tenant":"a","protocol":"cas","engine":"quantum"}`), http.StatusBadRequest)
 	check("job body not an object", post(`[1,2,3]`), http.StatusBadRequest)
+	// A machine coordinate names a hierarchy class by its size; one too
+	// small or too large to enumerate is refused before anything is
+	// built, and the daemon stays healthy.
+	start := time.Now()
+	check("machine with -1 free states", post(`{"tenant":"a","protocol":"machine:register:-1:1"}`), http.StatusBadRequest)
+	check("machine with 1000 free states", post(`{"tenant":"a","protocol":"machine:register:1000:1"}`), http.StatusBadRequest)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("malformed machine names took %v to refuse", took)
+	}
+	check("healthz after malformed machines", get("/v1/healthz"), http.StatusOK)
 	check("unknown job", get("/v1/jobs/ffffffffffffffff"), http.StatusNotFound)
 	check("unknown job events", get("/v1/jobs/ffffffffffffffff/events"), http.StatusNotFound)
 	check("invalid artifact hash", get("/v1/artifacts/not-a-hash"), http.StatusBadRequest)

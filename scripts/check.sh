@@ -164,6 +164,10 @@ stage="bench smoke"
 # without paying for a measurement run; scripts/bench.sh does the real
 # measured comparison.
 go test -run=NONE -bench=. -benchtime=1x -timeout 15m ./...
+# The nested bench module's own tests (~2 s), which nothing above runs:
+# among them the verifySweep/expected.json checks that hold the
+# hierarchy census (36 864 / 36, 20 736 / 0) to theory.
+(cd bench && go test -short -timeout 5m ./...)
 # The repo's benchmark (BENCHMARK.json -> bench/, a nested module the
 # commands above never build): 1 warm-up + 2 ops of all six workloads,
 # non-zero exit on a wrong verdict or a failed op, and the timeout turns
