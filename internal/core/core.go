@@ -245,7 +245,7 @@ func ValidateTarget(proto sim.Protocol, n, maxSolo int) error {
 					proto.Name(), pid, n)
 			}
 		}
-		if _, _, ok := sim.SoloTerminate(c, 0, maxSolo); !ok {
+		if _, ok := sim.SoloDecision(c, 0, maxSolo); !ok {
 			return fmt.Errorf("core: %s: no deciding solo execution within %d steps from the all-%d configuration",
 				proto.Name(), maxSolo, input)
 		}

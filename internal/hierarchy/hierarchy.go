@@ -466,7 +466,7 @@ func (o Options) solves(m Machine) bool {
 	// Cheap rejection first: unanimous solo runs must decide the input.
 	for _, input := range []int64{0, 1} {
 		c := sim.NewConfig(m, []int64{input, input})
-		_, decision, ok := sim.SoloTerminate(c, 0, 64)
+		decision, ok := sim.SoloDecision(c, 0, 64)
 		if !ok || decision != input {
 			return false
 		}

@@ -129,12 +129,12 @@ func TestMachineSemantics(t *testing.T) {
 }
 
 // TestMachineStepAllocs is the allocation budget of the search's inner
-// loop.  A compiled machine's steps allocate nothing, and the
-// solo-termination prefilter rejecting a machine (S0 reads forever, so
-// the solo run spends its whole 64-step budget) stays within
-// maxPrefilterAllocs (23 measured; the machine with per-step domain
-// lookups and value-typed states allocated 473 times on that call, and
-// 7 times per Advance).
+// loop.  A compiled machine's steps allocate nothing, nor does the solo
+// walk over them, and the solo-termination prefilter rejecting a machine
+// (S0 reads forever, so the solo run spends its whole 64-step budget)
+// stays within maxPrefilterAllocs: 9 measured, all of them the
+// sim.NewConfig build, plus a margin of 3 for a toolchain that boxes
+// differently.
 func TestMachineStepAllocs(t *testing.T) {
 	m, err := MachineByID(object.StickyBitType{}, 2, 26863)
 	if err != nil {
@@ -161,10 +161,15 @@ func TestMachineStepAllocs(t *testing.T) {
 		t.Fatal("the step did not leave the start state")
 	}
 
-	const maxPrefilterAllocs = 32
+	const maxPrefilterAllocs = 12
 	rejected, err := MachineByID(object.RegisterType{}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	c := sim.NewConfig(rejected, []int64{0, 0})
+	var ok bool
+	if n := testing.AllocsPerRun(100, func() { _, ok = sim.SoloDecision(c, 0, 64) }); n != 0 || ok {
+		t.Errorf("budget-exhausting SoloDecision allocates %.0f times (ok %v), want 0 (false)", n, ok)
 	}
 	opts := Options{Check: func(Machine) bool {
 		t.Fatal("machine 1 passed the prefilter")

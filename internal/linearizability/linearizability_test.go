@@ -189,45 +189,47 @@ func TestLiveObjectsLinearizable(t *testing.T) {
 	})
 }
 
-// brokenCounter increments non-atomically (load, yield, store): a lost
+// brokenCounter increments non-atomically (load, then store): a lost
 // update produces a non-linearizable history, which the checker must
 // detect (checker sensitivity, E10).
 type brokenCounter struct {
 	v   atomic.Int64
 	rec *runtime.Recorder
+	// race holds each process's first increment between its load and its
+	// store until every process has loaded, so updates are lost on every
+	// run rather than only under a lucky schedule.
+	race sync.WaitGroup
 }
 
 func TestCheckerDetectsBrokenCounter(t *testing.T) {
 	const procs, each = 4, 5
-	for attempt := 0; attempt < 100; attempt++ {
-		rec := &runtime.Recorder{}
-		b := &brokenCounter{rec: rec}
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				b.inc(p)
-			}
-		})
-		final := b.read(0)
-		if final == procs*each {
-			continue // no lost update this run; try again
+	rec := &runtime.Recorder{}
+	b := &brokenCounter{rec: rec}
+	b.race.Add(procs)
+	hammer(procs, func(p int) {
+		for i := 0; i < each; i++ {
+			b.inc(p, i == 0)
 		}
-		res, err := Check(object.CounterType{}, rec.Ops())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Linearizable {
-			t.Fatalf("lost update (final=%d, want %d) not detected", final, procs*each)
-		}
-		return
+	})
+	final := b.read(0)
+	if final == procs*each {
+		t.Fatalf("final=%d: the forced race lost no update", final)
 	}
-	t.Skip("no lost update provoked in 100 attempts")
+	res, err := Check(object.CounterType{}, rec.Ops())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Linearizable {
+		t.Fatalf("lost update (final=%d, want %d) not detected", final, procs*each)
+	}
 }
 
-func (b *brokenCounter) inc(p int) {
+func (b *brokenCounter) inc(p int, first bool) {
 	b.rec.Record(p, object.Op{Kind: object.Inc}, func() int64 {
 		v := b.v.Load()
-		for i := 0; i < 10; i++ {
-			// widen the race window
+		if first {
+			b.race.Done()
+			b.race.Wait()
 		}
 		b.v.Store(v + 1)
 		return 0

@@ -37,7 +37,7 @@ func requireNST(t *testing.T, proto sim.Protocol, inputs []int64, maxSolo int) {
 			if c.Pending(pid).Kind == sim.ActHalt {
 				continue
 			}
-			if _, _, ok := sim.SoloTerminate(c, pid, maxSolo); !ok {
+			if _, ok := sim.SoloDecision(c, pid, maxSolo); !ok {
 				t.Fatalf("config %d: P%d has no deciding solo execution within %d steps: NST violated",
 					i, pid, maxSolo)
 			}
@@ -265,7 +265,7 @@ func TestScanMachineSoloDecidesOwnInput(t *testing.T) {
 		m := GenerateScanMachine(2+int(seed)%2, seed)
 		for _, input := range []int64{0, 1} {
 			c := sim.NewConfig(m, []int64{input, 1 - input})
-			_, decision, ok := sim.SoloTerminate(c, 0, 2000)
+			decision, ok := sim.SoloDecision(c, 0, 2000)
 			if !ok {
 				t.Fatalf("%s: no solo termination", m.Name())
 			}

@@ -18,13 +18,37 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkSoloTerminate measures the solo-termination search.
+// BenchmarkSoloTerminate measures the solo-termination search, with its
+// execution (terminate) and decision-only (decision), on a straight run
+// (write-read, whose value-typed states allocate on every Advance) and on
+// a run that backtracks over two flips (retry, whose table states do not,
+// so -benchmem shows the walk's own allocations alone), within the
+// protocol-space search's 64-step prefilter budget.
 func BenchmarkSoloTerminate(b *testing.B) {
-	c := NewConfig(writeReadProto{}, []int64{0, 1})
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := SoloTerminate(c, 0, 100); !ok {
-			b.Fatal("no termination")
-		}
+	for _, w := range []struct {
+		name  string
+		proto Protocol
+	}{
+		{"write-read", writeReadProto{}},
+		{"retry", newRetryProto(false)},
+	} {
+		c := NewConfig(w.proto, []int64{0, 1})
+		b.Run("terminate/"+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := SoloTerminate(c, 0, 64); !ok {
+					b.Fatal("no termination")
+				}
+			}
+		})
+		b.Run("decision/"+w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := SoloDecision(c, 0, 64); !ok {
+					b.Fatal("no termination")
+				}
+			}
+		})
 	}
 }
 

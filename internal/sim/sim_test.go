@@ -97,6 +97,60 @@ func (s flipState) AppendKey(buf []byte) []byte {
 	return binary.AppendVarint(buf, s.outcome)
 }
 
+// tableState is a protocol state that is a pointer into a fixed table, so
+// stepping it allocates nothing.  A flip moves to next[outcome]; any other
+// action to next[0]; nil is the halted state.
+type tableState struct {
+	name string
+	act  Action
+	next [2]*tableState
+}
+
+func (s *tableState) Action() Action { return s.act }
+func (s *tableState) Key() string    { return s.name }
+
+func (s *tableState) Advance(result int64) State {
+	i := 0
+	if s.act.Kind == ActFlip {
+		i = int(result)
+	}
+	if s.next[i] == nil {
+		return Halted{}
+	}
+	return s.next[i]
+}
+
+// retryProto flips two coins in a row.  Outcome 0 of either leads to a
+// spin: reads of R0 forever, or, with halt set, a halt without deciding.
+// Outcome 1 of both decides 1 on the third step, so every deciding solo
+// run backtracks over both coins first.
+type retryProto struct {
+	halt  bool
+	start *tableState
+}
+
+func newRetryProto(halt bool) retryProto {
+	spin := &tableState{name: "spin", act: Action{Kind: ActOperate, Obj: 0, Op: object.Op{Kind: object.Read}}}
+	spin.next[0] = spin
+	if halt {
+		spin = &tableState{name: "stop", act: Action{Kind: ActHalt}}
+	}
+	decide := &tableState{name: "d1", act: Action{Kind: ActDecide, Value: 1}}
+	second := &tableState{name: "b", act: Action{Kind: ActFlip, Sides: 2}, next: [2]*tableState{spin, decide}}
+	first := &tableState{name: "a", act: Action{Kind: ActFlip, Sides: 2}, next: [2]*tableState{spin, second}}
+	return retryProto{halt: halt, start: first}
+}
+
+func (p retryProto) Name() string {
+	if p.halt {
+		return "retry-halt"
+	}
+	return "retry-spin"
+}
+func (retryProto) Objects() []object.Type               { return []object.Type{object.RegisterType{}} }
+func (retryProto) Identical() bool                      { return true }
+func (p retryProto) Init(pid, n int, input int64) State { return p.start }
+
 func TestStepAndDecide(t *testing.T) {
 	c := NewConfig(writeReadProto{}, []int64{0, 1})
 	if got := c.N(); got != 2 {

@@ -9,7 +9,13 @@ package sim
 // Shared-object steps are deterministic in a solo run; coin flips are the
 // only branch points, and SoloTerminate backtracks over their outcomes
 // (depth-first, outcome 0 first) until a deciding run of at most maxSteps
-// steps is found.  c is not modified.
+// steps is found.  A run that halts without deciding, or whose step fails,
+// backs up to the most recent flip with an untried outcome.
+//
+// c is used as scratch and restored before return: the walk steps it in
+// place and undoes every step, so c is not safe to read from another
+// goroutine during the call.  The returned execution is the only
+// allocation.
 //
 // If pid has already decided, the empty execution and its decision are
 // returned.  ok is false if no deciding solo run of length ≤ maxSteps
@@ -19,91 +25,101 @@ func SoloTerminate(c *Config, pid, maxSteps int) (exec Execution, decision int64
 	if c.Decided[pid] {
 		return nil, c.Decision[pid], true
 	}
-	work := c.Clone()
-	var out Execution
-
-	// dfs advances work (and out) until pid decides or the step budget is
-	// exhausted, backtracking over flip outcomes.  It reports whether a
-	// deciding run was found; on failure it restores work and out.
-	var dfs func(w *Config, depth int) bool
-	dfs = func(w *Config, depth int) bool {
-		for depth < maxSteps {
-			if w.Decided[pid] {
-				return true
-			}
-			a := w.States[pid].Action()
-			switch a.Kind {
-			case ActHalt:
-				// Halted without deciding: a protocol bug; treat as failure.
-				return false
-			case ActFlip:
-				for o := int64(0); o < a.Sides; o++ {
-					snap := w.Clone()
-					mark := len(out)
-					ev, err := w.Step(pid, o)
-					if err != nil {
-						return false
-					}
-					out = append(out, ev)
-					if dfs(w, depth+1) {
-						return true
-					}
-					*w = *snap
-					out = out[:mark]
-				}
-				return false
-			default:
-				ev, err := w.Step(pid, 0)
-				if err != nil {
-					return false
-				}
-				out = append(out, ev)
-				depth++
-			}
-		}
-		return w.Decided[pid]
-	}
-
-	if !dfs(work, 0) {
-		return nil, 0, false
-	}
-	return out, work.Decision[pid], true
+	decision, ok = soloWalk(c, pid, maxSteps, &exec, nil)
+	return exec, decision, ok
 }
 
-// SoloDecisions returns the set of values pid can decide in solo executions
-// of at most maxSteps steps from c, exploring all flip outcomes.  It is
-// used by checkers to detect configurations from which a process can still
-// decide either value.
+// SoloDecision is SoloTerminate without the execution: the decision of the
+// first deciding solo run of pid from c within maxSteps steps, found by the
+// same walk in the same order.  It allocates nothing, so callers that only
+// need to know whether (and what) pid decides — the protocol-space search's
+// prefilter — should prefer it.  c is scratch, as for SoloTerminate.
+func SoloDecision(c *Config, pid, maxSteps int) (decision int64, ok bool) {
+	return soloWalk(c, pid, maxSteps, nil, nil)
+}
+
+// SoloDecisions returns the set of values pid decides in solo executions
+// of at most maxSteps steps from c, over every flip outcome: the walk of
+// SoloTerminate, continued past each decision instead of stopped at the
+// first.  c is scratch, as for SoloTerminate.
 func SoloDecisions(c *Config, pid, maxSteps int) map[int64]bool {
 	found := make(map[int64]bool)
-	var dfs func(w *Config, depth int)
-	dfs = func(w *Config, depth int) {
-		if w.Decided[pid] {
-			found[w.Decision[pid]] = true
-			return
-		}
-		if depth >= maxSteps {
-			return
-		}
-		a := w.States[pid].Action()
-		switch a.Kind {
-		case ActHalt:
-			return
-		case ActFlip:
-			for o := int64(0); o < a.Sides; o++ {
-				branch := w.Clone()
-				if _, err := branch.Step(pid, o); err != nil {
-					return
+	soloWalk(c, pid, maxSteps, nil, func(d int64) { found[d] = true })
+	return found
+}
+
+// soloStackFrames is how many solo steps the walk keeps on the goroutine
+// stack before its frame stack moves to the heap: the protocol-space
+// search's prefilter budget.
+const soloStackFrames = 64
+
+// soloFrame is one step of the walk's current solo run.
+type soloFrame struct {
+	u      StepUndo
+	result int64 // the step's result; for a flip, the outcome being tried
+	sides  int64 // for a flip, its number of outcomes; 0 for any other step
+}
+
+// soloWalk is the depth-first search behind SoloTerminate, SoloDecision
+// and SoloDecisions, run in place on c over StepInto/UndoStep.  The stack
+// holds the current run, one frame per step; a failed run (budget spent,
+// halt without deciding, a step error) pops frames back to the most recent
+// flip with an untried outcome and steps that outcome instead.
+//
+// With visit nil the walk stops at the first configuration where pid has
+// decided and returns that decision, first writing the run into *exec when
+// exec is non-nil.  Otherwise it calls visit with every decision it
+// reaches and continues, returning ok false once the runs are exhausted.
+// Either way every step is undone before return.
+func soloWalk(c *Config, pid, maxSteps int, exec *Execution, visit func(int64)) (decision int64, ok bool) {
+	var frames [soloStackFrames]soloFrame
+	stack := frames[:0]
+	for {
+		switch {
+		case c.Decided[pid] && visit == nil:
+			decision, ok = c.Decision[pid], true
+			if exec != nil {
+				*exec = make(Execution, len(stack))
+				for i := range stack {
+					f := &stack[i]
+					(*exec)[i] = Event{Pid: pid, Action: f.u.state.Action(), Result: f.result}
 				}
-				dfs(branch, depth+1)
 			}
-		default:
-			if _, err := w.Step(pid, 0); err != nil {
-				return
+			for i := len(stack) - 1; i >= 0; i-- {
+				c.UndoStep(&stack[i].u)
 			}
-			dfs(w, depth+1)
+			return decision, ok
+		case c.Decided[pid]:
+			visit(c.Decision[pid])
+		case len(stack) < maxSteps:
+			stack = append(stack, soloFrame{})
+			f := &stack[len(stack)-1]
+			ev, err := c.StepInto(pid, 0, &f.u)
+			if err == nil {
+				f.result = ev.Result
+				if ev.Action.Kind == ActFlip {
+					f.sides = ev.Action.Sides
+				}
+				continue
+			}
+			stack = stack[:len(stack)-1]
+		}
+
+		// Backtrack: undo steps down to a flip with an untried outcome.
+		for {
+			if len(stack) == 0 {
+				return 0, false
+			}
+			f := &stack[len(stack)-1]
+			c.UndoStep(&f.u)
+			// sides guards: a non-flip's result is a response, not an outcome.
+			if f.sides != 0 && f.result+1 < f.sides {
+				f.result++
+				if _, err := c.StepInto(pid, f.result, &f.u); err == nil {
+					break
+				}
+			}
+			stack = stack[:len(stack)-1]
 		}
 	}
-	dfs(c.Clone(), 0)
-	return found
 }

@@ -164,6 +164,10 @@ stage="bench smoke"
 # without paying for a measurement run; scripts/bench.sh does the real
 # measured comparison.
 go test -run=NONE -bench=. -benchtime=1x -timeout 15m ./...
+# Fifteen seconds of fuzzing the in-place solo walk against its recursive
+# reference (random protocol, process count, reachable configuration and
+# budget); the seed corpus alone already runs in the suite above.
+go test -run=NONE -fuzz=FuzzSoloTerminate -fuzztime=15s -timeout 5m ./internal/sim
 # The nested bench module's own tests (~2 s), which nothing above runs:
 # among them the verifySweep/expected.json checks that hold the
 # hierarchy census (36 864 / 36, 20 736 / 0) to theory.
