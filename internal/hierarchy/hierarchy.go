@@ -354,9 +354,10 @@ func mul(a, b uint64) (uint64, bool) {
 // baseID+1.  The id of a machine is a pure function of its position in
 // the enumeration, so disjoint subtrees can be visited concurrently and
 // still agree with a serial full enumeration.  Each assignment is
-// compiled once and shared by its freeStates² start-state pairs.
+// compiled once and shared by its freeStates² start-state pairs; table,
+// when non-nil, sees the compiled table before visit sees its machines.
 func enumerateSubtree(t object.Type, specs []actionSpec, freeStates int,
-	prefix []actionSpec, baseID uint64, visit func(Machine)) {
+	prefix []actionSpec, baseID uint64, table func([]machineState), visit func(Machine)) {
 	assign := make([]actionSpec, freeStates)
 	copy(assign, prefix)
 	id := baseID
@@ -365,6 +366,9 @@ func enumerateSubtree(t object.Type, specs []actionSpec, freeStates int,
 		if pos == freeStates {
 			free := append([]actionSpec(nil), assign...)
 			states := compile(t, free)
+			if table != nil {
+				table(states)
+			}
 			for s0 := 0; s0 < freeStates; s0++ {
 				for s1 := 0; s1 < freeStates; s1++ {
 					id++
@@ -409,16 +413,7 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 
 	if workers <= 1 {
 		res := &Result{}
-		enumerateSubtree(t, specs, freeStates, nil, 0, func(m Machine) {
-			res.Enumerated++
-			if opts.solves(m) {
-				res.Solvers++
-				if res.Example == nil {
-					ex := m
-					res.Example = &ex
-				}
-			}
-		})
+		opts.sweep(t, specs, freeStates, nil, 0, res)
 		return res, nil
 	}
 
@@ -433,17 +428,7 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 		roots[i] = i
 	}
 	explore.Run(workers, roots, func(i int, ctx *explore.Ctx[int]) {
-		res := &results[ctx.Worker()]
-		enumerateSubtree(t, specs, freeStates, specs[i:i+1], uint64(i)*perSub, func(m Machine) {
-			res.Enumerated++
-			if opts.solves(m) {
-				res.Solvers++
-				if res.Example == nil || m.id < res.Example.id {
-					ex := m
-					res.Example = &ex
-				}
-			}
-		})
+		opts.sweep(t, specs, freeStates, specs[i:i+1], uint64(i)*perSub, &results[ctx.Worker()])
 	})
 	agg := &Result{}
 	for i := range results {
@@ -456,26 +441,88 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 	return agg, nil
 }
 
-// solves reports whether the machine is a correct deterministic wait-free
-// 2-process consensus protocol: over every input vector, exploration is
-// complete with no violation and no livelock.  The model check dispatches
-// through Options.Check when set; the cheap local solo-termination
-// prefilter always runs first, so a cluster-backed Check only sees the
-// candidates worth shipping.
-func (o Options) solves(m Machine) bool {
-	// Cheap rejection first: unanimous solo runs must decide the input.
-	for _, input := range []int64{0, 1} {
-		c := sim.NewConfig(m, []int64{input, input})
-		decision, ok := sim.SoloDecision(c, 0, 64)
-		if !ok || decision != input {
-			return false
+// sweep searches the subtree of machines extending prefix (ids from
+// baseID+1) into res: every machine is counted, and each one that passes
+// the solo prefilter is model checked.  res.Example is the lowest-id
+// solver.
+func (o Options) sweep(t object.Type, specs []actionSpec, freeStates int,
+	prefix []actionSpec, baseID uint64, res *Result) {
+	solo := newSoloFilter(t, freeStates)
+	enumerateSubtree(t, specs, freeStates, prefix, baseID, solo.load, func(m Machine) {
+		res.Enumerated++
+		if solo.passes(m.Start0, m.Start1) && o.check(m) {
+			res.Solvers++
+			if res.Example == nil || m.id < res.Example.id {
+				ex := m
+				res.Example = &ex
+			}
 		}
-	}
+	})
+}
+
+// check reports whether a prefilter survivor is a correct deterministic
+// wait-free 2-process consensus protocol: over every input vector,
+// exploration is complete with no violation and no livelock.  It
+// dispatches through Options.Check when set, so a cluster-backed Check
+// only sees the candidates worth shipping.
+func (o Options) check(m Machine) bool {
 	if o.Check != nil {
 		return o.Check(m)
 	}
 	rep := valency.CheckAllInputs(m, 2, valency.Options{MaxConfigs: 1 << 12})
 	return rep.Violation == nil && rep.Complete && !rep.Livelock
+}
+
+// soloBudget is the step budget of the prefilter's solo runs.
+const soloBudget = 64
+
+// noDecision marks a start state whose solo run decides nothing within
+// soloBudget steps; machines decide only 0 and 1.
+const noDecision = -1
+
+// soloFilter is the search's cheap rejection: a solo run of P0 from the
+// unanimous input-v configuration must decide v within soloBudget steps.
+// A machine is deterministic and a solo run never reads P1, so that run
+// is a function of the compiled table and P0's start state alone: one
+// walk per free state (load) answers the filter for all the table's
+// start pairs (passes).  Every walk runs on one scratch configuration,
+// reused for every table of the sweep — SoloDecision restores it, so
+// only P0's state is set between walks.  A filter is not safe for
+// concurrent use.
+type soloFilter struct {
+	c *sim.Config
+	// dec[s] is what P0's solo run from free state s decides, or
+	// noDecision, for the loaded table.
+	dec []int64
+}
+
+// newSoloFilter returns a filter for machines over t with freeStates
+// free states.  The scratch configuration takes its object from the
+// machine with no free states; P0's state is replaced before each walk.
+func newSoloFilter(t object.Type, freeStates int) *soloFilter {
+	return &soloFilter{
+		c:   sim.NewConfig(Machine{Type: t}, []int64{0, 0}),
+		dec: make([]int64, freeStates),
+	}
+}
+
+// load runs the solo walk from every free state of a compiled table.
+func (f *soloFilter) load(states []machineState) {
+	for s := range f.dec {
+		f.c.SetState(0, &states[s])
+		d, ok := sim.SoloDecision(f.c, 0, soloBudget)
+		if !ok {
+			d = noDecision
+		}
+		f.dec[s] = d
+	}
+}
+
+// passes reports whether the loaded table's machine with start states s0
+// (input 0) and s1 (input 1) decides its input in both unanimous solo
+// runs.
+func (f *soloFilter) passes(s0, s1 int) bool {
+	return f.dec[s0] == 0 && f.dec[s1] == 1
 }
 
 // MachineCount returns the size of the enumeration for freeStates free

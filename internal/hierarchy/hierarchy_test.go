@@ -119,7 +119,7 @@ func TestMachineSemantics(t *testing.T) {
 		Start0: 0,
 		Start1: 1,
 	}
-	if !(Options{}).solves(m) {
+	if !solves(Options{}, m) {
 		t.Fatal("canonical sticky solver should solve consensus")
 	}
 	rep := valency.CheckAllInputs(m, 2, valency.Options{})
@@ -128,13 +128,29 @@ func TestMachineSemantics(t *testing.T) {
 	}
 }
 
+// solves is the search's verdict on one machine: the solo prefilter from
+// its table, then the model check.
+func solves(o Options, m Machine) bool {
+	states := m.states
+	if states == nil {
+		states = compile(m.Type, m.Free)
+	}
+	f := newSoloFilter(m.Type, len(m.Free))
+	f.load(states)
+	return f.passes(m.Start0, m.Start1) && o.check(m)
+}
+
 // TestMachineStepAllocs is the allocation budget of the search's inner
 // loop.  A compiled machine's steps allocate nothing, nor does the solo
-// walk over them, and the solo-termination prefilter rejecting a machine
-// (S0 reads forever, so the solo run spends its whole 64-step budget)
-// stays within maxPrefilterAllocs: 9 measured, all of them the
-// sim.NewConfig build, plus a margin of 3 for a toolchain that boxes
-// differently.
+// walk over them, nor does loading a table into the solo prefilter
+// (register F=2 id 1's S0 reads forever, so that solo run spends its
+// whole 64-step budget).  A sweep whose every machine the prefilter
+// rejects (every register machine with one free state: its two inputs
+// share the start state) allocates at most tableAllocs per table — the
+// assignment's free-state slice and its compiled table, both kept by any
+// machine that survives — plus maxSweepSetupAllocs once: 13 measured
+// (the prefilter's scratch sim.NewConfig, the enumeration's closures),
+// plus a margin of 4 for a toolchain that boxes differently.
 func TestMachineStepAllocs(t *testing.T) {
 	m, err := MachineByID(object.StickyBitType{}, 2, 26863)
 	if err != nil {
@@ -161,7 +177,6 @@ func TestMachineStepAllocs(t *testing.T) {
 		t.Fatal("the step did not leave the start state")
 	}
 
-	const maxPrefilterAllocs = 12
 	rejected, err := MachineByID(object.RegisterType{}, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -171,18 +186,27 @@ func TestMachineStepAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { _, ok = sim.SoloDecision(c, 0, 64) }); n != 0 || ok {
 		t.Errorf("budget-exhausting SoloDecision allocates %.0f times (ok %v), want 0 (false)", n, ok)
 	}
-	opts := Options{Check: func(Machine) bool {
-		t.Fatal("machine 1 passed the prefilter")
+	f := newSoloFilter(rejected.Type, len(rejected.Free))
+	if n := testing.AllocsPerRun(100, func() { f.load(rejected.states) }); n != 0 || f.passes(rejected.Start0, rejected.Start1) {
+		t.Errorf("loading machine 1's table allocates %.0f times (passes %v), want 0 (false)",
+			n, f.passes(rejected.Start0, rejected.Start1))
+	}
+
+	const tableAllocs, maxSweepSetupAllocs = 2, 17
+	typ := object.RegisterType{}
+	count, err := MachineCount(typ, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := buildSpecs(registerDomain, 3)
+	opts := Options{Check: func(m Machine) bool {
+		t.Fatalf("one-free-state register machine %d passed the prefilter", m.ID())
 		return false
 	}}
-	var solved bool
-	n := testing.AllocsPerRun(20, func() { solved = opts.solves(rejected) })
-	if solved {
-		t.Fatal("machine 1 solves consensus")
-	}
-	t.Logf("prefilter rejection: %.0f allocations", n)
-	if n > maxPrefilterAllocs {
-		t.Errorf("prefilter rejection allocates %.0f times, want at most %d", n, maxPrefilterAllocs)
+	n := testing.AllocsPerRun(20, func() { opts.sweep(typ, specs, 1, nil, 0, &Result{}) })
+	t.Logf("all-rejecting sweep of %d tables: %.0f allocations", count, n)
+	if max := float64(tableAllocs*count + maxSweepSetupAllocs); n > max {
+		t.Errorf("all-rejecting sweep of %d tables allocates %.0f times, want at most %.0f", count, n, max)
 	}
 }
 

@@ -30,7 +30,7 @@ func TestMachineByIDRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			var visited uint64
-			enumerateSubtree(typ, specs, freeStates, nil, 0, func(m Machine) {
+			enumerateSubtree(typ, specs, freeStates, nil, 0, nil, func(m Machine) {
 				visited++
 				got, err := MachineByID(typ, freeStates, m.id)
 				if err != nil {
@@ -68,7 +68,7 @@ func TestSearchWithCheckHook(t *testing.T) {
 	calls := 0
 	hooked, err := SearchWith(typ, 2, Options{Check: func(m Machine) bool {
 		calls++
-		return Options{}.solves(m)
+		return solves(Options{}, m)
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func (s refState) AppendKey(buf []byte) []byte {
 	return binary.AppendVarint(buf, int64(s.state))
 }
 
-// refSolves is Options.solves over any protocol, for the reference.
+// refSolves is solves over any protocol, for the reference.
 func refSolves(p sim.Protocol) bool {
 	for _, input := range []int64{0, 1} {
 		c := sim.NewConfig(p, []int64{input, input})
@@ -75,6 +75,90 @@ func refSolves(p sim.Protocol) bool {
 	}
 	rep := valency.CheckAllInputs(p, 2, valency.Options{MaxConfigs: 1 << 12})
 	return rep.Violation == nil && rep.Complete && !rep.Livelock
+}
+
+// refPrefilter is the search's solo prefilter as it stood before whole
+// tables were filtered at once: for each input, a fresh unanimous
+// configuration of the machine and one solo walk of P0.
+func refPrefilter(m Machine) bool {
+	for _, input := range []int64{0, 1} {
+		c := sim.NewConfig(m, []int64{input, input})
+		decision, ok := sim.SoloDecision(c, 0, 64)
+		if !ok || decision != input {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSoloFilterMatchesPerMachine: for every machine of every class with
+// one or two free states, and every machine of seeded subtrees of the
+// three-state register class, the table-wide solo filter passes exactly
+// the machines the per-machine prefilter passes; and after every table
+// the filter's reused scratch configuration is the initial one again,
+// apart from P0's state.
+func TestSoloFilterMatchesPerMachine(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	reg, sticky, tas := object.RegisterType{}, object.StickyBitType{}, object.TestAndSetType{}
+	subtrees := 2
+	if testing.Short() {
+		subtrees = 1
+	}
+	for _, tc := range []struct {
+		typ  object.Type
+		free int
+		// subtrees is how many seeded free-state-0 subtrees to check; 0
+		// checks the whole class.
+		subtrees int
+	}{
+		{reg, 1, 0}, {sticky, 1, 0}, {tas, 1, 0},
+		{reg, 2, 0}, {sticky, 2, 0}, {tas, 2, 0},
+		{reg, 3, subtrees},
+	} {
+		name := fmt.Sprintf("%s F=%d", tc.typ.Name(), tc.free)
+		d, count, err := classSize(tc.typ, tc.free)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := buildSpecs(d, tc.free+2)
+		roots := []int{-1} // the whole class
+		if tc.subtrees > 0 {
+			roots = rng.Perm(len(specs))[:tc.subtrees]
+		}
+		f := newSoloFilter(tc.typ, tc.free)
+		fresh := sim.NewConfig(Machine{Type: tc.typ}, []int64{0, 0})
+		p1 := f.c.States[1]
+		var enumerated, passed int
+		for _, root := range roots {
+			var prefix []actionSpec
+			var baseID uint64
+			if root >= 0 {
+				prefix, baseID = specs[root:root+1], uint64(root)*(count/uint64(len(specs)))
+			}
+			enumerateSubtree(tc.typ, specs, tc.free, prefix, baseID, func(states []machineState) {
+				f.load(states)
+				c := f.c
+				if !reflect.DeepEqual(c.Objects, fresh.Objects) || !reflect.DeepEqual(c.Decided, fresh.Decided) ||
+					!reflect.DeepEqual(c.Decision, fresh.Decision) || !reflect.DeepEqual(c.Steps, fresh.Steps) ||
+					c.States[1] != p1 {
+					t.Fatalf("%s: scratch configuration not restored after a table: %+v", name, c)
+				}
+			}, func(m Machine) {
+				enumerated++
+				got, want := f.passes(m.Start0, m.Start1), refPrefilter(m)
+				if got != want {
+					t.Fatalf("%s id=%d: table filter passes %v, per-machine prefilter %v", name, m.ID(), got, want)
+				}
+				if got {
+					passed++
+				}
+			})
+		}
+		if tc.subtrees == 0 && uint64(enumerated) != count {
+			t.Fatalf("%s: enumerated %d machines, MachineCount says %d", name, enumerated, count)
+		}
+		t.Logf("%s: %d machines, %d pass the solo prefilter", name, enumerated, passed)
+	}
 }
 
 // verdict is a report stripped of its performance telemetry.
@@ -119,7 +203,7 @@ func TestCompiledMachineMatchesReference(t *testing.T) {
 	// Every sticky-bit solver, collected through the Check hook.
 	var solvers []uint64
 	res, err := SearchWith(object.StickyBitType{}, 2, Options{Check: func(m Machine) bool {
-		ok := Options{}.solves(m)
+		ok := solves(Options{}, m)
 		if ok {
 			solvers = append(solvers, m.ID())
 		}
@@ -148,7 +232,7 @@ func TestCompiledMachineMatchesReference(t *testing.T) {
 			t.Fatalf("%s: compiled verdict %+v (violation %v), reference %+v (violation %v)",
 				name, got, got.Violation, want, want.Violation)
 		}
-		if s := (Options{}).solves(m); s != refSolves(ref) {
+		if s := solves(Options{}, m); s != refSolves(ref) {
 			t.Fatalf("%s: solves %v, reference %v", name, s, !s)
 		}
 	}

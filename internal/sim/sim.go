@@ -435,9 +435,11 @@ func (c *Config) CloneProcess(src, dst int) error {
 }
 
 // SetState overwrites the state of process pid.  It is used by the §3.1
-// adversary to park a captured (pre-write) state on a fresh process slot;
-// the same soundness conditions as CloneProcess apply and are not checked
-// here.  Most callers want CloneProcess.
+// adversary to park a captured (pre-write) state on a fresh process slot,
+// and by the protocol-space search to aim one scratch configuration's
+// solo walks at each start state in turn; the same soundness conditions
+// as CloneProcess apply and are not checked here.  Most callers want
+// CloneProcess.
 func (c *Config) SetState(pid int, s State) { c.States[pid] = s }
 
 // AnyDecision returns the pid and value of some decided process.
