@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 
 	"randsync/internal/protocol"
 	"randsync/internal/sim"
@@ -31,7 +32,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
-	name := fs.String("protocol", "counter-walk", "protocol: cas, tas-2, swap-2, fetch&add-2, register-naive-2, counter-walk, packed-fetch&add, register-consensus, flood-registers, flood-swap, flood-mixed")
+	name := fs.String("protocol", "counter-walk", "protocol: "+strings.Join(protocolNames, ", "))
 	n := fs.Int("n", 2, "number of processes")
 	r := fs.Int("r", 2, "object count for flood protocols")
 	rounds := fs.Int64("rounds", 2, "round cap for register-consensus")
@@ -43,7 +44,6 @@ func run(args []string) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "parallel exploration workers (1 = serial)")
 	biv := fs.Bool("bivalence", false, "also run the bivalence analysis on mixed inputs")
 	nosym := fs.Bool("nosym", false, "disable identical-process symmetry reduction")
-	legacy := fs.Bool("legacy", false, "use the legacy string-key engine (baseline; implies -nosym)")
 	jsonOut := fs.Bool("json", false, "emit the verdict as JSON (suppresses -bivalence)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -62,8 +62,7 @@ func run(args []string) error {
 			proto.Name(), *n, *workers)
 	}
 	opts := valency.Options{
-		MaxConfigs: *budget, MemBudget: *memBudget, Workers: *workers,
-		NoSymmetry: *nosym, LegacyKeys: *legacy,
+		MaxConfigs: *budget, MemBudget: *memBudget, Workers: *workers, NoSymmetry: *nosym,
 		SpillDir: *spillDir, SpillResume: *resume, SpillCheckpointEvery: *spillEvery,
 	}
 	var rep *valency.Report
@@ -88,7 +87,6 @@ func run(args []string) error {
 			"mem_budget": *memBudget,
 			"workers":    *workers,
 			"nosym":      *nosym,
-			"legacy":     *legacy,
 		}
 		if *spillDir != "" {
 			meta["spill_dir"] = *spillDir
@@ -167,6 +165,13 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// protocolNames lists, in -protocol help order, every name lookup accepts.
+var protocolNames = []string{
+	"cas", "tas-2", "swap-2", "fetch&add-2", "fetch&inc-2", "register-naive-2",
+	"counter-walk", "packed-fetch&add", "register-consensus",
+	"flood-registers", "flood-swap", "flood-mixed",
 }
 
 // lookup resolves a protocol name.

@@ -34,7 +34,7 @@
 // canonical serial checker re-runs locally, so the reported
 // counterexample — kind, detail, trace — is byte-identical to a serial
 // run's, regardless of cluster membership or timing (the same contract
-// checkParallel keeps).
+// the local parallel engine keeps).
 //
 // Periodically, and before an induced abort, the coordinator snapshots
 // its entire authoritative state to disk (see checkpoint.go); a
@@ -76,8 +76,7 @@ type Options struct {
 	MaxInflight int
 	// Valency carries the exploration options every engine shares:
 	// MaxConfigs, NoSymmetry, Crash.  Workers selects each worker's
-	// local pool width for processing its batch; LegacyKeys is not
-	// supported by the distributed engine.
+	// local pool width for processing its batch.
 	Valency valency.Options
 	// CheckpointPath, when non-empty, enables periodic snapshots of the
 	// coordinator state; if the file already exists and matches the
@@ -215,9 +214,6 @@ func (o Options) batchTimeout() time.Duration {
 }
 
 func (o Options) validate(job Job) error {
-	if o.Valency.LegacyKeys {
-		return errors.New("dist: LegacyKeys engine is not supported distributed")
-	}
 	if _, err := Resolve(job.Spec); err != nil {
 		return err
 	}

@@ -380,10 +380,6 @@ func TestValidate(t *testing.T) {
 	if _, err := Loopback(1, Job{Spec: spec}, Options{}); err == nil {
 		t.Error("job without inputs accepted")
 	}
-	if _, err := Loopback(1, Job{Spec: spec, Inputs: []int64{0, 1}},
-		Options{Valency: valency.Options{LegacyKeys: true}}); err == nil {
-		t.Error("legacy-key engine accepted")
-	}
 	if _, err := Loopback(1, Job{Spec: ProtoSpec{Name: "nope"}, Inputs: []int64{0}}, Options{}); err == nil {
 		t.Error("unresolvable spec accepted")
 	}

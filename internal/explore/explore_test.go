@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -104,191 +103,35 @@ func TestRunWorkStealing(t *testing.T) {
 	t.Logf("workers active: %d, steals: %d, peak frontier: %d", active, stats.Steals, stats.PeakPending)
 }
 
-// TestSetAddDedup: the striped set admits each key once, assigns dense
-// ids, and counts dedup hits.
-func TestSetAddDedup(t *testing.T) {
-	s := NewSet(4)
-	ids := make(map[int64]bool)
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("k%d", i)
-		id, added := s.AddString(uint64(i)*2654435761, key)
-		if !added {
-			t.Fatalf("fresh key %q reported as duplicate", key)
-		}
-		if ids[id] {
-			t.Fatalf("id %d assigned twice", id)
-		}
-		ids[id] = true
-	}
-	if s.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", s.Len())
-	}
-	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if _, added := s.AddString(uint64(i)*2654435761, key); added {
-			t.Fatalf("key %q re-admitted", key)
-		}
-	}
-	if s.DedupHits() != 100 {
-		t.Fatalf("DedupHits = %d, want 100", s.DedupHits())
-	}
-	for id := range ids {
-		if id < 0 || id >= 100 {
-			t.Fatalf("id %d outside dense range [0,100)", id)
-		}
-	}
-}
-
-// TestSetConcurrentAdd hammers one set from many goroutines inserting
-// overlapping key ranges; run under -race this exercises the striping.
-// The fingerprint is deliberately lossy (i mod 7), so distinct keys pile
-// into the same stripes — membership must still be decided by full key.
-func TestSetConcurrentAdd(t *testing.T) {
-	s := NewSet(0)
-	const goroutines = 16
-	const keys = 2000
-	var added atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				if _, ok := s.AddString(uint64(i%7), fmt.Sprintf("key-%d", i)); ok {
-					added.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if added.Load() != keys {
-		t.Fatalf("added %d keys, want exactly %d", added.Load(), keys)
-	}
-	if s.Len() != keys {
-		t.Fatalf("Len = %d, want %d", s.Len(), keys)
-	}
-	if s.DedupHits() != goroutines*keys-keys {
-		t.Fatalf("DedupHits = %d, want %d", s.DedupHits(), goroutines*keys-keys)
-	}
-}
-
-// TestSetFingerprintCollision: distinct keys sharing one fingerprint must
-// both be admitted (full-key confirmation, not fingerprint trust), get
-// distinct ids, and dedup correctly on re-insertion.
-func TestSetFingerprintCollision(t *testing.T) {
-	s := NewSet(2)
-	const fp = uint64(42)
-	keys := []string{"alpha", "beta", "gamma", "delta"}
-	ids := make(map[string]int64)
-	for _, k := range keys {
-		id, added := s.Add(fp, []byte(k))
-		if !added {
-			t.Fatalf("colliding key %q rejected as duplicate", k)
-		}
-		ids[k] = id
-	}
-	if s.Len() != len(keys) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(keys))
-	}
-	seen := make(map[int64]bool)
-	for _, id := range ids {
-		if seen[id] {
-			t.Fatalf("duplicate id %d across colliding keys", id)
-		}
-		seen[id] = true
-	}
-	for _, k := range keys {
-		id, added := s.Add(fp, []byte(k))
-		if added {
-			t.Fatalf("colliding key %q re-admitted", k)
-		}
-		if id != ids[k] {
-			t.Fatalf("key %q: id %d on re-add, want %d", k, id, ids[k])
-		}
-	}
-	if s.DedupHits() != int64(len(keys)) {
-		t.Fatalf("DedupHits = %d, want %d", s.DedupHits(), len(keys))
-	}
-	var want int64
-	for _, k := range keys {
-		want += int64(len(k))
-	}
-	if got := s.Bytes(); got != want {
-		t.Fatalf("Bytes = %d, want %d", got, want)
-	}
-}
-
-// TestSetScratchReuse: Add must not retain the caller's buffer — mutating
-// the scratch slice after insertion must not corrupt the interned key.
-func TestSetScratchReuse(t *testing.T) {
-	s := NewSet(1)
-	buf := make([]byte, 0, 32)
-	buf = append(buf[:0], "first"...)
-	if _, added := s.Add(1, buf); !added {
-		t.Fatal("fresh key rejected")
-	}
-	buf = append(buf[:0], "second"...) // clobber the scratch
-	if _, added := s.Add(2, buf); !added {
-		t.Fatal("second fresh key rejected")
-	}
-	buf = append(buf[:0], "first"...)
-	if _, added := s.Add(1, buf); added {
-		t.Fatal("interned key corrupted by scratch reuse: 'first' re-admitted")
-	}
-	if _, added := s.AddString(2, "second"); added {
-		t.Fatal("interned key corrupted by scratch reuse: 'second' re-admitted")
-	}
-}
-
-// TestSetBytesAccounting: Bytes grows only on insertion and sums interned
-// key lengths across stripes.
-func TestSetBytesAccounting(t *testing.T) {
-	s := NewSet(8)
-	var want int64
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("node-%d", i)
-		s.AddString(uint64(i)*0x9e3779b97f4a7c15, key)
-		want += int64(len(key))
-	}
-	if got := s.Bytes(); got != want {
-		t.Fatalf("Bytes after inserts = %d, want %d", got, want)
-	}
-	for i := 0; i < 500; i++ { // dedup hits retain nothing new
-		s.AddString(uint64(i)*0x9e3779b97f4a7c15, fmt.Sprintf("node-%d", i))
-	}
-	if got := s.Bytes(); got != want {
-		t.Fatalf("Bytes after dedup pass = %d, want %d", got, want)
-	}
-}
-
-// TestRunPoolWithSetGraph drives the pool and set together on a synthetic
-// cyclic graph — the exact shape the valency engine relies on — and
-// checks every node is visited exactly once despite re-derivations.
+// TestRunPoolWithSetGraph drives the pool on a synthetic cyclic graph,
+// deduplicating through a shared visited set as a parallel explorer
+// would, and checks every node is visited exactly once despite
+// re-derivations.
 func TestRunPoolWithSetGraph(t *testing.T) {
 	// Nodes 0..N-1; edges i → (i*2+1)%N, (i*3+2)%N: plenty of shared
 	// successors and cycles.
 	const N = 50000
-	s := NewSet(0)
+	var mu sync.Mutex
+	seen := map[int]bool{0: true}
 	var visits atomic.Int64
-	id0, _ := s.AddString(0, "n0")
-	if id0 != 0 {
-		t.Fatalf("first id = %d", id0)
-	}
 	Run(8, []int{0}, func(n int, ctx *Ctx[int]) {
 		visits.Add(1)
 		for _, succ := range []int{(n*2 + 1) % N, (n*3 + 2) % N} {
-			key := fmt.Sprintf("n%d", succ)
-			if _, added := s.AddString(uint64(succ), key); added {
+			mu.Lock()
+			fresh := !seen[succ]
+			seen[succ] = true
+			mu.Unlock()
+			if fresh {
 				ctx.Emit(succ)
 			}
 		}
 	})
 	// Every node reachable from 0 is visited once; the visited count and
 	// set size must agree.
-	if got := visits.Load(); got != int64(s.Len()) {
-		t.Fatalf("visited %d nodes but set holds %d", got, s.Len())
+	if got := visits.Load(); got != int64(len(seen)) {
+		t.Fatalf("visited %d nodes but set holds %d", got, len(seen))
 	}
-	if s.Len() < 2 {
-		t.Fatalf("trivial reachability: %d nodes", s.Len())
+	if len(seen) < 2 {
+		t.Fatalf("trivial reachability: %d nodes", len(seen))
 	}
 }

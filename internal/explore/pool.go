@@ -1,11 +1,11 @@
 // Package explore is the concurrency substrate shared by the exhaustive
-// checkers: a work-stealing frontier pool (Run) and a lock-striped
-// visited set (Set) keyed by canonical configuration encodings.
+// checkers: the shard-owned exploration engine (RunSharded, shard.go)
+// with its disk tier (spill.go), and a plain work-stealing pool (Run).
 //
-// The valency checker uses both to explore configuration graphs with many
-// goroutines (one frontier item per unvisited configuration), and the
-// hierarchy search uses the pool alone to fan machine enumeration out
-// across workers.  The pool is generic so tests can also drive live
+// The valency checker explores configuration graphs on RunSharded; the
+// pool fans independent jobs out across workers — hierarchy machine
+// enumeration, the distributed worker's batches and the all-inputs
+// vector sweep.  The pool is generic so tests can also drive live
 // runtime objects through it for stress coverage.
 package explore
 

@@ -15,13 +15,12 @@ import (
 // counterpart of the fingerprint-shard ownership the distributed
 // coordinator (internal/dist) proves out over the wire.
 //
-// The striped Set + work-stealing pool combination (striped.go, pool.go)
-// funnels every membership probe of every worker through shared stripe
-// locks, every frontier hand-off through per-item deque locking, and
-// every emission through a contended pending/peak atomic pair — which is
-// exactly what BENCH_pr3.json showed collapsing as workers rise.  The
-// sharded engine removes the shared structures from the hot path
-// entirely:
+// A shared visited set under the work-stealing pool (pool.go) would
+// funnel every membership probe of every worker through shared locks,
+// every frontier hand-off through per-item deque locking, and every
+// emission through a contended pending/peak atomic pair — the lock-striped
+// set this engine replaced collapsed exactly that way as workers rose.
+// The sharded engine keeps shared structures off the hot path entirely:
 //
 //   - Each worker OWNS a fixed fingerprint shard of the visited set
 //     (owner = fp mod workers).  Membership, interning, dense-id
@@ -80,10 +79,12 @@ type ShardSeed[T any] struct {
 
 // ShardedOptions tune a sharded run.
 type ShardedOptions[T any] struct {
-	// MaxItems caps admissions: when an admission would be assigned a
-	// dense id at or beyond the cap, the run is marked Incomplete and
-	// stopped (mirroring the striped engine's budget semantics).
-	// <= 0 means unlimited.
+	// MaxItems caps admissions: the admission assigned a dense id at or
+	// beyond the cap marks the run Incomplete and stops it.  Workers check
+	// the stop flag before each admission, so besides the cap-crossing one
+	// at most one admission per other worker lands after the cap: a
+	// stopped run admits at most MaxItems + workers keys.  <= 0 means
+	// unlimited.
 	MaxItems int64
 	// OverBudget, when non-nil, is polled after each fresh admission;
 	// returning true marks the run Incomplete and stops it (the memory
@@ -106,6 +107,35 @@ type ShardedOptions[T any] struct {
 	// frontiers spill to segment files, and — with CheckpointEvery — the
 	// run writes durable manifests a later run can resume from.
 	Spill *SpillConfig[T]
+}
+
+// setEntry is the interned key and dense id that first claimed a
+// fingerprint in a shard.
+type setEntry struct {
+	key string
+	id  int64
+}
+
+// SetStats is an end-of-run census of the visited-set shards: how many
+// keys each retains and how evenly the fingerprint hash spreads them.
+// Exploration engines surface it through their Stats so shard imbalance
+// (in-process and distributed) is diagnosable from the counter block
+// instead of a profiler.
+type SetStats struct {
+	// Stripes is the number of shards.
+	Stripes int
+	// Keys is the total distinct keys retained.
+	Keys int64
+	// Collisions counts keys living in per-shard overflow maps because a
+	// distinct key already claimed their fingerprint — true 64-bit
+	// fingerprint collisions, expected to be ≈ 0.
+	Collisions int64
+	// Interned is the total interned key bytes retained.
+	Interned int64
+	// MinStripeKeys and MaxStripeKeys are the smallest and largest
+	// per-shard key counts — the imbalance envelope of the fingerprint
+	// partition.
+	MinStripeKeys, MaxStripeKeys int64
 }
 
 // ShardedStats are the counters of one sharded run.
@@ -484,7 +514,9 @@ func (e *sharded[T]) flushPartial(w int) {
 
 // drainInbox admits every item of every delivered batch into w's shard:
 // fresh items become local frontier tasks (their unit stays alive until
-// expansion), duplicates are recycled and their units consumed.
+// expansion), duplicates are recycled and their units consumed.  Once the
+// run is stopped the remaining items are retired unadmitted, so a deep
+// inbox cannot push admissions past the MaxItems cap.
 func (e *sharded[T]) drainInbox(w int) {
 	sw := &e.ws[w]
 	sw.mu.Lock()
@@ -497,10 +529,12 @@ func (e *sharded[T]) drainInbox(w int) {
 	for _, b := range batches {
 		for i := range b.items {
 			h := &b.items[i]
-			id, fresh := e.admit(w, h.fp, b.key(i), h.parent)
-			if fresh && !e.stopped.Load() {
-				e.pushLocal(w, shardTask[T]{val: h.val, id: id})
-				continue
+			if !e.stopped.Load() {
+				id, fresh := e.admit(w, h.fp, b.key(i), h.parent)
+				if fresh && !e.stopped.Load() {
+					e.pushLocal(w, shardTask[T]{val: h.val, id: id})
+					continue
+				}
 			}
 			if e.opts.Recycle != nil {
 				e.opts.Recycle(w, h.val)

@@ -149,15 +149,19 @@ func TestRunShardedStop(t *testing.T) {
 }
 
 // TestRunShardedBudget: the MaxItems cap truncates the run and marks it
-// incomplete, mirroring the striped engine's admit-then-stop semantics.
+// incomplete.  Workers check the stop flag before every admission, so
+// past the cap-crossing admission each other worker lands at most one
+// more: the run admits at most MaxItems + workers keys, however deep the
+// inboxes are when the cap is hit.
 func TestRunShardedBudget(t *testing.T) {
-	res, _ := runShardedGraph(3, 50000, ShardedOptions[int]{MaxItems: 500})
+	const workers, maxItems = 3, 500
+	res, _ := runShardedGraph(workers, 50000, ShardedOptions[int]{MaxItems: maxItems})
 	st := res.Stats
 	if !st.Incomplete || !st.Stopped {
 		t.Fatalf("budgeted run: incomplete=%v stopped=%v, want true/true", st.Incomplete, st.Stopped)
 	}
-	if st.Admitted <= 0 || st.Admitted > 500+64 {
-		t.Fatalf("budgeted run admitted %d nodes against cap 500", st.Admitted)
+	if st.Admitted <= 0 || st.Admitted > maxItems+workers {
+		t.Fatalf("budgeted run admitted %d nodes against cap %d + %d workers", st.Admitted, maxItems, workers)
 	}
 }
 

@@ -61,71 +61,6 @@ func BenchmarkKey(b *testing.B) {
 	}
 }
 
-// benchEncodeConfigs pairs a KeyAppender-tagged workload (flipState, the
-// fast path every real protocol takes) with the Key() fallback workload
-// (wrState, deliberately untagged): the tagged path should encode with
-// zero allocs/op, the fallback still pays the states' Key strings.
-func benchEncodeConfigs() []struct {
-	name string
-	cfg  *Config
-} {
-	return []struct {
-		name string
-		cfg  *Config
-	}{
-		{"tagged", NewConfig(flipProto{}, []int64{0, 1, 0, 1})},
-		{"fallback", NewConfig(writeReadProto{}, []int64{0, 1, 0, 1})},
-	}
-}
-
-// BenchmarkExploreEncodeLegacy measures the string visited-set key:
-// Key() plus its FNV hash — the per-configuration cost of the baseline
-// engine's dedup path.
-func BenchmarkExploreEncodeLegacy(b *testing.B) {
-	for _, w := range benchEncodeConfigs() {
-		b.Run(w.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				key := w.cfg.Key()
-				_ = FingerprintKey(key)
-			}
-		})
-	}
-}
-
-// BenchmarkExploreEncodeCompact measures the binary visited-set key:
-// AppendKey into a reused scratch buffer plus FingerprintBytes — the
-// optimized engines' dedup path.
-func BenchmarkExploreEncodeCompact(b *testing.B) {
-	for _, w := range benchEncodeConfigs() {
-		b.Run(w.name, func(b *testing.B) {
-			buf := make([]byte, 0, 256)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = w.cfg.AppendKey(buf[:0])
-				_ = FingerprintBytes(buf)
-			}
-		})
-	}
-}
-
-// BenchmarkExploreEncodeCanonical measures the symmetry canonicalizer:
-// slot encoding, insertion sort, and concatenation via a reused Keyer.
-func BenchmarkExploreEncodeCanonical(b *testing.B) {
-	for _, w := range benchEncodeConfigs() {
-		b.Run(w.name, func(b *testing.B) {
-			var k Keyer
-			k.Symmetry = true
-			buf := make([]byte, 0, 256)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf = k.AppendKey(w.cfg, buf[:0])
-				_ = FingerprintBytes(buf)
-			}
-		})
-	}
-}
-
 // BenchmarkExploreStepClone measures the baseline DFS edge: clone the
 // configuration, step the copy.
 func BenchmarkExploreStepClone(b *testing.B) {

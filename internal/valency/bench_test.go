@@ -17,122 +17,36 @@ func benchWorkerCounts() []int {
 	return counts
 }
 
-// benchEngines is the engine ladder the benchmark pipeline compares:
-// baseline is the pre-optimization string-key engine (Config.Key + Clone
-// per step), compact adds the binary encoding with copy-on-write
-// stepping, and symmetry adds identical-process canonicalization on top.
-// striped pins the previous parallel engine (shared lock-striped visited
-// set) with the same keys as symmetry, so the sharded-vs-striped scaling
-// gap reads directly off the symmetry and striped rows at equal worker
-// counts (at workers=1 both route to the identical serial engine).
-func benchEngines() []struct {
-	name string
-	opts Options
-} {
-	return []struct {
-		name string
-		opts Options
-	}{
-		{"baseline", Options{LegacyKeys: true}},
-		{"compact", Options{NoSymmetry: true}},
-		{"symmetry", Options{}},
-		{"striped", Options{LegacyStriped: true}},
-	}
-}
-
-// BenchmarkExploreParallel measures the exploration engines on the E11
+// BenchmarkExploreParallel measures the exploration engine on the E11
 // workload: the three-counter random-walk protocol at n=3 with a mixed
-// input vector, all schedules and coin outcomes.  The engine dimension
-// compares the string-key baseline against the compact encoding and
-// symmetry reduction (the acceptance metric of the benchmark pipeline:
-// configs/s and allocs/op, baseline vs optimized, same run); the workers
-// dimension exercises the config-level parallel engine, whose Stats
-// supply the dedup ratio and retained key bytes.
+// input vector, all schedules and coin outcomes, symmetry reduction on.
+// The workers dimension exercises the config-level parallel engine, whose
+// Stats supply the dedup ratio and retained key bytes.
 func BenchmarkExploreParallel(b *testing.B) {
 	p := protocol.NewCounterWalk(3)
 	inputs := []int64{0, 1, 1}
-	for _, eng := range benchEngines() {
-		for _, w := range benchWorkerCounts() {
-			b.Run(fmt.Sprintf("engine=%s/workers=%d", eng.name, w), func(b *testing.B) {
-				b.ReportAllocs()
-				var configs int
-				var dedup, keyBytes float64
-				for i := 0; i < b.N; i++ {
-					opts := eng.opts
-					opts.Workers = w
-					opts.MaxConfigs = 1 << 24
-					rep := Check(p, inputs, opts)
-					if rep.Violation != nil || !rep.Complete {
-						b.Fatalf("E11 workload must verify cleanly: %+v", rep)
-					}
-					configs = rep.Configs
-					if rep.Stats != nil {
-						keyBytes = float64(rep.Stats.KeyBytes)
-						if rep.Stats.Generated > 0 {
-							dedup = float64(rep.Stats.DedupHits) / float64(rep.Stats.Generated)
-						}
-					}
-				}
-				b.ReportMetric(float64(configs), "configs")
-				b.ReportMetric(float64(configs)*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
-				b.ReportMetric(dedup, "dedup")
-				b.ReportMetric(keyBytes, "keybytes")
-			})
-		}
-	}
-}
-
-// BenchmarkExploreSpill prices the disk tier on the E11 workload: the
-// same job explored entirely in RAM (the sharded engine, unbudgeted)
-// versus through the tiered engine with a hot tier far smaller than the
-// space, so most of the visited set and the deep frontier live on disk.
-// One op is one whole exhaustive run; the benchmark pipeline's fifth
-// stage (scripts/bench.sh → BENCH_pr7.json) compares tier=ram against
-// tier=spill from the same run — configuration-count equality plus the
-// slowdown ratio is the recorded price of never truncating.
-func BenchmarkExploreSpill(b *testing.B) {
-	p := protocol.NewCounterWalk(3)
-	inputs := []int64{0, 1, 1}
-	const hotTier = 64 << 10 // forces flushes: the space retains far more key bytes
-	for _, tier := range []string{"ram", "spill"} {
-		b.Run("tier="+tier, func(b *testing.B) {
+	for _, w := range benchWorkerCounts() {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			var configs int
-			var flushes, compactions, lookups, frontier float64
+			var dedup, keyBytes float64
 			for i := 0; i < b.N; i++ {
-				opts := Options{Workers: 2, MaxConfigs: 1 << 24}
-				var rep *Report
-				if tier == "spill" {
-					opts.MemBudget = hotTier
-					opts.SpillDir = b.TempDir()
-					var err error
-					rep, err = CheckSpill(p, inputs, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					rep = Check(p, inputs, opts)
-				}
+				rep := Check(p, inputs, Options{Workers: w, MaxConfigs: 1 << 24})
 				if rep.Violation != nil || !rep.Complete {
 					b.Fatalf("E11 workload must verify cleanly: %+v", rep)
 				}
 				configs = rep.Configs
-				if sp := rep.Stats.Spill; sp != nil {
-					flushes = float64(sp.Flushes)
-					compactions = float64(sp.Compactions)
-					lookups = float64(sp.Lookups)
-					frontier = float64(sp.FrontierSpilled)
-					if sp.Flushes == 0 {
-						b.Fatalf("hot tier of %d bytes never flushed; the spill run measured nothing", hotTier)
+				if rep.Stats != nil {
+					keyBytes = float64(rep.Stats.KeyBytes)
+					if rep.Stats.Generated > 0 {
+						dedup = float64(rep.Stats.DedupHits) / float64(rep.Stats.Generated)
 					}
 				}
 			}
 			b.ReportMetric(float64(configs), "configs")
 			b.ReportMetric(float64(configs)*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
-			b.ReportMetric(flushes, "flushes")
-			b.ReportMetric(compactions, "compactions")
-			b.ReportMetric(lookups, "tier-lookups")
-			b.ReportMetric(frontier, "frontier-spilled")
+			b.ReportMetric(dedup, "dedup")
+			b.ReportMetric(keyBytes, "keybytes")
 		})
 	}
 }
@@ -141,23 +55,17 @@ func BenchmarkExploreSpill(b *testing.B) {
 // CheckAllInputs path of the E11 certificate: all 2^3 input vectors).
 func BenchmarkExploreAllInputs(b *testing.B) {
 	p := protocol.NewCounterWalk(3)
-	for _, eng := range benchEngines() {
-		b.Run(fmt.Sprintf("engine=%s", eng.name), func(b *testing.B) {
-			b.ReportAllocs()
-			var configs int
-			for i := 0; i < b.N; i++ {
-				opts := eng.opts
-				opts.MaxConfigs = 1 << 24
-				rep := CheckAllInputs(p, 3, opts)
-				if rep.Violation != nil || !rep.Complete {
-					b.Fatalf("E11 workload must verify cleanly: %+v", rep)
-				}
-				configs = rep.Configs
-			}
-			b.ReportMetric(float64(configs), "configs")
-			b.ReportMetric(float64(configs)*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
-		})
+	b.ReportAllocs()
+	var configs int
+	for i := 0; i < b.N; i++ {
+		rep := CheckAllInputs(p, 3, Options{MaxConfigs: 1 << 24})
+		if rep.Violation != nil || !rep.Complete {
+			b.Fatalf("E11 workload must verify cleanly: %+v", rep)
+		}
+		configs = rep.Configs
 	}
+	b.ReportMetric(float64(configs), "configs")
+	b.ReportMetric(float64(configs)*float64(b.N)/b.Elapsed().Seconds(), "configs/s")
 }
 
 // BenchmarkExploreParallelSingleVector isolates the configuration-level

@@ -1,17 +1,17 @@
 package valency
 
 import (
-	"sync/atomic"
 	"time"
 
 	"randsync/internal/explore"
 	"randsync/internal/sim"
 )
 
-// Stats describes the parallel engine's work for one Check; it is nil on
-// serial runs.  Stats are performance telemetry only and intentionally
-// excluded from verdict comparisons: two runs with different worker
-// counts produce the same Report fields but different Stats.
+// Stats describes an engine's work for one Check.  The serial engine
+// fills Workers, KeyBytes and Elapsed only; the parallel engines fill the
+// rest.  Stats are performance telemetry only and intentionally excluded
+// from verdict comparisons: two runs with different worker counts
+// produce the same Report fields but different Stats.
 type Stats struct {
 	// Workers is the number of exploration workers used.
 	Workers int `json:"workers"`
@@ -31,10 +31,11 @@ type Stats struct {
 	// Elapsed is the wall-clock exploration time.
 	Elapsed time.Duration `json:"elapsed_ns"`
 
-	// Visited-set census (explore.Set.Stats), zero on the serial engine,
-	// whose visited set is a plain map: Collisions counts true 64-bit
+	// Visited-set census (explore.SetStats), zero on the serial engine,
+	// whose visited set is a plain map: Stripes is the number of
+	// fingerprint shards (one per worker), Collisions counts true 64-bit
 	// fingerprint collisions kept apart in overflow maps, and
-	// MinStripeKeys/MaxStripeKeys bound the per-stripe key counts — the
+	// MinStripeKeys/MaxStripeKeys bound the per-shard key counts — the
 	// imbalance envelope of the fingerprint partition.  The distributed
 	// engine reports the same fields at shard granularity, so cluster
 	// shard-imbalance reads off the same counters.
@@ -44,7 +45,7 @@ type Stats struct {
 	MaxStripeKeys int64 `json:"max_stripe_keys,omitempty"`
 
 	// Shard-owned engine counters (explore.RunSharded), zero on the
-	// serial and legacy-striped engines.  HandoffBatches/HandoffItems
+	// serial engine.  HandoffBatches/HandoffItems
 	// count cross-shard successor traffic — the only hot-path lock the
 	// sharded engine takes, one acquisition per batch — and
 	// RecycledBatches counts batch buffers reused from per-worker arenas
@@ -117,179 +118,6 @@ func (s *Stats) Rate(configs int) float64 {
 	return float64(configs) / s.Elapsed.Seconds()
 }
 
-// pwork is the per-worker private state of a parallel exploration; it is
-// merged after the pool drains, so workers never contend on it.
-type pwork struct {
-	edges     []explore.Edge
-	decisions map[int64]bool
-	generated int64
-	keyer     sim.Keyer
-	buf       []byte // visited-key scratch, reused across successors
-}
-
-// ptask is one frontier item: an unexplored configuration and its dense
-// visited-set id (the node label used for cycle detection).
-type ptask struct {
-	cfg *sim.Config
-	id  int64
-}
-
-// checkParallel explores the reachable configuration space of proto with
-// a worker pool over a sharded visited set.
-//
-// Determinism: a complete clean exploration visits exactly the reachable
-// key set, so Configs, Decisions and Livelock are schedule-independent.
-// If any worker sees a violation the parallel result is discarded and
-// the serial checker re-runs from scratch: its depth-first order is the
-// canonical trace order (lexicographic in scheduler choices), so the
-// reported first violation — kind, detail and trace — is identical to a
-// serial run's, regardless of worker count or timing.  Violating runs
-// stop early under both engines, so the re-run is cheap.
-func checkParallel(proto sim.Protocol, inputs []int64, opts Options) *Report {
-	workers := opts.workers()
-	budget := int64(opts.Budget())
-
-	valid := make(map[int64]bool, len(inputs))
-	for _, in := range inputs {
-		valid[in] = true
-	}
-
-	legacy := opts.LegacyKeys
-	set := explore.NewSet(workers * 8)
-	var memBytes atomic.Int64
-	if opts.MemBudget > 0 {
-		set.SetByteHook(func(d int64) { memBytes.Add(d) })
-	}
-	overMem := func() bool {
-		return opts.MemBudget > 0 && memBytes.Load() >= opts.MemBudget
-	}
-	ws := make([]pwork, workers)
-	for i := range ws {
-		ws[i].decisions = make(map[int64]bool)
-		ws[i].keyer.Symmetry = opts.SymmetryOn()
-	}
-	var violated, incomplete atomic.Bool
-
-	initial := sim.NewConfig(proto, inputs)
-	var iid int64
-	if legacy {
-		ikey := opts.exploreKey(initial)
-		iid, _ = set.AddString(sim.FingerprintKey(ikey), ikey)
-	} else {
-		ws[0].buf = opts.AppendVisitKey(&ws[0].keyer, initial, ws[0].buf[:0])
-		iid, _ = set.Add(sim.FingerprintBytes(ws[0].buf), ws[0].buf)
-	}
-
-	stats := explore.Run(workers, []ptask{{cfg: initial, id: iid}}, func(t ptask, ctx *explore.Ctx[ptask]) {
-		w := &ws[ctx.Worker()]
-		c := t.cfg
-		if Unsafe(c, opts, valid, w.decisions) {
-			violated.Store(true)
-			ctx.Stop()
-			return
-		}
-		for pid := 0; pid < c.N(); pid++ {
-			if opts.Crashed(c, pid) {
-				continue // crash-stop: never scheduled again
-			}
-			a := c.Pending(pid)
-			if a.Kind == sim.ActHalt {
-				continue
-			}
-			outcomes := int64(1)
-			if a.Kind == sim.ActFlip {
-				outcomes = a.Sides
-			}
-			for o := int64(0); o < outcomes; o++ {
-				var id int64
-				var added bool
-				if legacy {
-					next := c.Clone()
-					if _, err := next.Step(pid, o); err != nil {
-						// Serial reports this as a Stuck violation; defer to it.
-						violated.Store(true)
-						ctx.Stop()
-						return
-					}
-					w.generated++
-					key := opts.exploreKey(next)
-					id, added = set.AddString(sim.FingerprintKey(key), key)
-					w.edges = append(w.edges, explore.Edge{From: t.id, To: id})
-					if !added {
-						continue
-					}
-					if id >= budget || overMem() {
-						incomplete.Store(true)
-						ctx.Stop()
-						return
-					}
-					ctx.Emit(ptask{cfg: next, id: id})
-					continue
-				}
-				// Copy-on-write successor generation: step the task's own
-				// configuration in place, encode+dedup, and clone only the
-				// successors the visited set admits to the frontier.
-				var u sim.StepUndo
-				if _, err := c.StepInto(pid, o, &u); err != nil {
-					// Serial reports this as a Stuck violation; defer to it.
-					violated.Store(true)
-					ctx.Stop()
-					return
-				}
-				w.generated++
-				w.buf = opts.AppendVisitKey(&w.keyer, c, w.buf[:0])
-				id, added = set.Add(sim.FingerprintBytes(w.buf), w.buf)
-				w.edges = append(w.edges, explore.Edge{From: t.id, To: id})
-				if added {
-					if id >= budget || overMem() {
-						incomplete.Store(true)
-						ctx.Stop()
-						return
-					}
-					ctx.Emit(ptask{cfg: c.Clone(), id: id})
-				}
-				c.UndoStep(&u)
-			}
-		}
-	})
-
-	if violated.Load() {
-		return checkSerial(proto, inputs, opts)
-	}
-
-	rep := &Report{
-		Inputs:    append([]int64(nil), inputs...),
-		Decisions: make(map[int64]bool),
-		Complete:  !incomplete.Load(),
-		Configs:   set.Len(),
-	}
-	var edges []explore.Edge
-	var generated int64
-	for i := range ws {
-		edges = append(edges, ws[i].edges...)
-		generated += ws[i].generated
-		for v := range ws[i].decisions {
-			rep.Decisions[v] = true
-		}
-	}
-	rep.Livelock = explore.HasCycle(set.Len(), edges)
-	census := set.Stats()
-	rep.Stats = &Stats{
-		Workers:       workers,
-		Generated:     generated,
-		DedupHits:     set.DedupHits(),
-		Steals:        stats.Steals,
-		PeakFrontier:  stats.PeakPending,
-		KeyBytes:      set.Bytes(),
-		Elapsed:       stats.Elapsed,
-		Stripes:       census.Stripes,
-		Collisions:    census.Collisions,
-		MinStripeKeys: census.MinStripeKeys,
-		MaxStripeKeys: census.MaxStripeKeys,
-	}
-	return rep
-}
-
 // Unsafe mirrors the serial checker's per-configuration safety scan
 // (violationAt) without trace bookkeeping: it records reachable decisions
 // into dec and reports whether the configuration violates consistency or
@@ -346,7 +174,7 @@ func checkAllInputsParallel(proto sim.Protocol, n int, opts Options) *Report {
 		})
 	} else {
 		for i := range reports {
-			reports[i] = checkConfigParallel(proto, inputVector(i, n), opts)
+			reports[i] = checkSharded(proto, inputVector(i, n), opts)
 		}
 	}
 

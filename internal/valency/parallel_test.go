@@ -178,8 +178,8 @@ func shuffledVerdict(p sim.Protocol, inputs []int64, seed int64) (map[int64]bool
 	return decisions, kinds
 }
 
-// engineVariants is the option matrix the sharded/striped/serial
-// differential sweeps: plain runs, an explicit crash schedule (which
+// engineVariants is the option matrix the sharded/serial differential
+// sweeps: plain runs, an explicit crash schedule (which
 // also turns symmetry reduction off and exercises the crash-suffixed
 // visit keys), and symmetry reduction disabled outright.
 func engineVariants() []struct {
@@ -198,9 +198,10 @@ func engineVariants() []struct {
 
 // TestShardedStripedSerialMatrix is the engine differential matrix: for
 // every protocol in the zoo × every option variant × several worker
-// counts, the shard-owned engine and the legacy striped engine must both
-// reproduce the serial verdict byte-identically — Complete, Configs,
-// Violation (kind, detail, exact trace), Decisions, and Livelock.
+// counts, the shard-owned engine must reproduce the serial verdict
+// byte-identically — Complete, Configs, Violation (kind, detail, exact
+// trace), Decisions, and Livelock.  (The name is kept for the check.sh
+// and CI selectors.)
 func TestShardedStripedSerialMatrix(t *testing.T) {
 	workerCounts := []int{2, 4, 7}
 	if testing.Short() {
@@ -214,11 +215,6 @@ func TestShardedStripedSerialMatrix(t *testing.T) {
 				sh.Workers = workers
 				sharded := Check(p, []int64{0, 1}, sh)
 				requireSameReport(t, p.Name()+"/"+v.name+"/sharded", serial, sharded)
-
-				st := sh
-				st.LegacyStriped = true
-				striped := Check(p, []int64{0, 1}, st)
-				requireSameReport(t, p.Name()+"/"+v.name+"/striped", serial, striped)
 			}
 		}
 	}
@@ -226,8 +222,8 @@ func TestShardedStripedSerialMatrix(t *testing.T) {
 
 // TestShardedAllInputsDifferential covers the CheckAllInputs path at a
 // worker count high enough (8 > 2·vectors at n=2) to force the
-// configuration-level engines rather than the vector-level serial
-// fan-out, for both the sharded default and the striped escape hatch.
+// configuration-level engine rather than the vector-level serial
+// fan-out.
 func TestShardedAllInputsDifferential(t *testing.T) {
 	for _, p := range diffProtocols() {
 		for _, v := range engineVariants() {
@@ -238,25 +234,20 @@ func TestShardedAllInputsDifferential(t *testing.T) {
 			sh := v.opts
 			sh.Workers = 8
 			requireSameReport(t, p.Name()+"/"+v.name+"/sharded", serial, CheckAllInputs(p, 2, sh))
-			st := sh
-			st.LegacyStriped = true
-			requireSameReport(t, p.Name()+"/"+v.name+"/striped", serial, CheckAllInputs(p, 2, st))
 		}
 	}
 }
 
 // TestShardedEnginesAgreeAcrossWorkerCounts: two sharded runs with
-// different worker counts — and a striped run — agree with each other
-// directly (not merely with serial), and the sharded run carries the
+// different worker counts agree with each other directly (not merely
+// with serial), and the sharded run carries the
 // shard-engine telemetry: one stripe per worker and, on a space this
 // size, actual cross-shard hand-off traffic.
 func TestShardedEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 	p := protocol.NewCounterWalk(2)
 	a := CheckAllInputs(p, 2, Options{Workers: 8})
 	b := CheckAllInputs(p, 2, Options{Workers: 3})
-	c := CheckAllInputs(p, 2, Options{Workers: 8, LegacyStriped: true})
 	requireSameReport(t, p.Name(), a, b)
-	requireSameReport(t, p.Name(), a, c)
 	if a.Stats == nil {
 		t.Fatal("sharded run must carry Stats telemetry")
 	}

@@ -34,30 +34,22 @@ func (w *swork) take() *sim.Config {
 	return nil
 }
 
-// checkConfigParallel dispatches a configuration-level parallel
-// exploration to the shard-owned engine, or to the legacy striped-set
-// engine when the escape hatch (or the legacy string-key baseline, which
-// was never ported) is selected.
-func checkConfigParallel(proto sim.Protocol, inputs []int64, opts Options) *Report {
-	if opts.LegacyStriped || opts.LegacyKeys {
-		return checkParallel(proto, inputs, opts)
-	}
-	return checkSharded(proto, inputs, opts)
-}
-
 // checkSharded explores the reachable configuration space of proto on
 // the shard-owned engine (explore.RunSharded): each worker owns a
 // fingerprint shard of the visited set, successors for foreign shards
 // travel in batched hand-offs, and frontier configuration storage
 // recycles through per-worker arenas (sim.Config.CloneInto).
 //
-// The verdict contract is the same as checkParallel's, and for the same
-// reason: a complete run admits exactly the reachable canonical key set
-// — each key once, by its shard owner — so Configs, Decisions and the
-// edge graph feeding Livelock detection are independent of worker
-// count, batch boundaries and steal timing.  Any observed violation
-// discards the parallel result and defers to the canonical serial
-// re-run for the deterministic first-violation trace.
+// Determinism: a complete run admits exactly the reachable canonical key
+// set — each key once, by its shard owner — so Configs, Decisions and
+// the edge graph feeding Livelock detection are independent of worker
+// count, batch boundaries and steal timing.  If any worker sees a
+// violation the parallel result is discarded and the serial checker
+// re-runs from scratch: its depth-first order is the canonical trace
+// order (lexicographic in scheduler choices), so the reported first
+// violation — kind, detail and trace — is identical to a serial run's,
+// regardless of worker count or timing.  Violating runs stop early
+// under both engines, so the re-run is cheap.
 func checkSharded(proto sim.Protocol, inputs []int64, opts Options) *Report {
 	workers := opts.workers()
 	budget := int64(opts.Budget())

@@ -179,9 +179,6 @@ func checkSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, *exp
 	if opts.SpillDir == "" {
 		return nil, nil, errors.New("valency: CheckSpill requires Options.SpillDir")
 	}
-	if opts.LegacyKeys || opts.LegacyStriped {
-		return nil, nil, errors.New("valency: the spill engine does not support the legacy baselines")
-	}
 	fs := opts.spillFS()
 	if !opts.SpillResume {
 		if f, err := fs.Open(filepath.Join(opts.SpillDir, explore.ManifestName)); err == nil {

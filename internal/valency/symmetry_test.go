@@ -58,18 +58,19 @@ func requireSameVerdict(t *testing.T, name string, proto sim.Protocol, ref, got 
 }
 
 // TestCompactLegacyDifferential: the compact-key engine with symmetry off
-// must be byte-identical to the legacy string-key engine — same visited
-// counts, same canonical traces — across the whole zoo, serial and
-// parallel.  This pins that the binary encoding and the copy-on-write
-// step path change the representation only, never the exploration.
+// must be byte-identical to the string-key reference (refCheckAllInputs)
+// — same visited counts, same canonical traces — across the whole zoo,
+// serial and parallel.  This pins that the binary encoding and the
+// copy-on-write step path change the representation only, never the
+// exploration.
 func TestCompactLegacyDifferential(t *testing.T) {
 	for _, p := range diffProtocols() {
-		legacy := CheckAllInputs(p, 2, Options{LegacyKeys: true})
+		ref := refCheckAllInputs(p, 2, nil)
 		compact := CheckAllInputs(p, 2, Options{NoSymmetry: true})
-		requireSameReport(t, p.Name()+"/serial", legacy, compact)
+		requireSameReport(t, p.Name()+"/serial", ref, compact)
 		for _, workers := range []int{2, 4} {
 			par := CheckAllInputs(p, 2, Options{NoSymmetry: true, Workers: workers})
-			requireSameReport(t, p.Name()+"/parallel", legacy, par)
+			requireSameReport(t, p.Name()+"/parallel", ref, par)
 		}
 	}
 }
@@ -140,32 +141,35 @@ func TestSymmetryDifferentialMixedInputs(t *testing.T) {
 
 // TestSymmetryCrashDifferential: under a crash schedule symmetry
 // reduction is disabled (per-process crash allowances break slot
-// interchangeability), so default options must match the legacy engine
-// byte-for-byte — the ISSUE's "including crash schedules" guarantee —
-// serial and parallel.
+// interchangeability), so default options must match the string-key
+// reference, whose keys carry the crash allowances in their own
+// rendering, byte-for-byte — serial and parallel.
 func TestSymmetryCrashDifferential(t *testing.T) {
 	for _, p := range diffProtocols() {
 		for _, crash := range [][]int{
 			crashOne(2, 0, 1),
 			crashOne(2, 1, 2),
+			// Late enough that a process revisits a state with a
+			// different allowance left: only the key's crash suffix
+			// keeps those configurations apart.
+			crashOne(2, 0, 3),
 			{0, -1},
 		} {
 			opts := Options{Crash: crash}
 			if opts.SymmetryOn() {
 				t.Fatalf("symmetry must be off under a crash schedule")
 			}
-			legacy := CheckAllInputs(p, 2, Options{Crash: crash, LegacyKeys: true})
+			ref := refCheckAllInputs(p, 2, crash)
 			compact := CheckAllInputs(p, 2, opts)
-			requireSameReport(t, p.Name()+"/crash-serial", legacy, compact)
+			requireSameReport(t, p.Name()+"/crash-serial", ref, compact)
 			par := CheckAllInputs(p, 2, Options{Crash: crash, Workers: 4})
-			requireSameReport(t, p.Name()+"/crash-parallel", legacy, par)
+			requireSameReport(t, p.Name()+"/crash-parallel", ref, par)
 		}
 	}
 }
 
-// TestSymmetryOptionGates: the knobs compose as documented — LegacyKeys
-// implies no symmetry, crash schedules imply no symmetry, and NoSymmetry
-// wins over the default.
+// TestSymmetryOptionGates: the knobs compose as documented — crash
+// schedules imply no symmetry, and NoSymmetry wins over the default.
 func TestSymmetryOptionGates(t *testing.T) {
 	cases := []struct {
 		opts Options
@@ -173,9 +177,7 @@ func TestSymmetryOptionGates(t *testing.T) {
 	}{
 		{Options{}, true},
 		{Options{NoSymmetry: true}, false},
-		{Options{LegacyKeys: true}, false},
 		{Options{Crash: []int{1, -1}}, false},
-		{Options{NoSymmetry: true, LegacyKeys: true}, false},
 	}
 	for i, tc := range cases {
 		if got := tc.opts.SymmetryOn(); got != tc.want {

@@ -28,8 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 	"unsafe"
@@ -117,7 +115,7 @@ type Options struct {
 	// the serial depth-first engine (the canonical reference); values
 	// above 1 select the parallel engine with that many workers; any
 	// negative value means GOMAXPROCS.  Parallel and serial runs return
-	// identical verdicts (see checkParallel).
+	// identical verdicts (see checkSharded).
 	Workers int
 	// Interrupt, when non-nil, is polled by the spill engine (CheckSpill
 	// / CheckAllInputsSpill): the first true drains the run to a final
@@ -140,23 +138,9 @@ type Options struct {
 	// NoSymmetry disables identical-process symmetry reduction, forcing
 	// the engines to visit every process permutation of each
 	// configuration separately.  Reduction is sound for every reported
-	// field (see sim.Keyer), so this knob exists for differential testing
-	// and baseline benchmarking, not for correctness.
+	// field (see sim.Keyer), so this knob exists for differential testing,
+	// not for correctness.
 	NoSymmetry bool
-	// LegacyKeys selects the original string-key engine (Config.Key +
-	// Clone per step) instead of the compact binary encoding with
-	// copy-on-write stepping.  Verdicts are identical either way; the
-	// knob pins the pre-optimization baseline for differential tests and
-	// benchmarks.  LegacyKeys implies NoSymmetry.
-	LegacyKeys bool
-	// LegacyStriped selects the previous parallel engine — a shared
-	// lock-striped visited set (explore.Set) over the per-item
-	// work-stealing pool — instead of the shard-owned engine
-	// (explore.RunSharded).  Verdicts are identical either way; the knob
-	// pins the pre-sharding baseline for differential tests and
-	// benchmarks.  LegacyKeys implies LegacyStriped: the string-key path
-	// was never ported to the sharded engine.
-	LegacyStriped bool
 }
 
 // Budget returns the effective configuration budget (MaxConfigs with its
@@ -192,7 +176,7 @@ func (o Options) Crashed(c *sim.Config, pid int) bool {
 // crash futures.  Exported so engine embedders configure their
 // sim.Keyers identically to the local engines.
 func (o Options) SymmetryOn() bool {
-	return !o.NoSymmetry && !o.LegacyKeys && len(o.Crash) == 0
+	return !o.NoSymmetry && len(o.Crash) == 0
 }
 
 // crashKeyTag separates the configuration encoding from the appended
@@ -202,10 +186,10 @@ func (o Options) SymmetryOn() bool {
 const crashKeyTag = 0xFD
 
 // AppendVisitKey appends the compact visited-set key for c: the
-// (possibly canonical) configuration encoding, extended — exactly as
-// exploreKey extends Config.Key — with each scheduled process's
-// remaining steps to crash when a crash schedule is active, because the
-// allowance determines the process's future behavior.  Every engine that
+// (possibly canonical) configuration encoding, extended with each
+// scheduled process's remaining steps to crash (clamped at 0: crashed is
+// crashed, however far past the limit) when a crash schedule is active,
+// because the allowance determines the process's future behavior.  Every engine that
 // wants byte-identical dedup with the local ones (the distributed
 // workers, most importantly) must key its visited sets with this.
 func (o Options) AppendVisitKey(k *sim.Keyer, c *sim.Config, buf []byte) []byte {
@@ -224,32 +208,6 @@ func (o Options) AppendVisitKey(k *sim.Keyer, c *sim.Config, buf []byte) []byte 
 		buf = binary.AppendVarint(buf, int64(rem))
 	}
 	return buf
-}
-
-// exploreKey returns the legacy string visited-set key for c (the
-// LegacyKeys engine).  Config.Key ignores step counts, but under a crash
-// schedule a process's remaining steps to crash determine its future
-// behavior, so the key is extended with each scheduled process's
-// remaining allowance (clamped at 0: crashed is crashed, however far
-// past the limit).
-func (o Options) exploreKey(c *sim.Config) string {
-	if len(o.Crash) == 0 {
-		return c.Key()
-	}
-	var b strings.Builder
-	b.WriteString(c.Key())
-	b.WriteString("!c")
-	for pid, lim := range o.Crash {
-		rem := -1
-		if lim >= 0 {
-			if rem = lim - c.Steps[pid]; rem < 0 {
-				rem = 0
-			}
-		}
-		b.WriteString(strconv.Itoa(rem))
-		b.WriteByte(',')
-	}
-	return b.String()
 }
 
 // Report is the result of exploring one input vector.
@@ -296,7 +254,7 @@ type checker struct {
 // is identical to a serial run's.
 func Check(proto sim.Protocol, inputs []int64, opts Options) *Report {
 	if opts.workers() > 1 {
-		return checkConfigParallel(proto, inputs, opts)
+		return checkSharded(proto, inputs, opts)
 	}
 	return checkSerial(proto, inputs, opts)
 }
@@ -402,16 +360,10 @@ func (ch *checker) record(kind ViolationKind, detail string) {
 // It returns true if exploration should stop (violation found or budget
 // exhausted).
 //
-// The compact path encodes the visited-set key into the checker's
-// scratch buffer: the grey-check lookup via string(ch.buf) costs no
-// allocation, and the key string is materialized only when the
-// configuration turns out to be new.  The LegacyKeys engine is the
-// original string-key path, kept byte-for-byte so differential tests and
-// benchmarks can pin the pre-optimization baseline.
+// The visited-set key is encoded into the checker's scratch buffer: the
+// grey-check lookup via string(ch.buf) costs no allocation, and the key
+// string is materialized only when the configuration turns out to be new.
 func (ch *checker) explore(c *sim.Config) bool {
-	if ch.opts.LegacyKeys {
-		return ch.exploreLegacy(c)
-	}
 	ch.buf = ch.opts.AppendVisitKey(&ch.keyer, c, ch.buf[:0])
 	switch ch.visited[string(ch.buf)] {
 	case 1:
@@ -426,27 +378,6 @@ func (ch *checker) explore(c *sim.Config) bool {
 		return true
 	}
 	key := string(ch.buf) // the single retained copy of this key
-	ch.keyBytes += int64(len(key))
-	ch.visited[key] = 1
-	stop := ch.expand(c)
-	ch.visited[key] = 2
-	return stop
-}
-
-func (ch *checker) exploreLegacy(c *sim.Config) bool {
-	key := ch.opts.exploreKey(c)
-	switch ch.visited[key] {
-	case 1:
-		// Back edge: a cycle of live configurations.
-		ch.rep.Livelock = true
-		return false
-	case 2:
-		return false
-	}
-	if len(ch.visited) >= ch.opts.Budget() || ch.overMemBudget() {
-		ch.rep.Complete = false
-		return true
-	}
 	ch.keyBytes += int64(len(key))
 	ch.visited[key] = 1
 	stop := ch.expand(c)
@@ -470,7 +401,7 @@ func (ch *checker) overMemBudget() bool {
 }
 
 // expand checks c for violations and branches over every scheduler and
-// coin choice, shared by both key engines.
+// coin choice.
 func (ch *checker) expand(c *sim.Config) bool {
 	if ch.violationAt(c) {
 		return true
@@ -499,24 +430,10 @@ func (ch *checker) expand(c *sim.Config) bool {
 }
 
 // step branches into the configuration reached by letting pid take its
-// pending step with the given flip outcome.  The compact engine steps
-// copy-on-write: it mutates c in place and undoes on backtrack, so the
-// whole DFS runs on one configuration instead of cloning per edge.
+// pending step with the given flip outcome.  It steps copy-on-write:
+// it mutates c in place and undoes on backtrack, so the whole DFS runs
+// on one configuration instead of cloning per edge.
 func (ch *checker) step(c *sim.Config, pid int, outcome int64) bool {
-	if ch.opts.LegacyKeys {
-		next := c.Clone()
-		ev, err := next.Step(pid, outcome)
-		if err != nil {
-			// Unreachable for valid protocols; surface as a stuck violation.
-			ch.record(Stuck, fmt.Sprintf("P%d cannot step: %v", pid, err))
-			return true
-		}
-		ch.path = append(ch.path, ev)
-		stop := ch.explore(next)
-		// record copies the path at violation time, so unwinding is always safe.
-		ch.path = ch.path[:len(ch.path)-1]
-		return stop
-	}
 	var u sim.StepUndo
 	ev, err := c.StepInto(pid, outcome, &u)
 	if err != nil {

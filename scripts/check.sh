@@ -159,10 +159,10 @@ kill -TERM "$lc_pid"
 wait "$lc_pid"
 rm -rf "$lcdir"
 stage="bench smoke"
-# One iteration of every benchmark: keeps the benchmark suites compiling
-# and their invariant checks (clean-verification assertions) honest
-# without paying for a measurement run; scripts/bench.sh does the real
-# measured comparison.
+# One iteration of every in-tree benchmark: keeps the benchmark suites
+# compiling and their invariant checks (clean-verification assertions)
+# honest without paying for a measurement run; bench/run.sh (below, and
+# in full outside the gate) does the real measurement.
 go test -run=NONE -bench=. -benchtime=1x -timeout 15m ./...
 # Fifteen seconds of fuzzing the in-place solo walk against its recursive
 # reference (random protocol, process count, reachable configuration and
