@@ -49,6 +49,7 @@ import (
 	"randsync/internal/dist"
 	"randsync/internal/service"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 func main() {
@@ -65,7 +66,7 @@ func run(args []string) error {
 	join := fs.String("join", "", "worker: coordinator address to join")
 	loopback := fs.Int("loopback", 0, "single-binary mode: run coordinator plus N in-process workers")
 
-	name := fs.String("protocol", "counter-walk", "protocol registry name (see internal/dist registry), incl. machine:<type>:<freeStates>:<id>")
+	name := fs.String("protocol", "counter-walk", "protocol: "+strings.Join(zoo.Names(), ", "))
 	n := fs.Int("n", 2, "number of processes")
 	r := fs.Int("r", 2, "object count for flood protocols / scan-machine")
 	rounds := fs.Int64("rounds", 2, "round cap for register-consensus")
@@ -126,30 +127,6 @@ func run(args []string) error {
 		fmt.Println(st.State)
 		return nil
 	}
-	if *submit != "" || *waitJob != "" {
-		spec := service.JobSpec{
-			Tenant:          *tenant,
-			Protocol:        *name,
-			N:               *n,
-			R:               *r,
-			Rounds:          *rounds,
-			Seed:            *seed,
-			AllInputs:       *all,
-			Engine:          *engine,
-			Budget:          *budget,
-			NoSymmetry:      *nosym,
-			DeadlineSeconds: *jobDeadline,
-		}
-		if !*all {
-			var err error
-			spec.Inputs, err = parseInputs(*inputsFlag, *n)
-			if err != nil {
-				return err
-			}
-		}
-		return runClient(*submit, *waitJob, spec, *async, *waitTimeout, *quotaWait)
-	}
-
 	if *join != "" {
 		fmt.Fprintf(os.Stderr, "distcheck: joining %s\n", *join)
 		return dist.Work(*join, dist.WorkerOptions{
@@ -157,6 +134,25 @@ func run(args []string) error {
 			MaxAttempts: *retry,
 			NetTimeout:  *netTimeout,
 		})
+	}
+
+	spec := zoo.Spec{Name: *name, N: *n, R: *r, Rounds: *rounds, Seed: *seed}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	var inputs []int64
+	if !*all {
+		var err error
+		if inputs, err = parseInputs(*inputsFlag, *n); err != nil {
+			return err
+		}
+	}
+	if *submit != "" || *waitJob != "" {
+		return runClient(*submit, *waitJob, service.JobSpec{
+			Tenant: *tenant, Protocol: *name, N: *n, R: *r, Rounds: *rounds, Seed: *seed,
+			Inputs: inputs, AllInputs: *all, Engine: *engine, Budget: *budget,
+			NoSymmetry: *nosym, DeadlineSeconds: *jobDeadline,
+		}, *async, *waitTimeout, *quotaWait)
 	}
 
 	if *resume {
@@ -168,17 +164,7 @@ func run(args []string) error {
 		}
 	}
 
-	job := dist.Job{
-		Spec:      dist.ProtoSpec{Name: *name, N: *n, R: *r, Rounds: *rounds, Seed: *seed},
-		AllInputs: *all,
-	}
-	if !*all {
-		var err error
-		job.Inputs, err = parseInputs(*inputsFlag, *n)
-		if err != nil {
-			return err
-		}
-	}
+	job := dist.Job{Spec: spec, Inputs: inputs, AllInputs: *all}
 	// SIGINT/SIGTERM on the coordinator is a graceful drain, not a kill:
 	// the run stops at a final checkpoint and the same command resumes.
 	// A second signal falls through to the default handler (hard exit).
@@ -321,19 +307,7 @@ func report(rep *valency.Report, job dist.Job, jsonOut bool, args []string) erro
 		fmt.Println(string(out))
 		return nil
 	}
-	switch {
-	case rep.Violation != nil:
-		fmt.Printf("VIOLATION (%v): %s\n", rep.Violation.Kind, rep.Violation.Detail)
-		fmt.Printf("inputs %v, trace of %d steps:\n", rep.Inputs, len(rep.Violation.Trace))
-		fmt.Println(rep.Violation.Trace)
-	case rep.Complete:
-		fmt.Printf("SAFE: %d configurations explored exhaustively, no violation.\n", rep.Configs)
-	default:
-		fmt.Printf("no violation within budget (%d configurations explored; incomplete).\n", rep.Configs)
-	}
-	if rep.Livelock {
-		fmt.Println("note: adversarial non-termination possible (expected for randomized protocols).")
-	}
+	rep.PrintVerdict(os.Stdout)
 	if s := rep.Stats; s != nil {
 		fmt.Printf("cluster: %d workers, %d shards; %d batches, %d items shipped, %d recoveries, %d checkpoints\n",
 			s.Workers, s.Shards, s.Batches, s.RemoteItems, s.Recoveries, s.Checkpoints)

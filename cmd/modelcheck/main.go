@@ -18,9 +18,8 @@ import (
 	"runtime"
 	"strings"
 
-	"randsync/internal/protocol"
-	"randsync/internal/sim"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 func main() {
@@ -32,9 +31,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
-	name := fs.String("protocol", "counter-walk", "protocol: "+strings.Join(protocolNames, ", "))
+	name := fs.String("protocol", "counter-walk", "protocol: "+strings.Join(zoo.Names(), ", "))
 	n := fs.Int("n", 2, "number of processes")
-	r := fs.Int("r", 2, "object count for flood protocols")
+	r := fs.Int("r", 2, "object count for flood protocols / scan-machine")
 	rounds := fs.Int64("rounds", 2, "round cap for register-consensus")
 	budget := fs.Int("budget", 1<<22, "configuration budget")
 	memBudget := fs.Int64("mem-budget", 0, "retained-byte budget (0 = unlimited); truncates the run, or sets the hot tier under -spill-dir")
@@ -52,7 +51,7 @@ func run(args []string) error {
 		return fmt.Errorf("-resume requires -spill-dir")
 	}
 
-	proto, err := lookup(*name, *n, *r, *rounds)
+	proto, err := zoo.Resolve(zoo.Spec{Name: *name, N: *n, R: *r, Rounds: *rounds})
 	if err != nil {
 		return err
 	}
@@ -103,19 +102,7 @@ func run(args []string) error {
 		fmt.Println(string(out))
 		return spillErr
 	}
-	switch {
-	case rep.Violation != nil:
-		fmt.Printf("VIOLATION (%v): %s\n", rep.Violation.Kind, rep.Violation.Detail)
-		fmt.Printf("inputs %v, trace of %d steps:\n", rep.Inputs, len(rep.Violation.Trace))
-		fmt.Println(rep.Violation.Trace)
-	case rep.Complete:
-		fmt.Printf("SAFE: %d configurations explored exhaustively, no violation.\n", rep.Configs)
-	default:
-		fmt.Printf("no violation within budget (%d configurations explored; incomplete).\n", rep.Configs)
-	}
-	if rep.Livelock {
-		fmt.Println("note: adversarial non-termination possible (expected for randomized protocols).")
-	}
+	rep.PrintVerdict(os.Stdout)
 	if s := rep.Stats; s != nil {
 		hitRate := 0.0
 		if s.Generated > 0 {
@@ -165,42 +152,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// protocolNames lists, in -protocol help order, every name lookup accepts.
-var protocolNames = []string{
-	"cas", "tas-2", "swap-2", "fetch&add-2", "fetch&inc-2", "register-naive-2",
-	"counter-walk", "packed-fetch&add", "register-consensus",
-	"flood-registers", "flood-swap", "flood-mixed",
-}
-
-// lookup resolves a protocol name.
-func lookup(name string, n, r int, rounds int64) (sim.Protocol, error) {
-	switch name {
-	case "cas":
-		return protocol.CASConsensus{}, nil
-	case "tas-2":
-		return protocol.NewTAS2(), nil
-	case "swap-2":
-		return protocol.NewSwap2(), nil
-	case "fetch&add-2":
-		return protocol.NewFetchAdd2(), nil
-	case "fetch&inc-2":
-		return protocol.NewFetchInc2(), nil
-	case "register-naive-2":
-		return protocol.RegisterNaive2{}, nil
-	case "counter-walk":
-		return protocol.NewCounterWalk(n), nil
-	case "packed-fetch&add":
-		return protocol.NewPackedFetchAdd(n), nil
-	case "register-consensus":
-		return protocol.NewRegisterConsensus(n, rounds), nil
-	case "flood-registers":
-		return protocol.NewRegisterFlood(r), nil
-	case "flood-swap":
-		return protocol.NewSwapFlood(r), nil
-	case "flood-mixed":
-		return protocol.NewMixedFlood(r), nil
-	}
-	return nil, fmt.Errorf("unknown protocol %q", name)
 }

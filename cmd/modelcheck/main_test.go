@@ -2,15 +2,18 @@ package main
 
 import "testing"
 
-// TestProtocolNamesResolve: every name the -protocol help lists resolves,
-// so the help cannot advertise a protocol lookup rejects.
-func TestProtocolNamesResolve(t *testing.T) {
-	for _, name := range protocolNames {
-		if _, err := lookup(name, 2, 2, 2); err != nil {
-			t.Errorf("-protocol %s: %v", name, err)
+// TestRunRejectsBadSpecs: an unknown name or an out-of-range parameter
+// is an error before anything is built — never a panic, and never a
+// vacuous certificate over zero processes.
+func TestRunRejectsBadSpecs(t *testing.T) {
+	for _, args := range [][]string{
+		{"-protocol", "no-such-protocol"},
+		{"-n", "0"},
+		{"-n", "-1"},
+		{"-protocol", "flood-swap", "-r", "-1"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("modelcheck %v: no error", args)
 		}
-	}
-	if _, err := lookup("no-such-protocol", 2, 2, 2); err == nil {
-		t.Error("unknown protocol accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"randsync/internal/explore"
 	"randsync/internal/sim"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // Serve runs the coordinator: it accepts worker connections from ln
@@ -23,8 +24,8 @@ import (
 // itself — the coordinator re-queues only that worker's unacknowledged
 // batches and keeps going.  Serve does not close ln; the caller owns it.
 func Serve(ln net.Listener, expect int, job Job, opts Options) (*valency.Report, error) {
-	if err := opts.validate(job); err != nil {
-		return nil, err
+	if !job.AllInputs && len(job.Inputs) == 0 {
+		return nil, fmt.Errorf("dist: job needs Inputs or AllInputs")
 	}
 	if expect < 1 {
 		return nil, fmt.Errorf("dist: need at least one worker")
@@ -142,7 +143,7 @@ type coord struct {
 }
 
 func newCoord(job Job, opts Options) (*coord, error) {
-	proto, err := Resolve(job.Spec)
+	proto, err := zoo.Resolve(job.Spec)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,6 @@ package dist
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"randsync/internal/valency"
@@ -54,7 +53,7 @@ import (
 // Job names one distributed check: a protocol instance plus either one
 // input vector or the all-vectors sweep.
 type Job struct {
-	// Spec resolves to the protocol instance (see registry.go).
+	// Spec resolves to the protocol instance through internal/zoo.
 	Spec ProtoSpec
 	// Inputs is the input vector to check when AllInputs is false.
 	Inputs []int64
@@ -211,19 +210,6 @@ func (o Options) batchTimeout() time.Duration {
 		return o.deadAfter()
 	}
 	return o.BatchTimeout
-}
-
-func (o Options) validate(job Job) error {
-	if _, err := Resolve(job.Spec); err != nil {
-		return err
-	}
-	if !job.AllInputs && len(job.Inputs) == 0 {
-		return errors.New("dist: job needs Inputs or AllInputs")
-	}
-	if job.AllInputs && job.Spec.N > 16 {
-		return fmt.Errorf("dist: AllInputs over n=%d is 2^%d vectors", job.Spec.N, job.Spec.N)
-	}
-	return nil
 }
 
 // gid packing: a key admitted to shard s as that shard's k-th key has

@@ -10,30 +10,8 @@ import (
 
 	"randsync/internal/fault"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
-
-// zooSpecs is the full protocol zoo at n=2 as wire specs — the same
-// families the parallel/serial differential uses (diffProtocols), so
-// the distributed engine is held to the identical contract: clean upper
-// bounds, flawed floods, and a generated scan machine.
-func zooSpecs() []ProtoSpec {
-	return []ProtoSpec{
-		{Name: "cas", N: 2},
-		{Name: "sticky", N: 2},
-		{Name: "tas-2", N: 2},
-		{Name: "swap-2", N: 2},
-		{Name: "fetch&add-2", N: 2},
-		{Name: "fetch&inc-2", N: 2},
-		{Name: "register-naive-2", N: 2},
-		{Name: "counter-walk", N: 2},
-		{Name: "packed-fetch&add", N: 2},
-		{Name: "register-consensus", N: 2, Rounds: 2},
-		{Name: "flood-registers", N: 2, R: 2},
-		{Name: "flood-swap", N: 2, R: 2},
-		{Name: "flood-mixed", N: 2, R: 2},
-		{Name: "scan-machine", N: 2, R: 1, Seed: 1},
-	}
-}
 
 // requireSameReport asserts byte-identical verdicts: every Report field
 // except the Stats telemetry must match the serial reference.
@@ -79,8 +57,8 @@ func requireSameReport(t *testing.T, name string, serial, dist *valency.Report) 
 // verdict as the serial reference — including the exact canonical
 // counterexample for the flawed protocols.
 func TestLoopbackSerialDifferential(t *testing.T) {
-	for _, spec := range zooSpecs() {
-		proto, err := Resolve(spec)
+	for _, spec := range zoo.Examples() {
+		proto, err := zoo.Resolve(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -108,7 +86,7 @@ func TestLoopbackAllInputsDifferential(t *testing.T) {
 		{Name: "register-naive-2", N: 2},
 		{Name: "flood-mixed", N: 2, R: 2},
 	} {
-		proto, err := Resolve(spec)
+		proto, err := zoo.Resolve(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +113,7 @@ func TestLoopbackCrashDifferential(t *testing.T) {
 		{ProtoSpec{Name: "flood-registers", N: 2, R: 2}, []int{2, -1}},
 	}
 	for _, tc := range cases {
-		proto, err := Resolve(tc.spec)
+		proto, err := zoo.Resolve(tc.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +134,7 @@ func TestLoopbackCrashDifferential(t *testing.T) {
 // still produce the serial verdict; the recovery is visible in Stats.
 func TestWorkerKilledMidRun(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
@@ -191,7 +169,7 @@ func TestAllWorkersLost(t *testing.T) {
 // serial verdict.  The checkpoint file is removed on success.
 func TestCheckpointKillResume(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
@@ -225,7 +203,7 @@ func TestCheckpointKillResume(t *testing.T) {
 // sweep; the aggregate still matches CheckAllInputs.
 func TestCheckpointResumeAllInputs(t *testing.T) {
 	spec := ProtoSpec{Name: "cas", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	serial := valency.CheckAllInputs(proto, 2, valency.Options{})
 
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
@@ -275,32 +253,6 @@ func TestBudgetIncomplete(t *testing.T) {
 	}
 	if rep.Configs < 100 {
 		t.Fatalf("explored only %d configs under budget 100", rep.Configs)
-	}
-}
-
-// TestRegistry: spec resolution is total over the zoo, rejects unknown
-// names, and machine coordinates round-trip through MachineSpec.
-func TestRegistry(t *testing.T) {
-	for _, spec := range zooSpecs() {
-		if _, err := Resolve(spec); err != nil {
-			t.Errorf("%s: %v", spec.Name, err)
-		}
-	}
-	if _, err := Resolve(ProtoSpec{Name: "no-such-protocol"}); err == nil {
-		t.Error("unknown protocol resolved")
-	}
-	if _, err := Resolve(ProtoSpec{Name: "machine:test&set:2:0"}); err == nil {
-		t.Error("machine id 0 resolved")
-	}
-	if _, err := Resolve(ProtoSpec{Name: "machine:quux:1:1"}); err == nil {
-		t.Error("unknown machine type resolved")
-	}
-	proto, err := Resolve(ProtoSpec{Name: "machine:test&set:2:137"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := proto.Name(); got != "machine(test&set,#137)" {
-		t.Errorf("machine name %q", got)
 	}
 }
 

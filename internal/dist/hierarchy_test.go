@@ -6,11 +6,12 @@ import (
 	"randsync/internal/hierarchy"
 	"randsync/internal/object"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // TestHierarchyClusterCheck wires the hierarchy search to the cluster:
 // Options.Check ships sampled candidate machines to a loopback cluster
-// by wire coordinate (MachineSpec) and asserts cluster and local model
+// by wire coordinate (zoo.MachineSpec) and asserts cluster and local model
 // checks agree machine-for-machine; the overall search result must
 // match the stock local search exactly.
 func TestHierarchyClusterCheck(t *testing.T) {
@@ -28,7 +29,7 @@ func TestHierarchyClusterCheck(t *testing.T) {
 			localOK := local.Violation == nil && local.Complete && !local.Livelock
 			if sampled < 8 { // sample the cluster path; local is the oracle
 				sampled++
-				rep, err := Loopback(2, Job{Spec: MachineSpec(m, 2), AllInputs: true},
+				rep, err := Loopback(2, Job{Spec: zoo.MachineSpec(m, 2), AllInputs: true},
 					Options{Shards: 8, Valency: vopts})
 				if err != nil {
 					t.Fatalf("machine #%d: %v", m.ID(), err)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // TestLoopbackInterruptResume: closing Options.Interrupt mid-run makes
@@ -36,7 +37,7 @@ func TestLoopbackInterruptResume(t *testing.T) {
 		t.Fatalf("interrupt left no checkpoint: %v", err)
 	}
 
-	proto, err := Resolve(spec)
+	proto, err := zoo.Resolve(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,121 +1,14 @@
 package dist
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
-	"randsync/internal/hierarchy"
-	"randsync/internal/object"
-	"randsync/internal/protocol"
 	"randsync/internal/sim"
+	"randsync/internal/zoo"
 )
 
-// ProtoSpec is a serializable protocol name: enough integers and one
-// string to reconstruct the identical sim.Protocol on every cluster
-// node.  Protocol values themselves (closures over lookup tables,
-// generated machines) cannot cross the wire; their specs can.
-type ProtoSpec struct {
-	// Name is a registry name from the modelcheck zoo — "cas",
-	// "counter-walk", "flood-mixed", ... — or a machine coordinate
-	// "machine:<type>:<freeStates>:<id>" resolved through
-	// hierarchy.MachineByID, or "scan-machine" (seeded generator).
-	Name string
-	// N is the process count for protocols parameterized by it (and the
-	// vector width for AllInputs jobs).
-	N int
-	// R is the object count for the flood family and scan-machine.
-	R int
-	// Rounds caps register-consensus.
-	Rounds int64
-	// Seed seeds scan-machine generation.
-	Seed uint64
-}
+// ProtoSpec is a job's protocol coordinate in the internal/zoo registry.
+type ProtoSpec = zoo.Spec
 
-func (s ProtoSpec) String() string {
-	return fmt.Sprintf("%s(n=%d,r=%d,rounds=%d,seed=%d)", s.Name, s.N, s.R, s.Rounds, s.Seed)
-}
-
-// Resolve reconstructs the protocol a spec names.  Every node resolves
-// independently, so resolution must be deterministic in the spec alone.
-func Resolve(s ProtoSpec) (sim.Protocol, error) {
-	if strings.HasPrefix(s.Name, "machine:") {
-		return resolveMachine(s.Name)
-	}
-	switch s.Name {
-	case "cas":
-		return protocol.CASConsensus{}, nil
-	case "sticky":
-		return protocol.StickyConsensus{}, nil
-	case "tas-2":
-		return protocol.NewTAS2(), nil
-	case "swap-2":
-		return protocol.NewSwap2(), nil
-	case "fetch&add-2":
-		return protocol.NewFetchAdd2(), nil
-	case "fetch&inc-2":
-		return protocol.NewFetchInc2(), nil
-	case "register-naive-2":
-		return protocol.RegisterNaive2{}, nil
-	case "counter-walk":
-		return protocol.NewCounterWalk(s.N), nil
-	case "packed-fetch&add":
-		return protocol.NewPackedFetchAdd(s.N), nil
-	case "register-consensus":
-		return protocol.NewRegisterConsensus(s.N, s.Rounds), nil
-	case "flood-registers":
-		return protocol.NewRegisterFlood(s.R), nil
-	case "flood-swap":
-		return protocol.NewSwapFlood(s.R), nil
-	case "flood-mixed":
-		return protocol.NewMixedFlood(s.R), nil
-	case "scan-machine":
-		return protocol.GenerateScanMachine(s.R, s.Seed), nil
-	}
-	return nil, fmt.Errorf("dist: unknown protocol %q", s.Name)
-}
-
-// resolveMachine decodes "machine:<type>:<freeStates>:<id>" — the wire
-// coordinate of one enumerated hierarchy machine.  This is how the
-// hierarchy search ships candidate machines to a cluster: the
-// enumeration index is the whole protocol.
-func resolveMachine(name string) (sim.Protocol, error) {
-	parts := strings.Split(name, ":")
-	if len(parts) != 4 {
-		return nil, fmt.Errorf("dist: machine spec %q: want machine:<type>:<freeStates>:<id>", name)
-	}
-	t, err := typeByName(parts[1])
-	if err != nil {
-		return nil, err
-	}
-	free, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return nil, fmt.Errorf("dist: machine spec %q: freeStates: %v", name, err)
-	}
-	id, err := strconv.ParseUint(parts[3], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("dist: machine spec %q: id: %v", name, err)
-	}
-	return hierarchy.MachineByID(t, free, id)
-}
-
-func typeByName(name string) (object.Type, error) {
-	switch name {
-	case "register":
-		return object.RegisterType{}, nil
-	case "sticky-bit":
-		return object.StickyBitType{}, nil
-	case "test&set":
-		return object.TestAndSetType{}, nil
-	}
-	return nil, fmt.Errorf("dist: unknown object type %q in machine spec", name)
-}
-
-// MachineSpec names one hierarchy machine as a ProtoSpec — the
-// hierarchy-search side of the cluster wiring (Options.Check).
-func MachineSpec(m hierarchy.Machine, freeStates int) ProtoSpec {
-	return ProtoSpec{
-		Name: fmt.Sprintf("machine:%s:%d:%d", m.Type.Name(), freeStates, m.ID()),
-		N:    2,
-	}
-}
+// Resolve forwards to zoo.Resolve, which in-tree code calls directly.  It
+// stays because the bench/ module calls it and bench/ is kept frozen so
+// its measurements compare across commits.
+func Resolve(s ProtoSpec) (sim.Protocol, error) { return zoo.Resolve(s) }

@@ -22,6 +22,7 @@ import (
 
 	"randsync/internal/fault"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // fastRecovery tunes every recovery clock down to milliseconds so the
@@ -52,12 +53,12 @@ func soakPlan() fault.NetPlanOptions {
 // the verdict — including the canonical counterexample for the flawed
 // protocols — must equal the serial engine's.
 func TestChaosSoakDifferential(t *testing.T) {
-	specs := zooSpecs()
+	specs := zoo.Examples()
 	if testing.Short() {
 		specs = specs[:4] // full zoo soak belongs to the non-short pass
 	}
 	for i, spec := range specs {
-		proto, err := Resolve(spec)
+		proto, err := zoo.Resolve(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -90,7 +91,7 @@ func TestChaosSoakDifferential(t *testing.T) {
 // which frame the plan attacks decides whether a job handoff is hit.
 func TestChaosAllInputsDifferential(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	serial := valency.CheckAllInputs(proto, 2, valency.Options{})
 	seeds := []uint64{3, 7, 11, 19}
 	if testing.Short() {
@@ -115,7 +116,7 @@ func TestChaosAllInputsDifferential(t *testing.T) {
 // peers — and the verdict must not notice any of it.
 func TestChaosCutReconnect(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
@@ -144,7 +145,7 @@ func TestChaosCutReconnect(t *testing.T) {
 // verdict.
 func TestChaosWorkerKillMidRun(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
@@ -173,7 +174,7 @@ func TestChaosWorkerKillMidRun(t *testing.T) {
 // and the finished verdict equals the serial engine's.
 func TestCoordinatorRestartResume(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
@@ -250,7 +251,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 // original completion is discarded as stale.
 func TestSlowWorkerRedispatch(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
@@ -282,7 +283,7 @@ func TestSlowWorkerRedispatch(t *testing.T) {
 // watchdog's backpressure episodes are visible in the recovery block.
 func TestMemBudgetBackpressure(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	full := valency.Check(proto, inputs, valency.Options{})
 
@@ -354,7 +355,7 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 	if err := os.WriteFile(ckpt, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	proto, _ := Resolve(spec)
+	proto, _ := zoo.Resolve(spec)
 	serial := valency.Check(proto, inputs, valency.Options{})
 	rep, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts)
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"randsync/internal/explore"
 	"randsync/internal/sim"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // WorkerOptions configure one worker process.
@@ -278,7 +279,7 @@ type workerState struct {
 }
 
 func newWorkerState(jm jobMsg) (*workerState, error) {
-	proto, err := Resolve(jm.Spec)
+	proto, err := zoo.Resolve(jm.Spec)
 	if err != nil {
 		return nil, err
 	}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"randsync/internal/dist"
 	"randsync/internal/frame"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // Engine names for JobSpec.Engine.
@@ -22,19 +22,19 @@ const (
 )
 
 // JobSpec is the wire form of one verification job: the protocol
-// coordinates of a distributed job (reusing the dist registry names so
-// every tool shares one protocol namespace) plus the engine choice and
-// tuning knobs.  The zero values of the optional fields mean "default".
+// coordinates (internal/zoo names, the namespace every tool shares)
+// plus the engine choice and tuning knobs.  The zero values of the
+// optional fields mean "default".
 type JobSpec struct {
 	// Tenant is the submitting tenant's name; the scheduler round-robins
 	// across tenants so no one tenant can starve the others.  Required.
 	Tenant string `json:"tenant"`
 
-	// Protocol is a dist registry name ("cas", "counter-walk",
+	// Protocol is an internal/zoo registry name ("cas", "counter-walk",
 	// "flood-mixed", "machine:<type>:<freeStates>:<id>", ...).  Required.
 	Protocol string `json:"protocol"`
-	// N, R, Rounds, Seed parameterize the protocol exactly as
-	// dist.ProtoSpec does; N defaults to 2.
+	// N, R, Rounds, Seed parameterize the protocol exactly as zoo.Spec
+	// does; N defaults to 2.
 	N      int    `json:"n,omitempty"`
 	R      int    `json:"r,omitempty"`
 	Rounds int64  `json:"rounds,omitempty"`
@@ -78,18 +78,11 @@ func (j *JobSpec) normalize() {
 	if j.Engine == "" {
 		j.Engine = EngineLocal
 	}
-	if !j.AllInputs && len(j.Inputs) == 0 {
-		// The tools' default vector: a mixed proposal so consensus
-		// protocols exercise both outcomes.
-		j.Inputs = make([]int64, j.N)
-		for i := range j.Inputs {
-			j.Inputs[i] = int64(i % 2)
-		}
-	}
 }
 
 // Validate normalizes the spec and reports the first problem; the
-// HTTP layer forwards the message verbatim as a 400.
+// HTTP layer forwards the message verbatim as a 400.  The registry
+// bounds-checks the protocol coordinates before anything is sized by N.
 func (j *JobSpec) Validate() error {
 	j.normalize()
 	if j.Tenant == "" {
@@ -101,11 +94,16 @@ func (j *JobSpec) Validate() error {
 	if j.Protocol == "" {
 		return errors.New("protocol is required")
 	}
-	if _, err := dist.Resolve(j.ProtoSpec()); err != nil {
+	if _, err := zoo.Resolve(j.ProtoSpec()); err != nil {
 		return err
 	}
-	if j.N < 1 || j.N > 16 {
-		return fmt.Errorf("n=%d out of range [1,16]", j.N)
+	if !j.AllInputs && len(j.Inputs) == 0 {
+		// The tools' default vector: a mixed proposal so consensus
+		// protocols exercise both outcomes.
+		j.Inputs = make([]int64, j.N)
+		for i := range j.Inputs {
+			j.Inputs[i] = int64(i % 2)
+		}
 	}
 	if j.AllInputs && len(j.Inputs) > 0 {
 		return errors.New("allInputs and inputs are mutually exclusive")
@@ -138,10 +136,10 @@ func (j *JobSpec) Validate() error {
 	return nil
 }
 
-// ProtoSpec projects the job's protocol coordinates into the dist
+// ProtoSpec projects the job's protocol coordinates into the
 // registry's wire form.
-func (j *JobSpec) ProtoSpec() dist.ProtoSpec {
-	return dist.ProtoSpec{Name: j.Protocol, N: j.N, R: j.R, Rounds: j.Rounds, Seed: j.Seed}
+func (j *JobSpec) ProtoSpec() zoo.Spec {
+	return zoo.Spec{Name: j.Protocol, N: j.N, R: j.R, Rounds: j.Rounds, Seed: j.Seed}
 }
 
 // ID is the job's content hash: the FNV-1a 64 fingerprint of the

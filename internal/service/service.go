@@ -40,6 +40,7 @@ import (
 	"randsync/internal/dist"
 	"randsync/internal/frame"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // frameJob is the frame type wrapping one persisted job record.
@@ -864,7 +865,7 @@ func (s *Server) executeRecovered(j *job) (rep *valency.Report, err error) {
 // there, so execute after a crash, drain, timeout or retry continues,
 // never restarts.
 func (s *Server) execute(spec *JobSpec, id string, stop <-chan struct{}) (*valency.Report, error) {
-	proto, err := dist.Resolve(spec.ProtoSpec())
+	proto, err := zoo.Resolve(spec.ProtoSpec())
 	if err != nil {
 		return nil, err
 	}

@@ -8,10 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"randsync/internal/dist"
 	"randsync/internal/fault"
 	"randsync/internal/frame"
 	"randsync/internal/valency"
+	"randsync/internal/zoo"
 )
 
 // testSpec is a small, fast job; vary seed to mint distinct job IDs
@@ -28,7 +28,7 @@ func serialDoc(t testing.TB, spec JobSpec) []byte {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	proto, err := dist.Resolve(spec.ProtoSpec())
+	proto, err := zoo.Resolve(spec.ProtoSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +80,12 @@ func TestJobSpecValidation(t *testing.T) {
 		{"missing protocol", func(s *JobSpec) { s.Protocol = "" }, "protocol is required"},
 		{"unknown protocol", func(s *JobSpec) { s.Protocol = "nope" }, "unknown protocol"},
 		{"n too large", func(s *JobSpec) { s.N = 17 }, "out of range"},
+		{"n huge", func(s *JobSpec) { s.N = 1 << 40 }, "out of range"},
+		{"n negative", func(s *JobSpec) { s.N = -1 }, "out of range"},
+		{"scan-machine without r", func(s *JobSpec) { s.Protocol = "scan-machine" }, "out of range"},
+		{"flood-swap with negative r", func(s *JobSpec) { s.Protocol, s.R = "flood-swap", -1 }, "out of range"},
+		{"flood-registers without r", func(s *JobSpec) { s.Protocol = "flood-registers" }, "out of range"},
+		{"flood-mixed with huge r", func(s *JobSpec) { s.Protocol, s.R = "flood-mixed", 1<<40 }, "out of range"},
 		{"inputs vs allInputs", func(s *JobSpec) { s.AllInputs = true; s.Inputs = []int64{0, 1} }, "mutually exclusive"},
 		{"inputs length", func(s *JobSpec) { s.Inputs = []int64{0} }, "1 inputs for n=2"},
 		{"bad engine", func(s *JobSpec) { s.Engine = "quantum" }, "engine"},
@@ -162,6 +168,14 @@ func TestHTTPMalformedRequests(t *testing.T) {
 	check("wrong inputs arity", post(`{"tenant":"a","protocol":"cas","n":2,"inputs":[1]}`), http.StatusBadRequest)
 	check("bad engine", post(`{"tenant":"a","protocol":"cas","engine":"quantum"}`), http.StatusBadRequest)
 	check("job body not an object", post(`[1,2,3]`), http.StatusBadRequest)
+	// Out-of-range protocol coordinates are refused before anything is
+	// sized by them: each of these used to panic or exhaust memory.
+	check("n huge", post(`{"tenant":"a","protocol":"counter-walk","n":1099511627776}`), http.StatusBadRequest)
+	check("n negative", post(`{"tenant":"a","protocol":"counter-walk","n":-1}`), http.StatusBadRequest)
+	check("scan-machine without r", post(`{"tenant":"a","protocol":"scan-machine"}`), http.StatusBadRequest)
+	check("flood-swap with negative r", post(`{"tenant":"a","protocol":"flood-swap","r":-1}`), http.StatusBadRequest)
+	check("flood-registers without r", post(`{"tenant":"a","protocol":"flood-registers"}`), http.StatusBadRequest)
+	check("flood-mixed with huge r", post(`{"tenant":"a","protocol":"flood-mixed","r":1099511627776}`), http.StatusBadRequest)
 	// A machine coordinate names a hierarchy class by its size; one too
 	// small or too large to enumerate is refused before anything is
 	// built, and the daemon stays healthy.

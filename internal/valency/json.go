@@ -2,6 +2,8 @@ package valency
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"sort"
 
 	"randsync/internal/sim"
@@ -108,4 +110,21 @@ func (j *JSONReport) Encode() ([]byte, error) {
 // renderEvent formats one execution step the way the tools print traces.
 func renderEvent(e sim.Event) string {
 	return e.String()
+}
+
+// PrintVerdict writes the verdict lines the text-mode CLIs print.
+func (r *Report) PrintVerdict(w io.Writer) {
+	switch {
+	case r.Violation != nil:
+		fmt.Fprintf(w, "VIOLATION (%v): %s\n", r.Violation.Kind, r.Violation.Detail)
+		fmt.Fprintf(w, "inputs %v, trace of %d steps:\n", r.Inputs, len(r.Violation.Trace))
+		fmt.Fprintln(w, r.Violation.Trace)
+	case r.Complete:
+		fmt.Fprintf(w, "SAFE: %d configurations explored exhaustively, no violation.\n", r.Configs)
+	default:
+		fmt.Fprintf(w, "no violation within budget (%d configurations explored; incomplete).\n", r.Configs)
+	}
+	if r.Livelock {
+		fmt.Fprintln(w, "note: adversarial non-termination possible (expected for randomized protocols).")
+	}
 }

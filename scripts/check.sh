@@ -80,6 +80,10 @@ go test -race -short -count=1 -timeout 10m \
 spilldir="$(mktemp -d)"
 go run ./cmd/modelcheck -protocol counter-walk -n 2 -workers 2 -mem-budget 4096 -spill-dir "$spilldir" | grep -q "SAFE"
 rm -rf "$spilldir"
+# Every CLI resolves the one registry (internal/zoo): a machine
+# coordinate, here the census's lowest-id sticky-bit solver, checks
+# SAFE through modelcheck exactly as through distcheck and checkd.
+go run ./cmd/modelcheck -protocol machine:sticky-bit:2:26863 -n 2 | grep -q SAFE
 stage="service smoke"
 # Checker-as-a-service drill, in two parts.  First the focused race
 # pass over the coordinator's scheduler, restart/resume and kill drills
