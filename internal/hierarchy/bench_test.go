@@ -45,12 +45,16 @@ func BenchmarkExploreParallel(b *testing.B) {
 // BenchmarkSoloFilter measures the search's prefilter alone: every
 // compiled table of the sticky-bit class (two free states, 9 216 tables)
 // loaded into one solo filter, one solo walk per free state.  It
-// allocates nothing.
+// allocates nothing.  The enumeration's tables are scratch, valid only
+// during the callback, so each is collected as an owned copy.
 func BenchmarkSoloFilter(b *testing.B) {
 	typ := object.StickyBitType{}
 	var tables [][]machineState
-	enumerateSubtree(typ, buildSpecs(stickyDomain, 4), 2, nil, 0,
-		func(states []machineState) { tables = append(tables, states) }, func(Machine) {})
+	enumerateSubtree(typ, buildSpecs(stickyDomain, 4), 2, nil, 0, nil, func(m Machine) {
+		if m.Start0 == 0 && m.Start1 == 0 {
+			tables = append(tables, m.owned().states)
+		}
+	})
 	f := newSoloFilter(typ, 2)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -60,4 +64,30 @@ func BenchmarkSoloFilter(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(tables))*float64(b.N)/b.Elapsed().Seconds(), "tables/s")
+}
+
+// BenchmarkTinySweep runs exactly the benchmark's tiny-sweep op — the
+// sticky-bit search and then the register search, two free states each,
+// at Workers: 1 — so the workload can be profiled in-tree
+// (-cpuprofile).  It fails on any census but 36 864 / 36 and 20 736 / 0.
+func BenchmarkTinySweep(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, tc := range []struct {
+			typ                 object.Type
+			enumerated, solvers int
+		}{
+			{object.StickyBitType{}, 36864, 36},
+			{object.RegisterType{}, 20736, 0},
+		} {
+			res, err := SearchWith(tc.typ, 2, Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Enumerated != tc.enumerated || res.Solvers != tc.solvers {
+				b.Fatalf("%s census %d / %d, want %d / %d", tc.typ.Name(),
+					res.Enumerated, res.Solvers, tc.enumerated, tc.solvers)
+			}
+		}
+	}
 }

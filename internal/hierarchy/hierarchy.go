@@ -37,6 +37,11 @@ type actionSpec struct {
 	// next[resp] is the successor state for each possible response,
 	// indexed by the response's position in the type's response domain.
 	next []int
+	// slot[r] is the position of response r in op's response domain, or
+	// -1 for a response outside it: buildSpecs looks it up once per op,
+	// so compiling a table looks nothing up.  A hand-built spec leaves it
+	// unset, and Machine.table fills it in before compiling.
+	slot [respSlots]int8
 }
 
 // Machine is one enumerated protocol: identical processes, a single
@@ -78,15 +83,35 @@ func (Machine) Identical() bool { return true }
 
 // Init implements sim.Protocol.
 func (m Machine) Init(pid, n int, input int64) sim.State {
-	states := m.states
-	if states == nil {
-		states = compile(m.Type, m.Free)
-	}
+	states := m.table()
 	start := m.Start0
 	if input == 1 {
 		start = m.Start1
 	}
 	return &states[start]
+}
+
+// table returns m's compiled step table, compiling a hand-built machine's
+// on demand with its response slots looked up in the type's domain.
+func (m Machine) table() []machineState {
+	if m.states != nil {
+		return m.states
+	}
+	d, _ := domainFor(m.Type) // no domain: every response is out of domain
+	free := make([]actionSpec, len(m.Free))
+	for i, spec := range m.Free {
+		spec.slot = d.slots(spec.op)
+		free[i] = spec
+	}
+	return compile(free)
+}
+
+// owned returns a copy of m that shares nothing with the enumeration's
+// scratch buffers: its own free-state slice and its own compiled table.
+func (m Machine) owned() Machine {
+	m.Free = append([]actionSpec(nil), m.Free...)
+	m.states = compile(m.Free)
+	return m
 }
 
 // machineState is one state of a compiled machine.  A machine's states
@@ -108,26 +133,42 @@ var _ sim.State = (*machineState)(nil)
 // responses lie in [0, respSlots), so a response indexes next directly.
 const respSlots = 3
 
-// compile builds the step table of a machine with the given type and
-// free-state actions.  A type without an enumeration domain leaves every
-// response out of domain, as the per-step lookup it replaces did.
-func compile(t object.Type, free []actionSpec) []machineState {
-	states := make([]machineState, len(free)+2)
+// compile builds the step table of a machine with the given free-state
+// actions, whose response slots must be filled in.
+func compile(free []actionSpec) []machineState {
+	states := newTable(len(free))
+	compileInto(states, free)
+	return states
+}
+
+// newTable allocates the step table of a machine with freeStates free
+// states, with its state numbers and decide actions set: compileInto
+// fills in the free states.
+func newTable(freeStates int) []machineState {
+	states := make([]machineState, freeStates+2)
 	for i := range states {
 		states[i].state = i
 	}
-	states[len(free)].action = sim.Action{Kind: sim.ActDecide, Value: 0}
-	states[len(free)+1].action = sim.Action{Kind: sim.ActDecide, Value: 1}
+	states[freeStates].action = sim.Action{Kind: sim.ActDecide, Value: 0}
+	states[freeStates+1].action = sim.Action{Kind: sim.ActDecide, Value: 1}
+	return states
+}
+
+// compileInto overwrites the free states of a newTable table with the
+// given actions, without allocating.  A response outside an op's domain
+// (every response, for a type without an enumeration domain) gets no
+// successor.
+func compileInto(states []machineState, free []actionSpec) {
 	for i, spec := range free {
 		s := &states[i]
 		s.action = sim.Action{Kind: sim.ActOperate, Obj: 0, Op: spec.op}
-		for r := range s.next {
-			if k := responseIndex(t, spec.op, int64(r)); k >= 0 && k < len(spec.next) {
+		for r, k := range spec.slot {
+			s.next[r] = nil
+			if k >= 0 && int(k) < len(spec.next) {
 				s.next[r] = &states[spec.next[k]]
 			}
 		}
 	}
-	return states
 }
 
 // Action implements sim.State.
@@ -216,12 +257,9 @@ func domainFor(t object.Type) (domain, error) {
 	return domain{}, fmt.Errorf("hierarchy: no enumeration domain for %s", t.Name())
 }
 
-// responseIndex maps a concrete response to its domain position.
-func responseIndex(t object.Type, op object.Op, resp int64) int {
-	d, err := domainFor(t)
-	if err != nil {
-		return -1
-	}
+// responseIndex maps a concrete response of op to its position in op's
+// response domain, or -1.
+func (d domain) responseIndex(op object.Op, resp int64) int {
 	for i, o := range d.ops {
 		if o == op {
 			for j, r := range d.resps[i] {
@@ -233,6 +271,15 @@ func responseIndex(t object.Type, op object.Op, resp int64) int {
 		}
 	}
 	return -1
+}
+
+// slots is op's response → domain-position map, actionSpec.slot.
+func (d domain) slots(op object.Op) [respSlots]int8 {
+	var s [respSlots]int8
+	for r := range s {
+		s[r] = int8(d.responseIndex(op, int64(r)))
+	}
+	return s
 }
 
 // Result summarizes a search.
@@ -280,6 +327,7 @@ func (o Options) workers() int {
 func buildSpecs(d domain, states int) []actionSpec {
 	var specs []actionSpec
 	for i, op := range d.ops {
+		slot := d.slots(op)
 		nResp := len(d.resps[i])
 		total := 1
 		for k := 0; k < nResp; k++ {
@@ -292,7 +340,7 @@ func buildSpecs(d domain, states int) []actionSpec {
 				next[k] = c % states
 				c /= states
 			}
-			specs = append(specs, actionSpec{op: op, next: next})
+			specs = append(specs, actionSpec{op: op, next: next, slot: slot})
 		}
 	}
 	return specs
@@ -356,16 +404,21 @@ func mul(a, b uint64) (uint64, bool) {
 // still agree with a serial full enumeration.  Each assignment is
 // compiled once and shared by its freeStates² start-state pairs; table,
 // when non-nil, sees the compiled table before visit sees its machines.
+//
+// Every assignment is compiled into the same scratch table and free-state
+// slice, so a table allocates nothing: the table slice, and the machines
+// passed to visit, are valid only during the callback.  A caller that
+// keeps a machine keeps its owned copy (Machine.owned).
 func enumerateSubtree(t object.Type, specs []actionSpec, freeStates int,
 	prefix []actionSpec, baseID uint64, table func([]machineState), visit func(Machine)) {
 	assign := make([]actionSpec, freeStates)
 	copy(assign, prefix)
+	states := newTable(freeStates)
 	id := baseID
 	var rec func(pos int)
 	rec = func(pos int) {
 		if pos == freeStates {
-			free := append([]actionSpec(nil), assign...)
-			states := compile(t, free)
+			compileInto(states, assign)
 			if table != nil {
 				table(states)
 			}
@@ -374,7 +427,7 @@ func enumerateSubtree(t object.Type, specs []actionSpec, freeStates int,
 					id++
 					visit(Machine{
 						Type:   t,
-						Free:   free,
+						Free:   assign,
 						Start0: s0,
 						Start1: s1,
 						id:     id,
@@ -444,13 +497,17 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 // sweep searches the subtree of machines extending prefix (ids from
 // baseID+1) into res: every machine is counted, and each one that passes
 // the solo prefilter is model checked.  res.Example is the lowest-id
-// solver.
+// solver.  Only a survivor is copied out of the enumeration's scratch
+// table, so the model check and res.Example own what they hold.
 func (o Options) sweep(t object.Type, specs []actionSpec, freeStates int,
 	prefix []actionSpec, baseID uint64, res *Result) {
 	solo := newSoloFilter(t, freeStates)
 	enumerateSubtree(t, specs, freeStates, prefix, baseID, solo.load, func(m Machine) {
 		res.Enumerated++
-		if solo.passes(m.Start0, m.Start1) && o.check(m) {
+		if !solo.passes(m.Start0, m.Start1) {
+			return
+		}
+		if m = m.owned(); o.check(m) {
 			res.Solvers++
 			if res.Example == nil || m.id < res.Example.id {
 				ex := m
@@ -473,24 +530,42 @@ func (o Options) check(m Machine) bool {
 	return rep.Violation == nil && rep.Complete && !rep.Livelock
 }
 
-// soloBudget is the step budget of the prefilter's solo runs.
-const soloBudget = 64
+// maxSoloBudget caps the step budget of the prefilter's solo runs.
+const maxSoloBudget = 64
 
-// noDecision marks a start state whose solo run decides nothing within
-// soloBudget steps; machines decide only 0 and 1.
+// soloBound is the step budget of the prefilter's solo runs over t with
+// freeStates free states: min(maxSoloBudget, freeStates·|values| + 1).
+// It loses no decision.  A machine is deterministic, and in the walk P1
+// never moves, so a solo run's configuration is P0's state and the object
+// value.  A run that has not decided after freeStates·|values| operations
+// has repeated a (free state, value) pair and will never decide; the +1
+// is the decide step itself.  An enumerated machine's ops are the
+// domain's, so the object stays within its values (TestDomainClosure); a
+// type without a domain gets the cap.
+func soloBound(t object.Type, freeStates int) int {
+	d, err := domainFor(t)
+	if err != nil {
+		return maxSoloBudget
+	}
+	return min(maxSoloBudget, freeStates*len(d.values)+1)
+}
+
+// noDecision marks a start state whose solo run never decides; machines
+// decide only 0 and 1.
 const noDecision = -1
 
 // soloFilter is the search's cheap rejection: a solo run of P0 from the
-// unanimous input-v configuration must decide v within soloBudget steps.
-// A machine is deterministic and a solo run never reads P1, so that run
-// is a function of the compiled table and P0's start state alone: one
-// walk per free state (load) answers the filter for all the table's
-// start pairs (passes).  Every walk runs on one scratch configuration,
-// reused for every table of the sweep — SoloDecision restores it, so
-// only P0's state is set between walks.  A filter is not safe for
-// concurrent use.
+// unanimous input-v configuration must decide v (within budget steps,
+// which loses nothing: soloBound).  A machine is deterministic and a solo
+// run never reads P1, so that run is a function of the compiled table and
+// P0's start state alone: one walk per free state (load) answers the
+// filter for all the table's start pairs (passes).  Every walk runs on
+// one scratch configuration, reused for every table of the sweep —
+// SoloDecision restores it, so only P0's state is set between walks.  A
+// filter is not safe for concurrent use.
 type soloFilter struct {
-	c *sim.Config
+	c      *sim.Config
+	budget int
 	// dec[s] is what P0's solo run from free state s decides, or
 	// noDecision, for the loaded table.
 	dec []int64
@@ -501,8 +576,9 @@ type soloFilter struct {
 // machine with no free states; P0's state is replaced before each walk.
 func newSoloFilter(t object.Type, freeStates int) *soloFilter {
 	return &soloFilter{
-		c:   sim.NewConfig(Machine{Type: t}, []int64{0, 0}),
-		dec: make([]int64, freeStates),
+		c:      sim.NewConfig(Machine{Type: t}, []int64{0, 0}),
+		budget: soloBound(t, freeStates),
+		dec:    make([]int64, freeStates),
 	}
 }
 
@@ -510,7 +586,7 @@ func newSoloFilter(t object.Type, freeStates int) *soloFilter {
 func (f *soloFilter) load(states []machineState) {
 	for s := range f.dec {
 		f.c.SetState(0, &states[s])
-		d, ok := sim.SoloDecision(f.c, 0, soloBudget)
+		d, ok := sim.SoloDecision(f.c, 0, f.budget)
 		if !ok {
 			d = noDecision
 		}
@@ -562,7 +638,7 @@ func MachineByID(t object.Type, freeStates int, id uint64) (Machine, error) {
 		free[pos] = specs[x%uint64(len(specs))]
 		x /= uint64(len(specs))
 	}
-	return Machine{Type: t, Free: free, Start0: s0, Start1: s1, id: id, states: compile(t, free)}, nil
+	return Machine{Type: t, Free: free, Start0: s0, Start1: s1, id: id, states: compile(free)}, nil
 }
 
 // Describe renders a machine's program for display.

@@ -131,12 +131,8 @@ func TestMachineSemantics(t *testing.T) {
 // solves is the search's verdict on one machine: the solo prefilter from
 // its table, then the model check.
 func solves(o Options, m Machine) bool {
-	states := m.states
-	if states == nil {
-		states = compile(m.Type, m.Free)
-	}
 	f := newSoloFilter(m.Type, len(m.Free))
-	f.load(states)
+	f.load(m.table())
 	return f.passes(m.Start0, m.Start1) && o.check(m)
 }
 
@@ -144,13 +140,14 @@ func solves(o Options, m Machine) bool {
 // loop.  A compiled machine's steps allocate nothing, nor does the solo
 // walk over them, nor does loading a table into the solo prefilter
 // (register F=2 id 1's S0 reads forever, so that solo run spends its
-// whole 64-step budget).  A sweep whose every machine the prefilter
-// rejects (every register machine with one free state: its two inputs
-// share the start state) allocates at most tableAllocs per table — the
-// assignment's free-state slice and its compiled table, both kept by any
-// machine that survives — plus maxSweepSetupAllocs once: 13 measured
-// (the prefilter's scratch sim.NewConfig, the enumeration's closures),
-// plus a margin of 4 for a toolchain that boxes differently.
+// whole budget: soloBound's 7 steps).  Nor does a table the prefilter
+// rejects: a sweep whose every machine the prefilter rejects (every
+// register machine with one free state: its two inputs share the start
+// state) compiles each table into its one scratch table, so it allocates
+// tableAllocs = 0 per table, plus maxSweepSetupAllocs once: 15 measured
+// (the prefilter's scratch sim.NewConfig, the scratch table and
+// free-state slice, the enumeration's closures), plus a margin of 4 for
+// a toolchain that boxes differently.
 func TestMachineStepAllocs(t *testing.T) {
 	m, err := MachineByID(object.StickyBitType{}, 2, 26863)
 	if err != nil {
@@ -192,7 +189,7 @@ func TestMachineStepAllocs(t *testing.T) {
 			n, f.passes(rejected.Start0, rejected.Start1))
 	}
 
-	const tableAllocs, maxSweepSetupAllocs = 2, 17
+	const tableAllocs, maxSweepSetupAllocs = 0, 19
 	typ := object.RegisterType{}
 	count, err := MachineCount(typ, 1)
 	if err != nil {
@@ -210,16 +207,37 @@ func TestMachineStepAllocs(t *testing.T) {
 	}
 }
 
+// TestResponseIndex pins the response → domain-position lookup and the
+// per-op slot map buildSpecs precomputes from it, which compile reads
+// instead of looking responses up.
 func TestResponseIndex(t *testing.T) {
-	reg := object.RegisterType{}
-	if responseIndex(reg, object.Op{Kind: object.Read}, 2) != 2 {
+	d := registerDomain
+	if d.responseIndex(object.Op{Kind: object.Read}, 2) != 2 {
 		t.Error("read response 2 should be index 2")
 	}
-	if responseIndex(reg, object.Op{Kind: object.Write, Arg: 1}, 0) != 0 {
+	if d.responseIndex(object.Op{Kind: object.Write, Arg: 1}, 0) != 0 {
 		t.Error("write ack should be index 0")
 	}
-	if responseIndex(reg, object.Op{Kind: object.Read}, 9) != -1 {
+	if d.responseIndex(object.Op{Kind: object.Read}, 9) != -1 {
 		t.Error("out-of-domain response should be -1")
+	}
+	if got, want := d.slots(object.Op{Kind: object.Write, Arg: 2}), [respSlots]int8{0, -1, -1}; got != want {
+		t.Errorf("write slots %v, want %v", got, want)
+	}
+	if got, want := stickyDomain.slots(object.Op{Kind: object.Stick, Arg: 1}), [respSlots]int8{-1, 0, 1}; got != want {
+		t.Errorf("stick slots %v, want %v", got, want)
+	}
+	if got, want := d.slots(object.Op{Kind: object.Write, Arg: 9}), [respSlots]int8{-1, -1, -1}; got != want {
+		t.Errorf("out-of-domain op slots %v, want %v", got, want)
+	}
+	for _, dom := range []domain{registerDomain, stickyDomain, tasDomain} {
+		for _, spec := range buildSpecs(dom, 4) {
+			for r, k := range spec.slot {
+				if want := dom.responseIndex(spec.op, int64(r)); int(k) != want {
+					t.Fatalf("%v: slot[%d] = %d, responseIndex says %d", spec.op, r, k, want)
+				}
+			}
+		}
 	}
 }
 
@@ -230,8 +248,8 @@ func TestDomainRejectsUnsupported(t *testing.T) {
 }
 
 // TestRegisterSearchDeep extends the impossibility enumeration to three
-// free states: 22,143,375 machines, still zero solvers (61 s on two
-// vCPUs, 95 s on one; skipped with -short).  It fans out over GOMAXPROCS
+// free states: 22,143,375 machines, still zero solvers (8 s on two
+// vCPUs; skipped with -short).  It fans out over GOMAXPROCS
 // workers: TestSearchParallelMatchesSerial pins that the worker count
 // does not change the Result.
 func TestRegisterSearchDeep(t *testing.T) {

@@ -12,8 +12,10 @@ import (
 
 // TestMachineByIDRoundTrip: for every machine the canonical enumeration
 // visits, MachineByID(id) reconstructs the identical machine — same
-// action tables, same start states, same id — so a wire-format
-// (type, freeStates, id) triple names a machine unambiguously.
+// action tables, same start states, same id, and a freshly compiled step
+// table equal to the one the enumeration compiled into its scratch
+// table — so a wire-format (type, freeStates, id) triple names a machine
+// unambiguously.
 func TestMachineByIDRoundTrip(t *testing.T) {
 	for _, typ := range []object.Type{object.RegisterType{}, object.StickyBitType{}, object.TestAndSetType{}} {
 		for freeStates := 1; freeStates <= 2; freeStates++ {
@@ -37,7 +39,7 @@ func TestMachineByIDRoundTrip(t *testing.T) {
 					t.Fatalf("%s F=%d id=%d: %v", typ.Name(), freeStates, m.id, err)
 				}
 				if got.id != m.id || got.Start0 != m.Start0 || got.Start1 != m.Start1 ||
-					!reflect.DeepEqual(got.Free, m.Free) {
+					!reflect.DeepEqual(got.Free, m.Free) || !reflect.DeepEqual(got.states, m.states) {
 					t.Fatalf("%s F=%d id=%d: MachineByID mismatch:\nenumerated %+v\nrebuilt    %+v",
 						typ.Name(), freeStates, m.id, m, got)
 				}

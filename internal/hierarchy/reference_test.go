@@ -49,7 +49,8 @@ func (s refState) Advance(result int64) sim.State {
 		return sim.Halted{}
 	}
 	spec := s.m.Free[s.state]
-	idx := responseIndex(s.m.Type, spec.op, result)
+	d, _ := domainFor(s.m.Type)
+	idx := d.responseIndex(spec.op, result)
 	if idx < 0 || idx >= len(spec.next) {
 		return s
 	}

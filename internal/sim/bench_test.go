@@ -22,8 +22,8 @@ func BenchmarkStep(b *testing.B) {
 // execution (terminate) and decision-only (decision), on a straight run
 // (write-read, whose value-typed states allocate on every Advance) and on
 // a run that backtracks over two flips (retry, whose table states do not,
-// so -benchmem shows the walk's own allocations alone), within the
-// protocol-space search's 64-step prefilter budget.
+// so -benchmem shows the walk's own allocations alone), within 64 steps,
+// the cap on the protocol-space search's prefilter budget.
 func BenchmarkSoloTerminate(b *testing.B) {
 	for _, w := range []struct {
 		name  string

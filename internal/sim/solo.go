@@ -49,8 +49,10 @@ func SoloDecisions(c *Config, pid, maxSteps int) map[int64]bool {
 }
 
 // soloStackFrames is how many solo steps the walk keeps on the goroutine
-// stack before its frame stack moves to the heap: the protocol-space
-// search's prefilter budget.
+// stack before its frame stack moves to the heap: the cap on the
+// protocol-space search's prefilter budget, whose walks take at most
+// F·|values| + 1 steps (7 for the two-free-state register and sticky-bit
+// classes).
 const soloStackFrames = 64
 
 // soloFrame is one step of the walk's current solo run.
