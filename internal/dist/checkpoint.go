@@ -149,6 +149,12 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	co.aggStats.RemoteItems = int64(r.uvarint("ckpt remote"))
 	co.aggStats.MinStripeKeys = int64(r.uvarint("ckpt min stripe"))
 	co.aggStats.MaxStripeKeys = int64(r.uvarint("ckpt max stripe"))
+	if co.vecIdx > 0 {
+		// The folded vectors each reported a census of S shards; the
+		// aggregate's Stripes says so, or the next fold would take its
+		// MinStripeKeys for unset (see valency.Report.Fold).
+		co.aggStats.Stripes = co.S
+	}
 	co.batches = int64(r.uvarint("ckpt batches"))
 	co.rec.Reconnects = int64(r.uvarint("ckpt reconnects"))
 	co.rec.WorkerDeaths = int64(r.uvarint("ckpt worker deaths"))

@@ -159,6 +159,7 @@ func newCoord(job Job, opts Options) (*coord, error) {
 		agg:      &valency.Report{Complete: true, Decisions: make(map[int64]bool)},
 		started:  time.Now(),
 	}
+	co.agg.Stats = &co.aggStats
 	return co, nil
 }
 
@@ -403,7 +404,6 @@ func (co *coord) run() (*valency.Report, error) {
 	co.stop()
 	co.removeCheckpoint()
 	co.finalizeStats()
-	co.agg.Stats = &co.aggStats
 	if !co.job.AllInputs {
 		co.agg.Inputs = append([]int64(nil), co.job.Inputs...)
 	}
@@ -414,11 +414,7 @@ func (co *coord) vectorInputs(i int) []int64 {
 	if !co.job.AllInputs {
 		return append([]int64(nil), co.job.Inputs...)
 	}
-	inputs := make([]int64, co.job.Spec.N)
-	for p := range inputs {
-		inputs[p] = int64((i >> p) & 1)
-	}
-	return inputs
+	return valency.InputVector(i, co.job.Spec.N)
 }
 
 func newVectorState(inputs []int64, S int) *vectorState {
@@ -660,9 +656,8 @@ func (co *coord) overMem() bool {
 // worker, trading throughput for a bounded emit backlog while the
 // mirror is near its cap.
 func (co *coord) effectiveInflight() int {
-	maxIn := co.opts.maxInflight()
 	if co.opts.MemBudget <= 0 || co.vec == nil {
-		return maxIn
+		return maxInflight
 	}
 	if co.vec.keyBytes >= co.opts.MemBudget*3/4 {
 		if !co.memPaused {
@@ -672,7 +667,7 @@ func (co *coord) effectiveInflight() int {
 		return 1
 	}
 	co.memPaused = false
-	return maxIn
+	return maxInflight
 }
 
 // pump dispatches queued items, preferring each shard's owner but
@@ -683,7 +678,6 @@ func (co *coord) pump() {
 		return
 	}
 	maxIn := co.effectiveInflight()
-	size := co.opts.batchSize()
 	slowCut := time.Now().Add(-co.opts.slowAfter())
 	for s := 0; s < co.S; s++ {
 		q := co.vec.queues[s]
@@ -693,8 +687,8 @@ func (co *coord) pump() {
 				break
 			}
 			n := len(q)
-			if n > size {
-				n = size
+			if n > batchSize {
+				n = batchSize
 			}
 			co.nextBatch++
 			b := &batch{id: co.nextBatch, worker: w.slot, items: q[:n:n], sent: time.Now()}
@@ -804,9 +798,10 @@ func (co *coord) redispatchStale(now time.Time) {
 	}
 }
 
-// vectorReport summarizes the finished (or violated) vector.  Livelock
-// runs HasCycle over the dense-remapped edge set, mirroring the
-// parallel engine's post-pass.
+// vectorReport summarizes the finished (or violated) vector, with the
+// vector's counters and shard census as its Stats.  Livelock runs
+// HasCycle over the dense-remapped edge set, mirroring the parallel
+// engine's post-pass.
 func (co *coord) vectorReport() *valency.Report {
 	v := co.vec
 	rep := &valency.Report{
@@ -814,6 +809,20 @@ func (co *coord) vectorReport() *valency.Report {
 		Complete:  !v.incomplete && !v.violated,
 		Configs:   int(co.totalKeys()),
 		Decisions: v.decisions,
+		Stats: &valency.Stats{
+			Generated:   v.generated,
+			DedupHits:   v.dedupHits,
+			KeyBytes:    v.keyBytes,
+			RemoteItems: v.remote,
+			Stripes:     len(v.mirror),
+		},
+	}
+	for s := range v.mirror {
+		n := int64(len(v.mirror[s].keys))
+		if s == 0 || n < rep.Stats.MinStripeKeys {
+			rep.Stats.MinStripeKeys = n
+		}
+		rep.Stats.MaxStripeKeys = max(rep.Stats.MaxStripeKeys, n)
 	}
 	if !v.violated {
 		rep.Livelock = explore.HasCycle(int(co.totalKeys()), co.denseEdges())
@@ -840,58 +849,24 @@ func (co *coord) denseEdges() []explore.Edge {
 	return dense
 }
 
-// foldVector merges one vector's report into the aggregate.  On a
-// violated vector it discards the distributed result and re-runs the
-// canonical serial checker for that vector, so the reported
-// counterexample is byte-identical to a serial run's; it returns the
-// final report when the job is decided early, nil to continue.
+// foldVector merges one vector's report into the aggregate with the
+// all-inputs fold every engine shares (valency.Report.Fold).  On a
+// violated vector it discards the distributed result and folds the
+// canonical serial checker's report for that vector instead, so the
+// reported counterexample is byte-identical to a serial run's; it
+// returns the final report when the job is decided early, nil to
+// continue.
 func (co *coord) foldVector(rep *valency.Report) *valency.Report {
 	if co.vec.violated {
 		serial := co.opts.Valency
 		serial.Workers = 0
-		srep := valency.Check(co.proto, co.vec.inputs, serial)
-		srep.Configs += co.agg.Configs
+		rep = valency.Check(co.proto, co.vec.inputs, serial)
+	}
+	done := co.agg.Fold(rep)
+	if done != nil {
 		co.finalizeStats()
-		srep.Stats = &co.aggStats
-		return srep
 	}
-	co.agg.Configs += rep.Configs
-	co.agg.Complete = co.agg.Complete && rep.Complete
-	co.agg.Livelock = co.agg.Livelock || rep.Livelock
-	for d := range rep.Decisions {
-		co.agg.Decisions[d] = true
-	}
-	co.harvestVectorStats()
-	return nil
-}
-
-// harvestVectorStats folds the finished vector's counters into the
-// aggregate Stats and computes the shard census.
-func (co *coord) harvestVectorStats() {
-	v := co.vec
-	co.aggStats.Generated += v.generated
-	co.aggStats.DedupHits += v.dedupHits
-	co.aggStats.KeyBytes += v.keyBytes
-	co.aggStats.RemoteItems += v.remote
-	minK, maxK := int64(-1), int64(0)
-	for s := range v.mirror {
-		n := int64(len(v.mirror[s].keys))
-		if minK < 0 || n < minK {
-			minK = n
-		}
-		if n > maxK {
-			maxK = n
-		}
-	}
-	if minK < 0 {
-		minK = 0
-	}
-	if co.aggStats.MinStripeKeys == 0 || minK < co.aggStats.MinStripeKeys {
-		co.aggStats.MinStripeKeys = minK
-	}
-	if maxK > co.aggStats.MaxStripeKeys {
-		co.aggStats.MaxStripeKeys = maxK
-	}
+	return done
 }
 
 func (co *coord) finalizeStats() {

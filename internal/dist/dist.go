@@ -67,12 +67,6 @@ type Options struct {
 	// Shards is the fingerprint-partition width S.  More shards smooth
 	// the queue-length imbalance across workers; the default is 64.
 	Shards int
-	// BatchSize caps the items per dispatched batch (default 128).
-	BatchSize int
-	// MaxInflight caps unacknowledged batches per worker (default 2),
-	// bounding both the re-dispatch cost of a worker loss and the
-	// coordinator's outbound buffering.
-	MaxInflight int
 	// Valency carries the exploration options every engine shares:
 	// MaxConfigs, NoSymmetry, Crash.  Workers selects each worker's
 	// local pool width for processing its batch.
@@ -142,25 +136,19 @@ var ErrInterrupted = errors.New("dist: interrupted; checkpoint written")
 // finished; with CheckpointPath set the partial state is on disk.
 var ErrAllWorkersLost = errors.New("dist: all workers lost")
 
+// batchSize caps the items per dispatched batch.
+const batchSize = 128
+
+// maxInflight caps unacknowledged batches per worker, bounding both the
+// re-dispatch cost of a worker loss and the coordinator's outbound
+// buffering.
+const maxInflight = 2
+
 func (o Options) shards() int {
 	if o.Shards <= 0 {
 		return 64
 	}
 	return o.Shards
-}
-
-func (o Options) batchSize() int {
-	if o.BatchSize <= 0 {
-		return 128
-	}
-	return o.BatchSize
-}
-
-func (o Options) maxInflight() int {
-	if o.MaxInflight <= 0 {
-		return 2
-	}
-	return o.MaxInflight
 }
 
 func (o Options) checkpointEvery() int64 {

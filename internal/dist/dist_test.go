@@ -99,6 +99,38 @@ func TestLoopbackAllInputsDifferential(t *testing.T) {
 	}
 }
 
+// TestLoopbackAllInputsShardCensus: the all-inputs shard census is the
+// envelope of the per-vector censuses, empty shards included.  On
+// counter-walk n = 2 with 32 shards only the last vector (89
+// configurations) leaves a shard empty, so the aggregate's
+// MinStripeKeys must be 0, not the smallest non-empty shard.
+func TestLoopbackAllInputsShardCensus(t *testing.T) {
+	spec := ProtoSpec{Name: "counter-walk", N: 2}
+	opts := Options{Shards: 32}
+	wantMin, wantMax := int64(-1), int64(0)
+	for bits := 0; bits < 1<<spec.N; bits++ {
+		rep, err := Loopback(2, Job{Spec: spec, Inputs: valency.InputVector(bits, spec.N)}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantMin < 0 || rep.Stats.MinStripeKeys < wantMin {
+			wantMin = rep.Stats.MinStripeKeys
+		}
+		wantMax = max(wantMax, rep.Stats.MaxStripeKeys)
+	}
+	if wantMin != 0 {
+		t.Fatalf("no vector has an empty shard (min %d); the test lost its point", wantMin)
+	}
+	rep, err := Loopback(2, Job{Spec: spec, AllInputs: true}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := rep.Stats; st.Stripes != 32 || st.MinStripeKeys != wantMin || st.MaxStripeKeys != wantMax {
+		t.Fatalf("aggregate census stripes=%d min=%d max=%d, want 32/%d/%d",
+			st.Stripes, st.MinStripeKeys, st.MaxStripeKeys, wantMin, wantMax)
+	}
+}
+
 // TestLoopbackCrashDifferential: crash-schedule runs — the checker
 // world's fault model — survive distribution: visit keys carry the
 // crash tag, workers respect the schedule, verdicts match serial.

@@ -66,7 +66,8 @@ func decodeHello(p []byte) (helloMsg, error) {
 
 // maxFrame bounds a frame so a corrupted length prefix cannot allocate
 // unboundedly.  Emit-heavy DONE frames dominate; 1<<26 (64 MiB) is far
-// above any batch the default BatchSize can produce.
+// above anything a batch of batchSize items can produce, and no caller
+// can raise batchSize.
 const maxFrame = frame.MaxFrame
 
 // The envelope itself lives in internal/frame, which the exploration

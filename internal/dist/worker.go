@@ -339,36 +339,20 @@ func (st *workerState) process(bm batchMsg) (doneMsg, error) {
 			ctx.Stop()
 			return
 		}
-		for pid := 0; pid < c.N(); pid++ {
-			if st.vopts.Crashed(c, pid) {
-				continue
-			}
-			a := c.Pending(pid)
-			if a.Kind == sim.ActHalt {
-				continue
-			}
-			outcomes := int64(1)
-			if a.Kind == sim.ActFlip {
-				outcomes = a.Sides
-			}
-			for o := int64(0); o < outcomes; o++ {
-				var u sim.StepUndo
-				if _, err := c.StepInto(pid, o, &u); err != nil {
-					// The serial checker reports this as Stuck; defer.
-					violated.Store(true)
-					ctx.Stop()
-					return
-				}
-				w.generated++
-				w.buf = st.vopts.AppendVisitKey(&w.keyer, c, w.buf[:0])
-				sched := sim.AppendScheduleStep(append([]byte(nil), it.sched...), pid, o)
-				w.emits = append(w.emits, emit{
-					from:  it.gid,
-					key:   append([]byte(nil), w.buf...),
-					sched: sched,
-				})
-				c.UndoStep(&u)
-			}
+		_, err := st.vopts.Successors(c, func(pid int, out int64, _ sim.Event) bool {
+			w.generated++
+			w.buf = st.vopts.AppendVisitKey(&w.keyer, c, w.buf[:0])
+			w.emits = append(w.emits, emit{
+				from:  it.gid,
+				key:   append([]byte(nil), w.buf...),
+				sched: sim.AppendScheduleStep(append([]byte(nil), it.sched...), pid, out),
+			})
+			return false
+		})
+		if err != nil {
+			// The serial checker reports this as Stuck; defer.
+			violated.Store(true)
+			ctx.Stop()
 		}
 	})
 

@@ -1,7 +1,9 @@
 package valency
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"randsync/internal/sim"
 )
@@ -72,17 +74,31 @@ type BivalenceReport struct {
 // randomized register consensus "must have non-terminating executions...
 // with correspondingly small probabilities" — because the adversary
 // controls coin outcomes in this analysis.
+//
+// Of the Options it honours MaxConfigs (through Budget) only.  A crash
+// schedule is refused with an error rather than ignored: the analysis
+// keys its nodes by sim.Config.Key, which carries no crash allowance, so
+// distinct crash futures would merge into one node.  The engine knobs
+// (Workers, MemBudget, the Spill fields, Interrupt) and NoSymmetry do
+// not apply: the analysis is serial, in RAM, and never reduced.
 func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceReport, error) {
+	if len(opts.Crash) > 0 {
+		return nil, errors.New("valency: Bivalence does not support a crash schedule")
+	}
 	type node struct {
 		cfg    *sim.Config
 		succ   []string
 		reach0 bool
 		reach1 bool
+		parent *node     // breadth-first discoverer, nil at the root
+		ev     sim.Event // the step from parent to this node
 	}
 	nodes := make(map[string]*node)
 	budget := opts.Budget()
 
-	// Phase 1: materialize the reachable configuration graph.
+	// Phase 1: materialize the reachable configuration graph,
+	// breadth-first, so the discovery tree holds a shortest execution to
+	// every node.
 	initial := sim.NewConfig(proto, inputs)
 	queue := []*sim.Config{initial}
 	nodes[initial.Key()] = &node{cfg: initial}
@@ -93,30 +109,18 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 		c := queue[0]
 		queue = queue[1:]
 		n := nodes[c.Key()]
-		for pid := 0; pid < c.N(); pid++ {
-			a := c.Pending(pid)
-			if a.Kind == sim.ActHalt {
-				continue
-			}
-			outcomes := []int64{0}
-			if a.Kind == sim.ActFlip {
-				outcomes = outcomes[:0]
-				for o := int64(0); o < a.Sides; o++ {
-					outcomes = append(outcomes, o)
-				}
-			}
-			for _, o := range outcomes {
+		_, err := opts.Successors(c, func(_ int, _ int64, ev sim.Event) bool {
+			key := c.Key()
+			n.succ = append(n.succ, key)
+			if _, seen := nodes[key]; !seen {
 				next := c.Clone()
-				if _, err := next.Step(pid, o); err != nil {
-					return nil, fmt.Errorf("valency: bivalence step: %w", err)
-				}
-				key := next.Key()
-				n.succ = append(n.succ, key)
-				if _, seen := nodes[key]; !seen {
-					nodes[key] = &node{cfg: next}
-					queue = append(queue, next)
-				}
+				nodes[key] = &node{cfg: next, parent: n, ev: ev}
+				queue = append(queue, next)
 			}
+			return false
+		})
+		if err != nil {
+			return nil, fmt.Errorf("valency: bivalence step: %w", err)
 		}
 	}
 
@@ -208,82 +212,27 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	// Phase 4: the adversary is eventually forced out of bivalence —
 	// find a critical configuration (bivalent, all successors univalent)
 	// by greedy descent through bivalent successors.
-	cur := initial.Key()
-	visited := map[string]bool{cur: true}
-	var traceCfg *sim.Config
+	n := nodes[initial.Key()]
+	visited := map[*node]bool{n: true}
 	for {
-		n := nodes[cur]
-		nextBivalent := ""
+		var next *node
 		for _, s := range n.succ {
-			if valence(nodes[s]) == Bivalent && !visited[s] {
-				nextBivalent = s
+			if sn := nodes[s]; valence(sn) == Bivalent && !visited[sn] {
+				next = sn
 				break
 			}
 		}
-		if nextBivalent == "" {
-			traceCfg = n.cfg
+		if next == nil {
 			break
 		}
-		visited[nextBivalent] = true
-		cur = nextBivalent
+		visited[next] = true
+		n = next
 	}
-	// Reconstruct a trace to the critical configuration by re-exploring
-	// (cheap relative to phase 1 for the small instances this targets).
-	if traceCfg != nil {
-		if tr, ok := findTrace(proto, inputs, traceCfg.Key(), budget); ok {
-			rep.CriticalTrace = tr
-		}
+	// The critical configuration's trace is its path in the discovery
+	// tree.
+	for ; n.parent != nil; n = n.parent {
+		rep.CriticalTrace = append(rep.CriticalTrace, n.ev)
 	}
+	slices.Reverse(rep.CriticalTrace)
 	return rep, nil
-}
-
-// findTrace breadth-first searches for an execution from the initial
-// configuration to the configuration with the given key.
-func findTrace(proto sim.Protocol, inputs []int64, target string, budget int) (sim.Execution, bool) {
-	type item struct {
-		cfg  *sim.Config
-		exec sim.Execution
-	}
-	initial := sim.NewConfig(proto, inputs)
-	if initial.Key() == target {
-		return nil, true
-	}
-	seen := map[string]bool{initial.Key(): true}
-	queue := []item{{cfg: initial}}
-	for len(queue) > 0 && len(seen) <= budget {
-		it := queue[0]
-		queue = queue[1:]
-		c := it.cfg
-		for pid := 0; pid < c.N(); pid++ {
-			a := c.Pending(pid)
-			if a.Kind == sim.ActHalt {
-				continue
-			}
-			outcomes := []int64{0}
-			if a.Kind == sim.ActFlip {
-				outcomes = outcomes[:0]
-				for o := int64(0); o < a.Sides; o++ {
-					outcomes = append(outcomes, o)
-				}
-			}
-			for _, o := range outcomes {
-				next := c.Clone()
-				ev, err := next.Step(pid, o)
-				if err != nil {
-					continue
-				}
-				key := next.Key()
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				exec := append(append(sim.Execution{}, it.exec...), ev)
-				if key == target {
-					return exec, true
-				}
-				queue = append(queue, item{cfg: next, exec: exec})
-			}
-		}
-	}
-	return nil, false
 }

@@ -118,6 +118,16 @@ func TestBivalenceBudget(t *testing.T) {
 	}
 }
 
+// TestBivalenceRefusesCrashSchedule: the analysis keys nodes without a
+// crash allowance, so a crash schedule must be an error, not silently
+// ignored (or silently merged into the crash-free graph).
+func TestBivalenceRefusesCrashSchedule(t *testing.T) {
+	rep, err := Bivalence(protocol.CASConsensus{}, []int64{0, 1}, Options{Crash: crashOne(2, 1, 0)})
+	if err == nil {
+		t.Fatalf("crash schedule accepted: %+v", rep)
+	}
+}
+
 func TestValenceString(t *testing.T) {
 	if Univalent0.String() != "0-valent" || Bivalent.String() != "bivalent" {
 		t.Fatal("valence strings wrong")

@@ -102,3 +102,38 @@ func TestCheckAllInputsSpillInterruptResume(t *testing.T) {
 	}
 	sameVerdict(t, "resumed sweep", rep, want)
 }
+
+// TestCheckSpillResumeKeepsCallerState: a checkpoint carries the
+// caller's state across the cut, so a resumed run's successor count is
+// the uninterrupted run's, not just the part explored after the resume.
+func TestCheckSpillResumeKeepsCallerState(t *testing.T) {
+	proto := protocol.NewCounterWalk(3)
+	inputs := []int64{0, 1, 1}
+	whole, err := valency.CheckSpill(proto, inputs, valency.Options{SpillDir: t.TempDir(), Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var polls atomic.Int64
+	opts := valency.Options{
+		SpillDir:             dir,
+		Workers:              2,
+		SpillCheckpointEvery: 64,
+		Interrupt:            func() bool { return polls.Add(1) > 200 },
+	}
+	if _, err := valency.CheckSpill(proto, inputs, opts); !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("err = %v, want ErrInterrupted", err)
+	}
+	opts.Interrupt = nil
+	opts.SpillResume = true
+	rep, err := valency.CheckSpill(proto, inputs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Stats.Spill.Resumed {
+		t.Fatal("second run did not resume")
+	}
+	if rep.Stats.Generated != whole.Stats.Generated {
+		t.Fatalf("resumed run generated %d successors, uninterrupted %d", rep.Stats.Generated, whole.Stats.Generated)
+	}
+}

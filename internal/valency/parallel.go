@@ -118,6 +118,65 @@ func (s *Stats) Rate(configs int) float64 {
 	return float64(configs) / s.Elapsed.Seconds()
 }
 
+// fold merges one input vector's counters o into the all-inputs
+// aggregate s.  High-water marks — Workers, PeakFrontier, Stripes,
+// MaxStripeKeys, Shards — take the maximum, and every counter, Elapsed
+// included, sums; callers that measure the sweep's wall clock overwrite
+// Elapsed afterwards.  MinStripeKeys is the minimum over the vectors
+// that report a census (Stripes > 0), so an empty shard's 0 counts
+// while the serial engine's absent census does not; s has seen such a
+// vector exactly when s.Stripes > 0.  The disk-tier counters fold the
+// same way (spill files' residency is a high-water mark, since each
+// vector's files go before the next starts).  Recovery is run-wide and
+// left to the caller.
+func (s *Stats) fold(o *Stats) {
+	if o == nil {
+		return
+	}
+	if o.Stripes > 0 && (s.Stripes == 0 || o.MinStripeKeys < s.MinStripeKeys) {
+		s.MinStripeKeys = o.MinStripeKeys
+	}
+	s.Workers = max(s.Workers, o.Workers)
+	s.Generated += o.Generated
+	s.DedupHits += o.DedupHits
+	s.Steals += o.Steals
+	s.PeakFrontier = max(s.PeakFrontier, o.PeakFrontier)
+	s.KeyBytes += o.KeyBytes
+	s.Elapsed += o.Elapsed
+	s.Stripes = max(s.Stripes, o.Stripes)
+	s.Collisions += o.Collisions
+	s.MaxStripeKeys = max(s.MaxStripeKeys, o.MaxStripeKeys)
+	s.HandoffBatches += o.HandoffBatches
+	s.HandoffItems += o.HandoffItems
+	s.RecycledBatches += o.RecycledBatches
+	s.Shards = max(s.Shards, o.Shards)
+	s.Batches += o.Batches
+	s.RemoteItems += o.RemoteItems
+	s.Recoveries += o.Recoveries
+	s.Checkpoints += o.Checkpoints
+	if sp := o.Spill; sp != nil {
+		if s.Spill == nil {
+			s.Spill = &explore.SpillStats{}
+		}
+		a := s.Spill
+		a.Keys = max(a.Keys, sp.Keys)
+		a.Bytes = max(a.Bytes, sp.Bytes)
+		a.Runs = max(a.Runs, sp.Runs)
+		a.Flushes += sp.Flushes
+		a.Compactions += sp.Compactions
+		a.Lookups += sp.Lookups
+		a.LookupHits += sp.LookupHits
+		a.BlockReads += sp.BlockReads
+		a.BlockBytes += sp.BlockBytes
+		a.FrontierSpilled += sp.FrontierSpilled
+		a.FrontierLoaded += sp.FrontierLoaded
+		a.Checkpoints += sp.Checkpoints
+		a.Resumed = a.Resumed || sp.Resumed
+		a.Retries += sp.Retries
+		a.SoftFails += sp.SoftFails
+	}
+}
+
 // Unsafe mirrors the serial checker's per-configuration safety scan
 // (violationAt) without trace bookkeeping: it records reachable decisions
 // into dec and reports whether the configuration violates consistency or
@@ -154,82 +213,47 @@ func Unsafe(c *sim.Config, opts Options, valid, dec map[int64]bool) bool {
 // vector level (each vector explored by the canonical serial engine —
 // the per-vector reports are then byte-identical to serial ones); with
 // few vectors it runs them in sequence, each parallelized internally.
-// Either way the aggregate is assembled in canonical vector order, so
-// the returned report matches the serial loop's.
+// Either way the aggregate is folded in canonical vector order, so the
+// returned report matches the serial loop's.
 func checkAllInputsParallel(proto sim.Protocol, n int, opts Options) *Report {
 	workers := opts.workers()
-	vecs := 1 << n
-	reports := make([]*Report, vecs)
+	start := time.Now()
+	reports := make([]*Report, 1<<n)
 
 	var poolStats explore.Stats
-	if vecs >= 2*workers {
+	if len(reports) >= 2*workers {
 		inner := opts
 		inner.Workers = 0
-		idx := make([]int, vecs)
+		idx := make([]int, len(reports))
 		for i := range idx {
 			idx[i] = i
 		}
 		poolStats = explore.Run(workers, idx, func(i int, _ *explore.Ctx[int]) {
-			reports[i] = checkSerial(proto, inputVector(i, n), inner)
+			reports[i] = checkSerial(proto, InputVector(i, n), inner)
 		})
 	} else {
 		for i := range reports {
-			reports[i] = checkSharded(proto, inputVector(i, n), opts)
+			reports[i] = Check(proto, InputVector(i, n), opts)
 		}
 	}
 
-	agg := &Report{Complete: true, Decisions: make(map[int64]bool)}
-	aggStats := &Stats{
-		Workers:      workers,
-		Steals:       poolStats.Steals,
-		PeakFrontier: poolStats.PeakPending,
-		Elapsed:      poolStats.Elapsed,
-	}
+	agg := newAggregate(workers)
+	agg.Stats.Steals, agg.Stats.PeakFrontier = poolStats.Steals, poolStats.PeakPending
+	done := agg
 	for _, rep := range reports {
-		agg.Configs += rep.Configs
-		agg.Livelock = agg.Livelock || rep.Livelock
-		agg.Complete = agg.Complete && rep.Complete
-		for v := range rep.Decisions {
-			agg.Decisions[v] = true
-		}
-		if rep.Stats != nil {
-			aggStats.Generated += rep.Stats.Generated
-			aggStats.DedupHits += rep.Stats.DedupHits
-			aggStats.Steals += rep.Stats.Steals
-			aggStats.PeakFrontier += rep.Stats.PeakFrontier
-			aggStats.KeyBytes += rep.Stats.KeyBytes
-			aggStats.Collisions += rep.Stats.Collisions
-			aggStats.HandoffBatches += rep.Stats.HandoffBatches
-			aggStats.HandoffItems += rep.Stats.HandoffItems
-			aggStats.RecycledBatches += rep.Stats.RecycledBatches
-			if rep.Stats.Stripes > aggStats.Stripes {
-				aggStats.Stripes = rep.Stats.Stripes
-			}
-			if aggStats.MinStripeKeys == 0 || (rep.Stats.MinStripeKeys > 0 && rep.Stats.MinStripeKeys < aggStats.MinStripeKeys) {
-				aggStats.MinStripeKeys = rep.Stats.MinStripeKeys
-			}
-			if rep.Stats.MaxStripeKeys > aggStats.MaxStripeKeys {
-				aggStats.MaxStripeKeys = rep.Stats.MaxStripeKeys
-			}
-			if poolStats.Elapsed == 0 {
-				// Vector-level fan-out already measured wall-clock in the
-				// pool; only the sequential branch sums per-vector time.
-				aggStats.Elapsed += rep.Stats.Elapsed
-			}
-		}
-		if rep.Violation != nil {
-			rep.Configs = agg.Configs
-			return rep
+		if v := agg.Fold(rep); v != nil {
+			done = v
+			break
 		}
 	}
-	agg.Stats = aggStats
-	return agg
+	agg.Stats.Elapsed = time.Since(start) // wall clock, not the per-vector sum
+	return done
 }
 
-// inputVector decodes vector index bits into per-process binary inputs —
-// the canonical enumeration order shared by the serial and parallel
-// CheckAllInputs loops.
-func inputVector(bits, n int) []int64 {
+// InputVector decodes vector index bits into per-process binary inputs:
+// process i gets bit i.  It is the canonical enumeration order of every
+// all-inputs sweep, the distributed coordinator's included.
+func InputVector(bits, n int) []int64 {
 	inputs := make([]int64, n)
 	for i := range inputs {
 		inputs[i] = int64((bits >> i) & 1)

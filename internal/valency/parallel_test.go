@@ -2,9 +2,11 @@ package valency
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"randsync/internal/explore"
 	"randsync/internal/protocol"
 	"randsync/internal/sim"
 )
@@ -300,6 +302,52 @@ func TestQuickOrderIndependence(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 			t.Errorf("%s: exploration order changed the verdict: %v", tc.proto.Name(), err)
+		}
+	}
+}
+
+// TestStatsFold pins the one all-inputs Stats fold on hand-built
+// per-vector Stats: high-water marks take the maximum, counters sum, the
+// disk tier folds too, and MinStripeKeys is the minimum over the
+// vectors that report a census — an empty shard's 0 counts, whichever
+// vector it is in, while a serial vector's absent census does not.
+func TestStatsFold(t *testing.T) {
+	a := &Stats{Workers: 4, Generated: 100, DedupHits: 50, PeakFrontier: 41, KeyBytes: 1000, Elapsed: 3,
+		Stripes: 4, Collisions: 1, MinStripeKeys: 10, MaxStripeKeys: 20, HandoffBatches: 5,
+		HandoffItems: 60, RecycledBatches: 7, Checkpoints: 2,
+		Spill: &explore.SpillStats{Keys: 30, Bytes: 300, Flushes: 2, Lookups: 9, Checkpoints: 2}}
+	b := &Stats{Workers: 4, Generated: 200, DedupHits: 70, PeakFrontier: 166, KeyBytes: 3000, Elapsed: 4,
+		Stripes: 4, MinStripeKeys: 7, MaxStripeKeys: 90, HandoffBatches: 8, HandoffItems: 90,
+		RecycledBatches: 11, Spill: &explore.SpillStats{Keys: 10, Bytes: 900, Lookups: 1, Resumed: true}}
+	empty := &Stats{Workers: 4, Generated: 1, PeakFrontier: 1, KeyBytes: 40, Stripes: 4, MaxStripeKeys: 1}
+	serial := &Stats{Workers: 1, Generated: 5, KeyBytes: 9}
+	sum := func(min int64, vs ...*Stats) *Stats {
+		want := &Stats{Workers: 4, Generated: 300, DedupHits: 120, PeakFrontier: 166, KeyBytes: 4000,
+			Elapsed: 7, Stripes: 4, Collisions: 1, MinStripeKeys: min, MaxStripeKeys: 90,
+			HandoffBatches: 13, HandoffItems: 150, RecycledBatches: 18, Checkpoints: 2,
+			Spill: &explore.SpillStats{Keys: 30, Bytes: 900, Flushes: 2, Lookups: 10, Checkpoints: 2, Resumed: true}}
+		for _, v := range vs {
+			want.Generated += v.Generated
+			want.KeyBytes += v.KeyBytes
+		}
+		return want
+	}
+	for _, tc := range []struct {
+		name string
+		vecs []*Stats
+		want *Stats
+	}{
+		{"census", []*Stats{a, b, nil}, sum(7)},
+		{"serial vectors carry no census", []*Stats{serial, a, serial, b}, sum(7, serial, serial)},
+		{"empty shard first", []*Stats{empty, a, b}, sum(0, empty)},
+		{"empty shard last", []*Stats{a, b, empty}, sum(0, empty)},
+	} {
+		got := &Stats{Workers: 4}
+		for _, v := range tc.vecs {
+			got.fold(v)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s:\n got %+v %+v\nwant %+v %+v", tc.name, got, got.Spill, tc.want, tc.want.Spill)
 		}
 	}
 }

@@ -28,7 +28,7 @@ type refChecker struct {
 func refCheckAllInputs(proto sim.Protocol, n int, crash []int) *Report {
 	agg := &Report{Complete: true, Decisions: make(map[int64]bool)}
 	for bits := 0; bits < 1<<n; bits++ {
-		rep := refCheck(proto, inputVector(bits, n), crash)
+		rep := refCheck(proto, InputVector(bits, n), crash)
 		agg.Configs += rep.Configs
 		agg.Livelock = agg.Livelock || rep.Livelock
 		for v := range rep.Decisions {

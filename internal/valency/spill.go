@@ -8,8 +8,6 @@ import (
 	iofs "io/fs"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"randsync/internal/explore"
@@ -18,8 +16,10 @@ import (
 )
 
 // This file is the beyond-RAM checker: Check/CheckAllInputs on the
-// disk-tiered exploration engine (explore.SpillConfig).  A run whose
-// visited set outgrows Options.MemBudget evicts cold shards to sorted
+// disk-tiered exploration engine (explore.SpillConfig), driven by the
+// same front end as the RAM tier (checkSharded with a spillTier); what
+// lives here is the tier's setup, its checkpointed caller state and the
+// resumable all-inputs sweep.  A run whose visited set outgrows Options.MemBudget evicts cold shards to sorted
 // run files instead of truncating, deep frontiers spill to segment
 // files as compact schedule encodings (a configuration costs a few
 // bytes on disk — it is re-materialized by replaying its scheduler
@@ -38,42 +38,62 @@ import (
 // callers can errors.Is at either layer.
 var ErrInterrupted = explore.ErrInterrupted
 
-// spillItem is one frontier configuration in the tiered engine: the
-// live configuration plus the scheduler-choice sequence that reaches it
-// from the initial configuration.  Only the schedule goes to disk.
-type spillItem struct {
-	c     *sim.Config
-	sched []byte
-}
-
 // spillCheckpointDefault is the admissions-between-manifests default
 // when Options.SpillCheckpointEvery is 0.
 const spillCheckpointDefault = 1 << 15
 
-// spillAux is the caller state carried inside each checkpoint manifest:
-// the merged decision set and generated-successor count as of the cut.
-// On resume it seeds the run's report so pre-cut decisions survive.
-type spillAux struct {
-	mu        sync.Mutex
-	decisions map[int64]bool
-	generated int64
+// spillTier is the disk tier's share of checkSharded: the engine's
+// spill configuration, plus the run's workers, whose decision sets and
+// successor counts every checkpoint manifest carries as its caller
+// state, so a resumed run's report keeps what was found before the cut.
+type spillTier struct {
+	cfg explore.SpillConfig[*shardItem]
+	ws  []swork // the run's workers, set by checkSharded
 }
 
-func (a *spillAux) encode(ws []swork) []byte {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	vals := make([]int64, 0, len(a.decisions))
-	for v := range a.decisions {
-		vals = append(vals, v)
+// newSpillTier sets up the disk tier for one run: MemBudget sizes the
+// hot tier, and a frontier item goes to disk as its schedule, which
+// Decode replays from the initial configuration.
+func newSpillTier(proto sim.Protocol, inputs []int64, opts Options) *spillTier {
+	t := &spillTier{}
+	t.cfg = explore.SpillConfig[*shardItem]{
+		Dir:             opts.SpillDir,
+		FS:              opts.SpillFS,
+		HotBytes:        opts.MemBudget,
+		HotFrontier:     opts.spillHotFrontier(),
+		CheckpointEvery: opts.spillCheckpointEvery(),
+		Header:          spillHeader(proto, inputs, opts),
+		Resume:          opts.SpillResume,
+		Encode:          func(it *shardItem, buf []byte) []byte { return append(buf, it.sched...) },
+		Decode: func(p []byte) (*shardItem, error) {
+			it := &shardItem{Config: *sim.NewConfig(proto, inputs), sched: append([]byte(nil), p...)}
+			if err := it.ReplaySchedule(it.sched); err != nil {
+				return nil, err
+			}
+			return it, nil
+		},
+		Aux:        t.encodeAux,
+		RestoreAux: t.restoreAux,
+		Interrupt:  opts.Interrupt,
 	}
-	gen := a.generated
-	for i := range ws {
-		for v := range ws[i].decisions {
-			if !a.decisions[v] {
+	return t
+}
+
+// encodeAux serializes the workers' merged decision set and successor
+// count.  The engine calls it at a checkpoint barrier, with every
+// worker parked.
+func (t *spillTier) encodeAux() []byte {
+	seen := make(map[int64]bool)
+	var vals []int64
+	var gen int64
+	for i := range t.ws {
+		for v := range t.ws[i].decisions {
+			if !seen[v] {
+				seen[v] = true
 				vals = append(vals, v)
 			}
 		}
-		gen += ws[i].generated
+		gen += t.ws[i].generated
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	b := binary.AppendUvarint(nil, uint64(len(vals)))
@@ -83,29 +103,32 @@ func (a *spillAux) encode(ws []swork) []byte {
 	return binary.AppendUvarint(b, uint64(gen))
 }
 
-func (a *spillAux) restore(p []byte) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// restoreAux hands the decisions and successor count as of the cut to
+// worker 0.  The engine calls it on resume, before any worker starts.
+func (t *spillTier) restoreAux(p []byte) error {
 	n, k := binary.Uvarint(p)
 	if k <= 0 {
 		return errors.New("valency: corrupt spill aux decision count")
 	}
 	p = p[k:]
-	dec := make(map[int64]bool, n)
+	dec := make([]int64, 0, n)
 	for i := uint64(0); i < n; i++ {
 		v, k := binary.Varint(p)
 		if k <= 0 {
 			return errors.New("valency: corrupt spill aux decision value")
 		}
 		p = p[k:]
-		dec[v] = true
+		dec = append(dec, v)
 	}
 	gen, k := binary.Uvarint(p)
 	if k <= 0 || k != len(p) {
 		return errors.New("valency: corrupt spill aux generated count")
 	}
-	a.decisions = dec
-	a.generated = int64(gen)
+	w := &t.ws[0]
+	for _, v := range dec {
+		w.decisions[v] = true
+	}
+	w.generated = int64(gen)
 	return nil
 }
 
@@ -169,172 +192,20 @@ func (o Options) spillCheckpointEvery() int64 {
 // incomplete.  A found violation is a successful analysis outcome and
 // returns a nil error.
 func CheckSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, error) {
-	rep, _, err := checkSpill(proto, inputs, opts)
-	return rep, err
-}
-
-// checkSpill additionally reports the engine spill telemetry so the
-// all-inputs driver can aggregate it across vectors.
-func checkSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, *explore.SpillStats, error) {
 	if opts.SpillDir == "" {
-		return nil, nil, errors.New("valency: CheckSpill requires Options.SpillDir")
+		return nil, errors.New("valency: CheckSpill requires Options.SpillDir")
 	}
-	fs := opts.spillFS()
 	if !opts.SpillResume {
-		if f, err := fs.Open(filepath.Join(opts.SpillDir, explore.ManifestName)); err == nil {
+		if f, err := opts.spillFS().Open(filepath.Join(opts.SpillDir, explore.ManifestName)); err == nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("valency: spill directory %s holds a previous run's checkpoint; resume it or use a clean directory", opts.SpillDir)
+			return nil, fmt.Errorf("valency: spill directory %s holds a previous run's checkpoint; resume it or use a clean directory", opts.SpillDir)
 		}
 	}
-
-	workers := opts.workers()
-	budget := int64(opts.Budget())
-
-	valid := make(map[int64]bool, len(inputs))
-	for _, in := range inputs {
-		valid[in] = true
-	}
-	ws := make([]swork, workers)
-	for i := range ws {
-		ws[i].decisions = make(map[int64]bool)
-		ws[i].keyer.Symmetry = opts.SymmetryOn()
-	}
-	var violated atomic.Bool
-	aux := &spillAux{decisions: make(map[int64]bool)}
-
-	sopts := explore.ShardedOptions[spillItem]{
-		MaxItems: budget,
-		Recycle: func(worker int, it spillItem) {
-			if it.c == nil {
-				return
-			}
-			if w := &ws[worker]; len(w.free) < sworkFreeCap {
-				w.free = append(w.free, it.c)
-			}
-		},
-		Spill: &explore.SpillConfig[spillItem]{
-			Dir:             opts.SpillDir,
-			FS:              opts.SpillFS,
-			HotBytes:        opts.MemBudget,
-			HotFrontier:     opts.spillHotFrontier(),
-			CheckpointEvery: opts.spillCheckpointEvery(),
-			Header:          spillHeader(proto, inputs, opts),
-			Resume:          opts.SpillResume,
-			Encode:          func(it spillItem, buf []byte) []byte { return append(buf, it.sched...) },
-			Decode: func(p []byte) (spillItem, error) {
-				sched := append([]byte(nil), p...)
-				c := sim.NewConfig(proto, inputs)
-				if err := c.ReplaySchedule(sched); err != nil {
-					return spillItem{}, err
-				}
-				return spillItem{c: c, sched: sched}, nil
-			},
-			Aux:        func() []byte { return aux.encode(ws) },
-			RestoreAux: aux.restore,
-			Interrupt:  opts.Interrupt,
-		},
-	}
-
-	initial := sim.NewConfig(proto, inputs)
-	ws[0].buf = opts.AppendVisitKey(&ws[0].keyer, initial, ws[0].buf[:0])
-	roots := []explore.ShardSeed[spillItem]{
-		{FP: sim.FingerprintBytes(ws[0].buf), Key: ws[0].buf, Val: spillItem{c: initial}},
-	}
-
-	res := explore.RunSharded(workers, sopts, roots,
-		func(ctx *explore.ShardCtx[spillItem], id int64, it spillItem) {
-			w := &ws[ctx.Worker()]
-			c := it.c
-			if Unsafe(c, opts, valid, w.decisions) {
-				violated.Store(true)
-				ctx.Stop()
-				return
-			}
-			for pid := 0; pid < c.N(); pid++ {
-				if opts.Crashed(c, pid) {
-					continue // crash-stop: never scheduled again
-				}
-				a := c.Pending(pid)
-				if a.Kind == sim.ActHalt {
-					continue
-				}
-				outcomes := int64(1)
-				if a.Kind == sim.ActFlip {
-					outcomes = a.Sides
-				}
-				for o := int64(0); o < outcomes; o++ {
-					var u sim.StepUndo
-					if _, err := c.StepInto(pid, o, &u); err != nil {
-						// Serial reports this as a Stuck violation; defer to it.
-						violated.Store(true)
-						ctx.Stop()
-						return
-					}
-					w.generated++
-					w.buf = opts.AppendVisitKey(&w.keyer, c, w.buf[:0])
-					ctx.Emit(sim.FingerprintBytes(w.buf), w.buf, id, func() spillItem {
-						sched := make([]byte, len(it.sched), len(it.sched)+2*binary.MaxVarintLen64)
-						copy(sched, it.sched)
-						return spillItem{
-							c:     c.CloneInto(w.take()),
-							sched: sim.AppendScheduleStep(sched, pid, o),
-						}
-					})
-					c.UndoStep(&u)
-				}
-			}
-		})
-
-	if violated.Load() {
-		// Deterministic witness: the canonical serial engine re-runs in
-		// RAM.  MemBudget is cleared — in spill mode it bounds the hot
-		// tier, not the exploration, and the serial witness must not
-		// truncate before reaching the (reachable) violation.
-		inner := opts
-		inner.Workers = 0
-		inner.MemBudget = 0
-		inner.SpillDir, inner.SpillResume, inner.SpillFS = "", false, nil
-		return checkSerial(proto, inputs, inner), &res.Stats.Spill, nil
-	}
-
-	rep := &Report{
-		Inputs:    append([]int64(nil), inputs...),
-		Decisions: make(map[int64]bool),
-		Complete:  !res.Stats.Incomplete,
-		Configs:   int(res.Stats.Admitted),
-	}
-	generated := aux.generated
-	for v := range aux.decisions {
-		rep.Decisions[v] = true
-	}
-	for i := range ws {
-		generated += ws[i].generated
-		for v := range ws[i].decisions {
-			rep.Decisions[v] = true
-		}
-	}
-	rep.Livelock = explore.HasCycle(int(res.Stats.Admitted), res.Edges)
-	st := &res.Stats
-	spill := st.Spill
-	rep.Stats = &Stats{
-		Workers:         workers,
-		Generated:       generated,
-		DedupHits:       st.DedupHits,
-		Steals:          st.Steals,
-		PeakFrontier:    st.PeakPending,
-		KeyBytes:        st.Census.Interned,
-		Elapsed:         st.Elapsed,
-		Stripes:         st.Census.Stripes,
-		Collisions:      st.Census.Collisions,
-		MinStripeKeys:   st.Census.MinStripeKeys,
-		MaxStripeKeys:   st.Census.MaxStripeKeys,
-		HandoffBatches:  st.HandoffBatches,
-		HandoffItems:    st.HandoffItems,
-		RecycledBatches: st.RecycledBatches,
-		Checkpoints:     spill.Checkpoints,
-		Spill:           &spill,
-	}
-	return rep, &spill, res.Err
+	disk := newSpillTier(proto, inputs, opts)
+	// The budget now sizes the hot tier; left in opts, it would also
+	// truncate the run and the serial witness re-run.
+	opts.MemBudget = 0
+	return checkSharded(proto, inputs, opts, disk)
 }
 
 // Cursor frame type for CheckAllInputsSpill: which input vectors are
@@ -501,60 +372,28 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 		return nil, fmt.Errorf("valency: open vector cursor: %w", rerr)
 	}
 
-	agg := &Report{Complete: vc.complete, Decisions: make(map[int64]bool)}
-	agg.Configs = vc.configs
-	agg.Livelock = vc.livelock
+	agg := newAggregate(opts.workers())
+	agg.Stats.Spill = &explore.SpillStats{}
+	agg.Complete, agg.Configs, agg.Livelock = vc.complete, vc.configs, vc.livelock
 	for _, v := range vc.decisions {
 		agg.Decisions[v] = true
 	}
-	aggStats := &Stats{Workers: opts.workers(), Spill: &explore.SpillStats{}}
 	start := time.Now()
+	defer func() { agg.Stats.Elapsed = time.Since(start) }() // the returned report shares agg.Stats
 
 	for bits := vc.next; bits < 1<<n; bits++ {
 		vopts := opts
 		vopts.SpillDir = filepath.Join(opts.SpillDir, fmt.Sprintf("vec%04d", bits))
-		rep, spill, err := checkSpill(proto, inputVector(bits, n), vopts)
-		if spill != nil {
-			aggStats.Spill.Flushes += spill.Flushes
-			aggStats.Spill.Compactions += spill.Compactions
-			aggStats.Spill.Lookups += spill.Lookups
-			aggStats.Spill.LookupHits += spill.LookupHits
-			aggStats.Spill.BlockReads += spill.BlockReads
-			aggStats.Spill.BlockBytes += spill.BlockBytes
-			aggStats.Spill.FrontierSpilled += spill.FrontierSpilled
-			aggStats.Spill.FrontierLoaded += spill.FrontierLoaded
-			aggStats.Spill.Checkpoints += spill.Checkpoints
-			aggStats.Spill.Retries += spill.Retries
-			aggStats.Spill.SoftFails += spill.SoftFails
-			aggStats.Spill.Resumed = aggStats.Spill.Resumed || spill.Resumed
-			aggStats.Checkpoints = aggStats.Spill.Checkpoints
-		}
+		rep, err := CheckSpill(proto, InputVector(bits, n), vopts)
 		if err != nil {
+			if rep != nil {
+				agg.Stats.fold(rep.Stats)
+			}
 			agg.Complete = false
-			agg.Stats = aggStats
-			aggStats.Elapsed = time.Since(start)
 			return agg, fmt.Errorf("valency: input vector %d: %w", bits, err)
 		}
-		agg.Configs += rep.Configs
-		agg.Livelock = agg.Livelock || rep.Livelock
-		agg.Complete = agg.Complete && rep.Complete
-		for v := range rep.Decisions {
-			agg.Decisions[v] = true
-		}
-		if rep.Stats != nil {
-			aggStats.Generated += rep.Stats.Generated
-			aggStats.DedupHits += rep.Stats.DedupHits
-			aggStats.Steals += rep.Stats.Steals
-			aggStats.KeyBytes += rep.Stats.KeyBytes
-			aggStats.Collisions += rep.Stats.Collisions
-			aggStats.HandoffBatches += rep.Stats.HandoffBatches
-			aggStats.HandoffItems += rep.Stats.HandoffItems
-		}
-		if rep.Violation != nil {
-			rep.Configs = agg.Configs
-			rep.Stats = aggStats
-			aggStats.Elapsed = time.Since(start)
-			return rep, nil
+		if done := agg.Fold(rep); done != nil {
+			return done, nil
 		}
 		fs.Remove(vopts.SpillDir) // completed vectors leave an empty subdir
 		// Fold the finished vector into the durable cursor before moving
@@ -576,13 +415,9 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 			})
 		}); err != nil {
 			agg.Complete = false
-			agg.Stats = aggStats
-			aggStats.Elapsed = time.Since(start)
 			return agg, fmt.Errorf("valency: write vector cursor: %w", err)
 		}
 	}
 	fs.Remove(cursorPath) // completed sweep: nothing left to resume
-	aggStats.Elapsed = time.Since(start)
-	agg.Stats = aggStats
 	return agg, nil
 }

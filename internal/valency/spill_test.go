@@ -120,13 +120,19 @@ func TestCheckAllInputsSpillCleansUp(t *testing.T) {
 	dir := t.TempDir()
 	proto := protocol.NewCounterWalk(2)
 	ref := valency.CheckAllInputs(proto, 2, valency.Options{})
+	const workers = 4
 	rep, err := valency.CheckAllInputsSpill(proto, 2, valency.Options{
-		MemBudget: 1 << 10, SpillDir: dir, SpillCheckpointEvery: 64,
+		MemBudget: 1 << 10, SpillDir: dir, SpillCheckpointEvery: 64, Workers: workers,
 	})
 	if err != nil {
 		t.Fatalf("CheckAllInputsSpill: %v", err)
 	}
 	sameVerdict(t, "all-inputs", rep, ref)
+	// The aggregate folds the per-vector engine census like every other
+	// all-inputs sweep: one stripe per worker, not zero.
+	if rep.Stats == nil || rep.Stats.Stripes != workers {
+		t.Errorf("aggregate stripes = %+v, want %d", rep.Stats, workers)
+	}
 	ents, err := frame.OS{}.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)

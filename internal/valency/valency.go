@@ -22,6 +22,15 @@
 // certifies survivor-consistency: no crash pattern in the schedule, no
 // interleaving and no coin outcome lets the surviving processes disagree
 // or halt undecided.
+//
+// Engines.  Check runs the canonical serial depth-first engine, or with
+// Options.Workers above 1 the shard-owned parallel engine; CheckSpill
+// runs the disk-tiered one.  The two parallel tiers are one front end,
+// checkSharded over explore.RunSharded; the disk tier plugs into it as
+// a spillTier that spill.go builds.  Every engine — serial, both
+// sharded tiers, the distributed workers (internal/dist) and Bivalence
+// — expands configurations through one move rule, Options.Successors,
+// and every all-inputs sweep aggregates through one fold, Report.Fold.
 package valency
 
 import (
@@ -169,6 +178,45 @@ func (o Options) Crashed(c *sim.Config, pid int) bool {
 	return pid < len(o.Crash) && o.Crash[pid] >= 0 && c.Steps[pid] >= o.Crash[pid]
 }
 
+// Successors is the model's move rule (§2: the adversary picks which
+// process steps next and the outcome of every coin flip), written once
+// for every engine.  It steps c in place through each enabled move in
+// canonical order — pid ascending, then flip outcome ascending,
+// skipping crashed and halted processes — and calls fn(pid, outcome,
+// ev) while c is the successor, undoing the step before the next move.
+// The first fn that returns true stops the enumeration: Successors
+// returns true with c restored.  A step the protocol cannot take stops
+// it with an error worded as the serial checker's Stuck detail, and c
+// is then left as StepInto left it.
+func (o Options) Successors(c *sim.Config, fn func(pid int, outcome int64, ev sim.Event) bool) (bool, error) {
+	for pid := 0; pid < c.N(); pid++ {
+		if o.Crashed(c, pid) {
+			continue // crash-stop: never scheduled again
+		}
+		a := c.Pending(pid)
+		if a.Kind == sim.ActHalt {
+			continue
+		}
+		outcomes := int64(1)
+		if a.Kind == sim.ActFlip {
+			outcomes = a.Sides
+		}
+		for out := int64(0); out < outcomes; out++ {
+			var u sim.StepUndo
+			ev, err := c.StepInto(pid, out, &u)
+			if err != nil {
+				return false, fmt.Errorf("P%d cannot step: %w", pid, err)
+			}
+			stop := fn(pid, out, ev)
+			c.UndoStep(&u)
+			if stop {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
 // SymmetryOn reports whether the engines canonicalize identical-process
 // configurations.  Reduction is off under a crash schedule: Crash[pid]
 // attaches a per-slot step allowance, so processes in equal states are
@@ -254,7 +302,15 @@ type checker struct {
 // is identical to a serial run's.
 func Check(proto sim.Protocol, inputs []int64, opts Options) *Report {
 	if opts.workers() > 1 {
-		return checkSharded(proto, inputs, opts)
+		rep, err := checkSharded(proto, inputs, opts, nil)
+		if err != nil {
+			// In RAM the only error is a worker's recovered panic.  Check
+			// predates error returns, so re-raise it as the panic it was;
+			// CheckSpill returns it, and the service classifies it as a
+			// permanent job failure.
+			panic(err)
+		}
+		return rep
 	}
 	return checkSerial(proto, inputs, opts)
 }
@@ -400,52 +456,25 @@ func (ch *checker) overMemBudget() bool {
 	return ch.keyBytes+int64(len(ch.path))*eventBytes >= ch.opts.MemBudget
 }
 
-// expand checks c for violations and branches over every scheduler and
-// coin choice.
+// expand checks c for violations and branches over every move.  The
+// whole DFS runs on one configuration: Successors steps it in place and
+// undoes on backtrack instead of cloning per edge.
 func (ch *checker) expand(c *sim.Config) bool {
 	if ch.violationAt(c) {
 		return true
 	}
-	for pid := 0; pid < c.N(); pid++ {
-		if ch.opts.Crashed(c, pid) {
-			continue // crash-stop: never scheduled again
-		}
-		a := c.Pending(pid)
-		switch a.Kind {
-		case sim.ActHalt:
-			continue
-		case sim.ActFlip:
-			for o := int64(0); o < a.Sides; o++ {
-				if ch.step(c, pid, o) {
-					return true
-				}
-			}
-		default:
-			if ch.step(c, pid, 0) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// step branches into the configuration reached by letting pid take its
-// pending step with the given flip outcome.  It steps copy-on-write:
-// it mutates c in place and undoes on backtrack, so the whole DFS runs
-// on one configuration instead of cloning per edge.
-func (ch *checker) step(c *sim.Config, pid int, outcome int64) bool {
-	var u sim.StepUndo
-	ev, err := c.StepInto(pid, outcome, &u)
+	stop, err := ch.opts.Successors(c, func(_ int, _ int64, ev sim.Event) bool {
+		ch.path = append(ch.path, ev)
+		stop := ch.explore(c)
+		// record copies the path at violation time, so unwinding is always safe.
+		ch.path = ch.path[:len(ch.path)-1]
+		return stop
+	})
 	if err != nil {
 		// Unreachable for valid protocols; surface as a stuck violation.
-		ch.record(Stuck, fmt.Sprintf("P%d cannot step: %v", pid, err))
+		ch.record(Stuck, err.Error())
 		return true
 	}
-	ch.path = append(ch.path, ev)
-	stop := ch.explore(c)
-	// record copies the path at violation time, so unwinding is always safe.
-	ch.path = ch.path[:len(ch.path)-1]
-	c.UndoStep(&u)
 	return stop
 }
 
@@ -458,25 +487,40 @@ func CheckAllInputs(proto sim.Protocol, n int, opts Options) *Report {
 	if opts.workers() > 1 {
 		return checkAllInputsParallel(proto, n, opts)
 	}
-	agg := &Report{Complete: true, Decisions: make(map[int64]bool)}
-	aggStats := &Stats{Workers: 1}
+	agg := newAggregate(1)
 	for bits := 0; bits < 1<<n; bits++ {
-		rep := checkSerial(proto, inputVector(bits, n), opts)
-		agg.Configs += rep.Configs
-		agg.Livelock = agg.Livelock || rep.Livelock
-		agg.Complete = agg.Complete && rep.Complete
-		for v := range rep.Decisions {
-			agg.Decisions[v] = true
-		}
-		if rep.Stats != nil {
-			aggStats.KeyBytes += rep.Stats.KeyBytes
-			aggStats.Elapsed += rep.Stats.Elapsed
-		}
-		if rep.Violation != nil {
-			rep.Configs = agg.Configs
-			return rep
+		if done := agg.Fold(checkSerial(proto, InputVector(bits, n), opts)); done != nil {
+			return done
 		}
 	}
-	agg.Stats = aggStats
 	return agg
+}
+
+// newAggregate returns an empty all-inputs aggregate for Fold.
+func newAggregate(workers int) *Report {
+	return &Report{Complete: true, Decisions: make(map[int64]bool), Stats: &Stats{Workers: workers}}
+}
+
+// Fold merges one input vector's report rep into the all-inputs
+// aggregate r, the one fold every sweep shares (the local loops here and
+// in spill.go, and the distributed coordinator's).  Configs add,
+// Complete and Livelock combine, the decision sets unite, and rep.Stats
+// folds into r.Stats (see Stats.fold).  A violating vector ends the
+// sweep: Fold returns rep itself as the sweep's verdict, its Configs
+// raised to the running total and its Stats replaced by the aggregate's.
+// Otherwise it returns nil.
+func (r *Report) Fold(rep *Report) *Report {
+	r.Configs += rep.Configs
+	r.Livelock = r.Livelock || rep.Livelock
+	r.Complete = r.Complete && rep.Complete
+	for v := range rep.Decisions {
+		r.Decisions[v] = true
+	}
+	r.Stats.fold(rep.Stats)
+	if rep.Violation == nil {
+		return nil
+	}
+	rep.Configs = r.Configs
+	rep.Stats = r.Stats
+	return rep
 }

@@ -51,12 +51,14 @@ stage="shard-engine race smoke"
 # now rides; pin a focused non-short race pass over its hand-off queues,
 # arena recycling, and the engine differential matrix, so a data race in
 # the sharded engine fails the gate by name even if the broad -short
-# race pass above is ever narrowed.
+# race pass above is ever narrowed.  The RAM and spill tiers run one
+# expand callback over the one move rule (valency.Options.Successors),
+# so the valency pass covers both tiers and the rule itself.
 go test -race -count=1 -timeout 10m \
 	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence' \
 	./internal/explore/
 go test -race -count=1 -timeout 10m \
-	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts' \
+	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential' \
 	./internal/valency/
 stage="spill smoke (beyond-RAM engine)"
 # The disk-tiered engine's robustness drills, under the race detector:
