@@ -303,10 +303,11 @@ type Options struct {
 	// every worker count.
 	Workers int
 	// Check, when non-nil, replaces the local exhaustive model check of
-	// each candidate that survives the solo-termination prefilter: it
-	// must report whether the machine solves deterministic wait-free
-	// 2-process consensus (complete exploration, no violation, no
-	// livelock).  This is the distributed-cluster entry point: a
+	// each candidate that survives both stages of the solo prefilter
+	// (unanimous solo runs, then sequential agreement), once per
+	// survivor: it must report whether the machine solves deterministic
+	// wait-free 2-process consensus (complete exploration, no violation,
+	// no livelock).  This is the distributed-cluster entry point: a
 	// cluster-backed Check routes every model check through
 	// coordinator/worker exploration while the enumeration itself stays
 	// local.  Check must be safe for concurrent use when Workers > 1.
@@ -496,9 +497,9 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 
 // sweep searches the subtree of machines extending prefix (ids from
 // baseID+1) into res: every machine is counted, and each one that passes
-// the solo prefilter is model checked.  res.Example is the lowest-id
-// solver.  Only a survivor is copied out of the enumeration's scratch
-// table, so the model check and res.Example own what they hold.
+// both stages of the solo prefilter is model checked.  res.Example is the
+// lowest-id solver.  Only a survivor is copied out of the enumeration's
+// scratch table, so the model check and res.Example own what they hold.
 func (o Options) sweep(t object.Type, specs []actionSpec, freeStates int,
 	prefix []actionSpec, baseID uint64, res *Result) {
 	solo := newSoloFilter(t, freeStates)
@@ -535,13 +536,15 @@ const maxSoloBudget = 64
 
 // soloBound is the step budget of the prefilter's solo runs over t with
 // freeStates free states: min(maxSoloBudget, freeStates·|values| + 1).
-// It loses no decision.  A machine is deterministic, and in the walk P1
-// never moves, so a solo run's configuration is P0's state and the object
-// value.  A run that has not decided after freeStates·|values| operations
-// has repeated a (free state, value) pair and will never decide; the +1
-// is the decide step itself.  An enumerated machine's ops are the
-// domain's, so the object stays within its values (TestDomainClosure); a
-// type without a domain gets the cap.
+// It loses no decision.  A machine is deterministic, and in the walk the
+// other process never moves, so a solo run's configuration is the walking
+// process's state and the object value.  A run that has not decided after
+// freeStates·|values| operations has repeated a (free state, value) pair
+// and will never decide; the +1 is the decide step itself.  That holds
+// from any reachable object value, so it bounds the agreement stage's
+// second run too.  An enumerated machine's ops are the domain's, so the
+// object stays within its values (TestDomainClosure); a type without a
+// domain gets the cap.
 func soloBound(t object.Type, freeStates int) int {
 	d, err := domainFor(t)
 	if err != nil {
@@ -554,36 +557,58 @@ func soloBound(t object.Type, freeStates int) int {
 // decide only 0 and 1.
 const noDecision = -1
 
-// soloFilter is the search's cheap rejection: a solo run of P0 from the
-// unanimous input-v configuration must decide v (within budget steps,
-// which loses nothing: soloBound).  A machine is deterministic and a solo
-// run never reads P1, so that run is a function of the compiled table and
-// P0's start state alone: one walk per free state (load) answers the
-// filter for all the table's start pairs (passes).  Every walk runs on
-// one scratch configuration, reused for every table of the sweep —
-// SoloDecision restores it, so only P0's state is set between walks.  A
-// filter is not safe for concurrent use.
+// soloFilter is the search's cheap rejection, in two stages that run no
+// interleaving and never allocate.  Both reject only machines the model
+// check would reject, so the census is exact.
+//
+// The unanimous stage: a solo run of P0 from the unanimous input-v
+// configuration must decide v (within budget steps, which loses nothing:
+// soloBound).  A machine is deterministic and a solo run never reads P1,
+// so that run is a function of the compiled table and P0's start state
+// alone: one walk per free state (load) answers the stage for all the
+// table's start pairs.
+//
+// The agreement stage (agrees), on the unanimous survivors: with inputs
+// (0, 1), P0 runs solo to its decision and then P1 runs solo from there,
+// and P1 must decide the same value; likewise with P1 first.  Each is a
+// real execution, so a second process that decides the other value is a
+// consistency violation, and one that does not decide within budget has
+// repeated a (state, value) pair and will never decide, which the model
+// check reports as livelock.
+//
+// Every walk runs on one scratch configuration, reused for every table of
+// the sweep and restored after each use.  A filter is not safe for
+// concurrent use.
 type soloFilter struct {
 	c      *sim.Config
 	budget int
+	// states is the loaded table, valid while the enumeration's callback
+	// for it runs.
+	states []machineState
 	// dec[s] is what P0's solo run from free state s decides, or
 	// noDecision, for the loaded table.
 	dec []int64
+	// undo holds the steps of the agreement stage's first solo run.
+	undo []sim.StepUndo
 }
 
 // newSoloFilter returns a filter for machines over t with freeStates
 // free states.  The scratch configuration takes its object from the
-// machine with no free states; P0's state is replaced before each walk.
+// machine with no free states; the processes' states are replaced before
+// each walk.
 func newSoloFilter(t object.Type, freeStates int) *soloFilter {
+	budget := soloBound(t, freeStates)
 	return &soloFilter{
 		c:      sim.NewConfig(Machine{Type: t}, []int64{0, 0}),
-		budget: soloBound(t, freeStates),
+		budget: budget,
 		dec:    make([]int64, freeStates),
+		undo:   make([]sim.StepUndo, budget),
 	}
 }
 
 // load runs the solo walk from every free state of a compiled table.
 func (f *soloFilter) load(states []machineState) {
+	f.states = states
 	for s := range f.dec {
 		f.c.SetState(0, &states[s])
 		d, ok := sim.SoloDecision(f.c, 0, f.budget)
@@ -595,10 +620,53 @@ func (f *soloFilter) load(states []machineState) {
 }
 
 // passes reports whether the loaded table's machine with start states s0
-// (input 0) and s1 (input 1) decides its input in both unanimous solo
-// runs.
+// (input 0) and s1 (input 1) passes both stages.
 func (f *soloFilter) passes(s0, s1 int) bool {
+	return f.unanimous(s0, s1) && f.agrees(s0, s1)
+}
+
+// unanimous reports whether the machine decides its input in both
+// unanimous solo runs.
+func (f *soloFilter) unanimous(s0, s1 int) bool {
 	return f.dec[s0] == 0 && f.dec[s1] == 1
+}
+
+// agrees reports whether, from inputs (0, 1), each process's solo run
+// to its decision followed by the other's solo run decides one value,
+// in both orders.
+func (f *soloFilter) agrees(s0, s1 int) bool {
+	c := f.c
+	p0, p1 := c.States[0], c.States[1]
+	c.SetState(0, &f.states[s0])
+	c.SetState(1, &f.states[s1])
+	ok := f.sequential(0, 1) && f.sequential(1, 0)
+	c.SetState(0, p0)
+	c.SetState(1, p1)
+	return ok
+}
+
+// sequential runs first solo to its decision, then second solo from
+// there, and reports whether both decide the same value.  A machine has
+// no coin, so the first run is a straight line of at most budget steps;
+// it is undone before return.
+func (f *soloFilter) sequential(first, second int) bool {
+	c := f.c
+	n := 0
+	for n < f.budget && !c.Decided[first] {
+		if _, err := c.StepInto(first, 0, &f.undo[n]); err != nil {
+			break
+		}
+		n++
+	}
+	ok := false
+	if c.Decided[first] {
+		d, decided := sim.SoloDecision(c, second, f.budget)
+		ok = decided && d == c.Decision[first]
+	}
+	for n--; n >= 0; n-- {
+		c.UndoStep(&f.undo[n])
+	}
+	return ok
 }
 
 // MachineCount returns the size of the enumeration for freeStates free

@@ -128,26 +128,34 @@ func TestMachineSemantics(t *testing.T) {
 	}
 }
 
-// solves is the search's verdict on one machine: the solo prefilter from
-// its table, then the model check.
+// solves is the search's verdict on one machine: both stages of the solo
+// prefilter from its table, then the model check.
 func solves(o Options, m Machine) bool {
+	return survives(m) && o.check(m)
+}
+
+// survives reports whether m survives both stages of the solo
+// prefilter, loaded from its own table.
+func survives(m Machine) bool {
 	f := newSoloFilter(m.Type, len(m.Free))
 	f.load(m.table())
-	return f.passes(m.Start0, m.Start1) && o.check(m)
+	return f.passes(m.Start0, m.Start1)
 }
 
 // TestMachineStepAllocs is the allocation budget of the search's inner
 // loop.  A compiled machine's steps allocate nothing, nor does the solo
 // walk over them, nor does loading a table into the solo prefilter
 // (register F=2 id 1's S0 reads forever, so that solo run spends its
-// whole budget: soloBound's 7 steps).  Nor does a table the prefilter
-// rejects: a sweep whose every machine the prefilter rejects (every
-// register machine with one free state: its two inputs share the start
-// state) compiles each table into its one scratch table, so it allocates
-// tableAllocs = 0 per table, plus maxSweepSetupAllocs once: 15 measured
-// (the prefilter's scratch sim.NewConfig, the scratch table and
-// free-state slice, the enumeration's closures), plus a margin of 4 for
-// a toolchain that boxes differently.
+// whole budget: soloBound's 7 steps), nor does the prefilter's agreement
+// stage, passing (sticky-bit solver 26863) or rejecting (register
+// machine 590, which passes the unanimous stage).  Nor does a table the
+// prefilter rejects: a sweep whose every machine the prefilter rejects
+// (every register machine with one free state: its two inputs share the
+// start state) compiles each table into its one scratch table, so it
+// allocates tableAllocs = 0 per table, plus maxSweepSetupAllocs once: 16
+// measured (the prefilter's scratch sim.NewConfig and agreement undo
+// buffer, the scratch table and free-state slice, the enumeration's
+// closures), plus a margin of 4 for a toolchain that boxes differently.
 func TestMachineStepAllocs(t *testing.T) {
 	m, err := MachineByID(object.StickyBitType{}, 2, 26863)
 	if err != nil {
@@ -188,8 +196,26 @@ func TestMachineStepAllocs(t *testing.T) {
 		t.Errorf("loading machine 1's table allocates %.0f times (passes %v), want 0 (false)",
 			n, f.passes(rejected.Start0, rejected.Start1))
 	}
+	disagrees, err := MachineByID(object.RegisterType{}, 2, 590)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		m    Machine
+		want bool
+	}{{m, true}, {disagrees, false}} {
+		f := newSoloFilter(tc.m.Type, len(tc.m.Free))
+		f.load(tc.m.states)
+		if !f.unanimous(tc.m.Start0, tc.m.Start1) {
+			t.Fatalf("%s fails the unanimous stage", tc.m.Name())
+		}
+		var agrees bool
+		if n := testing.AllocsPerRun(100, func() { agrees = f.agrees(tc.m.Start0, tc.m.Start1) }); n != 0 || agrees != tc.want {
+			t.Errorf("%s: the agreement stage allocates %.0f times (agrees %v), want 0 (%v)", tc.m.Name(), n, agrees, tc.want)
+		}
+	}
 
-	const tableAllocs, maxSweepSetupAllocs = 0, 19
+	const tableAllocs, maxSweepSetupAllocs = 0, 20
 	typ := object.RegisterType{}
 	count, err := MachineCount(typ, 1)
 	if err != nil {

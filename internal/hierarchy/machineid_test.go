@@ -57,19 +57,20 @@ func TestMachineByIDRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSearchWithCheckHook: a custom Options.Check observes exactly the
-// prefilter survivors and its verdicts drive the Result — with the hook
-// mirroring the local model check, the Result is identical to the
-// hook-free search.
+// TestSearchWithCheckHook: a custom Options.Check is called exactly once
+// for each machine that survives both stages of the solo prefilter (8 of
+// the 4 096 test&set machines with two free states), and its verdicts
+// drive the Result — with the hook mirroring the local model check, the
+// Result is identical to the hook-free search.
 func TestSearchWithCheckHook(t *testing.T) {
 	typ := object.TestAndSetType{}
 	base, err := SearchWith(typ, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
+	calls := map[uint64]int{}
 	hooked, err := SearchWith(typ, 2, Options{Check: func(m Machine) bool {
-		calls++
+		calls[m.ID()]++
 		return solves(Options{}, m)
 	}})
 	if err != nil {
@@ -84,8 +85,13 @@ func TestSearchWithCheckHook(t *testing.T) {
 	if hooked.Example != nil && hooked.Example.id != base.Example.id {
 		t.Errorf("hooked Example id %d, base %d", hooked.Example.id, base.Example.id)
 	}
-	if calls == 0 || calls > base.Enumerated {
-		t.Errorf("Check called %d times for %d machines", calls, base.Enumerated)
+	if len(calls) != 8 {
+		t.Errorf("Check saw %d machines, want the 8 prefilter survivors", len(calls))
+	}
+	for id, n := range calls {
+		if m, err := MachineByID(typ, 2, id); err != nil || !survives(m) || n != 1 {
+			t.Errorf("Check called %d times for machine %d (err %v); want once, for a survivor", n, id, err)
+		}
 	}
 }
 

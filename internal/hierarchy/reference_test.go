@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"randsync/internal/object"
@@ -92,73 +93,195 @@ func refPrefilter(m Machine) bool {
 	return true
 }
 
-// TestSoloFilterMatchesPerMachine: for every machine of every class with
-// one or two free states, and every machine of seeded subtrees of the
-// three-state register class, the table-wide solo filter passes exactly
-// the machines the per-machine prefilter passes; and after every table
-// the filter's reused scratch configuration is the initial one again,
-// apart from P0's state.
-func TestSoloFilterMatchesPerMachine(t *testing.T) {
+// refAgrees is the prefilter's agreement stage per machine: on a fresh
+// configuration with inputs (0, 1), the first process's solo run to its
+// decision, replayed with Apply, and then the second process's solo walk
+// must decide one value, with P0 first and with P1 first.
+func refAgrees(m Machine) bool {
+	for _, first := range []int{0, 1} {
+		c := sim.NewConfig(m, []int64{0, 1})
+		exec, decision, ok := sim.SoloTerminate(c, first, 64)
+		if !ok {
+			return false
+		}
+		if err := c.Apply(exec); err != nil {
+			panic(fmt.Sprintf("%s: replaying P%d's solo run: %v", m.Name(), first, err))
+		}
+		if second, ok := sim.SoloDecision(c, 1-first, 64); !ok || second != decision {
+			return false
+		}
+	}
+	return true
+}
+
+// diffClass is one class the prefilter differentials enumerate.
+type diffClass struct {
+	name  string
+	typ   object.Type
+	free  int
+	count uint64
+	specs []actionSpec
+	// roots are the free-state-0 specs heading the subtrees to check; nil
+	// checks the whole class.
+	roots []int
+}
+
+// diffClasses returns every class with one or two free states, and
+// seeded free-state-0 subtrees of the three-state register class (one
+// with -short, two otherwise).
+func diffClasses(t *testing.T) []diffClass {
 	rng := rand.New(rand.NewSource(29))
 	reg, sticky, tas := object.RegisterType{}, object.StickyBitType{}, object.TestAndSetType{}
 	subtrees := 2
 	if testing.Short() {
 		subtrees = 1
 	}
+	var classes []diffClass
 	for _, tc := range []struct {
-		typ  object.Type
-		free int
-		// subtrees is how many seeded free-state-0 subtrees to check; 0
-		// checks the whole class.
-		subtrees int
+		typ      object.Type
+		free     int
+		subtrees int // 0: the whole class
 	}{
 		{reg, 1, 0}, {sticky, 1, 0}, {tas, 1, 0},
 		{reg, 2, 0}, {sticky, 2, 0}, {tas, 2, 0},
 		{reg, 3, subtrees},
 	} {
-		name := fmt.Sprintf("%s F=%d", tc.typ.Name(), tc.free)
 		d, count, err := classSize(tc.typ, tc.free)
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs := buildSpecs(d, tc.free+2)
-		roots := []int{-1} // the whole class
+		dc := diffClass{name: fmt.Sprintf("%s F=%d", tc.typ.Name(), tc.free), typ: tc.typ, free: tc.free,
+			count: count, specs: buildSpecs(d, tc.free+2)}
 		if tc.subtrees > 0 {
-			roots = rng.Perm(len(specs))[:tc.subtrees]
+			dc.roots = rng.Perm(len(dc.specs))[:tc.subtrees]
 		}
-		f := newSoloFilter(tc.typ, tc.free)
-		fresh := sim.NewConfig(Machine{Type: tc.typ}, []int64{0, 0})
+		classes = append(classes, dc)
+	}
+	return classes
+}
+
+// enumerate runs enumerateSubtree over the class's subtrees and returns
+// how many machines it visited; a whole class must visit MachineCount.
+func (dc diffClass) enumerate(t *testing.T, table func([]machineState), visit func(Machine)) int {
+	n := 0
+	count := func(m Machine) { n++; visit(m) }
+	if dc.roots == nil {
+		enumerateSubtree(dc.typ, dc.specs, dc.free, nil, 0, table, count)
+		if uint64(n) != dc.count {
+			t.Fatalf("%s: enumerated %d machines, MachineCount says %d", dc.name, n, dc.count)
+		}
+		return n
+	}
+	perSub := dc.count / uint64(len(dc.specs))
+	for _, root := range dc.roots {
+		enumerateSubtree(dc.typ, dc.specs, dc.free, dc.specs[root:root+1], uint64(root)*perSub, table, count)
+	}
+	return n
+}
+
+// TestSoloFilterMatchesPerMachine: for every machine of every class with
+// one or two free states, and every machine of seeded subtrees of the
+// three-state register class, the table-wide unanimous stage passes
+// exactly the machines the per-machine prefilter passes; and after every
+// table, both stages included, the filter's reused scratch configuration
+// is the initial one again, apart from P0's state.
+func TestSoloFilterMatchesPerMachine(t *testing.T) {
+	for _, dc := range diffClasses(t) {
+		f := newSoloFilter(dc.typ, dc.free)
+		fresh := sim.NewConfig(Machine{Type: dc.typ}, []int64{0, 0})
 		p1 := f.c.States[1]
-		var enumerated, passed int
-		for _, root := range roots {
-			var prefix []actionSpec
-			var baseID uint64
-			if root >= 0 {
-				prefix, baseID = specs[root:root+1], uint64(root)*(count/uint64(len(specs)))
+		restored := func() {
+			c := f.c
+			if !reflect.DeepEqual(c.Objects, fresh.Objects) || !reflect.DeepEqual(c.Decided, fresh.Decided) ||
+				!reflect.DeepEqual(c.Decision, fresh.Decision) || !reflect.DeepEqual(c.Steps, fresh.Steps) ||
+				c.States[1] != p1 {
+				t.Fatalf("%s: scratch configuration not restored after a table: %+v", dc.name, c)
 			}
-			enumerateSubtree(tc.typ, specs, tc.free, prefix, baseID, func(states []machineState) {
-				f.load(states)
-				c := f.c
-				if !reflect.DeepEqual(c.Objects, fresh.Objects) || !reflect.DeepEqual(c.Decided, fresh.Decided) ||
-					!reflect.DeepEqual(c.Decision, fresh.Decision) || !reflect.DeepEqual(c.Steps, fresh.Steps) ||
-					c.States[1] != p1 {
-					t.Fatalf("%s: scratch configuration not restored after a table: %+v", name, c)
-				}
-			}, func(m Machine) {
-				enumerated++
-				got, want := f.passes(m.Start0, m.Start1), refPrefilter(m)
-				if got != want {
-					t.Fatalf("%s id=%d: table filter passes %v, per-machine prefilter %v", name, m.ID(), got, want)
-				}
-				if got {
-					passed++
-				}
-			})
 		}
-		if tc.subtrees == 0 && uint64(enumerated) != count {
-			t.Fatalf("%s: enumerated %d machines, MachineCount says %d", name, enumerated, count)
+		var passed int
+		enumerated := dc.enumerate(t, func(states []machineState) {
+			restored() // after the previous table's agreement runs
+			f.load(states)
+			restored()
+		}, func(m Machine) {
+			got, want := f.unanimous(m.Start0, m.Start1), refPrefilter(m)
+			if got != want {
+				t.Fatalf("%s id=%d: table filter passes %v, per-machine prefilter %v", dc.name, m.ID(), got, want)
+			}
+			if got {
+				passed++
+				f.passes(m.Start0, m.Start1)
+			}
+		})
+		restored()
+		t.Logf("%s: %d machines, %d pass the unanimous stage", dc.name, enumerated, passed)
+	}
+}
+
+// TestAgreementFilterMatchesReference: over the same machines as
+// TestSoloFilterMatchesPerMachine, the table filter's agreement stage
+// answers exactly as the per-machine reference, refAgrees, and the whole
+// filter passes exactly what refPrefilter and refAgrees both pass.  The
+// stage is sound: every unanimous survivor it rejects fails the full
+// model check.  The funnel of the two-free-state classes is pinned, and
+// a Workers: 2 search hands exactly the survivors to Options.Check (the
+// race pass runs this test, so a filter shared between workers fails
+// here by name).
+func TestAgreementFilterMatchesReference(t *testing.T) {
+	type funnel struct{ unanimous, agreeing int }
+	want := map[string]funnel{
+		"register F=1": {0, 0}, "sticky-bit F=1": {0, 0}, "test&set F=1": {0, 0},
+		"register F=2": {680, 0}, "sticky-bit F=2": {1316, 36}, "test&set F=2": {212, 8},
+	}
+	for _, dc := range diffClasses(t) {
+		f := newSoloFilter(dc.typ, dc.free)
+		var got funnel
+		enumerated := dc.enumerate(t, f.load, func(m Machine) {
+			agrees, ref := f.agrees(m.Start0, m.Start1), refAgrees(m)
+			if agrees != ref {
+				t.Fatalf("%s id=%d: table agreement stage %v, reference %v", dc.name, m.ID(), agrees, ref)
+			}
+			unanimous := f.unanimous(m.Start0, m.Start1)
+			if passes := f.passes(m.Start0, m.Start1); passes != (refPrefilter(m) && ref) {
+				t.Fatalf("%s id=%d: table filter passes %v, reference %v", dc.name, m.ID(), passes, !passes)
+			}
+			if !unanimous {
+				return
+			}
+			got.unanimous++
+			if agrees {
+				got.agreeing++
+			} else if (Options{}).check(m) {
+				t.Fatalf("%s id=%d: the agreement stage rejects a solver:\n%s", dc.name, m.ID(), Describe(m))
+			}
+		})
+		t.Logf("%s: %d machines, %d pass the unanimous stage, %d the agreement stage",
+			dc.name, enumerated, got.unanimous, got.agreeing)
+		if w, ok := want[dc.name]; ok && got != w {
+			t.Errorf("%s: funnel %d → %d, want %d → %d", dc.name, got.unanimous, got.agreeing, w.unanimous, w.agreeing)
 		}
-		t.Logf("%s: %d machines, %d pass the solo prefilter", name, enumerated, passed)
+	}
+
+	for _, tc := range []struct {
+		typ                object.Type
+		survivors, solvers int
+	}{
+		{object.RegisterType{}, 0, 0},
+		{object.StickyBitType{}, 36, 36},
+		{object.TestAndSetType{}, 8, 0},
+	} {
+		var calls atomic.Int64
+		res, err := SearchWith(tc.typ, 2, Options{Workers: 2, Check: func(m Machine) bool {
+			calls.Add(1)
+			return Options{}.check(m)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int(calls.Load()) != tc.survivors || res.Solvers != tc.solvers {
+			t.Errorf("%s F=2 Workers: 2: %d checks, %d solvers; want %d, %d",
+				tc.typ.Name(), calls.Load(), res.Solvers, tc.survivors, tc.solvers)
+		}
 	}
 }
 

@@ -175,11 +175,13 @@ go test -run=NONE -bench=. -benchtime=1x -timeout 15m ./...
 # budget); the seed corpus alone already runs in the suite above.
 go test -run=NONE -fuzz=FuzzSoloTerminate -fuzztime=15s -timeout 5m ./internal/sim
 # The protocol-space search compiles every table into per-sweep scratch
-# buffers, one set per fan-out subtree; a focused race pass over the
-# parallel search and the Check hook names a sweep that shares them.
-# (BenchmarkTinySweep, the benchmark's tiny-sweep op in-tree, ran once
-# in the -bench=. pass above.)
-go test -race -count=1 -timeout 5m -run 'TestSearchParallelMatchesSerial|TestSearchWithCheckHook' ./internal/hierarchy/
+# buffers, one set per fan-out subtree, and runs both solo-prefilter
+# stages on a per-sweep scratch configuration; a focused race pass over
+# the parallel search, the Check hook and the prefilter's agreement-stage
+# differential (which ends in a Workers: 2 search) names a sweep that
+# shares them.  (BenchmarkTinySweep, the benchmark's tiny-sweep op
+# in-tree, ran once in the -bench=. pass above.)
+go test -race -count=1 -timeout 5m -run 'TestSearchParallelMatchesSerial|TestSearchWithCheckHook|TestAgreementFilterMatchesReference' ./internal/hierarchy/
 # The nested bench module's own tests (~2 s), which nothing above runs:
 # among them the verifySweep/expected.json checks that hold the
 # hierarchy census (36 864 / 36, 20 736 / 0) to theory.
