@@ -104,12 +104,16 @@ func run(args []string) error {
 	}
 	rep.PrintVerdict(os.Stdout)
 	if s := rep.Stats; s != nil {
-		hitRate := 0.0
+		// Dedup, frontier and steal counters exist only where the sharded
+		// engine ran; the serial engine and vector-level sweeps leave
+		// Generated at 0 and never measured them.
+		engine := ""
 		if s.Generated > 0 {
-			hitRate = float64(s.DedupHits) / float64(s.Generated)
+			engine = fmt.Sprintf("dedup hit-rate %.1f%%, peak frontier %d, steals %d, ",
+				100*float64(s.DedupHits)/float64(s.Generated), s.PeakFrontier, s.Steals)
 		}
-		fmt.Printf("throughput: %.0f configs/s (%d workers, %v); dedup hit-rate %.1f%%, peak frontier %d, steals %d, key bytes retained %d\n",
-			s.Rate(rep.Configs), s.Workers, s.Elapsed.Round(1e6), 100*hitRate, s.PeakFrontier, s.Steals, s.KeyBytes)
+		fmt.Printf("throughput: %.0f configs/s (%d workers, %v); %skey bytes retained %d\n",
+			s.Rate(rep.Configs), s.Workers, s.Elapsed.Round(1e6), engine, s.KeyBytes)
 		if s.Stripes > 0 {
 			fmt.Printf("visited set: %d stripes, %d fingerprint collisions, per-stripe keys min/max %d/%d\n",
 				s.Stripes, s.Collisions, s.MinStripeKeys, s.MaxStripeKeys)

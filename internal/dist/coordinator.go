@@ -364,7 +364,7 @@ func (co *coord) handleJoin(j *joinReq) {
 }
 
 // run drives the whole job: resume-or-start, then one vector at a time
-// in canonical order, aggregating exactly like checkAllInputsParallel.
+// in canonical order, aggregating exactly like valency.CheckAllInputs.
 func (co *coord) run() (*valency.Report, error) {
 	resumed, err := co.tryResume()
 	if err != nil {

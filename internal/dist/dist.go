@@ -68,8 +68,9 @@ type Options struct {
 	// the queue-length imbalance across workers; the default is 64.
 	Shards int
 	// Valency carries the exploration options every engine shares:
-	// MaxConfigs, NoSymmetry, Crash.  Workers selects each worker's
-	// local pool width for processing its batch.
+	// MaxConfigs, NoSymmetry, Crash.  Workers selects how many
+	// goroutines each worker fans a batch's items out over
+	// (explore.Each).
 	Valency valency.Options
 	// CheckpointPath, when non-empty, enables periodic snapshots of the
 	// coordinator state; if the file already exists and matches the

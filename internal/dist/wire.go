@@ -174,7 +174,7 @@ type jobMsg struct {
 	Inputs     []int64
 	NoSymmetry bool
 	Crash      []int
-	Workers    int // worker-local pool width
+	Workers    int // worker-local explore.Each width per batch
 	Shards     int
 	Epoch      uint64
 }

@@ -270,12 +270,12 @@ func serveWorker(conn net.Conn, opts WorkerOptions) (progressed bool, err error)
 
 // workerState is the per-input-vector replay context.
 type workerState struct {
-	proto  sim.Protocol
-	inputs []int64
-	epoch  uint64
-	vopts  valency.Options
-	valid  map[int64]bool
-	pool   int
+	proto   sim.Protocol
+	inputs  []int64
+	epoch   uint64
+	vopts   valency.Options
+	valid   map[int64]bool
+	workers int // Each fan-out width per batch
 }
 
 func newWorkerState(jm jobMsg) (*workerState, error) {
@@ -291,11 +291,11 @@ func newWorkerState(jm jobMsg) (*workerState, error) {
 			NoSymmetry: jm.NoSymmetry,
 			Crash:      jm.Crash,
 		},
-		valid: make(map[int64]bool, len(jm.Inputs)),
-		pool:  jm.Workers,
+		valid:   make(map[int64]bool, len(jm.Inputs)),
+		workers: jm.Workers,
 	}
-	if st.pool < 1 {
-		st.pool = runtime.GOMAXPROCS(0)
+	if st.workers < 1 {
+		st.workers = runtime.GOMAXPROCS(0)
 	}
 	for _, in := range jm.Inputs {
 		st.valid[in] = true
@@ -303,8 +303,8 @@ func newWorkerState(jm jobMsg) (*workerState, error) {
 	return st, nil
 }
 
-// wslot is one pool worker's private effect buffer; merged after the
-// pool drains so slots never contend.
+// wslot is one fan-out worker's private effect buffer; merged after
+// the batch drains so slots never contend.
 type wslot struct {
 	keyer     sim.Keyer
 	buf       []byte
@@ -315,10 +315,10 @@ type wslot struct {
 
 // process replays, safety-checks and expands every item of a batch and
 // returns the batch's atomic effect set.  Items fan out across the
-// worker's local explore pool; the frontier does not grow locally —
+// worker's explore.Each fan-out; the frontier does not grow locally —
 // every successor is an emit, and admission is the coordinator's call.
 func (st *workerState) process(bm batchMsg) (doneMsg, error) {
-	slots := make([]wslot, st.pool)
+	slots := make([]wslot, min(st.workers, len(bm.Items)))
 	for i := range slots {
 		slots[i].decisions = make(map[int64]bool)
 		slots[i].keyer.Symmetry = st.vopts.SymmetryOn()
@@ -326,18 +326,16 @@ func (st *workerState) process(bm batchMsg) (doneMsg, error) {
 	var violated atomic.Bool
 	var firstErr atomic.Value
 
-	explore.Run(st.pool, bm.Items, func(it item, ctx *explore.Ctx[item]) {
-		w := &slots[ctx.Worker()]
+	explore.Each(st.workers, len(bm.Items), func(wid, i int) bool {
+		w, it := &slots[wid], bm.Items[i]
 		c := sim.NewConfig(st.proto, st.inputs)
 		if err := c.ReplaySchedule(it.sched); err != nil {
 			firstErr.CompareAndSwap(nil, fmt.Errorf("dist: item %d: %w", it.gid, err))
-			ctx.Stop()
-			return
+			return false
 		}
 		if valency.Unsafe(c, st.vopts, st.valid, w.decisions) {
 			violated.Store(true)
-			ctx.Stop()
-			return
+			return false
 		}
 		_, err := st.vopts.Successors(c, func(pid int, out int64, _ sim.Event) bool {
 			w.generated++
@@ -352,8 +350,9 @@ func (st *workerState) process(bm batchMsg) (doneMsg, error) {
 		if err != nil {
 			// The serial checker reports this as Stuck; defer.
 			violated.Store(true)
-			ctx.Stop()
+			return false
 		}
+		return true
 	})
 
 	if err, _ := firstErr.Load().(error); err != nil {

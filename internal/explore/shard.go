@@ -15,11 +15,12 @@ import (
 // counterpart of the fingerprint-shard ownership the distributed
 // coordinator (internal/dist) proves out over the wire.
 //
-// A shared visited set under the work-stealing pool (pool.go) would
-// funnel every membership probe of every worker through shared locks,
-// every frontier hand-off through per-item deque locking, and every
-// emission through a contended pending/peak atomic pair — the lock-striped
-// set this engine replaced collapsed exactly that way as workers rose.
+// A shared visited set under a generic work-stealing pool funnels every
+// membership probe of every worker through shared locks, every frontier
+// hand-off through per-item deque locking, and every emission through a
+// contended pending/peak atomic pair — the lock-striped set and pool
+// this engine replaced (both since deleted) collapsed exactly that way
+// as workers rose.
 // The sharded engine keeps shared structures off the hot path entirely:
 //
 //   - Each worker OWNS a fixed fingerprint shard of the visited set

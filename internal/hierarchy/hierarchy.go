@@ -472,17 +472,14 @@ func SearchWith(t object.Type, freeStates int, opts Options) (*Result, error) {
 	}
 
 	// Fan out over the spec assigned to free state 0: each subtree is an
-	// independent contiguous id range, checked by whichever worker steals
+	// independent contiguous id range, checked by whichever worker claims
 	// it.  Per-worker tallies are merged afterwards; the reported Example
 	// is the lowest-id solver, which is exactly the serial first find.
 	perSub := count / uint64(len(specs))
 	results := make([]Result, workers)
-	roots := make([]int, len(specs))
-	for i := range roots {
-		roots[i] = i
-	}
-	explore.Run(workers, roots, func(i int, ctx *explore.Ctx[int]) {
-		opts.sweep(t, specs, freeStates, specs[i:i+1], uint64(i)*perSub, &results[ctx.Worker()])
+	explore.Each(workers, len(specs), func(w, i int) bool {
+		opts.sweep(t, specs, freeStates, specs[i:i+1], uint64(i)*perSub, &results[w])
+		return true
 	})
 	agg := &Result{}
 	for i := range results {

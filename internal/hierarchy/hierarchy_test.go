@@ -273,23 +273,53 @@ func TestDomainRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// TestRegisterSearchDeep extends the impossibility enumeration to three
-// free states: 22,143,375 machines, still zero solvers (8 s on two
-// vCPUs; skipped with -short).  It fans out over GOMAXPROCS
-// workers: TestSearchParallelMatchesSerial pins that the worker count
-// does not change the Result.
+// TestRegisterSearchDeep pins the census of the three-free-state
+// classes, each fanned out over GOMAXPROCS workers through explore.Each:
+// an index the fan-out dropped or handed out twice changes these exact
+// counts, and TestSearchParallelMatchesSerial pins that the worker count
+// does not change the Result.  Expected cells (machines, solvers,
+// lowest-id solver):
+//
+//   - register: 22,143,375 machines, 0 solvers (~2 s on two vCPUs);
+//   - test&set: 1,125,000 machines, 0 solvers (~0.1 s, so it runs in
+//     -short too);
+//   - sticky-bit: 48,234,375 machines, 46,800 solvers, lowest-id solver
+//     217304 (~5.5 s on two vCPUs).
+//
+// The register and sticky-bit rows are skipped with -short.
 func TestRegisterSearchDeep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("22M-machine enumeration skipped in -short mode")
-	}
-	res, err := SearchWith(object.RegisterType{}, 3, Options{Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("register, 3 free states: %d machines enumerated, %d solve consensus",
-		res.Enumerated, res.Solvers)
-	if res.Solvers != 0 {
-		t.Fatalf("%d three-state register machines claim to solve consensus; example:\n%s",
-			res.Solvers, Describe(*res.Example))
+	for _, tc := range []struct {
+		typ       object.Type
+		machines  int
+		solvers   int
+		example   uint64 // lowest-id solver; 0 when there is none
+		shortAlso bool
+	}{
+		{object.RegisterType{}, 22143375, 0, 0, false},
+		{object.TestAndSetType{}, 1125000, 0, 0, true},
+		{object.StickyBitType{}, 48234375, 46800, 217304, false},
+	} {
+		t.Run(tc.typ.Name(), func(t *testing.T) {
+			if testing.Short() && !tc.shortAlso {
+				t.Skip("deep enumeration skipped in -short mode")
+			}
+			res, err := SearchWith(tc.typ, 3, Options{Workers: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s, 3 free states: %d machines enumerated, %d solve consensus",
+				tc.typ.Name(), res.Enumerated, res.Solvers)
+			if res.Enumerated != tc.machines || res.Solvers != tc.solvers {
+				t.Fatalf("census %d machines / %d solvers, want %d / %d",
+					res.Enumerated, res.Solvers, tc.machines, tc.solvers)
+			}
+			var example uint64
+			if res.Example != nil {
+				example = res.Example.ID()
+			}
+			if example != tc.example {
+				t.Fatalf("lowest-id solver %d, want %d", example, tc.example)
+			}
+		})
 	}
 }

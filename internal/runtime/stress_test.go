@@ -7,12 +7,13 @@ import (
 	"randsync/internal/explore"
 )
 
-// TestPoolStressLiveObjects hammers the live shared objects through the
-// explore worker pool — the same pool the parallel model checker runs on
-// — and checks the aggregate invariants of their atomic semantics.  It
-// stays fast enough for -short, and run under -race it cross-checks the
-// pool's scheduling against the objects' atomics and the recorder's
-// locking at once.
+// TestPoolStressLiveObjects hammers the live shared objects through
+// explore.Each — the fan-out the all-inputs sweep, the hierarchy search
+// and the distributed worker run on — and checks the aggregate
+// invariants of their atomic semantics.  It stays fast enough for
+// -short, and run under -race it cross-checks the fan-out's index
+// claiming against the objects' atomics and the recorder's locking at
+// once.
 func TestPoolStressLiveObjects(t *testing.T) {
 	const tasks = 64
 	const opsPerTask = 200
@@ -27,11 +28,9 @@ func TestPoolStressLiveObjects(t *testing.T) {
 	var tasWins, casWins atomic.Int64
 	var stickyFirst atomic.Int64
 
-	roots := make([]int, tasks)
-	for i := range roots {
-		roots[i] = i
-	}
-	stats := explore.Run(8, roots, func(task int, ctx *explore.Ctx[int]) {
+	var processed atomic.Int64
+	explore.Each(8, tasks, func(_, task int) bool {
+		processed.Add(1)
 		proc := task % 16
 		for i := 0; i < opsPerTask; i++ {
 			fa.FetchAdd(proc, 1)
@@ -49,10 +48,11 @@ func TestPoolStressLiveObjects(t *testing.T) {
 		if v := sticky.Stick(proc, int64(task%2)+1); v != 0 {
 			stickyFirst.CompareAndSwap(0, v)
 		}
+		return true
 	})
 
-	if stats.Processed != tasks {
-		t.Fatalf("pool processed %d tasks, want %d", stats.Processed, tasks)
+	if got := processed.Load(); got != tasks {
+		t.Fatalf("fan-out processed %d tasks, want %d", got, tasks)
 	}
 	if got := fa.Read(0); got != tasks*opsPerTask {
 		t.Errorf("fetch&add total = %d, want %d", got, tasks*opsPerTask)

@@ -9,9 +9,12 @@ import (
 
 // Stats describes an engine's work for one Check.  The serial engine
 // fills Workers, KeyBytes and Elapsed only; the parallel engines fill the
-// rest.  Stats are performance telemetry only and intentionally excluded
-// from verdict comparisons: two runs with different worker counts
-// produce the same Report fields but different Stats.
+// rest.  An all-inputs sweep folds its vectors' Stats (see Stats.fold),
+// so a vector-level sweep, whose vectors all run on the serial engine,
+// carries the serial engine's fields only.  Stats are performance
+// telemetry only and intentionally excluded from verdict comparisons:
+// two runs with different worker counts produce the same Report fields
+// but different Stats.
 type Stats struct {
 	// Workers is the number of exploration workers used.
 	Workers int `json:"workers"`
@@ -20,9 +23,13 @@ type Stats struct {
 	Generated int64 `json:"generated"`
 	// DedupHits counts generated successors that were already visited.
 	DedupHits int64 `json:"dedup_hits"`
-	// Steals counts work-stealing transfers between workers.
+	// Steals counts the sharded engine's whole-batch frontier steals
+	// between workers (explore.ShardedStats.Steals).  Zero on the serial
+	// engine and on vector-level all-inputs sweeps.
 	Steals int64 `json:"steals,omitempty"`
-	// PeakFrontier is the high-water mark of unexplored configurations.
+	// PeakFrontier is the sharded engine's high-water mark of unexplored
+	// configurations (explore.ShardedStats.PeakPending).  Zero on the
+	// serial engine and on vector-level all-inputs sweeps.
 	PeakFrontier int64 `json:"peak_frontier,omitempty"`
 	// KeyBytes is the total interned visited-set key bytes retained at
 	// the end of exploration — the memory the dedup structure holds, so
@@ -206,48 +213,6 @@ func Unsafe(c *sim.Config, opts Options, valid, dec map[int64]bool) bool {
 		}
 	}
 	return false
-}
-
-// checkAllInputsParallel fans CheckAllInputs out across the pool.  With
-// enough input vectors to keep every worker busy it parallelizes at the
-// vector level (each vector explored by the canonical serial engine —
-// the per-vector reports are then byte-identical to serial ones); with
-// few vectors it runs them in sequence, each parallelized internally.
-// Either way the aggregate is folded in canonical vector order, so the
-// returned report matches the serial loop's.
-func checkAllInputsParallel(proto sim.Protocol, n int, opts Options) *Report {
-	workers := opts.workers()
-	start := time.Now()
-	reports := make([]*Report, 1<<n)
-
-	var poolStats explore.Stats
-	if len(reports) >= 2*workers {
-		inner := opts
-		inner.Workers = 0
-		idx := make([]int, len(reports))
-		for i := range idx {
-			idx[i] = i
-		}
-		poolStats = explore.Run(workers, idx, func(i int, _ *explore.Ctx[int]) {
-			reports[i] = checkSerial(proto, InputVector(i, n), inner)
-		})
-	} else {
-		for i := range reports {
-			reports[i] = Check(proto, InputVector(i, n), opts)
-		}
-	}
-
-	agg := newAggregate(workers)
-	agg.Stats.Steals, agg.Stats.PeakFrontier = poolStats.Steals, poolStats.PeakPending
-	done := agg
-	for _, rep := range reports {
-		if v := agg.Fold(rep); v != nil {
-			done = v
-			break
-		}
-	}
-	agg.Stats.Elapsed = time.Since(start) // wall clock, not the per-vector sum
-	return done
 }
 
 // InputVector decodes vector index bits into per-process binary inputs:

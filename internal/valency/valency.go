@@ -31,6 +31,8 @@
 // sharded tiers, the distributed workers (internal/dist) and Bivalence
 // — expands configurations through one move rule, Options.Successors,
 // and every all-inputs sweep aggregates through one fold, Report.Fold.
+// CheckAllInputs is one loop over the input vectors; with enough of
+// them it fans whole vectors out over explore.Each instead.
 package valency
 
 import (
@@ -41,6 +43,7 @@ import (
 	"time"
 	"unsafe"
 
+	"randsync/internal/explore"
 	"randsync/internal/frame"
 	"randsync/internal/sim"
 )
@@ -480,16 +483,32 @@ func (ch *checker) expand(c *sim.Config) bool {
 
 // CheckAllInputs runs Check over every binary input vector for n processes
 // and returns the first report containing a violation, or the aggregate
-// clean report (Complete iff all runs were complete).  With
-// Options.Workers above 1 the input vectors themselves are fanned out
-// across the worker pool.
+// clean report (Complete iff all runs were complete).  One loop folds the
+// reports in canonical vector order, so the result is the same at every
+// worker count.  With Options.Workers above 1 and at least two vectors
+// per worker, the serial engine checks the vectors ahead of the fold,
+// fanned out over explore.Each; otherwise each vector runs on Check's
+// engine in turn and the sweep stops at the first violating one.
+// Stats.Elapsed is the sweep's wall clock.
 func CheckAllInputs(proto sim.Protocol, n int, opts Options) *Report {
-	if opts.workers() > 1 {
-		return checkAllInputsParallel(proto, n, opts)
+	workers, start := opts.workers(), time.Now()
+	reports := make([]*Report, 1<<n) // nil: not checked yet
+	if workers > 1 && len(reports) >= 2*workers {
+		inner := opts
+		inner.Workers = 0
+		explore.Each(workers, len(reports), func(_, i int) bool {
+			reports[i] = checkSerial(proto, InputVector(i, n), inner)
+			return reports[i].Violation == nil
+		})
 	}
-	agg := newAggregate(1)
-	for bits := 0; bits < 1<<n; bits++ {
-		if done := agg.Fold(checkSerial(proto, InputVector(bits, n), opts)); done != nil {
+	agg := newAggregate(workers)
+	// A violating report shares agg.Stats, so this stamps it too.
+	defer func() { agg.Stats.Elapsed = time.Since(start) }()
+	for bits, rep := range reports {
+		if rep == nil {
+			rep = Check(proto, InputVector(bits, n), opts)
+		}
+		if done := agg.Fold(rep); done != nil {
 			return done
 		}
 	}

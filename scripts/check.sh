@@ -51,11 +51,15 @@ stage="shard-engine race smoke"
 # now rides; pin a focused non-short race pass over its hand-off queues,
 # arena recycling, and the engine differential matrix, so a data race in
 # the sharded engine fails the gate by name even if the broad -short
-# race pass above is ever narrowed.  The RAM and spill tiers run one
-# expand callback over the one move rule (valency.Options.Successors),
-# so the valency pass covers both tiers and the rule itself.
+# race pass above is ever narrowed.  The explore pass also covers
+# explore.Each, the index fan-out the all-inputs sweep, the hierarchy
+# search and the distributed worker run on (TestEach*: every index once,
+# worker ids in range, a stop leaves a claimed prefix).  The RAM and
+# spill tiers run one expand callback over the one move rule
+# (valency.Options.Successors), so the valency pass covers both tiers
+# and the rule itself.
 go test -race -count=1 -timeout 10m \
-	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence' \
+	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence|TestEachHandsOutEveryIndexOnce|TestEachStop' \
 	./internal/explore/
 go test -race -count=1 -timeout 10m \
 	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential' \
