@@ -331,6 +331,14 @@ type shardWorker[T any] struct {
 	coll  map[string]collEnt // distinct keys sharing a claimed fingerprint (≈ never)
 	bytes int64              // interned key bytes this shard retains
 	edges []Edge
+
+	// With a disk tier: the keys admitted since this shard last persisted
+	// (seen's by fingerprint, coll's by key), and whether some of its keys
+	// live only in run files — it evicted, or it resumed from a manifest.
+	newFP   []uint64
+	newColl []string
+	cold    bool
+
 	priv  []shardTask[T]
 	out   []*shardBatch[T] // per-destination partial batches
 	freeB []*shardBatch[T] // batch arena
@@ -389,12 +397,14 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 	ent, claimed := sw.seen[fp]
 	switch {
 	case !claimed:
-		// A RAM miss is only provisional when a disk tier holds evicted
-		// shards: the key may live in a run file.  A tier that cannot
-		// answer (unrecoverable I/O fault) aborts admission entirely —
-		// treating "unknown" as "fresh" would re-admit a visited key
-		// under a second dense id and corrupt the census.
-		if e.sp != nil {
+		// A RAM miss is only provisional in a cold shard: the key may live
+		// in a run file.  A warm shard's RAM holds every key it admitted
+		// (a checkpoint copies keys to disk without dropping them), so its
+		// miss is provably absent.  A tier that cannot answer
+		// (unrecoverable I/O fault) aborts admission entirely — treating
+		// "unknown" as "fresh" would re-admit a visited key under a
+		// second dense id and corrupt the census.
+		if sw.cold {
 			did, found, err := e.tierLookup(w, fp, key)
 			if err != nil {
 				return 0, false
@@ -409,6 +419,9 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 		sw.seen[fp] = setEntry{key: k, id: id}
 		sw.bytes += int64(len(k))
 		fresh = true
+		if e.sp != nil {
+			sw.newFP = append(sw.newFP, fp)
+		}
 		if e.opts.OnBytes != nil {
 			e.opts.OnBytes(int64(len(k)))
 		}
@@ -421,7 +434,7 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 			id = ce.id
 			break
 		}
-		if e.sp != nil {
+		if sw.cold {
 			did, found, err := e.tierLookup(w, fp, key)
 			if err != nil {
 				return 0, false
@@ -439,6 +452,9 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 		sw.coll[k] = collEnt{fp: fp, id: id}
 		sw.bytes += int64(len(k))
 		fresh = true
+		if e.sp != nil {
+			sw.newColl = append(sw.newColl, k)
+		}
 		if e.opts.OnBytes != nil {
 			e.opts.OnBytes(int64(len(k)))
 		}
@@ -846,12 +862,16 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 		st.HandoffItems += sw.delivItems
 		st.RecycledBatches += sw.recycledB
 		st.Steals += sw.steals
-		n := int64(len(sw.seen) + len(sw.coll))
+		n, coll := int64(len(sw.seen)+len(sw.coll)), int64(len(sw.coll))
 		if e.sp != nil {
-			n += e.sp.tier.shardKeys(i)
+			// A checkpoint keeps what it persists in RAM, so RAM and runs
+			// overlap: a shard is its runs plus what it has not persisted
+			// (spillFinish adds the persisted collisions).
+			n = e.sp.tier.shardKeys(i) + int64(len(sw.newFP)+len(sw.newColl))
+			coll = int64(len(sw.newColl))
 		}
 		st.Census.Keys += n
-		st.Census.Collisions += int64(len(sw.coll))
+		st.Census.Collisions += coll
 		st.Census.Interned += sw.bytes
 		if i == 0 || n < st.Census.MinStripeKeys {
 			st.Census.MinStripeKeys = n

@@ -25,16 +25,18 @@ import (
 // (the same checksummed [len][type][payload][fingerprint] format as the
 // distributed wire protocol and its checkpoints):
 //
-//   - spillTier: the cold half of the visited set.  When a shard's
-//     interned key bytes exceed its hot budget, the owner flushes its
-//     whole RAM map to a sorted run file — entries ordered by
-//     (fingerprint, key), grouped into checksummed block frames, with an
-//     in-memory block index and a per-run bloom filter.  A membership
-//     probe that misses RAM walks the shard's runs newest-first: bloom
-//     test, binary search of the block index, one bounded checksum-
-//     verified block read into the shard's own buffer, and a scan of
-//     the block where it lies — no allocation.  When a shard accumulates
-//     too many runs they are stream-merged into one.
+//   - spillTier: the cold half of the visited set.  A shard owner
+//     writes the keys it admitted since its last write as one sorted run
+//     file — entries ordered by (fingerprint, key), grouped into
+//     checksummed block frames, with an in-memory block index and a
+//     per-run bloom filter — at every checkpoint cut (RAM keeps them)
+//     and when its interned key bytes exceed its hot budget (RAM is then
+//     dropped and the shard is cold).  Each key is written once.  Only a
+//     cold shard's RAM miss probes the runs, newest-first: bloom test,
+//     binary search of the block index, one bounded checksum-verified
+//     block read into the shard's own buffer, and a scan of the block
+//     where it lies — no allocation.  When a shard accumulates too many
+//     runs they are stream-merged into one.
 //   - spillQueue: the cold half of the frontier.  A worker whose pending
 //     queue runs deep spills the oldest half to a segment file (items
 //     encoded by the caller — the valency engine uses the compact
@@ -134,8 +136,9 @@ type SpillStats struct {
 	Bytes int64 `json:"bytes"`
 	// Runs is the number of live run files at the end of the run.
 	Runs int `json:"runs,omitempty"`
-	// Flushes counts shard RAM→disk evictions; Compactions counts run
-	// merges.
+	// Flushes counts run files written by evictions and checkpoint cuts
+	// (each holds the keys its shard admitted since its last write);
+	// Compactions counts run merges.
 	Flushes     int64 `json:"flushes,omitempty"`
 	Compactions int64 `json:"compactions,omitempty"`
 	// Lookups counts membership probes that consulted the disk tier;
@@ -290,8 +293,8 @@ func encodeRunHeader(shard int, gen, count int64) []byte {
 	return binary.AppendUvarint(b, uint64(count))
 }
 
-// flush writes entries (a shard's evicted RAM map) as a new sorted run
-// and registers it for lookups.  Entries must all belong to shard; the
+// flush writes entries (the keys a shard admitted since it last wrote)
+// as a new sorted run and registers it for lookups.  Entries must all belong to shard; the
 // slice is sorted in place.  On success the shard may be compacted.
 func (t *spillTier) flush(shard int, entries []spillEntry, collisions int64) error {
 	slices.SortFunc(entries, func(a, b spillEntry) int {
@@ -698,8 +701,9 @@ func (c *runCursor) advance(t *spillTier, sh *tierShard) error {
 }
 
 // compact merges all of shard's runs into one.  The runs are sorted and
-// their key sets disjoint (a key spills at most once: later probes find
-// it on disk and are never re-admitted), so the merge streams — one
+// their key sets disjoint (a key is written once, by the first eviction
+// or cut after its admission, and is never re-admitted), so the merge
+// streams — one
 // block cursor per run feeding the run writer, a block of memory per
 // run — and writes exactly the run a flush of the union would have.
 // The superseded files are deleted only after the next durable manifest

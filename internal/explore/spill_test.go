@@ -74,6 +74,13 @@ func spillCfg(dir string, fs frame.FS, ckptEvery int64) *explore.SpillConfig[uin
 	}
 }
 
+// capped bounds a spill run's admissions at twice the reference count.
+// A tier that re-admits visited keys then stops early with a count
+// mismatch, instead of exploring (and writing to disk) without end.
+func capped(ref explore.ShardedResult, cfg *explore.SpillConfig[uint64]) explore.ShardedOptions[uint64] {
+	return explore.ShardedOptions[uint64]{MaxItems: 2 * ref.Stats.Admitted, Spill: cfg}
+}
+
 // TestSpillDifferential: a run whose visited set and frontier live
 // mostly on disk must admit exactly the same state set as the all-RAM
 // run, and must actually have exercised the tier.
@@ -91,7 +98,7 @@ func TestSpillDifferential(t *testing.T) {
 			var mu sync.Mutex
 			seen := make(map[uint64]int)
 			cfg := spillCfg(t.TempDir(), nil, 0)
-			res := explore.RunSharded(workers, explore.ShardedOptions[uint64]{Spill: cfg}, g.roots(),
+			res := explore.RunSharded(workers, capped(ref, cfg), g.roots(),
 				func(ctx *explore.ShardCtx[uint64], id int64, s uint64) {
 					mu.Lock()
 					seen[s]++
@@ -159,14 +166,24 @@ func TestSpillCheckpointCleanFinish(t *testing.T) {
 // mid-flush, mid-compaction and mid-manifest — and requires that a
 // resume from the surviving state completes with exactly the reference
 // state count.  The kill epoch must report an honest error, never a
-// wrong verdict.
+// wrong verdict.  The hotBytes=0 rows are checkd's shape: no hot budget,
+// so only checkpoint cuts write runs and RAM keeps every key.
 func TestSpillKillResume(t *testing.T) {
 	g := spillGraph{n: 4000}
 	ref := g.run(1, explore.ShardedOptions[uint64]{})
+	testSpillKillResume(t, g, ref, 2<<10)
+	t.Run("hotBytes=0", func(t *testing.T) { testSpillKillResume(t, g, ref, 0) })
+}
 
+func testSpillKillResume(t *testing.T, g spillGraph, ref explore.ShardedResult, hot int64) {
+	cfg := func(dir string, fs frame.FS) *explore.SpillConfig[uint64] {
+		c := spillCfg(dir, fs, 256)
+		c.HotBytes = hot
+		return c
+	}
 	// Probe: count the disk operations of an undisturbed spill run.
 	probe := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
-	res := g.run(2, explore.ShardedOptions[uint64]{Spill: spillCfg(t.TempDir(), probe, 256)})
+	res := g.run(2, capped(ref, cfg(t.TempDir(), probe)))
 	if res.Err != nil {
 		t.Fatalf("probe run failed: %v", res.Err)
 	}
@@ -190,7 +207,7 @@ func TestSpillKillResume(t *testing.T) {
 			dir := t.TempDir()
 			chaos := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
 			chaos.KillAtOp(killAt)
-			res := g.run(2, explore.ShardedOptions[uint64]{Spill: spillCfg(dir, chaos, 256)})
+			res := g.run(2, capped(ref, cfg(dir, chaos)))
 			if res.Err == nil && res.Stats.Admitted != ref.Stats.Admitted {
 				t.Fatalf("killed run reported no error but admitted %d (ref %d)",
 					res.Stats.Admitted, ref.Stats.Admitted)
@@ -199,9 +216,9 @@ func TestSpillKillResume(t *testing.T) {
 				t.Fatal("failed run not marked incomplete")
 			}
 
-			cfg := spillCfg(dir, nil, 256)
-			cfg.Resume = true
-			res2 := g.run(2, explore.ShardedOptions[uint64]{Spill: cfg})
+			c := cfg(dir, nil)
+			c.Resume = true
+			res2 := g.run(2, capped(ref, c))
 			if res2.Err != nil {
 				t.Fatalf("resume failed: %v", res2.Err)
 			}
@@ -215,6 +232,66 @@ func TestSpillKillResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSpillCensusRetainedHotSet: with no hot budget a checkpoint persists
+// keys without dropping them from RAM, so a key lives in RAM and in a
+// run at once.  The census must count it once: keys, the stripe
+// envelope and collisions alike.
+func TestSpillCensusRetainedHotSet(t *testing.T) {
+	g := spillGraph{n: 4000}
+	ref := g.run(2, explore.ShardedOptions[uint64]{})
+	cfg := spillCfg(t.TempDir(), nil, 64)
+	cfg.HotBytes = 0
+	res := g.run(2, capped(ref, cfg))
+	st := res.Stats
+	if res.Err != nil || st.Incomplete || st.Admitted != ref.Stats.Admitted {
+		t.Fatalf("err=%v incomplete=%v admitted %d, want %d", res.Err, st.Incomplete, st.Admitted, ref.Stats.Admitted)
+	}
+	if st.Spill.Checkpoints == 0 || st.Spill.Keys == 0 || st.Spill.Flushes == 0 {
+		t.Fatalf("no cut persisted a key: %+v", st.Spill)
+	}
+	if st.Census.Keys != st.Admitted || st.Census != ref.Stats.Census {
+		t.Fatalf("census %+v, want the all-RAM run's %+v (admitted %d)", st.Census, ref.Stats.Census, st.Admitted)
+	}
+
+	t.Run("collisions", func(t *testing.T) {
+		// Every key claims one fingerprint, so all but the root live in the
+		// collision overflow; a cut after each admission persists them
+		// while RAM keeps them.
+		keys := []string{"alpha", "beta", "gamma", "delta"}
+		const fp = uint64(42)
+		cfg := &explore.SpillConfig[string]{
+			Dir:             t.TempDir(),
+			CheckpointEvery: 1,
+			Header:          []byte("spill_test collisions v1"),
+			Encode:          func(v string, buf []byte) []byte { return append(buf, v...) },
+			Decode:          func(p []byte) (string, error) { return string(p), nil },
+		}
+		want := int64(1 + len(keys))
+		res := explore.RunSharded(3, explore.ShardedOptions[string]{MaxItems: 2 * want, Spill: cfg},
+			[]explore.ShardSeed[string]{{FP: fp, Key: []byte("root"), Val: "root"}},
+			func(ctx *explore.ShardCtx[string], id int64, v string) {
+				if v != "root" {
+					return
+				}
+				for _, k := range keys {
+					kk := k
+					ctx.Emit(fp, []byte(k), id, func() string { return kk })
+				}
+			})
+		st := res.Stats
+		if res.Err != nil || st.Admitted != want {
+			t.Fatalf("err=%v admitted %d, want %d", res.Err, st.Admitted, want)
+		}
+		if st.Spill.Keys != want {
+			t.Fatalf("%d keys persisted, want all %d (the drill needs them in RAM and in runs)", st.Spill.Keys, want)
+		}
+		c := st.Census
+		if c.Keys != want || c.Collisions != int64(len(keys)) || c.MaxStripeKeys != want || c.MinStripeKeys != 0 {
+			t.Fatalf("census %+v, want %d keys, %d collisions, stripes 0..%d", c, want, len(keys), want)
+		}
+	})
 }
 
 // TestSpillFaultSoak: seeded disk chaos across many seeds.  Hard
@@ -241,7 +318,7 @@ func TestSpillFaultSoak(t *testing.T) {
 			ReadCorrupt: 3,
 		}
 		chaos := fault.NewDiskChaos(frame.OS{}, plan)
-		res := g.run(2, explore.ShardedOptions[uint64]{Spill: spillCfg(t.TempDir(), chaos, 200)})
+		res := g.run(2, capped(ref, spillCfg(t.TempDir(), chaos, 200)))
 		switch {
 		case res.Err == nil && !res.Stats.Incomplete:
 			if res.Stats.Admitted != ref.Stats.Admitted {
@@ -273,12 +350,12 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	dir := t.TempDir()
 	chaos := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
 	probe := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
-	res := g.run(1, explore.ShardedOptions[uint64]{Spill: spillCfg(t.TempDir(), probe, 256)})
+	res := g.run(1, capped(ref, spillCfg(t.TempDir(), probe, 256)))
 	if res.Err != nil {
 		t.Fatalf("probe: %v", res.Err)
 	}
 	chaos.KillAtOp(probe.Ops() / 2)
-	g.run(1, explore.ShardedOptions[uint64]{Spill: spillCfg(dir, chaos, 256)})
+	g.run(1, capped(ref, spillCfg(dir, chaos, 256)))
 	manifest := filepath.Join(dir, "MANIFEST")
 	orig, err := os.ReadFile(manifest)
 	if err != nil {
@@ -292,7 +369,7 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 			}
 			cfg := spillCfg(dir, nil, 256)
 			cfg.Resume = true
-			res := g.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
+			res := g.run(1, capped(ref, cfg))
 			if res.Err == nil {
 				t.Fatalf("resume accepted a %s manifest (admitted %d)", name, res.Stats.Admitted)
 			}
@@ -311,7 +388,7 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	}
 	cfg := spillCfg(dir, nil, 256)
 	cfg.Resume = true
-	res = g.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
+	res = g.run(1, capped(ref, cfg))
 	if res.Err != nil || res.Stats.Admitted != ref.Stats.Admitted {
 		t.Fatalf("pristine resume: err=%v admitted=%d want %d", res.Err, res.Stats.Admitted, ref.Stats.Admitted)
 	}
@@ -392,13 +469,13 @@ func testSpillResumeOtherBlockLayout(t *testing.T, per int) {
 	ref := g.run(1, explore.ShardedOptions[uint64]{})
 
 	probe := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
-	if res := g.run(1, explore.ShardedOptions[uint64]{Spill: spillCfg(t.TempDir(), probe, 256)}); res.Err != nil {
+	if res := g.run(1, capped(ref, spillCfg(t.TempDir(), probe, 256))); res.Err != nil {
 		t.Fatalf("probe: %v", res.Err)
 	}
 	dir := t.TempDir()
 	chaos := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
 	chaos.KillAtOp(probe.Ops() / 2)
-	g.run(1, explore.ShardedOptions[uint64]{Spill: spillCfg(dir, chaos, 256)})
+	g.run(1, capped(ref, spillCfg(dir, chaos, 256)))
 	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); err != nil {
 		t.Fatalf("no manifest survived the kill: %v", err)
 	}
@@ -414,7 +491,7 @@ func testSpillResumeOtherBlockLayout(t *testing.T, per int) {
 
 	cfg := spillCfg(dir, nil, 256)
 	cfg.Resume = true
-	res := g.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
+	res := g.run(1, capped(ref, cfg))
 	if res.Err != nil {
 		t.Fatalf("resume over rewritten runs failed: %v", res.Err)
 	}

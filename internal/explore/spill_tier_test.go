@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	iofs "io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -465,5 +466,119 @@ func testCompactionMatchesFlushOfUnion(t *testing.T, per int64) {
 	}
 	if re.bytes != ra.bytes || re.end != ra.end || !reflect.DeepEqual(re.blocks, ra.blocks) || !reflect.DeepEqual(re.bloom, ra.bloom) {
 		t.Fatal("reopened run's index differs from the one built while writing")
+	}
+}
+
+// TestSpillCheckpointPersistsOnce pins checkd's shape — checkpoints and
+// no hot budget — at the tier.  No RAM miss consults the disk, because a
+// shard that never evicted holds every key it admitted.  And the runs the
+// last manifest names hold each key admitted before that cut exactly
+// once: their counts sum to the cut's admission count, and their ids are
+// exactly 0 … that count − 1.
+func TestSpillCheckpointPersistsOnce(t *testing.T) {
+	const n = 4000
+	key := func(s uint64) []byte { return binary.BigEndian.AppendUint64(nil, s) }
+	roots := []ShardSeed[uint64]{{FP: frame.Fingerprint(key(0)), Key: key(0), Val: 0}}
+	expand := func(ctx *ShardCtx[uint64], id int64, s uint64) {
+		for _, nx := range [2]uint64{(s + 1) % n, (3*s + 7) % n} {
+			k := key(nx)
+			ctx.Emit(frame.Fingerprint(k), k, id, func() uint64 { return nx })
+		}
+	}
+	ref := RunSharded(2, ShardedOptions[uint64]{}, roots, expand)
+
+	dir := t.TempDir()
+	cfg := &SpillConfig[uint64]{
+		Dir:             dir,
+		CheckpointEvery: 256,
+		KeepFiles:       true,
+		Header:          []byte("spill_tier_test persist-once v1"),
+		Encode:          func(v uint64, buf []byte) []byte { return binary.BigEndian.AppendUint64(buf, v) },
+		Decode:          func(p []byte) (uint64, error) { return binary.BigEndian.Uint64(p), nil },
+	}
+	res := RunSharded(2, ShardedOptions[uint64]{MaxItems: 2 * ref.Stats.Admitted, Spill: cfg}, roots, expand)
+	st := res.Stats
+	if res.Err != nil || st.Incomplete || st.Admitted != ref.Stats.Admitted {
+		t.Fatalf("err=%v incomplete=%v admitted %d, want %d", res.Err, st.Incomplete, st.Admitted, ref.Stats.Admitted)
+	}
+	if st.Spill.Checkpoints < 2 {
+		t.Fatalf("%d checkpoints; the drill needs a cut after a cut", st.Spill.Checkpoints)
+	}
+	if st.Spill.Lookups != 0 {
+		t.Fatalf("%d disk-tier lookups in a run that never evicted", st.Spill.Lookups)
+	}
+
+	read := func(name string) (byte, []byte, *os.File) {
+		t.Helper()
+		f, err := os.Open(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := frame.Read(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return typ, payload, f
+	}
+	typ, payload, mf := read(manifestName)
+	mf.Close()
+	if typ != frameManifest {
+		t.Fatalf("manifest frame type %d", typ)
+	}
+	r := &spillReader{b: payload}
+	r.uvarint("version")
+	r.uvarint("job hash")
+	workers := r.uvarint("workers")
+	cut := int64(r.uvarint("next id"))
+	r.uvarint("processed")
+	r.uvarint("dedup")
+	r.uvarint("checkpoints")
+	ids := make(map[int64]bool)
+	var sum int64
+	for s := uint64(0); s < workers; s++ {
+		r.uvarint("shard gen")
+		nruns := r.uvarint("shard runs")
+		for i := uint64(0); i < nruns && r.fail == nil; i++ {
+			name := string(r.bytes("run name"))
+			count := int64(r.uvarint("run count"))
+			sum += count
+			_, _, f := read(name) // the header
+			var held int64
+			for {
+				typ, payload, err := frame.Read(f)
+				if err == io.EOF {
+					break
+				}
+				if err != nil || typ != frameRunBlock {
+					t.Fatalf("%s: block type %d err %v", name, typ, err)
+				}
+				blk, err := DecodeRunBlockRef(payload)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, e := range blk {
+					if ids[e.ID] {
+						t.Fatalf("id %d persisted twice (again in %s)", e.ID, name)
+					}
+					ids[e.ID] = true
+				}
+				held += int64(len(blk))
+			}
+			f.Close()
+			if held != count {
+				t.Fatalf("%s holds %d entries, manifest says %d", name, held, count)
+			}
+		}
+	}
+	if r.fail != nil {
+		t.Fatal(r.fail)
+	}
+	if sum != cut || int64(len(ids)) != cut {
+		t.Fatalf("manifest runs hold %d entries (%d distinct ids), cut admitted %d", sum, len(ids), cut)
+	}
+	for id := int64(0); id < cut; id++ {
+		if !ids[id] {
+			t.Fatalf("id %d admitted before the cut is in no run", id)
+		}
 	}
 }

@@ -32,7 +32,8 @@ type SpillConfig[T any] struct {
 	// HotBytes is the total interned key bytes the run keeps in RAM
 	// across all shards; a shard exceeding its 1/workers slice is
 	// evicted to a sorted run file.  <= 0 keeps the visited set in RAM
-	// (frontier spill and checkpointing still apply).
+	// (frontier spill and checkpointing still apply; a checkpoint copies
+	// new keys to disk without dropping them).
 	HotBytes int64
 	// HotFrontier is the per-worker pending-task count beyond which the
 	// oldest half of the public frontier spills to a segment file.
@@ -141,12 +142,12 @@ func (e *sharded[T]) diskFail(err error) {
 	sp.bar.mu.Unlock()
 }
 
-// tierLookup consults the disk tier for (fp, key) on a RAM miss.
-// found=false with err=nil means provably absent (admission may
-// proceed); err != nil means the tier cannot answer and the run is
+// tierLookup consults the disk tier for (fp, key) on a cold shard's
+// RAM miss.  found=false with err=nil means provably absent (admission
+// may proceed); err != nil means the tier cannot answer and the run is
 // already stopping.
 func (e *sharded[T]) tierLookup(w int, fp uint64, key []byte) (int64, bool, error) {
-	if e.sp == nil || e.sp.failed.Load() {
+	if e.sp.failed.Load() {
 		return 0, false, nil
 	}
 	id, found, err := e.sp.tier.lookup(w, fp, key)
@@ -157,43 +158,51 @@ func (e *sharded[T]) tierLookup(w int, fp uint64, key []byte) (int64, bool, erro
 	return id, found, nil
 }
 
-// maybeEvict flushes worker w's RAM shard to a run file when it exceeds
-// its hot budget.  Owner-only.
-func (e *sharded[T]) maybeEvict(w int) {
-	sp := e.sp
-	if sp == nil || sp.cfg.HotBytes <= 0 || sp.failed.Load() {
-		return
-	}
-	if e.ws[w].bytes < sp.hotShard {
-		return
-	}
-	e.evictShard(w)
-}
-
-// evictShard unconditionally flushes worker w's RAM maps to a sorted run
-// and clears them.  Owner-only (or world-parked).
-func (e *sharded[T]) evictShard(w int) {
+// persistNew writes the keys worker w's shard admitted since it last
+// persisted as one more sorted run.  It is the visited set's one write
+// path — eviction and checkpoint cuts both call it — so each key reaches
+// disk exactly once.  False means an unrecoverable fault: the run is
+// stopping.  Owner-only (or world-parked).
+func (e *sharded[T]) persistNew(w int) bool {
 	sp := e.sp
 	sw := &e.ws[w]
-	n := len(sw.seen) + len(sw.coll)
-	if n == 0 || sp.failed.Load() {
-		return
+	if sp.failed.Load() {
+		return false
 	}
-	entries := make([]spillEntry, 0, n)
-	for fp, ent := range sw.seen {
+	if len(sw.newFP)+len(sw.newColl) == 0 {
+		return true
+	}
+	entries := make([]spillEntry, 0, len(sw.newFP)+len(sw.newColl))
+	for _, fp := range sw.newFP {
+		ent := sw.seen[fp]
 		entries = append(entries, spillEntry{fp: fp, id: ent.id, key: ent.key})
 	}
-	for k, ce := range sw.coll {
+	for _, k := range sw.newColl {
+		ce := sw.coll[k]
 		entries = append(entries, spillEntry{fp: ce.fp, id: ce.id, key: k})
 	}
-	if err := sp.tier.flush(w, entries, int64(len(sw.coll))); err != nil {
+	if err := sp.tier.flush(w, entries, int64(len(sw.newColl))); err != nil {
 		e.diskFail(err)
+		return false
+	}
+	sw.newFP = sw.newFP[:0]
+	sw.newColl = nil
+	return true
+}
+
+// maybeEvict moves worker w's RAM shard to disk when it exceeds its hot
+// budget: it persists what is new, then drops RAM, and the shard is cold
+// from then on.  Owner-only.
+func (e *sharded[T]) maybeEvict(w int) {
+	sw := &e.ws[w]
+	if sw.bytes < e.sp.hotShard || !e.persistNew(w) {
 		return
 	}
 	freed := sw.bytes
 	clear(sw.seen)
 	sw.coll = nil
 	sw.bytes = 0
+	sw.cold = true
 	if e.opts.OnBytes != nil {
 		e.opts.OnBytes(-freed)
 	}
@@ -373,12 +382,13 @@ func (e *sharded[T]) workerExit() {
 }
 
 // doCheckpoint writes one consistent cut: partial hand-offs delivered
-// and drained, every RAM shard evicted to runs, the whole frontier
-// snapshotted to segments, and a manifest naming all of it written
-// atomically.  Resume from the manifest replays the run from exactly
-// this cut; everything the run does afterwards is discarded by a resume
-// (files the manifest does not name are deleted), so re-exploration
-// after a crash is idempotent.
+// and drained, the keys each shard admitted since its last write
+// persisted as one more run (RAM keeps them: a cut is incremental and
+// evicts nothing), the whole frontier snapshotted to segments, and a
+// manifest naming all of it written atomically.  Resume from the
+// manifest replays the run from exactly this cut; everything the run
+// does afterwards is discarded by a resume (files the manifest does not
+// name are deleted), so re-exploration after a crash is idempotent.
 func (e *sharded[T]) doCheckpoint() {
 	sp := e.sp
 	// 1. Settle in-flight hand-offs so every pending task is local.
@@ -393,11 +403,10 @@ func (e *sharded[T]) doCheckpoint() {
 	if e.stopped.Load() {
 		return
 	}
-	// 2. The visited set goes entirely to disk: the manifest's run list
-	// must cover every admitted key.
+	// 2. The manifest's run list must cover every admitted key: the runs
+	// already hold every key persisted before, so write just the rest.
 	for w := range e.ws {
-		e.evictShard(w)
-		if e.stopped.Load() {
+		if !e.persistNew(w) {
 			return
 		}
 	}
@@ -587,6 +596,8 @@ func (e *sharded[T]) tryResume() (bool, error) {
 			sh.runs = append(sh.runs, run)
 			referenced[name] = true
 		}
+		// The shard's keys are all on disk and none in RAM.
+		e.ws[s].cold = len(sh.runs) > 0
 	}
 	for w := range e.ws {
 		q := sp.qs[w]

@@ -24,6 +24,7 @@ func TestCheckSpillInterruptResume(t *testing.T) {
 		opts := valency.Options{
 			SpillDir:             dir,
 			SpillCheckpointEvery: 64,
+			MaxConfigs:           failFast(want),
 			Interrupt:            func() bool { return polls.Add(1) > after },
 		}
 		_, err := valency.CheckSpill(proto, inputs, opts)
@@ -66,8 +67,9 @@ func TestCheckSpillInterruptNeverFires(t *testing.T) {
 	inputs := []int64{1, 0}
 	want := valency.Check(proto, inputs, valency.Options{})
 	rep, err := valency.CheckSpill(proto, inputs, valency.Options{
-		SpillDir:  t.TempDir(),
-		Interrupt: func() bool { return false },
+		SpillDir:   t.TempDir(),
+		MaxConfigs: failFast(want),
+		Interrupt:  func() bool { return false },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,6 +89,7 @@ func TestCheckAllInputsSpillInterruptResume(t *testing.T) {
 	opts := valency.Options{
 		SpillDir:             dir,
 		SpillCheckpointEvery: 16,
+		MaxConfigs:           failFast(want),
 		Interrupt:            func() bool { return polls.Add(1) > 40 },
 	}
 	_, err := valency.CheckAllInputsSpill(proto, 2, opts)

@@ -44,6 +44,12 @@ func sameVerdict(t *testing.T, label string, got, want *valency.Report) {
 	}
 }
 
+// failFast caps a spill run that should reproduce ref's configuration
+// count at a small multiple of it.  A tier that re-admits visited keys
+// then ends in a quick count mismatch, instead of exploring (and writing
+// to disk) until the test times out.
+func failFast(ref *valency.Report) int { return 4 * ref.Configs }
+
 // TestCheckSpillDifferential: the disk-tiered engine returns the serial
 // engine's verdict — clean protocols and flawed ones, one worker and
 // several, with the hot tier squeezed enough to force disk traffic.
@@ -65,6 +71,9 @@ func TestCheckSpillDifferential(t *testing.T) {
 				Workers:   workers,
 				MemBudget: 1 << 10, // a few keys of hot tier: everything else on disk
 				SpillDir:  t.TempDir(),
+			}
+			if ref.Violation == nil {
+				opts.MaxConfigs = failFast(ref)
 			}
 			rep, err := valency.CheckSpill(tc.proto, tc.inputs, opts)
 			if err != nil {
@@ -101,7 +110,7 @@ func TestCheckSpillBeyondMemBudget(t *testing.T) {
 		t.Fatalf("MemBudget %d did not truncate the in-RAM run (%d configs); tighten it", memBudget, truncated.Configs)
 	}
 	spilled, err := valency.CheckSpill(proto, inputs, valency.Options{
-		MemBudget: memBudget, SpillDir: t.TempDir(),
+		MemBudget: memBudget, SpillDir: t.TempDir(), MaxConfigs: failFast(full),
 	})
 	if err != nil {
 		t.Fatalf("CheckSpill: %v", err)
@@ -123,6 +132,7 @@ func TestCheckAllInputsSpillCleansUp(t *testing.T) {
 	const workers = 4
 	rep, err := valency.CheckAllInputsSpill(proto, 2, valency.Options{
 		MemBudget: 1 << 10, SpillDir: dir, SpillCheckpointEvery: 64, Workers: workers,
+		MaxConfigs: failFast(ref),
 	})
 	if err != nil {
 		t.Fatalf("CheckAllInputsSpill: %v", err)
@@ -149,8 +159,8 @@ func TestCheckAllInputsSpillCleansUp(t *testing.T) {
 func TestCheckAllInputsSpillKillResume(t *testing.T) {
 	proto := protocol.NewCounterWalk(2)
 	const n = 2
-	baseOpts := valency.Options{MemBudget: 1 << 10, SpillCheckpointEvery: 32}
 	ref := valency.CheckAllInputs(proto, n, valency.Options{})
+	baseOpts := valency.Options{MemBudget: 1 << 10, SpillCheckpointEvery: 32, MaxConfigs: failFast(ref)}
 
 	// Probe: count the disk operations of an uninterrupted spill sweep.
 	probe := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
@@ -225,7 +235,7 @@ func TestCheckSpillFaultSoak(t *testing.T) {
 		})
 		rep, err := valency.CheckSpill(proto, inputs, valency.Options{
 			MemBudget: 1 << 10, SpillDir: t.TempDir(), SpillFS: chaos,
-			SpillCheckpointEvery: 64, Workers: 2,
+			SpillCheckpointEvery: 64, Workers: 2, MaxConfigs: failFast(ref),
 		})
 		if err != nil {
 			if rep != nil && rep.Complete {

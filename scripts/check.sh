@@ -74,12 +74,15 @@ stage="spill smoke (beyond-RAM engine)"
 # refused, never silently mixed in.  (-short trims the soak to 8
 # seeds under the ~10x race slowdown; the full 32-seed soak runs in
 # the non-race full-suite stage above.)  The explore-level kill,
-# compaction and corruption drills ride a second focused invocation.
+# compaction and corruption drills ride a second focused invocation,
+# with checkd's shape (checkpoints, no hot budget): its kill rows, a
+# census that counts a key held in RAM and in a run once, and cuts
+# that persist each key once and never probe the disk.
 go test -race -short -count=1 -timeout 15m \
 	-run 'TestCheckSpillBeyondMemBudget|TestCheckSpillFaultSoak|TestCheckAllInputsSpillKillResume|TestSpillRefusesDirtyDir' \
 	./internal/valency/
 go test -race -short -count=1 -timeout 10m \
-	-run 'TestSpillKillResume|TestSpillFaultSoak|TestSpillResumeRefusesCorruption|TestSpillCheckpointCleanFinish' \
+	-run 'TestSpillKillResume|TestSpillFaultSoak|TestSpillResumeRefusesCorruption|TestSpillCheckpointCleanFinish|TestSpillCensusRetainedHotSet|TestSpillCheckpointPersistsOnce' \
 	./internal/explore/
 # End-to-end CLI drill: a budget that truncates the in-RAM run must
 # complete exhaustively ("SAFE") through -spill-dir.
