@@ -152,6 +152,13 @@ func TestCheckAllInputsSpillCleansUp(t *testing.T) {
 	}
 }
 
+// killCuts are the disk operations TestCheckAllInputsSpillKillResume
+// kills its sweep at: one at the start and three spread over the ~3.8k
+// ops of the uninterrupted sweep, landing early, mid-vector and between
+// vectors.  They are fixed, not fractions of the probe's count, so a
+// change to how many ops the spill tier makes keeps the subtest names.
+var killCuts = []int64{2, 938, 1876, 2814}
+
 // TestCheckAllInputsSpillKillResume kills a sweep at several operation
 // counts — early, mid-vector, between vectors — and resumes each; the
 // killed run must degrade honestly and the resumed run must reproduce
@@ -171,11 +178,11 @@ func TestCheckAllInputsSpillKillResume(t *testing.T) {
 		t.Fatalf("probe sweep: %v", err)
 	}
 	total := probe.Ops()
-	if total < 8 {
-		t.Fatalf("probe sweep made only %d disk ops; the spill tier never engaged", total)
+	if last := killCuts[len(killCuts)-1]; total <= last {
+		t.Fatalf("probe sweep made only %d disk ops; the kill at op %d would never fire", total, last)
 	}
 
-	for _, cut := range []int64{2, total / 4, total / 2, 3 * total / 4} {
+	for _, cut := range killCuts {
 		t.Run(fmt.Sprintf("kill@%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			chaos := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{})
