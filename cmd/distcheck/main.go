@@ -82,8 +82,7 @@ func run(args []string) error {
 	resume := fs.Bool("resume", false, "coordinator: require resuming from -checkpoint (error if no snapshot exists)")
 	netTimeout := fs.Duration("net-timeout", 30*time.Second, "per-connection read/write deadline")
 	heartbeat := fs.Duration("heartbeat", time.Second, "coordinator ping interval; recovery latency scales with it")
-	deadAfter := fs.Duration("dead-after", 10*time.Second, "pong silence after which a worker is declared dead (slow/re-dispatch cutoffs derive from this)")
-	memBudget := fs.Int64("mem-budget", 0, "coordinator cap on retained visited-set key bytes, 0 = unlimited")
+	deadAfter := fs.Duration("dead-after", 10*time.Second, "pong silence after which a worker is declared dead and its batches re-queued (a worker stuck in a batch this long counts as dead)")
 	chaosSeed := fs.Uint64("chaos-net-seed", 0, "loopback: interpose a deterministic network-chaos proxy seeded with this value")
 	retry := fs.Int("retry", 0, "worker: consecutive failed connection attempts before giving up (default 30)")
 	workerID := fs.Uint64("worker-id", 0, "worker: stable identity announced on every reconnect (default random)")
@@ -101,6 +100,11 @@ func run(args []string) error {
 	ping := fs.String("ping", "", "client: probe a checkd daemon's health at this base URL")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *chaosSeed != 0 && *loopback <= 0 {
+		// The chaos proxy sits between in-process workers and their
+		// coordinator; no other mode has a wire it could interpose on.
+		return fmt.Errorf("-chaos-net-seed needs -loopback N")
 	}
 
 	if *ping != "" {
@@ -184,7 +188,6 @@ func run(args []string) error {
 		NetTimeout:     *netTimeout,
 		HeartbeatEvery: *heartbeat,
 		DeadAfter:      *deadAfter,
-		MemBudget:      *memBudget,
 		Interrupt:      intr,
 		Valency: valency.Options{
 			MaxConfigs: *budget,
@@ -313,9 +316,9 @@ func report(rep *valency.Report, job dist.Job, jsonOut bool, args []string) erro
 			s.Workers, s.Shards, s.Batches, s.RemoteItems, s.Recoveries, s.Checkpoints)
 		fmt.Printf("throughput: %.0f configs/s (%v); dedup hits %d, key bytes %d, shard keys min/max %d/%d\n",
 			s.Rate(rep.Configs), s.Elapsed.Round(1e6), s.DedupHits, s.KeyBytes, s.MinStripeKeys, s.MaxStripeKeys)
-		if r := s.Recovery; r != nil && (r.Reconnects+r.WorkerDeaths+r.Redispatches+r.CheckpointResumes+r.ChaosEvents > 0) {
-			fmt.Printf("recovery: %d reconnects, %d worker deaths, %d batches re-queued, %d speculative re-dispatches, %d checkpoint resumes",
-				r.Reconnects, r.WorkerDeaths, r.RequeuedBatches, r.Redispatches, r.CheckpointResumes)
+		if r := s.Recovery; r != nil && (r.Reconnects+r.WorkerDeaths+r.CheckpointResumes+r.ChaosEvents > 0) {
+			fmt.Printf("recovery: %d reconnects, %d worker deaths, %d batches re-queued, %d checkpoint resumes",
+				r.Reconnects, r.WorkerDeaths, r.RequeuedBatches, r.CheckpointResumes)
 			if r.ChaosSeed != 0 {
 				fmt.Printf("; %d chaos events (seed %d)", r.ChaosEvents, r.ChaosSeed)
 			}

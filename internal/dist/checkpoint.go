@@ -37,7 +37,10 @@ const msgCheckpoint byte = 0x43
 
 // Version 2 added the vector's violated flag (a checkpoint is written
 // the moment a violation is seen, so a killed coordinator re-reports
-// instead of re-exploring) and the full recovery counter block.
+// instead of re-exploring) and the full recovery counter block.  Two of
+// that block's slots held counters of recovery paths since retired
+// (speculative re-dispatches, memory-backpressure pauses); they are
+// written as 0 and skipped on read, so older snapshots still resume.
 const checkpointVersion = 2
 
 // jobHash fingerprints everything that determines the exploration
@@ -77,10 +80,10 @@ func (co *coord) encodeCheckpoint() []byte {
 	b = putUvarint(b, uint64(co.rec.Reconnects))
 	b = putUvarint(b, uint64(co.rec.WorkerDeaths))
 	b = putUvarint(b, uint64(co.rec.RequeuedBatches))
-	b = putUvarint(b, uint64(co.rec.Redispatches))
+	b = putUvarint(b, 0) // retired slot
 	b = putUvarint(b, uint64(co.rec.CheckpointResumes))
 	b = putUvarint(b, uint64(co.rec.CheckpointsWritten))
-	b = putUvarint(b, uint64(co.rec.MemPauses))
+	b = putUvarint(b, 0) // retired slot
 
 	// Current vector.
 	v := co.vec
@@ -159,10 +162,10 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	co.rec.Reconnects = int64(r.uvarint("ckpt reconnects"))
 	co.rec.WorkerDeaths = int64(r.uvarint("ckpt worker deaths"))
 	co.rec.RequeuedBatches = int64(r.uvarint("ckpt requeued"))
-	co.rec.Redispatches = int64(r.uvarint("ckpt redispatches"))
+	r.uvarint("ckpt retired slot")
 	co.rec.CheckpointResumes = int64(r.uvarint("ckpt resumes"))
 	co.rec.CheckpointsWritten = int64(r.uvarint("ckpt checkpoints"))
-	co.rec.MemPauses = int64(r.uvarint("ckpt mem pauses"))
+	r.uvarint("ckpt retired slot")
 
 	ni := r.uvarint("ckpt inputs len")
 	inputs := make([]int64, 0, ni)

@@ -83,7 +83,6 @@ type batch struct {
 	id     int64
 	worker int // slot of the current assignee
 	items  []item
-	sent   time.Time
 }
 
 // shardMirror is the authoritative visited set of one fingerprint
@@ -138,7 +137,6 @@ type coord struct {
 	batches    int64
 	curJob     []byte    // encoded jobMsg while a vector runs; joins mid-vector replay it
 	graceUntil time.Time // zero-worker rejoin deadline; zero while any worker lives
-	memPaused  bool      // inside a memory-backpressure episode
 	started    time.Time
 }
 
@@ -588,19 +586,18 @@ func (co *coord) handle(ev event) {
 			return
 		}
 		if dm.Epoch != co.epoch {
-			// The worker computed this batch against a stale job — its
-			// JOB frame for the current vector was dropped or reordered
-			// by the network, so these emits are keys from the *wrong
-			// input vector's* state space and must never be admitted.
-			// Kill the connection: the rejoin re-sends the current job,
-			// and the batch re-queues with the rest of its in-flight.
-			co.markDead(w, fmt.Errorf("dist: worker %d acked epoch %d during epoch %d (missed job frame)", w.slot, dm.Epoch, co.epoch))
+			// An ack computed against another vector's job — a repeated
+			// frame from before the vector changed — carries keys from
+			// the *wrong input vector's* state space and must never be
+			// admitted.  Kill the connection: the rejoin re-sends the
+			// current job, and its in-flight batches re-queue.
+			co.markDead(w, fmt.Errorf("dist: worker %d acked epoch %d during epoch %d (frame from another vector)", w.slot, dm.Epoch, co.epoch))
 			return
 		}
 		b, ok := co.inflight[dm.ID]
 		if !ok || b.worker != w.slot {
-			// A late or duplicated ack of a batch that was re-dispatched
-			// (or belongs to an earlier vector): only the current
+			// An ack of a batch this connection does not hold — a
+			// repeated frame, or a stray id: only the current
 			// assignee's ack retires a batch, everything else is noise.
 			return
 		}
@@ -618,7 +615,7 @@ func (co *coord) handle(ev event) {
 
 // applyDone folds one batch's atomic effect set into the vector state:
 // union decisions, record every emit's edge, admit the new keys, queue
-// admitted items (unless the config or memory budget is spent).
+// admitted items (unless the config budget is spent).
 func (co *coord) applyDone(dm doneMsg) {
 	v := co.vec
 	v.generated += dm.Generated
@@ -636,38 +633,13 @@ func (co *coord) applyDone(dm doneMsg) {
 		if !added {
 			continue
 		}
-		if total > budget || co.overMem() {
+		if total > budget {
 			v.incomplete = true
 			continue
 		}
 		v.remote++
 		co.enqueue(item{gid: gid, sched: e.sched})
 	}
-}
-
-// overMem reports whether the retained mirror key bytes crossed
-// Options.MemBudget — the hard admission stop.
-func (co *coord) overMem() bool {
-	return co.opts.MemBudget > 0 && co.vec.keyBytes >= co.opts.MemBudget
-}
-
-// effectiveInflight is the per-worker in-flight cap after memory
-// backpressure: past 3/4 of MemBudget dispatch clamps to one batch per
-// worker, trading throughput for a bounded emit backlog while the
-// mirror is near its cap.
-func (co *coord) effectiveInflight() int {
-	if co.opts.MemBudget <= 0 || co.vec == nil {
-		return maxInflight
-	}
-	if co.vec.keyBytes >= co.opts.MemBudget*3/4 {
-		if !co.memPaused {
-			co.memPaused = true
-			co.rec.MemPauses++
-		}
-		return 1
-	}
-	co.memPaused = false
-	return maxInflight
 }
 
 // pump dispatches queued items, preferring each shard's owner but
@@ -677,12 +649,10 @@ func (co *coord) pump() {
 	if co.vec == nil || co.vec.violated {
 		return
 	}
-	maxIn := co.effectiveInflight()
-	slowCut := time.Now().Add(-co.opts.slowAfter())
 	for s := 0; s < co.S; s++ {
 		q := co.vec.queues[s]
 		for len(q) > 0 {
-			w := co.pick(co.owner[s], maxIn, slowCut)
+			w := co.pick(co.owner[s])
 			if w == nil {
 				break
 			}
@@ -691,7 +661,7 @@ func (co *coord) pump() {
 				n = batchSize
 			}
 			co.nextBatch++
-			b := &batch{id: co.nextBatch, worker: w.slot, items: q[:n:n], sent: time.Now()}
+			b := &batch{id: co.nextBatch, worker: w.slot, items: q[:n:n]}
 			q = q[n:]
 			co.vec.queuedLen -= n
 			co.inflight[b.id] = b
@@ -702,27 +672,19 @@ func (co *coord) pump() {
 	}
 }
 
-// pick chooses a dispatch target: the shard owner when alive, under its
-// cap and recently heard from; else any responsive worker with
-// capacity; else a slow one (progress beats placement); nil when every
+// pick chooses a dispatch target: the shard owner when it is alive and
+// under its cap, else any live worker with capacity; nil when every
 // live worker is saturated.
-func (co *coord) pick(owner, maxIn int, slowCut time.Time) *wconn {
-	if w := co.workers[owner]; !w.dead && w.inflight < maxIn && !w.lastPong.Before(slowCut) {
+func (co *coord) pick(owner int) *wconn {
+	if w := co.workers[owner]; !w.dead && w.inflight < maxInflight {
 		return w
 	}
-	var slow *wconn
 	for _, c := range co.workers {
-		if c.dead || c.inflight >= maxIn {
-			continue
-		}
-		if !c.lastPong.Before(slowCut) {
+		if !c.dead && c.inflight < maxInflight {
 			return c
 		}
-		if slow == nil {
-			slow = c
-		}
 	}
-	return slow
+	return nil
 }
 
 // markDead declares a connection lost: its in-flight batches are
@@ -754,9 +716,11 @@ func (co *coord) markDead(w *wconn, cause error) {
 	_ = cause // deaths are expected events, not errors; cause aids debugging
 }
 
+// heartbeat pings every live worker and buries the ones silent past
+// DeadAfter — dead, or stuck in a batch, which the coordinator cannot
+// tell apart and need not: either way the batches re-queue.
 func (co *coord) heartbeat() {
-	now := time.Now()
-	deadline := now.Add(-co.opts.deadAfter())
+	deadline := time.Now().Add(-co.opts.deadAfter())
 	for _, w := range co.workers {
 		if w.dead {
 			continue
@@ -767,34 +731,6 @@ func (co *coord) heartbeat() {
 		}
 		co.nextPing++
 		co.send(w, msgPing, putUvarint(nil, co.nextPing))
-	}
-	co.redispatchStale(now)
-}
-
-// redispatchStale speculatively re-queues in-flight batches whose owner
-// has gone quiet past SlowAfter, or that have simply aged past
-// BatchTimeout (a BATCH or DONE frame lost on the wire looks exactly
-// like this).  Re-processing is idempotent against the mirror, so a
-// duplicate completion costs telemetry, never correctness; the stale
-// assignee's eventual ack no longer matches and is dropped.
-func (co *coord) redispatchStale(now time.Time) {
-	if co.vec == nil || co.vec.violated {
-		return
-	}
-	slowCut := now.Add(-co.opts.slowAfter())
-	ageCut := now.Add(-co.opts.batchTimeout())
-	for id, b := range co.inflight {
-		w := co.workers[b.worker]
-		stale := b.sent.Before(ageCut) || (!w.dead && w.lastPong.Before(slowCut))
-		if !stale {
-			continue
-		}
-		delete(co.inflight, id)
-		w.inflight--
-		co.rec.Redispatches++
-		for _, it := range b.items {
-			co.enqueue(it)
-		}
 	}
 }
 

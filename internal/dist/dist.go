@@ -41,6 +41,14 @@
 // restarted coordinator resumes from the snapshot and finishes with the
 // same verdict.  Worker-loss recovery is the in-memory special case of
 // the same idea: the mirror is the source of truth, workers are cache.
+//
+// The failure model is TCP's: frames on a connection arrive in order or
+// the connection dies, so a frame is lost only with its connection.
+// Every recovery path starts from a dead connection — an I/O error, a
+// checksum failure, or a worker silent past DeadAfter — and re-queues
+// that connection's unacknowledged batches.  The epoch and stale-ack
+// guards remain, because a peer or proxy may still reorder or repeat
+// whole frames, and network input is validated, never trusted.
 package dist
 
 import (
@@ -82,7 +90,9 @@ type Options struct {
 	CheckpointEvery int
 	// HeartbeatEvery is the ping interval (default 1s); a worker whose
 	// last pong is older than DeadAfter (default 10s) is declared dead
-	// even if its connection has not errored.
+	// even if its connection has not errored.  A worker answers pings
+	// only between batches, so one stuck in a batch past DeadAfter is
+	// treated exactly like a dead one: its batches re-queue.
 	HeartbeatEvery time.Duration
 	DeadAfter      time.Duration
 	// AbortAfterBatches, when positive, makes the coordinator write a
@@ -106,22 +116,6 @@ type Options struct {
 	// (default 15s).  A checkpoint is written the moment the last
 	// worker drops, so even expiry loses at most the in-flight work.
 	RejoinGrace time.Duration
-	// SlowAfter is the pong-silence window after which a live worker is
-	// treated as slow: its queued shards dispatch to responsive peers
-	// and its in-flight batches are speculatively re-dispatched
-	// (default DeadAfter/2).  Duplicate completions are harmless —
-	// effects are idempotent against the mirror.
-	SlowAfter time.Duration
-	// BatchTimeout re-dispatches any batch unacknowledged for this long
-	// even if its owner still pongs (default DeadAfter) — the recovery
-	// path for a single BATCH or DONE frame lost on the wire.
-	BatchTimeout time.Duration
-	// MemBudget, when positive, caps the coordinator's retained mirror
-	// key bytes: past 3/4 of the budget dispatch backpressure clamps
-	// in-flight batches, and past the budget admission stops and the
-	// report is marked incomplete — the distributed analogue of
-	// valency.Options.MemBudget.
-	MemBudget int64
 }
 
 // ErrAborted reports an induced abort (Options.AbortAfterBatches): the
@@ -141,7 +135,7 @@ var ErrAllWorkersLost = errors.New("dist: all workers lost")
 const batchSize = 128
 
 // maxInflight caps unacknowledged batches per worker, bounding both the
-// re-dispatch cost of a worker loss and the coordinator's outbound
+// re-queue cost of a worker loss and the coordinator's outbound
 // buffering.
 const maxInflight = 2
 
@@ -185,20 +179,6 @@ func (o Options) rejoinGrace() time.Duration {
 		return 15 * time.Second
 	}
 	return o.RejoinGrace
-}
-
-func (o Options) slowAfter() time.Duration {
-	if o.SlowAfter <= 0 {
-		return o.deadAfter() / 2
-	}
-	return o.SlowAfter
-}
-
-func (o Options) batchTimeout() time.Duration {
-	if o.BatchTimeout <= 0 {
-		return o.deadAfter()
-	}
-	return o.BatchTimeout
 }
 
 // gid packing: a key admitted to shard s as that shard's k-th key has

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"randsync/internal/fault"
 	"randsync/internal/valency"
@@ -32,21 +33,23 @@ type LoopbackConfig struct {
 	Hooks []func(batchID int64)
 	// ChaosSeed, when non-zero, interposes a deterministic
 	// fault.NetProxy between the workers and the coordinator: every
-	// worker connection is subjected to the seeded chaos plan (drops,
-	// delays, duplicates, reorders, truncations, cuts).  The same seed
+	// worker connection is subjected to the seeded chaos plan (delays,
+	// duplicates, reorders, truncations, cuts).  The same seed
 	// over the same job reproduces the same chaos decision sequences.
 	ChaosSeed uint64
 	// ChaosPlan is the event mix; the zero value selects
 	// fault.DefaultNetPlan().  Ignored when ChaosSeed is zero.
 	ChaosPlan fault.NetPlanOptions
-	// Worker is the template for every worker's options: Hook, ID and
-	// Done are filled in per worker (IDs are 1..Workers unless the
-	// template carries a non-zero ID base).  Loopback workers default
-	// to a fast retry schedule (5ms base, 250ms cap) and effectively
-	// unbounded attempts, since the coordinator is in-process and a
-	// retry loop should never be the reason a test hangs.
-	Worker WorkerOptions
 }
+
+// Loopback workers (IDs 1..Workers) retry on a fast schedule with
+// effectively unbounded attempts: the coordinator is in-process, so a
+// retry loop should never be the reason a run hangs.
+const (
+	loopbackAttempts    = 1 << 20
+	loopbackBaseBackoff = 5 * time.Millisecond
+	loopbackMaxBackoff  = 250 * time.Millisecond
+)
 
 // LoopbackChaos is Loopback with reconnect-grade worker options and an
 // optional deterministic network-chaos proxy on the wire.  When chaos
@@ -83,20 +86,15 @@ func LoopbackChaos(cfg LoopbackConfig, job Job, opts Options) (*valency.Report, 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
-		wopts := cfg.Worker
+		wopts := WorkerOptions{
+			ID:          uint64(i + 1),
+			Done:        done,
+			MaxAttempts: loopbackAttempts,
+			BaseBackoff: loopbackBaseBackoff,
+			MaxBackoff:  loopbackMaxBackoff,
+		}
 		if i < len(cfg.Hooks) {
 			wopts.Hook = cfg.Hooks[i]
-		}
-		wopts.ID += uint64(i + 1)
-		wopts.Done = done
-		if wopts.MaxAttempts == 0 {
-			wopts.MaxAttempts = 1 << 20
-		}
-		if wopts.BaseBackoff == 0 {
-			wopts.BaseBackoff = 5e6 // 5ms
-		}
-		if wopts.MaxBackoff == 0 {
-			wopts.MaxBackoff = 250e6 // 250ms
 		}
 		wg.Add(1)
 		go func() {

@@ -29,11 +29,9 @@ type WorkerOptions struct {
 	// ID is the worker's stable identity, announced in every HELLO so
 	// the coordinator treats a re-handshake as a rejoin of the same
 	// peer, not a new one.  Zero picks a random identity at Work start;
-	// distinct workers must use distinct identities.
+	// distinct workers must use distinct identities.  It also seeds the
+	// backoff jitter, so a worker's retry schedule is reproducible.
 	ID uint64
-	// ReconnectSeed seeds the backoff jitter, making the retry schedule
-	// reproducible under a fixed seed (default: derived from ID).
-	ReconnectSeed uint64
 	// MaxAttempts caps consecutive failed connection attempts before
 	// Work gives up (default 30).  A session that gets as far as a job
 	// resets the counter: only a coordinator that stays unreachable
@@ -113,11 +111,7 @@ func Work(addr string, opts WorkerOptions) error {
 	if opts.ID == 0 {
 		opts.ID = randomID()
 	}
-	seed := opts.ReconnectSeed
-	if seed == 0 {
-		seed = opts.ID
-	}
-	rng := rand.New(rand.NewPCG(seed, 0xbacc0ff))
+	rng := rand.New(rand.NewPCG(opts.ID, 0xbacc0ff))
 	attempts := 0
 	var lastErr error
 	for {
@@ -227,8 +221,8 @@ func serveWorker(conn net.Conn, opts WorkerOptions) (progressed bool, err error)
 				return progressed, err
 			}
 			if bm.Epoch > st.epoch {
-				// The batch's JOB frame was dropped or is still stuck
-				// behind it: processing against the loaded (older) vector
+				// The batch overtook its JOB frame (reordered on the
+				// wire): processing against the loaded (older) vector
 				// would explore the wrong state space.  Error the session;
 				// the rejoin gets the current job re-sent first.
 				return progressed, fmt.Errorf("dist: batch epoch %d overtook job epoch %d", bm.Epoch, st.epoch)

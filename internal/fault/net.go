@@ -16,10 +16,12 @@ import (
 // protocols, NetChaos perturbs the frames of a length-prefixed wire
 // protocol (internal/dist's [4B len][body] framing): a NetProxy sits
 // between client and server as a man-in-the-middle and, per frame,
-// decides from a seeded RNG whether to drop it, delay it, duplicate it,
-// reorder it with its successor, truncate it mid-frame (tearing the
+// decides from a seeded RNG whether to delay it, duplicate it, reorder
+// it with its successor, truncate it mid-frame (tearing the
 // connection), or — on a fixed deterministic cadence — cut the
-// connection cleanly.
+// connection cleanly.  It never loses a frame on a connection that
+// lives on: that is the one fault TCP cannot produce, and the cluster
+// it exercises assumes as much.
 //
 // Determinism: every proxied connection carries two streams (client→
 // server, server→client), and each stream's decision sequence is a pure
@@ -34,10 +36,8 @@ import (
 type NetKind uint8
 
 const (
-	// NetDrop silently discards one frame (the connection lives on).
-	NetDrop NetKind = iota
 	// NetDelay holds one frame back for a bounded interval.
-	NetDelay
+	NetDelay NetKind = iota
 	// NetDup forwards one frame twice.
 	NetDup
 	// NetReorder swaps one frame with its successor on the same stream.
@@ -53,8 +53,6 @@ const (
 // String implements fmt.Stringer.
 func (k NetKind) String() string {
 	switch k {
-	case NetDrop:
-		return "drop"
 	case NetDelay:
 		return "delay"
 	case NetDup:
@@ -73,8 +71,6 @@ func (k NetKind) String() string {
 // are per mille (0–1000) and drawn from a single roll per frame, so at
 // most one event fires per frame; the zero value injects nothing.
 type NetPlanOptions struct {
-	// DropPerMille is the probability (‰) of discarding a frame.
-	DropPerMille int
 	// DelayPerMille is the probability (‰) of delaying a frame by up to
 	// MaxDelay.
 	DelayPerMille int
@@ -104,7 +100,7 @@ func (o NetPlanOptions) maxDelay() time.Duration {
 
 // rate clamps the summed per-frame event probability at 500‰ so chaos
 // can never starve a stream of all progress.
-func (o NetPlanOptions) thresholds() (drop, delay, dup, reorder, trunc int) {
+func (o NetPlanOptions) thresholds() (delay, dup, reorder, trunc int) {
 	clamp := func(v int) int {
 		if v < 0 {
 			return 0
@@ -114,23 +110,22 @@ func (o NetPlanOptions) thresholds() (drop, delay, dup, reorder, trunc int) {
 		}
 		return v
 	}
-	drop = clamp(o.DropPerMille)
-	delay = drop + clamp(o.DelayPerMille)
+	delay = clamp(o.DelayPerMille)
 	dup = delay + clamp(o.DupPerMille)
 	reorder = dup + clamp(o.ReorderPerMille)
 	trunc = reorder + clamp(o.TruncatePerMille)
 	if trunc > 500 {
 		scale := func(v int) int { return v * 500 / trunc }
-		drop, delay, dup, reorder, trunc = scale(drop), scale(delay), scale(dup), scale(reorder), scale(trunc)
+		delay, dup, reorder, trunc = scale(delay), scale(dup), scale(reorder), scale(trunc)
 	}
 	return
 }
 
-// DefaultNetPlan is the soak-test mix: every chaos kind fires, none
-// often enough to stall the run (≈6% of frames see an event).
+// DefaultNetPlan is the soak-test mix: every per-frame chaos kind
+// fires, none often enough to stall the run (≈5% of frames see an
+// event).
 func DefaultNetPlan() NetPlanOptions {
 	return NetPlanOptions{
-		DropPerMille:     15,
 		DelayPerMille:    25,
 		DupPerMille:      10,
 		ReorderPerMille:  10,
@@ -146,7 +141,7 @@ type NetChaos struct {
 	seed uint64
 	opts NetPlanOptions
 
-	events [6]atomic.Int64 // indexed by NetKind
+	events [NetCut + 1]atomic.Int64 // indexed by NetKind
 	total  atomic.Int64
 
 	mu       sync.Mutex
@@ -242,7 +237,7 @@ func (s *netStream) decide(frameLen int) netDecision {
 		s.chaos.record(NetCut, s.label, s.frames)
 		return netDecision{kind: NetCut, fire: true}
 	}
-	drop, delay, dup, reorder, trunc := o.thresholds()
+	delay, dup, reorder, trunc := o.thresholds()
 	roll := s.rng.IntN(1000)
 	// Burn one extra draw unconditionally so delay durations and
 	// truncate points stay aligned in the stream no matter which branch
@@ -250,9 +245,6 @@ func (s *netStream) decide(frameLen int) netDecision {
 	// index, not of prior outcomes.
 	aux := s.rng.Int64N(1 << 30)
 	switch {
-	case roll < drop:
-		s.chaos.record(NetDrop, s.label, s.frames)
-		return netDecision{kind: NetDrop, fire: true}
 	case roll < delay:
 		d := time.Duration(aux)%o.maxDelay() + time.Millisecond/20
 		s.chaos.record(NetDelay, s.label, s.frames)
@@ -333,15 +325,6 @@ func NewNetProxy(target string, chaos *NetChaos) (*NetProxy, error) {
 // of the real target.
 func (p *NetProxy) Addr() string { return p.ln.Addr().String() }
 
-// Retarget points the proxy at a new target address; existing
-// connections are unaffected (they die with the old target).  Used when
-// a restarted coordinator comes back on a fresh port.
-func (p *NetProxy) Retarget(target string) {
-	p.mu.Lock()
-	p.target = target
-	p.mu.Unlock()
-}
-
 // Close stops accepting and tears down every proxied connection.
 func (p *NetProxy) Close() error {
 	p.mu.Lock()
@@ -394,10 +377,7 @@ func (p *NetProxy) serve(client net.Conn) {
 	defer p.untrack(client)
 	defer client.Close()
 
-	p.mu.Lock()
-	target := p.target
-	p.mu.Unlock()
-	server, err := net.DialTimeout("tcp", target, 5*time.Second)
+	server, err := net.DialTimeout("tcp", p.target, 5*time.Second)
 	if err != nil {
 		return // target down: the client sees a prompt close and backs off
 	}
@@ -474,8 +454,6 @@ func (p *NetProxy) pump(dst, src net.Conn, s *netStream, prime []byte) {
 			switch d.kind {
 			case NetCut:
 				return
-			case NetDrop:
-				continue
 			case NetDelay:
 				time.Sleep(d.delay)
 				// fall through to a normal forward below

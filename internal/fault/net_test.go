@@ -162,9 +162,9 @@ func TestNetProxyCutEvery(t *testing.T) {
 	}
 }
 
-// TestNetProxyDropsAndCounts: a drop-heavy plan loses frames and the
-// counters say so.
-func TestNetProxyDropsAndCounts(t *testing.T) {
+// TestNetProxyDupsAndCounts: a duplicate-heavy plan repeats frames and
+// the counters say so.
+func TestNetProxyDupsAndCounts(t *testing.T) {
 	// Counting sink: tallies frames received.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -188,7 +188,7 @@ func TestNetProxyDropsAndCounts(t *testing.T) {
 		}
 	}()
 
-	chaos := NewNetChaos(9, NetPlanOptions{DropPerMille: 400})
+	chaos := NewNetChaos(9, NetPlanOptions{DupPerMille: 400})
 	p, err := NewNetProxy(ln.Addr().String(), chaos)
 	if err != nil {
 		t.Fatal(err)
@@ -207,14 +207,14 @@ func TestNetProxyDropsAndCounts(t *testing.T) {
 	}
 	conn.Close()
 	got := <-received
-	if got >= sent {
-		t.Fatalf("no frames dropped: sent %d, received %d", sent, got)
+	if got <= sent {
+		t.Fatalf("no frames duplicated: sent %d, received %d", sent, got)
 	}
-	if chaos.Count(NetDrop) == 0 || chaos.Events() == 0 {
-		t.Fatalf("drops not counted: %d events", chaos.Events())
+	if chaos.Count(NetDup) == 0 || chaos.Events() == 0 {
+		t.Fatalf("dups not counted: %d events", chaos.Events())
 	}
-	if int64(sent-got) != chaos.Count(NetDrop) {
-		t.Fatalf("received %d of %d but counted %d drops", got, sent, chaos.Count(NetDrop))
+	if int64(got-sent) != chaos.Count(NetDup) {
+		t.Fatalf("received %d of %d but counted %d dups", got, sent, chaos.Count(NetDup))
 	}
 	if len(chaos.Log()) == 0 {
 		t.Fatal("event log empty")

@@ -94,21 +94,13 @@ type RecoveryStats struct {
 	// heartbeat timeout, or outbound stall).
 	WorkerDeaths int64 `json:"worker_deaths"`
 	// RequeuedBatches counts in-flight batches returned to the dispatch
-	// queue after their owner died.
+	// queue after their owner died (or sat in a batch past DeadAfter).
 	RequeuedBatches int64 `json:"requeued_batches"`
-	// Redispatches counts speculative re-assignments of batches whose
-	// owner went slow (missed heartbeats) or whose ack timed out —
-	// idempotent reprocessing makes the possible duplicate safe.
-	Redispatches int64 `json:"speculative_redispatches"`
 	// CheckpointResumes counts coordinator restarts that reloaded a
 	// verified checkpoint instead of starting over.
 	CheckpointResumes int64 `json:"checkpoint_resumes"`
 	// CheckpointsWritten counts durable (fsync'd) snapshots written.
 	CheckpointsWritten int64 `json:"checkpoints_written"`
-	// MemPauses counts memory-backpressure episodes: stretches during
-	// which the watchdog clamped batch dispatch because the retained
-	// key bytes neared the memory budget.
-	MemPauses int64 `json:"mem_pauses,omitempty"`
 	// ChaosEvents counts wire-chaos events fired by the harness
 	// (fault.NetChaos), 0 outside chaos runs.
 	ChaosEvents int64 `json:"chaos_events,omitempty"`

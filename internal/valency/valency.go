@@ -96,9 +96,8 @@ type Options struct {
 	// keys plus the frontier — the serial engine's DFS path, or the
 	// parallel engines' pending configuration clones.  Beyond it the
 	// report is marked incomplete, exactly like an exhausted MaxConfigs.
-	// 0 means unlimited.  The distributed coordinator enforces the same
-	// cap on its shard mirrors and additionally applies dispatch
-	// backpressure as the budget approaches (see internal/dist).
+	// 0 means unlimited.  The distributed engine (internal/dist) ignores
+	// it: beyond-RAM checking is the disk-tiered engine's job.
 	//
 	// Under the disk-tiered engine (CheckSpill / SpillDir) the budget
 	// changes meaning: it sets the hot (RAM) share of the visited set,
@@ -157,7 +156,8 @@ type Options struct {
 
 // Budget returns the effective configuration budget (MaxConfigs with its
 // default applied).  Exported for engine embedders such as the
-// distributed cluster, which enforce it per worker and globally.
+// distributed cluster, whose coordinator enforces it once, globally,
+// at admission.
 func (o Options) Budget() int {
 	if o.MaxConfigs <= 0 {
 		return 1 << 20

@@ -36,10 +36,11 @@ stage="dist loopback smoke"
 go run ./cmd/distcheck -loopback 2 -shards 8 -protocol counter-walk -n 2 -all | grep -q "SAFE"
 stage="dist-chaos smoke"
 # Self-healing smoke: the same cluster behind the deterministic
-# network-chaos proxy (seeded drops, delays, duplicates, reorders,
-# truncations, cuts) must still report SAFE.  The recovery clocks are
-# tuned down so dropped frames cost milliseconds, not the production
-# 10s timeouts; the seed makes a failure reproducible verbatim.  The
+# network-chaos proxy (seeded delays, duplicates, reorders,
+# truncations, cuts) must still report SAFE.  A frame is lost only with
+# its connection; the heartbeat is tuned down so a frame the proxy
+# holds back for a reorder is released by the next ping within
+# milliseconds, and the seed makes a failure reproducible verbatim.  The
 # worker-kill-under-chaos and coordinator-kill + checkpoint-resume
 # drills then run as their dedicated differential tests.
 go run ./cmd/distcheck -loopback 3 -shards 8 -protocol counter-walk -n 2 -all \
