@@ -54,7 +54,7 @@ func run(args []string) error {
 	workers := fs.Int("workers", 2, "local-engine pool width per job")
 	distWorkers := fs.Int("dist-workers", 2, "loopback cluster width for engine=dist jobs")
 	spillEvery := fs.Int("spill-checkpoint-every", 4096, "local-engine admissions between checkpoints")
-	distEvery := fs.Int("dist-checkpoint-every", 16, "dist-engine acknowledged batches between checkpoints")
+	distEvery := fs.Int("dist-checkpoint-every", 16, "dist-engine acknowledged batches (up to 128 frontier items each) between checkpoints")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for running jobs to reach a checkpoint")
 	maxQueuedTenant := fs.Int("max-queued-per-tenant", 64, "queued jobs one tenant may hold, 0 = unlimited (429 over quota)")
 	maxActiveTenant := fs.Int("max-active-per-tenant", 0, "running jobs one tenant may hold, 0 = unlimited")

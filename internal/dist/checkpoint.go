@@ -70,12 +70,12 @@ func (co *coord) encodeCheckpoint() []byte {
 	b = putUvarint(b, uint64(co.agg.Configs))
 	b = putUvarint(b, boolBit(co.agg.Complete)|boolBit(co.agg.Livelock)<<1)
 	b = putDecisions(b, co.agg.Decisions)
-	b = putUvarint(b, uint64(co.aggStats.Generated))
-	b = putUvarint(b, uint64(co.aggStats.DedupHits))
-	b = putUvarint(b, uint64(co.aggStats.KeyBytes))
-	b = putUvarint(b, uint64(co.aggStats.RemoteItems))
-	b = putUvarint(b, uint64(co.aggStats.MinStripeKeys))
-	b = putUvarint(b, uint64(co.aggStats.MaxStripeKeys))
+	b = putUvarint(b, uint64(co.agg.Stats.Generated))
+	b = putUvarint(b, uint64(co.agg.Stats.DedupHits))
+	b = putUvarint(b, uint64(co.agg.Stats.KeyBytes))
+	b = putUvarint(b, uint64(co.agg.Stats.RemoteItems))
+	b = putUvarint(b, uint64(co.agg.Stats.MinStripeKeys))
+	b = putUvarint(b, uint64(co.agg.Stats.MaxStripeKeys))
 	b = putUvarint(b, uint64(co.batches))
 	b = putUvarint(b, uint64(co.rec.Reconnects))
 	b = putUvarint(b, uint64(co.rec.WorkerDeaths))
@@ -111,22 +111,14 @@ func (co *coord) encodeCheckpoint() []byte {
 	b = putDecisions(b, v.decisions)
 
 	// Outstanding frontier: queued plus flattened in-flight.
-	n := v.queuedLen
+	n := len(v.queue)
 	for _, bt := range co.inflight {
 		n += len(bt.items)
 	}
 	b = putUvarint(b, uint64(n))
-	for s := range v.queues {
-		for _, it := range v.queues[s] {
-			b = putUvarint(b, uint64(it.gid))
-			b = putBytes(b, it.sched)
-		}
-	}
+	b = putItems(b, v.queue)
 	for _, bt := range co.inflight {
-		for _, it := range bt.items {
-			b = putUvarint(b, uint64(it.gid))
-			b = putBytes(b, it.sched)
-		}
+		b = putItems(b, bt.items)
 	}
 	return b
 }
@@ -146,17 +138,17 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	co.agg.Complete = flags&1 != 0
 	co.agg.Livelock = flags&2 != 0
 	co.agg.Decisions = readDecisions(r)
-	co.aggStats.Generated = int64(r.uvarint("ckpt generated"))
-	co.aggStats.DedupHits = int64(r.uvarint("ckpt dedup"))
-	co.aggStats.KeyBytes = int64(r.uvarint("ckpt keybytes"))
-	co.aggStats.RemoteItems = int64(r.uvarint("ckpt remote"))
-	co.aggStats.MinStripeKeys = int64(r.uvarint("ckpt min stripe"))
-	co.aggStats.MaxStripeKeys = int64(r.uvarint("ckpt max stripe"))
+	co.agg.Stats.Generated = int64(r.uvarint("ckpt generated"))
+	co.agg.Stats.DedupHits = int64(r.uvarint("ckpt dedup"))
+	co.agg.Stats.KeyBytes = int64(r.uvarint("ckpt keybytes"))
+	co.agg.Stats.RemoteItems = int64(r.uvarint("ckpt remote"))
+	co.agg.Stats.MinStripeKeys = int64(r.uvarint("ckpt min stripe"))
+	co.agg.Stats.MaxStripeKeys = int64(r.uvarint("ckpt max stripe"))
 	if co.vecIdx > 0 {
 		// The folded vectors each reported a census of S shards; the
 		// aggregate's Stripes says so, or the next fold would take its
 		// MinStripeKeys for unset (see valency.Report.Fold).
-		co.aggStats.Stripes = co.S
+		co.agg.Stats.Stripes = co.S
 	}
 	co.batches = int64(r.uvarint("ckpt batches"))
 	co.rec.Reconnects = int64(r.uvarint("ckpt reconnects"))
@@ -200,7 +192,7 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	nq := r.uvarint("ckpt frontier len")
 	co.vec = v
 	for i := uint64(0); i < nq && r.fail == nil; i++ {
-		co.enqueue(item{
+		v.queue = append(v.queue, item{
 			gid:   int64(r.uvarint("ckpt item gid")),
 			sched: r.bytes("ckpt item sched"),
 		})

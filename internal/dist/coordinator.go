@@ -99,8 +99,7 @@ type shardMirror struct {
 type vectorState struct {
 	inputs     []int64
 	mirror     []shardMirror
-	queues     [][]item // per shard, awaiting dispatch
-	queuedLen  int
+	queue      []item         // the frontier awaiting dispatch, FIFO
 	edges      []explore.Edge // gid-space edges
 	decisions  map[int64]bool
 	violated   bool
@@ -123,17 +122,17 @@ type coord struct {
 	done    chan struct{} // closed on Serve exit; unblocks reader/writer sends
 	lnErr   error         // listener died: no further joins can arrive
 
-	vec      *vectorState
-	vecIdx   int    // cursor into the AllInputs sweep (0 for single-vector)
-	epoch    uint64 // current vector's wire epoch (vecIdx+1); stamps every batch
-	agg      *valency.Report
-	aggStats valency.Stats
-	rec      valency.RecoveryStats
+	vec    *vectorState
+	vecIdx int    // cursor into the AllInputs sweep (0 for single-vector)
+	epoch  uint64 // current vector's wire epoch (vecIdx+1); stamps every batch
+	// agg, its Stats and rec are allocations of their own: the report
+	// handed to the caller must not point into (and so pin) the coord.
+	agg *valency.Report
+	rec *valency.RecoveryStats
 
 	inflight   map[int64]*batch
 	nextBatch  int64
 	nextPing   uint64
-	owner      []int // shard -> worker slot
 	batches    int64
 	curJob     []byte    // encoded jobMsg while a vector runs; joins mid-vector replay it
 	graceUntil time.Time // zero-worker rejoin deadline; zero while any worker lives
@@ -154,10 +153,10 @@ func newCoord(job Job, opts Options) (*coord, error) {
 		events:   make(chan event, 256),
 		done:     make(chan struct{}),
 		inflight: make(map[int64]*batch),
-		agg:      &valency.Report{Complete: true, Decisions: make(map[int64]bool)},
+		agg:      &valency.Report{Complete: true, Decisions: make(map[int64]bool), Stats: &valency.Stats{}},
+		rec:      &valency.RecoveryStats{},
 		started:  time.Now(),
 	}
-	co.agg.Stats = &co.aggStats
 	return co, nil
 }
 
@@ -312,28 +311,11 @@ func (co *coord) alive() int {
 	return n
 }
 
-// assignOwners maps every shard to an alive worker round-robin.
-func (co *coord) assignOwners() {
-	var slots []int
-	for _, w := range co.workers {
-		if !w.dead {
-			slots = append(slots, w.slot)
-		}
-	}
-	if len(slots) == 0 {
-		return
-	}
-	co.owner = make([]int, co.S)
-	for s := range co.owner {
-		co.owner[s] = slots[s%len(slots)]
-	}
-}
-
 // handleJoin admits a handshaken connection.  A known identity is a
 // rejoin: the old connection (if still considered alive) is superseded —
 // its unacknowledged batches re-queue exactly as for a death — and the
 // fresh connection takes over the same slot, so the worker keeps its
-// place in the shard ownership map.  An unknown identity is a new peer.
+// identity in the census.  An unknown identity is a new peer.
 func (co *coord) handleJoin(j *joinReq) {
 	slot, known := co.byID[j.identity]
 	if known {
@@ -358,7 +340,6 @@ func (co *coord) handleJoin(j *joinReq) {
 	if co.curJob != nil {
 		co.send(w, msgJob, co.curJob)
 	}
-	co.assignOwners()
 }
 
 // run drives the whole job: resume-or-start, then one vector at a time
@@ -368,8 +349,7 @@ func (co *coord) run() (*valency.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	co.assignOwners()
-	co.aggStats.Shards = co.S
+	co.agg.Stats.Shards = co.S
 
 	vectors := 1
 	if co.job.AllInputs {
@@ -419,7 +399,6 @@ func newVectorState(inputs []int64, S int) *vectorState {
 	v := &vectorState{
 		inputs:    inputs,
 		mirror:    make([]shardMirror, S),
-		queues:    make([][]item, S),
 		decisions: make(map[int64]bool),
 	}
 	for s := range v.mirror {
@@ -436,7 +415,7 @@ func (co *coord) seedInitial() {
 	k.Symmetry = co.opts.Valency.SymmetryOn()
 	key := co.opts.Valency.AppendVisitKey(&k, c, nil)
 	gid, _, _ := co.admit(key)
-	co.enqueue(item{gid: gid, sched: nil})
+	co.vec.queue = append(co.vec.queue, item{gid: gid})
 }
 
 // admit dedups a visit key against the mirror; on a miss it assigns the
@@ -463,12 +442,6 @@ func (co *coord) totalKeys() int64 {
 		n += int64(len(co.vec.mirror[s].keys))
 	}
 	return n
-}
-
-func (co *coord) enqueue(it item) {
-	s := gidShard(it.gid, co.S)
-	co.vec.queues[s] = append(co.vec.queues[s], it)
-	co.vec.queuedLen++
 }
 
 // runVector processes one input vector to quiescence and returns its
@@ -547,7 +520,7 @@ func (co *coord) checkLiveness() error {
 }
 
 func (co *coord) quiescent() bool {
-	return co.vec.queuedLen == 0 && len(co.inflight) == 0
+	return len(co.vec.queue) == 0 && len(co.inflight) == 0
 }
 
 // handle folds one event into the coordinator state.  Per-connection
@@ -638,59 +611,44 @@ func (co *coord) applyDone(dm doneMsg) {
 			continue
 		}
 		v.remote++
-		co.enqueue(item{gid: gid, sched: e.sched})
+		v.queue = append(v.queue, item{gid: gid, sched: e.sched})
 	}
 }
 
-// pump dispatches queued items, preferring each shard's owner but
-// falling back to any live worker with capacity — workers are stateless
-// replay engines, so placement is an affinity, not a correctness rule.
+// pump hands each live worker with capacity the next batchSize items
+// of the frontier, whichever shards they hash to, round-robin until the
+// queue is empty or every worker is saturated.  Workers are stateless
+// replay engines, so any worker can take any item.
 func (co *coord) pump() {
-	if co.vec == nil || co.vec.violated {
+	v := co.vec
+	if v == nil || v.violated {
 		return
 	}
-	for s := 0; s < co.S; s++ {
-		q := co.vec.queues[s]
-		for len(q) > 0 {
-			w := co.pick(co.owner[s])
-			if w == nil {
-				break
+	for sent := true; sent; {
+		sent = false
+		for _, w := range co.workers {
+			if len(v.queue) == 0 {
+				return
 			}
-			n := len(q)
-			if n > batchSize {
-				n = batchSize
+			if w.dead || w.inflight >= maxInflight {
+				continue
 			}
+			n := min(len(v.queue), batchSize)
 			co.nextBatch++
-			b := &batch{id: co.nextBatch, worker: w.slot, items: q[:n:n]}
-			q = q[n:]
-			co.vec.queuedLen -= n
+			b := &batch{id: co.nextBatch, worker: w.slot, items: v.queue[:n:n]}
+			v.queue = v.queue[n:]
 			co.inflight[b.id] = b
 			w.inflight++
 			co.send(w, msgBatch, batchMsg{ID: b.id, Epoch: co.epoch, Items: b.items}.encode())
+			sent = true
 		}
-		co.vec.queues[s] = q
 	}
 }
 
-// pick chooses a dispatch target: the shard owner when it is alive and
-// under its cap, else any live worker with capacity; nil when every
-// live worker is saturated.
-func (co *coord) pick(owner int) *wconn {
-	if w := co.workers[owner]; !w.dead && w.inflight < maxInflight {
-		return w
-	}
-	for _, c := range co.workers {
-		if !c.dead && c.inflight < maxInflight {
-			return c
-		}
-	}
-	return nil
-}
-
-// markDead declares a connection lost: its in-flight batches are
-// re-queued (their effects were never applied — BATCH_DONE is atomic,
-// so nothing partial leaked) and its shards are reassigned to
-// survivors.  The worker behind it may rejoin at any time.
+// markDead declares a connection lost: its in-flight batches go back
+// on the frontier (their effects were never applied — BATCH_DONE is
+// atomic, so nothing partial leaked) for whichever worker is free
+// next.  The worker behind it may rejoin at any time.
 func (co *coord) markDead(w *wconn, cause error) {
 	if w.dead {
 		return
@@ -706,12 +664,7 @@ func (co *coord) markDead(w *wconn, cause error) {
 		delete(co.inflight, id)
 		w.inflight--
 		co.rec.RequeuedBatches++
-		for _, it := range b.items {
-			co.enqueue(it)
-		}
-	}
-	if co.alive() > 0 {
-		co.assignOwners()
+		co.vec.queue = append(co.vec.queue, b.items...)
 	}
 	_ = cause // deaths are expected events, not errors; cause aids debugging
 }
@@ -806,13 +759,14 @@ func (co *coord) foldVector(rep *valency.Report) *valency.Report {
 }
 
 func (co *coord) finalizeStats() {
-	co.aggStats.Workers = len(co.workers)
-	co.aggStats.Stripes = co.S
-	co.aggStats.Batches = co.batches
-	co.aggStats.Recoveries = co.rec.WorkerDeaths
-	co.aggStats.Checkpoints = co.rec.CheckpointsWritten
-	co.aggStats.Elapsed = time.Since(co.started)
-	co.aggStats.Recovery = &co.rec
+	st := co.agg.Stats
+	st.Workers = len(co.workers)
+	st.Stripes = co.S
+	st.Batches = co.batches
+	st.Recoveries = co.rec.WorkerDeaths
+	st.Checkpoints = co.rec.CheckpointsWritten
+	st.Elapsed = time.Since(co.started)
+	st.Recovery = co.rec
 }
 
 // stop tells every live worker the job is over.  Send errors at this

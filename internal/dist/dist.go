@@ -20,15 +20,18 @@
 // stepper, and ships every successor back as an emit — (parent gid,
 // visit key, schedule).  All effects of a batch travel in one atomic
 // BATCH_DONE message, so a worker that dies mid-batch loses exactly the
-// unacknowledged batches and nothing else: the coordinator re-queues
-// their items and reassigns the dead worker's shards to survivors.
+// unacknowledged batches and nothing else: the coordinator puts their
+// items back on the frontier for whichever worker is free next.
 //
 // The coordinator dedups emits against its shard mirrors (a dedup hit
 // records only the configuration-graph edge; a miss admits the key,
-// assigns its gid, and queues the item for the owning worker), so the
+// assigns its gid, and appends the item to the frontier), so the
 // visited set has a single writer and needs no distributed consensus of
-// its own.  A job terminates when every shard queue and every in-flight
-// batch is empty; livelock is then decided by explore.HasCycle over the
+// its own.  The frontier is one FIFO queue: every live worker with
+// fewer than maxInflight batches outstanding is handed the next
+// batchSize items, whichever shards they hash to — shards place keys,
+// not work.  A job terminates when the queue and every in-flight batch
+// are empty; livelock is then decided by explore.HasCycle over the
 // accumulated edges, exactly as in the parallel engine.  If any worker
 // reports a violation the distributed result is discarded and the
 // canonical serial checker re-runs locally, so the reported
@@ -72,8 +75,9 @@ type Job struct {
 
 // Options configure the coordinator.  The zero value is usable.
 type Options struct {
-	// Shards is the fingerprint-partition width S.  More shards smooth
-	// the queue-length imbalance across workers; the default is 64.
+	// Shards is the fingerprint-partition width S of the coordinator's
+	// visited mirror, part of every gid; it does not decide which worker
+	// expands what.  The default is 64.
 	Shards int
 	// Valency carries the exploration options every engine shares:
 	// MaxConfigs, NoSymmetry, Crash.  Workers selects how many
@@ -86,7 +90,10 @@ type Options struct {
 	// completion.
 	CheckpointPath string
 	// CheckpointEvery is the number of acknowledged batches between
-	// snapshots (default 32 when CheckpointPath is set).
+	// snapshots (default 32 when CheckpointPath is set).  The cadence
+	// counts batches, not configurations: a batch carries up to 128
+	// frontier items, and all 128 whenever the frontier is wider than
+	// the cluster's in-flight capacity.
 	CheckpointEvery int
 	// HeartbeatEvery is the ping interval (default 1s); a worker whose
 	// last pong is older than DeadAfter (default 10s) is declared dead
@@ -183,8 +190,8 @@ func (o Options) rejoinGrace() time.Duration {
 
 // gid packing: a key admitted to shard s as that shard's k-th key has
 // gid = k·S + s.  Gids are allocation-order stable per shard, so they
-// survive worker reassignment; they are not dense across shards, so
-// cycle detection remaps them (denseIDs) before running HasCycle.
+// survive worker loss; they are not dense across shards, so
+// cycle detection remaps them (denseEdges) before running HasCycle.
 func gidOf(localID int64, shard, S int) int64 { return localID*int64(S) + int64(shard) }
 
 func gidShard(gid int64, S int) int   { return int(gid % int64(S)) }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,25 +161,53 @@ func TestLoopbackCrashDifferential(t *testing.T) {
 	}
 }
 
-// TestWorkerKilledMidRun: a fault-injector hook murders worker 0 on its
-// fifth batch (panic mid-batch, effects unsent).  The coordinator must
-// re-queue the lost batches, reassign the dead worker's shards, and
-// still produce the serial verdict; the recovery is visible in Stats.
+// minBatches is a floor on the batches any run of counter-walk n = 2
+// on inputs (0, 1) acknowledges: its configuration graph has BFS depth
+// 27, and a configuration is dispatched only after the batch that
+// discovered it is acknowledged, so the deepest one ends a chain of 28
+// batches.  A fault placed at batch k ≤ 27 therefore lands mid-vector,
+// however full the batches are.
+const minBatches = 28
+
+// killAt returns one batch hook for every worker of a cluster: a
+// fault-injector crash that panics (murdering whichever worker runs it,
+// mid-batch, effects unsent) on the (k+1)-th batch the cluster
+// receives.  The mutex serializes the injector across workers.
+func killAt(k int64) func(int64) {
+	inj := fault.NewInjector(1, fault.SingleCrash(0, k), 1<<20)
+	var mu sync.Mutex
+	return func(int64) {
+		mu.Lock()
+		defer mu.Unlock()
+		inj.Point(0)
+	}
+}
+
+// TestWorkerKilledMidRun: a fault-injector hook murders the worker
+// that receives the cluster's sixth batch (panic mid-batch, effects
+// unsent) — mid-vector, since the job needs minBatches.  The
+// coordinator must re-queue the lost batch for the survivors and still
+// produce the serial verdict; the recovery is visible in Stats.
 func TestWorkerKilledMidRun(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
-	inj := fault.NewInjector(1, fault.SingleCrash(0, 5), 1<<20)
-	kill := func(batchID int64) { inj.Point(0) }
-	rep, err := Loopback(4, Job{Spec: spec, Inputs: inputs}, Options{Shards: 16}, kill)
+	kill := killAt(5)
+	rep, err := Loopback(4, Job{Spec: spec, Inputs: inputs}, Options{Shards: 16}, kill, kill, kill, kill)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameReport(t, "counter-walk/worker-killed", serial, rep)
 	if rep.Stats == nil || rep.Stats.Recoveries < 1 {
 		t.Fatalf("worker death not recorded: %+v", rep.Stats)
+	}
+	if rep.Stats.Recovery.RequeuedBatches < 1 {
+		t.Fatalf("the killed batch was not re-queued: %+v", rep.Stats.Recovery)
+	}
+	if rep.Stats.Batches < minBatches {
+		t.Fatalf("%d batches, below the depth floor %d", rep.Stats.Batches, minBatches)
 	}
 }
 
@@ -196,7 +225,23 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 }
 
-// TestCheckpointKillResume: a run aborted mid-flight (checkpoint
+// checkpointFrontier loads the checkpoint opts names into a fresh
+// coordinator for job and returns its vector cursor and the number of
+// frontier items it holds (queued plus in-flight): a non-empty
+// frontier proves the snapshot was cut mid-vector.
+func checkpointFrontier(t *testing.T, job Job, opts Options) (vecIdx, frontier int) {
+	t.Helper()
+	co, err := newCoord(job, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := co.tryResume(); !ok || err != nil {
+		t.Fatalf("checkpoint does not load: %v, %v", ok, err)
+	}
+	return co.vecIdx, len(co.vec.queue)
+}
+
+// TestCheckpointKillResume: a run aborted mid-vector (checkpoint
 // written, ErrAborted) resumes from the snapshot and finishes with the
 // serial verdict.  The checkpoint file is removed on success.
 func TestCheckpointKillResume(t *testing.T) {
@@ -209,13 +254,16 @@ func TestCheckpointKillResume(t *testing.T) {
 	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
 
 	abort := opts
-	abort.AbortAfterBatches = 20
+	abort.AbortAfterBatches = 20 // < minBatches
 	_, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", err)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("no checkpoint after abort: %v", err)
+	}
+	if _, n := checkpointFrontier(t, Job{Spec: spec, Inputs: inputs}, opts); n == 0 {
+		t.Fatal("abort checkpoint holds an empty frontier: not mid-vector")
 	}
 
 	rep, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts)
@@ -232,7 +280,11 @@ func TestCheckpointKillResume(t *testing.T) {
 }
 
 // TestCheckpointResumeAllInputs: abort and resume mid all-vectors
-// sweep; the aggregate still matches CheckAllInputs.
+// sweep, inside its second vector; the aggregate still matches
+// CheckAllInputs.  cas n = 2's first vector has 6 configurations, so it
+// takes at most 6 batches; its second has BFS depth 4, so it takes at
+// least 5.  The seventh acknowledged batch is therefore always inside
+// the second vector and never its last.
 func TestCheckpointResumeAllInputs(t *testing.T) {
 	spec := ProtoSpec{Name: "cas", N: 2}
 	proto, _ := zoo.Resolve(spec)
@@ -241,9 +293,12 @@ func TestCheckpointResumeAllInputs(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 2}
 	abort := opts
-	abort.AbortAfterBatches = 6
+	abort.AbortAfterBatches = 7
 	if _, err := Loopback(2, Job{Spec: spec, AllInputs: true}, abort); !errors.Is(err, ErrAborted) {
 		t.Fatalf("want ErrAborted")
+	}
+	if vec, n := checkpointFrontier(t, Job{Spec: spec, AllInputs: true}, opts); vec != 1 || n == 0 {
+		t.Fatalf("abort checkpoint at vector %d with %d frontier items, want mid-vector 1", vec, n)
 	}
 	rep, err := Loopback(2, Job{Spec: spec, AllInputs: true}, opts)
 	if err != nil {
@@ -258,7 +313,7 @@ func TestCheckpointJobMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 2}
 	abort := opts
-	abort.AbortAfterBatches = 6
+	abort.AbortAfterBatches = 6 // < minBatches
 	if _, err := Loopback(2, Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}, abort); !errors.Is(err, ErrAborted) {
 		t.Fatalf("want ErrAborted")
 	}

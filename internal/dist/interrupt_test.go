@@ -16,7 +16,9 @@ import (
 // the coordinator write a final checkpoint and return ErrInterrupted;
 // re-running the same job resumes from that snapshot and finishes with
 // the serial verdict — the seam behind distcheck's SIGINT handling and
-// the service daemon's graceful drain.
+// the service daemon's graceful drain.  The hook runs on both workers,
+// so the interrupt fires on the cluster's first batch, with at least
+// minBatches-1 still to go.
 func TestLoopbackInterruptResume(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	inputs := []int64{0, 1}
@@ -27,14 +29,18 @@ func TestLoopbackInterruptResume(t *testing.T) {
 	var once sync.Once
 	first := opts
 	first.Interrupt = intr
-	_, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, first, func(batchID int64) {
+	interrupt := func(batchID int64) {
 		once.Do(func() { close(intr) })
-	})
+	}
+	_, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, first, interrupt, interrupt)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("first run: err = %v, want ErrInterrupted", err)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("interrupt left no checkpoint: %v", err)
+	}
+	if _, n := checkpointFrontier(t, Job{Spec: spec, Inputs: inputs}, opts); n == 0 {
+		t.Fatal("interrupt checkpoint holds an empty frontier: not mid-vector")
 	}
 
 	proto, err := zoo.Resolve(spec)

@@ -112,7 +112,11 @@ func TestChaosAllInputsDifferential(t *testing.T) {
 // TestChaosCutReconnect: a cut-only plan severs every worker's
 // connection on a fixed frame cadence; workers must reconnect with
 // their stable identity and the coordinator must count rejoins, not new
-// peers — and the verdict must not notice any of it.
+// peers — and the verdict must not notice any of it.  A session carries
+// at most 9 worker→coordinator frames before its cut, and the job needs
+// minBatches acknowledgements plus two HELLOs, more than two sessions
+// carry: the cut provably fires mid-vector and a rejoined session
+// finishes the job.
 func TestChaosCutReconnect(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	proto, _ := zoo.Resolve(spec)
@@ -123,7 +127,7 @@ func TestChaosCutReconnect(t *testing.T) {
 		rep, err := LoopbackChaos(LoopbackConfig{
 			Workers:   2,
 			ChaosSeed: 5,
-			ChaosPlan: fault.NetPlanOptions{CutEvery: 25},
+			ChaosPlan: fault.NetPlanOptions{CutEvery: 10},
 		}, Job{Spec: spec, Inputs: inputs}, fastRecovery(8))
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
@@ -140,7 +144,8 @@ func TestChaosCutReconnect(t *testing.T) {
 }
 
 // TestChaosWorkerKillMidRun: wire chaos plus a worker murdered by its
-// batch hook mid-run — the compounded failure still yields the serial
+// batch hook on the cluster's sixth batch — mid-vector, since the job
+// needs minBatches — and the compounded failure still yields the serial
 // verdict.
 func TestChaosWorkerKillMidRun(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
@@ -148,11 +153,10 @@ func TestChaosWorkerKillMidRun(t *testing.T) {
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
-	inj := fault.NewInjector(1, fault.SingleCrash(0, 5), 1<<20)
-	kill := func(batchID int64) { inj.Point(0) }
+	kill := killAt(5)
 	rep, err := LoopbackChaos(LoopbackConfig{
 		Workers:   3,
-		Hooks:     []func(int64){kill},
+		Hooks:     []func(int64){kill, kill, kill},
 		ChaosSeed: 77,
 		ChaosPlan: soakPlan(),
 	}, Job{Spec: spec, Inputs: inputs}, fastRecovery(16))
@@ -206,10 +210,13 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 
 	abort := opts
-	abort.AbortAfterBatches = 10
+	abort.AbortAfterBatches = 10 // < minBatches
 	_, err = Serve(ln1, 2, Job{Spec: spec, Inputs: inputs}, abort)
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("first serve: err = %v, want ErrAborted", err)
+	}
+	if _, n := checkpointFrontier(t, Job{Spec: spec, Inputs: inputs}, opts); n == 0 {
+		t.Fatal("abort checkpoint holds an empty frontier: not mid-vector")
 	}
 	// Kill the coordinator: the listener goes down under the workers,
 	// which enter their backoff loops against the same address.
@@ -247,7 +254,8 @@ func TestCoordinatorRestartResume(t *testing.T) {
 // TestSlowWorkerDeclaredDead: a worker stuck in a batch (sleeping
 // hook, connection intact) stops answering pings, so DeadAfter buries
 // it like a dead one — its batches re-queue to the survivor and the
-// verdict does not notice.
+// verdict does not notice.  The hook runs on both workers and sleeps
+// once, so the cluster's first batch is the one that sticks.
 func TestSlowWorkerDeclaredDead(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	proto, _ := zoo.Resolve(spec)
@@ -261,7 +269,7 @@ func TestSlowWorkerDeclaredDead(t *testing.T) {
 	}
 	rep, err := LoopbackChaos(LoopbackConfig{
 		Workers: 2,
-		Hooks:   []func(int64){slow},
+		Hooks:   []func(int64){slow, slow},
 	}, Job{Spec: spec, Inputs: inputs}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +294,7 @@ func TestCheckpointRetiredSlotsResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
 	abort := opts
-	abort.AbortAfterBatches = 12
+	abort.AbortAfterBatches = 12 // < minBatches
 	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort); !errors.Is(err, ErrAborted) {
 		t.Fatalf("seeding abort: %v", err)
 	}
@@ -360,7 +368,7 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
 
 	abort := opts
-	abort.AbortAfterBatches = 12
+	abort.AbortAfterBatches = 12 // < minBatches
 	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort); !errors.Is(err, ErrAborted) {
 		t.Fatalf("seeding abort: %v", err)
 	}

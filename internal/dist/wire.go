@@ -248,7 +248,13 @@ func (m batchMsg) encode() []byte {
 	b := putUvarint(nil, uint64(m.ID))
 	b = putUvarint(b, m.Epoch)
 	b = putUvarint(b, uint64(len(m.Items)))
-	for _, it := range m.Items {
+	return putItems(b, m.Items)
+}
+
+// putItems appends frontier items, the encoding a batch and a
+// checkpoint's frontier share.
+func putItems(b []byte, items []item) []byte {
+	for _, it := range items {
 		b = putUvarint(b, uint64(it.gid))
 		b = putBytes(b, it.sched)
 	}

@@ -150,8 +150,9 @@ type Config struct {
 	Workers     int
 	DistWorkers int
 	// SpillCheckpointEvery / DistCheckpointEvery tighten the engines'
-	// checkpoint cadence (admissions / acknowledged batches) so shutdown
-	// cuts lose little work (defaults 4096 / 16).
+	// checkpoint cadence (admissions / acknowledged batches of up to 128
+	// frontier items) so shutdown cuts lose little work (defaults
+	// 4096 / 16).
 	SpillCheckpointEvery int
 	DistCheckpointEvery  int
 	// MaxQueuedPerTenant caps one tenant's queued (non-running,

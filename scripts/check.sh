@@ -30,6 +30,14 @@ stage="dist race (full, internal/dist)"
 # the distributed runtime is the code most likely to grow long tests
 # behind -short; pin a full (non-short) race pass over it explicitly.
 go test -race -timeout 10m ./internal/dist/
+# Dispatch by free worker, named so a regression fails by name: a
+# batch mixes shards and is capped at batchSize, a dead worker's items
+# return to the one frontier queue, the reference job (counter-walk
+# n = 3) fits in at most 1,000 batches, and a held report does not pin
+# its coordinator.
+go test -count=1 -timeout 5m \
+	-run 'TestPumpBatchShape|TestLoopbackBatchesPerJob|TestReportDoesNotPinCoordinator' \
+	./internal/dist/
 stage="dist loopback smoke"
 # End-to-end cluster smoke: coordinator plus two in-process TCP workers
 # must reproduce the serial verdict on a small exhaustive job.
@@ -41,10 +49,15 @@ stage="dist-chaos smoke"
 # its connection; the heartbeat is tuned down so a frame the proxy
 # holds back for a reorder is released by the next ping within
 # milliseconds, and the seed makes a failure reproducible verbatim.  The
+# job is the n = 3 sweep (124,748 configurations over 8 vectors), big
+# enough that the chaos reliably lands: the recovery line must show at
+# least one worker death and at least one chaos event.  The
 # worker-kill-under-chaos and coordinator-kill + checkpoint-resume
 # drills then run as their dedicated differential tests.
-go run ./cmd/distcheck -loopback 3 -shards 8 -protocol counter-walk -n 2 -all \
-	-chaos-net-seed 7 -heartbeat 25ms -dead-after 500ms | grep -q "SAFE"
+chaos="$(go run ./cmd/distcheck -loopback 3 -shards 8 -protocol counter-walk -n 3 -all \
+	-chaos-net-seed 7 -heartbeat 25ms -dead-after 500ms)"
+echo "$chaos" | grep -q "SAFE"
+echo "$chaos" | grep -Eq '^recovery: .*, [1-9][0-9]* worker deaths,.*; [1-9][0-9]* chaos events'
 go test -run 'TestChaosWorkerKillMidRun|TestCoordinatorRestartResume' \
 	-count=1 -timeout 5m ./internal/dist/
 stage="shard-engine race smoke"
