@@ -7,10 +7,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"randsync/internal/explore"
 	"randsync/internal/frame"
 	"randsync/internal/sim"
+	"randsync/internal/valency"
 )
 
 // Checkpoint format: one frame (same [len][type][payload][fingerprint]
@@ -69,7 +71,7 @@ func (co *coord) encodeCheckpoint() []byte {
 	b = putUvarint(b, uint64(co.vecIdx))
 	b = putUvarint(b, uint64(co.agg.Configs))
 	b = putUvarint(b, boolBit(co.agg.Complete)|boolBit(co.agg.Livelock)<<1)
-	b = putDecisions(b, co.agg.Decisions)
+	b = valency.AppendDecisions(b, co.agg.Decisions)
 	b = putUvarint(b, uint64(co.agg.Stats.Generated))
 	b = putUvarint(b, uint64(co.agg.Stats.DedupHits))
 	b = putUvarint(b, uint64(co.agg.Stats.KeyBytes))
@@ -108,96 +110,92 @@ func (co *coord) encodeCheckpoint() []byte {
 		b = putUvarint(b, uint64(e.From))
 		b = putUvarint(b, uint64(e.To))
 	}
-	b = putDecisions(b, v.decisions)
+	b = valency.AppendDecisions(b, v.decisions)
 
-	// Outstanding frontier: queued plus flattened in-flight.
+	// Outstanding frontier: queued plus flattened in-flight, in batch-id
+	// order so one state has one encoding.
 	n := len(v.queue)
-	for _, bt := range co.inflight {
+	ids := make([]int64, 0, len(co.inflight))
+	for id, bt := range co.inflight {
 		n += len(bt.items)
+		ids = append(ids, id)
 	}
+	slices.Sort(ids)
 	b = putUvarint(b, uint64(n))
 	b = putItems(b, v.queue)
-	for _, bt := range co.inflight {
-		b = putItems(b, bt.items)
+	for _, id := range ids {
+		b = putItems(b, co.inflight[id].items)
 	}
 	return b
 }
 
 func (co *coord) decodeCheckpoint(p []byte) error {
-	r := &wreader{b: p}
-	if v := r.uvarint("ckpt version"); v != checkpointVersion {
+	r := frame.NewReader(p)
+	if v := r.Uvarint("ckpt version"); v != checkpointVersion {
 		return fmt.Errorf("dist: checkpoint version %d, want %d", v, checkpointVersion)
 	}
-	if h := r.uvarint("ckpt job hash"); h != co.jobHash() {
+	if h := r.Uvarint("ckpt job hash"); h != co.jobHash() {
 		return errors.New("dist: checkpoint was written by a different job")
 	}
 
-	co.vecIdx = int(r.uvarint("ckpt vector cursor"))
-	co.agg.Configs = int(r.uvarint("ckpt configs"))
-	flags := r.uvarint("ckpt flags")
+	co.vecIdx = int(r.Uvarint("ckpt vector cursor"))
+	co.agg.Configs = int(r.Uvarint("ckpt configs"))
+	flags := r.Uvarint("ckpt flags")
 	co.agg.Complete = flags&1 != 0
 	co.agg.Livelock = flags&2 != 0
-	co.agg.Decisions = readDecisions(r)
-	co.agg.Stats.Generated = int64(r.uvarint("ckpt generated"))
-	co.agg.Stats.DedupHits = int64(r.uvarint("ckpt dedup"))
-	co.agg.Stats.KeyBytes = int64(r.uvarint("ckpt keybytes"))
-	co.agg.Stats.RemoteItems = int64(r.uvarint("ckpt remote"))
-	co.agg.Stats.MinStripeKeys = int64(r.uvarint("ckpt min stripe"))
-	co.agg.Stats.MaxStripeKeys = int64(r.uvarint("ckpt max stripe"))
+	co.agg.Decisions = valency.ReadDecisions(r)
+	co.agg.Stats.Generated = int64(r.Uvarint("ckpt generated"))
+	co.agg.Stats.DedupHits = int64(r.Uvarint("ckpt dedup"))
+	co.agg.Stats.KeyBytes = int64(r.Uvarint("ckpt keybytes"))
+	co.agg.Stats.RemoteItems = int64(r.Uvarint("ckpt remote"))
+	co.agg.Stats.MinStripeKeys = int64(r.Uvarint("ckpt min stripe"))
+	co.agg.Stats.MaxStripeKeys = int64(r.Uvarint("ckpt max stripe"))
 	if co.vecIdx > 0 {
 		// The folded vectors each reported a census of S shards; the
 		// aggregate's Stripes says so, or the next fold would take its
 		// MinStripeKeys for unset (see valency.Report.Fold).
 		co.agg.Stats.Stripes = co.S
 	}
-	co.batches = int64(r.uvarint("ckpt batches"))
-	co.rec.Reconnects = int64(r.uvarint("ckpt reconnects"))
-	co.rec.WorkerDeaths = int64(r.uvarint("ckpt worker deaths"))
-	co.rec.RequeuedBatches = int64(r.uvarint("ckpt requeued"))
-	r.uvarint("ckpt retired slot")
-	co.rec.CheckpointResumes = int64(r.uvarint("ckpt resumes"))
-	co.rec.CheckpointsWritten = int64(r.uvarint("ckpt checkpoints"))
-	r.uvarint("ckpt retired slot")
+	co.batches = int64(r.Uvarint("ckpt batches"))
+	co.rec.Reconnects = int64(r.Uvarint("ckpt reconnects"))
+	co.rec.WorkerDeaths = int64(r.Uvarint("ckpt worker deaths"))
+	co.rec.RequeuedBatches = int64(r.Uvarint("ckpt requeued"))
+	r.Uvarint("ckpt retired slot")
+	co.rec.CheckpointResumes = int64(r.Uvarint("ckpt resumes"))
+	co.rec.CheckpointsWritten = int64(r.Uvarint("ckpt checkpoints"))
+	r.Uvarint("ckpt retired slot")
 
-	ni := r.uvarint("ckpt inputs len")
+	ni := r.Count("ckpt inputs len")
 	inputs := make([]int64, 0, ni)
-	for i := uint64(0); i < ni && r.fail == nil; i++ {
-		inputs = append(inputs, r.varint("ckpt input"))
+	for i := 0; i < ni; i++ {
+		inputs = append(inputs, r.Varint("ckpt input"))
 	}
 	v := newVectorState(inputs, co.S)
-	vflags := r.uvarint("ckpt vector flags")
+	vflags := r.Uvarint("ckpt vector flags")
 	v.incomplete = vflags&1 != 0
 	v.violated = vflags&2 != 0
-	v.generated = int64(r.uvarint("ckpt vec generated"))
-	v.dedupHits = int64(r.uvarint("ckpt vec dedup"))
-	v.keyBytes = int64(r.uvarint("ckpt vec keybytes"))
-	v.remote = int64(r.uvarint("ckpt vec remote"))
-	for s := 0; s < co.S && r.fail == nil; s++ {
-		nk := r.uvarint("ckpt shard len")
+	v.generated = int64(r.Uvarint("ckpt vec generated"))
+	v.dedupHits = int64(r.Uvarint("ckpt vec dedup"))
+	v.keyBytes = int64(r.Uvarint("ckpt vec keybytes"))
+	v.remote = int64(r.Uvarint("ckpt vec remote"))
+	for s := 0; s < co.S; s++ {
 		m := &v.mirror[s]
-		for i := uint64(0); i < nk && r.fail == nil; i++ {
-			k := r.str("ckpt key")
+		for i, nk := 0, r.Count("ckpt shard len"); i < nk; i++ {
+			k := string(r.Bytes("ckpt key"))
 			m.index[k] = int64(len(m.keys))
 			m.keys = append(m.keys, k)
 		}
 	}
-	ne := r.uvarint("ckpt edges len")
-	for i := uint64(0); i < ne && r.fail == nil; i++ {
+	for i, ne := 0, r.Count("ckpt edges len"); i < ne; i++ {
 		v.edges = append(v.edges, explore.Edge{
-			From: int64(r.uvarint("ckpt edge from")),
-			To:   int64(r.uvarint("ckpt edge to")),
+			From: int64(r.Uvarint("ckpt edge from")),
+			To:   int64(r.Uvarint("ckpt edge to")),
 		})
 	}
-	v.decisions = readDecisions(r)
-	nq := r.uvarint("ckpt frontier len")
+	v.decisions = valency.ReadDecisions(r)
+	v.queue = readItems(r, r.Count("ckpt frontier len"))
 	co.vec = v
-	for i := uint64(0); i < nq && r.fail == nil; i++ {
-		v.queue = append(v.queue, item{
-			gid:   int64(r.uvarint("ckpt item gid")),
-			sched: r.bytes("ckpt item sched"),
-		})
-	}
-	return r.err()
+	return r.Err()
 }
 
 // checkpointNow snapshots atomically and durably: the frame is written
@@ -213,7 +211,7 @@ func (co *coord) checkpointNow() {
 	}
 	payload := co.encodeCheckpoint()
 	err := frame.WriteFileAtomic(frame.OS{}, path, func(w io.Writer) error {
-		return writeFrame(w, msgCheckpoint, payload)
+		return frame.Write(w, msgCheckpoint, payload)
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dist: checkpoint: %v\n", err)
@@ -223,8 +221,8 @@ func (co *coord) checkpointNow() {
 }
 
 // tryResume loads the checkpoint file if Options name one and it
-// exists; reports whether the coordinator state was restored.  The
-// frame's embedded fingerprint is re-verified on the way in and any
+// exists; reports whether the coordinator state was restored.  The file
+// must be exactly one intact checkpoint frame (frame.ReadFile), and any
 // mismatch — truncation, bit flips, trailing garbage, a different job —
 // refuses to resume with a diagnosable error rather than silently
 // exploring from a corrupt frontier.
@@ -233,25 +231,15 @@ func (co *coord) tryResume() (bool, error) {
 	if path == "" {
 		return false, nil
 	}
-	f, err := os.Open(path)
+	payload, err := frame.ReadFile(frame.OS{}, path, msgCheckpoint, nil)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
 	}
-	if err != nil {
+	if err != nil && !errors.Is(err, frame.ErrCorrupt) {
 		return false, err
 	}
-	defer f.Close()
-	base := filepath.Base(path)
-	typ, payload, err := readFrame(f)
 	if err != nil {
-		return false, fmt.Errorf("dist: checkpoint %s is corrupt or truncated (%w); refusing to resume — delete it to restart the job from scratch", base, err)
-	}
-	if typ != msgCheckpoint {
-		return false, fmt.Errorf("dist: %s is not a checkpoint file; refusing to resume", base)
-	}
-	var one [1]byte
-	if n, _ := f.Read(one[:]); n != 0 {
-		return false, fmt.Errorf("dist: checkpoint %s has trailing bytes after the snapshot frame; refusing to resume — delete it to restart the job from scratch", base)
+		return false, fmt.Errorf("dist: checkpoint %s is corrupt or truncated (%w); refusing to resume — delete it to restart the job from scratch", filepath.Base(path), err)
 	}
 	if err := co.decodeCheckpoint(payload); err != nil {
 		return false, err
@@ -271,21 +259,4 @@ func boolBit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-func putDecisions(b []byte, d map[int64]bool) []byte {
-	b = putUvarint(b, uint64(len(d)))
-	for v := range d {
-		b = putVarint(b, v)
-	}
-	return b
-}
-
-func readDecisions(r *wreader) map[int64]bool {
-	n := r.uvarint("decisions len")
-	d := make(map[int64]bool, n)
-	for i := uint64(0); i < n && r.fail == nil; i++ {
-		d[r.varint("decision")] = true
-	}
-	return d
 }

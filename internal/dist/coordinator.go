@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"randsync/internal/explore"
+	"randsync/internal/frame"
 	"randsync/internal/sim"
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
@@ -181,7 +182,7 @@ func (co *coord) acceptLoop(ln net.Listener) {
 func (co *coord) handshake(conn net.Conn) {
 	conn.SetReadDeadline(time.Now().Add(co.opts.netTimeout()))
 	br := bufio.NewReader(conn)
-	typ, payload, err := readFrame(br)
+	typ, payload, err := frame.Read(br)
 	if err != nil || typ != msgHello {
 		conn.Close()
 		return
@@ -223,7 +224,7 @@ func (co *coord) waitForWorkers(expect int) error {
 func (co *coord) reader(w *wconn, br *bufio.Reader) {
 	for {
 		w.conn.SetReadDeadline(time.Now().Add(co.opts.netTimeout()))
-		typ, payload, err := readFrame(br)
+		typ, payload, err := frame.Read(br)
 		if err != nil {
 			co.post(event{w: w, err: err})
 			return
@@ -250,7 +251,7 @@ func (co *coord) writer(w *wconn) {
 	bw := bufio.NewWriter(w.conn)
 	for f := range w.out {
 		w.conn.SetWriteDeadline(time.Now().Add(co.opts.netTimeout()))
-		if err := writeFrame(bw, f.typ, f.payload); err != nil {
+		if err := frame.Write(bw, f.typ, f.payload); err != nil {
 			co.post(event{w: w, err: err})
 			return
 		}

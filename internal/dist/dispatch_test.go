@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"net"
 	"runtime"
 	"testing"
@@ -104,6 +105,58 @@ func TestPumpBatchShape(t *testing.T) {
 		t.Fatalf("survivor inflight %d, queue %d", co.workers[1].inflight, len(co.vec.queue))
 	}
 	accounted()
+}
+
+// TestCheckpointEncodingDeterministic: one coordinator state has one
+// checkpoint encoding.  Decision sets and in-flight batches live in
+// maps; ranging over them wrote a different byte string on every call
+// and handed a resume its frontier in a random order.  The state is
+// TestPumpBatchShape's — two fake workers, three batches in flight —
+// with decisions in the aggregate and in the vector, and its snapshot
+// must also survive a decode: the restored state, with every in-flight
+// item flattened back into the queue, re-encodes to the same bytes.
+func TestCheckpointEncodingDeterministic(t *testing.T) {
+	const S, total = 4, 300
+	job := Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}
+	co, err := newCoord(job, Options{Shards: S})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.vec = newVectorState(co.vectorInputs(0), S)
+	for gid := int64(0); gid < total; gid++ {
+		co.vec.queue = append(co.vec.queue, item{gid: gid, sched: []byte{byte(gid), byte(gid >> 8)}})
+	}
+	for slot := 0; slot < 2; slot++ {
+		conn, peer := net.Pipe()
+		defer peer.Close()
+		co.workers = append(co.workers, &wconn{slot: slot, conn: conn, out: make(chan outFrame, 64)})
+	}
+	co.pump()
+	if len(co.inflight) < 2 {
+		t.Fatalf("%d batches in flight, want at least 2", len(co.inflight))
+	}
+	for _, v := range []int64{9, -3, 0, 4} {
+		co.agg.Decisions[v] = true
+		co.vec.decisions[-v] = true
+	}
+
+	want := co.encodeCheckpoint()
+	for i := 0; i < 16; i++ {
+		if got := co.encodeCheckpoint(); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d of one state differs from the first", i+1)
+		}
+	}
+
+	restored, err := newCoord(job, Options{Shards: S})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.decodeCheckpoint(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.encodeCheckpoint(); !bytes.Equal(got, want) {
+		t.Fatal("a decoded checkpoint re-encodes to different bytes")
+	}
 }
 
 // benchJob is the benchmark's reference job: the paper's three-counter

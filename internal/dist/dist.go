@@ -42,7 +42,9 @@
 // Periodically, and before an induced abort, the coordinator snapshots
 // its entire authoritative state to disk (see checkpoint.go); a
 // restarted coordinator resumes from the snapshot and finishes with the
-// same verdict.  Worker-loss recovery is the in-memory special case of
+// same verdict.  The package writes its own payloads but reads none by
+// hand: the snapshot file is read by frame.ReadFile, and it and every
+// wire message are decoded by frame.Reader.  Worker-loss recovery is the in-memory special case of
 // the same idea: the mirror is the source of truth, workers are cache.
 //
 // The failure model is TCP's: frames on a connection arrive in order or

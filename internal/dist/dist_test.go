@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"randsync/internal/fault"
+	"randsync/internal/frame"
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
 )
@@ -390,11 +391,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := writeFrame(&buf, msgDone, dm.encode()); err != nil {
+	if err := frame.Write(&buf, msgDone, dm.encode()); err != nil {
 		t.Fatal(err)
 	}
 	raw := []byte(buf.String())
-	typ, payload, err := readFrame(strings.NewReader(string(raw)))
+	typ, payload, err := frame.Read(strings.NewReader(string(raw)))
 	if err != nil || typ != msgDone {
 		t.Fatalf("frame read: %v", err)
 	}
@@ -402,10 +403,10 @@ func TestWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw[7] ^= 0xFF // corrupt one payload byte
-	if _, _, err := readFrame(strings.NewReader(string(raw))); err == nil {
+	if _, _, err := frame.Read(strings.NewReader(string(raw))); err == nil {
 		t.Error("corrupted frame accepted")
 	}
-	if _, _, err := readFrame(strings.NewReader(string(raw[:len(raw)-3]))); err == nil {
+	if _, _, err := frame.Read(strings.NewReader(string(raw[:len(raw)-3]))); err == nil {
 		t.Error("truncated frame accepted")
 	}
 	if _, err := decodeDone(payload[:2]); err == nil {

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"randsync/internal/fault"
+	"randsync/internal/frame"
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
 )
@@ -302,7 +303,7 @@ func TestCheckpointRetiredSlotsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := readFrame(f)
+	_, payload, err := frame.Read(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -312,36 +313,39 @@ func TestCheckpointRetiredSlotsResume(t *testing.T) {
 	// cursor, configs, flags, decisions, six stats counters, batches,
 	// reconnects, worker deaths, requeued batches — then the first
 	// retired slot, resumes, checkpoints written, the second.
-	r := &wreader{b: payload}
-	pos := func() int { return len(payload) - len(r.b) }
+	r := frame.NewReader(payload)
+	// pos peeks at the offset reached so far: a copy's Rest is the tail.
+	pos := func() int { c := *r; return len(payload) - len(c.Rest()) }
 	for i := 0; i < 5; i++ {
-		r.uvarint("header")
+		r.Uvarint("header")
 	}
-	readDecisions(r)
+	valency.ReadDecisions(r)
 	for i := 0; i < 10; i++ {
-		r.uvarint("counter")
+		r.Uvarint("counter")
 	}
 	first := pos()
-	if v := r.uvarint("retired"); v != 0 {
+	if v := r.Uvarint("retired"); v != 0 {
 		t.Fatalf("first retired slot written as %d, want 0", v)
 	}
 	mid := pos()
-	r.uvarint("resumes")
-	r.uvarint("checkpoints")
+	r.Uvarint("resumes")
+	r.Uvarint("checkpoints")
 	second := pos()
-	if v := r.uvarint("retired"); v != 0 {
+	if v := r.Uvarint("retired"); v != 0 {
 		t.Fatalf("second retired slot written as %d, want 0", v)
 	}
-	if r.fail != nil {
-		t.Fatal(r.fail)
+	tail := pos()
+	r.Rest()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 	old := append([]byte(nil), payload[:first]...)
 	old = putUvarint(old, 300) // speculative re-dispatches
 	old = append(old, payload[mid:second]...)
 	old = putUvarint(old, 7) // memory pauses
-	old = append(old, payload[pos():]...)
+	old = append(old, payload[tail:]...)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, msgCheckpoint, old); err != nil {
+	if err := frame.Write(&buf, msgCheckpoint, old); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(ckpt, buf.Bytes(), 0o644); err != nil {
@@ -414,6 +418,36 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameReport(t, "counter-walk/pristine-resume", serial, rep)
+}
+
+// TestCheckpointRefusesHugeCount: a checksum-valid checkpoint of this
+// job whose input count claims more inputs than its payload has bytes
+// is refused before the count sizes anything.  A count taken on trust
+// here asked the runtime for 2^40 inputs, an out-of-memory crash no
+// recover can catch.
+func TestCheckpointRefusesHugeCount(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
+	co, err := newCoord(Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}},
+		Options{Shards: 8, CheckpointPath: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := putUvarint(nil, checkpointVersion)
+	p = putUvarint(p, co.jobHash())
+	for i := 0; i < 18; i++ {
+		// The aggregate: vector cursor, configs, flags, an empty
+		// decision set, six stats counters, batches and the recovery
+		// block with its two retired slots.
+		p = putUvarint(p, 0)
+	}
+	p = putUvarint(p, 1<<40) // inputs, and nothing after
+	if err := os.WriteFile(ckpt, frame.Append(nil, msgCheckpoint, p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const want = "ckpt inputs len 1099511627776 exceeds the 0 bytes left in payload"
+	if ok, err := co.tryResume(); ok || err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume from a checkpoint claiming 2^40 inputs: resumed %v, err %v, want %q", ok, err, want)
+	}
 }
 
 // TestWorkerGivesUp: a worker dialing a dead address exhausts its

@@ -3,7 +3,6 @@ package dist
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"randsync/internal/frame"
 )
@@ -48,11 +47,11 @@ func (m helloMsg) encode() []byte {
 }
 
 func decodeHello(p []byte) (helloMsg, error) {
-	r := &wreader{b: p}
+	r := frame.NewReader(p)
 	var m helloMsg
-	m.Version = r.uvarint("hello version")
-	m.Identity = r.uvarint("hello identity")
-	if err := r.err(); err != nil {
+	m.Version = r.Uvarint("hello version")
+	m.Identity = r.Uvarint("hello identity")
+	if err := r.Err(); err != nil {
 		return helloMsg{}, err
 	}
 	if m.Version != wireVersion {
@@ -64,25 +63,10 @@ func decodeHello(p []byte) (helloMsg, error) {
 	return m, nil
 }
 
-// maxFrame bounds a frame so a corrupted length prefix cannot allocate
-// unboundedly.  Emit-heavy DONE frames dominate; 1<<26 (64 MiB) is far
-// above anything a batch of batchSize items can produce, and no caller
-// can raise batchSize.
-const maxFrame = frame.MaxFrame
-
-// The envelope itself lives in internal/frame, which the exploration
-// engine's spill tier shares; these delegates keep dist call sites
-// unchanged while guaranteeing the wire format and the on-disk spill
-// format stay one codec.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	return frame.Write(w, typ, payload)
-}
-
-func readFrame(r io.Reader) (byte, []byte, error) {
-	return frame.Read(r)
-}
-
 // --- payload primitives ---
+//
+// Payloads are decoded by frame.Reader, the one sticky-error decoder;
+// these are its encoding halves.
 
 func putUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 func putVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
@@ -93,73 +77,6 @@ func putBytes(b, s []byte) []byte {
 }
 
 func putString(b []byte, s string) []byte { return putBytes(b, []byte(s)) }
-
-// wreader decodes a payload with sticky-error semantics: after any
-// decode failure every further read returns zero values and err() holds
-// the first failure, so message decoders read straight through and
-// check once.
-type wreader struct {
-	b    []byte
-	fail error
-}
-
-func (r *wreader) seterr(what string) {
-	if r.fail == nil {
-		r.fail = fmt.Errorf("dist: truncated %s in frame", what)
-	}
-}
-
-func (r *wreader) uvarint(what string) uint64 {
-	if r.fail != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.seterr(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wreader) varint(what string) int64 {
-	if r.fail != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.seterr(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *wreader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.fail != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < n {
-		r.seterr(what)
-		return nil
-	}
-	s := r.b[:n:n]
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *wreader) str(what string) string { return string(r.bytes(what)) }
-
-func (r *wreader) err() error {
-	if r.fail != nil {
-		return r.fail
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("dist: %d trailing bytes in frame", len(r.b))
-	}
-	return nil
-}
 
 // --- messages ---
 
@@ -205,27 +122,25 @@ func (m jobMsg) encode() []byte {
 }
 
 func decodeJob(p []byte) (jobMsg, error) {
-	r := &wreader{b: p}
+	r := frame.NewReader(p)
 	var m jobMsg
-	m.Spec.Name = r.str("spec name")
-	m.Spec.N = int(r.uvarint("spec n"))
-	m.Spec.R = int(r.uvarint("spec r"))
-	m.Spec.Rounds = r.varint("spec rounds")
-	m.Spec.Seed = r.uvarint("spec seed")
-	ni := r.uvarint("inputs len")
-	for i := uint64(0); i < ni && r.fail == nil; i++ {
-		m.Inputs = append(m.Inputs, r.varint("input"))
+	m.Spec.Name = string(r.Bytes("spec name"))
+	m.Spec.N = int(r.Uvarint("spec n"))
+	m.Spec.R = int(r.Uvarint("spec r"))
+	m.Spec.Rounds = r.Varint("spec rounds")
+	m.Spec.Seed = r.Uvarint("spec seed")
+	for i, n := 0, r.Count("inputs len"); i < n; i++ {
+		m.Inputs = append(m.Inputs, r.Varint("input"))
 	}
-	flags := r.uvarint("flags")
+	flags := r.Uvarint("flags")
 	m.NoSymmetry = flags&1 != 0
-	nc := r.uvarint("crash len")
-	for i := uint64(0); i < nc && r.fail == nil; i++ {
-		m.Crash = append(m.Crash, int(r.varint("crash")))
+	for i, n := 0, r.Count("crash len"); i < n; i++ {
+		m.Crash = append(m.Crash, int(r.Varint("crash")))
 	}
-	m.Workers = int(r.uvarint("workers"))
-	m.Shards = int(r.uvarint("shards"))
-	m.Epoch = r.uvarint("epoch")
-	return m, r.err()
+	m.Workers = int(r.Uvarint("workers"))
+	m.Shards = int(r.Uvarint("shards"))
+	m.Epoch = r.Uvarint("epoch")
+	return m, r.Err()
 }
 
 // item is one frontier configuration: its global id and the schedule
@@ -261,19 +176,25 @@ func putItems(b []byte, items []item) []byte {
 	return b
 }
 
-func decodeBatch(p []byte) (batchMsg, error) {
-	r := &wreader{b: p}
-	var m batchMsg
-	m.ID = int64(r.uvarint("batch id"))
-	m.Epoch = r.uvarint("batch epoch")
-	n := r.uvarint("batch len")
-	for i := uint64(0); i < n && r.fail == nil; i++ {
-		m.Items = append(m.Items, item{
-			gid:   int64(r.uvarint("item gid")),
-			sched: r.bytes("item sched"),
+// readItems decodes n items written by putItems.
+func readItems(r *frame.Reader, n int) []item {
+	var items []item
+	for i := 0; i < n; i++ {
+		items = append(items, item{
+			gid:   int64(r.Uvarint("item gid")),
+			sched: r.Bytes("item sched"),
 		})
 	}
-	return m, r.err()
+	return items
+}
+
+func decodeBatch(p []byte) (batchMsg, error) {
+	r := frame.NewReader(p)
+	var m batchMsg
+	m.ID = int64(r.Uvarint("batch id"))
+	m.Epoch = r.Uvarint("batch epoch")
+	m.Items = readItems(r, r.Count("batch len"))
+	return m, r.Err()
 }
 
 // emit is one generated successor shipped back to the coordinator: the
@@ -320,23 +241,21 @@ func (m doneMsg) encode() []byte {
 }
 
 func decodeDone(p []byte) (doneMsg, error) {
-	r := &wreader{b: p}
+	r := frame.NewReader(p)
 	var m doneMsg
-	m.ID = int64(r.uvarint("done id"))
-	m.Epoch = r.uvarint("done epoch")
-	m.Generated = int64(r.uvarint("done generated"))
-	m.Violated = r.uvarint("done violated") != 0
-	nd := r.uvarint("done decisions")
-	for i := uint64(0); i < nd && r.fail == nil; i++ {
-		m.Decisions = append(m.Decisions, r.varint("decision"))
+	m.ID = int64(r.Uvarint("done id"))
+	m.Epoch = r.Uvarint("done epoch")
+	m.Generated = int64(r.Uvarint("done generated"))
+	m.Violated = r.Uvarint("done violated") != 0
+	for i, n := 0, r.Count("done decisions"); i < n; i++ {
+		m.Decisions = append(m.Decisions, r.Varint("decision"))
 	}
-	ne := r.uvarint("done emits")
-	for i := uint64(0); i < ne && r.fail == nil; i++ {
+	for i, n := 0, r.Count("done emits"); i < n; i++ {
 		m.Emits = append(m.Emits, emit{
-			from:  int64(r.uvarint("emit from")),
-			key:   r.bytes("emit key"),
-			sched: r.bytes("emit sched"),
+			from:  int64(r.Uvarint("emit from")),
+			key:   r.Bytes("emit key"),
+			sched: r.Bytes("emit sched"),
 		})
 	}
-	return m, r.err()
+	return m, r.Err()
 }

@@ -12,12 +12,14 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"randsync/internal/frame"
 )
 
 func mustFrame(t *testing.T, typ byte, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, typ, payload); err != nil {
+	if err := frame.Write(&buf, typ, payload); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -27,7 +29,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{nil, {}, {0x00}, {0xff, 0x00, 0x7f}, bytes.Repeat([]byte{0xaa}, 4096)}
 	for _, p := range payloads {
 		raw := mustFrame(t, msgDone, p)
-		typ, got, err := readFrame(bytes.NewReader(raw))
+		typ, got, err := frame.Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("payload len %d: %v", len(p), err)
 		}
@@ -43,7 +45,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameShortReads(t *testing.T) {
 	raw := mustFrame(t, msgBatch, []byte{1, 2, 3, 4, 5})
 	for cut := 0; cut < len(raw); cut++ {
-		_, _, err := readFrame(bytes.NewReader(raw[:cut]))
+		_, _, err := frame.Read(bytes.NewReader(raw[:cut]))
 		if err == nil {
 			t.Fatalf("truncation at byte %d/%d decoded successfully", cut, len(raw))
 		}
@@ -57,13 +59,13 @@ func TestFrameLengthOutOfRange(t *testing.T) {
 	}{
 		{"zero", 0},
 		{"below-minimum", 8}, // must cover type byte + 8B checksum
-		{"oversized", maxFrame + 1},
+		{"oversized", frame.MaxFrame + 1},
 		{"absurd", 0xffffffff},
 	}
 	for _, tc := range cases {
 		var hdr [4]byte
 		binary.BigEndian.PutUint32(hdr[:], tc.n)
-		_, _, err := readFrame(bytes.NewReader(hdr[:]))
+		_, _, err := frame.Read(bytes.NewReader(hdr[:]))
 		if err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("%s (len=%d): err = %v, want out-of-range", tc.name, tc.n, err)
 		}
@@ -78,7 +80,7 @@ func TestFrameCorruption(t *testing.T) {
 	for i := 4; i < len(raw); i++ { // skip length prefix: covered above
 		bad := append([]byte(nil), raw...)
 		bad[i] ^= 0x01
-		if _, _, err := readFrame(bytes.NewReader(bad)); err == nil {
+		if _, _, err := frame.Read(bytes.NewReader(bad)); err == nil {
 			t.Fatalf("bit flip at byte %d decoded successfully", i)
 		}
 	}
@@ -102,7 +104,7 @@ func TestFrameStreamWithDuplicates(t *testing.T) {
 		p   string
 	}{{msgDone, "alpha"}, {msgPong, ""}, {msgDone, "alpha"}, {msgPong, ""}}
 	for i, w := range want {
-		typ, p, err := readFrame(&stream)
+		typ, p, err := frame.Read(&stream)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -110,7 +112,7 @@ func TestFrameStreamWithDuplicates(t *testing.T) {
 			t.Fatalf("frame %d: got (%d, %q), want (%d, %q)", i, typ, p, w.typ, w.p)
 		}
 	}
-	if _, _, err := readFrame(&stream); err != io.EOF {
+	if _, _, err := frame.Read(&stream); err != io.EOF {
 		t.Fatalf("stream tail: err = %v, want io.EOF", err)
 	}
 }
@@ -169,7 +171,7 @@ func TestMessageRoundTrips(t *testing.T) {
 }
 
 // TestPayloadTruncation: every proper prefix of a valid payload must
-// decode to an error (sticky-error wreader), and full payloads with
+// decode to an error (sticky-error frame.Reader), and full payloads with
 // trailing garbage must be rejected too.
 func TestPayloadTruncation(t *testing.T) {
 	job := jobMsg{Spec: ProtoSpec{Name: "cas", N: 2}, Inputs: []int64{0, 1}, Workers: 1, Shards: 4}
@@ -208,10 +210,10 @@ func FuzzFrame(f *testing.F) {
 			t.Skip()
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, payload); err != nil {
+		if err := frame.Write(&buf, typ, payload); err != nil {
 			t.Fatal(err)
 		}
-		gt, gp, err := readFrame(&buf)
+		gt, gp, err := frame.Read(&buf)
 		if err != nil {
 			t.Fatalf("round-trip: %v", err)
 		}
@@ -230,12 +232,12 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		r := bytes.NewReader(raw)
-		typ, p, err := readFrame(r)
+		typ, p, err := frame.Read(r)
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, typ, p); err != nil {
+		if err := frame.Write(&buf, typ, p); err != nil {
 			t.Fatal(err)
 		}
 		consumed := len(raw) - r.Len()
@@ -261,6 +263,6 @@ func FuzzPayloadDecoders(f *testing.F) {
 
 func mustFrameSeed(typ byte, payload []byte) []byte {
 	var buf bytes.Buffer
-	_ = writeFrame(&buf, typ, payload)
+	_ = frame.Write(&buf, typ, payload)
 	return buf.Bytes()
 }

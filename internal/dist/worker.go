@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"randsync/internal/explore"
+	"randsync/internal/frame"
 	"randsync/internal/sim"
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
@@ -178,7 +179,7 @@ func serveWorker(conn net.Conn, opts WorkerOptions) (progressed bool, err error)
 		return bw.Flush()
 	}
 	conn.SetWriteDeadline(time.Now().Add(timeout))
-	if err := writeFrame(bw, msgHello, helloMsg{Version: wireVersion, Identity: opts.ID}.encode()); err != nil {
+	if err := frame.Write(bw, msgHello, helloMsg{Version: wireVersion, Identity: opts.ID}.encode()); err != nil {
 		return false, err
 	}
 	if err := flush(); err != nil {
@@ -189,7 +190,7 @@ func serveWorker(conn net.Conn, opts WorkerOptions) (progressed bool, err error)
 	var st *workerState
 	for {
 		conn.SetReadDeadline(time.Now().Add(timeout))
-		typ, payload, err := readFrame(br)
+		typ, payload, err := frame.Read(br)
 		if err != nil {
 			return progressed, err
 		}
@@ -240,7 +241,7 @@ func serveWorker(conn net.Conn, opts WorkerOptions) (progressed bool, err error)
 				return progressed, err
 			}
 			conn.SetWriteDeadline(time.Now().Add(timeout))
-			if err := writeFrame(bw, msgDone, done.encode()); err != nil {
+			if err := frame.Write(bw, msgDone, done.encode()); err != nil {
 				return progressed, err
 			}
 			if err := flush(); err != nil {
@@ -248,7 +249,7 @@ func serveWorker(conn net.Conn, opts WorkerOptions) (progressed bool, err error)
 			}
 		case msgPing:
 			conn.SetWriteDeadline(time.Now().Add(timeout))
-			if err := writeFrame(bw, msgPong, payload); err != nil {
+			if err := frame.Write(bw, msgPong, payload); err != nil {
 				return progressed, err
 			}
 			if err := flush(); err != nil {

@@ -772,7 +772,7 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 			sp.qs[i] = newSpillQueue(sp.fs, sp.cfg.Dir, i, &sp.tier.retries)
 		}
 		e.sp = sp
-		if err := retryIO(&sp.tier.retries, func() error { return sp.fs.MkdirAll(sp.cfg.Dir) }); err != nil {
+		if err := frame.Retry(&sp.tier.retries, func() error { return sp.fs.MkdirAll(sp.cfg.Dir) }); err != nil {
 			return ShardedResult{
 				Err:   fmt.Errorf("explore: create spill dir: %w", err),
 				Stats: ShardedStats{Workers: workers, Stopped: true, Incomplete: true, Elapsed: time.Since(start)},

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"randsync/internal/frame"
 )
@@ -51,9 +50,11 @@ import (
 //
 // Fault model: every disk operation goes through frame.FS (so the
 // seeded injector fault.DiskChaos can interpose) and is wrapped in
-// bounded retry+backoff.  A fault that outlasts the retries is
-// unrecoverable; the engine then stops with the honest "incomplete"
-// verdict.  A read that succeeds but returns corrupted bytes is caught
+// frame.Retry, and the manifest is read by frame.ReadFile; headers and
+// the manifest decode with frame.Reader, and only the block iterator
+// below, the lookup hot path, decodes by hand.  A fault that outlasts
+// the retries is unrecoverable; the engine then stops with the honest
+// "incomplete" verdict.  A read that succeeds but returns corrupted bytes is caught
 // by the frame checksums and handled the same way.  No disk fault can
 // produce a wrong verdict: the tier either serves the truth or fails
 // loudly.
@@ -96,13 +97,6 @@ const runWriteChunk = 64 << 10
 // bloom test per run, so unbounded run counts would decay probes.
 const maxRunsPerShard = 4
 
-// ioAttempts and ioBackoff bound the retry loop around every disk
-// operation; a fault that survives all attempts is unrecoverable.
-const (
-	ioAttempts = 4
-	ioBackoff  = 2 * time.Millisecond
-)
-
 // manifestName is the checkpoint manifest file within a spill directory.
 const manifestName = "MANIFEST"
 
@@ -110,22 +104,6 @@ const manifestName = "MANIFEST"
 // detect a resumable spill directory (e.g. to refuse a non-resume run in
 // a directory that still holds a previous run's cut).
 const ManifestName = manifestName
-
-// retryIO runs op with bounded retry+backoff, counting retries into the
-// shared counter; the returned error is the last attempt's.
-func retryIO(retries *atomic.Int64, op func() error) error {
-	var err error
-	for attempt := 0; attempt < ioAttempts; attempt++ {
-		if attempt > 0 {
-			retries.Add(1)
-			time.Sleep(ioBackoff * time.Duration(attempt))
-		}
-		if err = op(); err == nil {
-			return nil
-		}
-	}
-	return err
-}
 
 // SpillStats is the disk-tier telemetry of one sharded run; all zero
 // when tiering is off.
@@ -408,7 +386,7 @@ func (t *spillTier) writeRun(shard int, gen, count int64, emit func(rw *runWrite
 	run := &tierRun{name: runName(shard, gen), count: count}
 	path := filepath.Join(t.dir, run.name)
 	rw := &t.shards[shard].w
-	err := retryIO(&t.retries, func() error {
+	err := frame.Retry(&t.retries, func() error {
 		return frame.WriteFileAtomic(t.fs, path, func(w io.Writer) error {
 			rw.begin(w, run, shard, gen, t.blockEntries)
 			if err := emit(rw); err != nil {
@@ -420,7 +398,7 @@ func (t *spillTier) writeRun(shard int, gen, count int64, emit func(rw *runWrite
 	if err != nil {
 		return nil, fmt.Errorf("explore: spill run %s: %w", run.name, err)
 	}
-	err = retryIO(&t.retries, func() error {
+	err = frame.Retry(&t.retries, func() error {
 		f, oerr := t.fs.Open(path)
 		if oerr != nil {
 			return oerr
@@ -441,7 +419,7 @@ func (t *spillTier) openRun(shard int, name string, wantCount int64) (*tierRun, 
 	path := filepath.Join(t.dir, name)
 	run := &tierRun{name: name, count: wantCount}
 	buf := &t.shards[shard].probe
-	err := retryIO(&t.retries, func() error {
+	err := frame.Retry(&t.retries, func() error {
 		f, err := t.fs.Open(path)
 		if err != nil {
 			return err
@@ -469,14 +447,14 @@ func (run *tierRun) index(f frame.File, buf *[]byte) error {
 	if err != nil || typ != frameRunHeader {
 		return fmt.Errorf("bad run header (type %d): %w", typ, err)
 	}
-	r := &spillReader{b: hdr}
-	if v := r.uvarint("version"); v != spillVersion {
+	r := frame.NewReader(hdr)
+	if v := r.Uvarint("version"); v != spillVersion {
 		return fmt.Errorf("run version %d, want %d", v, spillVersion)
 	}
-	r.uvarint("shard")
-	r.uvarint("gen")
-	count := int64(r.uvarint("count"))
-	if r.fail != nil || count != run.count {
+	r.Uvarint("shard")
+	r.Uvarint("gen")
+	count := int64(r.Uvarint("count"))
+	if r.Err() != nil || count != run.count {
 		return fmt.Errorf("run header count %d, manifest says %d", count, run.count)
 	}
 	var seen int64
@@ -561,7 +539,7 @@ func (it *blockIter) next() bool {
 }
 
 func (it *blockIter) truncated(what string) bool {
-	it.left, it.fail = 0, errTruncated(what)
+	it.left, it.fail = 0, fmt.Errorf("explore: truncated %s in spill frame", what)
 	return false
 }
 
@@ -604,7 +582,7 @@ func (t *spillTier) readBlock(sh *tierShard, run *tierRun, j int, buf *[]byte) (
 		end = run.blocks[j+1].off
 	}
 	var payload []byte
-	err := retryIO(&t.retries, func() error {
+	err := frame.Retry(&t.retries, func() error {
 		typ, p, _, err := frame.ReadAtInto(run.f, off, int(end-off), buf)
 		if err != nil {
 			return err
@@ -882,7 +860,7 @@ func (q *spillQueue) spill(items [][]byte, snapshot bool) error {
 	hdr := binary.AppendUvarint(nil, spillVersion)
 	hdr = binary.AppendUvarint(hdr, uint64(q.worker))
 	hdr = binary.AppendUvarint(hdr, uint64(len(items)))
-	err := retryIO(q.retries, func() error {
+	err := frame.Retry(q.retries, func() error {
 		return frame.WriteFileAtomic(q.fs, filepath.Join(q.dir, seg.name), func(w io.Writer) error {
 			if err := frame.Write(w, frameSegHeader, hdr); err != nil {
 				return err
@@ -923,7 +901,7 @@ func (q *spillQueue) loadOldest(deferDelete bool) ([][]byte, error) {
 	}
 	path := filepath.Join(q.dir, seg.name)
 	var items [][]byte
-	err := retryIO(q.retries, func() error {
+	err := frame.Retry(q.retries, func() error {
 		f, err := q.fs.Open(path)
 		if err != nil {
 			return err
@@ -933,13 +911,13 @@ func (q *spillQueue) loadOldest(deferDelete bool) ([][]byte, error) {
 		if err != nil || typ != frameSegHeader {
 			return fmt.Errorf("bad segment header: %w", err)
 		}
-		r := &spillReader{b: hdr}
-		if v := r.uvarint("version"); v != spillVersion {
+		r := frame.NewReader(hdr)
+		if v := r.Uvarint("version"); v != spillVersion {
 			return fmt.Errorf("segment version %d, want %d", v, spillVersion)
 		}
-		r.uvarint("worker")
-		count := int64(r.uvarint("count"))
-		if r.fail != nil || count != seg.count {
+		r.Uvarint("worker")
+		count := int64(r.Uvarint("count"))
+		if r.Err() != nil || count != seg.count {
 			return fmt.Errorf("segment header count %d, want %d", count, seg.count)
 		}
 		items = items[:0]
@@ -1030,74 +1008,4 @@ func (q *spillQueue) removeAll() {
 		q.fs.Remove(filepath.Join(q.dir, s.name))
 	}
 	q.segs = nil
-}
-
-// --- payload reader ---
-
-// spillReader decodes spill payloads with sticky-error semantics — the
-// same discipline as the dist wire reader, restated here so explore does
-// not import dist.
-type spillReader struct {
-	b    []byte
-	fail error
-}
-
-func errTruncated(what string) error {
-	return fmt.Errorf("explore: truncated %s in spill frame", what)
-}
-
-func (r *spillReader) seterr(what string) {
-	if r.fail == nil {
-		r.fail = errTruncated(what)
-	}
-}
-
-func (r *spillReader) uvarint(what string) uint64 {
-	if r.fail != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.seterr(what)
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *spillReader) fixed64(what string) uint64 {
-	if r.fail != nil {
-		return 0
-	}
-	if len(r.b) < 8 {
-		r.seterr(what)
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return v
-}
-
-func (r *spillReader) bytes(what string) []byte {
-	n := r.uvarint(what)
-	if r.fail != nil {
-		return nil
-	}
-	if uint64(len(r.b)) < n {
-		r.seterr(what)
-		return nil
-	}
-	s := r.b[:n:n]
-	r.b = r.b[n:]
-	return s
-}
-
-func (r *spillReader) err() error {
-	if r.fail != nil {
-		return r.fail
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("explore: %d trailing bytes in spill frame", len(r.b))
-	}
-	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -391,6 +392,38 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	res = g.run(1, capped(ref, cfg))
 	if res.Err != nil || res.Stats.Admitted != ref.Stats.Admitted {
 		t.Fatalf("pristine resume: err=%v admitted=%d want %d", res.Err, res.Stats.Admitted, ref.Stats.Admitted)
+	}
+}
+
+// TestSpillResumeRefusesHugeCount: a checksum-valid manifest whose edge
+// count claims more edges than its payload has bytes is refused before
+// the count sizes anything.  A count taken on trust here asked the
+// runtime for 2^40 edges, an out-of-memory crash no recover can catch.
+func TestSpillResumeRefusesHugeCount(t *testing.T) {
+	const frameManifest = 0x4D
+	dir := t.TempDir()
+	cfg := spillCfg(dir, nil, 256)
+	cfg.Resume = true
+	p := binary.AppendUvarint(nil, 1) // version
+	p = binary.AppendUvarint(p, frame.Fingerprint(cfg.Header))
+	p = binary.AppendUvarint(p, 1) // workers
+	for i := 0; i < 8; i++ {
+		// next id, processed, dedup, checkpoints; the one shard's
+		// generation and run count; the one queue's sequence and segment
+		// count.
+		p = binary.AppendUvarint(p, 0)
+	}
+	p = binary.AppendUvarint(p, 1<<40) // edges, and nothing after
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), frame.Append(nil, frameManifest, p), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res := spillGraph{n: 100}.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
+	const want = "manifest edges 1099511627776 exceeds the 0 bytes left in payload; refusing to resume"
+	if res.Err == nil || !strings.Contains(res.Err.Error(), want) {
+		t.Fatalf("resume from a manifest claiming 2^40 edges: err %v, want %q", res.Err, want)
+	}
+	if !res.Stats.Incomplete {
+		t.Fatal("refused resume not marked incomplete")
 	}
 }
 

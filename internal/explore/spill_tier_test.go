@@ -32,20 +32,20 @@ type RefEntry struct {
 }
 
 func DecodeRunBlockRef(payload []byte) ([]RefEntry, error) {
-	r := &spillReader{b: payload}
-	n := r.uvarint("block count")
-	if r.fail != nil || n == 0 || n > maxRunBlockEntries {
+	r := frame.NewReader(payload)
+	n := r.Uvarint("block count")
+	if n == 0 || n > maxRunBlockEntries {
 		return nil, fmt.Errorf("block count %d out of range", n)
 	}
 	var entries []RefEntry
-	for i := uint64(0); i < n && r.fail == nil; i++ {
+	for i := uint64(0); i < n; i++ {
 		var e RefEntry
-		e.FP = r.fixed64("entry fp")
-		e.ID = int64(r.uvarint("entry id"))
-		e.Key = string(r.bytes("entry key"))
+		e.FP = r.Fixed64("entry fp")
+		e.ID = int64(r.Uvarint("entry id"))
+		e.Key = string(r.Bytes("entry key"))
 		entries = append(entries, e)
 	}
-	if err := r.err(); err != nil {
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	return entries, nil
@@ -525,22 +525,21 @@ func TestSpillCheckpointPersistsOnce(t *testing.T) {
 	if typ != frameManifest {
 		t.Fatalf("manifest frame type %d", typ)
 	}
-	r := &spillReader{b: payload}
-	r.uvarint("version")
-	r.uvarint("job hash")
-	workers := r.uvarint("workers")
-	cut := int64(r.uvarint("next id"))
-	r.uvarint("processed")
-	r.uvarint("dedup")
-	r.uvarint("checkpoints")
+	r := frame.NewReader(payload)
+	r.Uvarint("version")
+	r.Uvarint("job hash")
+	workers := r.Uvarint("workers")
+	cut := int64(r.Uvarint("next id"))
+	r.Uvarint("processed")
+	r.Uvarint("dedup")
+	r.Uvarint("checkpoints")
 	ids := make(map[int64]bool)
 	var sum int64
 	for s := uint64(0); s < workers; s++ {
-		r.uvarint("shard gen")
-		nruns := r.uvarint("shard runs")
-		for i := uint64(0); i < nruns && r.fail == nil; i++ {
-			name := string(r.bytes("run name"))
-			count := int64(r.uvarint("run count"))
+		r.Uvarint("shard gen")
+		for i, nruns := 0, r.Count("shard runs"); i < nruns; i++ {
+			name := string(r.Bytes("run name"))
+			count := int64(r.Uvarint("run count"))
 			sum += count
 			_, _, f := read(name) // the header
 			var held int64
@@ -570,8 +569,9 @@ func TestSpillCheckpointPersistsOnce(t *testing.T) {
 			}
 		}
 	}
-	if r.fail != nil {
-		t.Fatal(r.fail)
+	r.Rest() // the segments, edges and caller state: not this drill's
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if sum != cut || int64(len(ids)) != cut {
 		t.Fatalf("manifest runs hold %d entries (%d distinct ids), cut admitted %d", sum, len(ids), cut)

@@ -269,12 +269,14 @@ func (e *sharded[T]) reloadFrontier(w int) bool {
 	}
 	sw := &e.ws[w]
 	for _, p := range items {
-		id, n := binary.Uvarint(p)
-		if n <= 0 {
-			e.diskFail(fmt.Errorf("explore: corrupt frontier item id"))
+		r := frame.NewReader(p)
+		id := r.Uvarint("frontier item id")
+		rest := r.Rest()
+		if err := r.Err(); err != nil {
+			e.diskFail(fmt.Errorf("explore: corrupt frontier item: %w", err))
 			return false
 		}
-		val, err := sp.cfg.Decode(p[n:])
+		val, err := sp.cfg.Decode(rest)
 		if err != nil {
 			e.diskFail(fmt.Errorf("explore: decode spilled frontier item: %w", err))
 			return false
@@ -440,7 +442,7 @@ func (e *sharded[T]) doCheckpoint() {
 	}
 	// 4. Write the manifest naming the cut.
 	payload := e.encodeManifest()
-	err := retryIO(&sp.tier.retries, func() error {
+	err := frame.Retry(&sp.tier.retries, func() error {
 		return frame.WriteFileAtomic(sp.fs, filepath.Join(sp.cfg.Dir, manifestName), func(w io.Writer) error {
 			return frame.Write(w, frameManifest, payload)
 		})
@@ -524,106 +526,71 @@ func (e *sharded[T]) encodeManifest() []byte {
 func (e *sharded[T]) tryResume() (bool, error) {
 	sp := e.sp
 	path := filepath.Join(sp.cfg.Dir, manifestName)
-	f, err := sp.fs.Open(path)
-	if err != nil && !errors.Is(err, iofs.ErrNotExist) {
-		err = retryIO(&sp.tier.retries, func() error {
-			var e error
-			f, e = sp.fs.Open(path)
-			return e
-		})
+	payload, err := frame.ReadFile(sp.fs, path, frameManifest, &sp.tier.retries)
+	if errors.Is(err, iofs.ErrNotExist) {
+		return false, nil // no manifest: fresh start
+	}
+	if err != nil && !errors.Is(err, frame.ErrCorrupt) {
+		return false, fmt.Errorf("explore: read spill manifest: %w", err)
 	}
 	if err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
-			return false, nil // no manifest: fresh start
-		}
-		return false, fmt.Errorf("explore: open spill manifest: %w", err)
+		return false, fmt.Errorf("explore: spill manifest is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, path)
 	}
-	// A transient read fault is indistinguishable from a torn manifest on
-	// one attempt, and refusing is permanent for the caller: only a
-	// manifest that reads wrong every time is refused.
-	var typ byte
-	var payload []byte
-	var trailing bool
-	rerr := retryIO(&sp.tier.retries, func() error {
-		if f == nil {
-			var err error
-			if f, err = sp.fs.Open(path); err != nil {
-				return err
-			}
-		}
-		defer func() { f.Close(); f = nil }()
-		var err error
-		if typ, payload, err = frame.Read(f); err != nil {
-			return err
-		}
-		var one [1]byte
-		n, _ := f.Read(one[:])
-		trailing = n != 0
-		return nil
-	})
-	if rerr != nil || typ != frameManifest || trailing {
-		return false, fmt.Errorf("explore: spill manifest is corrupt or truncated; refusing to resume — delete %s to restart from scratch", path)
-	}
-	r := &spillReader{b: payload}
-	if v := r.uvarint("manifest version"); v != spillVersion {
+	r := frame.NewReader(payload)
+	if v := r.Uvarint("manifest version"); v != spillVersion {
 		return false, fmt.Errorf("explore: spill manifest version %d, want %d", v, spillVersion)
 	}
-	if h := r.uvarint("manifest job hash"); h != frame.Fingerprint(sp.cfg.Header) {
+	if h := r.Uvarint("manifest job hash"); h != frame.Fingerprint(sp.cfg.Header) {
 		return false, errors.New("explore: spill manifest was written by a different job; refusing to resume")
 	}
-	if w := int(r.uvarint("manifest workers")); w != len(e.ws) {
+	if w := int(r.Uvarint("manifest workers")); w != len(e.ws) {
 		return false, fmt.Errorf("explore: spill manifest has %d workers, run has %d; refusing to resume", w, len(e.ws))
 	}
-	e.next.Store(int64(r.uvarint("manifest next id")))
-	sp.baseProcessed = int64(r.uvarint("manifest processed"))
-	sp.baseDedup = int64(r.uvarint("manifest dedup"))
-	sp.ckpts.Store(int64(r.uvarint("manifest checkpoints")))
+	e.next.Store(int64(r.Uvarint("manifest next id")))
+	sp.baseProcessed = int64(r.Uvarint("manifest processed"))
+	sp.baseDedup = int64(r.Uvarint("manifest dedup"))
+	sp.ckpts.Store(int64(r.Uvarint("manifest checkpoints")))
 	referenced := map[string]bool{manifestName: true}
 	for s := range e.ws {
 		sh := &sp.tier.shards[s]
-		sh.gen = int64(r.uvarint("shard gen"))
-		nruns := r.uvarint("shard runs")
-		for i := uint64(0); i < nruns && r.fail == nil; i++ {
-			name := string(r.bytes("run name"))
-			count := int64(r.uvarint("run count"))
-			if r.fail != nil {
-				break
-			}
-			run, err := sp.tier.openRun(s, name, count)
-			if err != nil {
-				return false, fmt.Errorf("%w; refusing to resume — delete the spill directory to restart from scratch", err)
-			}
-			sh.runs = append(sh.runs, run)
-			referenced[name] = true
+		sh.gen = int64(r.Uvarint("shard gen"))
+		for i, n := 0, r.Count("shard runs"); i < n; i++ {
+			// Opened below, once the whole manifest has decoded.
+			sh.runs = append(sh.runs, &tierRun{name: string(r.Bytes("run name")), count: int64(r.Uvarint("run count"))})
 		}
-		// The shard's keys are all on disk and none in RAM.
-		e.ws[s].cold = len(sh.runs) > 0
 	}
 	for w := range e.ws {
 		q := sp.qs[w]
-		q.seq = int64(r.uvarint("queue seq"))
-		nsegs := r.uvarint("queue segs")
-		for i := uint64(0); i < nsegs && r.fail == nil; i++ {
-			name := string(r.bytes("segment name"))
-			count := int64(r.uvarint("segment count"))
-			if r.fail != nil {
-				break
-			}
-			q.segs = append(q.segs, &spillSegment{name: name, count: count})
-			referenced[name] = true
+		q.seq = int64(r.Uvarint("queue seq"))
+		for i, n := 0, r.Count("queue segs"); i < n; i++ {
+			seg := &spillSegment{name: string(r.Bytes("segment name")), count: int64(r.Uvarint("segment count"))}
+			q.segs = append(q.segs, seg)
+			referenced[seg.name] = true
 		}
 	}
-	nedges := r.uvarint("manifest edges")
+	nedges := r.Count("manifest edges")
 	sp.resumeEdges = make([]Edge, 0, nedges)
-	for i := uint64(0); i < nedges && r.fail == nil; i++ {
+	for i := 0; i < nedges; i++ {
 		sp.resumeEdges = append(sp.resumeEdges, Edge{
-			From: int64(r.uvarint("edge from")),
-			To:   int64(r.uvarint("edge to")),
+			From: int64(r.Uvarint("edge from")),
+			To:   int64(r.Uvarint("edge to")),
 		})
 	}
-	aux := r.bytes("manifest aux")
-	if err := r.err(); err != nil {
-		return false, fmt.Errorf("%w; refusing to resume", err)
+	aux := r.Bytes("manifest aux")
+	if err := r.Err(); err != nil {
+		return false, fmt.Errorf("explore: spill manifest: %w; refusing to resume", err)
+	}
+	for s := range e.ws {
+		sh := &sp.tier.shards[s]
+		for i, run := range sh.runs {
+			if sh.runs[i], err = sp.tier.openRun(s, run.name, run.count); err != nil {
+				sh.runs = sh.runs[:i]
+				return false, fmt.Errorf("%w; refusing to resume — delete the spill directory to restart from scratch", err)
+			}
+			referenced[run.name] = true
+		}
+		// The shard's keys are all on disk and none in RAM.
+		e.ws[s].cold = len(sh.runs) > 0
 	}
 	if sp.cfg.RestoreAux != nil {
 		if err := sp.cfg.RestoreAux(aux); err != nil {

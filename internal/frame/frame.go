@@ -1,7 +1,9 @@
 // Package frame is the durable on-disk (and on-wire) envelope shared by
 // every subsystem that persists or ships binary state: the distributed
-// cluster's wire protocol and checkpoints (internal/dist) and the
-// exploration engine's spill tier (internal/explore).
+// cluster's wire protocol and checkpoints (internal/dist), the
+// exploration engine's spill tier (internal/explore), the all-inputs
+// sweep's vector cursor (internal/valency) and the checker service's job
+// records and artifacts (internal/service).
 //
 // A frame is
 //
@@ -13,17 +15,22 @@
 // rejected before its payload can poison an exploration — on the wire
 // and on disk alike.
 //
-// The package also owns the atomic-durable file discipline every
-// checkpoint and spill file follows: write to a temp sibling, fsync,
-// rename into place, fsync the directory.  A crash at any instant leaves
-// either the previous file or the new one, never a torn hybrid.  All I/O
-// goes through the FS seam (fs.go) so the disk-fault injector
+// The package owns both halves of every durable record.  The write half
+// is the atomic-durable file discipline: write to a temp sibling, fsync,
+// rename into place, fsync the directory, so a crash at any instant
+// leaves either the previous file or the new one, never a torn hybrid.
+// The read half (read.go) is ReadFile, which accepts a file only when it
+// is exactly one intact frame of the expected type — a truncated file,
+// trailing bytes and a foreign frame type are all refused as ErrCorrupt
+// — and Reader, the one payload decoder, whose counts are bounded by the
+// bytes left in the payload so a checksum-valid lie cannot size an
+// allocation.  Retry is the one retry policy for disk operations.  All
+// I/O goes through the FS seam (fs.go) so the disk-fault injector
 // (internal/fault.DiskChaos) can interpose on every operation.
 package frame
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"path/filepath"
 	"slices"
@@ -81,7 +88,7 @@ func Read(r io.Reader) (byte, []byte, error) {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n < 9 || n > MaxFrame {
-		return 0, nil, fmt.Errorf("frame: length %d out of range", n)
+		return 0, nil, corruptf("frame: length %d out of range", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
@@ -90,7 +97,7 @@ func Read(r io.Reader) (byte, []byte, error) {
 	sum := binary.BigEndian.Uint64(body[n-8:])
 	body = body[:n-8]
 	if Fingerprint(body) != sum {
-		return 0, nil, fmt.Errorf("frame: checksum mismatch")
+		return 0, nil, corruptf("frame: checksum mismatch")
 	}
 	return body[0], body[1:], nil
 }
@@ -126,7 +133,7 @@ func ReadAtInto(f io.ReaderAt, off int64, size int, buf *[]byte) (typ byte, payl
 	}
 	n := binary.BigEndian.Uint32(b)
 	if n < 9 || n > MaxFrame {
-		return 0, nil, 0, fmt.Errorf("frame: length %d out of range at offset %d", n, off)
+		return 0, nil, 0, corruptf("frame: length %d out of range at offset %d", n, off)
 	}
 	need := 4 + int(n)
 	if got < need {
@@ -141,7 +148,7 @@ func ReadAtInto(f io.ReaderAt, off int64, size int, buf *[]byte) (typ byte, payl
 	}
 	body := b[4 : need-8]
 	if Fingerprint(body) != binary.BigEndian.Uint64(b[need-8:]) {
-		return 0, nil, 0, fmt.Errorf("frame: checksum mismatch at offset %d", off)
+		return 0, nil, 0, corruptf("frame: checksum mismatch at offset %d", off)
 	}
 	// Only a verified frame may leave the caller holding a larger buffer:
 	// a corrupted length prefix must not pin MaxFrame bytes for the rest

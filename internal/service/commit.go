@@ -136,10 +136,10 @@ func (s *Server) writeRecords(j *job) {
 	s.idle.Broadcast()
 }
 
-// writeRecord writes one job record atomically.  A handful of attempts
-// ride out transient disk faults; WriteFileAtomic makes the retry safe
-// (the previous record survives a failed attempt intact).  Called with
-// s.mu released, by the job's one writer.
+// writeRecord writes one job record atomically.  frame.Retry rides out
+// transient disk faults; WriteFileAtomic makes the retry safe (the
+// previous record survives a failed attempt intact).  Called with s.mu
+// released, by the job's one writer.
 func (s *Server) writeRecord(st *JobStatus, mkdir bool) error {
 	payload, err := json.Marshal(st)
 	if err != nil {
@@ -147,21 +147,17 @@ func (s *Server) writeRecord(st *JobStatus, mkdir bool) error {
 	}
 	dir := s.jobDir(st.ID)
 	path := filepath.Join(dir, "job.rec")
-	for attempt := 0; attempt < 4; attempt++ {
+	return frame.Retry(nil, func() error {
 		if mkdir {
-			if err = s.cfg.FS.MkdirAll(dir); err != nil {
-				err = fmt.Errorf("service: create job dir: %w", err)
-				continue
+			if err := s.cfg.FS.MkdirAll(dir); err != nil {
+				return fmt.Errorf("service: create job dir: %w", err)
 			}
 			mkdir = false
 		}
-		if err = frame.WriteFileAtomic(s.cfg.FS, path, func(w io.Writer) error {
+		return frame.WriteFileAtomic(s.cfg.FS, path, func(w io.Writer) error {
 			return frame.Write(w, frameJob, payload)
-		}); err == nil {
-			break
-		}
-	}
-	return err
+		})
+	})
 }
 
 // settledLocked returns job id once none of its records is in flight

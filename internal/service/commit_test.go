@@ -424,14 +424,14 @@ func TestCommitCrashSweep(t *testing.T) {
 				if doc, err := healthy.Get(end.Artifact); err != nil || !bytes.Equal(doc, want) {
 					t.Fatalf("%s: job %s shown done, artifact on disk: %v", what, id, err)
 				}
-				if rec, err := onDisk.readJobRecordOnce(id); err != nil || rec.State != StateDone {
+				if rec, err := onDisk.readJobRecord(id); err != nil || rec.State != StateDone {
 					t.Fatalf("%s: job %s shown done, record on disk: %+v, %v", what, id, rec, err)
 				}
 			}
 			s.Close()
 		}
 		for id := range acked {
-			rec, err := onDisk.readJobRecordOnce(id)
+			rec, err := onDisk.readJobRecord(id)
 			if err != nil {
 				t.Fatalf("%s: acknowledged job %s has no record on disk: %v", what, id, err)
 			}

@@ -379,32 +379,13 @@ func (s *Server) jobDir(id string) string {
 	return filepath.Join(s.cfg.DataDir, "jobs", id)
 }
 
-// readJobRecord reads and verifies one persisted record, retrying a few
-// times so a transient read fault (the disk-chaos drills inject them at
-// reload time too) does not cost a job its history.
+// readJobRecord reads and verifies one persisted record.  ReadFile
+// retries a transient read fault (the disk-chaos drills inject them at
+// reload time too), so one does not cost a job its history.
 func (s *Server) readJobRecord(id string) (*JobStatus, error) {
-	var st *JobStatus
-	var err error
-	for attempt := 0; attempt < 4; attempt++ {
-		if st, err = s.readJobRecordOnce(id); err == nil {
-			return st, nil
-		}
-	}
-	return nil, err
-}
-
-func (s *Server) readJobRecordOnce(id string) (*JobStatus, error) {
-	f, err := s.cfg.FS.Open(filepath.Join(s.jobDir(id), "job.rec"))
+	payload, err := frame.ReadFile(s.cfg.FS, filepath.Join(s.jobDir(id), "job.rec"), frameJob, nil)
 	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	typ, payload, err := frame.Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("corrupt job record: %w", err)
-	}
-	if typ != frameJob {
-		return nil, fmt.Errorf("job record has frame type %#x", typ)
+		return nil, fmt.Errorf("job record: %w", err)
 	}
 	var st JobStatus
 	if err := json.Unmarshal(payload, &st); err != nil {

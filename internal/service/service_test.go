@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -367,6 +371,66 @@ func TestGracefulRestartResume(t *testing.T) {
 	if want := serialDoc(t, big); !bytes.Equal(doc, want) {
 		t.Fatalf("resumed verdict differs from serial document:\n%s\nvs\n%s", doc, want)
 	}
+}
+
+// TestJobRecordTrailingBytesSkipped: a job record is exactly one frame,
+// like every durable record.  An intact record plus one extra byte is
+// skipped at reload with its log line, like any corrupt record, and an
+// intact sibling job still loads.
+func TestJobRecordTrailingBytesSkipped(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{DataDir: dir, MaxActive: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for seed := uint64(0); seed < 2; seed++ {
+		st, _, err := s.Submit(testSpec("alice", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if end := waitDone(t, s, st.ID); end.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", st.ID, end.State, end.Error)
+		}
+		ids = append(ids, st.ID)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := filepath.Join(dir, "jobs", ids[0], "job.rec")
+	raw, err := os.ReadFile(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(rec, append(raw, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	r, err := New(Config{DataDir: dir, MaxActive: 1, Workers: 1, Logf: func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if st, ok := r.Job(ids[0]); ok {
+		t.Fatalf("record with a trailing byte loaded: %+v", st)
+	}
+	if st, ok := r.Job(ids[1]); !ok || st.State != StateDone {
+		t.Fatalf("intact sibling record: %+v (loaded %v)", st, ok)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, l := range logs {
+		if strings.Contains(l, "skipping job "+ids[0]) && strings.Contains(l, "trailing bytes") {
+			return
+		}
+	}
+	t.Fatalf("no skip line naming the trailing bytes of job %s in the log: %q", ids[0], logs)
 }
 
 // TestHardKillResume: the disk dies under a running daemon (every

@@ -179,27 +179,15 @@ func (s *Store) Get(hash string) ([]byte, error) {
 	if !ValidArtifactHash(hash) {
 		return nil, fmt.Errorf("service: invalid artifact hash %q", hash)
 	}
-	f, err := s.fs.Open(s.path(hash))
+	payload, err := frame.ReadFile(s.fs, s.path(hash), frameArtifact, nil)
 	if errors.Is(err, iofs.ErrNotExist) {
 		return nil, ErrNotFound
 	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	// Corruption errors name the offending file: an operator staring at
 	// a tamper report should not have to reconstruct the path from the
 	// hash and the store layout.
-	typ, payload, err := frame.Read(f)
 	if err != nil {
-		return nil, fmt.Errorf("service: artifact %s (%s) is corrupt: %w", hash, s.path(hash), err)
-	}
-	if typ != frameArtifact {
-		return nil, fmt.Errorf("service: artifact %s (%s) has frame type %#x", hash, s.path(hash), typ)
-	}
-	var one [1]byte
-	if n, _ := f.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("service: artifact %s (%s) has trailing bytes", hash, s.path(hash))
+		return nil, fmt.Errorf("service: artifact %s (%s): %w", hash, s.path(hash), err)
 	}
 	if ArtifactHash(payload) != hash {
 		return nil, fmt.Errorf("service: artifact %s (%s) fails content verification", hash, s.path(hash))

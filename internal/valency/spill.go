@@ -7,7 +7,8 @@ import (
 	"io"
 	iofs "io/fs"
 	"path/filepath"
-	"sort"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"randsync/internal/explore"
@@ -83,53 +84,57 @@ func newSpillTier(proto sim.Protocol, inputs []int64, opts Options) *spillTier {
 // count.  The engine calls it at a checkpoint barrier, with every
 // worker parked.
 func (t *spillTier) encodeAux() []byte {
-	seen := make(map[int64]bool)
-	var vals []int64
+	merged := make(map[int64]bool)
 	var gen int64
 	for i := range t.ws {
 		for v := range t.ws[i].decisions {
-			if !seen[v] {
-				seen[v] = true
-				vals = append(vals, v)
-			}
+			merged[v] = true
 		}
 		gen += t.ws[i].generated
 	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	b := binary.AppendUvarint(nil, uint64(len(vals)))
-	for _, v := range vals {
-		b = binary.AppendVarint(b, v)
-	}
-	return binary.AppendUvarint(b, uint64(gen))
+	return binary.AppendUvarint(AppendDecisions(nil, merged), uint64(gen))
 }
 
 // restoreAux hands the decisions and successor count as of the cut to
 // worker 0.  The engine calls it on resume, before any worker starts.
 func (t *spillTier) restoreAux(p []byte) error {
-	n, k := binary.Uvarint(p)
-	if k <= 0 {
-		return errors.New("valency: corrupt spill aux decision count")
+	r := frame.NewReader(p)
+	dec := ReadDecisions(r)
+	gen := int64(r.Uvarint("aux generated"))
+	if err := r.Err(); err != nil {
+		return err
 	}
-	p = p[k:]
-	dec := make([]int64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, k := binary.Varint(p)
-		if k <= 0 {
-			return errors.New("valency: corrupt spill aux decision value")
-		}
-		p = p[k:]
-		dec = append(dec, v)
-	}
-	gen, k := binary.Uvarint(p)
-	if k <= 0 || k != len(p) {
-		return errors.New("valency: corrupt spill aux generated count")
-	}
-	w := &t.ws[0]
-	for _, v := range dec {
-		w.decisions[v] = true
-	}
-	w.generated = int64(gen)
+	t.ws[0].decisions, t.ws[0].generated = dec, gen
 	return nil
+}
+
+// AppendDecisions appends a decision set in its durable form: a count,
+// then each value as a varint, in increasing order so one set has one
+// encoding.  Every record that carries a decision set uses it — the
+// spill manifest's caller state, the vector cursor and the dist
+// checkpoint.
+func AppendDecisions(b []byte, d map[int64]bool) []byte {
+	vals := make([]int64, 0, len(d))
+	for v := range d {
+		vals = append(vals, v)
+	}
+	slices.Sort(vals)
+	b = binary.AppendUvarint(b, uint64(len(vals)))
+	for _, v := range vals {
+		b = binary.AppendVarint(b, v)
+	}
+	return b
+}
+
+// ReadDecisions decodes a decision set written by AppendDecisions; a
+// failure is left in r.
+func ReadDecisions(r *frame.Reader) map[int64]bool {
+	n := r.Count("decisions len")
+	d := make(map[int64]bool, n)
+	for i := 0; i < n; i++ {
+		d[r.Varint("decision")] = true
+	}
+	return d
 }
 
 // spillHeader identifies the exploration universe of one (protocol,
@@ -209,23 +214,11 @@ func CheckSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, erro
 }
 
 // Cursor frame type for CheckAllInputsSpill: which input vectors are
-// done and the aggregate so far.  Distinct from every explore spill
+// done and the aggregate so far.  The cursor is read by frame.ReadFile
+// and its disk operations retry under frame.Retry, counted in
+// Stats.Spill.Retries with the engine's.  Distinct from every explore spill
 // frame type and every dist wire type.
 const frameVectorCursor byte = 0x56 // 'V'
-
-// cursorRetry mirrors the engine's bounded retry+backoff for the
-// sweep-level cursor I/O: a transient fault (the injector's, or a real
-// blip) is absorbed; one that outlasts the attempts is unrecoverable.
-func cursorRetry(fn func() error) error {
-	var err error
-	for attempt := 0; attempt < 4; attempt++ {
-		if err = fn(); err == nil {
-			return nil
-		}
-		time.Sleep(time.Duration(attempt+1) * 2 * time.Millisecond)
-	}
-	return err
-}
 
 // vectorCursorName is the cross-vector progress file in the spill root.
 const vectorCursorName = "vectors.ckpt"
@@ -237,79 +230,44 @@ func allInputsHeader(proto sim.Protocol, n int, opts Options) []byte {
 		proto.Name(), n, opts.Budget(), opts.Crash, opts.SymmetryOn()))
 }
 
-// vectorCursor is the durable cross-vector state: vectors [0, next) are
-// fully explored and folded into the aggregate.
-type vectorCursor struct {
-	next      int
-	configs   int
-	complete  bool
-	livelock  bool
-	decisions []int64
-}
-
-func (vc *vectorCursor) encode(job uint64) []byte {
+// encodeVectorCursor writes the durable cross-vector state: vectors
+// [0, next) are fully explored and folded into agg, whose verdict
+// fields the cursor carries.
+func encodeVectorCursor(job uint64, next int, agg *Report) []byte {
 	b := binary.AppendUvarint(nil, vectorCursorVersion)
 	b = binary.AppendUvarint(b, job)
-	b = binary.AppendUvarint(b, uint64(vc.next))
-	b = binary.AppendUvarint(b, uint64(vc.configs))
+	b = binary.AppendUvarint(b, uint64(next))
+	b = binary.AppendUvarint(b, uint64(agg.Configs))
 	var flags uint64
-	if vc.complete {
+	if agg.Complete {
 		flags |= 1
 	}
-	if vc.livelock {
+	if agg.Livelock {
 		flags |= 2
 	}
 	b = binary.AppendUvarint(b, flags)
-	b = binary.AppendUvarint(b, uint64(len(vc.decisions)))
-	for _, v := range vc.decisions {
-		b = binary.AppendVarint(b, v)
-	}
-	return b
+	return AppendDecisions(b, agg.Decisions)
 }
 
-func decodeVectorCursor(p []byte, job uint64) (*vectorCursor, error) {
-	r := struct {
-		b    []byte
-		fail error
-	}{b: p}
-	uv := func(what string) uint64 {
-		if r.fail != nil {
-			return 0
-		}
-		v, n := binary.Uvarint(r.b)
-		if n <= 0 {
-			r.fail = fmt.Errorf("valency: corrupt vector cursor %s", what)
-			return 0
-		}
-		r.b = r.b[n:]
-		return v
+// decodeVectorCursor restores a cursor's verdict fields into agg and
+// returns the vector to resume at.
+func decodeVectorCursor(p []byte, job uint64, agg *Report) (int, error) {
+	r := frame.NewReader(p)
+	if v := r.Uvarint("version"); v != vectorCursorVersion {
+		return 0, fmt.Errorf("valency: vector cursor version %d, want %d", v, vectorCursorVersion)
 	}
-	if v := uv("version"); r.fail == nil && v != vectorCursorVersion {
-		return nil, fmt.Errorf("valency: vector cursor version %d, want %d", v, vectorCursorVersion)
+	if h := r.Uvarint("job hash"); h != job {
+		return 0, errors.New("valency: vector cursor was written by a different job; refusing to resume")
 	}
-	if h := uv("job hash"); r.fail == nil && h != job {
-		return nil, errors.New("valency: vector cursor was written by a different job; refusing to resume")
+	next := int(r.Uvarint("next"))
+	agg.Configs = int(r.Uvarint("configs"))
+	flags := r.Uvarint("flags")
+	agg.Complete, agg.Livelock = flags&1 != 0, flags&2 != 0
+	agg.Decisions = ReadDecisions(r)
+	if err := r.Err(); err != nil {
+		return 0, fmt.Errorf("valency: corrupt vector cursor: %w; refusing to resume", err)
 	}
-	vc := &vectorCursor{next: int(uv("next")), configs: int(uv("configs"))}
-	flags := uv("flags")
-	vc.complete = flags&1 != 0
-	vc.livelock = flags&2 != 0
-	ndec := uv("decisions")
-	for i := uint64(0); i < ndec && r.fail == nil; i++ {
-		if v, n := binary.Varint(r.b); n > 0 {
-			r.b = r.b[n:]
-			vc.decisions = append(vc.decisions, v)
-		} else {
-			r.fail = errors.New("valency: corrupt vector cursor decision")
-		}
-	}
-	if r.fail == nil && len(r.b) != 0 {
-		r.fail = errors.New("valency: trailing bytes in vector cursor")
-	}
-	if r.fail != nil {
-		return nil, r.fail
-	}
-	return vc, nil
+	return next, nil
 }
 
 // CheckAllInputsSpill runs CheckSpill over every binary input vector for
@@ -324,64 +282,36 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 	fs := opts.spillFS()
 	job := frame.Fingerprint(allInputsHeader(proto, n, opts))
 	cursorPath := filepath.Join(opts.SpillDir, vectorCursorName)
-	if err := cursorRetry(func() error { return fs.MkdirAll(opts.SpillDir) }); err != nil {
+	var retries atomic.Int64
+	if err := frame.Retry(&retries, func() error { return fs.MkdirAll(opts.SpillDir) }); err != nil {
 		return nil, fmt.Errorf("valency: create spill dir: %w", err)
-	}
-
-	vc := &vectorCursor{complete: true}
-	var found, trailing bool
-	var typ byte
-	var payload []byte
-	rerr := cursorRetry(func() error {
-		f, err := fs.Open(cursorPath)
-		if err != nil {
-			if errors.Is(err, iofs.ErrNotExist) {
-				found = false
-				return nil // no cursor: fresh sweep
-			}
-			return err
-		}
-		found = true
-		t, p, err := frame.Read(f)
-		trailing = false
-		if err == nil {
-			var one [1]byte
-			if cnt, _ := f.Read(one[:]); cnt != 0 {
-				trailing = true
-			}
-		}
-		f.Close()
-		if err != nil {
-			return err // transient read fault or real corruption: retry decides
-		}
-		typ, payload = t, p
-		return nil
-	})
-	if found && !opts.SpillResume {
-		return nil, fmt.Errorf("valency: spill directory %s holds an unfinished sweep; resume it or use a clean directory", opts.SpillDir)
-	}
-	if found {
-		if rerr != nil || typ != frameVectorCursor || trailing {
-			return nil, fmt.Errorf("valency: vector cursor is corrupt or truncated; refusing to resume — delete %s to restart from scratch", cursorPath)
-		}
-		var err error
-		if vc, err = decodeVectorCursor(payload, job); err != nil {
-			return nil, err
-		}
-	} else if rerr != nil {
-		return nil, fmt.Errorf("valency: open vector cursor: %w", rerr)
 	}
 
 	agg := newAggregate(opts.workers())
 	agg.Stats.Spill = &explore.SpillStats{}
-	agg.Complete, agg.Configs, agg.Livelock = vc.complete, vc.configs, vc.livelock
-	for _, v := range vc.decisions {
-		agg.Decisions[v] = true
+	next := 0
+	payload, err := frame.ReadFile(fs, cursorPath, frameVectorCursor, &retries)
+	switch {
+	case errors.Is(err, iofs.ErrNotExist):
+		// No cursor: a fresh sweep.
+	case err != nil && !errors.Is(err, frame.ErrCorrupt):
+		return nil, fmt.Errorf("valency: read vector cursor: %w", err)
+	case !opts.SpillResume:
+		return nil, fmt.Errorf("valency: spill directory %s holds an unfinished sweep; resume it or use a clean directory", opts.SpillDir)
+	case err != nil:
+		return nil, fmt.Errorf("valency: vector cursor is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, cursorPath)
+	default:
+		if next, err = decodeVectorCursor(payload, job, agg); err != nil {
+			return nil, err
+		}
 	}
 	start := time.Now()
-	defer func() { agg.Stats.Elapsed = time.Since(start) }() // the returned report shares agg.Stats
+	defer func() { // the returned report shares agg.Stats
+		agg.Stats.Elapsed = time.Since(start)
+		agg.Stats.Spill.Retries += retries.Load()
+	}()
 
-	for bits := vc.next; bits < 1<<n; bits++ {
+	for bits := next; bits < 1<<n; bits++ {
 		vopts := opts
 		vopts.SpillDir = filepath.Join(opts.SpillDir, fmt.Sprintf("vec%04d", bits))
 		rep, err := CheckSpill(proto, InputVector(bits, n), vopts)
@@ -398,18 +328,8 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 		fs.Remove(vopts.SpillDir) // completed vectors leave an empty subdir
 		// Fold the finished vector into the durable cursor before moving
 		// on; a crash between vectors then resumes exactly here.
-		vc = &vectorCursor{
-			next:     bits + 1,
-			configs:  agg.Configs,
-			complete: agg.Complete,
-			livelock: agg.Livelock,
-		}
-		for v := range agg.Decisions {
-			vc.decisions = append(vc.decisions, v)
-		}
-		sort.Slice(vc.decisions, func(i, j int) bool { return vc.decisions[i] < vc.decisions[j] })
-		payload := vc.encode(job)
-		if err := cursorRetry(func() error {
+		payload := encodeVectorCursor(job, bits+1, agg)
+		if err := frame.Retry(&retries, func() error {
 			return frame.WriteFileAtomic(fs, cursorPath, func(w io.Writer) error {
 				return frame.Write(w, frameVectorCursor, payload)
 			})

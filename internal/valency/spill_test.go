@@ -1,7 +1,11 @@
 package valency_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -208,6 +212,95 @@ func TestCheckAllInputsSpillKillResume(t *testing.T) {
 			sameVerdict(t, "resumed", resumed, ref)
 		})
 	}
+}
+
+// failVectorFS refuses to create one vector's spill directory, so a
+// sweep stops there with the cursor of the vectors before it durable.
+type failVectorFS struct {
+	frame.FS
+	vec string
+}
+
+func (f failVectorFS) MkdirAll(path string) error {
+	if filepath.Base(path) == f.vec {
+		return errors.New("injected mkdir failure")
+	}
+	return f.FS.MkdirAll(path)
+}
+
+// TestVectorCursorCorruptionRefused: a truncated, bit-flipped or
+// garbage-trailed vector cursor, a checksum-valid cursor payload cut at
+// any byte, and a cursor written by another job must all refuse to
+// resume with a clear error — never resume the sweep at a wrong vector
+// with a wrong aggregate.  The pristine cursor then resumes to the
+// uninterrupted verdict.
+func TestVectorCursorCorruptionRefused(t *testing.T) {
+	proto := protocol.NewCounterWalk(2)
+	const n = 2
+	ref := valency.CheckAllInputs(proto, n, valency.Options{})
+	seed := func(opts valency.Options) []byte {
+		t.Helper()
+		opts.SpillDir = t.TempDir()
+		opts.SpillFS = failVectorFS{frame.OS{}, "vec0002"}
+		if _, err := valency.CheckAllInputsSpill(proto, n, opts); err == nil {
+			t.Fatal("sweep with an unwritable vector reported no error")
+		}
+		b, err := os.ReadFile(filepath.Join(opts.SpillDir, "vectors.ckpt"))
+		if err != nil {
+			t.Fatalf("no cursor survived the stopped sweep: %v", err)
+		}
+		return b
+	}
+	good := seed(valency.Options{})
+	other := seed(valency.Options{NoSymmetry: true})
+	const frameVectorCursor = 0x56
+	typ, payload, err := frame.Read(bytes.NewReader(good))
+	if err != nil || typ != frameVectorCursor {
+		t.Fatalf("cursor frame type %#x, err %v", typ, err)
+	}
+	resume := func(cursor []byte) (*valency.Report, error) {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "vectors.ckpt"), cursor, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return valency.CheckAllInputsSpill(proto, n, valency.Options{SpillDir: dir, SpillResume: true})
+	}
+
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
+	cases := []struct {
+		name   string
+		cursor []byte
+		want   string
+	}{
+		{"truncated", good[:len(good)-7], "refusing to resume"},
+		{"bit-flipped", flipped, "refusing to resume"},
+		{"trailing-garbage", append(append([]byte(nil), good...), 0xde, 0xad), "trailing bytes"},
+		{"other-job", other, "different job"},
+	}
+	for cut := 0; cut < len(payload); cut++ {
+		cases = append(cases, struct {
+			name   string
+			cursor []byte
+			want   string
+		}{fmt.Sprintf("payload-cut@%d", cut), frame.Append(nil, frameVectorCursor, payload[:cut]), "vector cursor"})
+	}
+	for _, tc := range cases {
+		rep, err := resume(tc.cursor)
+		if err == nil {
+			t.Fatalf("%s: corrupt cursor resumed without error (report %+v)", tc.name, rep)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		}
+	}
+
+	rep, err := resume(good)
+	if err != nil {
+		t.Fatalf("pristine cursor: %v", err)
+	}
+	sameVerdict(t, "pristine-resume", rep, ref)
 }
 
 // TestCheckSpillFaultSoak drives the full checker through seeded disk

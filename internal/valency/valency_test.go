@@ -1,6 +1,7 @@
 package valency
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"randsync/internal/protocol"
@@ -266,5 +267,42 @@ func TestScanMachinesInconsistent(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("no generated machine exhibited a violation at r=1, n=3")
+	}
+}
+
+// TestSpillAuxRoundTrip: the caller state a spill manifest carries — the
+// workers' merged decisions and successor count — restores into worker
+// 0, and a checksum-valid aux whose decision count claims more values
+// than it has bytes is refused before the count sizes anything.  A
+// count taken on trust here asked the runtime for 2^40 decisions, an
+// out-of-memory crash no recover can catch.
+func TestSpillAuxRoundTrip(t *testing.T) {
+	newTier := func() *spillTier {
+		ws := make([]swork, 2)
+		for i := range ws {
+			ws[i].decisions = make(map[int64]bool)
+		}
+		return &spillTier{ws: ws}
+	}
+	from := newTier()
+	from.ws[0].decisions[1] = true
+	from.ws[1].decisions[0] = true
+	from.ws[1].decisions[1] = true
+	from.ws[0].generated, from.ws[1].generated = 5, 7
+	to := newTier()
+	if err := to.restoreAux(from.encodeAux()); err != nil {
+		t.Fatal(err)
+	}
+	if w := to.ws[0]; len(w.decisions) != 2 || !w.decisions[0] || !w.decisions[1] || w.generated != 12 {
+		t.Fatalf("restored decisions %v, generated %d; want {0, 1} and 12", w.decisions, w.generated)
+	}
+
+	huge := append(binary.AppendUvarint(nil, 1<<40), 0) // 2^40 decisions, then a zero generated count
+	const want = "decisions len 1099511627776 exceeds the 1 bytes left in payload"
+	if err := newTier().restoreAux(huge); err == nil || err.Error() != want {
+		t.Fatalf("aux claiming 2^40 decisions: err %v, want %q", err, want)
+	}
+	if err := newTier().restoreAux(append(from.encodeAux(), 0)); err == nil {
+		t.Fatal("aux with a trailing byte restored")
 	}
 }

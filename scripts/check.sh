@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 gate: vet, build, full test suite, then the race-detector pass.
+# Tier-1 gate: gofmt, vet, build, full test suite, then the race-detector pass.
 #
 # The race pass runs in -short mode: it exists to catch data races in the
 # parallel exploration engine and the live-world objects, and the deep
@@ -17,6 +17,15 @@ cd "$(dirname "$0")/.."
 stage="startup"
 trap 'status=$?; if [ "$status" -ne 0 ]; then echo "check.sh: FAILED at stage: $stage" >&2; fi' EXIT
 
+stage="gofmt"
+# Every Go file in the tree, the nested bench module's included, is
+# gofmt-clean; a listed file fails the gate by name.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 stage="go vet"
 go vet ./...
 stage="go build"
