@@ -715,7 +715,7 @@ func (co *coord) vectorReport() *valency.Report {
 		rep.Stats.MaxStripeKeys = max(rep.Stats.MaxStripeKeys, n)
 	}
 	if !v.violated {
-		rep.Livelock = explore.HasCycle(int(co.totalKeys()), co.denseEdges())
+		rep.Livelock = explore.HasCycle(int(co.totalKeys()), explore.EdgeLog{co.denseEdges()})
 	}
 	return rep
 }

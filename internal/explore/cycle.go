@@ -1,10 +1,45 @@
 package explore
 
 // Edge is one arc of a configuration graph in dense visited-set ids, as
-// produced by Set.Add.  The parallel valency engine logs edges per worker
-// and the distributed coordinator collects them from batch acks; both
-// feed HasCycle for livelock detection.
+// admitted by a sharded run's shard owners.  The sharded engine logs
+// edges per worker and the distributed coordinator collects them from
+// batch acks; both feed HasCycle for livelock detection.
 type Edge struct{ From, To int64 }
+
+// EdgeLog is an edge list kept as a list of chunks.  A sharded run's
+// workers each append to their own log, whose chunks start at 256 edges
+// and double up to 32 Ki, so the log never copies an edge to grow; a
+// run's result is every worker's chunks side by side, read in place by
+// HasCycle.
+type EdgeLog [][]Edge
+
+const (
+	edgeChunkMin = 256
+	edgeChunkMax = 32 << 10
+)
+
+// add appends e, opening a new chunk when the last one is full.
+func (l *EdgeLog) add(e Edge) {
+	n := len(*l)
+	if n == 0 || len((*l)[n-1]) == cap((*l)[n-1]) {
+		size := edgeChunkMin
+		if n > 0 {
+			size = min(2*cap((*l)[n-1]), edgeChunkMax)
+		}
+		*l = append(*l, make([]Edge, 0, size))
+		n++
+	}
+	(*l)[n-1] = append((*l)[n-1], e)
+}
+
+// Len returns the number of edges in the log.
+func (l EdgeLog) Len() int {
+	var n int
+	for _, c := range l {
+		n += len(c)
+	}
+	return n
+}
 
 // HasCycle reports whether the graph with n nodes (labelled 0..n-1) and
 // the given arcs contains a cycle — the frontier engines' counterpart of
@@ -12,23 +47,31 @@ type Edge struct{ From, To int64 }
 // over the in-memory id graph (cheap next to exploration, which pays for
 // cloning and stepping configurations).  Parallel and duplicate arcs are
 // permitted; they cannot change cycle existence.
-func HasCycle(n int, edges []Edge) bool {
-	if n == 0 || len(edges) == 0 {
+func HasCycle(n int, edges EdgeLog) bool {
+	m := edges.Len()
+	if n == 0 || m == 0 {
 		return false
 	}
-	// Counting sort the arcs into compressed adjacency.
+	// Counting sort the arcs into compressed adjacency, straight from the
+	// chunks.  off[v] first counts v's arcs, then (prefix sums) marks the
+	// end of v's run; placing each arc at its node's decremented end
+	// leaves off[v] at the run's start, so no separate fill cursor is
+	// needed: v's successors are succ[off[v]:off[v+1]].
 	off := make([]int64, n+1)
-	for _, e := range edges {
-		off[e.From+1]++
+	for _, c := range edges {
+		for _, e := range c {
+			off[e.From]++
+		}
 	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
 	}
-	succ := make([]int64, len(edges))
-	fill := append([]int64(nil), off[:n]...)
-	for _, e := range edges {
-		succ[fill[e.From]] = e.To
-		fill[e.From]++
+	succ := make([]int64, m)
+	for _, c := range edges {
+		for _, e := range c {
+			off[e.From]--
+			succ[off[e.From]] = e.To
+		}
 	}
 
 	const (

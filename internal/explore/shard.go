@@ -25,9 +25,10 @@ import (
 //
 //   - Each worker OWNS a fixed fingerprint shard of the visited set
 //     (owner = fp mod workers).  Membership, interning, dense-id
-//     assignment and edge logging for owned fingerprints are plain map
-//     and slice operations on worker-private state — no locks, no
-//     cross-core cache traffic.
+//     assignment and edge logging for owned fingerprints are operations
+//     on worker-private state — a pointer-free key table over an
+//     append-only key arena (keytable.go) and a chunked edge log — with
+//     no locks and no cross-core cache traffic.
 //   - A successor whose fingerprint belongs to a foreign shard is
 //     buffered into a per-destination batch; a full batch is handed to
 //     the owner in one mutex acquisition, so cross-shard traffic costs
@@ -88,8 +89,8 @@ type ShardedOptions[T any] struct {
 	// unlimited.
 	MaxItems int64
 	// OverBudget, when non-nil, is polled after each fresh admission;
-	// returning true marks the run Incomplete and stops it (the memory
-	// watchdog seam).
+	// returning true marks the run Incomplete and stops it (the hook
+	// valency's MemBudget installs).
 	OverBudget func() bool
 	// OnBytes, when non-nil, observes every growth of the interned key
 	// bytes, with the delta; it must be safe for concurrent calls.
@@ -110,13 +111,6 @@ type ShardedOptions[T any] struct {
 	Spill *SpillConfig[T]
 }
 
-// setEntry is the interned key and dense id that first claimed a
-// fingerprint in a shard.
-type setEntry struct {
-	key string
-	id  int64
-}
-
 // SetStats is an end-of-run census of the visited-set shards: how many
 // keys each retains and how evenly the fingerprint hash spreads them.
 // Exploration engines surface it through their Stats so shard imbalance
@@ -127,8 +121,8 @@ type SetStats struct {
 	Stripes int
 	// Keys is the total distinct keys retained.
 	Keys int64
-	// Collisions counts keys living in per-shard overflow maps because a
-	// distinct key already claimed their fingerprint — true 64-bit
+	// Collisions counts keys admitted while a distinct key with the same
+	// fingerprint sat in their shard's key table — true 64-bit
 	// fingerprint collisions, expected to be ≈ 0.
 	Collisions int64
 	// Interned is the total interned key bytes retained.
@@ -174,11 +168,12 @@ type ShardedStats struct {
 	Spill SpillStats
 }
 
-// ShardedResult is a run's stats plus the merged edge log for cycle
-// detection.
+// ShardedResult is a run's stats plus its edge log for cycle detection:
+// every worker's chunks side by side (after a resumed run's restored
+// edges), never merged into one slice.
 type ShardedResult struct {
 	Stats ShardedStats
-	Edges []Edge
+	Edges EdgeLog
 	// Err is set when the run aborted on an unrecoverable disk fault,
 	// refused to resume from an unusable manifest, or recovered a panic
 	// out of a worker (*PanicError); the verdict is then Incomplete — a
@@ -221,7 +216,7 @@ func (c *ShardCtx[T]) Stop() { c.e.stopped.Store(true) }
 // must actually travel: immediately for a fresh self-owned key (the
 // payload becomes a frontier task) or at batch-append time for a
 // foreign-owned key (the owner decides freshness when the batch
-// arrives).  A self-owned duplicate costs one map probe and no payload.
+// arrives).  A self-owned duplicate costs one table probe and no payload.
 //
 // parent is the dense id of the configuration being expanded; the edge
 // parent→successor is logged by the successor's owner whether or not
@@ -305,15 +300,7 @@ func (b *shardBatch[T]) key(i int) []byte {
 	return b.keys[h.off : h.off+h.ln]
 }
 
-// collEnt is one collision-overflow entry: the dense id plus the
-// fingerprint it collides on (an entry spilling to disk must carry its
-// fingerprint, which the map key no longer encodes).
-type collEnt struct {
-	fp uint64
-	id int64
-}
-
-// shardWorker is one worker's state.  The seen/coll/bytes/edges/priv/out
+// shardWorker is one worker's state.  The keys/bytes/edges/priv/out
 // fields are owner-private (touched only by the owning goroutine); the
 // mutex guards only the inbox and the public frontier; created/consumed
 // are single-writer unit counters read by idle scanners.
@@ -327,17 +314,13 @@ type shardWorker[T any] struct {
 	created  atomic.Int64 // units this worker created (written only by it)
 	consumed atomic.Int64 // units this worker consumed (written only by it)
 
-	seen  map[uint64]setEntry
-	coll  map[string]collEnt // distinct keys sharing a claimed fingerprint (≈ never)
-	bytes int64              // interned key bytes this shard retains
-	edges []Edge
+	keys  keyTable
+	bytes int64 // interned key bytes this shard retains
+	edges EdgeLog
 
-	// With a disk tier: the keys admitted since this shard last persisted
-	// (seen's by fingerprint, coll's by key), and whether some of its keys
-	// live only in run files — it evicted, or it resumed from a manifest.
-	newFP   []uint64
-	newColl []string
-	cold    bool
+	// With a disk tier: whether some of this shard's keys live only in
+	// run files — it evicted, or it resumed from a manifest.
+	cold bool
 
 	priv  []shardTask[T]
 	out   []*shardBatch[T] // per-destination partial batches
@@ -394,9 +377,8 @@ type sharded[T any] struct {
 // (or the single-threaded seeding phase) may call it.
 func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64, fresh bool) {
 	sw := &e.ws[w]
-	ent, claimed := sw.seen[fp]
-	switch {
-	case !claimed:
+	id, found, probe := sw.keys.find(fp, key)
+	if !found && sw.cold {
 		// A RAM miss is only provisional in a cold shard: the key may live
 		// in a run file.  A warm shard's RAM holds every key it admitted
 		// (a checkpoint copies keys to disk without dropping them), so its
@@ -404,63 +386,23 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 		// (unrecoverable I/O fault) aborts admission entirely — treating
 		// "unknown" as "fresh" would re-admit a visited key under a
 		// second dense id and corrupt the census.
-		if sw.cold {
-			did, found, err := e.tierLookup(w, fp, key)
-			if err != nil {
-				return 0, false
-			}
-			if found {
-				id = did
-				break
-			}
+		did, onDisk, err := e.tierLookup(w, fp, key)
+		if err != nil {
+			return 0, false
 		}
+		found, id = onDisk, did
+	}
+	if !found {
 		id = e.next.Add(1) - 1
-		k := string(key) // intern: the only retained copy
-		sw.seen[fp] = setEntry{key: k, id: id}
-		sw.bytes += int64(len(k))
+		sw.keys.insert(probe, fp, key, id) // the arena holds the only copy
+		sw.bytes += int64(len(key))
 		fresh = true
-		if e.sp != nil {
-			sw.newFP = append(sw.newFP, fp)
-		}
 		if e.opts.OnBytes != nil {
-			e.opts.OnBytes(int64(len(k)))
-		}
-	case ent.key == string(key): // comparison, not a conversion: no allocation
-		id = ent.id
-	default:
-		// A true fingerprint collision between distinct keys: full-key
-		// membership in the shard's overflow map, then the disk tier.
-		if ce, ok := sw.coll[string(key)]; ok {
-			id = ce.id
-			break
-		}
-		if sw.cold {
-			did, found, err := e.tierLookup(w, fp, key)
-			if err != nil {
-				return 0, false
-			}
-			if found {
-				id = did
-				break
-			}
-		}
-		id = e.next.Add(1) - 1
-		if sw.coll == nil {
-			sw.coll = make(map[string]collEnt)
-		}
-		k := string(key)
-		sw.coll[k] = collEnt{fp: fp, id: id}
-		sw.bytes += int64(len(k))
-		fresh = true
-		if e.sp != nil {
-			sw.newColl = append(sw.newColl, k)
-		}
-		if e.opts.OnBytes != nil {
-			e.opts.OnBytes(int64(len(k)))
+			e.opts.OnBytes(int64(len(key)))
 		}
 	}
 	if parent >= 0 {
-		sw.edges = append(sw.edges, Edge{From: parent, To: id})
+		sw.edges.add(Edge{From: parent, To: id})
 	}
 	if !fresh {
 		sw.dedup++
@@ -748,7 +690,6 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 		e.batchSize = ShardBatchSize
 	}
 	for i := range e.ws {
-		e.ws[i].seen = make(map[uint64]setEntry)
 		e.ws[i].out = make([]*shardBatch[T], workers)
 	}
 	if opts.Spill != nil {
@@ -847,11 +788,6 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 		Elapsed:     time.Since(start),
 		Census:      SetStats{Stripes: workers},
 	}}
-	var edgeTotal int
-	for i := range e.ws {
-		edgeTotal += len(e.ws[i].edges)
-	}
-	res.Edges = make([]Edge, 0, edgeTotal)
 	st := &res.Stats
 	for i := range e.ws {
 		sw := &e.ws[i]
@@ -862,13 +798,15 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 		st.HandoffItems += sw.delivItems
 		st.RecycledBatches += sw.recycledB
 		st.Steals += sw.steals
-		n, coll := int64(len(sw.seen)+len(sw.coll)), int64(len(sw.coll))
+		// Without a disk tier nothing is ever persisted, so the pending
+		// keys are the whole table.  With one, a checkpoint keeps what it
+		// persists in RAM, so RAM and runs overlap: a shard is its runs
+		// plus what it has not persisted (spillFinish adds the persisted
+		// collisions).
+		pending, coll := sw.keys.pending()
+		n := int64(pending)
 		if e.sp != nil {
-			// A checkpoint keeps what it persists in RAM, so RAM and runs
-			// overlap: a shard is its runs plus what it has not persisted
-			// (spillFinish adds the persisted collisions).
-			n = e.sp.tier.shardKeys(i) + int64(len(sw.newFP)+len(sw.newColl))
-			coll = int64(len(sw.newColl))
+			n += e.sp.tier.shardKeys(i)
 		}
 		st.Census.Keys += n
 		st.Census.Collisions += coll

@@ -86,7 +86,7 @@ func TestRunShardedMatchesSerialReach(t *testing.T) {
 				t.Fatalf("workers=%d: census stripes %d", workers, st.Census.Stripes)
 			}
 			// Every emission logs exactly one edge (fresh or duplicate).
-			if got := int64(len(res.Edges)); got != 2*want {
+			if got := int64(res.Edges.Len()); got != 2*want {
 				t.Fatalf("workers=%d batch=%d: %d edges, want %d", workers, batch, got, 2*want)
 			}
 			if st.Stopped || st.Incomplete {
@@ -100,7 +100,7 @@ func TestRunShardedMatchesSerialReach(t *testing.T) {
 	}
 }
 
-// TestRunShardedEdgesFindCycles: the merged edge log must expose the
+// TestRunShardedEdgesFindCycles: the chunked edge log must expose the
 // graph's cycles to HasCycle for any worker count (duplicate admissions
 // log the back edges).
 func TestRunShardedEdgesFindCycles(t *testing.T) {
@@ -210,7 +210,7 @@ func TestRunShardedFingerprintCollision(t *testing.T) {
 	if st.DedupHits != int64(len(keys)) {
 		t.Fatalf("dedup hits %d, want %d", st.DedupHits, len(keys))
 	}
-	if got := int64(len(res.Edges)); got != 2*int64(len(keys)) {
+	if got := int64(res.Edges.Len()); got != 2*int64(len(keys)) {
 		t.Fatalf("%d edges, want %d", got, 2*len(keys))
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -144,11 +143,13 @@ type SpillStats struct {
 	SoftFails int64 `json:"soft_fails,omitempty"`
 }
 
-// spillEntry is one visited-set entry on its way to or from disk.
+// spillEntry is one visited-set entry on its way to or from disk.  A
+// flushed entry's key is a view into its shard's key arena, valid until
+// the reset that follows the flush.
 type spillEntry struct {
 	fp  uint64
 	id  int64
-	key string
+	key []byte
 }
 
 // tierBlock is one block's index entry: its frame offset and the
@@ -279,7 +280,7 @@ func (t *spillTier) flush(shard int, entries []spillEntry, collisions int64) err
 		if a.fp != b.fp {
 			return cmp.Compare(a.fp, b.fp)
 		}
-		return strings.Compare(a.key, b.key)
+		return bytes.Compare(a.key, b.key)
 	})
 	sh := &t.shards[shard]
 	run, err := t.writeRun(shard, sh.gen+1, int64(len(entries)), func(rw *runWriter) error {
@@ -331,9 +332,9 @@ func (rw *runWriter) begin(w io.Writer, run *tierRun, shard int, gen, per int64)
 	rw.out = frame.Append(rw.out, frameRunHeader, encodeRunHeader(shard, gen, run.count))
 }
 
-// addRunEntry appends the next entry; keys arrive as interned strings
-// from a flush and as block-buffer bytes from a merge.
-func addRunEntry[K string | []byte](rw *runWriter, fp uint64, id int64, key K) error {
+// addRunEntry appends the next entry; keys arrive as arena views from a
+// flush and as block-buffer bytes from a merge.
+func addRunEntry(rw *runWriter, fp uint64, id int64, key []byte) error {
 	if rw.left == 0 {
 		return fmt.Errorf("explore: spill run %s holds more entries than its header count %d", rw.run.name, rw.run.count)
 	}

@@ -114,8 +114,8 @@ func TestSpillDifferential(t *testing.T) {
 				t.Fatalf("admitted/processed %d/%d, want %d/%d",
 					st.Admitted, st.Processed, ref.Stats.Admitted, ref.Stats.Processed)
 			}
-			if len(res.Edges) != len(ref.Edges) {
-				t.Fatalf("%d edges, want %d", len(res.Edges), len(ref.Edges))
+			if res.Edges.Len() != ref.Edges.Len() {
+				t.Fatalf("%d edges, want %d", res.Edges.Len(), ref.Edges.Len())
 			}
 			if st.Census.Keys != ref.Stats.Admitted {
 				t.Fatalf("census keys %d, want %d", st.Census.Keys, ref.Stats.Admitted)
@@ -228,8 +228,8 @@ func testSpillKillResume(t *testing.T, g spillGraph, ref explore.ShardedResult, 
 				t.Fatalf("resume admitted/processed %d/%d incomplete=%v, want %d complete",
 					st.Admitted, st.Processed, st.Incomplete, ref.Stats.Admitted)
 			}
-			if len(res2.Edges) != len(ref.Edges) {
-				t.Fatalf("resume has %d edges, want %d", len(res2.Edges), len(ref.Edges))
+			if res2.Edges.Len() != ref.Edges.Len() {
+				t.Fatalf("resume has %d edges, want %d", res2.Edges.Len(), ref.Edges.Len())
 			}
 		})
 	}
@@ -532,9 +532,9 @@ func testSpillResumeOtherBlockLayout(t *testing.T, per int) {
 	if !st.Spill.Resumed || st.Incomplete {
 		t.Fatalf("resumed=%v incomplete=%v", st.Spill.Resumed, st.Incomplete)
 	}
-	if st.Admitted != ref.Stats.Admitted || st.Processed != ref.Stats.Processed || len(res.Edges) != len(ref.Edges) {
+	if st.Admitted != ref.Stats.Admitted || st.Processed != ref.Stats.Processed || res.Edges.Len() != ref.Edges.Len() {
 		t.Fatalf("admitted/processed/edges %d/%d/%d, uninterrupted %d/%d/%d",
-			st.Admitted, st.Processed, len(res.Edges), ref.Stats.Admitted, ref.Stats.Processed, len(ref.Edges))
+			st.Admitted, st.Processed, res.Edges.Len(), ref.Stats.Admitted, ref.Stats.Processed, ref.Edges.Len())
 	}
 	if st.Census.Keys != ref.Stats.Census.Keys || st.Census.Collisions != ref.Stats.Census.Collisions {
 		t.Fatalf("census keys/collisions %d/%d, uninterrupted %d/%d",

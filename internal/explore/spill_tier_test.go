@@ -124,7 +124,7 @@ func FuzzSearchBlock(f *testing.F) {
 			tier.blockEntries = 32
 			flushed := make([]spillEntry, len(entries))
 			for i, e := range entries {
-				flushed[i] = spillEntry{fp: e.FP, id: e.ID, key: e.Key}
+				flushed[i] = spillEntry{fp: e.FP, id: e.ID, key: []byte(e.Key)}
 			}
 			if err := tier.flush(0, flushed, 0); err != nil {
 				t.Fatal(err)
@@ -300,7 +300,7 @@ func tierEntries(base, n int) []spillEntry {
 		entries[i] = spillEntry{
 			fp:  uint64(id/2) * 0x9e3779b97f4a7c15,
 			id:  int64(id),
-			key: fmt.Sprintf("key-%08d", id),
+			key: []byte(fmt.Sprintf("key-%08d", id)),
 		}
 	}
 	return entries

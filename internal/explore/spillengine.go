@@ -108,7 +108,7 @@ type spillRT[T any] struct {
 	failOnce sync.Once
 	failErr  error
 
-	resumeEdges   []Edge
+	resumeEdges   []Edge // the manifest's edge log, restored on resume
 	baseProcessed int64
 	baseDedup     int64
 }
@@ -159,34 +159,32 @@ func (e *sharded[T]) tierLookup(w int, fp uint64, key []byte) (int64, bool, erro
 }
 
 // persistNew writes the keys worker w's shard admitted since it last
-// persisted as one more sorted run.  It is the visited set's one write
-// path — eviction and checkpoint cuts both call it — so each key reaches
-// disk exactly once.  False means an unrecoverable fault: the run is
-// stopping.  Owner-only (or world-parked).
+// persisted as one more sorted run: the key table's arena walked from
+// its persist mark.  It is the visited set's one write path — eviction
+// and checkpoint cuts both call it — so each key reaches disk exactly
+// once.  False means an unrecoverable fault: the run is stopping.
+// Owner-only (or world-parked).
 func (e *sharded[T]) persistNew(w int) bool {
 	sp := e.sp
 	sw := &e.ws[w]
 	if sp.failed.Load() {
 		return false
 	}
-	if len(sw.newFP)+len(sw.newColl) == 0 {
+	n, collided := sw.keys.pending()
+	if n == 0 {
 		return true
 	}
-	entries := make([]spillEntry, 0, len(sw.newFP)+len(sw.newColl))
-	for _, fp := range sw.newFP {
-		ent := sw.seen[fp]
-		entries = append(entries, spillEntry{fp: fp, id: ent.id, key: ent.key})
-	}
-	for _, k := range sw.newColl {
-		ce := sw.coll[k]
-		entries = append(entries, spillEntry{fp: ce.fp, id: ce.id, key: k})
-	}
-	if err := sp.tier.flush(w, entries, int64(len(sw.newColl))); err != nil {
+	// The entries' keys alias the arena; flush copies them into the run
+	// file before the reset that follows an eviction can reuse it.
+	entries := make([]spillEntry, 0, n)
+	sw.keys.since(func(fp uint64, id int64, key []byte) {
+		entries = append(entries, spillEntry{fp: fp, id: id, key: key})
+	})
+	if err := sp.tier.flush(w, entries, collided); err != nil {
 		e.diskFail(err)
 		return false
 	}
-	sw.newFP = sw.newFP[:0]
-	sw.newColl = nil
+	sw.keys.markPersisted()
 	return true
 }
 
@@ -199,8 +197,7 @@ func (e *sharded[T]) maybeEvict(w int) {
 		return
 	}
 	freed := sw.bytes
-	clear(sw.seen)
-	sw.coll = nil
+	sw.keys.reset()
 	sw.bytes = 0
 	sw.cold = true
 	if e.opts.OnBytes != nil {
@@ -495,17 +492,13 @@ func (e *sharded[T]) encodeManifest() []byte {
 			b = binary.AppendUvarint(b, uint64(s.count))
 		}
 	}
-	var edges int
+	edges := EdgeLog{sp.resumeEdges}
 	for i := range e.ws {
-		edges += len(e.ws[i].edges)
+		edges = append(edges, e.ws[i].edges...)
 	}
-	b = binary.AppendUvarint(b, uint64(len(sp.resumeEdges)+edges))
-	for _, ed := range sp.resumeEdges {
-		b = binary.AppendUvarint(b, uint64(ed.From))
-		b = binary.AppendUvarint(b, uint64(ed.To))
-	}
-	for i := range e.ws {
-		for _, ed := range e.ws[i].edges {
+	b = binary.AppendUvarint(b, uint64(edges.Len()))
+	for _, c := range edges {
+		for _, ed := range c {
 			b = binary.AppendUvarint(b, uint64(ed.From))
 			b = binary.AppendUvarint(b, uint64(ed.To))
 		}
@@ -639,7 +632,7 @@ func (e *sharded[T]) spillFinish(res *ShardedResult) {
 	st.Processed += sp.baseProcessed
 	st.DedupHits += sp.baseDedup
 	st.Census.Collisions += sp.tier.collFlushed.Load()
-	res.Edges = append(sp.resumeEdges, res.Edges...)
+	res.Edges = append(EdgeLog{sp.resumeEdges}, res.Edges...)
 	if sp.failed.Load() && res.Err == nil {
 		res.Err = sp.failErr
 	}

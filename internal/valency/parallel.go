@@ -41,7 +41,8 @@ type Stats struct {
 	// Visited-set census (explore.SetStats), zero on the serial engine,
 	// whose visited set is a plain map: Stripes is the number of
 	// fingerprint shards (one per worker), Collisions counts true 64-bit
-	// fingerprint collisions kept apart in overflow maps, and
+	// fingerprint collisions (distinct keys sharing a shard's fingerprint,
+	// each confirmed by a full key comparison), and
 	// MinStripeKeys/MaxStripeKeys bound the per-shard key counts — the
 	// imbalance envelope of the fingerprint partition.  The distributed
 	// engine reports the same fields at shard granularity, so cluster

@@ -3,6 +3,7 @@ package valency
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -349,5 +350,48 @@ func TestStatsFold(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s:\n got %+v %+v\nwant %+v %+v", tc.name, got, got.Spill, tc.want, tc.want.Spill)
 		}
+	}
+}
+
+// checkAllocBytes runs Check and returns its report and the bytes it
+// allocated: the TotalAlloc delta across the call, after a GC.
+func checkAllocBytes(p sim.Protocol, inputs []int64, opts Options) (*Report, uint64) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep := Check(p, inputs, opts)
+	runtime.ReadMemStats(&after)
+	return rep, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestShardedAllocBytesPerConfig pins the sharded engine's memory per
+// configuration: the visited set (a pointer-free key table over a key
+// arena) and the chunked edge log must keep counter-walk n = 3 at or
+// under 550 allocated bytes per configuration.
+func TestShardedAllocBytesPerConfig(t *testing.T) {
+	rep, total := checkAllocBytes(protocol.NewCounterWalk(3), []int64{0, 1, 0}, Options{Workers: 2})
+	if !rep.Complete || rep.Violation != nil || rep.Configs == 0 {
+		t.Fatalf("counter-walk n=3 must verify cleanly: complete=%v violation=%v configs=%d",
+			rep.Complete, rep.Violation, rep.Configs)
+	}
+	perConfig := float64(total) / float64(rep.Configs)
+	t.Logf("%d configs, %d bytes allocated, %.0f B/config", rep.Configs, total, perConfig)
+	if perConfig > 550 {
+		t.Fatalf("%.0f B allocated per configuration, want at most 550", perConfig)
+	}
+}
+
+// TestShardedSmallJobAllocs guards the fixed cost of a sharded run: a
+// tiny job (counter-walk n = 2) must allocate at most 400 KiB in total,
+// so the visited set's table, arena and edge chunks have to start small
+// and grow with the job instead of at the sizes a large job reaches.
+func TestShardedSmallJobAllocs(t *testing.T) {
+	rep, total := checkAllocBytes(protocol.NewCounterWalk(2), []int64{0, 1}, Options{Workers: 2})
+	if !rep.Complete || rep.Violation != nil {
+		t.Fatalf("counter-walk n=2 must verify cleanly: complete=%v violation=%v", rep.Complete, rep.Violation)
+	}
+	t.Logf("%d configs, %d bytes allocated", rep.Configs, total)
+	if total > 400<<10 {
+		t.Fatalf("%d bytes allocated, want at most %d", total, 400<<10)
 	}
 }

@@ -129,7 +129,7 @@ func checkSharded(proto sim.Protocol, inputs []int64, opts Options, disk *spillT
 			// Successors steps c in place, and Emit calls the materializer
 			// synchronously (while c is stepped) and only when the
 			// successor actually travels: a self-shard duplicate — the
-			// common case — costs one private map probe and no clone.
+			// common case — costs one private key-table probe and no clone.
 			_, err := opts.Successors(c, func(pid int, out int64, _ sim.Event) bool {
 				w.generated++
 				w.buf = opts.AppendVisitKey(&w.keyer, c, w.buf[:0])

@@ -80,12 +80,17 @@ stage="shard-engine race smoke"
 # worker ids in range, a stop leaves a claimed prefix).  The RAM and
 # spill tiers run one expand callback over the one move rule
 # (valency.Options.Successors), so the valency pass covers both tiers
-# and the rule itself.
+# and the rule itself.  The visited set rides along: the key table's
+# fuzz seed corpus (FuzzKeyTable: collisions, grows, resets, persist-mark
+# walks) and the sharded engine's memory pins, at most 550 allocated
+# bytes per configuration on counter-walk n = 3 and at most 400 KiB for
+# a tiny n = 2 job (TestShardedAllocBytesPerConfig,
+# TestShardedSmallJobAllocs).
 go test -race -count=1 -timeout 10m \
-	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence|TestEachHandsOutEveryIndexOnce|TestEachStop' \
+	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence|TestEachHandsOutEveryIndexOnce|TestEachStop|FuzzKeyTable' \
 	./internal/explore/
 go test -race -count=1 -timeout 10m \
-	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential' \
+	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential|TestShardedAllocBytesPerConfig|TestShardedSmallJobAllocs' \
 	./internal/valency/
 stage="spill smoke (beyond-RAM engine)"
 # The disk-tiered engine's robustness drills, under the race detector:
@@ -204,6 +209,10 @@ go test -run=NONE -bench=. -benchtime=1x -timeout 15m ./...
 # reference (random protocol, process count, reachable configuration and
 # budget); the seed corpus alone already runs in the suite above.
 go test -run=NONE -fuzz=FuzzSoloTerminate -fuzztime=15s -timeout 5m ./internal/sim
+# Fifteen seconds of fuzzing the sharded engine's key table against a
+# map reference under a few-bit fingerprint (finds, inserts, grows,
+# resets and persist-mark walks); its seed corpus runs in the suite too.
+go test -run=NONE -fuzz=FuzzKeyTable -fuzztime=15s -timeout 5m ./internal/explore
 # The protocol-space search compiles every table into per-sweep scratch
 # buffers, one set per fan-out subtree, and runs both solo-prefilter
 # stages on a per-sweep scratch configuration; a focused race pass over
