@@ -187,15 +187,12 @@ func (s *machineState) Advance(result int64) sim.State {
 	return s
 }
 
-// Key implements sim.State.
-func (s *machineState) Key() string { return fmt.Sprintf("m%d", s.state) }
-
-// machineKeyTag is machineState's compact-encoding type tag (the
-// protocol package owns 0x10–0x19; sim reserves 0x00 and 0x01).
+// machineKeyTag is machineState's visited-key type tag (the protocol
+// package owns 0x10–0x19; sim uses 0x01 for Halted).
 const machineKeyTag byte = 0x30
 
-// AppendKey implements sim.KeyAppender, keeping the enumeration search on
-// the allocation-free visited-key path.
+// AppendKey implements sim.State without allocating: the state number is
+// the whole state.
 func (s *machineState) AppendKey(buf []byte) []byte {
 	buf = append(buf, machineKeyTag)
 	return binary.AppendVarint(buf, int64(s.state))

@@ -172,7 +172,7 @@ func TestMachineStepAllocs(t *testing.T) {
 	for name, f := range map[string]func(){
 		"Action":    func() { a = s.Action() },
 		"Advance":   func() { next = s.Advance(resp) },
-		"AppendKey": func() { buf = s.(sim.KeyAppender).AppendKey(buf[:0]) },
+		"AppendKey": func() { buf = s.AppendKey(buf[:0]) },
 	} {
 		if n := testing.AllocsPerRun(100, f); n != 0 {
 			t.Errorf("%s allocates %.0f times per call, want 0", name, n)

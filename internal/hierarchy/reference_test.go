@@ -59,8 +59,6 @@ func (s refState) Advance(result int64) sim.State {
 	return s
 }
 
-func (s refState) Key() string { return fmt.Sprintf("m%d", s.state) }
-
 func (s refState) AppendKey(buf []byte) []byte {
 	buf = append(buf, machineKeyTag)
 	return binary.AppendVarint(buf, int64(s.state))

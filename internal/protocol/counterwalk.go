@@ -169,8 +169,3 @@ func (s walkState) Advance(result int64) sim.State {
 	}
 	panic(fmt.Sprintf("protocol: walkState advance with unknown pc %d", s.pc))
 }
-
-// Key implements sim.State.
-func (s walkState) Key() string {
-	return fmt.Sprintf("cw:%d:%d:%d:%d", s.pc, s.input, s.a, s.n)
-}

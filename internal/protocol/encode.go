@@ -1,18 +1,17 @@
 package protocol
 
-import (
-	"encoding/binary"
+import "encoding/binary"
 
-	"randsync/internal/sim"
-)
-
-// Compact visited-set encodings (sim.KeyAppender) for every state type in
-// the package.  Each encoding carries a type tag unique across the
-// package (sim reserves 0x00 for the Key fallback and 0x01 for Halted)
-// followed by exactly the fields the legacy Key string renders, so two
-// states of the same protocol have equal AppendKey output iff they have
-// equal Keys — the contract FuzzAppendKey exercises through whole
-// configurations.
+// Visited-set keys (sim.State.AppendKey) for every state type in the
+// package.  Each encoding is a type tag unique across the package (sim
+// uses 0x01 for Halted; package hierarchy uses 0x30) followed by every
+// field that determines the state's behaviour, self-delimiting.  Equal
+// keys must mean equal behaviour: valency's TestStateKeyCongruence
+// checks it on every protocol the zoo registers.  Some fields repeat
+// what the configuration key already holds (a copy of the slot's input
+// or pid, a protocol constant such as n); that costs bytes, not
+// soundness, and dropping one would change the retained key bytes that
+// verdict documents report.
 
 const (
 	keyTagDecide byte = 0x10 + iota
@@ -34,25 +33,25 @@ func appendBool(buf []byte, b bool) []byte {
 	return append(buf, 0)
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s decideState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagDecide)
 	return binary.AppendVarint(buf, s.v)
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s casState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagCAS)
 	return binary.AppendVarint(buf, s.input)
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s stickyState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagSticky)
 	return binary.AppendVarint(buf, s.input)
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s naiveState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagNaive)
 	buf = binary.AppendVarint(buf, int64(s.pid))
@@ -60,8 +59,9 @@ func (s naiveState) AppendKey(buf []byte) []byte {
 	return binary.AppendUvarint(buf, uint64(s.pc))
 }
 
-// AppendKey implements sim.KeyAppender.  The protocol name is part of the
-// legacy key, so it is encoded too (length-prefixed, self-delimiting).
+// AppendKey implements sim.State.  The protocol name is encoded too
+// (length-prefixed, self-delimiting): it selects the objects and
+// operations the program runs.
 func (s wlState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagWL)
 	buf = binary.AppendUvarint(buf, uint64(len(s.proto.name)))
@@ -71,7 +71,7 @@ func (s wlState) AppendKey(buf []byte) []byte {
 	return binary.AppendUvarint(buf, uint64(s.pc))
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s walkState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagWalk)
 	buf = binary.AppendUvarint(buf, uint64(s.pc))
@@ -80,7 +80,7 @@ func (s walkState) AppendKey(buf []byte) []byte {
 	return binary.AppendVarint(buf, s.n)
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s pfaState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagPFA)
 	buf = binary.AppendUvarint(buf, uint64(s.pc))
@@ -88,9 +88,8 @@ func (s pfaState) AppendKey(buf []byte) []byte {
 	return binary.AppendVarint(buf, s.n)
 }
 
-// AppendKey implements sim.KeyAppender.  views is length-prefixed; the
-// legacy Key's %v rendering likewise distinguishes slices only by
-// contents, never nil-versus-empty.
+// AppendKey implements sim.State.  views is length-prefixed and
+// distinguished by contents only, never nil-versus-empty.
 func (s floodState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagFlood)
 	buf = binary.AppendVarint(buf, s.pref)
@@ -101,7 +100,7 @@ func (s floodState) AppendKey(buf []byte) []byte {
 	return buf
 }
 
-// AppendKey implements sim.KeyAppender.
+// AppendKey implements sim.State.
 func (s rcState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagRC)
 	buf = binary.AppendVarint(buf, int64(s.pid))
@@ -116,9 +115,9 @@ func (s rcState) AppendKey(buf []byte) []byte {
 	return binary.AppendVarint(buf, s.trueVal)
 }
 
-// AppendKey implements sim.KeyAppender.  Like the legacy Key's %v, the
-// scan view is distinguished by contents only (nil and empty coincide;
-// they never occur at the same pc).
+// AppendKey implements sim.State.  The scan view is distinguished by
+// contents only (nil and empty coincide; they never occur at the same
+// pc).
 func (s smState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagSM)
 	buf = binary.AppendVarint(buf, s.pref)
@@ -129,17 +128,3 @@ func (s smState) AppendKey(buf []byte) []byte {
 	}
 	return buf
 }
-
-// Compile-time checks that every state type stays on the compact path.
-var (
-	_ sim.KeyAppender = decideState{}
-	_ sim.KeyAppender = casState{}
-	_ sim.KeyAppender = stickyState{}
-	_ sim.KeyAppender = naiveState{}
-	_ sim.KeyAppender = wlState{}
-	_ sim.KeyAppender = walkState{}
-	_ sim.KeyAppender = pfaState{}
-	_ sim.KeyAppender = floodState{}
-	_ sim.KeyAppender = rcState{}
-	_ sim.KeyAppender = smState{}
-)

@@ -201,8 +201,3 @@ func (s floodState) Advance(result int64) sim.State {
 	// We just decided.
 	return sim.Halted{}
 }
-
-// Key implements sim.State.
-func (s floodState) Key() string {
-	return fmt.Sprintf("fl:%d:%v", s.pref, s.views)
-}

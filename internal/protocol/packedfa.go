@@ -161,8 +161,3 @@ func (s pfaState) Advance(result int64) sim.State {
 	}
 	panic(fmt.Sprintf("protocol: pfaState advance with unknown pc %d", s.pc))
 }
-
-// Key implements sim.State.
-func (s pfaState) Key() string {
-	return fmt.Sprintf("pfa:%d:%d:%d", s.pc, s.input, s.n)
-}

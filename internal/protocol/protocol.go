@@ -21,11 +21,7 @@
 //     but, necessarily, not under the adversary's schedule.
 package protocol
 
-import (
-	"fmt"
-
-	"randsync/internal/sim"
-)
+import "randsync/internal/sim"
 
 // None is the encoding of "no value written yet" used by protocols that
 // distinguish untouched objects; inputs v are stored as v+1.
@@ -42,6 +38,5 @@ type decideState struct{ v int64 }
 
 func (s decideState) Action() sim.Action      { return sim.Action{Kind: sim.ActDecide, Value: s.v} }
 func (s decideState) Advance(int64) sim.State { return sim.Halted{} }
-func (s decideState) Key() string             { return fmt.Sprintf("D%d", s.v) }
 
 var _ sim.State = decideState{}

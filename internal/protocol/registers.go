@@ -243,10 +243,3 @@ func (s rcState) Advance(result int64) sim.State {
 	}
 	panic(fmt.Sprintf("protocol: rcState advance with unknown phase %d", s.phase))
 }
-
-// Key implements sim.State.
-func (s rcState) Key() string {
-	return fmt.Sprintf("rc:%d:%d:%d:%d:%d:%d:%v:%v:%v:%d",
-		s.pid, s.pref, s.round, s.phase, s.idx, s.coin,
-		s.conflict, s.anyHigher, s.anyFalseR, s.trueVal)
-}

@@ -172,8 +172,3 @@ func (s smState) Advance(result int64) sim.State {
 	s.scan = make([]int64, 0, len(s.proto.Types))
 	return s
 }
-
-// Key implements sim.State.
-func (s smState) Key() string {
-	return fmt.Sprintf("sm:%d:%d:%v", s.pref, s.pc, s.scan)
-}

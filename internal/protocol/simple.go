@@ -1,8 +1,6 @@
 package protocol
 
 import (
-	"fmt"
-
 	"randsync/internal/object"
 	"randsync/internal/sim"
 )
@@ -55,8 +53,6 @@ func (s casState) Advance(result int64) sim.State {
 	// Someone else installed first; adopt their value.
 	return decideState{v: result}
 }
-
-func (s casState) Key() string { return fmt.Sprintf("cas:%d", s.input) }
 
 // winnerLoser is the common skeleton of the deterministic two-process
 // protocols of §4: each process publishes its input in its own register,
@@ -188,10 +184,6 @@ func (s wlState) Advance(result int64) sim.State {
 	}
 }
 
-func (s wlState) Key() string {
-	return fmt.Sprintf("wl:%s:%d:%d:%d", s.proto.name, s.pid, s.input, s.pc)
-}
-
 // RegisterNaive2 is the natural-but-doomed deterministic register protocol
 // for two processes: publish the input, read the peer, decide your own
 // input if the peer is absent and min(inputs) otherwise.  Read-write
@@ -252,8 +244,6 @@ func (s naiveState) Advance(result int64) sim.State {
 	return decideState{v: min64(s.input, result)}
 }
 
-func (s naiveState) Key() string { return fmt.Sprintf("nv:%d:%d:%d", s.pid, s.input, s.pc) }
-
 func min64(a, b int64) int64 {
 	if a < b {
 		return a
@@ -299,5 +289,3 @@ func (s stickyState) Action() sim.Action {
 func (s stickyState) Advance(result int64) sim.State {
 	return decideState{v: result - 1}
 }
-
-func (s stickyState) Key() string { return fmt.Sprintf("sb:%d", s.input) }

@@ -52,15 +52,6 @@ func BenchmarkSoloTerminate(b *testing.B) {
 	}
 }
 
-// BenchmarkKey measures configuration hashing (the model checker's inner
-// loop cost).
-func BenchmarkKey(b *testing.B) {
-	c := NewConfig(writeReadProto{}, []int64{0, 1, 0, 1})
-	for i := 0; i < b.N; i++ {
-		_ = c.Key()
-	}
-}
-
 // BenchmarkExploreStepClone measures the baseline DFS edge: clone the
 // configuration, step the copy.
 func BenchmarkExploreStepClone(b *testing.B) {

@@ -3,68 +3,44 @@ package sim
 import (
 	"bytes"
 	"encoding/binary"
-	"sync"
 )
 
-// This file is the compact-key path of the exploration engines: a binary
-// configuration encoding that replaces Config.Key's canonical string on
-// the model-checking hot path.  The string form allocates a fresh
-// strings.Builder plus strconv garbage per configuration; the binary form
-// appends into a caller-owned scratch buffer, so encoding a configuration
-// and fingerprinting it allocate nothing, and the only retained copy is
-// the one the visited set interns for a genuinely new configuration.
+// This file is the visited-set key of every exploration engine: a
+// binary configuration encoding, appended into a caller-owned scratch
+// buffer, so encoding a configuration and fingerprinting it allocate
+// nothing, and the only retained copy is the one the visited set interns
+// for a genuinely new configuration.
 //
 // Encoding layout (all integers varint-encoded with encoding/binary):
 //
 //	config  := slot^n object^r
 //	slot    := state varint(input) decidedByte [varint(decision)]
-//	state   := tagByte fields...            (KeyAppender implementations)
-//	         | 0x00 uvarint(len) keyBytes   (fallback via State.Key)
+//	state   := tagByte fields...            (State.AppendKey)
 //
-// Every component is self-delimiting and the slot and object counts are
-// fixed for a given (Protocol, inputs) instance, so within one exploration
-// the encoding is injective: two configurations have equal encodings iff
-// they have equal Config.Keys.  FuzzAppendKey checks that equivalence.
-
-// KeyAppender is an optional State extension: states that implement it
-// append a compact self-delimiting binary encoding of themselves instead
-// of going through the Key() string fallback.
-//
-// The contract mirrors Key's: two states of the same protocol have equal
-// AppendKey output iff they have equal Keys.  The first appended byte
-// must be a type tag that is unique among all state types that can occur
-// together in one configuration; 0x00 is reserved for the Key() fallback
-// and 0x01 for Halted.
-type KeyAppender interface {
-	AppendKey(buf []byte) []byte
-}
+// Tags: 0x01 is Halted; package protocol uses 0x10–0x19 and package
+// hierarchy 0x30.  0x00 is free (it used to mark a length-prefixed string
+// fallback), and valency's crash-allowance separator 0xFD must never
+// begin a state.  Every component is self-delimiting and the slot and
+// object counts are fixed for a given (Protocol, inputs) instance, so
+// within one exploration two configurations share a key iff every slot's
+// state key, input and decision and every object value agree.  Whether a
+// state key keeps every field that matters is up to each
+// State.AppendKey, which valency's TestStateKeyCongruence checks
+// behaviourally.
 
 // HaltedKeyTag is the state-encoding tag of Halted (the only state every
 // protocol shares); protocol packages must pick tags above it.
 const HaltedKeyTag = 0x01
 
-// AppendKey implements KeyAppender.
+// AppendKey implements State.
 func (Halted) AppendKey(buf []byte) []byte { return append(buf, HaltedKeyTag) }
-
-// AppendStateKey appends the compact encoding of s to buf: the state's
-// own KeyAppender encoding when implemented, otherwise the 0x00-tagged
-// length-prefixed Key() string.
-func AppendStateKey(buf []byte, s State) []byte {
-	if ka, ok := s.(KeyAppender); ok {
-		return ka.AppendKey(buf)
-	}
-	k := s.Key()
-	buf = append(buf, 0x00)
-	buf = binary.AppendUvarint(buf, uint64(len(k)))
-	return append(buf, k...)
-}
 
 // appendSlot appends the compact encoding of process slot pid: state,
 // input, and decision bookkeeping.  The encoding is self-delimiting, so
 // slot encodings concatenate (and, for identical-process protocols, sort)
 // without ambiguity.
 func (c *Config) appendSlot(buf []byte, pid int) []byte {
-	buf = AppendStateKey(buf, c.States[pid])
+	buf = c.States[pid].AppendKey(buf)
 	buf = binary.AppendVarint(buf, c.Inputs[pid])
 	if c.Decided[pid] {
 		buf = append(buf, 1)
@@ -83,12 +59,10 @@ func (c *Config) appendObjects(buf []byte) []byte {
 	return buf
 }
 
-// AppendKey appends the compact binary encoding of the configuration to
-// buf and returns the extended slice.  It is the allocation-free
-// counterpart of Key: within one exploration, two configurations have
-// equal AppendKey encodings iff they have equal Keys.  Callers on the
-// exploration hot path reuse a per-worker scratch buffer
-// (buf = c.AppendKey(buf[:0])).
+// AppendKey appends the binary encoding of the configuration to buf and
+// returns the extended slice.  Callers on the exploration hot path reuse
+// a per-worker scratch buffer (buf = c.AppendKey(buf[:0])); tests that
+// want a comparable value use string(c.AppendKey(nil)).
 func (c *Config) AppendKey(buf []byte) []byte {
 	for pid := range c.States {
 		buf = c.appendSlot(buf, pid)
@@ -96,32 +70,24 @@ func (c *Config) AppendKey(buf []byte) []byte {
 	return c.appendObjects(buf)
 }
 
-// FingerprintBytes hashes a compact encoding with FNV-1a, the binary
-// counterpart of FingerprintKey.
+// FNV-1a constants (hash/fnv's, inlined so fingerprinting needs no
+// hasher allocation).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// FingerprintBytes hashes an encoding with FNV-1a: configurations with
+// equal AppendKey encodings always have equal fingerprints, and distinct
+// ones collide only with hash probability.  The sharded engines use it
+// to pick a key's shard and table slot; membership is always decided on
+// the full key, so a collision never merges two configurations.
 func FingerprintBytes(key []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, b := range key {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
-	return h
-}
-
-// keyScratch pools encoding buffers for Fingerprint64 callers that do not
-// carry their own scratch.
-var keyScratch = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-// Fingerprint64 returns the 64-bit FNV-1a fingerprint of the compact
-// encoding, without building a string: configurations with equal
-// AppendKey encodings always have equal fingerprints.  Hot paths that
-// also need the key bytes should encode once with AppendKey and hash the
-// result with FingerprintBytes instead.
-func (c *Config) Fingerprint64() uint64 {
-	bp := keyScratch.Get().(*[]byte)
-	b := c.AppendKey((*bp)[:0])
-	h := FingerprintBytes(b)
-	*bp = b
-	keyScratch.Put(bp)
 	return h
 }
 

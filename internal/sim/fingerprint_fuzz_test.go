@@ -8,13 +8,14 @@ import (
 // against the toy protocols and checks the fingerprint contract on every
 // configuration reached along the way:
 //
-//   - fingerprint equality ⇔ configuration (Key) equality across the
-//     corpus of snapshots: distinct keys must not collide, equal keys
-//     must always fingerprint identically;
+//   - fingerprint equality ⇔ key (AppendKey) equality across the corpus
+//     of snapshots: distinct keys must not collide, equal keys must
+//     always fingerprint identically;
 //   - stability across snapshot/replay: replaying the recorded execution
-//     on a fresh configuration reproduces the fingerprint exactly, as
-//     does Clone.
+//     on a fresh configuration reproduces the key and fingerprint
+//     exactly, as does Clone.
 func FuzzConfigFingerprint(f *testing.F) {
+	fingerprint := func(c *Config) uint64 { return FingerprintBytes(c.AppendKey(nil)) }
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{255, 0, 255, 0})
 	f.Add([]byte{})
@@ -26,10 +27,7 @@ func FuzzConfigFingerprint(f *testing.F) {
 		}
 		var corpus []snapshot
 		record := func(c *Config) {
-			key, fp := c.Key(), c.Fingerprint()
-			if want := FingerprintKey(key); fp != want {
-				t.Fatalf("Fingerprint() = %#x but FingerprintKey(Key()) = %#x", fp, want)
-			}
+			key, fp := keyOf(c), fingerprint(c)
 			corpus = append(corpus, snapshot{key: key, fp: fp})
 		}
 
@@ -63,13 +61,13 @@ func FuzzConfigFingerprint(f *testing.F) {
 			if err := r.Apply(exec); err != nil {
 				t.Fatalf("replay: %v", err)
 			}
-			if r.Fingerprint() != c.Fingerprint() || r.Key() != c.Key() {
+			if fingerprint(r) != fingerprint(c) || keyOf(r) != keyOf(c) {
 				t.Fatalf("replay diverged: key %q fp %#x, want key %q fp %#x",
-					r.Key(), r.Fingerprint(), c.Key(), c.Fingerprint())
+					keyOf(r), fingerprint(r), keyOf(c), fingerprint(c))
 			}
-			if cl := c.Clone(); cl.Fingerprint() != c.Fingerprint() {
-				t.Fatalf("clone fingerprint %#x differs from original %#x",
-					cl.Fingerprint(), c.Fingerprint())
+			if cl := c.Clone(); fingerprint(cl) != fingerprint(c) || keyOf(cl) != keyOf(c) {
+				t.Fatalf("clone key %q fp %#x differs from original %q fp %#x",
+					keyOf(cl), fingerprint(cl), keyOf(c), fingerprint(c))
 			}
 		}
 

@@ -24,7 +24,7 @@ func TestQuickReplayIdentity(t *testing.T) {
 		if err := b.Apply(res.Exec); err != nil {
 			return false
 		}
-		return a.Key() == b.Key()
+		return keyOf(a) == keyOf(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -55,7 +55,7 @@ func TestQuickCloneIsolation(t *testing.T) {
 	f := func(seed uint64, steps uint8) bool {
 		inputs := []int64{1, 0}
 		c := NewConfig(writeReadProto{}, inputs)
-		key := c.Key()
+		key := keyOf(c)
 		d := c.Clone()
 		// Advance the clone arbitrarily.
 		for i := 0; i < int(steps%8); i++ {
@@ -67,7 +67,7 @@ func TestQuickCloneIsolation(t *testing.T) {
 				return false
 			}
 		}
-		return c.Key() == key
+		return keyOf(c) == key
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -115,7 +115,7 @@ func TestQuickKeyDeterminism(t *testing.T) {
 		if err := b.Apply(r1.Exec); err != nil {
 			return false
 		}
-		return a.Key() == b.Key()
+		return keyOf(a) == keyOf(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -21,7 +21,6 @@ package sim
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"unsafe"
 
@@ -95,10 +94,15 @@ type State interface {
 	// response for ActOperate, the outcome for ActFlip, ignored for
 	// ActDecide — and returns the successor state.
 	Advance(result int64) State
-	// Key returns a canonical encoding of the state, used to memoize
-	// configurations during exhaustive exploration.  Two states with equal
-	// Keys must behave identically.
-	Key() string
+	// AppendKey appends the state's visited-set key to buf and returns
+	// the extended slice: a leading type tag, unique among the state
+	// types that can share a configuration, then the fields that
+	// determine the state's behaviour, self-delimiting.  Every engine
+	// merges configurations with equal keys, so two states with equal
+	// AppendKey output must behave identically (TestStateKeyCongruence
+	// in package valency checks it for every registered protocol).  The
+	// layout is in encode.go.
+	AppendKey(buf []byte) []byte
 }
 
 // Halted is the terminal state of a process that has decided.
@@ -111,9 +115,6 @@ func (Halted) Action() Action { return Action{Kind: ActHalt} }
 
 // Advance implements State; a halted process never advances.
 func (Halted) Advance(int64) State { return Halted{} }
-
-// Key implements State.
-func (Halted) Key() string { return "⊥" }
 
 // Protocol is a consensus (or other one-shot object) implementation in the
 // simulator world: a fixed set of shared objects plus a program run by each
@@ -462,57 +463,6 @@ func (c *Config) Decisions() map[int64][]int {
 	}
 	return m
 }
-
-// Key returns a canonical encoding of the configuration, suitable for
-// memoizing reachable-state exploration.
-func (c *Config) Key() string {
-	var b strings.Builder
-	for _, s := range c.States {
-		b.WriteString(s.Key())
-		b.WriteByte('|')
-	}
-	b.WriteByte('#')
-	for _, v := range c.Objects {
-		b.WriteString(strconv.FormatInt(v, 10))
-		b.WriteByte(',')
-	}
-	b.WriteByte('#')
-	for p, d := range c.Decided {
-		if d {
-			b.WriteString(strconv.Itoa(p))
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatInt(c.Decision[p], 10))
-			b.WriteByte(';')
-		}
-	}
-	return b.String()
-}
-
-// FNV-1a constants (hash/fnv's, inlined so fingerprinting a string needs
-// no []byte conversion or hasher allocation).
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-// FingerprintKey hashes an already-computed canonical Key with FNV-1a.
-// Callers holding the key string avoid re-encoding the configuration.
-func FingerprintKey(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-// Fingerprint returns a 64-bit hash of the configuration's canonical
-// encoding: configurations with equal Keys always have equal
-// fingerprints, and structurally distinct configurations collide only
-// with hash probability.  Parallel exploration uses it to pick the
-// visited-set stripe for a configuration (membership itself is decided
-// on the full Key, so a collision can never merge two configurations).
-func (c *Config) Fingerprint() uint64 { return FingerprintKey(c.Key()) }
 
 // Validate checks that every operation any process is poised to perform is
 // supported by the target object type.  Protocol authors should call it in

@@ -2,12 +2,14 @@ package sim
 
 import (
 	"encoding/binary"
-	"fmt"
 	"strings"
 	"testing"
 
 	"randsync/internal/object"
 )
+
+// keyOf is c's visited-set key as a comparable string.
+func keyOf(c *Config) string { return string(c.AppendKey(nil)) }
 
 // writeReadProto is a toy protocol: each process writes its input to a
 // single shared register, reads it back, and decides the value it read.
@@ -52,7 +54,11 @@ func (s wrState) Advance(result int64) State {
 	return s
 }
 
-func (s wrState) Key() string { return fmt.Sprintf("wr:%d:%d:%d", s.pc, s.input, s.read) }
+func (s wrState) AppendKey(buf []byte) []byte {
+	buf = append(buf, 0x7E, s.pc)
+	buf = binary.AppendVarint(buf, s.input)
+	return binary.AppendVarint(buf, s.read)
+}
 
 // flipProto decides the outcome of a single coin flip.
 type flipProto struct{}
@@ -83,10 +89,6 @@ func (s flipState) Advance(result int64) State {
 	return Halted{}
 }
 
-func (s flipState) Key() string { return fmt.Sprintf("f:%v:%d", s.flipped, s.outcome) }
-
-// AppendKey implements KeyAppender so the test world exercises the compact
-// path; wrState deliberately does not, covering the Key() fallback.
 func (s flipState) AppendKey(buf []byte) []byte {
 	buf = append(buf, 0x7F)
 	if s.flipped {
@@ -107,7 +109,12 @@ type tableState struct {
 }
 
 func (s *tableState) Action() Action { return s.act }
-func (s *tableState) Key() string    { return s.name }
+
+func (s *tableState) AppendKey(buf []byte) []byte {
+	buf = append(buf, 0x7D)
+	buf = binary.AppendUvarint(buf, uint64(len(s.name)))
+	return append(buf, s.name...)
+}
 
 func (s *tableState) Advance(result int64) State {
 	i := 0
@@ -224,8 +231,8 @@ func TestCloneIntoReusesStorageIndependently(t *testing.T) {
 
 	// nil destination behaves like Clone.
 	d := c.CloneInto(nil)
-	if d.Key() != c.Key() {
-		t.Fatalf("CloneInto(nil) key %q, want %q", d.Key(), c.Key())
+	if keyOf(d) != keyOf(c) {
+		t.Fatalf("CloneInto(nil) key %q, want %q", keyOf(d), keyOf(c))
 	}
 
 	// Reusing a stale destination must overwrite it completely and reuse
@@ -241,8 +248,8 @@ func TestCloneIntoReusesStorageIndependently(t *testing.T) {
 	if got != stale {
 		t.Fatal("CloneInto must return its destination")
 	}
-	if got.Key() != c.Key() {
-		t.Fatalf("recycled clone key %q, want %q", got.Key(), c.Key())
+	if keyOf(got) != keyOf(c) {
+		t.Fatalf("recycled clone key %q, want %q", keyOf(got), keyOf(c))
 	}
 	if &got.Objects[0] != buf {
 		t.Fatal("CloneInto reallocated a destination slice that had capacity")
@@ -250,7 +257,7 @@ func TestCloneIntoReusesStorageIndependently(t *testing.T) {
 	if _, err := c.Step(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got.Key() == c.Key() {
+	if keyOf(got) == keyOf(c) {
 		t.Fatal("recycled clone shares storage with the source")
 	}
 	if got.Steps[1] != 0 {
@@ -273,8 +280,8 @@ func TestApplyReplaysAndVerifies(t *testing.T) {
 	if err := d.Apply(exec); err != nil {
 		t.Fatalf("replay failed: %v", err)
 	}
-	if d.Key() != c.Key() {
-		t.Fatalf("replay diverged:\n%s\nvs\n%s", d.Key(), c.Key())
+	if keyOf(d) != keyOf(c) {
+		t.Fatalf("replay diverged:\n%q\nvs\n%q", keyOf(d), keyOf(c))
 	}
 
 	// Tampering with a recorded response must be caught.
@@ -382,11 +389,11 @@ func TestCloneProcess(t *testing.T) {
 func TestKeyDistinguishesConfigs(t *testing.T) {
 	a := NewConfig(writeReadProto{}, []int64{0, 1})
 	b := NewConfig(writeReadProto{}, []int64{0, 1})
-	if a.Key() != b.Key() {
+	if keyOf(a) != keyOf(b) {
 		t.Fatal("identical configs should share a key")
 	}
 	mustStep(t, b, 0, 0)
-	if a.Key() == b.Key() {
+	if keyOf(a) == keyOf(b) {
 		t.Fatal("differing configs should have different keys")
 	}
 }

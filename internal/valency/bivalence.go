@@ -77,7 +77,8 @@ type BivalenceReport struct {
 //
 // Of the Options it honours MaxConfigs (through Budget) only.  A crash
 // schedule is refused with an error rather than ignored: the analysis
-// keys its nodes by sim.Config.Key, which carries no crash allowance, so
+// keys its nodes by the bare configuration encoding (sim.Config.AppendKey),
+// without Options.AppendVisitKey's per-process crash allowance, so
 // distinct crash futures would merge into one node.  The engine knobs
 // (Workers, MemBudget, the Spill fields, Interrupt) and NoSymmetry do
 // not apply: the analysis is serial, in RAM, and never reduced.
@@ -87,7 +88,7 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	}
 	type node struct {
 		cfg    *sim.Config
-		succ   []string
+		succ   []*node
 		reach0 bool
 		reach1 bool
 		parent *node     // breadth-first discoverer, nil at the root
@@ -99,24 +100,26 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	// Phase 1: materialize the reachable configuration graph,
 	// breadth-first, so the discovery tree holds a shortest execution to
 	// every node.
-	initial := sim.NewConfig(proto, inputs)
-	queue := []*sim.Config{initial}
-	nodes[initial.Key()] = &node{cfg: initial}
+	root := &node{cfg: sim.NewConfig(proto, inputs)}
+	buf := root.cfg.AppendKey(nil)
+	nodes[string(buf)] = root
+	queue := []*node{root}
 	for len(queue) > 0 {
 		if len(nodes) > budget {
 			return &BivalenceReport{Complete: false, Configs: len(nodes)}, nil
 		}
-		c := queue[0]
+		n := queue[0]
 		queue = queue[1:]
-		n := nodes[c.Key()]
+		c := n.cfg
 		_, err := opts.Successors(c, func(_ int, _ int64, ev sim.Event) bool {
-			key := c.Key()
-			n.succ = append(n.succ, key)
-			if _, seen := nodes[key]; !seen {
-				next := c.Clone()
-				nodes[key] = &node{cfg: next, parent: n, ev: ev}
+			buf = c.AppendKey(buf[:0])
+			next, seen := nodes[string(buf)]
+			if !seen {
+				next = &node{cfg: c.Clone(), parent: n, ev: ev}
+				nodes[string(buf)] = next
 				queue = append(queue, next)
 			}
+			n.succ = append(n.succ, next)
 			return false
 		})
 		if err != nil {
@@ -137,8 +140,7 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	for changed := true; changed; {
 		changed = false
 		for _, n := range nodes {
-			for _, s := range n.succ {
-				sn := nodes[s]
+			for _, sn := range n.succ {
 				if sn.reach0 && !n.reach0 {
 					n.reach0, changed = true, true
 				}
@@ -163,7 +165,7 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	}
 
 	rep := &BivalenceReport{
-		Initial:  valence(nodes[initial.Key()]),
+		Initial:  valence(root),
 		Configs:  len(nodes),
 		Complete: true,
 	}
@@ -182,29 +184,29 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	// member has a successor in S; the adversary survives iff the initial
 	// configuration is in S (a bivalent path from it must eventually
 	// cycle, since the graph is finite).
-	safe := make(map[string]bool, rep.BivalentCount)
-	for k, n := range nodes {
+	safe := make(map[*node]bool, rep.BivalentCount)
+	for _, n := range nodes {
 		if valence(n) == Bivalent {
-			safe[k] = true
+			safe[n] = true
 		}
 	}
 	for changed := true; changed; {
 		changed = false
-		for k := range safe {
+		for n := range safe {
 			ok := false
-			for _, s := range nodes[k].succ {
-				if safe[s] {
+			for _, sn := range n.succ {
+				if safe[sn] {
 					ok = true
 					break
 				}
 			}
 			if !ok {
-				delete(safe, k)
+				delete(safe, n)
 				changed = true
 			}
 		}
 	}
-	if safe[initial.Key()] {
+	if safe[root] {
 		rep.ForeverBivalent = true
 		return rep, nil
 	}
@@ -212,12 +214,12 @@ func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceRepo
 	// Phase 4: the adversary is eventually forced out of bivalence —
 	// find a critical configuration (bivalent, all successors univalent)
 	// by greedy descent through bivalent successors.
-	n := nodes[initial.Key()]
+	n := root
 	visited := map[*node]bool{n: true}
 	for {
 		var next *node
-		for _, s := range n.succ {
-			if sn := nodes[s]; valence(sn) == Bivalent && !visited[sn] {
+		for _, sn := range n.succ {
+			if valence(sn) == Bivalent && !visited[sn] {
 				next = sn
 				break
 			}

@@ -128,7 +128,7 @@ func shuffledVerdict(p sim.Protocol, inputs []int64, seed int64) (map[int64]bool
 	kinds := make(map[ViolationKind]bool)
 
 	initial := sim.NewConfig(p, inputs)
-	visited := map[string]bool{initial.Key(): true}
+	visited := map[string]bool{keyOf(initial): true}
 	frontier := []*sim.Config{initial}
 	for len(frontier) > 0 {
 		i := rng.Intn(len(frontier))
@@ -171,7 +171,7 @@ func shuffledVerdict(p sim.Protocol, inputs []int64, seed int64) (map[int64]bool
 					kinds[Stuck] = true
 					continue
 				}
-				if key := next.Key(); !visited[key] {
+				if key := keyOf(next); !visited[key] {
 					visited[key] = true
 					frontier = append(frontier, next)
 				}

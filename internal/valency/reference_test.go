@@ -9,11 +9,12 @@ import (
 )
 
 // refChecker is the differential reference for the serial engine: a
-// depth-first search keyed by the human-readable Config.Key strings and
-// stepping on fresh clones, independent of the compact encoding
-// (sim.Keyer), of copy-on-write stepping and of Options.AppendVisitKey.
-// It has no budget and no symmetry reduction, so it is meant for the
-// small spaces of the differential tests.
+// depth-first search keyed by the plain configuration encoding
+// (sim.Config.AppendKey, as a string) with its own crash suffix, stepping
+// on fresh clones, so it is independent of sim.Keyer, of copy-on-write
+// stepping and of Options.AppendVisitKey.  It has no budget and no
+// symmetry reduction, so it is meant for the small spaces of the
+// differential tests.
 type refChecker struct {
 	crash   []int
 	visited map[string]uint8 // 1 = on stack (grey), 2 = done (black)
@@ -68,15 +69,18 @@ func (rc *refChecker) crashed(c *sim.Config, pid int) bool {
 	return pid < len(rc.crash) && rc.crash[pid] >= 0 && c.Steps[pid] >= rc.crash[pid]
 }
 
-// key is Config.Key, extended under a crash schedule with each process's
-// remaining steps to crash (clamped at 0, -1 for never): Config.Key
+// keyOf is c's plain visited-set key as a comparable string.
+func keyOf(c *sim.Config) string { return string(c.AppendKey(nil)) }
+
+// key is keyOf(c), extended under a crash schedule with each process's
+// remaining steps to crash (clamped at 0, -1 for never): the plain key
 // ignores step counts, but the allowance determines a process's future.
 func (rc *refChecker) key(c *sim.Config) string {
 	if len(rc.crash) == 0 {
-		return c.Key()
+		return keyOf(c)
 	}
 	var b strings.Builder
-	b.WriteString(c.Key())
+	b.WriteString(keyOf(c))
 	b.WriteString("!c")
 	for pid, lim := range rc.crash {
 		rem := -1

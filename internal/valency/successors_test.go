@@ -88,30 +88,30 @@ func TestSuccessors(t *testing.T) {
 					sawHalt = sawHalt || c.Pending(pid).Kind == sim.ActHalt
 					sawFlip = sawFlip || (!crashed && c.Pending(pid).Kind == sim.ActFlip)
 				}
-				orig, key, steps := c.Clone(), c.Key(), append([]int(nil), c.Steps...)
-				restored := func() bool { return c.Key() == key && reflect.DeepEqual(c.Steps, steps) }
+				orig, key, steps := c.Clone(), keyOf(c), append([]int(nil), c.Steps...)
+				restored := func() bool { return keyOf(c) == key && reflect.DeepEqual(c.Steps, steps) }
 
 				var got []move
 				stopped, err := tc.opts.Successors(c, func(pid int, out int64, ev sim.Event) bool {
 					ref := orig.Clone()
 					wantEv, err := ref.Step(pid, out)
 					if err != nil {
-						t.Fatalf("%s: reference step P%d/%d: %v", key, pid, out, err)
+						t.Fatalf("%q: reference step P%d/%d: %v", key, pid, out, err)
 					}
-					if c.Key() != ref.Key() || !reflect.DeepEqual(c.Steps, ref.Steps) || ev != wantEv {
-						t.Fatalf("%s: move P%d/%d: callback does not see the stepped successor", key, pid, out)
+					if keyOf(c) != keyOf(ref) || !reflect.DeepEqual(c.Steps, ref.Steps) || ev != wantEv {
+						t.Fatalf("%q: move P%d/%d: callback does not see the stepped successor", key, pid, out)
 					}
 					got = append(got, move{pid, out})
 					return false
 				})
 				if err != nil || stopped {
-					t.Fatalf("%s: Successors = %v, %v", key, stopped, err)
+					t.Fatalf("%q: Successors = %v, %v", key, stopped, err)
 				}
 				if want := wantMoves(orig, tc.opts); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: moves %v, want %v", key, got, want)
+					t.Fatalf("%q: moves %v, want %v", key, got, want)
 				}
 				if !restored() {
-					t.Fatalf("%s: not restored after the enumeration", key)
+					t.Fatalf("%q: not restored after the enumeration", key)
 				}
 
 				for stopAt := 1; stopAt <= len(got); stopAt++ {
@@ -121,10 +121,10 @@ func TestSuccessors(t *testing.T) {
 						return calls == stopAt
 					})
 					if err != nil || !stopped || calls != stopAt {
-						t.Fatalf("%s: stop at %d: stopped=%v err=%v after %d calls", key, stopAt, stopped, err, calls)
+						t.Fatalf("%q: stop at %d: stopped=%v err=%v after %d calls", key, stopAt, stopped, err, calls)
 					}
 					if !restored() {
-						t.Fatalf("%s: not restored after a stop at %d", key, stopAt)
+						t.Fatalf("%q: not restored after a stop at %d", key, stopAt)
 					}
 				}
 			}

@@ -57,12 +57,12 @@ func requireSameVerdict(t *testing.T, name string, proto sim.Protocol, ref, got 
 	}
 }
 
-// TestCompactLegacyDifferential: the compact-key engine with symmetry off
-// must be byte-identical to the string-key reference (refCheckAllInputs)
-// — same visited counts, same canonical traces — across the whole zoo,
-// serial and parallel.  This pins that the binary encoding and the
-// copy-on-write step path change the representation only, never the
-// exploration.
+// TestCompactLegacyDifferential: the engines with symmetry off must be
+// byte-identical to the clone-stepping reference (refCheckAllInputs),
+// which keys on the plain configuration encoding — same visited counts,
+// same canonical traces — across the whole zoo, serial and parallel.
+// This pins that sim.Keyer, Options.AppendVisitKey and the copy-on-write
+// step path change the representation only, never the exploration.
 func TestCompactLegacyDifferential(t *testing.T) {
 	for _, p := range diffProtocols() {
 		ref := refCheckAllInputs(p, 2, nil)

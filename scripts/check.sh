@@ -85,12 +85,15 @@ stage="shard-engine race smoke"
 # walks) and the sharded engine's memory pins, at most 550 allocated
 # bytes per configuration on counter-walk n = 3 and at most 400 KiB for
 # a tiny n = 2 job (TestShardedAllocBytesPerConfig,
-# TestShardedSmallJobAllocs).
+# TestShardedSmallJobAllocs).  So does the key every engine merges on:
+# TestStateKeyCongruence requires configurations with equal visit keys
+# to behave identically across the zoo, and fails by name when a state's
+# AppendKey drops a field that matters.
 go test -race -count=1 -timeout 10m \
 	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence|TestEachHandsOutEveryIndexOnce|TestEachStop|FuzzKeyTable' \
 	./internal/explore/
 go test -race -count=1 -timeout 10m \
-	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential|TestShardedAllocBytesPerConfig|TestShardedSmallJobAllocs' \
+	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential|TestShardedAllocBytesPerConfig|TestShardedSmallJobAllocs|TestStateKeyCongruence' \
 	./internal/valency/
 stage="spill smoke (beyond-RAM engine)"
 # The disk-tiered engine's robustness drills, under the race detector:
