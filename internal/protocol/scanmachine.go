@@ -11,16 +11,14 @@ import (
 // ScanMachine is a randomly generated family of flawed consensus protocols
 // over historyless objects, generalizing Flood: per preference, a process
 // follows a random *program* — a permutation of nontrivial operations over
-// the objects — and between operations scans all objects and consults a
-// random decision predicate.
+// the objects — and between operations scans all objects, deciding its
+// preference once a scan shows its own marks on every object.
 //
-// Nondeterministic solo termination holds by construction: the predicate
-// table is forced to accept (deciding the preference) on every view in
-// which all objects hold the process's own marks, and a solo process
-// reaches such a view after performing its full program.  Everything else
-// about the predicate and program is random, so the family sweeps the
-// adversary across many protocol geometries (the "random protocol
-// generation" leg of the reproduction's coverage argument).
+// Nondeterministic solo termination holds by construction: a solo process
+// sees the all-own view after performing its full program.  The decision
+// predicate is fixed; the object types and the programs are random, so the
+// family sweeps the adversary across many program geometries (the "random
+// protocol generation" leg of the reproduction's coverage argument).
 //
 // Like every solo-terminating protocol over few historyless objects, each
 // generated instance is necessarily inconsistent (Theorem 3.7); package
@@ -31,9 +29,6 @@ type ScanMachine struct {
 	// Program[p] is the operation order for preference p (a permutation
 	// of object indexes, possibly with repeats).
 	Program [2][]int
-	// Accept[p] maps a view signature to acceptance for preference p.
-	// The all-own signature is always accepted.
-	Accept [2]map[string]bool
 	// Seed identifies the instance in names and test logs.
 	Seed uint64
 }
@@ -41,7 +36,10 @@ type ScanMachine struct {
 var _ sim.Protocol = ScanMachine{}
 
 // GenerateScanMachine returns a random ScanMachine over r objects drawn
-// from the historyless types, seeded deterministically.
+// from the historyless types, seeded deterministically.  Only the object
+// types and the two programs are drawn: every generated machine decides
+// on the all-own view alone, so the family sweeps programs, not
+// decision predicates.
 func GenerateScanMachine(r int, seed uint64) ScanMachine {
 	rng := rand.New(rand.NewPCG(seed, 0xABCD))
 	types := make([]object.Type, r)
@@ -63,9 +61,6 @@ func GenerateScanMachine(r int, seed uint64) ScanMachine {
 			prog = append(prog, rng.IntN(r))
 		}
 		m.Program[p] = prog
-		// Random acceptance on a handful of signatures; the all-own
-		// signature is enforced at evaluation time.
-		m.Accept[p] = make(map[string]bool)
 	}
 	return m
 }
@@ -111,9 +106,6 @@ func (m ScanMachine) ownView(pref int64, view []int64) bool {
 	return true
 }
 
-// sig renders a view signature for the acceptance table.
-func sig(view []int64) string { return fmt.Sprint(view) }
-
 // smState: the process alternates between performing the next program
 // operation and scanning all objects.
 type smState struct {
@@ -139,7 +131,7 @@ func (s smState) Action() sim.Action {
 			Op: object.Op{Kind: object.Read}}
 	}
 	// Scan complete: decide or continue the program.
-	if s.proto.ownView(s.pref, s.scan) || s.proto.Accept[s.pref][sig(s.scan)] {
+	if s.proto.ownView(s.pref, s.scan) {
 		return sim.Action{Kind: sim.ActDecide, Value: s.pref}
 	}
 	// Continue: next operation.
@@ -164,7 +156,7 @@ func (s smState) Advance(result int64) sim.State {
 		s.scan = scan
 		return s
 	}
-	if s.proto.ownView(s.pref, s.scan) || s.proto.Accept[s.pref][sig(s.scan)] {
+	if s.proto.ownView(s.pref, s.scan) {
 		return sim.Halted{}
 	}
 	// Just performed the next program op after a rejected scan.

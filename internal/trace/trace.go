@@ -1,11 +1,12 @@
 // Package trace renders simulator executions for human inspection: the
 // annotated step-by-step listings and the Figure-1-style summaries that
-// cmd/lowerbound and the examples print when the §3 adversary has
+// cmd/lowerbound and cmd/experiments (E1) print when the §3 adversary has
 // constructed an inconsistent execution.
 package trace
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"randsync/internal/core"
@@ -113,6 +114,7 @@ func BlockWrites(w *core.Witness) string {
 			for o := range seenObjs {
 				objs = append(objs, fmt.Sprintf("R%d", o))
 			}
+			sort.Strings(objs)
 			fmt.Fprintf(&b, "steps %d..%d: block write to {%s} by %d processes\n",
 				runStart, end-1, strings.Join(objs, ","), len(seenPids))
 		}

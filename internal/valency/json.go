@@ -18,7 +18,7 @@ import (
 const ReportSchemaVersion = 2
 
 // JSONReport is the machine-readable verdict shape shared by the command
-// line tools (`modelcheck -json`, `separation -json`, `distcheck -json`)
+// line tools (`modelcheck -json`, `distcheck -json`)
 // and the service's stored artifacts (`checkd`).  It is a projection of
 // Report: verdict fields first, then telemetry, then enough reproduction
 // context to re-run the exact check.

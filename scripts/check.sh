@@ -32,6 +32,20 @@ stage="go build"
 go build ./...
 stage="go test (full suite)"
 go test -timeout 20m ./...
+stage="experiments (one command per result)"
+# cmd/experiments is the one regeneration command for every result a
+# program prints.  Named here so a drift fails by name: the golden test
+# diffs the deterministic tables (E1-E4, E12, E13's two-free-state rows)
+# against EXPERIMENTS.md by experiment and row, TestExperimentsRun runs
+# every experiment's own checks (witness replays, live agreement, chaos
+# certification), and the orphan-package test fails on an internal
+# package that nothing imports and no EXPERIMENTS.md result names.  Then
+# the E4 facts print from the command itself.
+go test -count=1 -timeout 5m \
+	-run 'TestExperimentsGolden|TestExperimentsRun|TestNoOrphanPackages|TestE13Census' \
+	./cmd/experiments/
+go run ./cmd/experiments -only e4 \
+	| grep -F -- '- counter-walk at n=3 (all schedules & coins): safe, exhaustively (124748 configs)' >/dev/null
 stage="go test -race -short"
 go test -race -short -timeout 10m ./...
 stage="dist race (full, internal/dist)"
