@@ -1,6 +1,6 @@
 // Command distcheck runs the exhaustive valency checker as a
 // coordinator/worker cluster (internal/dist): the coordinator owns the
-// fingerprint-sharded visited set, workers replay and expand frontier
+// visited set, workers replay and expand frontier
 // configurations shipped to them as schedules, and the verdict is
 // identical to a serial modelcheck run of the same job.
 //
@@ -77,7 +77,6 @@ func run(args []string) error {
 	budget := fs.Int("budget", 1<<22, "configuration budget")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker-local exploration pool width")
 	nosym := fs.Bool("nosym", false, "disable identical-process symmetry reduction")
-	shards := fs.Int("shards", 64, "fingerprint partition width")
 	checkpoint := fs.String("checkpoint", "", "coordinator: checkpoint file (resumes if present)")
 	resume := fs.Bool("resume", false, "coordinator: require resuming from -checkpoint (error if no snapshot exists)")
 	netTimeout := fs.Duration("net-timeout", 30*time.Second, "per-connection read/write deadline")
@@ -183,7 +182,6 @@ func run(args []string) error {
 	}()
 
 	opts := dist.Options{
-		Shards:         *shards,
 		CheckpointPath: *checkpoint,
 		NetTimeout:     *netTimeout,
 		HeartbeatEvery: *heartbeat,
@@ -312,10 +310,10 @@ func report(rep *valency.Report, job dist.Job, jsonOut bool, args []string) erro
 	}
 	rep.PrintVerdict(os.Stdout)
 	if s := rep.Stats; s != nil {
-		fmt.Printf("cluster: %d workers, %d shards; %d batches, %d items shipped, %d recoveries, %d checkpoints\n",
-			s.Workers, s.Shards, s.Batches, s.RemoteItems, s.Recoveries, s.Checkpoints)
-		fmt.Printf("throughput: %.0f configs/s (%v); dedup hits %d, key bytes %d, shard keys min/max %d/%d\n",
-			s.Rate(rep.Configs), s.Elapsed.Round(1e6), s.DedupHits, s.KeyBytes, s.MinStripeKeys, s.MaxStripeKeys)
+		fmt.Printf("cluster: %d workers; %d batches, %d items shipped, %d recoveries, %d checkpoints\n",
+			s.Workers, s.Batches, s.RemoteItems, s.Recoveries, s.Checkpoints)
+		fmt.Printf("throughput: %.0f configs/s (%v); dedup hits %d, key bytes %d\n",
+			s.Rate(rep.Configs), s.Elapsed.Round(1e6), s.DedupHits, s.KeyBytes)
 		if r := s.Recovery; r != nil && (r.Reconnects+r.WorkerDeaths+r.CheckpointResumes+r.ChaosEvents > 0) {
 			fmt.Printf("recovery: %d reconnects, %d worker deaths, %d batches re-queued, %d checkpoint resumes",
 				r.Reconnects, r.WorkerDeaths, r.RequeuedBatches, r.CheckpointResumes)

@@ -23,8 +23,8 @@ import (
 //	          can only resume the job that wrote it
 //	aggregate so far (vector cursor, configs, complete, livelock,
 //	          decisions, harvested counters)
-//	current vector: inputs, per-shard mirror keys in admission order
-//	          (gids are positional, so no ids are stored), edges,
+//	current vector: inputs, visited keys in admission order (ids are
+//	          positional, so no ids are stored), edges,
 //	          decisions, flags, counters, and the outstanding frontier —
 //	          queued items plus in-flight batches flattened back into
 //	          the queue, since an unacknowledged batch is
@@ -33,28 +33,27 @@ import (
 // The file is written to a temp sibling and renamed into place, so a
 // crash mid-snapshot leaves the previous snapshot intact.  Re-running a
 // frontier item that had in fact been processed before the snapshot is
-// harmless: emits dedup against the mirror, edges and decisions are
-// idempotent, only telemetry counters inflate.
+// harmless: emits dedup against the visited set, edges and decisions
+// are idempotent, only telemetry counters inflate.
 const msgCheckpoint byte = 0x43
 
 // Version 2 added the vector's violated flag (a checkpoint is written
 // the moment a violation is seen, so a killed coordinator re-reports
-// instead of re-exploring) and the full recovery counter block.  Two of
-// that block's slots held counters of recovery paths since retired
-// (speculative re-dispatches, memory-backpressure pauses); they are
-// written as 0 and skipped on read, so older snapshots still resume.
-const checkpointVersion = 2
+// instead of re-exploring) and the full recovery counter block.
+// Version 3 stores the visited set as one key list instead of one per
+// fingerprint shard, and drops the shard census and two retired
+// recovery counters; older snapshots are refused by version.
+const checkpointVersion = 3
 
 // jobHash fingerprints everything that determines the exploration
 // universe; a checkpoint from a different protocol, vector mode,
-// budget, crash schedule or shard count must not resume.
+// budget or crash schedule must not resume.
 func (co *coord) jobHash() uint64 {
 	b := jobMsg{
 		Spec:       co.job.Spec,
 		Inputs:     co.job.Inputs,
 		NoSymmetry: co.opts.Valency.NoSymmetry,
 		Crash:      co.opts.Valency.Crash,
-		Shards:     co.S,
 	}.encode()
 	b = putUvarint(b, uint64(co.opts.Valency.Budget()))
 	if co.job.AllInputs {
@@ -76,16 +75,12 @@ func (co *coord) encodeCheckpoint() []byte {
 	b = putUvarint(b, uint64(co.agg.Stats.DedupHits))
 	b = putUvarint(b, uint64(co.agg.Stats.KeyBytes))
 	b = putUvarint(b, uint64(co.agg.Stats.RemoteItems))
-	b = putUvarint(b, uint64(co.agg.Stats.MinStripeKeys))
-	b = putUvarint(b, uint64(co.agg.Stats.MaxStripeKeys))
 	b = putUvarint(b, uint64(co.batches))
 	b = putUvarint(b, uint64(co.rec.Reconnects))
 	b = putUvarint(b, uint64(co.rec.WorkerDeaths))
 	b = putUvarint(b, uint64(co.rec.RequeuedBatches))
-	b = putUvarint(b, 0) // retired slot
 	b = putUvarint(b, uint64(co.rec.CheckpointResumes))
 	b = putUvarint(b, uint64(co.rec.CheckpointsWritten))
-	b = putUvarint(b, 0) // retired slot
 
 	// Current vector.
 	v := co.vec
@@ -98,13 +93,8 @@ func (co *coord) encodeCheckpoint() []byte {
 	b = putUvarint(b, uint64(v.dedupHits))
 	b = putUvarint(b, uint64(v.keyBytes))
 	b = putUvarint(b, uint64(v.remote))
-	for s := 0; s < co.S; s++ {
-		m := &v.mirror[s]
-		b = putUvarint(b, uint64(len(m.keys)))
-		for _, k := range m.keys {
-			b = putString(b, k)
-		}
-	}
+	b = putUvarint(b, uint64(v.keys.Len()))
+	v.keys.Keys(func(k []byte) { b = putBytes(b, k) })
 	b = putUvarint(b, uint64(len(v.edges)))
 	for _, e := range v.edges {
 		b = putUvarint(b, uint64(e.From))
@@ -148,29 +138,19 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	co.agg.Stats.DedupHits = int64(r.Uvarint("ckpt dedup"))
 	co.agg.Stats.KeyBytes = int64(r.Uvarint("ckpt keybytes"))
 	co.agg.Stats.RemoteItems = int64(r.Uvarint("ckpt remote"))
-	co.agg.Stats.MinStripeKeys = int64(r.Uvarint("ckpt min stripe"))
-	co.agg.Stats.MaxStripeKeys = int64(r.Uvarint("ckpt max stripe"))
-	if co.vecIdx > 0 {
-		// The folded vectors each reported a census of S shards; the
-		// aggregate's Stripes says so, or the next fold would take its
-		// MinStripeKeys for unset (see valency.Report.Fold).
-		co.agg.Stats.Stripes = co.S
-	}
 	co.batches = int64(r.Uvarint("ckpt batches"))
 	co.rec.Reconnects = int64(r.Uvarint("ckpt reconnects"))
 	co.rec.WorkerDeaths = int64(r.Uvarint("ckpt worker deaths"))
 	co.rec.RequeuedBatches = int64(r.Uvarint("ckpt requeued"))
-	r.Uvarint("ckpt retired slot")
 	co.rec.CheckpointResumes = int64(r.Uvarint("ckpt resumes"))
 	co.rec.CheckpointsWritten = int64(r.Uvarint("ckpt checkpoints"))
-	r.Uvarint("ckpt retired slot")
 
 	ni := r.Count("ckpt inputs len")
 	inputs := make([]int64, 0, ni)
 	for i := 0; i < ni; i++ {
 		inputs = append(inputs, r.Varint("ckpt input"))
 	}
-	v := newVectorState(inputs, co.S)
+	v := newVectorState(inputs)
 	vflags := r.Uvarint("ckpt vector flags")
 	v.incomplete = vflags&1 != 0
 	v.violated = vflags&2 != 0
@@ -178,12 +158,10 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	v.dedupHits = int64(r.Uvarint("ckpt vec dedup"))
 	v.keyBytes = int64(r.Uvarint("ckpt vec keybytes"))
 	v.remote = int64(r.Uvarint("ckpt vec remote"))
-	for s := 0; s < co.S; s++ {
-		m := &v.mirror[s]
-		for i, nk := 0, r.Count("ckpt shard len"); i < nk; i++ {
-			k := string(r.Bytes("ckpt key"))
-			m.index[k] = int64(len(m.keys))
-			m.keys = append(m.keys, k)
+	for i, nk := 0, r.Count("ckpt keys len"); i < nk; i++ {
+		k := r.Bytes("ckpt key")
+		if _, fresh := v.keys.Admit(sim.FingerprintBytes(k), k); !fresh && r.Err() == nil {
+			return errors.New("dist: checkpoint lists a visited key twice")
 		}
 	}
 	for i, ne := 0, r.Count("ckpt edges len"); i < ne; i++ {
@@ -194,9 +172,28 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	}
 	v.decisions = valency.ReadDecisions(r)
 	v.queue = readItems(r, r.Count("ckpt frontier len"))
+	if err := r.Err(); err != nil {
+		return err
+	}
+	// Ids index HasCycle's adjacency: one past the visited set would
+	// crash the resumed run instead of refusing the file.
+	n := int64(v.keys.Len())
+	for _, e := range v.edges {
+		if !validID(e.From, n) || !validID(e.To, n) {
+			return fmt.Errorf("dist: checkpoint edge %d→%d outside its %d visited keys", e.From, e.To, n)
+		}
+	}
+	for _, it := range v.queue {
+		if !validID(it.id, n) {
+			return fmt.Errorf("dist: checkpoint frontier item %d outside its %d visited keys", it.id, n)
+		}
+	}
 	co.vec = v
-	return r.Err()
+	return nil
 }
+
+// validID reports whether id names one of n admitted configurations.
+func validID(id, n int64) bool { return id >= 0 && id < n }
 
 // checkpointNow snapshots atomically and durably: the frame is written
 // to a temp sibling, fsync'd, renamed into place, and the directory is

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"randsync/internal/explore"
@@ -86,22 +87,18 @@ type batch struct {
 	items  []item
 }
 
-// shardMirror is the authoritative visited set of one fingerprint
-// shard: keys in admission order (index = localID) plus the dedup
-// index.  Schedules are kept only while a key's item is still queued or
-// in flight; processed configurations need no replay payload.
-type shardMirror struct {
-	index map[string]int64 // key bytes -> localID
-	keys  []string         // localID -> key (admission order)
-}
-
 // vectorState is the per-input-vector exploration state — everything a
-// checkpoint must capture to resume the vector.
+// checkpoint must capture to resume the vector.  A configuration's id
+// is its admission index in keys, so ids are dense, stable for the
+// lifetime of the vector and across worker loss, and edges need no
+// remapping before HasCycle.  Schedules are kept only while an item is
+// still queued or in flight; processed configurations need no replay
+// payload.
 type vectorState struct {
 	inputs     []int64
-	mirror     []shardMirror
+	keys       explore.KeySet // the authoritative visited set
 	queue      []item         // the frontier awaiting dispatch, FIFO
-	edges      []explore.Edge // gid-space edges
+	edges      []explore.Edge
 	decisions  map[int64]bool
 	violated   bool
 	incomplete bool
@@ -115,7 +112,6 @@ type coord struct {
 	job   Job
 	opts  Options
 	proto sim.Protocol
-	S     int
 
 	workers []*wconn       // slot-indexed; a slot's wconn is replaced on rejoin
 	byID    map[uint64]int // worker identity -> slot
@@ -149,7 +145,6 @@ func newCoord(job Job, opts Options) (*coord, error) {
 		job:      job,
 		opts:     opts,
 		proto:    proto,
-		S:        opts.shards(),
 		byID:     make(map[uint64]int),
 		events:   make(chan event, 256),
 		done:     make(chan struct{}),
@@ -350,7 +345,7 @@ func (co *coord) run() (*valency.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	co.agg.Stats.Shards = co.S
+	co.agg.Stats.Shards = 1
 
 	vectors := 1
 	if co.job.AllInputs {
@@ -358,7 +353,7 @@ func (co *coord) run() (*valency.Report, error) {
 	}
 	for ; co.vecIdx < vectors; co.vecIdx++ {
 		if co.vec == nil || !resumed {
-			co.vec = newVectorState(co.vectorInputs(co.vecIdx), co.S)
+			co.vec = newVectorState(co.vectorInputs(co.vecIdx))
 			co.seedInitial()
 		}
 		resumed = false
@@ -396,53 +391,31 @@ func (co *coord) vectorInputs(i int) []int64 {
 	return valency.InputVector(i, co.job.Spec.N)
 }
 
-func newVectorState(inputs []int64, S int) *vectorState {
-	v := &vectorState{
-		inputs:    inputs,
-		mirror:    make([]shardMirror, S),
-		decisions: make(map[int64]bool),
-	}
-	for s := range v.mirror {
-		v.mirror[s].index = make(map[string]int64)
-	}
-	return v
+func newVectorState(inputs []int64) *vectorState {
+	return &vectorState{inputs: inputs, decisions: make(map[int64]bool)}
 }
 
-// seedInitial admits the initial configuration into the mirror and
-// queues it as the first frontier item.
+// seedInitial admits the initial configuration and queues it as the
+// first frontier item.
 func (co *coord) seedInitial() {
 	c := sim.NewConfig(co.proto, co.vec.inputs)
 	var k sim.Keyer
 	k.Symmetry = co.opts.Valency.SymmetryOn()
 	key := co.opts.Valency.AppendVisitKey(&k, c, nil)
-	gid, _, _ := co.admit(key)
-	co.vec.queue = append(co.vec.queue, item{gid: gid})
+	id, _ := co.admit(key)
+	co.vec.queue = append(co.vec.queue, item{id: id})
 }
 
-// admit dedups a visit key against the mirror; on a miss it assigns the
-// key's gid.  Returns (gid, added, totalKeys-after).
-func (co *coord) admit(key []byte) (int64, bool, int64) {
-	fp := sim.FingerprintBytes(key)
-	s := int(fp % uint64(co.S))
-	m := &co.vec.mirror[s]
-	if id, ok := m.index[string(key)]; ok {
+// admit dedups a visit key against the visited set; on a miss it
+// assigns the key the next id.
+func (co *coord) admit(key []byte) (id int64, fresh bool) {
+	id, fresh = co.vec.keys.Admit(sim.FingerprintBytes(key), key)
+	if fresh {
+		co.vec.keyBytes += int64(len(key))
+	} else {
 		co.vec.dedupHits++
-		return gidOf(id, s, co.S), false, co.totalKeys()
 	}
-	local := int64(len(m.keys))
-	ks := string(key)
-	m.keys = append(m.keys, ks)
-	m.index[ks] = local
-	co.vec.keyBytes += int64(len(key))
-	return gidOf(local, s, co.S), true, co.totalKeys()
-}
-
-func (co *coord) totalKeys() int64 {
-	var n int64
-	for s := range co.vec.mirror {
-		n += int64(len(co.vec.mirror[s].keys))
-	}
-	return n
+	return id, fresh
 }
 
 // runVector processes one input vector to quiescence and returns its
@@ -456,7 +429,6 @@ func (co *coord) runVector() (*valency.Report, error) {
 		NoSymmetry: co.opts.Valency.NoSymmetry,
 		Crash:      co.opts.Valency.Crash,
 		Workers:    co.opts.Valency.Workers,
-		Shards:     co.S,
 		Epoch:      co.epoch,
 	}
 	co.curJob = jm.encode()
@@ -575,6 +547,10 @@ func (co *coord) handle(ev event) {
 			// assignee's ack retires a batch, everything else is noise.
 			return
 		}
+		if err := checkParents(b, dm); err != nil {
+			co.markDead(w, err) // b re-queues with the connection's other batches
+			return
+		}
 		delete(co.inflight, dm.ID)
 		w.inflight--
 		co.batches++
@@ -585,6 +561,24 @@ func (co *coord) handle(ev event) {
 	default:
 		co.markDead(w, fmt.Errorf("dist: unexpected frame type %d from worker %d", ev.typ, w.slot))
 	}
+}
+
+// checkParents refuses an ack whose emits name a parent that is not an
+// item of the acked batch: the parent id becomes an edge source that
+// HasCycle indexes by, so an unchecked one from the network could crash
+// the coordinator.
+func checkParents(b *batch, dm doneMsg) error {
+	ids := make([]int64, len(b.items))
+	for i, it := range b.items {
+		ids[i] = it.id
+	}
+	slices.Sort(ids)
+	for _, e := range dm.Emits {
+		if _, ok := slices.BinarySearch(ids, e.from); !ok {
+			return fmt.Errorf("dist: worker %d acked batch %d with an emit from %d, not one of its items", b.worker, b.id, e.from)
+		}
+	}
+	return nil
 }
 
 // applyDone folds one batch's atomic effect set into the vector state:
@@ -602,22 +596,22 @@ func (co *coord) applyDone(dm doneMsg) {
 	}
 	budget := int64(co.opts.Valency.Budget())
 	for _, e := range dm.Emits {
-		gid, added, total := co.admit(e.key)
-		v.edges = append(v.edges, explore.Edge{From: e.from, To: gid})
-		if !added {
+		id, fresh := co.admit(e.key)
+		v.edges = append(v.edges, explore.Edge{From: e.from, To: id})
+		if !fresh {
 			continue
 		}
-		if total > budget {
+		if int64(v.keys.Len()) > budget {
 			v.incomplete = true
 			continue
 		}
 		v.remote++
-		v.queue = append(v.queue, item{gid: gid, sched: e.sched})
+		v.queue = append(v.queue, item{id: id, sched: e.sched})
 	}
 }
 
 // pump hands each live worker with capacity the next batchSize items
-// of the frontier, whichever shards they hash to, round-robin until the
+// of the frontier, round-robin until the
 // queue is empty or every worker is saturated.  Workers are stateless
 // replay engines, so any worker can take any item.
 func (co *coord) pump() {
@@ -689,54 +683,26 @@ func (co *coord) heartbeat() {
 }
 
 // vectorReport summarizes the finished (or violated) vector, with the
-// vector's counters and shard census as its Stats.  Livelock runs
-// HasCycle over the dense-remapped edge set, mirroring the parallel
-// engine's post-pass.
+// vector's counters as its Stats.  Livelock runs HasCycle over the
+// edges as collected, mirroring the parallel engine's post-pass.
 func (co *coord) vectorReport() *valency.Report {
 	v := co.vec
 	rep := &valency.Report{
 		Inputs:    append([]int64(nil), v.inputs...),
 		Complete:  !v.incomplete && !v.violated,
-		Configs:   int(co.totalKeys()),
+		Configs:   v.keys.Len(),
 		Decisions: v.decisions,
 		Stats: &valency.Stats{
 			Generated:   v.generated,
 			DedupHits:   v.dedupHits,
 			KeyBytes:    v.keyBytes,
 			RemoteItems: v.remote,
-			Stripes:     len(v.mirror),
 		},
 	}
-	for s := range v.mirror {
-		n := int64(len(v.mirror[s].keys))
-		if s == 0 || n < rep.Stats.MinStripeKeys {
-			rep.Stats.MinStripeKeys = n
-		}
-		rep.Stats.MaxStripeKeys = max(rep.Stats.MaxStripeKeys, n)
-	}
 	if !v.violated {
-		rep.Livelock = explore.HasCycle(int(co.totalKeys()), explore.EdgeLog{co.denseEdges()})
+		rep.Livelock = explore.HasCycle(v.keys.Len(), explore.EdgeLog{v.edges})
 	}
 	return rep
-}
-
-// denseEdges remaps gid-space edges (localID·S + shard, sparse across
-// shards) onto the dense [0, totalKeys) node space HasCycle wants.
-func (co *coord) denseEdges() []explore.Edge {
-	offset := make([]int64, co.S)
-	var total int64
-	for s := 0; s < co.S; s++ {
-		offset[s] = total
-		total += int64(len(co.vec.mirror[s].keys))
-	}
-	dense := make([]explore.Edge, len(co.vec.edges))
-	for i, e := range co.vec.edges {
-		dense[i] = explore.Edge{
-			From: offset[gidShard(e.From, co.S)] + gidLocal(e.From, co.S),
-			To:   offset[gidShard(e.To, co.S)] + gidLocal(e.To, co.S),
-		}
-	}
-	return dense
 }
 
 // foldVector merges one vector's report into the aggregate with the
@@ -762,7 +728,6 @@ func (co *coord) foldVector(rep *valency.Report) *valency.Report {
 func (co *coord) finalizeStats() {
 	st := co.agg.Stats
 	st.Workers = len(co.workers)
-	st.Stripes = co.S
 	st.Batches = co.batches
 	st.Recoveries = co.rec.WorkerDeaths
 	st.Checkpoints = co.rec.CheckpointsWritten

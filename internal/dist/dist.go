@@ -1,38 +1,38 @@
 // Package dist runs the exhaustive valency checker as a
 // coordinator/worker cluster over TCP.
 //
-// The coordinator owns the visited set, partitioned into S fingerprint
-// shards: a configuration's compact visit key (the same canonicalized
-// encoding the local engines dedup on, valency.Options.AppendVisitKey)
-// fingerprints to fp, and shard fp % S owns it.  Per shard the
-// coordinator keeps the admitted keys in admission order, so a
-// configuration's global id — gid = localID·S + shard — is stable for
-// the lifetime of the job and across worker loss.
+// The coordinator owns the visited set, one explore.KeySet per input
+// vector over configurations' compact visit keys (the same
+// canonicalized encoding the local engines dedup on,
+// valency.Options.AppendVisitKey).  A configuration's id is its
+// admission index, so ids are dense and stable for the lifetime of the
+// vector and across worker loss.
 //
 // Workers hold no authoritative state.  A worker receives batches of
-// frontier items, each a (gid, schedule) pair: the schedule is the
+// frontier items, each an (id, schedule) pair: the schedule is the
 // scheduler-choice sequence (sim.Config.ReplaySchedule) that
 // reconstructs the configuration from the initial one, since process
 // and object states are opaque interfaces that cannot cross a process
 // boundary directly.  The worker replays each item, verifies the
 // reconstruction by re-encoding its visit key, safety-checks it
 // (valency.Unsafe), expands its successors with the copy-on-write
-// stepper, and ships every successor back as an emit — (parent gid,
+// stepper, and ships every successor back as an emit — (parent id,
 // visit key, schedule).  All effects of a batch travel in one atomic
 // BATCH_DONE message, so a worker that dies mid-batch loses exactly the
 // unacknowledged batches and nothing else: the coordinator puts their
 // items back on the frontier for whichever worker is free next.
 //
-// The coordinator dedups emits against its shard mirrors (a dedup hit
+// The coordinator dedups emits against its visited set (a dedup hit
 // records only the configuration-graph edge; a miss admits the key,
-// assigns its gid, and appends the item to the frontier), so the
-// visited set has a single writer and needs no distributed consensus of
-// its own.  The frontier is one FIFO queue: every live worker with
-// fewer than maxInflight batches outstanding is handed the next
-// batchSize items, whichever shards they hash to — shards place keys,
-// not work.  A job terminates when the queue and every in-flight batch
-// are empty; livelock is then decided by explore.HasCycle over the
-// accumulated edges, exactly as in the parallel engine.  If any worker
+// assigns its id, and appends the item to the frontier), so the visited
+// set has a single writer and needs no distributed consensus of its
+// own.  An emit whose parent is not an item of the batch it acks is
+// refused with its connection.  The frontier is one FIFO queue: every
+// live worker with fewer than maxInflight batches outstanding is handed
+// the next batchSize items.  A job terminates when the queue and every
+// in-flight batch are empty; livelock is then decided by
+// explore.HasCycle over the accumulated edges, exactly as in the
+// parallel engine.  If any worker
 // reports a violation the distributed result is discarded and the
 // canonical serial checker re-runs locally, so the reported
 // counterexample — kind, detail, trace — is byte-identical to a serial
@@ -44,8 +44,9 @@
 // restarted coordinator resumes from the snapshot and finishes with the
 // same verdict.  The package writes its own payloads but reads none by
 // hand: the snapshot file is read by frame.ReadFile, and it and every
-// wire message are decoded by frame.Reader.  Worker-loss recovery is the in-memory special case of
-// the same idea: the mirror is the source of truth, workers are cache.
+// wire message are decoded by frame.Reader.  Worker-loss recovery is
+// the in-memory special case of the same idea: the visited set is the
+// source of truth, workers are cache.
 //
 // The failure model is TCP's: frames on a connection arrive in order or
 // the connection dies, so a frame is lost only with its connection.
@@ -77,9 +78,10 @@ type Job struct {
 
 // Options configure the coordinator.  The zero value is usable.
 type Options struct {
-	// Shards is the fingerprint-partition width S of the coordinator's
-	// visited mirror, part of every gid; it does not decide which worker
-	// expands what.  The default is 64.
+	// Shards is ignored: the coordinator's visited set is one key set
+	// per vector, not a partition.  It stays because the bench/ module
+	// sets it and bench/ is kept frozen so its measurements compare
+	// across commits; it goes with the next change to bench/.
 	Shards int
 	// Valency carries the exploration options every engine shares:
 	// MaxConfigs, NoSymmetry, Crash.  Workers selects how many
@@ -148,13 +150,6 @@ const batchSize = 128
 // buffering.
 const maxInflight = 2
 
-func (o Options) shards() int {
-	if o.Shards <= 0 {
-		return 64
-	}
-	return o.Shards
-}
-
 func (o Options) checkpointEvery() int64 {
 	if o.CheckpointEvery <= 0 {
 		return 32
@@ -189,12 +184,3 @@ func (o Options) rejoinGrace() time.Duration {
 	}
 	return o.RejoinGrace
 }
-
-// gid packing: a key admitted to shard s as that shard's k-th key has
-// gid = k·S + s.  Gids are allocation-order stable per shard, so they
-// survive worker loss; they are not dense across shards, so
-// cycle detection remaps them (denseEdges) before running HasCycle.
-func gidOf(localID int64, shard, S int) int64 { return localID*int64(S) + int64(shard) }
-
-func gidShard(gid int64, S int) int   { return int(gid % int64(S)) }
-func gidLocal(gid int64, S int) int64 { return gid / int64(S) }

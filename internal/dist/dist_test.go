@@ -66,12 +66,12 @@ func TestLoopbackSerialDifferential(t *testing.T) {
 		}
 		inputs := []int64{0, 1}
 		serial := valency.Check(proto, inputs, valency.Options{})
-		rep, err := Loopback(4, Job{Spec: spec, Inputs: inputs}, Options{Shards: 16})
+		rep, err := Loopback(4, Job{Spec: spec, Inputs: inputs}, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
 		requireSameReport(t, spec.Name, serial, rep)
-		if rep.Stats == nil || rep.Stats.Shards != 16 || rep.Stats.Workers != 4 {
+		if rep.Stats == nil || rep.Stats.Shards != 1 || rep.Stats.Workers != 4 {
 			t.Errorf("%s: missing cluster stats: %+v", spec.Name, rep.Stats)
 		}
 	}
@@ -93,7 +93,7 @@ func TestLoopbackAllInputsDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		serial := valency.CheckAllInputs(proto, 2, valency.Options{})
-		rep, err := Loopback(4, Job{Spec: spec, AllInputs: true}, Options{Shards: 16})
+		rep, err := Loopback(4, Job{Spec: spec, AllInputs: true}, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -101,35 +101,21 @@ func TestLoopbackAllInputsDifferential(t *testing.T) {
 	}
 }
 
-// TestLoopbackAllInputsShardCensus: the all-inputs shard census is the
-// envelope of the per-vector censuses, empty shards included.  On
-// counter-walk n = 2 with 32 shards only the last vector (89
-// configurations) leaves a shard empty, so the aggregate's
-// MinStripeKeys must be 0, not the smallest non-empty shard.
-func TestLoopbackAllInputsShardCensus(t *testing.T) {
+// TestLoopbackAllInputsClusterStats: a cluster run's report says one
+// visited set — Stats.Shards is 1 on the all-inputs aggregate, which is
+// what marks it a cluster run — and carries no stripe census: the
+// coordinator's key set is not a fingerprint partition.
+func TestLoopbackAllInputsClusterStats(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
-	opts := Options{Shards: 32}
-	wantMin, wantMax := int64(-1), int64(0)
-	for bits := 0; bits < 1<<spec.N; bits++ {
-		rep, err := Loopback(2, Job{Spec: spec, Inputs: valency.InputVector(bits, spec.N)}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantMin < 0 || rep.Stats.MinStripeKeys < wantMin {
-			wantMin = rep.Stats.MinStripeKeys
-		}
-		wantMax = max(wantMax, rep.Stats.MaxStripeKeys)
-	}
-	if wantMin != 0 {
-		t.Fatalf("no vector has an empty shard (min %d); the test lost its point", wantMin)
-	}
-	rep, err := Loopback(2, Job{Spec: spec, AllInputs: true}, opts)
+	proto, _ := zoo.Resolve(spec)
+	rep, err := Loopback(2, Job{Spec: spec, AllInputs: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := rep.Stats; st.Stripes != 32 || st.MinStripeKeys != wantMin || st.MaxStripeKeys != wantMax {
-		t.Fatalf("aggregate census stripes=%d min=%d max=%d, want 32/%d/%d",
-			st.Stripes, st.MinStripeKeys, st.MaxStripeKeys, wantMin, wantMax)
+	requireSameReport(t, "counter-walk/all-inputs", valency.CheckAllInputs(proto, spec.N, valency.Options{}), rep)
+	if st := rep.Stats; st.Shards != 1 || st.Workers != 2 || st.Stripes != 0 || st.MinStripeKeys != 0 || st.MaxStripeKeys != 0 {
+		t.Fatalf("cluster stats shards=%d workers=%d stripes=%d min=%d max=%d, want 1/2/0/0/0",
+			st.Shards, st.Workers, st.Stripes, st.MinStripeKeys, st.MaxStripeKeys)
 	}
 }
 
@@ -154,7 +140,7 @@ func TestLoopbackCrashDifferential(t *testing.T) {
 		inputs := []int64{0, 1}
 		vopts := valency.Options{Crash: tc.crash}
 		serial := valency.Check(proto, inputs, vopts)
-		rep, err := Loopback(3, Job{Spec: tc.spec, Inputs: inputs}, Options{Shards: 8, Valency: vopts})
+		rep, err := Loopback(3, Job{Spec: tc.spec, Inputs: inputs}, Options{Valency: vopts})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec.Name, err)
 		}
@@ -196,7 +182,7 @@ func TestWorkerKilledMidRun(t *testing.T) {
 	serial := valency.Check(proto, inputs, valency.Options{})
 
 	kill := killAt(5)
-	rep, err := Loopback(4, Job{Spec: spec, Inputs: inputs}, Options{Shards: 16}, kill, kill, kill, kill)
+	rep, err := Loopback(4, Job{Spec: spec, Inputs: inputs}, Options{}, kill, kill, kill, kill)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +205,7 @@ func TestAllWorkersLost(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	inj := fault.NewInjector(1, fault.SingleCrash(0, 2), 1<<20)
 	kill := func(batchID int64) { inj.Point(0) }
-	opts := Options{Shards: 4, HeartbeatEvery: 20 * time.Millisecond, RejoinGrace: 150 * time.Millisecond}
+	opts := Options{HeartbeatEvery: 20 * time.Millisecond, RejoinGrace: 150 * time.Millisecond}
 	_, err := Loopback(1, Job{Spec: spec, Inputs: []int64{0, 1}}, opts, kill)
 	if !errors.Is(err, ErrAllWorkersLost) {
 		t.Fatalf("err = %v, want ErrAllWorkersLost", err)
@@ -252,7 +238,7 @@ func TestCheckpointKillResume(t *testing.T) {
 	serial := valency.Check(proto, inputs, valency.Options{})
 
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
+	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 
 	abort := opts
 	abort.AbortAfterBatches = 20 // < minBatches
@@ -292,7 +278,7 @@ func TestCheckpointResumeAllInputs(t *testing.T) {
 	serial := valency.CheckAllInputs(proto, 2, valency.Options{})
 
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 2}
+	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 2}
 	abort := opts
 	abort.AbortAfterBatches = 7
 	if _, err := Loopback(2, Job{Spec: spec, AllInputs: true}, abort); !errors.Is(err, ErrAborted) {
@@ -312,7 +298,7 @@ func TestCheckpointResumeAllInputs(t *testing.T) {
 // different one.
 func TestCheckpointJobMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 2}
+	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 2}
 	abort := opts
 	abort.AbortAfterBatches = 6 // < minBatches
 	if _, err := Loopback(2, Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}, abort); !errors.Is(err, ErrAborted) {
@@ -329,7 +315,7 @@ func TestCheckpointJobMismatch(t *testing.T) {
 func TestBudgetIncomplete(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	rep, err := Loopback(2, Job{Spec: spec, Inputs: []int64{0, 1}},
-		Options{Shards: 4, Valency: valency.Options{MaxConfigs: 100}})
+		Options{Valency: valency.Options{MaxConfigs: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +339,7 @@ func TestWireRoundTrip(t *testing.T) {
 		NoSymmetry: true,
 		Crash:      []int{-1, 2},
 		Workers:    3,
-		Shards:     16,
+		Epoch:      5,
 	}
 	gotJob, err := decodeJob(jm.encode())
 	if err != nil {
@@ -362,16 +348,16 @@ func TestWireRoundTrip(t *testing.T) {
 	if gotJob.Spec != jm.Spec || gotJob.NoSymmetry != jm.NoSymmetry ||
 		len(gotJob.Inputs) != 3 || gotJob.Inputs[2] != -7 ||
 		len(gotJob.Crash) != 2 || gotJob.Crash[0] != -1 ||
-		gotJob.Workers != 3 || gotJob.Shards != 16 {
+		gotJob.Workers != 3 || gotJob.Epoch != 5 {
 		t.Fatalf("job round trip: %+v", gotJob)
 	}
 
-	bm := batchMsg{ID: 7, Items: []item{{gid: 42, sched: []byte{1, 2, 3}}, {gid: 9}}}
+	bm := batchMsg{ID: 7, Items: []item{{id: 42, sched: []byte{1, 2, 3}}, {id: 9}}}
 	gotBatch, err := decodeBatch(bm.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotBatch.ID != 7 || len(gotBatch.Items) != 2 || gotBatch.Items[0].gid != 42 ||
+	if gotBatch.ID != 7 || len(gotBatch.Items) != 2 || gotBatch.Items[0].id != 42 ||
 		string(gotBatch.Items[0].sched) != string([]byte{1, 2, 3}) {
 		t.Fatalf("batch round trip: %+v", gotBatch)
 	}

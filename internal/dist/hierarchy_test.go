@@ -30,7 +30,7 @@ func TestHierarchyClusterCheck(t *testing.T) {
 			if sampled < 8 { // sample the cluster path; local is the oracle
 				sampled++
 				rep, err := Loopback(2, Job{Spec: zoo.MachineSpec(m, 2), AllInputs: true},
-					Options{Shards: 8, Valency: vopts})
+					Options{Valency: vopts})
 				if err != nil {
 					t.Fatalf("machine #%d: %v", m.ID(), err)
 				}

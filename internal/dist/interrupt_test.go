@@ -23,7 +23,7 @@ func TestLoopbackInterruptResume(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	inputs := []int64{0, 1}
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
+	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 
 	intr := make(chan struct{})
 	var once sync.Once
@@ -71,7 +71,7 @@ func TestLoopbackInterruptResume(t *testing.T) {
 func TestLoopbackInterruptBeforeStart(t *testing.T) {
 	intr := make(chan struct{})
 	close(intr)
-	opts := Options{Shards: 8, Interrupt: intr}
+	opts := Options{Interrupt: intr}
 	_, err := Loopback(2, Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}, opts)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)

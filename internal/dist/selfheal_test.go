@@ -9,7 +9,6 @@ package dist
 // never correctness.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -29,9 +28,8 @@ import (
 
 // fastRecovery tunes every recovery clock down to milliseconds so the
 // tests exercise the paths, not the production timeouts.
-func fastRecovery(shards int) Options {
+func fastRecovery() Options {
 	return Options{
-		Shards:         shards,
 		HeartbeatEvery: 15 * time.Millisecond,
 		DeadAfter:      400 * time.Millisecond,
 		NetTimeout:     2 * time.Second,
@@ -69,7 +67,7 @@ func TestChaosSoakDifferential(t *testing.T) {
 			Workers:   3,
 			ChaosSeed: seed,
 			ChaosPlan: soakPlan(),
-		}, Job{Spec: spec, Inputs: inputs}, fastRecovery(16))
+		}, Job{Spec: spec, Inputs: inputs}, fastRecovery())
 		if err != nil {
 			t.Fatalf("%s: %v", spec.Name, err)
 		}
@@ -102,7 +100,7 @@ func TestChaosAllInputsDifferential(t *testing.T) {
 			Workers:   3,
 			ChaosSeed: seed,
 			ChaosPlan: soakPlan(),
-		}, Job{Spec: spec, AllInputs: true}, fastRecovery(8))
+		}, Job{Spec: spec, AllInputs: true}, fastRecovery())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -129,7 +127,7 @@ func TestChaosCutReconnect(t *testing.T) {
 			Workers:   2,
 			ChaosSeed: 5,
 			ChaosPlan: fault.NetPlanOptions{CutEvery: 10},
-		}, Job{Spec: spec, Inputs: inputs}, fastRecovery(8))
+		}, Job{Spec: spec, Inputs: inputs}, fastRecovery())
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
@@ -160,7 +158,7 @@ func TestChaosWorkerKillMidRun(t *testing.T) {
 		Hooks:     []func(int64){kill, kill, kill},
 		ChaosSeed: 77,
 		ChaosPlan: soakPlan(),
-	}, Job{Spec: spec, Inputs: inputs}, fastRecovery(16))
+	}, Job{Spec: spec, Inputs: inputs}, fastRecovery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +186,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	}
 	addr := ln1.Addr().String()
 
-	opts := fastRecovery(8)
+	opts := fastRecovery()
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "dist.ckpt")
 	opts.CheckpointEvery = 4
 
@@ -263,7 +261,7 @@ func TestSlowWorkerDeclaredDead(t *testing.T) {
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
-	opts := fastRecovery(8)
+	opts := fastRecovery()
 	var once sync.Once
 	slow := func(batchID int64) {
 		once.Do(func() { time.Sleep(2 * opts.DeadAfter) })
@@ -282,81 +280,50 @@ func TestSlowWorkerDeclaredDead(t *testing.T) {
 	}
 }
 
-// TestCheckpointRetiredSlotsResume: a version-2 checkpoint written by
-// a coordinator that still counted speculative re-dispatches and
-// memory pauses holds non-zero values in those two retired slots; it
-// must still resume to the serial verdict.
-func TestCheckpointRetiredSlotsResume(t *testing.T) {
+// TestCheckpointOldVersionRefused: a version-2 checkpoint kept one key
+// list per fingerprint shard, a layout version 3 no longer reads.  A
+// snapshot stamped 2 is refused by its version before any of its
+// payload is trusted; the same bytes stamped 3 resume to the serial
+// verdict.
+func TestCheckpointOldVersionRefused(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	proto, _ := zoo.Resolve(spec)
 	inputs := []int64{0, 1}
 	serial := valency.Check(proto, inputs, valency.Options{})
 
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
+	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 	abort := opts
 	abort.AbortAfterBatches = 12 // < minBatches
 	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort); !errors.Is(err, ErrAborted) {
 		t.Fatalf("seeding abort: %v", err)
 	}
-	f, err := os.Open(ckpt)
+	payload, err := frame.ReadFile(frame.OS{}, ckpt, msgCheckpoint, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, payload, err := frame.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Walk the payload to the recovery block: version, job hash, vector
-	// cursor, configs, flags, decisions, six stats counters, batches,
-	// reconnects, worker deaths, requeued batches — then the first
-	// retired slot, resumes, checkpoints written, the second.
 	r := frame.NewReader(payload)
-	// pos peeks at the offset reached so far: a copy's Rest is the tail.
-	pos := func() int { c := *r; return len(payload) - len(c.Rest()) }
-	for i := 0; i < 5; i++ {
-		r.Uvarint("header")
+	if v := r.Uvarint("version"); v != checkpointVersion || checkpointVersion != 3 {
+		t.Fatalf("checkpoint written as version %d (current %d), want 3", v, checkpointVersion)
 	}
-	valency.ReadDecisions(r)
-	for i := 0; i < 10; i++ {
-		r.Uvarint("counter")
-	}
-	first := pos()
-	if v := r.Uvarint("retired"); v != 0 {
-		t.Fatalf("first retired slot written as %d, want 0", v)
-	}
-	mid := pos()
-	r.Uvarint("resumes")
-	r.Uvarint("checkpoints")
-	second := pos()
-	if v := r.Uvarint("retired"); v != 0 {
-		t.Fatalf("second retired slot written as %d, want 0", v)
-	}
-	tail := pos()
-	r.Rest()
-	if err := r.Err(); err != nil {
+	old := putUvarint(nil, 2)
+	old = append(old, r.Rest()...)
+	if err := os.WriteFile(ckpt, frame.Append(nil, msgCheckpoint, old), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	old := append([]byte(nil), payload[:first]...)
-	old = putUvarint(old, 300) // speculative re-dispatches
-	old = append(old, payload[mid:second]...)
-	old = putUvarint(old, 7) // memory pauses
-	old = append(old, payload[tail:]...)
-	var buf bytes.Buffer
-	if err := frame.Write(&buf, msgCheckpoint, old); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(ckpt, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	const want = "checkpoint version 2, want 3"
+	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("resume from a version-2 checkpoint: err %v, want %q", err, want)
 	}
 
+	if err := os.WriteFile(ckpt, frame.Append(nil, msgCheckpoint, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	rep, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameReport(t, "counter-walk/older-checkpoint", serial, rep)
+	requireSameReport(t, "counter-walk/version-3-resume", serial, rep)
 	if rec := rep.Stats.Recovery; rec == nil || rec.CheckpointResumes != 1 {
 		t.Fatalf("recovery = %+v, want exactly one checkpoint resume", rec)
 	}
@@ -369,7 +336,7 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	inputs := []int64{0, 1}
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
-	opts := Options{Shards: 8, CheckpointPath: ckpt, CheckpointEvery: 4}
+	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 
 	abort := opts
 	abort.AbortAfterBatches = 12 // < minBatches
@@ -428,16 +395,16 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 func TestCheckpointRefusesHugeCount(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	co, err := newCoord(Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}},
-		Options{Shards: 8, CheckpointPath: ckpt})
+		Options{CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := putUvarint(nil, checkpointVersion)
 	p = putUvarint(p, co.jobHash())
-	for i := 0; i < 18; i++ {
+	for i := 0; i < 14; i++ {
 		// The aggregate: vector cursor, configs, flags, an empty
-		// decision set, six stats counters, batches and the recovery
-		// block with its two retired slots.
+		// decision set, four stats counters, batches and the recovery
+		// block.
 		p = putUvarint(p, 0)
 	}
 	p = putUvarint(p, 1<<40) // inputs, and nothing after

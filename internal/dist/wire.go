@@ -16,8 +16,8 @@ import (
 // compact configuration encoding, and keys travel as the verbatim
 // AppendVisitKey bytes, so the visited-set encoding IS the wire
 // encoding.  The trailing fingerprint (sim.FingerprintBytes, the same
-// hash that shards the visited set) rejects torn or corrupted frames
-// before they can poison the mirror.
+// hash the visited set probes by) rejects torn or corrupted frames
+// before they can poison the visited set.
 
 const (
 	msgHello byte = iota + 1 // worker→coord: wire version + stable identity
@@ -31,8 +31,9 @@ const (
 
 // Version 2 extended HELLO with the worker's stable identity, which is
 // what lets a reconnecting worker rejoin as itself instead of counting
-// as a new peer.
-const wireVersion = 2
+// as a new peer.  Version 3 dropped the JOB frame's shard count: the
+// coordinator's visited set is no longer partitioned.
+const wireVersion = 3
 
 // helloMsg announces a worker: its wire version and its stable identity
 // (non-zero, constant across reconnects of the same worker).
@@ -76,8 +77,6 @@ func putBytes(b, s []byte) []byte {
 	return append(b, s...)
 }
 
-func putString(b []byte, s string) []byte { return putBytes(b, []byte(s)) }
-
 // --- messages ---
 
 // jobMsg carries everything a worker needs to check one input vector.
@@ -92,12 +91,11 @@ type jobMsg struct {
 	NoSymmetry bool
 	Crash      []int
 	Workers    int // worker-local explore.Each width per batch
-	Shards     int
 	Epoch      uint64
 }
 
 func (m jobMsg) encode() []byte {
-	b := putString(nil, m.Spec.Name)
+	b := putBytes(nil, []byte(m.Spec.Name))
 	b = putUvarint(b, uint64(m.Spec.N))
 	b = putUvarint(b, uint64(m.Spec.R))
 	b = putVarint(b, m.Spec.Rounds)
@@ -116,7 +114,6 @@ func (m jobMsg) encode() []byte {
 		b = putVarint(b, int64(v))
 	}
 	b = putUvarint(b, uint64(m.Workers))
-	b = putUvarint(b, uint64(m.Shards))
 	b = putUvarint(b, m.Epoch)
 	return b
 }
@@ -138,15 +135,14 @@ func decodeJob(p []byte) (jobMsg, error) {
 		m.Crash = append(m.Crash, int(r.Varint("crash")))
 	}
 	m.Workers = int(r.Uvarint("workers"))
-	m.Shards = int(r.Uvarint("shards"))
 	m.Epoch = r.Uvarint("epoch")
 	return m, r.Err()
 }
 
-// item is one frontier configuration: its global id and the schedule
-// that rebuilds it from the initial configuration.
+// item is one frontier configuration: its id and the schedule that
+// rebuilds it from the initial configuration.
 type item struct {
-	gid   int64
+	id    int64
 	sched []byte
 }
 
@@ -170,7 +166,7 @@ func (m batchMsg) encode() []byte {
 // checkpoint's frontier share.
 func putItems(b []byte, items []item) []byte {
 	for _, it := range items {
-		b = putUvarint(b, uint64(it.gid))
+		b = putUvarint(b, uint64(it.id))
 		b = putBytes(b, it.sched)
 	}
 	return b
@@ -181,7 +177,7 @@ func readItems(r *frame.Reader, n int) []item {
 	var items []item
 	for i := 0; i < n; i++ {
 		items = append(items, item{
-			gid:   int64(r.Uvarint("item gid")),
+			id:    int64(r.Uvarint("item id")),
 			sched: r.Bytes("item sched"),
 		})
 	}

@@ -141,7 +141,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		NoSymmetry: true,
 		Crash:      []int{2},
 		Workers:    4,
-		Shards:     16,
+		Epoch:      2,
 	}
 	gotJob, err := decodeJob(job.encode())
 	if err != nil || !reflect.DeepEqual(gotJob, job) {
@@ -149,13 +149,13 @@ func TestMessageRoundTrips(t *testing.T) {
 	}
 
 	batch := batchMsg{ID: 42, Items: []item{
-		{gid: 7, sched: []byte{1, 2}},
-		{gid: 9, sched: nil},
+		{id: 7, sched: []byte{1, 2}},
+		{id: 9, sched: nil},
 	}}
 	gotBatch, err := decodeBatch(batch.encode())
 	if err != nil || gotBatch.ID != batch.ID || len(gotBatch.Items) != 2 ||
-		gotBatch.Items[0].gid != 7 || !bytes.Equal(gotBatch.Items[0].sched, []byte{1, 2}) ||
-		gotBatch.Items[1].gid != 9 || len(gotBatch.Items[1].sched) != 0 {
+		gotBatch.Items[0].id != 7 || !bytes.Equal(gotBatch.Items[0].sched, []byte{1, 2}) ||
+		gotBatch.Items[1].id != 9 || len(gotBatch.Items[1].sched) != 0 {
 		t.Fatalf("batch: got %+v, %v", gotBatch, err)
 	}
 
@@ -174,8 +174,8 @@ func TestMessageRoundTrips(t *testing.T) {
 // decode to an error (sticky-error frame.Reader), and full payloads with
 // trailing garbage must be rejected too.
 func TestPayloadTruncation(t *testing.T) {
-	job := jobMsg{Spec: ProtoSpec{Name: "cas", N: 2}, Inputs: []int64{0, 1}, Workers: 1, Shards: 4}
-	batch := batchMsg{ID: 1, Items: []item{{gid: 3, sched: []byte{9, 9}}}}
+	job := jobMsg{Spec: ProtoSpec{Name: "cas", N: 2}, Inputs: []int64{0, 1}, Workers: 1}
+	batch := batchMsg{ID: 1, Items: []item{{id: 3, sched: []byte{9, 9}}}}
 	done := doneMsg{ID: 1, Generated: 2, Emits: []emit{{from: 3, key: []byte{1}, sched: []byte{2}}}}
 	cases := []struct {
 		name   string

@@ -325,7 +325,7 @@ func (st *workerState) process(bm batchMsg) (doneMsg, error) {
 		w, it := &slots[wid], bm.Items[i]
 		c := sim.NewConfig(st.proto, st.inputs)
 		if err := c.ReplaySchedule(it.sched); err != nil {
-			firstErr.CompareAndSwap(nil, fmt.Errorf("dist: item %d: %w", it.gid, err))
+			firstErr.CompareAndSwap(nil, fmt.Errorf("dist: item %d: %w", it.id, err))
 			return false
 		}
 		if valency.Unsafe(c, st.vopts, st.valid, w.decisions) {
@@ -336,7 +336,7 @@ func (st *workerState) process(bm batchMsg) (doneMsg, error) {
 			w.generated++
 			w.buf = st.vopts.AppendVisitKey(&w.keyer, c, w.buf[:0])
 			w.emits = append(w.emits, emit{
-				from:  it.gid,
+				from:  it.id,
 				key:   append([]byte(nil), w.buf...),
 				sched: sim.AppendScheduleStep(append([]byte(nil), it.sched...), pid, out),
 			})
@@ -379,7 +379,7 @@ func (st *workerState) verifyKey(it item, want []byte) error {
 	k.Symmetry = st.vopts.SymmetryOn()
 	got := st.vopts.AppendVisitKey(&k, c, nil)
 	if !bytes.Equal(got, want) {
-		return fmt.Errorf("dist: item %d replays to a different visit key", it.gid)
+		return fmt.Errorf("dist: item %d replays to a different visit key", it.id)
 	}
 	return nil
 }

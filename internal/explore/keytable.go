@@ -231,3 +231,32 @@ func (t *keyTable) reset() {
 	t.cur, t.n = 0, 0
 	t.mark, t.markN, t.collided = arenaPos{}, 0, 0
 }
+
+// KeySet is a visited set for a single-threaded owner that numbers its
+// keys by admission: the k-th key admitted has id k, so ids are dense
+// from 0 and a key's id never changes.  It is one keyTable, never
+// marked or reset, so its arena is also the admission-order key list.
+type KeySet struct{ t keyTable }
+
+// Admit returns key's id, admitting it under the next id if absent;
+// fresh reports whether this call admitted it.  fp is the key's
+// fingerprint, which must be a function of the key alone.
+func (s *KeySet) Admit(fp uint64, key []byte) (id int64, fresh bool) {
+	id, found, p := s.t.find(fp, key)
+	if found {
+		return id, false
+	}
+	id = int64(s.t.n)
+	s.t.insert(p, fp, key, id)
+	return id, true
+}
+
+// Len returns the number of keys admitted.
+func (s *KeySet) Len() int { return s.t.n }
+
+// Keys calls fn on every key in admission order (the key with id i is
+// the i-th call).  The key aliases the set's storage and is valid only
+// during the call.
+func (s *KeySet) Keys(fn func(key []byte)) {
+	s.t.since(func(_ uint64, _ int64, key []byte) { fn(key) })
+}

@@ -22,7 +22,10 @@ const (
 // insert lands on a fingerprint a distinct key already holds.  After
 // every step the table must agree with the reference, and every walk
 // from a mark must yield exactly the keys admitted since that mark, in
-// admission order, with their fingerprints and ids.
+// admission order, with their fingerprints and ids.  A KeySet (the
+// sharded engine drives keyTable directly, the dist coordinator through
+// KeySet) admits every inserted key too, resets ignored: its ids must be
+// admission indices and its walk the whole admission order.
 func FuzzKeyTable(f *testing.F) {
 	// An empty key, then a short one under the same truncated fingerprint.
 	f.Add(uint8(1), []byte{ktInsert, 0, ktInsert, 1, 'a', ktFind, 0, ktPersist})
@@ -55,6 +58,9 @@ func FuzzKeyTable(f *testing.F) {
 		fps := map[uint64]int{} // keys per fingerprint since the last reset
 		var nextID int64
 		var long int // long keys admitted so far
+		var set KeySet
+		var setLog []string // every distinct key the set was offered
+		setRef := map[string]int64{}
 
 		check := func(key []byte) {
 			t.Helper()
@@ -70,6 +76,15 @@ func FuzzKeyTable(f *testing.F) {
 		insert := func(key []byte) {
 			t.Helper()
 			check(key)
+			want, seen := setRef[string(key)]
+			if !seen {
+				want = int64(len(setLog))
+				setRef[string(key)] = want
+				setLog = append(setLog, string(key))
+			}
+			if id, fresh := set.Admit(fpOf(key), key); id != want || fresh == seen {
+				t.Fatalf("KeySet.Admit(%q) = %d, %v; want %d, %v", trunc(key), id, fresh, want, !seen)
+			}
 			fp := fpOf(key)
 			_, found, p := tab.find(fp, key)
 			if found {
@@ -157,6 +172,16 @@ func FuzzKeyTable(f *testing.F) {
 			check([]byte(k))
 		}
 		walk()
+		i := 0
+		set.Keys(func(key []byte) {
+			if i >= len(setLog) || string(key) != setLog[i] {
+				t.Fatalf("KeySet walk record %d = %q, want the %d-th admitted key", i, trunc(key), i)
+			}
+			i++
+		})
+		if i != len(setLog) || set.Len() != len(setLog) {
+			t.Fatalf("KeySet walked %d keys, Len %d; %d were admitted", i, set.Len(), len(setLog))
+		}
 	})
 }
 

@@ -115,14 +115,19 @@ func (s rcState) AppendKey(buf []byte) []byte {
 	return binary.AppendVarint(buf, s.trueVal)
 }
 
-// AppendKey implements sim.State.  The scan view is distinguished by
-// contents only (nil and empty coincide; they never occur at the same
-// pc).
+// AppendKey implements sim.State.  The scan view is keyed by its
+// contents, and the nil view (before the first operation) by the
+// length no view reaches, len(Types)+1: pc wraps, so an empty view can
+// share pc 0 with it.
 func (s smState) AppendKey(buf []byte) []byte {
 	buf = append(buf, keyTagSM)
 	buf = binary.AppendVarint(buf, s.pref)
 	buf = binary.AppendVarint(buf, int64(s.pc))
-	buf = binary.AppendUvarint(buf, uint64(len(s.scan)))
+	n := len(s.scan)
+	if s.scan == nil {
+		n = len(s.proto.Types) + 1
+	}
+	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, v := range s.scan {
 		buf = binary.AppendVarint(buf, v)
 	}

@@ -111,8 +111,8 @@ func (m ScanMachine) ownView(pref int64, view []int64) bool {
 type smState struct {
 	proto ScanMachine
 	pref  int64
-	pc    int     // next program position
-	scan  []int64 // view being collected; nil when about to operate
+	pc    int     // next program position, in [0, len(program))
+	scan  []int64 // view being collected; nil before the first operation
 }
 
 var _ sim.State = smState{}
@@ -145,7 +145,7 @@ func (s smState) Action() sim.Action {
 func (s smState) Advance(result int64) sim.State {
 	if s.scan == nil {
 		// Just performed a program operation: start a scan.
-		s.pc++
+		s.pc = (s.pc + 1) % len(s.proto.Program[s.pref])
 		s.scan = make([]int64, 0, len(s.proto.Types))
 		return s
 	}
@@ -160,7 +160,7 @@ func (s smState) Advance(result int64) sim.State {
 		return sim.Halted{}
 	}
 	// Just performed the next program op after a rejected scan.
-	s.pc++
+	s.pc = (s.pc + 1) % len(s.proto.Program[s.pref])
 	s.scan = make([]int64, 0, len(s.proto.Types))
 	return s
 }

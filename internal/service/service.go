@@ -853,7 +853,6 @@ func (s *Server) execute(spec *JobSpec, id string, stop <-chan struct{}) (*valen
 	}
 	if spec.Engine == EngineDist {
 		opts := dist.Options{
-			Shards:          16,
 			CheckpointPath:  filepath.Join(s.jobDir(id), "dist.ckpt"),
 			CheckpointEvery: s.cfg.DistCheckpointEvery,
 			Interrupt:       stop,

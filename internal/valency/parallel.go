@@ -45,8 +45,8 @@ type Stats struct {
 	// each confirmed by a full key comparison), and
 	// MinStripeKeys/MaxStripeKeys bound the per-shard key counts — the
 	// imbalance envelope of the fingerprint partition.  The distributed
-	// engine reports the same fields at shard granularity, so cluster
-	// shard-imbalance reads off the same counters.
+	// engine reports no census: its coordinator's visited set is one key
+	// set per vector.
 	Stripes       int   `json:"stripes,omitempty"`
 	Collisions    int64 `json:"collisions"`
 	MinStripeKeys int64 `json:"min_stripe_keys,omitempty"`
@@ -62,10 +62,11 @@ type Stats struct {
 	HandoffItems    int64 `json:"handoff_items,omitempty"`
 	RecycledBatches int64 `json:"recycled_batches,omitempty"`
 
-	// Distributed-engine counters, zero on local runs.  Shards is the
-	// fingerprint-partition width, Batches the number of work batches the
-	// coordinator dispatched and acked, RemoteItems the cross-shard
-	// frontier configurations shipped over the wire, Recoveries the
+	// Distributed-engine counters, zero on local runs.  Shards is 1 on a
+	// cluster run (the coordinator's one visited set), so it marks the
+	// report as one; Batches is the number of work batches the
+	// coordinator dispatched and acked, RemoteItems the frontier
+	// configurations shipped over the wire, Recoveries the
 	// worker-loss events survived, and Checkpoints the snapshots written.
 	Shards      int   `json:"shards,omitempty"`
 	Batches     int64 `json:"batches,omitempty"`
@@ -177,35 +178,17 @@ func (s *Stats) fold(o *Stats) {
 	}
 }
 
-// Unsafe mirrors the serial checker's per-configuration safety scan
-// (violationAt) without trace bookkeeping: it records reachable decisions
-// into dec and reports whether the configuration violates consistency or
-// validity, or contains a stuck surviving process.  valid is the run's
-// input-value set.  Exported so engine embedders (the parallel engine
-// here, the distributed workers in internal/dist) share one definition
-// of "unsafe"; any engine that sees it return true must defer to the
+// Unsafe is the serial checker's per-configuration safety scan without
+// trace bookkeeping: it records reachable decisions into dec and reports
+// whether the configuration violates consistency or validity, or
+// contains a stuck surviving process.  valid is the run's input-value
+// set.  Exported so engine embedders (the parallel engine here, the
+// distributed workers in internal/dist) share one definition of
+// "unsafe"; any engine that sees it return true must defer to the
 // canonical serial checker for the reported violation.
 func Unsafe(c *sim.Config, opts Options, valid, dec map[int64]bool) bool {
-	firstPid, firstVal := -1, int64(0)
-	for pid, d := range c.Decided {
-		if !d {
-			if c.Pending(pid).Kind == sim.ActHalt && !opts.Crashed(c, pid) {
-				return true // a survivor halted without deciding: stuck
-			}
-			continue
-		}
-		v := c.Decision[pid]
-		dec[v] = true
-		if !valid[v] {
-			return true // validity
-		}
-		if firstPid == -1 {
-			firstPid, firstVal = pid, v
-		} else if v != firstVal {
-			return true // consistency
-		}
-	}
-	return false
+	_, bad := scanSafety(c, opts, valid, dec)
+	return bad
 }
 
 // InputVector decodes vector index bits into per-process binary inputs:

@@ -381,32 +381,60 @@ func checkSerial(proto sim.Protocol, inputs []int64, opts Options) *Report {
 // violationAt inspects a configuration for safety violations and records
 // the first one found, returning true if exploration should stop.
 func (ch *checker) violationAt(c *sim.Config) bool {
-	firstPid, firstVal := -1, int64(0)
+	u, bad := scanSafety(c, ch.opts, ch.valid, ch.rep.Decisions)
+	if bad {
+		ch.record(u.kind, u.detail())
+	}
+	return bad
+}
+
+// unsafeAt is the first violation scanSafety found: its kind, the
+// offending process and its decision, and for consistency the first
+// decider and its decision.
+type unsafeAt struct {
+	kind          ViolationKind
+	pid, first    int
+	val, firstVal int64
+}
+
+func (u unsafeAt) detail() string {
+	switch u.kind {
+	case Stuck:
+		return fmt.Sprintf("P%d halted without deciding", u.pid)
+	case Validity:
+		return fmt.Sprintf("P%d decided %d, which is no process's input", u.pid, u.val)
+	default:
+		return fmt.Sprintf("P%d decided %d but P%d decided %d", u.first, u.firstVal, u.pid, u.val)
+	}
+}
+
+// scanSafety is every engine's per-configuration safety scan: it
+// records c's decisions into dec, in process order up to the first
+// violation, and reports that violation — a surviving process halted
+// without deciding (stuck; a crashed process may die undecided), a
+// decision that is no process's input (validity, against valid), or
+// two different decisions (consistency).
+func scanSafety(c *sim.Config, opts Options, valid, dec map[int64]bool) (unsafeAt, bool) {
+	first, firstVal := -1, int64(0)
 	for pid, d := range c.Decided {
 		if !d {
-			// A surviving halted process that never decided is stuck; a
-			// crashed process is permitted to die undecided.
-			if c.Pending(pid).Kind == sim.ActHalt && !ch.opts.Crashed(c, pid) {
-				ch.record(Stuck, fmt.Sprintf("P%d halted without deciding", pid))
-				return true
+			if c.Pending(pid).Kind == sim.ActHalt && !opts.Crashed(c, pid) {
+				return unsafeAt{kind: Stuck, pid: pid}, true
 			}
 			continue
 		}
 		v := c.Decision[pid]
-		ch.rep.Decisions[v] = true
-		if !ch.valid[v] {
-			ch.record(Validity, fmt.Sprintf("P%d decided %d, which is no process's input", pid, v))
-			return true
+		dec[v] = true
+		if !valid[v] {
+			return unsafeAt{kind: Validity, pid: pid, val: v}, true
 		}
-		if firstPid == -1 {
-			firstPid, firstVal = pid, v
+		if first == -1 {
+			first, firstVal = pid, v
 		} else if v != firstVal {
-			ch.record(Consistency,
-				fmt.Sprintf("P%d decided %d but P%d decided %d", firstPid, firstVal, pid, v))
-			return true
+			return unsafeAt{kind: Consistency, pid: pid, val: v, first: first, firstVal: firstVal}, true
 		}
 	}
-	return false
+	return unsafeAt{}, false
 }
 
 func (ch *checker) record(kind ViolationKind, detail string) {

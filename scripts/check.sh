@@ -53,18 +53,19 @@ stage="dist race (full, internal/dist)"
 # the distributed runtime is the code most likely to grow long tests
 # behind -short; pin a full (non-short) race pass over it explicitly.
 go test -race -timeout 10m ./internal/dist/
-# Dispatch by free worker, named so a regression fails by name: a
-# batch mixes shards and is capped at batchSize, a dead worker's items
-# return to the one frontier queue, the reference job (counter-walk
-# n = 3) fits in at most 1,000 batches, and a held report does not pin
-# its coordinator.
+# Dispatch by free worker and admission by the one visited set, named
+# so a regression fails by name: a batch is capped at batchSize, a dead
+# worker's items return to the one frontier queue, the reference job
+# (counter-walk n = 3) fits in at most 1,000 batches, a held report does
+# not pin its coordinator, ids are admission indices, and an ack whose
+# emit names a parent outside its batch is refused with its connection.
 go test -count=1 -timeout 5m \
-	-run 'TestPumpBatchShape|TestLoopbackBatchesPerJob|TestReportDoesNotPinCoordinator' \
+	-run 'TestPumpBatchShape|TestLoopbackBatchesPerJob|TestReportDoesNotPinCoordinator|TestAdmissionIDs|TestEmitParentRefused' \
 	./internal/dist/
 stage="dist loopback smoke"
 # End-to-end cluster smoke: coordinator plus two in-process TCP workers
 # must reproduce the serial verdict on a small exhaustive job.
-go run ./cmd/distcheck -loopback 2 -shards 8 -protocol counter-walk -n 2 -all | grep -q "SAFE"
+go run ./cmd/distcheck -loopback 2 -protocol counter-walk -n 2 -all | grep -q "SAFE"
 stage="dist-chaos smoke"
 # Self-healing smoke: the same cluster behind the deterministic
 # network-chaos proxy (seeded delays, duplicates, reorders,
@@ -77,7 +78,7 @@ stage="dist-chaos smoke"
 # least one worker death and at least one chaos event.  The
 # worker-kill-under-chaos and coordinator-kill + checkpoint-resume
 # drills then run as their dedicated differential tests.
-chaos="$(go run ./cmd/distcheck -loopback 3 -shards 8 -protocol counter-walk -n 3 -all \
+chaos="$(go run ./cmd/distcheck -loopback 3 -protocol counter-walk -n 3 -all \
 	-chaos-net-seed 7 -heartbeat 25ms -dead-after 500ms)"
 echo "$chaos" | grep -q "SAFE"
 echo "$chaos" | grep -Eq '^recovery: .*, [1-9][0-9]* worker deaths,.*; [1-9][0-9]* chaos events'
