@@ -66,11 +66,7 @@ func run(args []string) error {
 	join := fs.String("join", "", "worker: coordinator address to join")
 	loopback := fs.Int("loopback", 0, "single-binary mode: run coordinator plus N in-process workers")
 
-	name := fs.String("protocol", "counter-walk", "protocol: "+strings.Join(zoo.Names(), ", "))
-	n := fs.Int("n", 2, "number of processes")
-	r := fs.Int("r", 2, "object count for flood protocols / scan-machine")
-	rounds := fs.Int64("rounds", 2, "round cap for register-consensus")
-	seed := fs.Uint64("seed", 1, "seed for scan-machine")
+	spec := zoo.Flags(fs)
 	inputsFlag := fs.String("inputs", "", "comma-separated input vector, e.g. 0,1 (default: mixed 0,1,0,1,...)")
 	all := fs.Bool("all", false, "sweep all 2^n input vectors (CheckAllInputs)")
 
@@ -139,20 +135,19 @@ func run(args []string) error {
 		})
 	}
 
-	spec := zoo.Spec{Name: *name, N: *n, R: *r, Rounds: *rounds, Seed: *seed}
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	var inputs []int64
 	if !*all {
 		var err error
-		if inputs, err = parseInputs(*inputsFlag, *n); err != nil {
+		if inputs, err = parseInputs(*inputsFlag, spec.N); err != nil {
 			return err
 		}
 	}
 	if *submit != "" || *waitJob != "" {
 		return runClient(*submit, *waitJob, service.JobSpec{
-			Tenant: *tenant, Protocol: *name, N: *n, R: *r, Rounds: *rounds, Seed: *seed,
+			Tenant: *tenant, Protocol: spec.Name, N: spec.N, R: spec.R, Rounds: spec.Rounds, Seed: spec.Seed,
 			Inputs: inputs, AllInputs: *all, Engine: *engine, Budget: *budget,
 			NoSymmetry: *nosym, DeadlineSeconds: *jobDeadline,
 		}, *async, *waitTimeout, *quotaWait)
@@ -167,7 +162,7 @@ func run(args []string) error {
 		}
 	}
 
-	job := dist.Job{Spec: spec, Inputs: inputs, AllInputs: *all}
+	job := dist.Job{Spec: *spec, Inputs: inputs, AllInputs: *all}
 	// SIGINT/SIGTERM on the coordinator is a graceful drain, not a kill:
 	// the run stops at a final checkpoint and the same command resumes.
 	// A second signal falls through to the default handler (hard exit).

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
@@ -31,10 +30,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
-	name := fs.String("protocol", "counter-walk", "protocol: "+strings.Join(zoo.Names(), ", "))
-	n := fs.Int("n", 2, "number of processes")
-	r := fs.Int("r", 2, "object count for flood protocols / scan-machine")
-	rounds := fs.Int64("rounds", 2, "round cap for register-consensus")
+	spec := zoo.Flags(fs)
 	budget := fs.Int("budget", 1<<22, "configuration budget")
 	memBudget := fs.Int64("mem-budget", 0, "retained-byte budget (0 = unlimited); truncates the run, or sets the hot tier under -spill-dir")
 	spillDir := fs.String("spill-dir", "", "enable the disk-tiered engine: spill cold visited-set shards and deep frontiers under this directory and write resumable checkpoints")
@@ -51,14 +47,14 @@ func run(args []string) error {
 		return fmt.Errorf("-resume requires -spill-dir")
 	}
 
-	proto, err := zoo.Resolve(zoo.Spec{Name: *name, N: *n, R: *r, Rounds: *rounds})
+	proto, err := zoo.Resolve(*spec)
 	if err != nil {
 		return err
 	}
 
 	if !*jsonOut {
 		fmt.Printf("model checking %s with n=%d over all schedules and coin outcomes (%d workers)...\n",
-			proto.Name(), *n, *workers)
+			proto.Name(), spec.N, *workers)
 	}
 	opts := valency.Options{
 		MaxConfigs: *budget, MemBudget: *memBudget, Workers: *workers, NoSymmetry: *nosym,
@@ -67,21 +63,22 @@ func run(args []string) error {
 	var rep *valency.Report
 	var spillErr error
 	if *spillDir != "" {
-		rep, spillErr = valency.CheckAllInputsSpill(proto, *n, opts)
+		rep, spillErr = valency.CheckAllInputsSpill(proto, spec.N, opts)
 		if rep == nil {
 			return spillErr
 		}
 	} else {
-		rep = valency.CheckAllInputs(proto, *n, opts)
+		rep = valency.CheckAllInputs(proto, spec.N, opts)
 	}
 	if *jsonOut {
 		meta := map[string]any{
 			"tool":       "modelcheck",
 			"args":       args,
-			"protocol":   *name,
-			"n":          *n,
-			"r":          *r,
-			"rounds":     *rounds,
+			"protocol":   spec.Name,
+			"n":          spec.N,
+			"r":          spec.R,
+			"rounds":     spec.Rounds,
+			"seed":       spec.Seed,
 			"budget":     *budget,
 			"mem_budget": *memBudget,
 			"workers":    *workers,
@@ -133,7 +130,7 @@ func run(args []string) error {
 	}
 
 	if *biv {
-		inputs := make([]int64, *n)
+		inputs := make([]int64, spec.N)
 		for i := range inputs {
 			inputs[i] = int64(i % 2)
 		}

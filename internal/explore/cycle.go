@@ -41,23 +41,14 @@ func (l EdgeLog) Len() int {
 	return n
 }
 
-// HasCycle reports whether the graph with n nodes (labelled 0..n-1) and
-// the given arcs contains a cycle — the frontier engines' counterpart of
-// the serial checker's grey/black back-edge detection, run as a post-pass
-// over the in-memory id graph (cheap next to exploration, which pays for
-// cloning and stepping configurations).  Parallel and duplicate arcs are
-// permitted; they cannot change cycle existence.
-func HasCycle(n int, edges EdgeLog) bool {
-	m := edges.Len()
-	if n == 0 || m == 0 {
-		return false
-	}
-	// Counting sort the arcs into compressed adjacency, straight from the
-	// chunks.  off[v] first counts v's arcs, then (prefix sums) marks the
-	// end of v's run; placing each arc at its node's decremented end
-	// leaves off[v] at the run's start, so no separate fill cursor is
-	// needed: v's successors are succ[off[v]:off[v+1]].
-	off := make([]int64, n+1)
+// Adjacency returns the graph with n nodes (labelled 0..n-1) and the
+// given arcs in compressed form: v's successors are adj[off[v]:off[v+1]],
+// each node's in the reverse of their order in the log.
+func Adjacency(n int, edges EdgeLog) (off, adj []int64) {
+	// Counting sort, straight from the chunks: off[v] counts v's arcs,
+	// then (prefix sums) marks the end of v's run; placing each arc at its
+	// node's decremented end leaves off[v] at the run's start.
+	off = make([]int64, n+1)
 	for _, c := range edges {
 		for _, e := range c {
 			off[e.From]++
@@ -66,13 +57,27 @@ func HasCycle(n int, edges EdgeLog) bool {
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	succ := make([]int64, m)
+	adj = make([]int64, edges.Len())
 	for _, c := range edges {
 		for _, e := range c {
 			off[e.From]--
-			succ[off[e.From]] = e.To
+			adj[off[e.From]] = e.To
 		}
 	}
+	return off, adj
+}
+
+// HasCycle reports whether the graph with n nodes (labelled 0..n-1) and
+// the given arcs contains a cycle — the frontier engines' counterpart of
+// the serial checker's grey/black back-edge detection, run as a post-pass
+// over the in-memory id graph (cheap next to exploration, which pays for
+// cloning and stepping configurations).  Parallel and duplicate arcs are
+// permitted; they cannot change cycle existence.
+func HasCycle(n int, edges EdgeLog) bool {
+	if n == 0 || edges.Len() == 0 {
+		return false
+	}
+	off, succ := Adjacency(n, edges)
 
 	const (
 		white = 0

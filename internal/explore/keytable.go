@@ -233,10 +233,16 @@ func (t *keyTable) reset() {
 }
 
 // KeySet is a visited set for a single-threaded owner that numbers its
-// keys by admission: the k-th key admitted has id k, so ids are dense
-// from 0 and a key's id never changes.  It is one keyTable, never
-// marked or reset, so its arena is also the admission-order key list.
+// keys by admission: the k-th key admitted since the last Reset has id
+// k, so ids are dense from 0.  It is one keyTable, never marked, so its
+// arena is also the admission-order key list.
 type KeySet struct{ t keyTable }
+
+// Lookup returns key's id if the set holds it, and admits nothing.
+func (s *KeySet) Lookup(fp uint64, key []byte) (id int64, found bool) {
+	id, found, _ = s.t.find(fp, key)
+	return id, found
+}
 
 // Admit returns key's id, admitting it under the next id if absent;
 // fresh reports whether this call admitted it.  fp is the key's
@@ -253,6 +259,9 @@ func (s *KeySet) Admit(fp uint64, key []byte) (id int64, fresh bool) {
 
 // Len returns the number of keys admitted.
 func (s *KeySet) Len() int { return s.t.n }
+
+// Reset empties the set, keeping its storage; ids restart from 0.
+func (s *KeySet) Reset() { s.t.reset() }
 
 // Keys calls fn on every key in admission order (the key with id i is
 // the i-th call).  The key aliases the set's storage and is valid only

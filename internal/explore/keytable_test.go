@@ -23,9 +23,11 @@ const (
 // every step the table must agree with the reference, and every walk
 // from a mark must yield exactly the keys admitted since that mark, in
 // admission order, with their fingerprints and ids.  A KeySet (the
-// sharded engine drives keyTable directly, the dist coordinator through
-// KeySet) admits every inserted key too, resets ignored: its ids must be
-// admission indices and its walk the whole admission order.
+// sharded engine drives keyTable directly; the serial engine, Bivalence
+// and the dist coordinator go through KeySet) admits every inserted key
+// too and is reset with the table: its ids must be admission indices
+// since the last reset, Lookup must agree without admitting, and its
+// walk must be the admission order since the last reset.
 func FuzzKeyTable(f *testing.F) {
 	// An empty key, then a short one under the same truncated fingerprint.
 	f.Add(uint8(1), []byte{ktInsert, 0, ktInsert, 1, 'a', ktFind, 0, ktPersist})
@@ -59,11 +61,15 @@ func FuzzKeyTable(f *testing.F) {
 		var nextID int64
 		var long int // long keys admitted so far
 		var set KeySet
-		var setLog []string // every distinct key the set was offered
+		var setLog []string // every distinct key the set was offered since the last reset
 		setRef := map[string]int64{}
 
 		check := func(key []byte) {
 			t.Helper()
+			want, seen := setRef[string(key)]
+			if id, found := set.Lookup(fpOf(key), key); found != seen || (seen && id != want) {
+				t.Fatalf("KeySet.Lookup(%q) = %d, %v; want %d, %v", trunc(key), id, found, want, seen)
+			}
 			id, found, p := tab.find(fpOf(key), key)
 			want, ok := ref[string(key)]
 			if found != ok || (ok && id != want) {
@@ -156,6 +162,9 @@ func FuzzKeyTable(f *testing.F) {
 				}
 			case ktReset:
 				tab.reset()
+				set.Reset()
+				clear(setRef)
+				setLog = setLog[:0]
 				clear(ref)
 				clear(fps)
 				log, mark, collided = log[:0], 0, 0

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
@@ -845,7 +846,8 @@ func (s *Server) executeRecovered(j *job) (rep *valency.Report, err error) {
 // execute runs the job on its chosen engine.  Both paths checkpoint
 // into the job's directory and resume from whatever cut they find
 // there, so execute after a crash, drain, timeout or retry continues,
-// never restarts.
+// never restarts — except over a dist checkpoint this build cannot
+// resume, which is deleted so the job starts over from its spec.
 func (s *Server) execute(spec *JobSpec, id string, stop <-chan struct{}) (*valency.Report, error) {
 	proto, err := zoo.Resolve(spec.ProtoSpec())
 	if err != nil {
@@ -867,7 +869,17 @@ func (s *Server) execute(spec *JobSpec, id string, stop <-chan struct{}) (*valen
 		if spec.AllInputs {
 			jb.Inputs = nil
 		}
-		return dist.Loopback(s.cfg.DistWorkers, jb, opts)
+		rep, err := dist.Loopback(s.cfg.DistWorkers, jb, opts)
+		if errors.Is(err, dist.ErrBadCheckpoint) {
+			// A checkpoint only saves re-exploration, and the spec is
+			// durable: drop one this build cannot resume (corrupt, or
+			// written in another format version) and start the job over.
+			if err := os.Remove(opts.CheckpointPath); err != nil {
+				return nil, err
+			}
+			rep, err = dist.Loopback(s.cfg.DistWorkers, jb, opts)
+		}
+		return rep, err
 	}
 	opts := valency.Options{
 		MaxConfigs:           spec.Budget,

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"randsync/internal/dist"
 	"randsync/internal/fault"
 	"randsync/internal/frame"
 	"randsync/internal/valency"
@@ -616,5 +618,72 @@ func TestVerdictDocumentEngineAgnostic(t *testing.T) {
 	}
 	if ArtifactHash(a) != ArtifactHash(b) {
 		t.Fatal("artifact addresses differ for the same logical job")
+	}
+}
+
+// TestStaleDistCheckpointRestarts: a dist job whose directory holds a
+// checkpoint in an older format version (one a previous build drained
+// the job into) restarts from its durable spec and reaches the serial
+// verdict, instead of failing permanently on the refusal to resume.
+func TestStaleDistCheckpointRestarts(t *testing.T) {
+	spec := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 2, Engine: EngineDist}
+	norm := spec
+	if err := norm.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", norm.ID())
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A real mid-run checkpoint of this job, re-stamped version 2.
+	ckpt := filepath.Join(jobDir, "dist.ckpt")
+	jb := dist.Job{Spec: norm.ProtoSpec(), Inputs: norm.Inputs}
+	abort := dist.Options{CheckpointPath: ckpt, CheckpointEvery: 4, AbortAfterBatches: 12}
+	if _, err := dist.Loopback(2, jb, abort); !errors.Is(err, dist.ErrAborted) {
+		t.Fatalf("seeding abort: %v", err)
+	}
+	raw, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := frame.Read(bytes.NewReader(raw))
+	if err != nil || len(payload) == 0 || payload[0] != 3 {
+		t.Fatalf("checkpoint frame: type %#x, version byte %v, err %v; want a version-3 checkpoint", typ, payload[:min(1, len(payload))], err)
+	}
+	payload[0] = 2
+	if err := os.WriteFile(ckpt, frame.Append(nil, typ, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = dist.Loopback(2, jb, dist.Options{CheckpointPath: ckpt})
+	if !errors.Is(err, dist.ErrBadCheckpoint) || !strings.Contains(err.Error(), "checkpoint version 2, want 3") {
+		t.Fatalf("dist resume of the planted checkpoint: %v, want the version refusal", err)
+	}
+
+	s, err := New(Config{DataDir: dir, MaxActive: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	st, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != norm.ID() {
+		t.Fatalf("job id %s, planted under %s", st.ID, norm.ID())
+	}
+	got := waitDone(t, s, st.ID)
+	if got.State != StateDone {
+		t.Fatalf("state %s (%s), want done", got.State, got.Error)
+	}
+	doc, err := s.Artifact(got.Artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := serialDoc(t, spec); !bytes.Equal(doc, want) {
+		t.Fatalf("verdict differs from the serial document:\n%s\nvs\n%s", doc, want)
+	}
+	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
+		t.Fatalf("stale checkpoint still on disk after the job finished: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"randsync/internal/explore"
 	"randsync/internal/sim"
 )
 
@@ -75,166 +76,160 @@ type BivalenceReport struct {
 // with correspondingly small probabilities" — because the adversary
 // controls coin outcomes in this analysis.
 //
+// One breadth-first pass admits every reachable configuration to an
+// explore.KeySet over the bare encoding (sim.Config.AppendKey), so ids
+// are discovery order and a configuration's successors are one run of
+// ids; the other passes read that dense graph.  Per id it keeps the
+// parent's id, the discovering step and the values decided there; a
+// configuration's clone lives only while it is queued.
+//
 // Of the Options it honours MaxConfigs (through Budget) only.  A crash
-// schedule is refused with an error rather than ignored: the analysis
-// keys its nodes by the bare configuration encoding (sim.Config.AppendKey),
-// without Options.AppendVisitKey's per-process crash allowance, so
-// distinct crash futures would merge into one node.  The engine knobs
-// (Workers, MemBudget, the Spill fields, Interrupt) and NoSymmetry do
-// not apply: the analysis is serial, in RAM, and never reduced.
+// schedule is refused, not ignored: the keys lack AppendVisitKey's crash
+// allowance, so distinct crash futures would merge.  The engine knobs
+// and NoSymmetry do not apply: the analysis is serial, in RAM, and never
+// reduced.
 func Bivalence(proto sim.Protocol, inputs []int64, opts Options) (*BivalenceReport, error) {
 	if len(opts.Crash) > 0 {
 		return nil, errors.New("valency: Bivalence does not support a crash schedule")
 	}
-	type node struct {
-		cfg    *sim.Config
-		succ   []*node
-		reach0 bool
-		reach1 bool
-		parent *node     // breadth-first discoverer, nil at the root
-		ev     sim.Event // the step from parent to this node
-	}
-	nodes := make(map[string]*node)
-	budget := opts.Budget()
-
 	// Phase 1: materialize the reachable configuration graph,
 	// breadth-first, so the discovery tree holds a shortest execution to
-	// every node.
-	root := &node{cfg: sim.NewConfig(proto, inputs)}
-	buf := root.cfg.AppendKey(nil)
-	nodes[string(buf)] = root
-	queue := []*node{root}
+	// every configuration.  Each edge k→s is logged reversed, as
+	// {From: s, To: k}; ids are dequeued in admission order, so k's
+	// successors are the From ends of arcs[off[k]:off[k+1]].
+	var (
+		keys   explore.KeySet
+		parent = []int64{-1}
+		step   = []sim.Event{{}} // step[v] leads from parent[v] to v
+		arcs   []explore.Edge
+		off    []int64
+	)
+	queue := []*sim.Config{sim.NewConfig(proto, inputs)}
+	buf := queue[0].AppendKey(nil)
+	keys.Admit(sim.FingerprintBytes(buf), buf)
+	flags := []uint8{decidedBits(queue[0])}
 	for len(queue) > 0 {
-		if len(nodes) > budget {
-			return &BivalenceReport{Complete: false, Configs: len(nodes)}, nil
+		if keys.Len() > opts.Budget() {
+			return &BivalenceReport{Configs: keys.Len()}, nil
 		}
-		n := queue[0]
-		queue = queue[1:]
-		c := n.cfg
+		c := queue[0]
+		queue[0], queue = nil, queue[1:]
+		k := int64(len(off))
+		off = append(off, int64(len(arcs)))
 		_, err := opts.Successors(c, func(_ int, _ int64, ev sim.Event) bool {
 			buf = c.AppendKey(buf[:0])
-			next, seen := nodes[string(buf)]
-			if !seen {
-				next = &node{cfg: c.Clone(), parent: n, ev: ev}
-				nodes[string(buf)] = next
-				queue = append(queue, next)
+			id, fresh := keys.Admit(sim.FingerprintBytes(buf), buf)
+			if fresh {
+				parent, step = append(parent, k), append(step, ev)
+				flags = append(flags, decidedBits(c))
+				queue = append(queue, c.Clone())
 			}
-			n.succ = append(n.succ, next)
+			arcs = append(arcs, explore.Edge{From: id, To: k})
 			return false
 		})
 		if err != nil {
 			return nil, fmt.Errorf("valency: bivalence step: %w", err)
 		}
 	}
+	n := int64(keys.Len())
+	off = append(off, int64(len(arcs)))
 
-	// Phase 2: propagate reachable decisions backwards to a fixpoint.
-	for _, n := range nodes {
-		d := n.cfg.Decisions()
-		if len(d[0]) > 0 {
-			n.reach0 = true
-		}
-		if len(d[1]) > 0 {
-			n.reach1 = true
-		}
+	// Phase 2: propagate reachable decisions backwards to the least
+	// fixpoint, over a worklist that starts with every configuration and
+	// takes back each one whose reach bits grow.  The reversed arcs give
+	// each configuration's predecessors: pred[poff[v]:poff[v+1]].
+	poff, pred := explore.Adjacency(int(n), explore.EdgeLog{arcs})
+	work := make([]int64, n)
+	for v := range work {
+		work[v] = int64(v)
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range nodes {
-			for _, sn := range n.succ {
-				if sn.reach0 && !n.reach0 {
-					n.reach0, changed = true, true
-				}
-				if sn.reach1 && !n.reach1 {
-					n.reach1, changed = true, true
-				}
+	for len(work) > 0 {
+		v := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, p := range pred[poff[v]:poff[v+1]] {
+			if add := flags[v] &^ flags[p] & bivalent; add != 0 {
+				flags[p] |= add
+				work = append(work, p)
 			}
 		}
 	}
-
-	valence := func(n *node) Valence {
-		switch {
-		case n.reach0 && n.reach1:
-			return Bivalent
-		case n.reach0:
-			return Univalent0
-		case n.reach1:
-			return Univalent1
-		default:
-			return Undecidable
-		}
+	valence := func(v int64) Valence {
+		return [...]Valence{Undecidable, Univalent0, Univalent1, Bivalent}[flags[v]&bivalent]
 	}
-
-	rep := &BivalenceReport{
-		Initial:  valence(root),
-		Configs:  len(nodes),
-		Complete: true,
-	}
-	for _, n := range nodes {
-		if valence(n) == Bivalent {
+	rep := &BivalenceReport{Initial: valence(0), Configs: int(n), Complete: true}
+	for v := range n {
+		if valence(v) == Bivalent {
 			rep.BivalentCount++
 		}
 	}
-
 	if rep.Initial != Bivalent {
 		return rep, nil
 	}
 
-	// Phase 3: can the adversary stay bivalent forever?  Compute the
-	// largest "safe" set S of bivalent configurations such that every
-	// member has a successor in S; the adversary survives iff the initial
-	// configuration is in S (a bivalent path from it must eventually
-	// cycle, since the graph is finite).
-	safe := make(map[*node]bool, rep.BivalentCount)
-	for _, n := range nodes {
-		if valence(n) == Bivalent {
-			safe[n] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for n := range safe {
-			ok := false
-			for _, sn := range n.succ {
-				if safe[sn] {
-					ok = true
-					break
+	// Phase 3: can the adversary stay bivalent forever?  It can iff a
+	// cycle of bivalent configurations is reachable from the initial one
+	// through bivalent configurations: the graph is finite, so an endless
+	// bivalent path must close one.
+	var bi []explore.Edge
+	flags[0] |= reached
+	for stack := []int64{0}; len(stack) > 0; {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range arcs[off[v]:off[v+1]] {
+			if s := a.From; valence(s) == Bivalent {
+				bi = append(bi, explore.Edge{From: v, To: s})
+				if flags[s]&reached == 0 {
+					flags[s] |= reached
+					stack = append(stack, s)
 				}
 			}
-			if !ok {
-				delete(safe, n)
-				changed = true
-			}
 		}
 	}
-	if safe[root] {
+	if explore.HasCycle(int(n), explore.EdgeLog{bi}) {
 		rep.ForeverBivalent = true
 		return rep, nil
 	}
 
 	// Phase 4: the adversary is eventually forced out of bivalence —
 	// find a critical configuration (bivalent, all successors univalent)
-	// by greedy descent through bivalent successors.
-	n := root
-	visited := map[*node]bool{n: true}
+	// by greedy descent through bivalent successors, in successor order.
+	v := int64(0)
+	flags[v] |= descended
 	for {
-		var next *node
-		for _, sn := range n.succ {
-			if valence(sn) == Bivalent && !visited[sn] {
-				next = sn
-				break
-			}
-		}
-		if next == nil {
+		i := slices.IndexFunc(arcs[off[v]:off[v+1]], func(a explore.Edge) bool {
+			return valence(a.From) == Bivalent && flags[a.From]&descended == 0
+		})
+		if i < 0 {
 			break
 		}
-		visited[next] = true
-		n = next
+		v = arcs[off[v]+int64(i)].From
+		flags[v] |= descended
 	}
 	// The critical configuration's trace is its path in the discovery
 	// tree.
-	for ; n.parent != nil; n = n.parent {
-		rep.CriticalTrace = append(rep.CriticalTrace, n.ev)
+	for ; v != 0; v = parent[v] {
+		rep.CriticalTrace = append(rep.CriticalTrace, step[v])
 	}
 	slices.Reverse(rep.CriticalTrace)
 	return rep, nil
+}
+
+// Flag bits of Bivalence's passes, per configuration.
+const (
+	reach0    uint8 = 1 << iota // a configuration where 0 is decided is reachable
+	reach1                      // likewise for 1
+	reached                     // phase 3: reached through bivalent configurations
+	descended                   // phase 4: visited by the greedy descent
+
+	bivalent = reach0 | reach1
+)
+
+// decidedBits returns the reach bits of the values decided in c.
+func decidedBits(c *sim.Config) (b uint8) {
+	for pid, d := range c.Decided {
+		if v := c.Decision[pid]; d && (v == 0 || v == 1) {
+			b |= reach0 << v
+		}
+	}
+	return b
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"randsync/internal/sim"
 )
 
 // ReportSchemaVersion is the schemaVersion stamped into every emitted
@@ -95,7 +93,7 @@ func (r *Report) JSON(repro map[string]any) *JSONReport {
 			Schedule: v.Trace.Schedule(),
 		}
 		for _, e := range v.Trace {
-			jv.Trace = append(jv.Trace, renderEvent(e))
+			jv.Trace = append(jv.Trace, e.String())
 		}
 		j.Violation = jv
 	}
@@ -105,11 +103,6 @@ func (r *Report) JSON(repro map[string]any) *JSONReport {
 // Encode renders the report as indented JSON.
 func (j *JSONReport) Encode() ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
-}
-
-// renderEvent formats one execution step the way the tools print traces.
-func renderEvent(e sim.Event) string {
-	return e.String()
 }
 
 // PrintVerdict writes the verdict lines the text-mode CLIs print.

@@ -39,7 +39,7 @@ type Stats struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 
 	// Visited-set census (explore.SetStats), zero on the serial engine,
-	// whose visited set is a plain map: Stripes is the number of
+	// whose visited set is one key set: Stripes is the number of
 	// fingerprint shards (one per worker), Collisions counts true 64-bit
 	// fingerprint collisions (distinct keys sharing a shard's fingerprint,
 	// each confirmed by a full key comparison), and

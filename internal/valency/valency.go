@@ -30,9 +30,12 @@
 // a spillTier that spill.go builds.  Every engine — serial, both
 // sharded tiers, the distributed workers (internal/dist) and Bivalence
 // — expands configurations through one move rule, Options.Successors,
-// and every all-inputs sweep aggregates through one fold, Report.Fold.
-// CheckAllInputs is one loop over the input vectors; with enough of
-// them it fans whole vectors out over explore.Each instead.
+// every all-inputs sweep aggregates through one fold, Report.Fold, and
+// every visited set is explore's key table: one per shard in the sharded
+// tiers, one explore.KeySet in the serial engine, Bivalence and the
+// distributed coordinator.  CheckAllInputs is one loop over the input
+// vectors; with enough of them it fans whole vectors out over
+// explore.Each instead.
 package valency
 
 import (
@@ -288,13 +291,14 @@ type Report struct {
 // checker carries exploration state.
 type checker struct {
 	opts     Options
-	visited  map[string]uint8 // 1 = on stack (grey), 2 = done (black)
+	visited  explore.KeySet // ids are admission (DFS preorder) indices
+	colour   []uint8        // per id: 1 = on the DFS path (grey), 2 = done (black)
 	path     sim.Execution
 	rep      *Report
 	valid    map[int64]bool // the run's input values; fixed per exploration
 	keyer    sim.Keyer
 	buf      []byte // visited-key scratch, reused across configurations
-	keyBytes int64  // visited-map key bytes retained
+	keyBytes int64  // visited-set key bytes retained
 }
 
 // Check explores all executions of proto from the given inputs.
@@ -320,28 +324,27 @@ func Check(proto sim.Protocol, inputs []int64, opts Options) *Report {
 
 // checkerPool recycles serial-checker state across runs.  The hierarchy
 // machine search drives hundreds of thousands of small CheckAllInputs
-// runs through checkSerial; allocating a fresh visited map (plus valid
+// runs through checkSerial; allocating a fresh visited set (plus valid
 // map, key scratch and execution path) for every one of them made the
 // search allocation-bound — flat across worker counts, because every
-// worker fed the same collector.  Cleared maps keep their buckets, so a
-// pooled checker's steady-state cost is the exploration itself.
+// worker fed the same collector.  A reset visited set keeps its slots
+// and arena, so a pooled checker's steady-state cost is the exploration
+// itself.
 var checkerPool = sync.Pool{New: func() any {
-	return &checker{
-		visited: make(map[string]uint8),
-		valid:   make(map[int64]bool),
-	}
+	return &checker{valid: make(map[int64]bool)}
 }}
 
-// checkerPoolMaxVisited bounds the visited-map size a pooled checker may
+// checkerPoolMaxVisited bounds the visited-set size a pooled checker may
 // retain: one that just explored a huge space is dropped to the
-// collector rather than pinning its buckets for the pool's lifetime.
+// collector rather than pinning its storage for the pool's lifetime.
 const checkerPoolMaxVisited = 1 << 15
 
 func putChecker(ch *checker) {
-	if len(ch.visited) > checkerPoolMaxVisited {
+	if ch.visited.Len() > checkerPoolMaxVisited {
 		return
 	}
-	clear(ch.visited)
+	ch.visited.Reset()
+	ch.colour = ch.colour[:0]
 	clear(ch.valid)
 	ch.path = ch.path[:0]
 	ch.opts = Options{}
@@ -369,23 +372,13 @@ func checkSerial(proto sim.Protocol, inputs []int64, opts Options) *Report {
 	c := sim.NewConfig(proto, inputs)
 	start := time.Now()
 	ch.explore(c)
-	rep.Configs = len(ch.visited)
+	rep.Configs = ch.visited.Len()
 	if rep.Violation != nil {
 		rep.Complete = false
 	}
 	rep.Stats = &Stats{Workers: 1, KeyBytes: ch.keyBytes, Elapsed: time.Since(start)}
 	putChecker(ch)
 	return rep
-}
-
-// violationAt inspects a configuration for safety violations and records
-// the first one found, returning true if exploration should stop.
-func (ch *checker) violationAt(c *sim.Config) bool {
-	u, bad := scanSafety(c, ch.opts, ch.valid, ch.rep.Decisions)
-	if bad {
-		ch.record(u.kind, u.detail())
-	}
-	return bad
 }
 
 // unsafeAt is the first violation scanSafety found: its kind, the
@@ -447,28 +440,28 @@ func (ch *checker) record(kind ViolationKind, detail string) {
 // It returns true if exploration should stop (violation found or budget
 // exhausted).
 //
-// The visited-set key is encoded into the checker's scratch buffer: the
-// grey-check lookup via string(ch.buf) costs no allocation, and the key
-// string is materialized only when the configuration turns out to be new.
+// The visited-set key is encoded into the checker's scratch buffer and
+// looked up without admitting it, so a configuration the budget turns
+// away is never counted; admission copies the key into the set's arena.
 func (ch *checker) explore(c *sim.Config) bool {
 	ch.buf = ch.opts.AppendVisitKey(&ch.keyer, c, ch.buf[:0])
-	switch ch.visited[string(ch.buf)] {
-	case 1:
-		// Back edge: a cycle of live configurations.
-		ch.rep.Livelock = true
-		return false
-	case 2:
+	fp := sim.FingerprintBytes(ch.buf)
+	if id, found := ch.visited.Lookup(fp, ch.buf); found {
+		if ch.colour[id] == 1 {
+			// Back edge: a cycle of live configurations.
+			ch.rep.Livelock = true
+		}
 		return false
 	}
-	if len(ch.visited) >= ch.opts.Budget() || ch.overMemBudget() {
+	if ch.visited.Len() >= ch.opts.Budget() || ch.overMemBudget() {
 		ch.rep.Complete = false
 		return true
 	}
-	key := string(ch.buf) // the single retained copy of this key
-	ch.keyBytes += int64(len(key))
-	ch.visited[key] = 1
+	id, _ := ch.visited.Admit(fp, ch.buf)
+	ch.keyBytes += int64(len(ch.buf))
+	ch.colour = append(ch.colour, 1)
 	stop := ch.expand(c)
-	ch.visited[key] = 2
+	ch.colour[id] = 2
 	return stop
 }
 
@@ -491,7 +484,8 @@ func (ch *checker) overMemBudget() bool {
 // whole DFS runs on one configuration: Successors steps it in place and
 // undoes on backtrack instead of cloning per edge.
 func (ch *checker) expand(c *sim.Config) bool {
-	if ch.violationAt(c) {
+	if u, bad := scanSafety(c, ch.opts, ch.valid, ch.rep.Decisions); bad {
+		ch.record(u.kind, u.detail())
 		return true
 	}
 	stop, err := ch.opts.Successors(c, func(_ int, _ int64, ev sim.Event) bool {

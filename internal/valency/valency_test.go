@@ -306,3 +306,41 @@ func TestSpillAuxRoundTrip(t *testing.T) {
 		t.Fatal("aux with a trailing byte restored")
 	}
 }
+
+// TestBudgetStopsPinned pins where each budget stops the serial engine
+// and Bivalence, in configurations and retained key bytes.  A key must
+// be tested against the budget before it is admitted: an engine that
+// admits first reports one configuration past MaxConfigs and more key
+// bytes than MemBudget allowed.  Bivalence tests its budget when it
+// dequeues a configuration, so it stops after admitting every successor
+// of the expansion that crossed MaxConfigs.
+func TestBudgetStopsPinned(t *testing.T) {
+	p := protocol.NewCounterWalk(3)
+	inputs := []int64{0, 1, 0}
+	for _, tc := range []struct {
+		name     string
+		opts     Options
+		configs  int
+		keyBytes int64
+	}{
+		{"max-configs", Options{MaxConfigs: 1000}, 1000, 22026},
+		{"max-configs-nosym", Options{MaxConfigs: 1000, NoSymmetry: true}, 1000, 21840},
+		{"mem-budget", Options{MemBudget: 16384}, 650, 13866},
+	} {
+		rep := Check(p, inputs, tc.opts)
+		if rep.Complete || rep.Violation != nil || rep.Configs != tc.configs || rep.Stats.KeyBytes != tc.keyBytes {
+			t.Errorf("%s: complete=%v violation=%v configs=%d keyBytes=%d; want incomplete, no violation, %d configs, %d key bytes",
+				tc.name, rep.Complete, rep.Violation, rep.Configs, rep.Stats.KeyBytes, tc.configs, tc.keyBytes)
+		}
+	}
+	for _, tc := range []struct{ budget, configs int }{{10, 13}, {1000, 1001}} {
+		rep, err := Bivalence(p, inputs, Options{MaxConfigs: tc.budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Complete || rep.Configs != tc.configs {
+			t.Errorf("Bivalence MaxConfigs %d: complete=%v configs=%d; want incomplete, %d configs",
+				tc.budget, rep.Complete, rep.Configs, tc.configs)
+		}
+	}
+}

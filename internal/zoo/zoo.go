@@ -4,6 +4,7 @@
 package zoo
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
@@ -30,6 +31,20 @@ type Spec struct {
 
 func (s Spec) String() string {
 	return fmt.Sprintf("%s(n=%d,r=%d,rounds=%d,seed=%d)", s.Name, s.N, s.R, s.Rounds, s.Seed)
+}
+
+// Flags declares the spec flags every checker CLI shares (-protocol,
+// -n, -r, -rounds and -seed) on fs, one default per field, and returns
+// the Spec that parsing fs fills.  The defaults agree with Examples:
+// scan-machine's seed is 1 wherever a spec is named.
+func Flags(fs *flag.FlagSet) *Spec {
+	s := new(Spec)
+	fs.StringVar(&s.Name, "protocol", "counter-walk", "protocol: "+strings.Join(Names(), ", "))
+	fs.IntVar(&s.N, "n", 2, "number of processes")
+	fs.IntVar(&s.R, "r", 2, "object count for flood protocols / scan-machine")
+	fs.Int64Var(&s.Rounds, "rounds", 2, "round cap for register-consensus")
+	fs.Uint64Var(&s.Seed, "seed", 1, "seed for scan-machine")
+	return s
 }
 
 const (

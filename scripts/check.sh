@@ -15,7 +15,35 @@ set -eu
 cd "$(dirname "$0")/.."
 
 stage="startup"
-trap 'status=$?; if [ "$status" -ne 0 ]; then echo "check.sh: FAILED at stage: $stage" >&2; fi' EXIT
+smokeout="$(mktemp)"
+trap 'status=$?; rm -f "$smokeout"; if [ "$status" -ne 0 ]; then echo "check.sh: FAILED at stage: $stage" >&2; fi' EXIT
+
+# sh has no pipefail, so a `cmd | grep -q` smoke gates on grep alone: a
+# command that prints its expected line and then fails would pass.  So
+# every smoke runs its command through smoke, which captures stdout and
+# stderr in $smokeout and fails on any exit status but the expected one,
+# and then matches the capture with expect.
+#
+# smoke WANT CMD...: run CMD; fail, printing its output, unless it exits WANT.
+smoke() {
+	want=$1
+	shift
+	rc=0
+	"$@" >"$smokeout" 2>&1 || rc=$?
+	if [ "$rc" -ne "$want" ]; then
+		echo "check.sh: exit status $rc, want $want, from: $*" >&2
+		cat "$smokeout" >&2
+		return 1
+	fi
+}
+# expect GREP-ARGS...: require the last smoke's output to match.
+expect() {
+	if ! grep -q "$@" "$smokeout"; then
+		echo "check.sh: no match for grep $* in the output of the last smoke:" >&2
+		cat "$smokeout" >&2
+		return 1
+	fi
+}
 
 stage="gofmt"
 # Every Go file in the tree, the nested bench module's included, is
@@ -44,8 +72,8 @@ stage="experiments (one command per result)"
 go test -count=1 -timeout 5m \
 	-run 'TestExperimentsGolden|TestExperimentsRun|TestNoOrphanPackages|TestE13Census' \
 	./cmd/experiments/
-go run ./cmd/experiments -only e4 \
-	| grep -F -- '- counter-walk at n=3 (all schedules & coins): safe, exhaustively (124748 configs)' >/dev/null
+smoke 0 go run ./cmd/experiments -only e4
+expect -F -- '- counter-walk at n=3 (all schedules & coins): safe, exhaustively (124748 configs)'
 stage="go test -race -short"
 go test -race -short -timeout 10m ./...
 stage="dist race (full, internal/dist)"
@@ -65,7 +93,8 @@ go test -count=1 -timeout 5m \
 stage="dist loopback smoke"
 # End-to-end cluster smoke: coordinator plus two in-process TCP workers
 # must reproduce the serial verdict on a small exhaustive job.
-go run ./cmd/distcheck -loopback 2 -protocol counter-walk -n 2 -all | grep -q "SAFE"
+smoke 0 go run ./cmd/distcheck -loopback 2 -protocol counter-walk -n 2 -all
+expect "SAFE"
 stage="dist-chaos smoke"
 # Self-healing smoke: the same cluster behind the deterministic
 # network-chaos proxy (seeded delays, duplicates, reorders,
@@ -78,10 +107,10 @@ stage="dist-chaos smoke"
 # least one worker death and at least one chaos event.  The
 # worker-kill-under-chaos and coordinator-kill + checkpoint-resume
 # drills then run as their dedicated differential tests.
-chaos="$(go run ./cmd/distcheck -loopback 3 -protocol counter-walk -n 3 -all \
-	-chaos-net-seed 7 -heartbeat 25ms -dead-after 500ms)"
-echo "$chaos" | grep -q "SAFE"
-echo "$chaos" | grep -Eq '^recovery: .*, [1-9][0-9]* worker deaths,.*; [1-9][0-9]* chaos events'
+smoke 0 go run ./cmd/distcheck -loopback 3 -protocol counter-walk -n 3 -all \
+	-chaos-net-seed 7 -heartbeat 25ms -dead-after 500ms
+expect "SAFE"
+expect -E '^recovery: .*, [1-9][0-9]* worker deaths,.*; [1-9][0-9]* chaos events'
 go test -run 'TestChaosWorkerKillMidRun|TestCoordinatorRestartResume' \
 	-count=1 -timeout 5m ./internal/dist/
 stage="shard-engine race smoke"
@@ -98,17 +127,22 @@ stage="shard-engine race smoke"
 # and the rule itself.  The visited set rides along: the key table's
 # fuzz seed corpus (FuzzKeyTable: collisions, grows, resets, persist-mark
 # walks) and the sharded engine's memory pins, at most 550 allocated
-# bytes per configuration on counter-walk n = 3 and at most 400 KiB for
-# a tiny n = 2 job (TestShardedAllocBytesPerConfig,
+# bytes per configuration on a one-worker counter-walk n = 3 run (one
+# worker, so the reading does not depend on scheduling) and at most
+# 400 KiB for a tiny n = 2 job (TestShardedAllocBytesPerConfig,
 # TestShardedSmallJobAllocs).  So does the key every engine merges on:
 # TestStateKeyCongruence requires configurations with equal visit keys
 # to behave identically across the zoo, and fails by name when a state's
-# AppendKey drops a field that matters.
+# AppendKey drops a field that matters.  The serial engine and Bivalence
+# admit through the same key set (explore.KeySet): the budget stops are
+# pinned (TestBudgetStopsPinned), and Bivalence must equal its map-keyed
+# reference on every zoo entry, critical trace included
+# (TestBivalenceMatchesReference).
 go test -race -count=1 -timeout 10m \
 	-run 'TestRunShardedRecycleStress|TestRunShardedMatchesSerialReach|TestQuickShardedOrderIndependence|TestEachHandsOutEveryIndexOnce|TestEachStop|FuzzKeyTable' \
 	./internal/explore/
 go test -race -count=1 -timeout 10m \
-	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential|TestShardedAllocBytesPerConfig|TestShardedSmallJobAllocs|TestStateKeyCongruence' \
+	-run 'TestShardedStripedSerialMatrix|TestShardedEnginesAgreeAcrossWorkerCounts|TestSuccessors|TestCheckSpillDifferential|TestShardedAllInputsDifferential|TestShardedAllocBytesPerConfig|TestShardedSmallJobAllocs|TestStateKeyCongruence|TestBudgetStopsPinned|TestBivalenceMatchesReference' \
 	./internal/valency/
 stage="spill smoke (beyond-RAM engine)"
 # The disk-tiered engine's robustness drills, under the race detector:
@@ -133,12 +167,14 @@ go test -race -short -count=1 -timeout 10m \
 # End-to-end CLI drill: a budget that truncates the in-RAM run must
 # complete exhaustively ("SAFE") through -spill-dir.
 spilldir="$(mktemp -d)"
-go run ./cmd/modelcheck -protocol counter-walk -n 2 -workers 2 -mem-budget 4096 -spill-dir "$spilldir" | grep -q "SAFE"
+smoke 0 go run ./cmd/modelcheck -protocol counter-walk -n 2 -workers 2 -mem-budget 4096 -spill-dir "$spilldir"
+expect "SAFE"
 rm -rf "$spilldir"
 # Every CLI resolves the one registry (internal/zoo): a machine
 # coordinate, here the census's lowest-id sticky-bit solver, checks
 # SAFE through modelcheck exactly as through distcheck and checkd.
-go run ./cmd/modelcheck -protocol machine:sticky-bit:2:26863 -n 2 | grep -q SAFE
+smoke 0 go run ./cmd/modelcheck -protocol machine:sticky-bit:2:26863 -n 2
+expect SAFE
 stage="service smoke"
 # Checker-as-a-service drill, in two parts.  First the focused race
 # pass over the coordinator's scheduler, restart/resume and kill drills
@@ -168,9 +204,10 @@ go build -o "$svcdir/distcheck" ./cmd/distcheck
 checkd_pid=$!
 for _ in $(seq 1 100); do [ -s "$svcdir/addr" ] && break; sleep 0.1; done
 addr="http://$(cat "$svcdir/addr")"
-"$svcdir/distcheck" -ping "$addr" | grep -q "ok"
-"$svcdir/distcheck" -submit "$addr" -tenant smoke -protocol counter-walk -n 2 \
-	| grep -q '"verdict": "safe"'
+smoke 0 "$svcdir/distcheck" -ping "$addr"
+expect "ok"
+smoke 0 "$svcdir/distcheck" -submit "$addr" -tenant smoke -protocol counter-walk -n 2
+expect '"verdict": "safe"'
 jobid="$("$svcdir/distcheck" -submit "$addr" -tenant smoke -protocol counter-walk -n 3 -async)"
 kill -TERM "$checkd_pid"
 wait "$checkd_pid"
@@ -179,7 +216,8 @@ wait "$checkd_pid"
 checkd_pid=$!
 for _ in $(seq 1 100); do [ -s "$svcdir/addr2" ] && break; sleep 0.1; done
 addr="http://$(cat "$svcdir/addr2")"
-"$svcdir/distcheck" -submit "$addr" -wait-job "$jobid" | grep -q '"verdict": "safe"'
+smoke 0 "$svcdir/distcheck" -submit "$addr" -wait-job "$jobid"
+expect '"verdict": "safe"'
 kill -TERM "$checkd_pid"
 wait "$checkd_pid"
 rm -rf "$svcdir"
@@ -204,16 +242,20 @@ lc_pid=$!
 for _ in $(seq 1 100); do [ -s "$lcdir/addr" ] && break; sleep 0.1; done
 lcaddr="http://$(cat "$lcdir/addr")"
 # Deadline: a 1s budget on a multi-minute n=4 job reliably expires; the
-# CLI reports the timeout state (grep owns the pipeline status, so
-# distcheck's deliberate non-zero exit does not trip set -e).
-"$lcdir/distcheck" -submit "$lcaddr" -tenant drill -protocol counter-walk -n 4 \
-	-job-deadline 1 2>&1 | grep -q "hit its deadline"
+# CLI reports the timeout state and exits 1, the status expected here.
+smoke 1 "$lcdir/distcheck" -submit "$lcaddr" -tenant drill -protocol counter-walk -n 4 \
+	-job-deadline 1
+expect "hit its deadline"
 # Cancel: a second slow job (distinct seed, distinct job id) is
 # cancelled mid-flight and must finish in the cancelled state.
 cjob="$("$lcdir/distcheck" -submit "$lcaddr" -tenant drill -protocol counter-walk -n 4 -seed 9 -async)"
-"$lcdir/distcheck" -submit "$lcaddr" -cancel-job "$cjob" | grep -Eq "cancelled|running"
-"$lcdir/distcheck" -submit "$lcaddr" -wait-job "$cjob" 2>&1 | grep -q "was cancelled"
-"$lcdir/distcheck" -ping "$lcaddr" | grep -q "ok"
+# Waiting on it reports the cancelled state and exits 1.
+smoke 0 "$lcdir/distcheck" -submit "$lcaddr" -cancel-job "$cjob"
+expect -E "cancelled|running"
+smoke 1 "$lcdir/distcheck" -submit "$lcaddr" -wait-job "$cjob"
+expect "was cancelled"
+smoke 0 "$lcdir/distcheck" -ping "$lcaddr"
+expect "ok"
 kill -TERM "$lc_pid"
 wait "$lc_pid"
 rm -rf "$lcdir"
