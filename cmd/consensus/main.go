@@ -36,29 +36,11 @@ func main() {
 	}
 }
 
-// maker builds a fresh protocol instance per trial.
-type maker struct {
-	name string
-	make func(n int, seed uint64) (consensus.Protocol, error)
-}
-
-func allMakers() []maker {
-	return []maker{
-		{"cas", func(n int, _ uint64) (consensus.Protocol, error) { return consensus.NewCAS(), nil }},
-		{"counter-walk", func(n int, seed uint64) (consensus.Protocol, error) {
-			return consensus.NewCounterWalk(n, seed), nil
-		}},
-		{"packed-fetch&add", func(n int, seed uint64) (consensus.Protocol, error) {
-			return consensus.NewPackedFetchAdd(n, seed)
-		}},
-		{"registers", func(n int, seed uint64) (consensus.Protocol, error) {
-			return consensus.NewRegisters(n, seed), nil
-		}},
-		{"counter-walk/registers", func(n int, seed uint64) (consensus.Protocol, error) {
-			return consensus.NewCounterWalkFromRegisters(n, seed), nil
-		}},
-	}
-}
+// defaultProtocols are the protocols a run without -protocols prints,
+// every one that runs at any n: the step machines of package protocol run
+// live, then the two live-only constructions.  -protocols also takes the
+// two-process warm-ups (tas-2, swap-2, fetch&add-2, fetch&inc-2) at n = 2.
+var defaultProtocols = []string{"cas", "counter-walk", "packed-fetch&add", "registers", "counter-walk/registers"}
 
 // chaosConfig carries the fault-injection flags.
 type chaosConfig struct {
@@ -75,7 +57,8 @@ func run(args []string) error {
 	n := fs.Int("n", 16, "number of processes")
 	trials := fs.Int("trials", 10, "trials per protocol")
 	seed := fs.Uint64("seed", 1, "base random seed")
-	protos := fs.String("protocols", "", "comma-separated subset (default: all)")
+	protos := fs.String("protocols", strings.Join(defaultProtocols, ","),
+		"comma-separated protocol names: registry names (modelcheck -h) plus registers and counter-walk/registers")
 	var chaos chaosConfig
 	fs.IntVar(&chaos.crashes, "crash", 0, "crash-stop this many processes per trial (chaos mode)")
 	fs.IntVar(&chaos.stalls, "stall", 0, "inject this many bounded stalls per trial (chaos mode)")
@@ -86,29 +69,20 @@ func run(args []string) error {
 		return err
 	}
 
-	selected := allMakers()
-	if *protos != "" {
-		want := map[string]bool{}
-		for _, p := range strings.Split(*protos, ",") {
-			want[strings.TrimSpace(p)] = true
+	var selected []string
+	for _, name := range strings.Split(*protos, ",") {
+		name = strings.TrimSpace(name)
+		if _, err := consensus.Resolve(name, *n, *seed); err != nil {
+			return err
 		}
-		var filtered []maker
-		for _, m := range selected {
-			if want[m.name] {
-				filtered = append(filtered, m)
-			}
-		}
-		if len(filtered) == 0 {
-			return fmt.Errorf("no protocols matched %q", *protos)
-		}
-		selected = filtered
+		selected = append(selected, name)
 	}
 
 	if chaos.active() {
 		fmt.Printf("n=%d processes, %d trials per protocol, chaos: %d crashes + %d stalls per trial (chaos-seed %d)\n\n",
 			*n, *trials, chaos.crashes, chaos.stalls, chaos.seed)
-		for _, m := range selected {
-			if err := runChaos(m, *n, *trials, *seed, chaos); err != nil {
+		for _, name := range selected {
+			if err := runChaos(name, *n, *trials, *seed, chaos); err != nil {
 				return err
 			}
 		}
@@ -118,8 +92,8 @@ func run(args []string) error {
 	fmt.Printf("n=%d processes, %d trials per protocol, mixed random inputs\n\n", *n, *trials)
 	fmt.Printf("%-24s %-8s %-10s %-12s %-14s %-10s\n",
 		"protocol", "objects", "registers", "ops/proc", "time/trial", "decided")
-	for _, m := range selected {
-		if err := runProtocol(m, *n, *trials, *seed); err != nil {
+	for _, name := range selected {
+		if err := runProtocol(name, *n, *trials, *seed); err != nil {
 			return err
 		}
 	}
@@ -153,15 +127,15 @@ func checkTrial(name string, inputs, out []int64) error {
 	return nil
 }
 
-func runProtocol(m maker, n, trials int, seed uint64) error {
+func runProtocol(name string, n, trials int, seed uint64) error {
 	var totalOps int64
 	var elapsed time.Duration
 	decisions := map[int64]int{}
 	objects, registers := 0, 0
 	for trial := 0; trial < trials; trial++ {
-		p, err := m.make(n, seed+uint64(trial))
+		p, err := consensus.Resolve(name, n, seed+uint64(trial))
 		if err != nil {
-			return fmt.Errorf("%s: %w", m.name, err)
+			return err
 		}
 		objects, registers = p.Objects(), p.Registers()
 		inputs := trialInputs(n, seed, trial)
@@ -177,14 +151,14 @@ func runProtocol(m maker, n, trials int, seed uint64) error {
 		}
 		wg.Wait()
 		elapsed += time.Since(start)
-		if err := checkTrial(m.name, inputs, out); err != nil {
+		if err := checkTrial(name, inputs, out); err != nil {
 			return err
 		}
 		decisions[out[0]]++
 		totalOps += p.Ops()
 	}
 	fmt.Printf("%-24s %-8d %-10d %-12.1f %-14v 0:%d 1:%d\n",
-		m.name, objects, registers,
+		name, objects, registers,
 		float64(totalOps)/float64(trials*n), elapsed/time.Duration(trials),
 		decisions[0], decisions[1])
 	return nil
@@ -194,12 +168,12 @@ func runProtocol(m maker, n, trials int, seed uint64) error {
 // and certifies wait-freedom on the survivors, printing the graceful-
 // degradation report.  The first violating trial is returned as an error
 // (non-zero exit) with its reproducing seed embedded.
-func runChaos(m maker, n, trials int, seed uint64, chaos chaosConfig) error {
-	fmt.Printf("%s\n", m.name)
+func runChaos(name string, n, trials int, seed uint64, chaos chaosConfig) error {
+	fmt.Printf("%s\n", name)
 	for trial := 0; trial < trials; trial++ {
-		p, err := m.make(n, seed+uint64(trial))
+		p, err := consensus.Resolve(name, n, seed+uint64(trial))
 		if err != nil {
-			return fmt.Errorf("%s: %w", m.name, err)
+			return err
 		}
 		planSeed := chaos.seed + uint64(trial)
 		plan := fault.RandomPlan(n, planSeed, fault.PlanOptions{
@@ -209,7 +183,7 @@ func runChaos(m maker, n, trials int, seed uint64, chaos chaosConfig) error {
 		rep := fault.Run(p, trialInputs(n, seed, trial), plan, fault.Options{Deadline: chaos.deadline})
 		fmt.Printf("  trial %-3d [%v]\n            %s\n", trial, plan, rep.Summary())
 		if !rep.Ok() {
-			return fmt.Errorf("%s: trial %d: %w", m.name, trial, rep.Violation)
+			return fmt.Errorf("%s: trial %d: %w", name, trial, rep.Violation)
 		}
 	}
 	return nil

@@ -268,13 +268,13 @@ func e4() error {
 	return nil
 }
 
-// liveTable runs one live instance per process count, with alternating
-// inputs, and prints its space and work; processes that disagree are an
-// error.
-func liveTable(sizes []int, mk func(n int) (consensus.Protocol, error)) error {
+// liveTable runs one live instance of the named protocol per process
+// count, with alternating inputs and seed 1, and prints its space and
+// work; processes that disagree are an error.
+func liveTable(name string, sizes ...int) error {
 	fmt.Printf("%-6s %-9s %-11s %-14s %s\n", "n", "objects", "registers", "ops/proc", "time")
 	for _, n := range sizes {
-		p, err := mk(n)
+		p, err := consensus.Resolve(name, n, 1)
 		if err != nil {
 			return err
 		}
@@ -301,16 +301,12 @@ func liveTable(sizes []int, mk func(n int) (consensus.Protocol, error)) error {
 
 func e5() error {
 	header("E5 — consensus from O(n) registers (Aspnes–Herlihy [9])")
-	return liveTable([]int{2, 4, 8, 16, 32}, func(n int) (consensus.Protocol, error) {
-		return consensus.NewRegisters(n, 1), nil
-	})
+	return liveTable("registers", 2, 4, 8, 16, 32)
 }
 
 func e6() error {
 	header("E6 — Theorem 4.2: three-counter walk + shared coin")
-	if err := liveTable([]int{2, 8, 32}, func(n int) (consensus.Protocol, error) {
-		return consensus.NewCounterWalk(n, 1), nil
-	}); err != nil {
+	if err := liveTable("counter-walk", 2, 8, 32); err != nil {
 		return err
 	}
 	const k, trials = 4, 50
@@ -355,23 +351,17 @@ func coinWalk(n, k, trials int, seed uint64) (agree float64, meanMoves float64) 
 
 func e7() error {
 	header("E7 — Theorem 4.4: one fetch&add register")
-	return liveTable([]int{2, 8, 32, 64}, func(n int) (consensus.Protocol, error) {
-		return consensus.NewPackedFetchAdd(n, 1)
-	})
+	return liveTable("packed-fetch&add", 2, 8, 32, 64)
 }
 
 func e8() error {
 	header("E8 — one compare&swap register (Herlihy [20])")
-	return liveTable([]int{2, 16, 128}, func(int) (consensus.Protocol, error) {
-		return consensus.NewCAS(), nil
-	})
+	return liveTable("cas", 2, 16, 128)
 }
 
 func e9() error {
 	header("E9 — Theorem 2.1 composition: counters from registers")
-	return liveTable([]int{2, 4, 8, 16}, func(n int) (consensus.Protocol, error) {
-		return consensus.NewCounterWalkFromRegisters(n, 1), nil
-	})
+	return liveTable("counter-walk/registers", 2, 4, 8, 16)
 }
 
 func e13() error {
@@ -406,24 +396,12 @@ func e14() error {
 		n, trials, chaos.crashes, chaos.stalls, chaos.seed)
 	fmt.Printf("%-24s %-10s %-10s %-16s %s\n",
 		"protocol", "survivors", "decided", "ops/survivor", "worst decision")
-	mks := []struct {
-		name string
-		mk   func(seed uint64) (consensus.Protocol, error)
-	}{
-		{"cas", func(uint64) (consensus.Protocol, error) { return consensus.NewCAS(), nil }},
-		{"counter-walk", func(s uint64) (consensus.Protocol, error) { return consensus.NewCounterWalk(n, s), nil }},
-		{"packed-fetch&add", func(s uint64) (consensus.Protocol, error) { return consensus.NewPackedFetchAdd(n, s) }},
-		{"registers", func(s uint64) (consensus.Protocol, error) { return consensus.NewRegisters(n, s), nil }},
-		{"counter-walk/registers", func(s uint64) (consensus.Protocol, error) {
-			return consensus.NewCounterWalkFromRegisters(n, s), nil
-		}},
-	}
-	for _, m := range mks {
+	for _, name := range []string{"cas", "counter-walk", "packed-fetch&add", "registers", "counter-walk/registers"} {
 		var survivors, decided int
 		var ops float64
 		var worst time.Duration
 		for trial := 0; trial < trials; trial++ {
-			p, err := m.mk(uint64(trial + 1))
+			p, err := consensus.Resolve(name, n, uint64(trial+1))
 			if err != nil {
 				return err
 			}
@@ -437,7 +415,7 @@ func e14() error {
 			}
 			rep := fault.Run(p, inputs, plan, fault.Options{Deadline: chaos.deadline})
 			if !rep.Ok() {
-				return fmt.Errorf("%s: trial %d: %w", m.name, trial, rep.Violation)
+				return fmt.Errorf("%s: trial %d: %w", name, trial, rep.Violation)
 			}
 			survivors += len(rep.Survivors())
 			for _, d := range rep.Decided {
@@ -453,7 +431,7 @@ func e14() error {
 			}
 		}
 		fmt.Printf("%-24s %-10s %-10s %-16.1f %v\n",
-			m.name,
+			name,
 			fmt.Sprintf("%d/%d", survivors, trials*n),
 			fmt.Sprintf("%d", decided),
 			ops/float64(trials), worst.Round(time.Microsecond))

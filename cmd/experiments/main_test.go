@@ -218,15 +218,23 @@ func cells(line string) []string {
 
 // TestNoOrphanPackages fails on a package under internal/ that no other
 // package imports outside its tests and that EXPERIMENTS.md does not name
-// as a result (as "internal/<name>").  It reads only import clauses, over
-// the whole tree, the nested bench module included.
+// as a result (as "internal/<name>"), and on a binary or example (a main
+// package under cmd/ or examples/) that neither README.md nor
+// EXPERIMENTS.md names (as "cmd/<name>" or "examples/<name>").  It reads
+// only import clauses, over the whole tree, the nested bench module
+// included.
 func TestNoOrphanPackages(t *testing.T) {
 	const root = "../.."
 	doc, err := os.ReadFile(filepath.Join(root, "EXPERIMENTS.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	internal := map[string]bool{} // import paths of the internal packages
+	var mains []string            // cmd/<name> and examples/<name>, one per file
 	imported := map[string]bool{}
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -251,8 +259,11 @@ func TestNoOrphanPackages(t *testing.T) {
 			return err
 		}
 		pkg := "randsync/" + filepath.ToSlash(rel)
-		if strings.HasPrefix(pkg, "randsync/internal/") {
+		switch dir := strings.TrimPrefix(pkg, "randsync/"); {
+		case strings.HasPrefix(pkg, "randsync/internal/"):
 			internal[pkg] = true
+		case f.Name.Name == "main" && (strings.HasPrefix(dir, "cmd/") || strings.HasPrefix(dir, "examples/")):
+			mains = append(mains, dir)
 		}
 		for _, imp := range f.Imports {
 			if p, err := strconv.Unquote(imp.Path.Value); err == nil && p != pkg {
@@ -264,8 +275,8 @@ func TestNoOrphanPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(internal) == 0 {
-		t.Fatal("found no internal packages; is the walk rooted at the module?")
+	if len(internal) == 0 || len(mains) == 0 {
+		t.Fatal("found no internal or main packages; is the walk rooted at the module?")
 	}
 	var orphans []string
 	for pkg := range internal {
@@ -277,5 +288,11 @@ func TestNoOrphanPackages(t *testing.T) {
 	slices.Sort(orphans)
 	for _, pkg := range orphans {
 		t.Errorf("%s: no package imports it outside its tests, and EXPERIMENTS.md names no result for it", pkg)
+	}
+	slices.Sort(mains)
+	for _, dir := range slices.Compact(mains) {
+		if !strings.Contains(string(readme), dir) && !strings.Contains(string(doc), dir) {
+			t.Errorf("%s: neither README.md nor EXPERIMENTS.md names it", dir)
+		}
 	}
 }

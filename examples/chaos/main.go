@@ -24,6 +24,7 @@ import (
 
 	"randsync/internal/consensus"
 	"randsync/internal/fault"
+	"randsync/internal/protocol"
 )
 
 func main() {
@@ -52,7 +53,7 @@ func run() error {
 		doomed = append(doomed, fault.Event{Proc: victim, Kind: fault.Crash, AtOp: atOp})
 		plan := fault.Plan{Seed: seed + uint64(round), Events: append([]fault.Event(nil), doomed...)}
 
-		p := consensus.NewCounterWalk(n, seed+uint64(round))
+		p := consensus.New("counter-walk", protocol.NewCounterWalk(n), n, seed+uint64(round))
 		inputs := make([]int64, n)
 		for i := range inputs {
 			inputs[i] = int64((i + round) % 2)
@@ -71,7 +72,7 @@ func run() error {
 	for proc := 1; proc < n; proc++ {
 		events = append(events, fault.Event{Proc: proc, Kind: fault.Crash, AtOp: 0})
 	}
-	p := consensus.NewCounterWalk(n, seed)
+	p := consensus.New("counter-walk", protocol.NewCounterWalk(n), n, seed)
 	rep := fault.Run(p, []int64{1, 0, 0, 0, 0, 0}, fault.Plan{Seed: seed, Events: events},
 		fault.Options{})
 	fmt.Printf("         %s\n", rep.Summary())

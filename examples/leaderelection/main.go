@@ -38,9 +38,9 @@ func main() {
 
 func run() error {
 	// One single-object consensus instance per id bit.
-	rounds := make([]*consensus.PackedFetchAdd, idBits)
+	rounds := make([]consensus.Protocol, idBits)
 	for b := range rounds {
-		p, err := consensus.NewPackedFetchAdd(workers, uint64(1000+b))
+		p, err := consensus.Resolve("packed-fetch&add", workers, uint64(1000+b))
 		if err != nil {
 			return err
 		}
@@ -78,7 +78,7 @@ func run() error {
 }
 
 // elect agrees on a leader id bit by bit (most significant first).
-func elect(w int, rounds []*consensus.PackedFetchAdd) int {
+func elect(w int, rounds []consensus.Protocol) int {
 	prefix := 0
 	candidate := true
 	for b := idBits - 1; b >= 0; b-- {

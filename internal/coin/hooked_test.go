@@ -1,4 +1,4 @@
-package coin
+package coin_test
 
 import (
 	"math/rand/v2"
@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"randsync/internal/coin"
 	"randsync/internal/fault"
 	"randsync/internal/runtime"
 )
@@ -14,8 +15,8 @@ import (
 // operation, on the operating process's goroutine.
 func TestHookedPositionFires(t *testing.T) {
 	var fired atomic.Int64
-	pos := HookedPosition{
-		Pos:    CounterPosition{C: runtime.NewCounter(nil)},
+	pos := coin.HookedPosition{
+		Pos:    coin.CounterPosition{C: runtime.NewCounter(nil)},
 		Before: func(proc int) { fired.Add(1) },
 	}
 	pos.Add(0, 2)
@@ -33,8 +34,8 @@ func TestCrashedWalkerSurvivorsAbsorb(t *testing.T) {
 	const n, k = 4, 2
 	for seed := uint64(1); seed <= 8; seed++ {
 		inj := fault.NewInjector(n, fault.SingleCrash(0, int64(seed%13)), 0)
-		c := New(HookedPosition{
-			Pos:    CounterPosition{C: runtime.NewCounter(nil)},
+		c := coin.New(coin.HookedPosition{
+			Pos:    coin.CounterPosition{C: runtime.NewCounter(nil)},
 			Before: inj.Point,
 		}, n, k)
 

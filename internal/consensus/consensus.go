@@ -1,5 +1,8 @@
-// Package consensus implements the paper's consensus upper bounds as live
-// goroutine algorithms over the shared objects of package runtime:
+// Package consensus runs the paper's consensus upper bounds live, as
+// goroutines over linearizable shared objects.  Each bound with a step
+// machine in package protocol runs that machine, the one package valency
+// checks over every schedule and coin (Machine); Resolve builds them by
+// their registry names (package zoo):
 //
 //   - one compare&swap register, deterministic, any n (Herlihy [20],
 //     behind Corollary 4.1);
@@ -8,17 +11,21 @@
 //   - three counters driving a random walk, randomized, any n
 //     (Aspnes [7], the published basis of Theorem 4.2);
 //   - a single fetch&add register with the three walk fields packed into
-//     one word, randomized, any n (Theorem 4.4);
-//   - O(n) read-write registers (Aspnes–Herlihy [9]): conciliator +
-//     adopt-commit rounds with a weak shared coin — the protocol whose
-//     simulator twin is exhaustively safety-checked by package valency;
-//   - the Theorem 2.1 composition: the three-counter protocol with each
-//     counter replaced by a register-based implementation (package
-//     counting), multiplying the object counts.
+//     one word, randomized, any n ≤ protocol.MaxPackedN (Theorem 4.4);
+//   - the Theorem 2.1 composition: the three-counter machine with each
+//     counter realised from n read-write registers (package counting),
+//     multiplying the object counts.
 //
-// Every implementation reports its object-instance usage — the quantity
-// the paper's space-complexity separation is about — and counts shared-
-// memory operations for the work benchmarks.
+// One protocol is written by hand: O(n) read-write registers
+// (Aspnes–Herlihy [9]), conciliator plus adopt-commit rounds over the weak
+// shared coin of package coin (Registers).  Its step machine,
+// protocol.RegisterConsensus, flips a local coin in place of the shared
+// one to keep the checked space finite, so the two are different
+// algorithms and the live one is its own code.
+//
+// Every protocol reports its object-instance usage — the quantity the
+// paper's space-complexity separation is about — and counts shared-memory
+// operations for the work benchmarks.
 package consensus
 
 import (
@@ -27,7 +34,10 @@ import (
 	"sync/atomic"
 
 	"randsync/internal/counting"
-	"randsync/internal/runtime"
+	"randsync/internal/object"
+	"randsync/internal/protocol"
+	"randsync/internal/sim"
+	"randsync/internal/zoo"
 )
 
 // Protocol is a live, single-shot, n-process binary consensus object.
@@ -57,6 +67,35 @@ type Protocol interface {
 	SetStepHook(f func(proc int))
 }
 
+// liveOnly are the live protocols with no step machine of their own.
+var liveOnly = map[string]func(n int, seed uint64) Protocol{
+	"registers":              func(n int, seed uint64) Protocol { return NewRegisters(n, seed) },
+	"counter-walk/registers": func(n int, seed uint64) Protocol { return NewCounterWalkFromRegisters(n, seed) },
+}
+
+// Resolve builds the live protocol name for n processes, its coin flips
+// seeded by seed: "registers" and "counter-walk/registers" by hand, and
+// every other name as the Machine over the registry's step machine
+// (zoo.ResolveLive).  It refuses a name the registry does not know, an n
+// the protocol does not support (packed-fetch&add above
+// protocol.MaxPackedN), and a machine that halts some process before it
+// decides (the two-process warm-ups at n ≠ 2).
+func Resolve(name string, n int, seed uint64) (Protocol, error) {
+	if mk := liveOnly[name]; mk != nil {
+		return mk(n, seed), nil
+	}
+	proto, err := zoo.ResolveLive(zoo.Spec{Name: name, N: n})
+	if err != nil {
+		return nil, err
+	}
+	for pid := range n {
+		if proto.Init(pid, n, 0).Action().Kind == sim.ActHalt {
+			return nil, fmt.Errorf("consensus: %s halts process %d before it decides; it runs at most %d processes", name, pid, pid)
+		}
+	}
+	return New(name, proto, n, seed), nil
+}
+
 // meter is the shared work-accounting and fault-injection core embedded
 // in every live protocol: it counts shared-memory operations (Ops) and
 // fires the optional per-operation step hook (SetStepHook).
@@ -83,319 +122,131 @@ func (m *meter) count(proc int, k int64) {
 	}
 }
 
-// rngs builds one deterministic PCG generator per process.
-func rngs(n int, seed uint64) []*rand.Rand {
-	out := make([]*rand.Rand, n)
-	for i := range out {
-		out[i] = rand.New(rand.NewPCG(seed, uint64(i)+1))
-	}
-	return out
+// flips returns proc's coin-flip generator for a protocol seeded by seed.
+func flips(seed uint64, proc int) *rand.Rand { return rand.New(rand.NewPCG(seed, uint64(proc)+1)) }
+
+// cell is one live object's value, padded to a cache line so processes
+// working on different objects do not contend.
+type cell struct {
+	v atomic.Int64
+	_ [56]byte
 }
 
-// CASConsensus is n-process consensus from a single compare&swap register.
-type CASConsensus struct {
+// Machine runs a step machine (sim.Protocol) live: each Decide executes
+// the process's State.Action loop, applying every operation to a live
+// object, firing the meter and step hook once per operation, and
+// resolving every flip with the process's seeded generator.
+//
+// A live object is a compare&swap loop over its type's pure Apply: load,
+// apply, and publish the new value by compare&swap unless it is
+// unchanged.  That is linearizable for every single-word type (at the
+// load, or at the successful compare&swap), so the live objects execute
+// the very semantics the checker verified.
+type Machine struct {
 	meter
-	cas *runtime.CAS
+	name  string
+	proto sim.Protocol
+	n     int
+	seed  uint64
+	types []object.Type
+	cells []cell
+	// counters realise the objects as register-based counters instead
+	// (the Theorem 2.1 composition); nil for every other machine.
+	counters []*counting.SnapshotCounter
+
+	objects, registers int
 }
 
-const casEmpty = -1
-
-// NewCAS returns a CAS-based consensus instance.
-func NewCAS() *CASConsensus {
-	return &CASConsensus{cas: runtime.NewCAS(casEmpty, nil)}
-}
-
-// Name implements Protocol.
-func (c *CASConsensus) Name() string { return "cas" }
-
-// Objects implements Protocol.
-func (c *CASConsensus) Objects() int { return 1 }
-
-// Registers implements Protocol.
-func (c *CASConsensus) Registers() int { return 0 }
-
-// Decide implements Protocol.
-func (c *CASConsensus) Decide(proc int, input int64) int64 {
-	c.count(proc, 1)
-	if prev := c.cas.CompareAndSwap(proc, casEmpty, input); prev != casEmpty {
-		return prev
-	}
-	return input
-}
-
-// ordering abstracts the one-shot "who came first" object of the
-// two-process protocols.
-type ordering interface {
-	// fire performs the ordering operation and reports whether the caller
-	// was first.
-	fire(proc int) bool
-	name() string
-}
-
-type tasOrdering struct{ t *runtime.TestAndSet }
-
-func (o tasOrdering) fire(proc int) bool { return o.t.TestAndSet(proc) == 0 }
-func (o tasOrdering) name() string       { return "tas-2" }
-
-type swapOrdering struct{ s *runtime.SwapRegister }
-
-func (o swapOrdering) fire(proc int) bool { return o.s.Swap(proc, 1) == 0 }
-func (o swapOrdering) name() string       { return "swap-2" }
-
-type faddOrdering struct{ f *runtime.FetchAdd }
-
-func (o faddOrdering) fire(proc int) bool { return o.f.FetchAdd(proc, 1) == 0 }
-func (o faddOrdering) name() string       { return "fetch&add-2" }
-
-type fincOrdering struct{ f *runtime.FetchInc }
-
-func (o fincOrdering) fire(proc int) bool { return o.f.FetchInc(proc) == 0 }
-func (o fincOrdering) name() string       { return "fetch&inc-2" }
-
-// TwoProcess is deterministic 2-process consensus from one ordering
-// object (test&set, swap, fetch&add or fetch&inc) plus two registers: §4's
-// observation that any operation whose first response differs from its
-// second solves 2-process consensus.
-type TwoProcess struct {
-	meter
-	ord ordering
-	pub [2]*runtime.Register
-}
-
-// NewTAS2 returns 2-process consensus from one test&set register.
-func NewTAS2() *TwoProcess { return newTwo(tasOrdering{runtime.NewTestAndSet(nil)}) }
-
-// NewSwap2 returns 2-process consensus from one swap register.
-func NewSwap2() *TwoProcess { return newTwo(swapOrdering{runtime.NewSwapRegister(0, nil)}) }
-
-// NewFetchAdd2 returns 2-process consensus from one fetch&add register.
-func NewFetchAdd2() *TwoProcess { return newTwo(faddOrdering{runtime.NewFetchAdd(0, nil)}) }
-
-// NewFetchInc2 returns 2-process consensus from one fetch&inc register.
-func NewFetchInc2() *TwoProcess { return newTwo(fincOrdering{runtime.NewFetchInc(nil)}) }
-
-func newTwo(ord ordering) *TwoProcess {
-	return &TwoProcess{
-		ord: ord,
-		pub: [2]*runtime.Register{runtime.NewRegister(casEmpty, nil), runtime.NewRegister(casEmpty, nil)},
-	}
-}
-
-// Name implements Protocol.
-func (t *TwoProcess) Name() string { return t.ord.name() }
-
-// Objects implements Protocol.
-func (t *TwoProcess) Objects() int { return 1 }
-
-// Registers implements Protocol.
-func (t *TwoProcess) Registers() int { return 2 }
-
-// Decide implements Protocol; proc must be 0 or 1.
-func (t *TwoProcess) Decide(proc int, input int64) int64 {
-	t.count(proc, 1)
-	t.pub[proc].Write(proc, input)
-	t.count(proc, 1)
-	if t.ord.fire(proc) {
-		return input
-	}
-	t.count(proc, 1)
-	return t.pub[1-proc].Read(proc)
-}
-
-// counter is the counter interface the random walk needs; implemented by
-// *runtime.Counter (one counter object) and *counting.SnapshotCounter
-// (n registers, for the Theorem 2.1 composition).
-type counter interface {
-	Inc(proc int)
-	Dec(proc int)
-	Read(proc int) int64
-}
-
-var (
-	_ counter = (*runtime.Counter)(nil)
-	_ counter = (*counting.SnapshotCounter)(nil)
-)
-
-// walk runs the Aspnes random-walk loop of [7] (see the simulator twin in
-// package protocol for the consistency analysis): announce the input on
-// c0/c1, then move the cursor — deterministically in the drift zones
-// |k| ≥ n, by the announcement tallies while one side is absent, by fair
-// local flips otherwise — until it is absorbed at ±3n.
-func walk(proc int, input int64, n int64, c0, c1, cur counter, rng *rand.Rand, m *meter) int64 {
-	m.count(proc, 1)
-	if input == 1 {
-		c1.Inc(proc)
-	} else {
-		c0.Inc(proc)
-	}
-	for {
-		m.count(proc, 1)
-		k := cur.Read(proc)
-		switch {
-		case k >= 3*n:
-			return 1
-		case k <= -3*n:
-			return 0
-		case k >= n:
-			m.count(proc, 1)
-			cur.Inc(proc)
-			continue
-		case k <= -n:
-			m.count(proc, 1)
-			cur.Dec(proc)
-			continue
-		}
-		m.count(proc, 2)
-		a, b := c0.Read(proc), c1.Read(proc)
-		m.count(proc, 1)
-		switch {
-		case b == 0:
-			cur.Dec(proc)
-		case a == 0:
-			cur.Inc(proc)
-		case rng.IntN(2) == 1:
-			cur.Inc(proc)
-		default:
-			cur.Dec(proc)
+// New returns proto's step machine run live by n processes under name.
+// n is the process count every Init receives; proto's objects start at
+// their types' initial values.
+func New(name string, proto sim.Protocol, n int, seed uint64) *Machine {
+	m := &Machine{name: name, proto: proto, n: n, seed: seed, types: proto.Objects()}
+	m.cells = make([]cell, len(m.types))
+	for i, t := range m.types {
+		m.cells[i].v.Store(t.Init())
+		if _, ok := t.(object.RegisterType); ok {
+			m.registers++
+		} else {
+			m.objects++
 		}
 	}
-}
-
-// CounterWalk is randomized n-process consensus from three counters
-// (Aspnes [7], Theorem 4.2's published basis).
-type CounterWalk struct {
-	meter
-	n           int64
-	c0, c1, cur counter
-	rng         []*rand.Rand
-	objects     int
-	registers   int
-	nameStr     string
-}
-
-// NewCounterWalk returns a three-counter instance for n processes.
-func NewCounterWalk(n int, seed uint64) *CounterWalk {
-	return &CounterWalk{
-		n:       int64(n),
-		c0:      runtime.NewCounter(nil),
-		c1:      runtime.NewCounter(nil),
-		cur:     runtime.NewCounter(nil),
-		rng:     rngs(n, seed),
-		objects: 3,
-		nameStr: "counter-walk",
-	}
+	return m
 }
 
 // NewCounterWalkFromRegisters returns the Theorem 2.1 composition: the
-// same protocol with each counter implemented from n read-write registers
-// (package counting), for 3n registers and zero non-register objects.
-func NewCounterWalkFromRegisters(n int, seed uint64) *CounterWalk {
-	return &CounterWalk{
-		n:         int64(n),
-		c0:        counting.NewSnapshotCounter(n),
-		c1:        counting.NewSnapshotCounter(n),
-		cur:       counting.NewSnapshotCounter(n),
-		rng:       rngs(n, seed),
-		registers: 3 * n,
-		nameStr:   "counter-walk/registers",
+// counter-walk machine with each of its three counters realised from n
+// read-write registers (counting.SnapshotCounter), for 3n registers and
+// zero non-register objects.  The counters do not wrap at the machine's
+// bounds, which no legal execution reaches.
+func NewCounterWalkFromRegisters(n int, seed uint64) *Machine {
+	m := New("counter-walk/registers", protocol.NewCounterWalk(n), n, seed)
+	m.counters = make([]*counting.SnapshotCounter, len(m.types))
+	m.objects, m.registers = 0, 0
+	for i := range m.counters {
+		m.counters[i] = counting.NewSnapshotCounter(n)
+		m.registers += m.counters[i].Registers()
 	}
+	return m
 }
 
 // Name implements Protocol.
-func (c *CounterWalk) Name() string { return c.nameStr }
+func (m *Machine) Name() string { return m.name }
 
 // Objects implements Protocol.
-func (c *CounterWalk) Objects() int { return c.objects }
+func (m *Machine) Objects() int { return m.objects }
 
 // Registers implements Protocol.
-func (c *CounterWalk) Registers() int { return c.registers }
+func (m *Machine) Registers() int { return m.registers }
 
-// Decide implements Protocol.
-func (c *CounterWalk) Decide(proc int, input int64) int64 {
-	return walk(proc, input, c.n, c.c0, c.c1, c.cur, c.rng[proc], &c.meter)
-}
-
-// Packed-field layout for the single fetch&add word; see the simulator
-// twin in package protocol for the analysis.
-const (
-	pfaFieldBits = 20
-	pfaUnitC0    = 1
-	pfaUnitC1    = 1 << pfaFieldBits
-	pfaUnitCur   = 1 << (2 * pfaFieldBits)
-	pfaMask      = 1<<pfaFieldBits - 1
-	pfaCurOffset = 1 << (pfaFieldBits + 2)
-
-	// MaxPackedN is the largest n PackedFetchAdd supports.
-	MaxPackedN = 1<<(pfaFieldBits-3) - 1
-)
-
-// PackedFetchAdd is randomized n-process consensus from a single
-// fetch&add register (Theorem 4.4): the three counters of the walk packed
-// into fields of one word, each fetch&add returning an atomic snapshot of
-// all three.
-type PackedFetchAdd struct {
-	meter
-	n   int64
-	f   *runtime.FetchAdd
-	rng []*rand.Rand
-}
-
-// NewPackedFetchAdd returns an instance for n ≤ MaxPackedN processes.
-func NewPackedFetchAdd(n int, seed uint64) (*PackedFetchAdd, error) {
-	if n > MaxPackedN {
-		return nil, fmt.Errorf("consensus: n=%d exceeds MaxPackedN=%d", n, MaxPackedN)
-	}
-	return &PackedFetchAdd{
-		n:   int64(n),
-		f:   runtime.NewFetchAdd(int64(pfaCurOffset)*pfaUnitCur, nil),
-		rng: rngs(n, seed),
-	}, nil
-}
-
-// Name implements Protocol.
-func (p *PackedFetchAdd) Name() string { return "packed-fetch&add" }
-
-// Objects implements Protocol.
-func (p *PackedFetchAdd) Objects() int { return 1 }
-
-// Registers implements Protocol.
-func (p *PackedFetchAdd) Registers() int { return 0 }
-
-// Decide implements Protocol.
-func (p *PackedFetchAdd) Decide(proc int, input int64) int64 {
-	add := func(delta int64) int64 {
-		p.count(proc, 1)
-		return p.f.FetchAdd(proc, delta)
-	}
-	if input == 1 {
-		add(pfaUnitC1)
-	} else {
-		add(pfaUnitC0)
-	}
-	rng := p.rng[proc]
-	n := p.n
+// Decide implements Protocol.  A machine that halts proc before it
+// decides is a defect of the protocol, and Decide panics naming both.
+func (m *Machine) Decide(proc int, input int64) int64 {
+	var rng *rand.Rand
+	s := m.proto.Init(proc, m.n, input)
 	for {
-		w := add(0)
-		a := w & pfaMask
-		b := (w >> pfaFieldBits) & pfaMask
-		k := (w >> (2 * pfaFieldBits)) - pfaCurOffset
-		switch {
-		case k >= 3*n:
-			return 1
-		case k <= -3*n:
-			return 0
-		case k >= n:
-			add(pfaUnitCur)
-		case k <= -n:
-			add(-pfaUnitCur)
-		case b == 0:
-			add(-pfaUnitCur)
-		case a == 0:
-			add(pfaUnitCur)
-		case rng.IntN(2) == 1:
-			add(pfaUnitCur)
+		a := s.Action()
+		var result int64
+		switch a.Kind {
+		case sim.ActOperate:
+			m.count(proc, 1)
+			result = m.apply(proc, a.Obj, a.Op)
+		case sim.ActFlip:
+			if rng == nil {
+				rng = flips(m.seed, proc)
+			}
+			result = rng.Int64N(a.Sides)
+		case sim.ActDecide:
+			return a.Value
 		default:
-			add(-pfaUnitCur)
+			panic(fmt.Sprintf("consensus: %s: process %d halted without deciding", m.name, proc))
+		}
+		s = s.Advance(result)
+	}
+}
+
+// apply performs op on object obj for proc and returns the response.
+func (m *Machine) apply(proc, obj int, op object.Op) int64 {
+	if m.counters != nil {
+		c := m.counters[obj]
+		switch op.Kind {
+		case object.Read:
+			return c.Read(proc)
+		case object.Inc:
+			c.Inc(proc)
+		case object.Dec:
+			c.Dec(proc)
+		default:
+			panic(fmt.Sprintf("consensus: %s: register counter has no %v", m.name, op))
+		}
+		return 0
+	}
+	v, typ := &m.cells[obj].v, m.types[obj]
+	for {
+		old := v.Load()
+		next, resp := typ.Apply(old, op)
+		if next == old || v.CompareAndSwap(old, next) {
+			return resp
 		}
 	}
 }

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,36 +45,29 @@ func checkOutcome(t *testing.T, name string, inputs, decisions []int64) {
 	}
 }
 
-// makers returns constructors for every n-process protocol.
-func makers(n int) map[string]func(seed uint64) Protocol {
-	m := map[string]func(seed uint64) Protocol{
-		"cas": func(uint64) Protocol { return NewCAS() },
-		"counter-walk": func(seed uint64) Protocol {
-			return NewCounterWalk(n, seed)
-		},
-		"counter-walk/registers": func(seed uint64) Protocol {
-			return NewCounterWalkFromRegisters(n, seed)
-		},
-		"packed-fetch&add": func(seed uint64) Protocol {
-			p, err := NewPackedFetchAdd(n, seed)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		},
-		"registers": func(seed uint64) Protocol {
-			return NewRegisters(n, seed)
-		},
+// resolve builds a live protocol that the test expects to exist.
+func resolve(t *testing.T, name string, n int, seed uint64) Protocol {
+	t.Helper()
+	p, err := Resolve(name, n, seed)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return p
 }
+
+// nProcess lists the live protocols that run at any n; twoProcess the
+// §4 warm-ups, which run at n = 2.
+var (
+	nProcess   = []string{"cas", "counter-walk", "counter-walk/registers", "packed-fetch&add", "registers"}
+	twoProcess = []string{"tas-2", "swap-2", "fetch&add-2", "fetch&inc-2"}
+)
 
 func TestNProcessProtocols(t *testing.T) {
 	const n = 8
-	for name, mk := range makers(n) {
+	for _, name := range nProcess {
 		t.Run(name, func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
-				p := mk(uint64(trial + 1))
+				p := resolve(t, name, n, uint64(trial+1))
 				rng := rand.New(rand.NewPCG(uint64(trial), 42))
 				inputs := make([]int64, n)
 				for i := range inputs {
@@ -88,10 +82,10 @@ func TestNProcessProtocols(t *testing.T) {
 
 func TestUnanimousInputs(t *testing.T) {
 	const n = 6
-	for name, mk := range makers(n) {
+	for _, name := range nProcess {
 		t.Run(name, func(t *testing.T) {
 			for _, v := range []int64{0, 1} {
-				p := mk(7)
+				p := resolve(t, name, n, 7)
 				inputs := make([]int64, n)
 				for i := range inputs {
 					inputs[i] = v
@@ -110,11 +104,10 @@ func TestBothOutcomesOccur(t *testing.T) {
 	// With mixed inputs, across seeds both values should win sometimes
 	// for the randomized protocols.
 	const n = 4
-	for _, mkName := range []string{"counter-walk", "packed-fetch&add", "registers"} {
-		mk := makers(n)[mkName]
+	for _, name := range []string{"counter-walk", "packed-fetch&add", "registers"} {
 		seen := map[int64]bool{}
 		for seed := uint64(1); seed <= 60 && len(seen) < 2; seed++ {
-			p := mk(seed)
+			p := resolve(t, name, n, seed)
 			// Alternate the input phase with the seed: the Go scheduler
 			// tends to run the last-spawned goroutine first, and a
 			// process running solo legitimately decides its own input,
@@ -125,116 +118,144 @@ func TestBothOutcomesOccur(t *testing.T) {
 				inputs[i] = int64((i + int(seed)) % 2)
 			}
 			decisions := runConsensus(t, p, inputs)
-			checkOutcome(t, mkName, inputs, decisions)
+			checkOutcome(t, name, inputs, decisions)
 			seen[decisions[0]] = true
 		}
 		if !seen[0] || !seen[1] {
-			t.Errorf("%s: outcomes seen %v, want both across seeds", mkName, seen)
+			t.Errorf("%s: outcomes seen %v, want both across seeds", name, seen)
 		}
 	}
 }
 
 func TestTwoProcessProtocols(t *testing.T) {
-	mks := map[string]func() *TwoProcess{
-		"tas-2":       NewTAS2,
-		"swap-2":      NewSwap2,
-		"fetch&add-2": NewFetchAdd2,
-		"fetch&inc-2": NewFetchInc2,
-	}
-	for name, mk := range mks {
+	for _, name := range twoProcess {
 		t.Run(name, func(t *testing.T) {
 			for trial := 0; trial < 50; trial++ {
 				for _, inputs := range [][]int64{{0, 1}, {1, 0}, {0, 0}, {1, 1}} {
-					p := mk()
+					p := resolve(t, name, 2, 1)
 					decisions := runConsensus(t, p, inputs)
 					checkOutcome(t, name, inputs, decisions)
 				}
+			}
+			if _, err := Resolve(name, 3, 1); err == nil {
+				t.Errorf("%s resolved for 3 processes", name)
 			}
 		})
 	}
 }
 
-// TestObjectAccounting pins the space usage each protocol claims — the
-// numbers that populate the separation table (E4).
+// TestObjectAccounting pins, for every live protocol, the space it claims
+// (the numbers that populate the separation table, E4, and E5–E9's
+// objects and registers columns) and the work of a sequential run, in
+// which process i decides after process i−1 returns: each shared
+// operation is counted once, so Ops() is the protocol's exact step
+// count.  The pins are those of the hand-written goroutine versions the
+// step machines replaced, except registers', whose conciliator now runs
+// package coin's shared coin and skips the hand-written version's opening
+// write of a zero contribution each round.  It then runs 200 seeded
+// concurrent instances of each, which must agree on a valid value.
 func TestObjectAccounting(t *testing.T) {
-	const n = 10
+	type pin struct {
+		n                  int
+		objects, registers int
+		ops                int64 // of the sequential run, inputs i%2 and seed 1
+	}
 	cases := []struct {
-		p         Protocol
-		objects   int
-		registers int
+		name string
+		pins []pin
 	}{
-		{NewCAS(), 1, 0},
-		{NewTAS2(), 1, 2},
-		{NewSwap2(), 1, 2},
-		{NewFetchAdd2(), 1, 2},
-		{NewCounterWalk(n, 1), 3, 0},
-		{NewCounterWalkFromRegisters(n, 1), 0, 3 * n},
-		{NewRegisters(n, 1), 0, 3*n + 2},
+		{"cas", []pin{{2, 1, 0, 2}, {8, 1, 0, 8}, {32, 1, 0, 32}}},
+		{"tas-2", []pin{{2, 1, 2, 5}}},
+		{"swap-2", []pin{{2, 1, 2, 5}}},
+		{"fetch&add-2", []pin{{2, 1, 2, 5}}},
+		{"fetch&inc-2", []pin{{2, 1, 2, 5}}},
+		{"counter-walk", []pin{{2, 3, 0, 20}, {8, 3, 0, 80}, {32, 3, 0, 320}}},
+		{"packed-fetch&add", []pin{{2, 1, 0, 16}, {8, 1, 0, 64}, {32, 1, 0, 256}}},
+		// The hand-written coin's opening writes made these 82, 916 and
+		// 204334: one write more per process, each deciding in round 1.
+		{"registers", []pin{{2, 0, 8, 80}, {8, 0, 26, 908}, {32, 0, 98, 204302}}},
+		{"counter-walk/registers", []pin{{2, 0, 6, 20}, {8, 0, 24, 80}, {32, 0, 96, 320}}},
 	}
-	pfa, err := NewPackedFetchAdd(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases = append(cases, struct {
-		p         Protocol
-		objects   int
-		registers int
-	}{pfa, 1, 0})
 	for _, c := range cases {
-		if got := c.p.Objects(); got != c.objects {
-			t.Errorf("%s: Objects() = %d, want %d", c.p.Name(), got, c.objects)
-		}
-		if got := c.p.Registers(); got != c.registers {
-			t.Errorf("%s: Registers() = %d, want %d", c.p.Name(), got, c.registers)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			for _, want := range c.pins {
+				p := resolve(t, c.name, want.n, 1)
+				if got := p.Objects(); got != want.objects {
+					t.Errorf("n=%d: Objects() = %d, want %d", want.n, got, want.objects)
+				}
+				if got := p.Registers(); got != want.registers {
+					t.Errorf("n=%d: Registers() = %d, want %d", want.n, got, want.registers)
+				}
+				// Process 0 runs solo with input 0 and decides it; the
+				// rest adopt it.
+				for i := range want.n {
+					if d := p.Decide(i, int64(i%2)); d != 0 {
+						t.Fatalf("n=%d: sequential P%d decided %d, want 0", want.n, i, d)
+					}
+				}
+				if got := p.Ops(); got != want.ops {
+					t.Errorf("n=%d: sequential Ops() = %d, want %d", want.n, got, want.ops)
+				}
+			}
+			n := min(8, c.pins[len(c.pins)-1].n)
+			for seed := uint64(1); seed <= 200; seed++ {
+				rng := rand.New(rand.NewPCG(seed, 7))
+				inputs := make([]int64, n)
+				for i := range inputs {
+					inputs[i] = int64(rng.IntN(2))
+				}
+				checkOutcome(t, c.name, inputs, runConsensus(t, resolve(t, c.name, n, seed), inputs))
+			}
+		})
 	}
-}
-
-func TestPackedFetchAddRejectsHugeN(t *testing.T) {
-	if _, err := NewPackedFetchAdd(MaxPackedN+1, 1); err == nil {
-		t.Fatal("expected error for n above the packed field capacity")
+	if _, err := Resolve("packed-fetch&add", protocol.MaxPackedN+1, 1); err == nil {
+		t.Error("packed-fetch&add resolved above protocol.MaxPackedN")
 	}
 }
 
 // TestOpsCounted ensures the work counters move (the E5–E7 benches rely
 // on them).
 func TestOpsCounted(t *testing.T) {
-	p := NewCounterWalk(4, 3)
+	p := resolve(t, "counter-walk", 4, 3)
 	runConsensus(t, p, []int64{0, 1, 1, 0})
 	if p.Ops() == 0 {
 		t.Fatal("ops counter did not move")
 	}
 }
 
-// TestLiveMatchesSimWorldShape cross-validates the two worlds: both the
-// live protocols and their simulator twins, run many times, decide
-// consistently, decide only valid values, and reach both outcomes on mixed
-// inputs.  (Exact distributions differ — the schedulers differ — but the
-// qualitative shape must match.)
+// TestHaltBeforeDecidePanics: a machine that halts a process before it
+// decides is a protocol defect, and Decide names the protocol and pid.
+func TestHaltBeforeDecidePanics(t *testing.T) {
+	p := New("tas-2", protocol.NewTAS2(), 3, 1)
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "tas-2: process 2 halted") {
+			t.Fatalf("recovered %q, want the protocol and pid named", r)
+		}
+	}()
+	p.Decide(2, 0)
+}
+
+// TestLiveMatchesSimWorldShape cross-validates the two worlds: the
+// counter-walk machine run in the simulator under 30 seeded random
+// schedules and run live across seeds decides consistently, decides only
+// valid values, and reaches both outcomes on mixed inputs.  (Exact
+// distributions differ — the schedulers differ — but the qualitative
+// shape must match.)
 func TestLiveMatchesSimWorldShape(t *testing.T) {
 	const n = 3
-	// Simulator twins under seeded random schedules.
-	simSeen := map[int64]bool{}
-	for seed := uint64(1); seed <= 30; seed++ {
-		res, err := sim.Sample(protocol.NewCounterWalk(n), []int64{0, 1, 1}, 1, sim.RunOptions{})
-		_ = seed
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Inconsistent != 0 {
-			t.Fatal("sim twin inconsistent")
-		}
-		for v := range res.Decisions {
-			simSeen[v] = true
-		}
-		if len(simSeen) == 2 {
-			break
-		}
+	res, err := sim.Sample(protocol.NewCounterWalk(n), []int64{0, 1, 1}, 30, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Live protocol across seeds.
+	if res.Inconsistent != 0 {
+		t.Fatalf("sim: %d of 30 runs inconsistent", res.Inconsistent)
+	}
+	if res.Decisions[0] == 0 || res.Decisions[1] == 0 {
+		t.Errorf("sim outcomes over 30 seeds: %v, want both", res.Decisions)
+	}
 	liveSeen := map[int64]bool{}
 	for seed := uint64(1); seed <= 60 && len(liveSeen) < 2; seed++ {
-		p := NewCounterWalk(n, seed)
+		p := resolve(t, "counter-walk", n, seed)
 		inputs := []int64{int64(seed % 2), 1, 1 - int64(seed%2)}
 		d := runConsensus(t, p, inputs)
 		checkOutcome(t, "counter-walk", inputs, d)

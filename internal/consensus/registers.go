@@ -1,8 +1,7 @@
 package consensus
 
 import (
-	"math/rand/v2"
-
+	"randsync/internal/coin"
 	"randsync/internal/runtime"
 )
 
@@ -15,8 +14,8 @@ import (
 //
 //  1. Conciliator: mark proposed[pref] with r, flip the round's weak
 //     shared coin, and adopt the coin's value if it was proposed.  The
-//     coin is a collect-counter random walk with barriers at ±3n whose
-//     per-process contributions live in round-tagged registers.
+//     coin is package coin's random walk with barriers at ±3n over a
+//     round-tagged collect of the coin registers (roundCoin).
 //  2. Adopt-commit (Gafni-style, two collect phases over single-writer
 //     registers A and B): commit — decide — when every round-r entry seen
 //     carries a clean flag and nobody is ahead; otherwise adopt a
@@ -34,21 +33,20 @@ type Registers struct {
 	b        []*runtime.Register
 	coins    []*runtime.Register
 	proposed [2]*runtime.Register
-	rng      []*rand.Rand
-	barrier  int64
+	seed     uint64
 }
 
-var _ Protocol = (*Registers)(nil)
+// coinBarrier places the shared coin's absorbing barriers at ±3n.
+const coinBarrier = 3
 
 // NewRegisters returns a register-only consensus instance for n processes.
 func NewRegisters(n int, seed uint64) *Registers {
 	r := &Registers{
-		n:       n,
-		a:       make([]*runtime.Register, n),
-		b:       make([]*runtime.Register, n),
-		coins:   make([]*runtime.Register, n),
-		rng:     rngs(n, seed),
-		barrier: int64(3 * n),
+		n:     n,
+		a:     make([]*runtime.Register, n),
+		b:     make([]*runtime.Register, n),
+		coins: make([]*runtime.Register, n),
+		seed:  seed,
 	}
 	for i := 0; i < n; i++ {
 		r.a[i] = runtime.NewRegister(0, nil)
@@ -88,49 +86,46 @@ func packCoin(r, delta int64) int64 { return r<<32 | int64(uint32(int32(delta)))
 
 func unpackCoin(x int64) (r, delta int64) { return x >> 32, int64(int32(uint32(x))) }
 
-// sharedCoin runs the round-r weak shared coin on behalf of proc: a
-// random walk of the sum of round-tagged per-process contributions, with
-// absorbing barriers at ±3n.
-func (c *Registers) sharedCoin(proc int, round int64) int64 {
-	var delta int64
-	c.count(proc, 1)
-	c.coins[proc].Write(proc, packCoin(round, 0))
-	for {
-		c.count(proc, int64(c.n))
-		var sum int64
-		for j := 0; j < c.n; j++ {
-			r, d := unpackCoin(c.coins[j].Read(proc))
-			if r == round {
-				sum += d
-			}
+// roundCoin is the round-r cursor of the weak shared coin, as one
+// process sees it: the sum of the round-r-tagged contributions in
+// c.coins, each process adding its own ±1 moves to its own register.
+// A contribution tagged with an earlier round counts as zero.
+type roundCoin struct {
+	c     *Registers
+	round int64
+	delta int64 // the caller's contribution so far
+}
+
+// Add implements coin.Position: one write of proc's register.
+func (p *roundCoin) Add(proc int, delta int64) {
+	p.delta += delta
+	p.c.count(proc, 1)
+	p.c.coins[proc].Write(proc, packCoin(p.round, p.delta))
+}
+
+// Read implements coin.Position: a collect of n registers.
+func (p *roundCoin) Read(proc int) int64 {
+	p.c.count(proc, int64(p.c.n))
+	var sum int64
+	for _, reg := range p.c.coins {
+		if r, d := unpackCoin(reg.Read(proc)); r == p.round {
+			sum += d
 		}
-		switch {
-		case sum >= c.barrier:
-			return 1
-		case sum <= -c.barrier:
-			return 0
-		}
-		if c.rng[proc].IntN(2) == 1 {
-			delta++
-		} else {
-			delta--
-		}
-		c.count(proc, 1)
-		c.coins[proc].Write(proc, packCoin(round, delta))
 	}
+	return sum
 }
 
 // Decide implements Protocol.
 func (c *Registers) Decide(proc int, input int64) int64 {
-	pref := input
+	pref, rng := input, flips(c.seed, proc)
 	for round := int64(1); ; round++ {
 		// Conciliator: mark, flip, maybe adopt.
 		c.count(proc, 1)
 		c.proposed[pref].Write(proc, round)
-		coin := c.sharedCoin(proc, round)
+		flip, _ := coin.New(&roundCoin{c: c, round: round}, c.n, coinBarrier).Flip(proc, rng)
 		c.count(proc, 1)
-		if c.proposed[coin].Read(proc) >= round {
-			pref = coin
+		if c.proposed[flip].Read(proc) >= round {
+			pref = flip
 		}
 
 		// Adopt-commit phase 1.

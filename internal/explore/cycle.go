@@ -41,10 +41,10 @@ func (l EdgeLog) Len() int {
 	return n
 }
 
-// Adjacency returns the graph with n nodes (labelled 0..n-1) and the
+// adjacency returns the graph with n nodes (labelled 0..n-1) and the
 // given arcs in compressed form: v's successors are adj[off[v]:off[v+1]],
 // each node's in the reverse of their order in the log.
-func Adjacency(n int, edges EdgeLog) (off, adj []int64) {
+func adjacency(n int, edges EdgeLog) (off, adj []int64) {
 	// Counting sort, straight from the chunks: off[v] counts v's arcs,
 	// then (prefix sums) marks the end of v's run; placing each arc at its
 	// node's decremented end leaves off[v] at the run's start.
@@ -77,7 +77,7 @@ func HasCycle(n int, edges EdgeLog) bool {
 	if n == 0 || edges.Len() == 0 {
 		return false
 	}
-	off, succ := Adjacency(n, edges)
+	off, succ := adjacency(n, edges)
 
 	const (
 		white = 0

@@ -7,37 +7,32 @@ import (
 	"randsync/internal/consensus"
 )
 
-// liveMaker builds a fresh instance of one live protocol per run; n is the
-// process count the protocol supports (2 for the two-process warm-ups, the
-// certificate's full width otherwise).
-type liveMaker struct {
+// liveProtocol names one live protocol at the process count it supports:
+// 2 for the two-process warm-ups, the certificate's full width otherwise.
+type liveProtocol struct {
 	name string
 	n    int
-	make func(seed uint64) consensus.Protocol
 }
 
 // liveProtocols enumerates every live protocol in the repository at its
-// certificate width.
-func liveProtocols(n int) []liveMaker {
-	return []liveMaker{
-		{"cas", n, func(uint64) consensus.Protocol { return consensus.NewCAS() }},
-		{"tas-2", 2, func(uint64) consensus.Protocol { return consensus.NewTAS2() }},
-		{"swap-2", 2, func(uint64) consensus.Protocol { return consensus.NewSwap2() }},
-		{"fetch&add-2", 2, func(uint64) consensus.Protocol { return consensus.NewFetchAdd2() }},
-		{"fetch&inc-2", 2, func(uint64) consensus.Protocol { return consensus.NewFetchInc2() }},
-		{"counter-walk", n, func(s uint64) consensus.Protocol { return consensus.NewCounterWalk(n, s) }},
-		{"counter-walk/registers", n, func(s uint64) consensus.Protocol {
-			return consensus.NewCounterWalkFromRegisters(n, s)
-		}},
-		{"packed-fetch&add", n, func(s uint64) consensus.Protocol {
-			p, err := consensus.NewPackedFetchAdd(n, s)
-			if err != nil {
-				panic(err)
-			}
-			return p
-		}},
-		{"registers", n, func(s uint64) consensus.Protocol { return consensus.NewRegisters(n, s) }},
+// certificate width: the registry's consensus step machines, run live,
+// then the two live-only constructions.
+func liveProtocols(n int) []liveProtocol {
+	return []liveProtocol{
+		{"cas", n}, {"tas-2", 2}, {"swap-2", 2}, {"fetch&add-2", 2}, {"fetch&inc-2", 2},
+		{"counter-walk", n}, {"packed-fetch&add", n},
+		{"registers", n}, {"counter-walk/registers", n},
 	}
+}
+
+// make builds a fresh instance of the protocol, its coins seeded by seed.
+func (m liveProtocol) make(t *testing.T, seed uint64) consensus.Protocol {
+	t.Helper()
+	p, err := consensus.Resolve(m.name, m.n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // mixedInputs is the certificate's input vector: alternating 0/1, so both
@@ -68,7 +63,7 @@ func TestSingleCrashCertificate(t *testing.T) {
 	for _, m := range liveProtocols(n) {
 		for victim := 0; victim < m.n; victim++ {
 			for _, atOp := range atOps {
-				p := m.make(uint64(victim + 1))
+				p := m.make(t, uint64(victim+1))
 				rep := Run(p, mixedInputs(m.n, victim), SingleCrash(victim, atOp), Options{})
 				requireCertified(t, m.name, rep)
 				if rep.Decided[victim] && rep.Crashed[victim] {
@@ -95,7 +90,7 @@ func TestSeededChaosCertificate(t *testing.T) {
 				MaxStall: 100 * time.Microsecond,
 			}
 			plan := RandomPlan(m.n, seed, o)
-			p := m.make(seed)
+			p := m.make(t, seed)
 			rep := Run(p, mixedInputs(m.n, int(seed)), plan, Options{})
 			requireCertified(t, m.name, rep)
 			// Graceful degradation: nobody outside the plan may die.
@@ -114,7 +109,7 @@ func TestSeededChaosCertificate(t *testing.T) {
 // common value itself.
 func TestFreezeRunReleases(t *testing.T) {
 	for trial := uint64(1); trial <= 8; trial++ {
-		p := consensus.NewCounterWalk(4, trial)
+		p := liveProtocol{"counter-walk", 4}.make(t, trial)
 		plan := Plan{Events: []Event{{Proc: 0, Kind: Freeze, AtOp: 1}}}
 		rep := Run(p, []int64{0, 1, 0, 1}, plan, Options{})
 		requireCertified(t, "counter-walk/freeze", rep)

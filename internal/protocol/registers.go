@@ -21,8 +21,11 @@ import (
 // small n and bounded rounds — while the coin only drives the expected
 // round count.  In this simulator version the conciliator uses each
 // process's local flip directly (bounded state, so the checker's space is
-// finite); the live version in package consensus replaces it with the
-// weak shared coin of package coin, as in [9].
+// finite).  The live version, consensus.Registers, is therefore not this
+// machine run live but a separate, hand-written algorithm: its
+// conciliator flips the weak shared coin of package coin (coin.WeakShared
+// over a round-tagged collect of n more registers), as in [9], whose
+// unbounded walk no finite checked space could hold.
 //
 // Objects (2n+2 registers): A[0..n-1] and B[0..n-1] are the adopt-commit
 // phase registers of the n processes (single-writer, holding packed
@@ -33,7 +36,7 @@ import (
 // is finite: a process that exceeds it spins (reads forever) instead of
 // deciding.  Spinning preserves safety and appears as livelock in the
 // checker; real deployments set it high enough to never matter (the live
-// version uses 1<<40).
+// version has no cap).
 type RegisterConsensus struct {
 	// N is the number of processes.
 	N int

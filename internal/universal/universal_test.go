@@ -8,12 +8,13 @@ import (
 	"randsync/internal/consensus"
 	"randsync/internal/linearizability"
 	"randsync/internal/object"
+	"randsync/internal/protocol"
 	"randsync/internal/runtime"
 )
 
 // casFactory backs each bit agreement with one compare&swap register.
 func casFactory(n int, seed uint64) BinaryConsensus {
-	return consensus.NewCAS()
+	return consensus.New("cas", protocol.CASConsensus{}, n, seed)
 }
 
 // registerFactory backs each bit agreement with the randomized

@@ -6,6 +6,7 @@ package zoo
 import (
 	"flag"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -91,7 +92,12 @@ var table = []entry{
 	{"fetch&inc-2", 0, fixed(protocol.NewFetchInc2()), Spec{N: 2}},
 	{"register-naive-2", 0, fixed(protocol.RegisterNaive2{}), Spec{N: 2}},
 	{"counter-walk", readsN, func(s Spec) (sim.Protocol, error) { return protocol.NewCounterWalk(s.N), nil }, Spec{N: 2}},
-	{"packed-fetch&add", readsN, func(s Spec) (sim.Protocol, error) { return protocol.NewPackedFetchAdd(s.N), nil }, Spec{N: 2}},
+	{"packed-fetch&add", readsN, func(s Spec) (sim.Protocol, error) {
+		if s.N > protocol.MaxPackedN {
+			return nil, fmt.Errorf("zoo: packed-fetch&add: n=%d exceeds MaxPackedN=%d", s.N, protocol.MaxPackedN)
+		}
+		return protocol.NewPackedFetchAdd(s.N), nil
+	}, Spec{N: 2}},
 	{"register-consensus", readsN | readsRounds, func(s Spec) (sim.Protocol, error) {
 		return protocol.NewRegisterConsensus(s.N, s.Rounds), nil
 	}, Spec{N: 2, Rounds: 2}},
@@ -133,7 +139,8 @@ func Examples() []Spec {
 	return specs
 }
 
-func (s Spec) entry() (*entry, error) {
+// entry looks up s's registry entry and bounds-checks s, N against maxN.
+func (s Spec) entry(maxN int) (*entry, error) {
 	name := s.Name
 	if strings.HasPrefix(name, machinePrefix) {
 		name = machineFamily
@@ -142,8 +149,8 @@ func (s Spec) entry() (*entry, error) {
 	if e == nil {
 		return nil, fmt.Errorf("zoo: unknown protocol %q", s.Name)
 	}
-	if s.N < 1 || s.N > MaxN {
-		return nil, fmt.Errorf("zoo: n=%d out of range [1,%d]", s.N, MaxN)
+	if s.N < 1 || s.N > maxN {
+		return nil, fmt.Errorf("zoo: n=%d out of range [1,%d]", s.N, maxN)
 	}
 	if e.reads&readsR != 0 && (s.R < 1 || s.R > MaxR) {
 		return nil, fmt.Errorf("zoo: %s: r=%d out of range [1,%d]", s.Name, s.R, MaxR)
@@ -153,14 +160,22 @@ func (s Spec) entry() (*entry, error) {
 
 // Validate rejects an unknown name or an out-of-range parameter.
 func (s Spec) Validate() error {
-	_, err := s.entry()
+	_, err := s.entry(MaxN)
 	return err
 }
 
 // Resolve validates a spec and builds the protocol it names,
 // deterministically in the spec alone, so every node builds the same one.
-func Resolve(s Spec) (sim.Protocol, error) {
-	e, err := s.entry()
+func Resolve(s Spec) (sim.Protocol, error) { return s.resolve(MaxN) }
+
+// ResolveLive is Resolve for one live run of s.N processes (package
+// consensus).  A live run executes one input vector where a checker may
+// sweep all 2^N, so MaxN does not bound it; the protocol's own limits
+// (packed-fetch&add's MaxPackedN) still do.
+func ResolveLive(s Spec) (sim.Protocol, error) { return s.resolve(math.MaxInt) }
+
+func (s Spec) resolve(maxN int) (sim.Protocol, error) {
+	e, err := s.entry(maxN)
 	if err != nil {
 		return nil, err
 	}

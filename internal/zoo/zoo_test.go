@@ -5,6 +5,7 @@ import (
 
 	"randsync/internal/hierarchy"
 	"randsync/internal/object"
+	"randsync/internal/protocol"
 )
 
 // TestExamplesResolve: every name Names lists resolves at its example
@@ -15,7 +16,7 @@ func TestExamplesResolve(t *testing.T) {
 		t.Fatalf("%d names, %d examples for %d entries", len(names), len(specs), len(table))
 	}
 	for i, spec := range specs {
-		e, err := spec.entry()
+		e, err := spec.entry(MaxN)
 		if err != nil {
 			t.Errorf("%s: %v", names[i], err)
 			continue
@@ -68,6 +69,22 @@ func TestRejects(t *testing.T) {
 	// R bounds only the entries that read it.
 	if _, err := Resolve(Spec{Name: "cas", N: 2, R: -1}); err != nil {
 		t.Errorf("cas with an unread r=-1: %v", err)
+	}
+}
+
+// TestResolveLive: a live run is bounded by the protocol, not by MaxN.
+func TestResolveLive(t *testing.T) {
+	if _, err := ResolveLive(Spec{Name: "counter-walk", N: 128}); err != nil {
+		t.Errorf("counter-walk at n=128: %v", err)
+	}
+	for _, spec := range []Spec{
+		{Name: "packed-fetch&add", N: protocol.MaxPackedN + 1},
+		{Name: "cas", N: 0},
+		{Name: "no-such-protocol", N: 2},
+	} {
+		if _, err := ResolveLive(spec); err == nil {
+			t.Errorf("%+v resolved live", spec)
+		}
 	}
 }
 

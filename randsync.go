@@ -31,6 +31,7 @@ import (
 	"randsync/internal/consensus"
 	"randsync/internal/core"
 	"randsync/internal/object"
+	"randsync/internal/protocol"
 	"randsync/internal/sim"
 	"randsync/internal/universal"
 	"randsync/internal/valency"
@@ -53,19 +54,25 @@ func NewRegisterConsensus(n int, seed uint64) Consensus {
 // NewCounterConsensus returns randomized consensus from three counters
 // via Aspnes' random walk [7] (the published basis of Theorem 4.2).
 func NewCounterConsensus(n int, seed uint64) Consensus {
-	return consensus.NewCounterWalk(n, seed)
+	return consensus.New("counter-walk", protocol.NewCounterWalk(n), n, seed)
 }
 
 // NewFetchAddConsensus returns randomized consensus from a single
 // fetch&add register (Theorem 4.4).
 func NewFetchAddConsensus(n int, seed uint64) (Consensus, error) {
-	return consensus.NewPackedFetchAdd(n, seed)
+	return consensus.Resolve("packed-fetch&add", n, seed)
 }
 
 // NewCASConsensus returns deterministic n-process consensus from a single
-// compare&swap register (Herlihy [20]).
+// compare&swap register (Herlihy [20]), for any number of processes.
 func NewCASConsensus() Consensus {
-	return consensus.NewCAS()
+	return casConsensus(0)
+}
+
+// casConsensus runs the compare&swap step machine live; the machine reads
+// neither the process count n nor a coin, so any n serves.
+func casConsensus(n int) Consensus {
+	return consensus.New("cas", protocol.CASConsensus{}, n, 0)
 }
 
 // NewCompositionConsensus returns the Theorem 2.1 composition: the
@@ -145,7 +152,7 @@ type SharedObject = universal.Universal
 // operations (the log is preallocated for wait-freedom).
 func NewSharedObject(typ ObjectType, n, maxOps int, seed uint64) (*SharedObject, error) {
 	factory := func(n int, seed uint64) universal.BinaryConsensus {
-		return consensus.NewCAS()
+		return casConsensus(n)
 	}
 	return universal.New(typ, n, factory, universal.Options{MaxOps: maxOps, Seed: seed})
 }

@@ -74,6 +74,20 @@ go test -count=1 -timeout 5m \
 	./cmd/experiments/
 smoke 0 go run ./cmd/experiments -only e4
 expect -F -- '- counter-walk at n=3 (all schedules & coins): safe, exhaustively (124748 configs)'
+stage="live consensus smoke"
+# cmd/consensus runs the live protocols: the step machines of package
+# protocol, run by consensus.Machine, and the two live-only
+# constructions.  The fault-free table must show every default protocol
+# with its objects and registers columns; the chaos form exits non-zero
+# on any trial that breaks agreement, validity or wait-freedom.
+smoke 0 go run ./cmd/consensus -n 8 -trials 3
+expect -E '^cas +1 +0 '
+expect -E '^counter-walk +3 +0 '
+expect -E '^packed-fetch&add +1 +0 '
+expect -E '^registers +0 +26 '
+expect -E '^counter-walk/registers +0 +24 '
+smoke 0 go run ./cmd/consensus -n 8 -crash 2 -chaos-seed 7
+expect -F 'counter-walk/registers'
 stage="go test -race -short"
 go test -race -short -timeout 10m ./...
 stage="dist race (full, internal/dist)"
