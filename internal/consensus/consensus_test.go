@@ -208,8 +208,11 @@ func TestObjectAccounting(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestPackedFetchAddRejectsHugeN(t *testing.T) {
 	if _, err := Resolve("packed-fetch&add", protocol.MaxPackedN+1, 1); err == nil {
-		t.Error("packed-fetch&add resolved above protocol.MaxPackedN")
+		t.Fatal("packed-fetch&add resolved above protocol.MaxPackedN")
 	}
 }
 
