@@ -26,15 +26,16 @@ import (
 //   - spillTier: the cold half of the visited set.  A shard owner
 //     writes the keys it admitted since its last write as one sorted run
 //     file — entries ordered by (fingerprint, key), grouped into
-//     checksummed block frames, with an in-memory block index and a
-//     per-run bloom filter — at every checkpoint cut (RAM keeps them)
-//     and when its interned key bytes exceed its hot budget (RAM is then
-//     dropped and the shard is cold).  Each key is written once.  Only a
-//     cold shard's RAM miss probes the runs, newest-first: bloom test,
-//     binary search of the block index, one bounded checksum-verified
-//     block read into the shard's own buffer, and a scan of the block
-//     where it lies — no allocation.  When a shard accumulates too many
-//     runs they are stream-merged into one.
+//     checksummed block frames of runBlockEntries entries, with an
+//     in-memory block index and a per-run bloom filter — at every
+//     checkpoint cut (RAM keeps them) and when its interned key bytes
+//     exceed its hot budget (RAM is then dropped and the shard is cold).
+//     Each key is written once.  Only a cold shard's RAM miss probes the
+//     runs, newest-first: bloom test, binary search of the block index,
+//     one bounded checksum-verified block read (~1.1 KiB for
+//     counter-walk's keys) into the shard's own buffer, and a scan of
+//     the block where it lies — no allocation.  When a shard accumulates
+//     too many runs they are stream-merged into one.
 //   - spillQueue: the cold half of the frontier.  A worker whose pending
 //     queue runs deep spills the oldest half to a segment file (items
 //     encoded by the caller — the valency engine uses the compact
@@ -74,18 +75,25 @@ const spillVersion = 1
 // runBlockEntries is the number of entries per run block frame a writer
 // emits.  A probe reads and checksums one whole block, so the block is
 // the unit of probe cost, and in a graph search most probes are hits
-// that no bloom filter can skip: 256 entries is ~9 KiB read and hashed
-// per probe for counter-walk's ~24-byte keys.  What the block size buys
-// is the RAM block index: 24 bytes per block = 0.09 B per entry, beside
-// a bloom filter that costs 2–4 B per entry.  Smaller blocks trade that
-// RAM for probe time (32 entries: ~1.1 KiB per probe and 0.75 B per
-// entry, measured 2.4x faster on a probe-bound job; see DESIGN.md §6) —
-// a retune readers are already prepared for, below.
-const runBlockEntries = 256
+// that no bloom filter can skip.  What a larger block buys is a smaller
+// RAM block index: 24 bytes per block, beside a bloom filter that costs
+// 2–4 B per entry.  Measured on the benchmark's spill-evict job
+// (counter-walk n=3, 64 KiB hot set, 2 workers on 2 vCPUs; DESIGN.md §6):
+//
+//	entries  verdict p50  bytes per block read  index per cold entry
+//	     16      0.125 s                  567 B                1.5 B
+//	     32      0.149 s                1,122 B               0.75 B
+//	     64      0.182 s                2,226 B               0.38 B
+//	    256      0.401 s                8,656 B               0.09 B
+//
+// 32 is the knee: halving it again buys ~15 % for twice the index RAM.
+const runBlockEntries = 32
 
 // maxRunBlockEntries is the largest block a reader accepts.  Readers
 // take any count up to it, so a run file resumes whatever block size its
-// writer used and the writer's choice can move without a format change.
+// writer used (spill directories written before runBlockEntries was 32
+// hold 256-entry blocks) and the writers' choice can move without a
+// format change.
 const maxRunBlockEntries = 256
 
 // runWriteChunk is how many encoded bytes a run writer gathers before
@@ -161,8 +169,8 @@ type tierBlock struct {
 }
 
 // tierRun is one sorted run file: the on-disk entries plus the RAM-side
-// lookup structures (bloom filter 2–4 bytes and block index 0.09 bytes
-// per entry).
+// lookup structures (bloom filter 2–4 bytes and block index 0.75 bytes
+// per entry at runBlockEntries).
 type tierRun struct {
 	name   string
 	count  int64
@@ -198,7 +206,8 @@ type spillTier struct {
 	shards []tierShard
 
 	// blockEntries is the writers' block size: runBlockEntries, except in
-	// tests that want a small run cut into many blocks.
+	// tests that write another layout (the 256-entry blocks of older run
+	// files, or blocks small enough to cut a tiny run into many).
 	blockEntries int64
 
 	// deferDelete keeps superseded files on disk until the next durable

@@ -486,11 +486,12 @@ func rewriteRunLayout(t *testing.T, path string, per int) int {
 }
 
 // TestSpillResumeOtherBlockLayout: run files laid out by another writer
-// — 256-entry blocks written one frame at a time, as before the run
-// writer gathered frames into chunks, and 32-entry blocks, as a writer
-// with a smaller block size would (spillVersion is the same for all) —
 // and named by a manifest must resume, to the census and completion of
-// an uninterrupted run.
+// an uninterrupted run.  The 256-entry row is a spill directory written
+// before writers cut blocks at 32 entries (spillVersion is the same for
+// both); the 32-entry row is today's block size.  Both are written one
+// frame at a time, as before the run writer gathered frames into
+// chunks.
 func TestSpillResumeOtherBlockLayout(t *testing.T) {
 	for _, per := range []int{256, 32} {
 		t.Run(fmt.Sprintf("%d-entry-blocks", per), func(t *testing.T) { testSpillResumeOtherBlockLayout(t, per) })

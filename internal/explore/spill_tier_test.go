@@ -74,7 +74,7 @@ func sortRef(entries []RefEntry) {
 
 // FuzzSearchBlock: data is cut into a sorted entry set (tiny fingerprint
 // space, so collisions are the norm) and laid out twice — as one well-
-// formed block, and as a flushed run whose 32-entry blocks a fingerprint
+// formed block, and as a flushed run whose 8-entry blocks a fingerprint
 // may straddle — then probed for every entry, for neighbours of every
 // entry, and for (qfp, qkey); the in-place scan and the lookup built on
 // it must agree with the reference.  The same bytes are then presented
@@ -93,7 +93,7 @@ func FuzzSearchBlock(f *testing.F) {
 	f.Add(encodeBlockRef([]RefEntry{{1, 10, "k1"}, {1, 11, "k2"}, {5, 12, ""}}), uint64(1), []byte("k2"))
 	f.Add([]byte{}, uint64(0), []byte{})
 	// Forty keys under one fingerprint between two others: the
-	// fingerprint straddles the run's first two blocks.
+	// fingerprint straddles the run's first six blocks.
 	straddle := []byte{4, 1, 'a'}
 	for i := 0; i < 40; i++ {
 		straddle = append(straddle, 5, 1, byte(i))
@@ -121,7 +121,7 @@ func FuzzSearchBlock(f *testing.F) {
 			sortRef(entries)
 			payload := encodeBlockRef(entries)
 			tier := newSpillTier(newMemFS(), "d", 1, false)
-			tier.blockEntries = 32
+			tier.blockEntries = 8 // below runBlockEntries, so small inputs still span blocks
 			flushed := make([]spillEntry, len(entries))
 			for i, e := range entries {
 				flushed[i] = spillEntry{fp: e.FP, id: e.ID, key: []byte(e.Key)}
@@ -395,9 +395,10 @@ func TestSpillProbeBudget(t *testing.T) {
 
 // TestCompactionMatchesFlushOfUnion: the streamed merge of the runs of
 // five flushes must write byte for byte the file, and build field for
-// field the index, that one flush of all the entries would have.
+// field the index, that one flush of all the entries would have — in
+// the writers' layout and in the largest one readers accept.
 func TestCompactionMatchesFlushOfUnion(t *testing.T) {
-	for _, per := range []int64{runBlockEntries, 32} {
+	for _, per := range []int64{maxRunBlockEntries, runBlockEntries} {
 		t.Run(fmt.Sprintf("%d-entry-blocks", per), func(t *testing.T) { testCompactionMatchesFlushOfUnion(t, per) })
 	}
 }

@@ -99,31 +99,60 @@ func TestCheckSpillDifferential(t *testing.T) {
 // TestCheckSpillBeyondMemBudget is the acceptance criterion of the
 // tiered engine: a run the in-RAM checker truncates under a memory
 // budget completes under the same budget when spilling, with the
-// configuration count of an unbudgeted run.
+// configuration count of an unbudgeted run.  The counter-walk n=3 row
+// is the benchmark's spill-evict job; it also pins what a cold probe
+// reads, since a block read is the unit of that job's cost (~1.1 KiB
+// with 32-entry blocks, ~8.7 KiB with 256).
 func TestCheckSpillBeyondMemBudget(t *testing.T) {
-	proto := protocol.NewCounterWalk(2)
-	inputs := []int64{0, 1}
-	const memBudget = 2 << 10
-
-	full := valency.Check(proto, inputs, valency.Options{})
-	if !full.Complete {
-		t.Fatalf("reference run incomplete; enlarge the budget")
+	cases := []struct {
+		name          string
+		proto         sim.Protocol
+		inputs        []int64
+		workers       int
+		memBudget     int64
+		configs       int   // the unbudgeted run's count
+		maxBlockBytes int64 // per block read; 0 leaves probes unpinned
+	}{
+		{"counter-walk-2", protocol.NewCounterWalk(2), []int64{0, 1}, 0, 2 << 10, 0, 0},
+		{"counter-walk-3-spill-evict", protocol.NewCounterWalk(3), []int64{0, 1, 0}, 2, 64 << 10, 28499, 2 << 10},
 	}
-	truncated := valency.Check(proto, inputs, valency.Options{MemBudget: memBudget})
-	if truncated.Complete {
-		t.Fatalf("MemBudget %d did not truncate the in-RAM run (%d configs); tighten it", memBudget, truncated.Configs)
-	}
-	spilled, err := valency.CheckSpill(proto, inputs, valency.Options{
-		MemBudget: memBudget, SpillDir: t.TempDir(), MaxConfigs: failFast(full),
-	})
-	if err != nil {
-		t.Fatalf("CheckSpill: %v", err)
-	}
-	if !spilled.Complete {
-		t.Fatalf("spill run incomplete under MemBudget %d", memBudget)
-	}
-	if spilled.Configs != full.Configs {
-		t.Fatalf("spill run explored %d configs, unbudgeted run %d", spilled.Configs, full.Configs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			full := valency.Check(tc.proto, tc.inputs, valency.Options{Workers: tc.workers})
+			if !full.Complete {
+				t.Fatalf("reference run incomplete; enlarge the budget")
+			}
+			if tc.configs != 0 && full.Configs != tc.configs {
+				t.Fatalf("unbudgeted run explored %d configs, want %d", full.Configs, tc.configs)
+			}
+			truncated := valency.Check(tc.proto, tc.inputs, valency.Options{Workers: tc.workers, MemBudget: tc.memBudget})
+			if truncated.Complete {
+				t.Fatalf("MemBudget %d did not truncate the in-RAM run (%d configs); tighten it", tc.memBudget, truncated.Configs)
+			}
+			spilled, err := valency.CheckSpill(tc.proto, tc.inputs, valency.Options{
+				Workers: tc.workers, MemBudget: tc.memBudget, SpillDir: t.TempDir(), MaxConfigs: failFast(full),
+			})
+			if err != nil {
+				t.Fatalf("CheckSpill: %v", err)
+			}
+			if !spilled.Complete {
+				t.Fatalf("spill run incomplete under MemBudget %d", tc.memBudget)
+			}
+			if spilled.Configs != full.Configs {
+				t.Fatalf("spill run explored %d configs, unbudgeted run %d", spilled.Configs, full.Configs)
+			}
+			if tc.maxBlockBytes == 0 {
+				return
+			}
+			sp := spilled.Stats.Spill
+			if sp == nil || sp.Lookups == 0 || sp.BlockReads == 0 {
+				t.Fatalf("the spill run never probed a cold shard: %+v", sp)
+			}
+			if per := sp.BlockBytes / sp.BlockReads; per > tc.maxBlockBytes {
+				t.Fatalf("%d bytes per block read (%d reads, %d bytes), want at most %d",
+					per, sp.BlockReads, sp.BlockBytes, tc.maxBlockBytes)
+			}
+		})
 	}
 }
 

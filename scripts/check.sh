@@ -171,12 +171,16 @@ stage="spill smoke (beyond-RAM engine)"
 # compaction and corruption drills ride a second focused invocation,
 # with checkd's shape (checkpoints, no hot budget): its kill rows, a
 # census that counts a key held in RAM and in a run once, and cuts
-# that persist each key once and never probe the disk.
+# that persist each key once and never probe the disk.  The cold-probe
+# pins ride along: a probe's allocation and read budget, compaction and
+# resume in both the writers' block layout and the older 256-entry one,
+# and (TestCheckSpillBeyondMemBudget's spill-evict row) at most 2 KiB
+# read per block on the benchmark's job.
 go test -race -short -count=1 -timeout 15m \
 	-run 'TestCheckSpillBeyondMemBudget|TestCheckSpillFaultSoak|TestCheckAllInputsSpillKillResume|TestSpillRefusesDirtyDir' \
 	./internal/valency/
 go test -race -short -count=1 -timeout 10m \
-	-run 'TestSpillKillResume|TestSpillFaultSoak|TestSpillResumeRefusesCorruption|TestSpillCheckpointCleanFinish|TestSpillCensusRetainedHotSet|TestSpillCheckpointPersistsOnce' \
+	-run 'TestSpillKillResume|TestSpillFaultSoak|TestSpillResumeRefusesCorruption|TestSpillCheckpointCleanFinish|TestSpillCensusRetainedHotSet|TestSpillCheckpointPersistsOnce|TestSpillProbeBudget|TestCompactionMatchesFlushOfUnion|TestSpillResumeOtherBlockLayout' \
 	./internal/explore/
 # End-to-end CLI drill: a budget that truncates the in-RAM run must
 # complete exhaustively ("SAFE") through -spill-dir.
