@@ -326,7 +326,7 @@ func e6() error {
 func coinWalk(n, k, trials int, seed uint64) (agree float64, meanMoves float64) {
 	agreed, totalMoves := 0, 0
 	for trial := 0; trial < trials; trial++ {
-		c := coin.New(coin.CounterPosition{C: runtime.NewCounter(nil)}, n, k)
+		c := coin.New(coin.CounterPosition{C: runtime.NewObject(object.CounterType{}, nil)}, n, k)
 		outcomes := make([]int64, n)
 		moves := make([]int, n)
 		var wg sync.WaitGroup

@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 
+	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
 
@@ -51,9 +52,9 @@ func main() {
 
 func run() error {
 	// The shared log: one compare&swap register per slot, initially empty.
-	log := make([]*runtime.CAS, slots)
+	log := make([]*runtime.Object, slots)
 	for i := range log {
-		log[i] = runtime.NewCAS(-1, nil)
+		log[i] = runtime.NewObject(object.CASType{Initial: -1}, nil)
 	}
 
 	// Clients race to commit commands into the lowest free slot.
@@ -68,7 +69,8 @@ func run() error {
 				for slot := 0; slot < slots; slot++ {
 					// One CAS decides the slot: first writer wins, and
 					// every loser learns the winning command.
-					if log[slot].CompareAndSwap(cl, -1, encode(cmd)) == -1 {
+					op := object.Op{Kind: object.CompareAndSwap, Arg: encode(cmd), Arg2: -1}
+					if log[slot].Do(cl, op) == -1 {
 						break // committed
 					}
 				}

@@ -15,6 +15,7 @@ import (
 	"math/rand/v2"
 
 	"randsync/internal/counting"
+	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
 
@@ -27,10 +28,11 @@ type Position interface {
 	Read(proc int) int64
 }
 
-// CounterPosition adapts a runtime.Counter (a single counter object, as in
-// Theorem 4.2's instance accounting).
+// CounterPosition adapts a counter object (object.CounterType: a single
+// counter, as in Theorem 4.2's instance accounting), moving it by |delta|
+// increments or decrements.
 type CounterPosition struct {
-	C *runtime.Counter
+	C *runtime.Object
 }
 
 var _ Position = CounterPosition{}
@@ -38,10 +40,10 @@ var _ Position = CounterPosition{}
 // Add implements Position.
 func (p CounterPosition) Add(proc int, delta int64) {
 	for ; delta > 0; delta-- {
-		p.C.Inc(proc)
+		p.C.Do(proc, object.Op{Kind: object.Inc})
 	}
 	for ; delta < 0; delta++ {
-		p.C.Dec(proc)
+		p.C.Do(proc, object.Op{Kind: object.Dec})
 	}
 }
 
@@ -93,15 +95,18 @@ func (p HookedPosition) Read(proc int) int64 {
 	return p.Pos.Read(proc)
 }
 
-// FetchAddPosition adapts a single fetch&add register (Theorem 4.4).
+// FetchAddPosition adapts a single fetch&add register (object.FetchAddType,
+// Theorem 4.4), moving it by one fetch&add of delta.
 type FetchAddPosition struct {
-	F *runtime.FetchAdd
+	F *runtime.Object
 }
 
 var _ Position = FetchAddPosition{}
 
 // Add implements Position.
-func (p FetchAddPosition) Add(proc int, delta int64) { p.F.FetchAdd(proc, delta) }
+func (p FetchAddPosition) Add(proc int, delta int64) {
+	p.F.Do(proc, object.Op{Kind: object.FetchAdd, Arg: delta})
+}
 
 // Read implements Position.
 func (p FetchAddPosition) Read(proc int) int64 { return p.F.Read(proc) }

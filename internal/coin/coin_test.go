@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"randsync/internal/counting"
+	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
 
@@ -37,10 +38,10 @@ func runTrial(t *testing.T, n int, mk func() Position, seed uint64) ([]int64, in
 func positions() map[string]func(n int) func() Position {
 	return map[string]func(n int) func() Position{
 		"counter": func(n int) func() Position {
-			return func() Position { return CounterPosition{C: runtime.NewCounter(nil)} }
+			return func() Position { return counterPosition() }
 		},
 		"fetchadd": func(n int) func() Position {
-			return func() Position { return FetchAddPosition{F: runtime.NewFetchAdd(0, nil)} }
+			return func() Position { return FetchAddPosition{F: runtime.NewObject(object.FetchAddType{}, nil)} }
 		},
 		"collect": func(n int) func() Position {
 			return func() Position { return CollectPosition{C: counting.NewCollectCounter(n)} }
@@ -80,7 +81,7 @@ func TestFlipTerminatesAndAgreesOften(t *testing.T) {
 // expected moves; assert a generous cap.
 func TestFlipSoloIsFastEnough(t *testing.T) {
 	const n = 4
-	c := New(CounterPosition{C: runtime.NewCounter(nil)}, n, 4)
+	c := New(counterPosition(), n, 4)
 	rng := rand.New(rand.NewPCG(7, 7))
 	_, moves := c.Flip(0, rng)
 	if moves > 100*(4*n)*(4*n) {
@@ -92,7 +93,7 @@ func TestFlipSoloIsFastEnough(t *testing.T) {
 func TestFlipBothOutcomesReachable(t *testing.T) {
 	seen := map[int64]bool{}
 	for seed := uint64(1); seed <= 40 && len(seen) < 2; seed++ {
-		c := New(CounterPosition{C: runtime.NewCounter(nil)}, 2, 3)
+		c := New(counterPosition(), 2, 3)
 		rng := rand.New(rand.NewPCG(seed, 0))
 		out, _ := c.Flip(0, rng)
 		seen[out] = true
@@ -111,7 +112,7 @@ func TestMovesGrowQuadratically(t *testing.T) {
 		total := 0
 		for trial := 0; trial < trials; trial++ {
 			_, moves := runTrial(t, n, func() Position {
-				return CounterPosition{C: runtime.NewCounter(nil)}
+				return counterPosition()
 			}, uint64(100+trial))
 			total += moves
 		}
@@ -129,7 +130,7 @@ func TestFlipBatchedTerminatesAndAgrees(t *testing.T) {
 	const n, trials = 6, 20
 	agree := 0
 	for trial := 0; trial < trials; trial++ {
-		c := New(CounterPosition{C: runtime.NewCounter(nil)}, n, 6)
+		c := New(counterPosition(), n, 6)
 		outcomes := make([]int64, n)
 		var wg sync.WaitGroup
 		for p := 0; p < n; p++ {
@@ -157,7 +158,7 @@ func TestFlipBatchedTerminatesAndAgrees(t *testing.T) {
 }
 
 func TestFlipBatchedDegenerateBatch(t *testing.T) {
-	c := New(CounterPosition{C: runtime.NewCounter(nil)}, 2, 3)
+	c := New(counterPosition(), 2, 3)
 	rng := rand.New(rand.NewPCG(5, 5))
 	out, moves := c.FlipBatched(0, rng, 0) // clamps to 1
 	if out != 0 && out != 1 {
@@ -177,14 +178,14 @@ func TestBatchingReducesReads(t *testing.T) {
 	movesPlain, movesBatched := 0, 0
 	{
 		r := 0
-		c := New(readCounter{CounterPosition{C: runtime.NewCounter(nil)}, &r}, 4, 4)
+		c := New(readCounter{counterPosition(), &r}, 4, 4)
 		rng := rand.New(rand.NewPCG(9, 9))
 		_, movesPlain = c.Flip(0, rng)
 		readsPlain = r
 	}
 	{
 		r := 0
-		c := New(readCounter{CounterPosition{C: runtime.NewCounter(nil)}, &r}, 4, 4)
+		c := New(readCounter{counterPosition(), &r}, 4, 4)
 		rng := rand.New(rand.NewPCG(9, 9))
 		_, movesBatched = c.FlipBatched(0, rng, 8)
 		readsBatched = r
@@ -208,4 +209,9 @@ type readCounter struct {
 func (r readCounter) Read(proc int) int64 {
 	*r.reads++
 	return r.Position.Read(proc)
+}
+
+// counterPosition returns a position over a fresh counter object.
+func counterPosition() CounterPosition {
+	return CounterPosition{C: runtime.NewObject(object.CounterType{}, nil)}
 }

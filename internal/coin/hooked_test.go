@@ -8,6 +8,7 @@ import (
 
 	"randsync/internal/coin"
 	"randsync/internal/fault"
+	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestHookedPositionFires(t *testing.T) {
 	var fired atomic.Int64
 	pos := coin.HookedPosition{
-		Pos:    coin.CounterPosition{C: runtime.NewCounter(nil)},
+		Pos:    coin.CounterPosition{C: runtime.NewObject(object.CounterType{}, nil)},
 		Before: func(proc int) { fired.Add(1) },
 	}
 	pos.Add(0, 2)
@@ -35,7 +36,7 @@ func TestCrashedWalkerSurvivorsAbsorb(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		inj := fault.NewInjector(n, fault.SingleCrash(0, int64(seed%13)), 0)
 		c := coin.New(coin.HookedPosition{
-			Pos:    coin.CounterPosition{C: runtime.NewCounter(nil)},
+			Pos:    coin.CounterPosition{C: runtime.NewObject(object.CounterType{}, nil)},
 			Before: inj.Point,
 		}, n, k)
 

@@ -36,6 +36,7 @@ import (
 	"randsync/internal/counting"
 	"randsync/internal/object"
 	"randsync/internal/protocol"
+	"randsync/internal/runtime"
 	"randsync/internal/sim"
 	"randsync/internal/zoo"
 )
@@ -125,31 +126,18 @@ func (m *meter) count(proc int, k int64) {
 // flips returns proc's coin-flip generator for a protocol seeded by seed.
 func flips(seed uint64, proc int) *rand.Rand { return rand.New(rand.NewPCG(seed, uint64(proc)+1)) }
 
-// cell is one live object's value, padded to a cache line so processes
-// working on different objects do not contend.
-type cell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
 // Machine runs a step machine (sim.Protocol) live: each Decide executes
 // the process's State.Action loop, applying every operation to a live
-// object, firing the meter and step hook once per operation, and
-// resolving every flip with the process's seeded generator.
-//
-// A live object is a compare&swap loop over its type's pure Apply: load,
-// apply, and publish the new value by compare&swap unless it is
-// unchanged.  That is linearizable for every single-word type (at the
-// load, or at the successful compare&swap), so the live objects execute
-// the very semantics the checker verified.
+// object (runtime.Object, which runs the type's checked Apply), firing
+// the meter and step hook once per operation, and resolving every flip
+// with the process's seeded generator.
 type Machine struct {
 	meter
 	name  string
 	proto sim.Protocol
 	n     int
 	seed  uint64
-	types []object.Type
-	cells []cell
+	objs  []*runtime.Object
 	// counters realise the objects as register-based counters instead
 	// (the Theorem 2.1 composition); nil for every other machine.
 	counters []*counting.SnapshotCounter
@@ -161,10 +149,9 @@ type Machine struct {
 // n is the process count every Init receives; proto's objects start at
 // their types' initial values.
 func New(name string, proto sim.Protocol, n int, seed uint64) *Machine {
-	m := &Machine{name: name, proto: proto, n: n, seed: seed, types: proto.Objects()}
-	m.cells = make([]cell, len(m.types))
-	for i, t := range m.types {
-		m.cells[i].v.Store(t.Init())
+	m := &Machine{name: name, proto: proto, n: n, seed: seed}
+	for _, t := range proto.Objects() {
+		m.objs = append(m.objs, runtime.NewObject(t, nil))
 		if _, ok := t.(object.RegisterType); ok {
 			m.registers++
 		} else {
@@ -181,7 +168,7 @@ func New(name string, proto sim.Protocol, n int, seed uint64) *Machine {
 // bounds, which no legal execution reaches.
 func NewCounterWalkFromRegisters(n int, seed uint64) *Machine {
 	m := New("counter-walk/registers", protocol.NewCounterWalk(n), n, seed)
-	m.counters = make([]*counting.SnapshotCounter, len(m.types))
+	m.counters = make([]*counting.SnapshotCounter, len(m.objs))
 	m.objects, m.registers = 0, 0
 	for i := range m.counters {
 		m.counters[i] = counting.NewSnapshotCounter(n)
@@ -241,12 +228,5 @@ func (m *Machine) apply(proc, obj int, op object.Op) int64 {
 		}
 		return 0
 	}
-	v, typ := &m.cells[obj].v, m.types[obj]
-	for {
-		old := v.Load()
-		next, resp := typ.Apply(old, op)
-		if next == old || v.CompareAndSwap(old, next) {
-			return resp
-		}
-	}
+	return m.objs[obj].Do(proc, op)
 }

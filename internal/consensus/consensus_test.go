@@ -6,7 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"randsync/internal/linearizability"
 	"randsync/internal/protocol"
+	"randsync/internal/runtime"
 	"randsync/internal/sim"
 )
 
@@ -266,5 +268,53 @@ func TestLiveMatchesSimWorldShape(t *testing.T) {
 	}
 	if !liveSeen[0] || !liveSeen[1] {
 		t.Errorf("live outcomes: %v, want both", liveSeen)
+	}
+}
+
+// TestMachineObjectsLinearizable records every object of the live
+// compare&swap and sticky-bit machines at n = 8 and of the §4 warm-ups at
+// n = 2, runs each concurrently on mixed inputs, and requires every
+// object's whole history — every operation the machine applied — to
+// check linearizable against its type and every process to decide the
+// same input.
+func TestMachineObjectsLinearizable(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"cas", 8}, {"sticky", 8}, {"tas-2", 2}, {"swap-2", 2}, {"fetch&add-2", 2}, {"fetch&inc-2", 2}} {
+		t.Run(c.name, func(t *testing.T) {
+			for trial := range 20 {
+				m := resolve(t, c.name, c.n, uint64(trial+1)).(*Machine)
+				types := m.proto.Objects()
+				recs := make([]*runtime.Recorder, len(types))
+				for i, typ := range types {
+					recs[i] = &runtime.Recorder{}
+					m.objs[i] = runtime.NewObject(typ, recs[i])
+				}
+				inputs := make([]int64, c.n)
+				for i := range inputs {
+					inputs[i] = int64((i + trial) % 2)
+				}
+				checkOutcome(t, c.name, inputs, runConsensus(t, m, inputs))
+				recorded := 0
+				for i, rec := range recs {
+					h := rec.Ops()
+					recorded += len(h)
+					if len(h) > linearizability.MaxOps {
+						t.Fatalf("trial %d: object %d (%s) recorded %d ops, above MaxOps %d", trial, i, types[i].Name(), len(h), linearizability.MaxOps)
+					}
+					res, err := linearizability.Check(types[i], h)
+					if err != nil {
+						t.Fatalf("trial %d: object %d (%s): %v", trial, i, types[i].Name(), err)
+					}
+					if !res.Linearizable {
+						t.Fatalf("trial %d: object %d (%s): %d-op history not linearizable", trial, i, types[i].Name(), len(h))
+					}
+				}
+				if int64(recorded) != m.Ops() {
+					t.Fatalf("trial %d: recorded %d ops, the machine applied %d", trial, recorded, m.Ops())
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"randsync/internal/coin"
+	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
 
@@ -29,10 +30,10 @@ import (
 type Registers struct {
 	meter
 	n        int
-	a        []*runtime.Register
-	b        []*runtime.Register
-	coins    []*runtime.Register
-	proposed [2]*runtime.Register
+	a        []*runtime.Object
+	b        []*runtime.Object
+	coins    []*runtime.Object
+	proposed [2]*runtime.Object
 	seed     uint64
 }
 
@@ -43,19 +44,26 @@ const coinBarrier = 3
 func NewRegisters(n int, seed uint64) *Registers {
 	r := &Registers{
 		n:     n,
-		a:     make([]*runtime.Register, n),
-		b:     make([]*runtime.Register, n),
-		coins: make([]*runtime.Register, n),
+		a:     make([]*runtime.Object, n),
+		b:     make([]*runtime.Object, n),
+		coins: make([]*runtime.Object, n),
 		seed:  seed,
 	}
 	for i := 0; i < n; i++ {
-		r.a[i] = runtime.NewRegister(0, nil)
-		r.b[i] = runtime.NewRegister(0, nil)
-		r.coins[i] = runtime.NewRegister(0, nil)
+		r.a[i] = newRegister()
+		r.b[i] = newRegister()
+		r.coins[i] = newRegister()
 	}
-	r.proposed[0] = runtime.NewRegister(0, nil)
-	r.proposed[1] = runtime.NewRegister(0, nil)
+	r.proposed = [2]*runtime.Object{newRegister(), newRegister()}
 	return r
+}
+
+// newRegister returns a read-write register, initially 0.
+func newRegister() *runtime.Object { return runtime.NewObject(object.RegisterType{}, nil) }
+
+// write sets register reg to v on behalf of proc.
+func write(reg *runtime.Object, proc int, v int64) {
+	reg.Do(proc, object.Op{Kind: object.Write, Arg: v})
 }
 
 // Name implements Protocol.
@@ -100,7 +108,7 @@ type roundCoin struct {
 func (p *roundCoin) Add(proc int, delta int64) {
 	p.delta += delta
 	p.c.count(proc, 1)
-	p.c.coins[proc].Write(proc, packCoin(p.round, p.delta))
+	write(p.c.coins[proc], proc, packCoin(p.round, p.delta))
 }
 
 // Read implements coin.Position: a collect of n registers.
@@ -121,7 +129,7 @@ func (c *Registers) Decide(proc int, input int64) int64 {
 	for round := int64(1); ; round++ {
 		// Conciliator: mark, flip, maybe adopt.
 		c.count(proc, 1)
-		c.proposed[pref].Write(proc, round)
+		write(c.proposed[pref], proc, round)
 		flip, _ := coin.New(&roundCoin{c: c, round: round}, c.n, coinBarrier).Flip(proc, rng)
 		c.count(proc, 1)
 		if c.proposed[flip].Read(proc) >= round {
@@ -130,7 +138,7 @@ func (c *Registers) Decide(proc int, input int64) int64 {
 
 		// Adopt-commit phase 1.
 		c.count(proc, 1)
-		c.a[proc].Write(proc, rcPackA(round, pref))
+		write(c.a[proc], proc, rcPackA(round, pref))
 		c.count(proc, int64(c.n))
 		conflict := false
 		for j := 0; j < c.n; j++ {
@@ -142,7 +150,7 @@ func (c *Registers) Decide(proc int, input int64) int64 {
 
 		// Adopt-commit phase 2.
 		c.count(proc, 1)
-		c.b[proc].Write(proc, rcPackB(round, !conflict, pref))
+		write(c.b[proc], proc, rcPackB(round, !conflict, pref))
 		c.count(proc, int64(c.n))
 		anyHigher, anyFalseR := false, false
 		trueVal := int64(-1)

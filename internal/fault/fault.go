@@ -19,10 +19,10 @@
 //
 // An Injector realizes a plan through the injection points threaded
 // through the stack: consensus.Protocol.SetStepHook (protocol level),
-// runtime.Recorder.SetHook (object level) and coin.HookedPosition (coin
-// level).  The Run driver executes a protocol under injection with a
-// progress watchdog — per-process step budgets and a wall-clock deadline
-// — and certifies the wait-freedom contract on the survivors: all of
+// runtime.Recorder.SetHook (object level: it fires before every Do of a
+// recorded runtime.Object) and coin.HookedPosition (coin level).  Run
+// executes a protocol under injection with a progress watchdog —
+// per-process step budgets and a wall-clock deadline — and certifies the wait-freedom contract on the survivors: all of
 // them decide, on a common value, that is some process's input, within
 // budget.  Any failing run reproduces from its plan (seed included in
 // the violation), because the fault schedule is a pure function of the
@@ -240,8 +240,8 @@ type budgetSignal struct {
 // serves one run of one protocol instance: Point is called, on each
 // process's own goroutine, at every shared-memory operation boundary
 // (consensus.Protocol.SetStepHook wires this automatically; tests driving
-// runtime objects directly adapt runtime.Recorder.SetHook or
-// coin.HookedPosition to it).
+// a runtime.Object directly adapt its Recorder's SetHook, and coin walks
+// coin.HookedPosition, to it).
 type Injector struct {
 	n      int
 	budget int64

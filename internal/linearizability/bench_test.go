@@ -12,14 +12,14 @@ import (
 // counter history.
 func BenchmarkCheck(b *testing.B) {
 	rec := &runtime.Recorder{}
-	c := runtime.NewCounter(rec)
+	c := runtime.NewObject(object.CounterType{}, rec)
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				c.Inc(p)
+				c.Do(p, inc)
 				c.Read(p)
 			}
 		}(p)

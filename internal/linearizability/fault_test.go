@@ -42,7 +42,7 @@ func TestCounterHistoryUnderCrashAndStall(t *testing.T) {
 	const n, opsPer = 4, 12
 	for seed := uint64(1); seed <= 8; seed++ {
 		rec := &runtime.Recorder{}
-		c := runtime.NewCounter(rec)
+		c := runtime.NewObject(object.CounterType{}, rec)
 		plan := fault.Plan{Seed: seed, Events: []fault.Event{
 			{Proc: int(seed) % n, Kind: fault.Crash, AtOp: int64(seed % opsPer)},
 			{Proc: int(seed+1) % n, Kind: fault.Stall, AtOp: 2, Stall: 100 * time.Microsecond},
@@ -53,7 +53,7 @@ func TestCounterHistoryUnderCrashAndStall(t *testing.T) {
 				if i%3 == 2 {
 					c.Read(proc)
 				} else {
-					c.Inc(proc)
+					c.Do(proc, inc)
 				}
 			}
 		})
@@ -76,13 +76,13 @@ func TestCASHistoryUnderCrash(t *testing.T) {
 	const n = 4
 	for seed := uint64(1); seed <= 8; seed++ {
 		rec := &runtime.Recorder{}
-		cas := runtime.NewCAS(0, rec)
+		cas := runtime.NewObject(object.CASType{}, rec)
 		plan := fault.SingleCrash(int(seed)%n, int64(seed%5))
 		// 4 processes × 14 operations stays within the checker's MaxOps.
 		h := injectedHistory(t, rec, n, plan, func(proc int) {
 			for i := 0; i < 7; i++ {
 				prev := cas.Read(proc)
-				cas.CompareAndSwap(proc, prev, int64(proc+1))
+				cas.Do(proc, object.Op{Kind: object.CompareAndSwap, Arg: int64(proc + 1), Arg2: prev})
 			}
 		})
 		res, err := Check(object.CASType{}, h)

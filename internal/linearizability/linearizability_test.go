@@ -111,82 +111,59 @@ func TestUnsupportedOpRejected(t *testing.T) {
 	}
 }
 
-// TestLiveObjectsLinearizable hammers each recorded live object with
-// concurrent goroutines and checks the resulting history.
+// TestLiveObjectsLinearizable hammers one recorded live object of every
+// object type with concurrent goroutines, each issuing an op mix drawn
+// from the type's Ops, and checks the resulting history.
 func TestLiveObjectsLinearizable(t *testing.T) {
-	const procs, each = 4, 3 // 4*2*3 = 24 ops ≤ MaxOps
-
-	t.Run("register", func(t *testing.T) {
-		rec := &runtime.Recorder{}
-		r := runtime.NewRegister(0, rec)
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				r.Write(p, int64(p*100+i))
-				r.Read(p)
+	const procs, each = 4, 8 // 32 ops ≤ MaxOps
+	for _, row := range []struct {
+		name string
+		typ  object.Type
+	}{
+		{"register", object.RegisterType{}},
+		{"swap", object.SwapRegisterType{}},
+		{"tas", object.TestAndSetType{}},
+		{"counter", object.CounterType{}},
+		{"bounded-counter", object.BoundedCounterType{Lo: -2, Hi: 2}},
+		{"fetchadd", object.FetchAddType{}},
+		{"fetchinc", object.FetchIncType{}},
+		{"fetchdec", object.FetchDecType{}},
+		{"cas", object.CASType{}},
+		{"sticky", object.StickyBitType{}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rec := &runtime.Recorder{}
+			o := runtime.NewObject(row.typ, rec)
+			hammer(procs, func(p int) {
+				for i := 0; i < each; i++ {
+					o.Do(p, mixOp(row.typ, p, i))
+				}
+			})
+			if got := rec.Len(); got != procs*each || got > MaxOps {
+				t.Fatalf("recorded %d ops, want %d (MaxOps %d)", got, procs*each, MaxOps)
 			}
+			requireLinearizable(t, row.typ, rec)
 		})
-		requireLinearizable(t, object.RegisterType{}, rec)
-	})
+	}
+}
 
-	t.Run("swap", func(t *testing.T) {
-		rec := &runtime.Recorder{}
-		r := runtime.NewSwapRegister(0, rec)
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				r.Swap(p, int64(p*100+i))
-				r.Read(p)
-			}
-		})
-		requireLinearizable(t, object.SwapRegisterType{}, rec)
-	})
-
-	t.Run("counter", func(t *testing.T) {
-		rec := &runtime.Recorder{}
-		c := runtime.NewCounter(rec)
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				c.Inc(p)
-				c.Read(p)
-			}
-		})
-		requireLinearizable(t, object.CounterType{}, rec)
-	})
-
-	t.Run("fetchadd", func(t *testing.T) {
-		rec := &runtime.Recorder{}
-		f := runtime.NewFetchAdd(0, rec)
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				f.FetchAdd(p, int64(p+1))
-				f.Read(p)
-			}
-		})
-		requireLinearizable(t, object.FetchAddType{}, rec)
-	})
-
-	t.Run("cas", func(t *testing.T) {
-		rec := &runtime.Recorder{}
-		c := runtime.NewCAS(0, rec)
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				cur := c.Read(p)
-				c.CompareAndSwap(p, cur, cur+1)
-			}
-		})
-		requireLinearizable(t, object.CASType{}, rec)
-	})
-
-	t.Run("tas", func(t *testing.T) {
-		rec := &runtime.Recorder{}
-		x := runtime.NewTestAndSet(rec)
-		hammer(procs, func(p int) {
-			for i := 0; i < each; i++ {
-				x.TestAndSet(p)
-				x.Read(p)
-			}
-		})
-		requireLinearizable(t, object.TestAndSetType{}, rec)
-	})
+// mixOp is process p's i-th operation on an object of typ: the kinds of
+// typ.Ops() in turn, offset by p so that the processes overlap different
+// kinds, with arguments that make the nontrivial operations race (each
+// round of compare&swaps contends for the same expected value).
+func mixOp(typ object.Type, p, i int) object.Op {
+	kinds := typ.Ops()
+	op := object.Op{Kind: kinds[(p+i)%len(kinds)]}
+	switch op.Kind {
+	case object.Write, object.Swap, object.Stick:
+		op.Arg = int64(p*16 + i + 1)
+	case object.FetchAdd:
+		op.Arg = int64(p + 1)
+	case object.CompareAndSwap:
+		round := int64(i / len(kinds))
+		op.Arg2, op.Arg = round, round+1
+	}
+	return op
 }
 
 // brokenCounter increments non-atomically (load, then store): a lost
@@ -243,12 +220,12 @@ func (b *brokenCounter) read(p int) int64 {
 func TestCheckWindowsLongHistory(t *testing.T) {
 	const procs, rounds = 4, 40 // 320 ops, far above MaxOps
 	rec := &runtime.Recorder{}
-	c := runtime.NewCounter(rec)
+	c := runtime.NewObject(object.CounterType{}, rec)
 	// Sequential phases with concurrency inside each phase create
 	// quiescent cuts for the windowing.
 	for round := 0; round < rounds; round++ {
 		hammer(procs, func(p int) {
-			c.Inc(p)
+			c.Do(p, inc)
 			c.Read(p)
 		})
 	}
@@ -261,15 +238,20 @@ func TestCheckWindowsLongHistory(t *testing.T) {
 	}
 }
 
+// hammer runs body(p) for procs goroutines, released together so that
+// their operations overlap.
 func hammer(procs int, body func(p int)) {
-	var wg sync.WaitGroup
+	var wg, start sync.WaitGroup
+	start.Add(1)
 	for p := 0; p < procs; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			start.Wait()
 			body(p)
 		}(p)
 	}
+	start.Done()
 	wg.Wait()
 }
 
@@ -283,27 +265,4 @@ func requireLinearizable(t *testing.T, typ object.Type, rec *runtime.Recorder) {
 		t.Fatalf("%s: recorded history not linearizable (%d ops, %d states explored)",
 			typ.Name(), rec.Len(), res.Explored)
 	}
-}
-
-func TestStickyBitLinearizable(t *testing.T) {
-	const procs = 4
-	rec := &runtime.Recorder{}
-	s := runtime.NewStickyBit(rec)
-	hammer(procs, func(p int) {
-		s.Stick(p, int64(p+1))
-		s.Read(p)
-	})
-	requireLinearizable(t, object.StickyBitType{}, rec)
-}
-
-func TestBoundedCounterLinearizable(t *testing.T) {
-	const procs = 4
-	rec := &runtime.Recorder{}
-	b := runtime.NewBoundedCounter(-6, 6, rec)
-	hammer(procs, func(p int) {
-		b.Inc(p)
-		b.Read(p)
-		b.Dec(p)
-	})
-	requireLinearizable(t, object.BoundedCounterType{Lo: -6, Hi: 6}, rec)
 }

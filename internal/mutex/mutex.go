@@ -1,5 +1,5 @@
 // Package mutex implements classical shared-memory mutual exclusion
-// algorithms over the objects of package runtime.
+// algorithms over live shared objects (runtime.Object).
 //
 // The paper's proof technique descends from Burns and Lynch's lower bound
 // on the number of read-write registers needed for mutual exclusion [14]
@@ -24,6 +24,7 @@ package mutex
 import (
 	"fmt"
 
+	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
 
@@ -44,18 +45,26 @@ type Lock interface {
 // processes from n single-bit read-write registers.
 type Burns struct {
 	n    int
-	flag []*runtime.Register
+	flag []*runtime.Object
 }
 
 var _ Lock = (*Burns)(nil)
 
 // NewBurns returns a Burns lock for n processes.
 func NewBurns(n int) *Burns {
-	b := &Burns{n: n, flag: make([]*runtime.Register, n)}
+	b := &Burns{n: n, flag: make([]*runtime.Object, n)}
 	for i := range b.flag {
-		b.flag[i] = runtime.NewRegister(0, nil)
+		b.flag[i] = newRegister()
 	}
 	return b
+}
+
+// newRegister returns a read-write register, initially 0.
+func newRegister() *runtime.Object { return runtime.NewObject(object.RegisterType{}, nil) }
+
+// write sets register reg to v on behalf of proc.
+func write(reg *runtime.Object, proc int, v int64) {
+	reg.Do(proc, object.Op{Kind: object.Write, Arg: v})
 }
 
 // Name implements Lock.
@@ -67,11 +76,11 @@ func (b *Burns) Registers() int { return b.n }
 // Lock implements Lock.
 func (b *Burns) Lock(proc int) {
 	for {
-		b.flag[proc].Write(proc, 0)
+		write(b.flag[proc], proc, 0)
 		if b.anySet(proc, 0, proc) {
 			continue
 		}
-		b.flag[proc].Write(proc, 1)
+		write(b.flag[proc], proc, 1)
 		if b.anySet(proc, 0, proc) {
 			continue
 		}
@@ -94,14 +103,14 @@ func (b *Burns) anySet(proc, lo, hi int) bool {
 
 // Unlock implements Lock.
 func (b *Burns) Unlock(proc int) {
-	b.flag[proc].Write(proc, 0)
+	write(b.flag[proc], proc, 0)
 }
 
 // Peterson is Peterson's two-process mutual exclusion from three
 // registers (two flags and a turn register).
 type Peterson struct {
-	flag [2]*runtime.Register
-	turn *runtime.Register
+	flag [2]*runtime.Object
+	turn *runtime.Object
 }
 
 var _ Lock = (*Peterson)(nil)
@@ -109,8 +118,8 @@ var _ Lock = (*Peterson)(nil)
 // NewPeterson returns a two-process Peterson lock.
 func NewPeterson() *Peterson {
 	return &Peterson{
-		flag: [2]*runtime.Register{runtime.NewRegister(0, nil), runtime.NewRegister(0, nil)},
-		turn: runtime.NewRegister(0, nil),
+		flag: [2]*runtime.Object{newRegister(), newRegister()},
+		turn: newRegister(),
 	}
 }
 
@@ -123,15 +132,15 @@ func (*Peterson) Registers() int { return 3 }
 // Lock implements Lock; proc must be 0 or 1.
 func (p *Peterson) Lock(proc int) {
 	other := 1 - proc
-	p.flag[proc].Write(proc, 1)
-	p.turn.Write(proc, int64(other))
+	write(p.flag[proc], proc, 1)
+	write(p.turn, proc, int64(other))
 	for p.flag[other].Read(proc) == 1 && p.turn.Read(proc) == int64(other) {
 	}
 }
 
 // Unlock implements Lock.
 func (p *Peterson) Unlock(proc int) {
-	p.flag[proc].Write(proc, 0)
+	write(p.flag[proc], proc, 0)
 }
 
 // Tournament lifts Peterson's algorithm to n processes with a binary tree
@@ -201,14 +210,14 @@ func (t *Tournament) Unlock(proc int) {
 // one historyless object.  Mutual exclusion from one historyless object is
 // easy; the paper's point is that wait-free consensus is not.
 type SpinLock struct {
-	s *runtime.SwapRegister
+	s *runtime.Object
 }
 
 var _ Lock = (*SpinLock)(nil)
 
 // NewSpinLock returns a swap-register spin lock.
 func NewSpinLock() *SpinLock {
-	return &SpinLock{s: runtime.NewSwapRegister(0, nil)}
+	return &SpinLock{s: runtime.NewObject(object.SwapRegisterType{}, nil)}
 }
 
 // Name implements Lock.
@@ -222,7 +231,7 @@ func (l *SpinLock) Lock(proc int) {
 	for {
 		for l.s.Read(proc) == 1 {
 		}
-		if l.s.Swap(proc, 1) == 0 {
+		if l.s.Do(proc, object.Op{Kind: object.Swap, Arg: 1}) == 0 {
 			return
 		}
 	}
@@ -230,5 +239,5 @@ func (l *SpinLock) Lock(proc int) {
 
 // Unlock implements Lock.
 func (l *SpinLock) Unlock(proc int) {
-	l.s.Write(proc, 0)
+	write(l.s, proc, 0)
 }

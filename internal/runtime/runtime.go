@@ -1,13 +1,14 @@
-// Package runtime provides live (goroutine-world) implementations of the
-// paper's shared-object types over sync/atomic: linearizable read-write
-// registers, swap registers, test&set registers, counters, fetch&add /
-// fetch&increment / fetch&decrement registers, and compare&swap registers.
+// Package runtime provides the live (goroutine-world) shared object: one
+// linearizable location of any object.Type over sync/atomic.  An Object
+// applies its type's own Apply — the sequential semantics package valency
+// checks over every schedule — so the live world runs the code the
+// checker verified rather than a hand-written copy of it.
 //
-// These are the realistic substrate for the benchmark harness and the
-// example applications; their simulator-world duals live in package
-// object.  Every type supports optional history recording (Recorder) so
-// that executions can be checked for linearizability — the correctness
-// condition §2 assumes of all shared objects — by package linearizability.
+// consensus.Machine, the weak shared coin (package coin), the hand-written
+// register consensus, package mutex and the examples run on Objects.  An
+// Object can record its history (Recorder) so that executions can be
+// checked for linearizability — the correctness condition §2 assumes of
+// all shared objects — by package linearizability.
 package runtime
 
 import (
@@ -84,320 +85,47 @@ func (r *Recorder) Len() int {
 	return len(r.ops)
 }
 
-// Register is a linearizable read-write register.
-type Register struct {
-	v   atomic.Int64
+// Object is a live shared object of one object.Type: a single word,
+// padded to a 64-byte cache line so processes working on different
+// objects do not contend, holding the type's value.
+type Object struct {
+	typ object.Type
 	rec *Recorder
-}
-
-// NewRegister returns a register with the given initial value, recording
-// to rec if non-nil.
-func NewRegister(init int64, rec *Recorder) *Register {
-	r := &Register{rec: rec}
-	r.v.Store(init)
-	return r
-}
-
-// Read returns the current value.  proc identifies the calling process for
-// history recording.
-func (r *Register) Read(proc int) int64 {
-	return r.rec.Record(proc, object.Op{Kind: object.Read}, r.v.Load)
-}
-
-// Write sets the value.
-func (r *Register) Write(proc int, v int64) {
-	r.rec.Record(proc, object.Op{Kind: object.Write, Arg: v}, func() int64 {
-		r.v.Store(v)
-		return 0
-	})
-}
-
-// SwapRegister is a register with an additional atomic Swap; like the
-// register it is historyless.
-type SwapRegister struct {
 	v   atomic.Int64
-	rec *Recorder
+	_   [32]byte
 }
 
-// NewSwapRegister returns a swap register with the given initial value.
-func NewSwapRegister(init int64, rec *Recorder) *SwapRegister {
-	r := &SwapRegister{rec: rec}
-	r.v.Store(init)
-	return r
+// NewObject returns an object of type typ at typ.Init(), recording its
+// history to rec if rec is non-nil.
+func NewObject(typ object.Type, rec *Recorder) *Object {
+	o := &Object{typ: typ, rec: rec}
+	o.v.Store(typ.Init())
+	return o
 }
 
-// Read returns the current value.
-func (r *SwapRegister) Read(proc int) int64 {
-	return r.rec.Record(proc, object.Op{Kind: object.Read}, r.v.Load)
-}
-
-// Write sets the value.
-func (r *SwapRegister) Write(proc int, v int64) {
-	r.rec.Record(proc, object.Op{Kind: object.Write, Arg: v}, func() int64 {
-		r.v.Store(v)
-		return 0
-	})
-}
-
-// Swap sets the value to v and returns the previous value.
-func (r *SwapRegister) Swap(proc int, v int64) int64 {
-	return r.rec.Record(proc, object.Op{Kind: object.Swap, Arg: v}, func() int64 {
-		return r.v.Swap(v)
-	})
-}
-
-// TestAndSet is a test&set register: value set {0,1}, initially 0.
-type TestAndSet struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewTestAndSet returns a test&set register, initially 0.
-func NewTestAndSet(rec *Recorder) *TestAndSet {
-	return &TestAndSet{rec: rec}
-}
-
-// TestAndSet sets the value to 1 and returns the previous value.
-func (t *TestAndSet) TestAndSet(proc int) int64 {
-	return t.rec.Record(proc, object.Op{Kind: object.TestAndSet}, func() int64 {
-		return t.v.Swap(1)
-	})
-}
-
-// Read returns the current value.
-func (t *TestAndSet) Read(proc int) int64 {
-	return t.rec.Record(proc, object.Op{Kind: object.Read}, t.v.Load)
-}
-
-// Counter is a linearizable counter (§2): Inc, Dec, Reset and Read.
-type Counter struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewCounter returns a counter, initially 0.
-func NewCounter(rec *Recorder) *Counter {
-	return &Counter{rec: rec}
-}
-
-// Inc increments the counter.
-func (c *Counter) Inc(proc int) {
-	c.rec.Record(proc, object.Op{Kind: object.Inc}, func() int64 {
-		c.v.Add(1)
-		return 0
-	})
-}
-
-// Dec decrements the counter.
-func (c *Counter) Dec(proc int) {
-	c.rec.Record(proc, object.Op{Kind: object.Dec}, func() int64 {
-		c.v.Add(-1)
-		return 0
-	})
-}
-
-// Reset sets the counter to 0.
-func (c *Counter) Reset(proc int) {
-	c.rec.Record(proc, object.Op{Kind: object.Reset}, func() int64 {
-		c.v.Store(0)
-		return 0
-	})
-}
-
-// Read returns the current value.
-func (c *Counter) Read(proc int) int64 {
-	return c.rec.Record(proc, object.Op{Kind: object.Read}, c.v.Load)
-}
-
-// FetchAdd is a fetch&add register.
-type FetchAdd struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewFetchAdd returns a fetch&add register with the given initial value.
-func NewFetchAdd(init int64, rec *Recorder) *FetchAdd {
-	f := &FetchAdd{rec: rec}
-	f.v.Store(init)
-	return f
-}
-
-// FetchAdd adds delta and returns the previous value.
-func (f *FetchAdd) FetchAdd(proc int, delta int64) int64 {
-	return f.rec.Record(proc, object.Op{Kind: object.FetchAdd, Arg: delta}, func() int64 {
-		return f.v.Add(delta) - delta
-	})
-}
-
-// Read returns the current value.
-func (f *FetchAdd) Read(proc int) int64 {
-	return f.rec.Record(proc, object.Op{Kind: object.Read}, f.v.Load)
-}
-
-// FetchInc is a fetch&increment register (Theorem 4.4 lists it as a
-// single-instance solution to randomized consensus alongside fetch&add).
-type FetchInc struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewFetchInc returns a fetch&increment register, initially 0.
-func NewFetchInc(rec *Recorder) *FetchInc {
-	return &FetchInc{rec: rec}
-}
-
-// FetchInc increments the value and returns the previous value.
-func (f *FetchInc) FetchInc(proc int) int64 {
-	return f.rec.Record(proc, object.Op{Kind: object.FetchInc}, func() int64 {
-		return f.v.Add(1) - 1
-	})
-}
-
-// FetchDec is a fetch&decrement register.
-type FetchDec struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewFetchDec returns a fetch&decrement register, initially 0.
-func NewFetchDec(rec *Recorder) *FetchDec {
-	return &FetchDec{rec: rec}
-}
-
-// FetchDec decrements the value and returns the previous value.
-func (f *FetchDec) FetchDec(proc int) int64 {
-	return f.rec.Record(proc, object.Op{Kind: object.FetchDec}, func() int64 {
-		return f.v.Add(-1) + 1
-	})
-}
-
-// CAS is a compare&swap register.
-type CAS struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewCAS returns a compare&swap register with the given initial value.
-func NewCAS(init int64, rec *Recorder) *CAS {
-	c := &CAS{rec: rec}
-	c.v.Store(init)
-	return c
-}
-
-// CompareAndSwap sets the value to new if it equals expected, returning
-// the previous value either way (the §2 semantics, from which success is
-// prev == expected).
-func (c *CAS) CompareAndSwap(proc int, expected, new int64) int64 {
-	op := object.Op{Kind: object.CompareAndSwap, Arg: new, Arg2: expected}
-	return c.rec.Record(proc, op, func() int64 {
-		for {
-			cur := c.v.Load()
-			if cur != expected {
-				return cur
-			}
-			if c.v.CompareAndSwap(expected, new) {
-				return expected
-			}
-		}
-	})
-}
-
-// Read returns the current value.
-func (c *CAS) Read(proc int) int64 {
-	return c.rec.Record(proc, object.Op{Kind: object.Read}, c.v.Load)
-}
-
-// StickyBit is a sticky bit: initially unset (0); the first Stick fixes
-// the value forever.  One sticky bit solves n-process consensus, like CAS.
-type StickyBit struct {
-	v   atomic.Int64
-	rec *Recorder
-}
-
-// NewStickyBit returns an unset sticky bit.
-func NewStickyBit(rec *Recorder) *StickyBit {
-	return &StickyBit{rec: rec}
-}
-
-// Stick sets the value to v (which must be nonzero) if the bit is unset
-// and returns the stuck value either way.
-func (s *StickyBit) Stick(proc int, v int64) int64 {
-	return s.rec.Record(proc, object.Op{Kind: object.Stick, Arg: v}, func() int64 {
-		for {
-			if cur := s.v.Load(); cur != 0 {
-				return cur
-			}
-			if s.v.CompareAndSwap(0, v) {
-				return v
-			}
-		}
-	})
-}
-
-// Read returns the current value (0 if unset).
-func (s *StickyBit) Read(proc int) int64 {
-	return s.rec.Record(proc, object.Op{Kind: object.Read}, s.v.Load)
-}
-
-// BoundedCounter is a counter whose value wraps within [Lo, Hi] (§2's
-// bounded counter), implemented with a CAS loop.
-type BoundedCounter struct {
-	lo, hi int64
-	v      atomic.Int64
-	rec    *Recorder
-}
-
-// NewBoundedCounter returns a bounded counter over [lo, hi], starting at 0
-// if it lies in range and at lo otherwise.
-func NewBoundedCounter(lo, hi int64, rec *Recorder) *BoundedCounter {
-	b := &BoundedCounter{lo: lo, hi: hi, rec: rec}
-	init := int64(0)
-	if lo > 0 || hi < 0 {
-		init = lo
+// Do performs op on behalf of proc and returns its response.  It loads
+// the value, applies the type's Apply, and publishes the new value by
+// compare&swap unless it is unchanged, retrying from the load when
+// another process published first.  That is linearizable for every
+// single-word type — at the load when the value is unchanged, at the
+// successful compare&swap otherwise.  Like Apply, Do panics on an op the
+// type does not support.
+func (o *Object) Do(proc int, op object.Op) int64 {
+	if o.rec == nil {
+		return o.apply(op)
 	}
-	b.v.Store(init)
-	return b
+	return o.rec.Record(proc, op, func() int64 { return o.apply(op) })
 }
 
-// wrap reduces x into [lo, hi].
-func (b *BoundedCounter) wrap(x int64) int64 {
-	size := b.hi - b.lo + 1
-	x = (x - b.lo) % size
-	if x < 0 {
-		x += size
-	}
-	return x + b.lo
-}
+// Read returns the current value.
+func (o *Object) Read(proc int) int64 { return o.Do(proc, object.Op{Kind: object.Read}) }
 
-// add applies a wrapped delta atomically.
-func (b *BoundedCounter) add(delta int64) {
+func (o *Object) apply(op object.Op) int64 {
 	for {
-		cur := b.v.Load()
-		if b.v.CompareAndSwap(cur, b.wrap(cur+delta)) {
-			return
+		old := o.v.Load()
+		next, resp := o.typ.Apply(old, op)
+		if next == old || o.v.CompareAndSwap(old, next) {
+			return resp
 		}
 	}
-}
-
-// Inc increments the counter, wrapping at Hi.
-func (b *BoundedCounter) Inc(proc int) {
-	b.rec.Record(proc, object.Op{Kind: object.Inc}, func() int64 { b.add(1); return 0 })
-}
-
-// Dec decrements the counter, wrapping at Lo.
-func (b *BoundedCounter) Dec(proc int) {
-	b.rec.Record(proc, object.Op{Kind: object.Dec}, func() int64 { b.add(-1); return 0 })
-}
-
-// Reset sets the counter to the wrapped zero.
-func (b *BoundedCounter) Reset(proc int) {
-	b.rec.Record(proc, object.Op{Kind: object.Reset}, func() int64 {
-		b.v.Store(b.wrap(0))
-		return 0
-	})
-}
-
-// Read returns the current value.
-func (b *BoundedCounter) Read(proc int) int64 {
-	return b.rec.Record(proc, object.Op{Kind: object.Read}, b.v.Load)
 }

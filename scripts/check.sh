@@ -88,6 +88,17 @@ expect -E '^registers +0 +26 '
 expect -E '^counter-walk/registers +0 +24 '
 smoke 0 go run ./cmd/consensus -n 8 -crash 2 -chaos-seed 7
 expect -F 'counter-walk/registers'
+stage="live objects linearizable (E10, race)"
+# E10 under the race detector: one recorded runtime.Object of each of the
+# ten object types, hammered with an op mix from its type's Ops, must
+# check linearizable; the checker must still catch a broken counter (also
+# under fault injection) and check long histories by windows; and every
+# object of the live cas and sticky Machines (n = 8) and of the four n = 2
+# warm-ups, recorded whole, must check linearizable while the processes
+# agree.
+go test -race -count=1 -timeout 5m \
+	-run 'TestLiveObjectsLinearizable|TestCheckerDetectsBrokenCounter|TestCheckWindowsLongHistory|TestBrokenObjectCaughtUnderInjection|TestMachineObjectsLinearizable' \
+	./internal/linearizability/ ./internal/consensus/
 stage="go test -race -short"
 go test -race -short -timeout 10m ./...
 stage="dist race (full, internal/dist)"
