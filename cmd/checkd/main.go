@@ -4,10 +4,9 @@
 //
 //	checkd -data /var/lib/checkd -listen 127.0.0.1:8347
 //
-// Jobs are submitted as JSON (POST /v1/jobs), scheduled across the
-// in-process disk-tiered engine and an in-process loopback distributed
-// cluster with per-tenant round-robin fairness, and their verdict
-// documents land in a content-addressed artifact store under -data
+// Jobs are submitted as JSON (POST /v1/jobs), run on the in-process
+// disk-tiered engine with per-tenant round-robin fairness, and their
+// verdict documents land in a content-addressed artifact store under -data
 // (GET /v1/artifacts/{hash}).  Jobs carry optional deadlines and can be
 // cancelled (DELETE /v1/jobs/{id}); transient engine failures retry
 // with capped seeded backoff from the engine checkpoint; per-tenant
@@ -16,7 +15,8 @@
 // per-tenant depth/retry summaries.  SIGINT/SIGTERM drains running
 // jobs to their engine checkpoints before exit; restarting the daemon
 // over the same -data directory re-queues and resumes every unfinished
-// job.
+// job (one whose checkpoint the restarted daemon cannot resume, say
+// under another -workers, starts over from its spec).
 //
 // -listen accepts ":0" for an ephemeral port; -addr-file then writes
 // the bound address for scripts to pick up, which is how the smoke
@@ -51,10 +51,8 @@ func run(args []string) error {
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving")
 	dataDir := fs.String("data", "", "data directory for job records, checkpoints and artifacts (required)")
 	maxActive := fs.Int("max-active", 2, "jobs running concurrently")
-	workers := fs.Int("workers", 2, "local-engine pool width per job")
-	distWorkers := fs.Int("dist-workers", 2, "loopback cluster width for engine=dist jobs")
-	spillEvery := fs.Int("spill-checkpoint-every", 4096, "local-engine admissions between checkpoints")
-	distEvery := fs.Int("dist-checkpoint-every", 16, "dist-engine acknowledged batches (up to 128 frontier items each) between checkpoints")
+	workers := fs.Int("workers", 2, "engine pool width per job")
+	spillEvery := fs.Int("spill-checkpoint-every", 4096, "engine admissions between checkpoints")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "how long shutdown waits for running jobs to reach a checkpoint")
 	maxQueuedTenant := fs.Int("max-queued-per-tenant", 64, "queued jobs one tenant may hold, 0 = unlimited (429 over quota)")
 	maxActiveTenant := fs.Int("max-active-per-tenant", 0, "running jobs one tenant may hold, 0 = unlimited")
@@ -75,9 +73,7 @@ func run(args []string) error {
 		DataDir:              *dataDir,
 		MaxActive:            *maxActive,
 		Workers:              *workers,
-		DistWorkers:          *distWorkers,
 		SpillCheckpointEvery: *spillEvery,
-		DistCheckpointEvery:  *distEvery,
 		MaxQueuedPerTenant:   *maxQueuedTenant,
 		MaxActivePerTenant:   *maxActiveTenant,
 		MaxQueue:             *maxQueue,

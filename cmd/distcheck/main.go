@@ -24,8 +24,9 @@
 // loopback mode.
 //
 // -submit hands the job to a running checkd daemon instead of checking
-// locally: the response is the stored verdict document, fetched from
-// the daemon's content-addressed artifact store.  -async returns after
+// here: the daemon runs it on its in-process disk-tiered engine (never
+// on a cluster), and the response is the stored verdict document,
+// fetched from the daemon's content-addressed artifact store.  -async returns after
 // submission; -wait-job picks a submitted job back up later; -ping
 // probes daemon health; -cancel-job cancels a submitted job;
 // -job-deadline bounds a submitted job's wall-clock lifetime.  Submits
@@ -83,9 +84,8 @@ func run(args []string) error {
 	workerID := fs.Uint64("worker-id", 0, "worker: stable identity announced on every reconnect (default random)")
 	jsonOut := fs.Bool("json", false, "emit the verdict as JSON")
 
-	submit := fs.String("submit", "", "client: submit the job to a checkd daemon at this base URL")
+	submit := fs.String("submit", "", "client: submit the job to a checkd daemon at this base URL (it runs the job on its disk-tiered engine)")
 	tenant := fs.String("tenant", "default", "client: tenant name for -submit")
-	engine := fs.String("engine", "local", "client: checkd engine for -submit (local or dist)")
 	async := fs.Bool("async", false, "client: return after submission instead of waiting for the verdict")
 	waitJob := fs.String("wait-job", "", "client: wait for an already-submitted job id and print its verdict document")
 	waitTimeout := fs.Duration("wait-timeout", 10*time.Minute, "client: how long -submit/-wait-job wait for a verdict")
@@ -148,7 +148,7 @@ func run(args []string) error {
 	if *submit != "" || *waitJob != "" {
 		return runClient(*submit, *waitJob, service.JobSpec{
 			Tenant: *tenant, Protocol: spec.Name, N: spec.N, R: spec.R, Rounds: spec.Rounds, Seed: spec.Seed,
-			Inputs: inputs, AllInputs: *all, Engine: *engine, Budget: *budget,
+			Inputs: inputs, AllInputs: *all, Budget: *budget,
 			NoSymmetry: *nosym, DeadlineSeconds: *jobDeadline,
 		}, *async, *waitTimeout, *quotaWait)
 	}

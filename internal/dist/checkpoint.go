@@ -217,27 +217,12 @@ func (co *coord) checkpointNow() {
 	co.rec.CheckpointsWritten++
 }
 
-// ErrBadCheckpoint matches (errors.Is) every refusal to resume a
-// checkpoint file whose bytes cannot be used: corrupt or truncated,
-// written in another format version, or for another job.  The refusal's
-// text is unchanged by it.  A caller that keeps the job's spec durably
-// may delete the file and run the job from the start; an I/O error
-// reading the file does not match.
-var ErrBadCheckpoint = errors.New("dist: checkpoint cannot be resumed")
-
-// badCheckpoint is a resume refusal that matches ErrBadCheckpoint.
-type badCheckpoint struct{ error }
-
-func (e badCheckpoint) Is(target error) bool { return target == ErrBadCheckpoint }
-func (e badCheckpoint) Unwrap() error        { return e.error }
-
 // tryResume loads the checkpoint file if Options name one and it
 // exists; reports whether the coordinator state was restored.  The file
 // must be exactly one intact checkpoint frame (frame.ReadFile), and any
 // mismatch — truncation, bit flips, trailing garbage, another version,
-// a different job — refuses to resume with a diagnosable error
-// (ErrBadCheckpoint) rather than silently exploring from a corrupt
-// frontier.
+// a different job — refuses to resume with a diagnosable error rather
+// than silently exploring from a corrupt frontier.
 func (co *coord) tryResume() (bool, error) {
 	path := co.opts.CheckpointPath
 	if path == "" {
@@ -251,10 +236,10 @@ func (co *coord) tryResume() (bool, error) {
 		return false, err
 	}
 	if err != nil {
-		return false, badCheckpoint{fmt.Errorf("dist: checkpoint %s is corrupt or truncated (%w); refusing to resume — delete it to restart the job from scratch", filepath.Base(path), err)}
+		return false, fmt.Errorf("dist: checkpoint %s is corrupt or truncated (%w); refusing to resume — delete it to restart the job from scratch", filepath.Base(path), err)
 	}
 	if err := co.decodeCheckpoint(payload); err != nil {
-		return false, badCheckpoint{err}
+		return false, err
 	}
 	co.rec.CheckpointResumes++
 	return true, nil

@@ -448,34 +448,36 @@ func (t *spillTier) openRun(shard int, name string, wantCount int64) (*tierRun, 
 }
 
 // index walks f's frames from the start and (re)builds run's lookup
-// structures; the header must agree with run.count.
+// structures; the header must agree with run.count.  A read that failed
+// comes back as is, for a retry; every other failure is about the
+// file's bytes and wraps frame.ErrCorrupt.
 func (run *tierRun) index(f frame.File, buf *[]byte) error {
 	run.blocks = run.blocks[:0]
 	run.bloom = make([]uint64, bloomSize(run.count))
 	run.bytes = 0
-	typ, hdr, off, err := frame.ReadAtInto(f, 0, 0, buf)
-	if err != nil || typ != frameRunHeader {
-		return fmt.Errorf("bad run header (type %d): %w", typ, err)
+	hdr, off, err := readRunFrame(f, 0, frameRunHeader, buf)
+	if err != nil {
+		return fmt.Errorf("bad run header: %w", err)
 	}
 	r := frame.NewReader(hdr)
 	if v := r.Uvarint("version"); v != spillVersion {
-		return fmt.Errorf("run version %d, want %d", v, spillVersion)
+		return badRun(fmt.Errorf("run version %d, want %d", v, spillVersion))
 	}
 	r.Uvarint("shard")
 	r.Uvarint("gen")
 	count := int64(r.Uvarint("count"))
 	if r.Err() != nil || count != run.count {
-		return fmt.Errorf("run header count %d, manifest says %d", count, run.count)
+		return badRun(fmt.Errorf("run header count %d, manifest says %d", count, run.count))
 	}
 	var seen int64
 	for seen < count {
-		typ, payload, next, err := frame.ReadAtInto(f, off, 0, buf)
-		if err != nil || typ != frameRunBlock {
+		payload, next, err := readRunFrame(f, off, frameRunBlock, buf)
+		if err != nil {
 			return fmt.Errorf("bad run block at %d: %w", off, err)
 		}
 		it, err := iterBlock(payload)
 		if err != nil {
-			return err
+			return badRun(err)
 		}
 		blk := tierBlock{off: off}
 		for first := true; it.next(); first = false {
@@ -488,17 +490,36 @@ func (run *tierRun) index(f frame.File, buf *[]byte) error {
 			seen++
 		}
 		if err := it.err(); err != nil {
-			return err
+			return badRun(err)
 		}
 		run.blocks = append(run.blocks, blk)
 		off = next
 	}
 	if seen != count {
-		return fmt.Errorf("run holds %d entries, header says %d", seen, count)
+		return badRun(fmt.Errorf("run holds %d entries, header says %d", seen, count))
 	}
 	run.end = off
 	return nil
 }
+
+// readRunFrame reads the frame at off of a run being indexed, which
+// must be of type want.  A frame cut short by the end of the file is
+// corrupt, like one failing its checksum.
+func readRunFrame(f frame.File, off int64, want byte, buf *[]byte) (payload []byte, next int64, err error) {
+	typ, payload, next, err := frame.ReadAtInto(f, off, 0, buf)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return nil, 0, badRun(err)
+	case err != nil:
+		return nil, 0, err // frame.ErrCorrupt, or the read failure
+	case typ != want:
+		return nil, 0, badRun(fmt.Errorf("frame type %d, want %d", typ, want))
+	}
+	return payload, next, nil
+}
+
+// badRun marks err as a fault of a run file's bytes.
+func badRun(err error) error { return fmt.Errorf("%w (%w)", err, frame.ErrCorrupt) }
 
 // blockIter walks the entries of one block frame's payload (already
 // checksum-verified by the frame layer) where they lie: no entry slice,

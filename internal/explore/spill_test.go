@@ -1,7 +1,9 @@
 package explore_test
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -374,6 +376,9 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 			if res.Err == nil {
 				t.Fatalf("resume accepted a %s manifest (admitted %d)", name, res.Stats.Admitted)
 			}
+			if !errors.Is(res.Err, explore.ErrCannotResume) {
+				t.Fatalf("refusal %v does not match ErrCannotResume", res.Err)
+			}
 			if !res.Stats.Incomplete {
 				t.Fatal("refused resume not marked incomplete")
 			}
@@ -382,12 +387,53 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	corrupt("bitflip", func(b []byte) []byte { b[len(b)/2] ^= 0x10; return b })
 	corrupt("truncated", func(b []byte) []byte { return b[:len(b)-3] })
 	corrupt("trailing-garbage", func(b []byte) []byte { return append(b, 0xde, 0xad) })
-
-	// The pristine manifest still resumes.
+	corrupt("other-version", func(b []byte) []byte {
+		typ, payload, err := frame.Read(bytes.NewReader(b))
+		if err != nil || payload[0] != 1 {
+			t.Fatalf("manifest: version byte %d, err %v", payload[0], err)
+		}
+		payload[0] = 2
+		return frame.Append(nil, typ, payload)
+	})
 	if err := os.WriteFile(manifest, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
+	// A run file the manifest names, cut short, is refused the same way;
+	// a read that fails is no refusal, since a retry may heal it.
+	runs, err := filepath.Glob(filepath.Join(dir, "*.run"))
+	if err != nil || len(runs) == 0 {
+		t.Fatalf("no run files survived the kill: %v", err)
+	}
+	saved := make(map[string][]byte)
+	for _, path := range runs {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[path] = b
+		if err := os.WriteFile(path, b[:len(b)-5], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cfg := spillCfg(dir, nil, 256)
+	cfg.Resume = true
+	if res := g.run(1, capped(ref, cfg)); !errors.Is(res.Err, explore.ErrCannotResume) {
+		t.Fatalf("resume over cut-short runs: err %v, want a refusal matching ErrCannotResume", res.Err)
+	}
+	for path, b := range saved {
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg = spillCfg(dir, fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{ReadErr: 1000}), 256)
+	cfg.Resume = true
+	if res := g.run(1, capped(ref, cfg)); res.Err == nil || errors.Is(res.Err, explore.ErrCannotResume) {
+		t.Fatalf("resume whose every read fails: err %v, want an I/O error that is no refusal", res.Err)
+	}
+
+	// The pristine manifest still resumes.
+	cfg = spillCfg(dir, nil, 256)
 	cfg.Resume = true
 	res = g.run(1, capped(ref, cfg))
 	if res.Err != nil || res.Stats.Admitted != ref.Stats.Admitted {
@@ -419,8 +465,8 @@ func TestSpillResumeRefusesHugeCount(t *testing.T) {
 	}
 	res := spillGraph{n: 100}.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
 	const want = "manifest edges 1099511627776 exceeds the 0 bytes left in payload; refusing to resume"
-	if res.Err == nil || !strings.Contains(res.Err.Error(), want) {
-		t.Fatalf("resume from a manifest claiming 2^40 edges: err %v, want %q", res.Err, want)
+	if res.Err == nil || !strings.Contains(res.Err.Error(), want) || !errors.Is(res.Err, explore.ErrCannotResume) {
+		t.Fatalf("resume from a manifest claiming 2^40 edges: err %v, want %q matching ErrCannotResume", res.Err, want)
 	}
 	if !res.Stats.Incomplete {
 		t.Fatal("refused resume not marked incomplete")
@@ -565,8 +611,8 @@ func TestSpillWorkerMismatchRefused(t *testing.T) {
 	}
 	cfg := spillCfg(dir, nil, 256)
 	cfg.Resume = true
-	if res := g.run(3, explore.ShardedOptions[uint64]{Spill: cfg}); res.Err == nil {
-		t.Fatal("resume with a different worker count accepted")
+	if res := g.run(3, explore.ShardedOptions[uint64]{Spill: cfg}); !errors.Is(res.Err, explore.ErrCannotResume) {
+		t.Fatalf("resume with a different worker count: err %v, want a refusal matching ErrCannotResume", res.Err)
 	}
 }
 

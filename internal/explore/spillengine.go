@@ -79,6 +79,22 @@ type SpillConfig[T any] struct {
 // state is checkpointed, not lost — resume from the manifest.
 var ErrInterrupted = errors.New("explore: interrupted; checkpoint written")
 
+// ErrCannotResume is matched by every refusal to resume a checkpoint
+// this build cannot use (corrupt, another format version, another job
+// or worker count), whose text it leaves alone: a caller that keeps the
+// job's spec may delete the spill directory and start over.  A failed
+// read does not match; a retry may heal it.
+var ErrCannotResume = errors.New("explore: checkpoint cannot be resumed")
+
+// CannotResume marks err as a refusal to resume: the result matches
+// ErrCannotResume and reads and unwraps as err.
+func CannotResume(err error) error { return cannotResume{err} }
+
+type cannotResume struct{ error }
+
+func (e cannotResume) Is(target error) bool { return target == ErrCannotResume }
+func (e cannotResume) Unwrap() error        { return e.error }
+
 func (c *SpillConfig[T]) hotFrontier() int {
 	if c.HotFrontier <= 0 {
 		return 8192
@@ -514,8 +530,8 @@ func (e *sharded[T]) encodeManifest() []byte {
 // tryResume restores the engine from the manifest in the spill
 // directory.  Returns false when no manifest exists (fresh start).  A
 // manifest that is corrupt, from a different job, or inconsistent with
-// its data files refuses to resume with a diagnosable error rather than
-// exploring from a wrong cut.
+// its data files refuses to resume with a diagnosable error
+// (ErrCannotResume) rather than exploring from a wrong cut.
 func (e *sharded[T]) tryResume() (bool, error) {
 	sp := e.sp
 	path := filepath.Join(sp.cfg.Dir, manifestName)
@@ -527,17 +543,17 @@ func (e *sharded[T]) tryResume() (bool, error) {
 		return false, fmt.Errorf("explore: read spill manifest: %w", err)
 	}
 	if err != nil {
-		return false, fmt.Errorf("explore: spill manifest is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, path)
+		return false, CannotResume(fmt.Errorf("explore: spill manifest is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, path))
 	}
 	r := frame.NewReader(payload)
 	if v := r.Uvarint("manifest version"); v != spillVersion {
-		return false, fmt.Errorf("explore: spill manifest version %d, want %d", v, spillVersion)
+		return false, CannotResume(fmt.Errorf("explore: spill manifest version %d, want %d", v, spillVersion))
 	}
 	if h := r.Uvarint("manifest job hash"); h != frame.Fingerprint(sp.cfg.Header) {
-		return false, errors.New("explore: spill manifest was written by a different job; refusing to resume")
+		return false, CannotResume(errors.New("explore: spill manifest was written by a different job; refusing to resume"))
 	}
 	if w := int(r.Uvarint("manifest workers")); w != len(e.ws) {
-		return false, fmt.Errorf("explore: spill manifest has %d workers, run has %d; refusing to resume", w, len(e.ws))
+		return false, CannotResume(fmt.Errorf("explore: spill manifest has %d workers, run has %d; refusing to resume", w, len(e.ws)))
 	}
 	e.next.Store(int64(r.Uvarint("manifest next id")))
 	sp.baseProcessed = int64(r.Uvarint("manifest processed"))
@@ -571,13 +587,16 @@ func (e *sharded[T]) tryResume() (bool, error) {
 	}
 	aux := r.Bytes("manifest aux")
 	if err := r.Err(); err != nil {
-		return false, fmt.Errorf("explore: spill manifest: %w; refusing to resume", err)
+		return false, CannotResume(fmt.Errorf("explore: spill manifest: %w; refusing to resume", err))
 	}
 	for s := range e.ws {
 		sh := &sp.tier.shards[s]
 		for i, run := range sh.runs {
 			if sh.runs[i], err = sp.tier.openRun(s, run.name, run.count); err != nil {
 				sh.runs = sh.runs[:i]
+				if errors.Is(err, frame.ErrCorrupt) || errors.Is(err, iofs.ErrNotExist) {
+					err = CannotResume(err)
+				}
 				return false, fmt.Errorf("%w; refusing to resume — delete the spill directory to restart from scratch", err)
 			}
 			referenced[run.name] = true
@@ -587,7 +606,7 @@ func (e *sharded[T]) tryResume() (bool, error) {
 	}
 	if sp.cfg.RestoreAux != nil {
 		if err := sp.cfg.RestoreAux(aux); err != nil {
-			return false, fmt.Errorf("explore: restore spill aux state: %w; refusing to resume", err)
+			return false, CannotResume(fmt.Errorf("explore: restore spill aux state: %w; refusing to resume", err))
 		}
 	}
 	// Post-cut debris: delete every spill artifact the manifest does not

@@ -1,6 +1,7 @@
 package linearizability
 
 import (
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,11 +112,15 @@ func TestUnsupportedOpRejected(t *testing.T) {
 	}
 }
 
-// TestLiveObjectsLinearizable hammers one recorded live object of every
+// TestLiveObjectsLinearizable hammers recorded live objects of every
 // object type with concurrent goroutines, each issuing an op mix drawn
-// from the type's Ops, and checks the resulting history.
+// from the type's Ops, and checks the resulting histories.  Goroutines
+// left to themselves seldom overlap their operations enough to expose a
+// non-atomic object, so the processes start their i-th operations in
+// lockstep, and every type gets many independent histories, each on a
+// fresh object and each within MaxOps.
 func TestLiveObjectsLinearizable(t *testing.T) {
-	const procs, each = 4, 8 // 32 ops ≤ MaxOps
+	const procs, each, histories = 4, 8, 32 // 32 ops ≤ MaxOps per history
 	for _, row := range []struct {
 		name string
 		typ  object.Type
@@ -132,17 +137,27 @@ func TestLiveObjectsLinearizable(t *testing.T) {
 		{"sticky", object.StickyBitType{}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			rec := &runtime.Recorder{}
-			o := runtime.NewObject(row.typ, rec)
-			hammer(procs, func(p int) {
-				for i := 0; i < each; i++ {
-					o.Do(p, mixOp(row.typ, p, i))
+			for h := 0; h < histories; h++ {
+				rec := &runtime.Recorder{}
+				o := runtime.NewObject(row.typ, rec)
+				var arrived atomic.Int64
+				hammer(procs, func(p int) {
+					for i := 0; i < each; i++ {
+						// Wait until every process has reached its op i.
+						arrived.Add(1)
+						for k := 1; arrived.Load() < int64((i+1)*procs); k++ {
+							if k%64 == 0 {
+								goruntime.Gosched()
+							}
+						}
+						o.Do(p, mixOp(row.typ, p, i))
+					}
+				})
+				if got := rec.Len(); got != procs*each || got > MaxOps {
+					t.Fatalf("history %d: recorded %d ops, want %d (MaxOps %d)", h, got, procs*each, MaxOps)
 				}
-			})
-			if got := rec.Len(); got != procs*each || got > MaxOps {
-				t.Fatalf("recorded %d ops, want %d (MaxOps %d)", got, procs*each, MaxOps)
+				requireLinearizable(t, row.typ, rec)
 			}
-			requireLinearizable(t, row.typ, rec)
 		})
 	}
 }

@@ -17,8 +17,9 @@
 //     mutual exclusion (a blocking problem), while consensus — wait-free —
 //     needs Ω(√n) of them.
 //
-// All locks are blocking (mutual exclusion is inherently not wait-free);
-// Lock spins with runtime.Gosched-friendly atomic reads.
+// All locks are blocking (mutual exclusion is inherently not wait-free):
+// Lock busy-waits on atomic reads of its objects and never yields the
+// processor.
 package mutex
 
 import (

@@ -44,8 +44,7 @@ func artifactChaos(t testing.TB, s *Server, hash string) []byte {
 // TestServiceChaosSoak is the service-level acceptance soak: seeded
 // disk faults under every durable write, an engine kill (graceful
 // restart drains every running engine to its checkpoint mid-soak), a
-// deadline job and a cancelled job, all across two tenants and both
-// engines.  The hard contract: every job ends in exactly one honest
+// deadline job and a cancelled job, all across two tenants.  The hard contract: every job ends in exactly one honest
 // terminal state, every done verdict is byte-identical to a direct
 // serial check, the deadline and cancel jobs land in their states, and
 // transient failures heal through checkpoint-resumed retries.
@@ -65,9 +64,9 @@ func TestServiceChaosSoak(t *testing.T) {
 				Seed: seed, WriteErr: 3, ShortWrite: 2, SyncErr: 3, OpenErr: 2, ReadErr: 3,
 			})
 			cfg := Config{
-				DataDir: dir, FS: chaos, MaxActive: 2, Workers: 2, DistWorkers: 2,
-				SpillCheckpointEvery: 64, DistCheckpointEvery: 4,
-				RetryMax: 25, RetryBase: time.Millisecond, RetryCap: 50 * time.Millisecond,
+				DataDir: dir, FS: chaos, MaxActive: 2, Workers: 2,
+				SpillCheckpointEvery: 64,
+				RetryMax:             25, RetryBase: time.Millisecond, RetryCap: 50 * time.Millisecond,
 				RetrySeed: seed,
 			}
 			s := newServerChaos(t, cfg)
@@ -78,14 +77,15 @@ func TestServiceChaosSoak(t *testing.T) {
 				}
 			}()
 
-			// The workload: fast jobs on both engines across two
-			// tenants, one deliberately slow job per lifecycle drill.
+			// The workload: fast single-vector and all-inputs jobs
+			// across two tenants, one deliberately slow job per
+			// lifecycle drill.
 			finish := []JobSpec{
 				testSpec("alice", 1),
 				testSpec("alice", 2),
 				{Tenant: "alice", Protocol: "cas", N: 2},
 				testSpec("bob", 1),
-				{Tenant: "bob", Protocol: "counter-walk", N: 2, Engine: EngineDist},
+				{Tenant: "bob", Protocol: "counter-walk", N: 2, AllInputs: true},
 			}
 			deadlineJob := slowSpec("alice", 101)
 			deadlineJob.DeadlineSeconds = 1

@@ -10,20 +10,9 @@ import (
 	"randsync/internal/zoo"
 )
 
-// Engine names for JobSpec.Engine.
-const (
-	// EngineLocal runs the job on the in-process disk-tiered sharded
-	// engine (valency.CheckSpill) — checkpointable and resumable.
-	EngineLocal = "local"
-	// EngineDist runs the job on an in-process loopback instance of the
-	// coordinator/worker cluster (dist.Loopback) — the same engine a
-	// real distcheck cluster runs, checkpointed by the coordinator.
-	EngineDist = "dist"
-)
-
 // JobSpec is the wire form of one verification job: the protocol
 // coordinates (internal/zoo names, the namespace every tool shares)
-// plus the engine choice and tuning knobs.  The zero values of the
+// plus the checker's options and tuning knobs.  The zero values of the
 // optional fields mean "default".
 type JobSpec struct {
 	// Tenant is the submitting tenant's name; the scheduler round-robins
@@ -46,18 +35,16 @@ type JobSpec struct {
 	// AllInputs sweeps every binary input vector over N processes.
 	AllInputs bool `json:"allInputs,omitempty"`
 
-	// Engine is EngineLocal (default) or EngineDist.
-	Engine string `json:"engine,omitempty"`
-
 	// Budget caps visited configurations (0 = engine default).
 	Budget int `json:"budget,omitempty"`
-	// MemBudget, for the local engine, bounds resident exploration state
-	// before spilling to disk (0 = never spill; the run still
-	// checkpoints).
+	// MemBudget bounds resident exploration state before spilling to
+	// disk (0 = never spill; the run still checkpoints).
 	MemBudget int64 `json:"memBudget,omitempty"`
 	// NoSymmetry disables symmetry reduction.
 	NoSymmetry bool `json:"noSymmetry,omitempty"`
-	// Crash lets the listed processes crash mid-step (t-resilience).
+	// Crash is a crash-stop schedule, as valency.Options.Crash reads
+	// it: process pid stops for good after taking Crash[pid] steps.  An
+	// entry of -1, or a pid past the list's end, never crashes.
 	Crash []int `json:"crash,omitempty"`
 
 	// DeadlineSeconds bounds the job's wall-clock lifetime from
@@ -74,9 +61,6 @@ func (j *JobSpec) normalize() {
 	j.Tenant = strings.TrimSpace(j.Tenant)
 	if j.N == 0 {
 		j.N = 2
-	}
-	if j.Engine == "" {
-		j.Engine = EngineLocal
 	}
 }
 
@@ -111,11 +95,6 @@ func (j *JobSpec) Validate() error {
 	if !j.AllInputs && len(j.Inputs) != j.N {
 		return fmt.Errorf("got %d inputs for n=%d processes", len(j.Inputs), j.N)
 	}
-	switch j.Engine {
-	case EngineLocal, EngineDist:
-	default:
-		return fmt.Errorf("engine %q: want %q or %q", j.Engine, EngineLocal, EngineDist)
-	}
 	if j.Budget < 0 {
 		return errors.New("budget must be >= 0")
 	}
@@ -126,11 +105,11 @@ func (j *JobSpec) Validate() error {
 		return errors.New("deadlineSeconds must be >= 0")
 	}
 	if len(j.Crash) > j.N {
-		return fmt.Errorf("%d crash processes for n=%d", len(j.Crash), j.N)
+		return fmt.Errorf("crash schedule of %d entries for n=%d processes", len(j.Crash), j.N)
 	}
-	for _, p := range j.Crash {
-		if p < 0 || p >= j.N {
-			return fmt.Errorf("crash process %d out of range [0,%d)", p, j.N)
+	for pid, k := range j.Crash {
+		if k < -1 {
+			return fmt.Errorf("crash[%d] = %d: want a step count, or -1 for never", pid, k)
 		}
 	}
 	return nil
@@ -145,25 +124,26 @@ func (j *JobSpec) ProtoSpec() zoo.Spec {
 // ID is the job's content hash: the FNV-1a 64 fingerprint of the
 // canonical spec string, as sixteen hex digits.  It covers everything
 // that changes what work runs or who owns it — tenant, protocol
-// coordinates, inputs, engine, budgets — so a tenant resubmitting the
-// same job dedups onto the running one, while a different tenant's
-// identical workload stays a separate job (whose verdict document still
-// dedups in the artifact store).
+// coordinates, inputs, budgets — so a tenant resubmitting the same job
+// dedups onto the running one, while a different tenant's identical
+// workload stays a separate job (whose verdict document still dedups in
+// the artifact store).  The literal "engine=local" keeps the ids of job
+// directories written when specs named an engine.
 func (j *JobSpec) ID() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "tenant=%s|proto=%s|n=%d|r=%d|rounds=%d|seed=%d|",
 		j.Tenant, j.Protocol, j.N, j.R, j.Rounds, j.Seed)
-	fmt.Fprintf(&b, "inputs=%v|all=%t|engine=%s|budget=%d|mem=%d|nosym=%t|crash=%v",
-		j.Inputs, j.AllInputs, j.Engine, j.Budget, j.MemBudget, j.NoSymmetry, j.Crash)
+	fmt.Fprintf(&b, "inputs=%v|all=%t|engine=local|budget=%d|mem=%d|nosym=%t|crash=%v",
+		j.Inputs, j.AllInputs, j.Budget, j.MemBudget, j.NoSymmetry, j.Crash)
 	return fmt.Sprintf("%016x", frame.Fingerprint([]byte(b.String())))
 }
 
 // Repro is the reproduction context stamped into the verdict document.
 // It names the logical check only — protocol coordinates, inputs,
-// budget, crash set — and deliberately excludes tenant, engine and
-// tuning knobs, so the same logical job produces byte-identical
-// documents (and therefore one shared artifact) no matter who submitted
-// it or which engine ran it.
+// budget, crash schedule — and deliberately excludes tenant and tuning
+// knobs, so the same logical job produces byte-identical documents (and
+// therefore one shared artifact) no matter who submitted it or how the
+// run was tuned.
 func (j *JobSpec) Repro() map[string]any {
 	repro := map[string]any{
 		"tool":     "checkd",
@@ -197,9 +177,8 @@ func (j *JobSpec) Repro() map[string]any {
 }
 
 // VerdictDocument renders a report as the canonical artifact bytes: the
-// JSONReport projection with engine telemetry stripped, so serial,
-// spill and distributed runs of the same logical job emit identical
-// documents.
+// JSONReport projection with engine telemetry stripped, so serial and
+// spill runs of the same logical job emit identical documents.
 func VerdictDocument(rep *valency.Report, spec *JobSpec) ([]byte, error) {
 	j := rep.JSON(spec.Repro())
 	j.Stats = nil

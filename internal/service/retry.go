@@ -8,17 +8,15 @@ import (
 	"syscall"
 	"time"
 
-	"randsync/internal/dist"
 	"randsync/internal/explore"
 	"randsync/internal/fault"
 )
 
 // Failure classes.  Every engine error a job dies with is classified so
 // the scheduler knows whether re-running the job from its checkpoint can
-// possibly help: transient failures (disk I/O hiccups, lost workers)
-// requeue with backoff and a per-job attempt budget; permanent failures
-// (invalid specs, panicking protocols, corrupt resume state) fail the
-// job on the first occurrence.
+// possibly help: transient failures (disk I/O hiccups) requeue with
+// backoff and a per-job attempt budget; permanent failures (invalid
+// specs, panicking protocols) fail the job on the first occurrence.
 const (
 	failureTransient = "transient"
 	failurePermanent = "permanent"
@@ -39,9 +37,9 @@ func (e *panicFailure) Error() string { return "service: engine panic: " + e.val
 // panic stack when there is one.
 //
 // Transient: anything the disk-fault injector marks as its own
-// (fault.IsInjected), raw filesystem errors (*fs.PathError, syscall
-// errnos, short reads), and total worker loss in the distributed engine
-// — all of these can heal on a re-run that resumes from the checkpoint.
+// (fault.IsInjected) and raw filesystem errors (*fs.PathError, syscall
+// errnos, short reads) — all of these can heal on a re-run that resumes
+// from the checkpoint.
 //
 // Permanent: recovered panics (a protocol that panics will panic
 // again), spec resolution failures, and anything unrecognized — when in
@@ -64,8 +62,7 @@ func classify(err error) (class, stack string) {
 	case errors.As(err, &pathErr),
 		errors.As(err, &errno),
 		errors.Is(err, io.ErrUnexpectedEOF),
-		errors.Is(err, io.ErrShortWrite),
-		errors.Is(err, dist.ErrAllWorkersLost):
+		errors.Is(err, io.ErrShortWrite):
 		return failureTransient, ""
 	}
 	return failurePermanent, ""

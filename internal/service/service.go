@@ -1,21 +1,22 @@
 // Package service is the checker-as-a-service layer: a persistent,
 // multi-tenant job coordinator that accepts verification jobs over an
-// HTTP/JSON API (http.go), schedules them across the in-process
-// disk-tiered engine and the loopback distributed cluster with
-// per-tenant round-robin fairness, and persists every verdict into a
-// content-addressed artifact store (store.go) built on the frame codec.
+// HTTP/JSON API (http.go), runs them on the in-process disk-tiered
+// engine (valency.CheckSpill) with per-tenant round-robin fairness, and
+// persists every verdict into a content-addressed artifact store
+// (store.go) built on the frame codec.
 //
-// Every piece of durable state — job records, spill checkpoints, dist
-// checkpoints, artifacts — lives under one data directory and goes
-// through the frame.FS seam, so the whole daemon can be crash-tested
-// with fault.DiskChaos.  A restarted daemon re-reads the job records,
-// re-queues anything that was queued or running, and the engines resume
-// from their own checkpoints; graceful shutdown drains running jobs to
-// a checkpoint first, so restart loses no completed exploration.
+// Every piece of durable state — job records, spill checkpoints,
+// artifacts — lives under one data directory and goes through the
+// frame.FS seam, so the whole daemon can be crash-tested with
+// fault.DiskChaos.  A restarted daemon re-reads the job records,
+// re-queues anything that was queued or running, and the engine resumes
+// from the job's checkpoint (or, over one it cannot resume, starts the
+// job over from its spec); graceful shutdown drains running jobs to a
+// checkpoint first, so restart loses no completed exploration.
 //
 // The lifecycle layer on top (retry.go, this file) makes the daemon fit
 // for unattended traffic: jobs carry deadlines and can be cancelled
-// (both drive the engines' Interrupt seams, so the checkpoint survives),
+// (both drive the engine's Interrupt seam, so the checkpoint survives),
 // transient engine failures requeue with capped seeded backoff under a
 // per-job attempt budget, tenant quotas bound queue growth, and every
 // engine invocation runs under recover so a panicking protocol fails
@@ -31,14 +32,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+	iofs "io/fs"
 	"path/filepath"
 	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
 
-	"randsync/internal/dist"
 	"randsync/internal/frame"
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
@@ -146,16 +146,17 @@ type Config struct {
 	FS frame.FS
 	// MaxActive caps concurrently running jobs (default 2).
 	MaxActive int
-	// Workers is the local engine's pool width per job (default 2);
-	// DistWorkers is the loopback cluster's worker count (default 2).
-	Workers     int
-	DistWorkers int
-	// SpillCheckpointEvery / DistCheckpointEvery tighten the engines'
-	// checkpoint cadence (admissions / acknowledged batches of up to 128
-	// frontier items) so shutdown cuts lose little work (defaults
-	// 4096 / 16).
+	// Workers is the engine's pool width per job (default 2).  A job
+	// drained under one width and resumed under another starts over.
+	Workers int
+	// SpillCheckpointEvery tightens the engine's checkpoint cadence
+	// (admissions between manifests) so shutdown cuts lose little work
+	// (default 4096).
 	SpillCheckpointEvery int
-	DistCheckpointEvery  int
+	// DistWorkers and DistCheckpointEvery are ignored; they sized a
+	// cluster engine the daemon no longer runs.
+	DistWorkers         int
+	DistCheckpointEvery int
 	// MaxQueuedPerTenant caps one tenant's queued (non-running,
 	// non-terminal) jobs; MaxActivePerTenant caps one tenant's
 	// concurrently running jobs; MaxQueue bounds queued jobs
@@ -190,14 +191,8 @@ func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
-	if c.DistWorkers <= 0 {
-		c.DistWorkers = 2
-	}
 	if c.SpillCheckpointEvery == 0 {
 		c.SpillCheckpointEvery = 4096
-	}
-	if c.DistCheckpointEvery <= 0 {
-		c.DistCheckpointEvery = 16
 	}
 	if c.RetryMax == 0 {
 		c.RetryMax = 3
@@ -731,7 +726,7 @@ func (s *Server) runJob(j *job) {
 		j.st.Configs = rep.Configs
 		j.st.Artifact = artifact
 		s.finishLocked(j, StateDone)
-	case errors.Is(err, valency.ErrInterrupted) || errors.Is(err, dist.ErrInterrupted):
+	case errors.Is(err, valency.ErrInterrupted):
 		// The engine drained to a checkpoint; the stop reason says where
 		// the job goes next.
 		switch reason {
@@ -843,43 +838,15 @@ func (s *Server) executeRecovered(j *job) (rep *valency.Report, err error) {
 	return s.execute(&j.st.Spec, j.st.ID, j.stop)
 }
 
-// execute runs the job on its chosen engine.  Both paths checkpoint
-// into the job's directory and resume from whatever cut they find
+// execute runs the job on the disk-tiered engine.  The run checkpoints
+// into the job's directory and resumes from whatever cut it finds
 // there, so execute after a crash, drain, timeout or retry continues,
-// never restarts — except over a dist checkpoint this build cannot
-// resume, which is deleted so the job starts over from its spec.
+// never restarts — except over a checkpoint this build cannot resume,
+// which is deleted so the job starts over from its spec.
 func (s *Server) execute(spec *JobSpec, id string, stop <-chan struct{}) (*valency.Report, error) {
 	proto, err := zoo.Resolve(spec.ProtoSpec())
 	if err != nil {
 		return nil, err
-	}
-	if spec.Engine == EngineDist {
-		opts := dist.Options{
-			CheckpointPath:  filepath.Join(s.jobDir(id), "dist.ckpt"),
-			CheckpointEvery: s.cfg.DistCheckpointEvery,
-			Interrupt:       stop,
-			Valency: valency.Options{
-				MaxConfigs: spec.Budget,
-				NoSymmetry: spec.NoSymmetry,
-				Crash:      spec.Crash,
-				Workers:    s.cfg.Workers,
-			},
-		}
-		jb := dist.Job{Spec: spec.ProtoSpec(), Inputs: spec.Inputs, AllInputs: spec.AllInputs}
-		if spec.AllInputs {
-			jb.Inputs = nil
-		}
-		rep, err := dist.Loopback(s.cfg.DistWorkers, jb, opts)
-		if errors.Is(err, dist.ErrBadCheckpoint) {
-			// A checkpoint only saves re-exploration, and the spec is
-			// durable: drop one this build cannot resume (corrupt, or
-			// written in another format version) and start the job over.
-			if err := os.Remove(opts.CheckpointPath); err != nil {
-				return nil, err
-			}
-			rep, err = dist.Loopback(s.cfg.DistWorkers, jb, opts)
-		}
-		return rep, err
 	}
 	opts := valency.Options{
 		MaxConfigs:           spec.Budget,
@@ -900,10 +867,35 @@ func (s *Server) execute(spec *JobSpec, id string, stop <-chan struct{}) (*valen
 			}
 		},
 	}
-	if spec.AllInputs {
-		return valency.CheckAllInputsSpill(proto, spec.N, opts)
+	check := func() (*valency.Report, error) {
+		if spec.AllInputs {
+			return valency.CheckAllInputsSpill(proto, spec.N, opts)
+		}
+		return valency.CheckSpill(proto, spec.Inputs, opts)
 	}
-	return valency.CheckSpill(proto, spec.Inputs, opts)
+	rep, err := check()
+	if errors.Is(err, valency.ErrCannotResume) {
+		s.cfg.Logf("service: job %s: %v; starting over", id, err)
+		if err := removeTree(s.cfg.FS, opts.SpillDir); err != nil {
+			return nil, err
+		}
+		rep, err = check()
+	}
+	return rep, err
+}
+
+// removeTree deletes path and everything under it through fsys.
+func removeTree(fsys frame.FS, path string) error {
+	ents, _ := fsys.ReadDir(path) // none for a file; a failed read fails the Remove below
+	for _, e := range ents {
+		if err := removeTree(fsys, filepath.Join(path, e.Name())); err != nil {
+			return err
+		}
+	}
+	if err := fsys.Remove(path); err != nil && !errors.Is(err, iofs.ErrNotExist) {
+		return err
+	}
+	return nil
 }
 
 // Job returns a job's current status.

@@ -3,8 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	iofs "io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"randsync/internal/dist"
 	"randsync/internal/fault"
 	"randsync/internal/frame"
 	"randsync/internal/valency"
@@ -72,8 +71,14 @@ func TestJobSpecValidation(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	if len(ok.Inputs) != 2 || ok.Engine != EngineLocal {
+	if len(ok.Inputs) != 2 {
 		t.Fatalf("normalize did not fill defaults: %+v", ok)
+	}
+	// A crash schedule is step counts per process, not process ids.
+	sched := testSpec("alice", 0)
+	sched.Crash = []int{5, -1}
+	if err := sched.Validate(); err != nil {
+		t.Fatalf("crash schedule [5 -1] rejected: %v", err)
 	}
 
 	cases := []struct {
@@ -94,9 +99,8 @@ func TestJobSpecValidation(t *testing.T) {
 		{"flood-mixed with huge r", func(s *JobSpec) { s.Protocol, s.R = "flood-mixed", 1<<40 }, "out of range"},
 		{"inputs vs allInputs", func(s *JobSpec) { s.AllInputs = true; s.Inputs = []int64{0, 1} }, "mutually exclusive"},
 		{"inputs length", func(s *JobSpec) { s.Inputs = []int64{0} }, "1 inputs for n=2"},
-		{"bad engine", func(s *JobSpec) { s.Engine = "quantum" }, "engine"},
 		{"negative budget", func(s *JobSpec) { s.Budget = -1 }, "budget"},
-		{"crash out of range", func(s *JobSpec) { s.Crash = []int{5} }, "out of range"},
+		{"crash out of range", func(s *JobSpec) { s.Crash = []int{-2} }, "-1 for never"},
 		{"too many crash", func(s *JobSpec) { s.Crash = []int{0, 1, 0} }, "crash"},
 	}
 	for _, tc := range cases {
@@ -172,7 +176,7 @@ func TestHTTPMalformedRequests(t *testing.T) {
 	check("missing tenant", post(`{"protocol":"cas"}`), http.StatusBadRequest)
 	check("unknown protocol", post(`{"tenant":"a","protocol":"nope"}`), http.StatusBadRequest)
 	check("wrong inputs arity", post(`{"tenant":"a","protocol":"cas","n":2,"inputs":[1]}`), http.StatusBadRequest)
-	check("bad engine", post(`{"tenant":"a","protocol":"cas","engine":"quantum"}`), http.StatusBadRequest)
+	check("engine field", post(`{"tenant":"a","protocol":"cas","engine":"local"}`), http.StatusBadRequest)
 	check("job body not an object", post(`[1,2,3]`), http.StatusBadRequest)
 	// Out-of-range protocol coordinates are refused before anything is
 	// sized by them: each of these used to panic or exhaust memory.
@@ -483,16 +487,16 @@ func TestHardKillResume(t *testing.T) {
 }
 
 // TestEndToEndLifecycle is the acceptance drill: multiple jobs from two
-// tenants over both engines against a live server, a kill mid-run, a
-// restart, and every verdict document byte-identical to a direct serial
-// run, served from the content-addressed store over the API.
+// tenants, single-vector and all-inputs, against a live server, a kill
+// mid-run, a restart, and every verdict document byte-identical to a
+// direct serial run, served from the content-addressed store over the
+// API.
 func TestEndToEndLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second acceptance drill; run without -short")
 	}
 	dir := t.TempDir()
-	cfg := Config{DataDir: dir, MaxActive: 2, Workers: 2, DistWorkers: 2,
-		SpillCheckpointEvery: 64, DistCheckpointEvery: 4}
+	cfg := Config{DataDir: dir, MaxActive: 2, Workers: 2, SpillCheckpointEvery: 64}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -510,7 +514,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 		{Tenant: "alice", Protocol: "counter-walk", N: 3},
 		{Tenant: "alice", Protocol: "cas", N: 2},
 		{Tenant: "bob", Protocol: "counter-walk", N: 3, Seed: 7},
-		{Tenant: "bob", Protocol: "counter-walk", N: 2, Engine: EngineDist},
+		{Tenant: "bob", Protocol: "counter-walk", N: 2, AllInputs: true},
 	}
 	var ids []string
 	for i, spec := range specs {
@@ -572,7 +576,7 @@ func TestEndToEndLifecycle(t *testing.T) {
 
 	// The two identical counter-walk(3) workloads (alice's and bob's
 	// seed-7 variant differ only by seed, which repro records) stored
-	// distinct documents; alice's cas and the dist-engine job each have
+	// distinct documents; alice's cas and bob's all-inputs job each have
 	// their own.  Every stored byte is reachable over the API by hash.
 	seen := make(map[string]bool)
 	for _, id := range ids {
@@ -609,81 +613,247 @@ func TestSubmitWhileRunningDedups(t *testing.T) {
 	}
 }
 
+// TestVerdictDocumentEngineAgnostic: the document names the logical
+// job only, so tenant and engine tuning (here the hot-tier budget,
+// which moves the RAM/disk boundary) leave its bytes alone.
 func TestVerdictDocumentEngineAgnostic(t *testing.T) {
 	local := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 2}
-	distSpec := JobSpec{Tenant: "bob", Protocol: "counter-walk", N: 2, Engine: EngineDist}
-	a, b := serialDoc(t, local), serialDoc(t, distSpec)
+	tuned := JobSpec{Tenant: "bob", Protocol: "counter-walk", N: 2, MemBudget: 4096}
+	a, b := serialDoc(t, local), serialDoc(t, tuned)
 	if !bytes.Equal(a, b) {
-		t.Fatalf("document depends on tenant/engine:\n%s\nvs\n%s", a, b)
+		t.Fatalf("document depends on tenant/tuning:\n%s\nvs\n%s", a, b)
 	}
 	if ArtifactHash(a) != ArtifactHash(b) {
 		t.Fatal("artifact addresses differ for the same logical job")
 	}
 }
 
-// TestStaleDistCheckpointRestarts: a dist job whose directory holds a
-// checkpoint in an older format version (one a previous build drained
-// the job into) restarts from its durable spec and reaches the serial
-// verdict, instead of failing permanently on the refusal to resume.
-func TestStaleDistCheckpointRestarts(t *testing.T) {
-	spec := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 2, Engine: EngineDist}
-	norm := spec
-	if err := norm.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	jobDir := filepath.Join(dir, "jobs", norm.ID())
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// A real mid-run checkpoint of this job, re-stamped version 2.
-	ckpt := filepath.Join(jobDir, "dist.ckpt")
-	jb := dist.Job{Spec: norm.ProtoSpec(), Inputs: norm.Inputs}
-	abort := dist.Options{CheckpointPath: ckpt, CheckpointEvery: 4, AbortAfterBatches: 12}
-	if _, err := dist.Loopback(2, jb, abort); !errors.Is(err, dist.ErrAborted) {
-		t.Fatalf("seeding abort: %v", err)
-	}
-	raw, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := frame.Read(bytes.NewReader(raw))
-	if err != nil || len(payload) == 0 || payload[0] != 3 {
-		t.Fatalf("checkpoint frame: type %#x, version byte %v, err %v; want a version-3 checkpoint", typ, payload[:min(1, len(payload))], err)
-	}
-	payload[0] = 2
-	if err := os.WriteFile(ckpt, frame.Append(nil, typ, payload), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = dist.Loopback(2, jb, dist.Options{CheckpointPath: ckpt})
-	if !errors.Is(err, dist.ErrBadCheckpoint) || !strings.Contains(err.Error(), "checkpoint version 2, want 3") {
-		t.Fatalf("dist resume of the planted checkpoint: %v, want the version refusal", err)
-	}
-
-	s, err := New(Config{DataDir: dir, MaxActive: 1, Workers: 1})
+// TestCrashScheduleJob: JobSpec.Crash reaches the engine as the
+// crash-stop schedule valency.Options.Crash, so the stored document is
+// the serial check's under that schedule.
+func TestCrashScheduleJob(t *testing.T) {
+	s, err := New(Config{DataDir: t.TempDir(), MaxActive: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	for _, crash := range [][]int{{1}, {-1, 0}, {5, 2}} {
+		spec := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 2, Crash: crash}
+		st, _, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("crash %v: %v", crash, err)
+		}
+		got := waitDone(t, s, st.ID)
+		if got.State != StateDone {
+			t.Fatalf("crash %v: state %s (%s)", crash, got.State, got.Error)
+		}
+		doc, err := s.Artifact(got.Artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := serialDoc(t, spec); !bytes.Equal(doc, want) {
+			t.Fatalf("crash %v: stored document differs from valency.Check with the same Options.Crash:\n%s\nvs\n%s", crash, doc, want)
+		}
+	}
+}
+
+// seamFS is a frame.FS over the real disk that records every path the
+// daemon creates through it (Create, MkdirAll, a Rename's target) and
+// closes ckpt the first time a file named watch is renamed into place.
+type seamFS struct {
+	frame.FS
+	watch string
+	ckpt  chan struct{}
+	once  sync.Once
+	mu    sync.Mutex
+	made  map[string]bool
+}
+
+func newSeamFS(watch string) *seamFS {
+	return &seamFS{FS: frame.OS{}, watch: watch, ckpt: make(chan struct{}), made: make(map[string]bool)}
+}
+
+func (f *seamFS) note(path string) {
+	f.mu.Lock()
+	f.made[filepath.Clean(path)] = true
+	f.mu.Unlock()
+}
+
+func (f *seamFS) Create(name string) (frame.File, error) {
+	f.note(name)
+	return f.FS.Create(name)
+}
+
+func (f *seamFS) MkdirAll(path string) error {
+	f.note(path)
+	return f.FS.MkdirAll(path)
+}
+
+func (f *seamFS) Rename(oldpath, newpath string) error {
+	f.note(newpath)
+	err := f.FS.Rename(oldpath, newpath)
+	if err == nil && filepath.Base(newpath) == f.watch {
+		f.once.Do(func() { close(f.ckpt) })
+	}
+	return err
+}
+
+// drainMidRun runs spec on a server over cfg.DataDir writing through
+// fsys, closes the server once the job's first checkpoint file named
+// fsys.watch is in place, and returns the id of the job, drained back
+// to the queue with that checkpoint on disk.
+func drainMidRun(t *testing.T, cfg Config, spec JobSpec, fsys *seamFS) string {
+	t.Helper()
+	cfg.FS = fsys
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	st, _, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ID != norm.ID() {
-		t.Fatalf("job id %s, planted under %s", st.ID, norm.ID())
+	select {
+	case <-fsys.ckpt:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("no %s written within 60s", fsys.watch)
 	}
-	got := waitDone(t, s, st.ID)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Job(st.ID); got.State != StateQueued || got.Resumes != 1 {
+		t.Fatalf("job was not drained mid-run: state %s, resumes %d", got.State, got.Resumes)
+	}
+	return st.ID
+}
+
+// finishRestarted runs a drained job to its end on a new server over
+// cfg and requires the serial verdict document.
+func finishRestarted(t *testing.T, cfg Config, id string, spec JobSpec) {
+	t.Helper()
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	got := waitDone(t, r, id)
 	if got.State != StateDone {
-		t.Fatalf("state %s (%s), want done", got.State, got.Error)
+		t.Fatalf("after restart: state %s (%s: %s), want done", got.State, got.FailureClass, got.Error)
 	}
-	doc, err := s.Artifact(got.Artifact)
+	doc, err := r.Artifact(got.Artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := serialDoc(t, spec); !bytes.Equal(doc, want) {
 		t.Fatalf("verdict differs from the serial document:\n%s\nvs\n%s", doc, want)
 	}
-	if _, err := os.Stat(ckpt); !os.IsNotExist(err) {
-		t.Fatalf("stale checkpoint still on disk after the job finished: %v", err)
+}
+
+// TestResumeOtherWorkersRestarts: a job drained under Workers 2 and
+// picked up by a daemon running Workers 3 cannot resume its spill
+// manifest (the visited set is sharded per worker), so the job starts
+// over from its spec and reaches the serial verdict instead of failing.
+func TestResumeOtherWorkersRestarts(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 3}
+	cfg := Config{DataDir: dir, MaxActive: 1, Workers: 2, SpillCheckpointEvery: 1024}
+	id := drainMidRun(t, cfg, spec, newSeamFS("MANIFEST"))
+	cfg.Workers = 3
+	finishRestarted(t, cfg, id, spec)
+}
+
+// TestStaleManifestRestarts: a drained job whose spill manifest carries
+// another format version (one a different build wrote) starts over
+// from its spec and reaches the serial verdict.
+func TestStaleManifestRestarts(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 3}
+	cfg := Config{DataDir: dir, MaxActive: 1, Workers: 2, SpillCheckpointEvery: 1024}
+	id := drainMidRun(t, cfg, spec, newSeamFS("MANIFEST"))
+	manifest := filepath.Join(dir, "jobs", id, "spill", "MANIFEST")
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := frame.Read(bytes.NewReader(raw))
+	if err != nil || len(payload) == 0 || payload[0] != 1 {
+		t.Fatalf("manifest frame: type %#x, err %v; want a version-1 manifest", typ, err)
+	}
+	payload[0] = 2
+	if err := os.WriteFile(manifest, frame.Append(nil, typ, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	finishRestarted(t, cfg, id, spec)
+}
+
+// TestCorruptVectorCursorRestarts: a drained all-inputs job whose
+// vector cursor is cut short starts over from its spec and reaches the
+// serial verdict.
+func TestCorruptVectorCursorRestarts(t *testing.T) {
+	dir := t.TempDir()
+	spec := JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 3, AllInputs: true}
+	cfg := Config{DataDir: dir, MaxActive: 1, Workers: 2, SpillCheckpointEvery: 1024}
+	id := drainMidRun(t, cfg, spec, newSeamFS("vectors.ckpt"))
+	cursor := filepath.Join(dir, "jobs", id, "spill", "vectors.ckpt")
+	raw, err := os.ReadFile(cursor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cursor, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	finishRestarted(t, cfg, id, spec)
+}
+
+// TestFSSeamComplete: every file and directory the daemon leaves under
+// DataDir went through Config.FS — over a single-vector job, an
+// all-inputs job, and a job drained by Close and finished by the next
+// server — so the disk-chaos drills see all of the daemon's writes.
+func TestFSSeamComplete(t *testing.T) {
+	dir := t.TempDir()
+	fsys := newSeamFS("MANIFEST")
+	cfg := Config{DataDir: dir, MaxActive: 2, Workers: 2, SpillCheckpointEvery: 1024}
+	drained := drainMidRun(t, cfg, JobSpec{Tenant: "alice", Protocol: "counter-walk", N: 3}, fsys)
+	cfg.FS = fsys
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{drained}
+	for _, spec := range []JobSpec{testSpec("bob", 0), {Tenant: "bob", Protocol: "counter-walk", N: 2, AllInputs: true}} {
+		st, _, err := r.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		if got := waitDone(t, r, id); got.State != StateDone {
+			t.Fatalf("job %s: state %s (%s)", id, got.State, got.Error)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsys.mu.Lock()
+	defer fsys.mu.Unlock()
+	dirs := make(map[string]bool) // every directory a MkdirAll made, ancestors included
+	for p := range fsys.made {
+		for d := p; d != dir && len(d) > len(dir); d = filepath.Dir(d) {
+			dirs[d] = true
+		}
+	}
+	err = filepath.WalkDir(dir, func(path string, d iofs.DirEntry, err error) error {
+		if err != nil || path == dir {
+			return err
+		}
+		if d.IsDir() && !dirs[path] || !d.IsDir() && !fsys.made[path] {
+			t.Errorf("%s was not created through Config.FS", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -39,6 +39,12 @@ import (
 // callers can errors.Is at either layer.
 var ErrInterrupted = explore.ErrInterrupted
 
+// ErrCannotResume is matched by every refusal to resume a spill run or
+// an all-inputs sweep from a checkpoint this build cannot use: a
+// corrupt manifest, run or vector cursor, another format version,
+// another job or worker count.  It aliases the engine's sentinel.
+var ErrCannotResume = explore.ErrCannotResume
+
 // spillCheckpointDefault is the admissions-between-manifests default
 // when Options.SpillCheckpointEvery is 0.
 const spillCheckpointDefault = 1 << 15
@@ -254,10 +260,10 @@ func encodeVectorCursor(job uint64, next int, agg *Report) []byte {
 func decodeVectorCursor(p []byte, job uint64, agg *Report) (int, error) {
 	r := frame.NewReader(p)
 	if v := r.Uvarint("version"); v != vectorCursorVersion {
-		return 0, fmt.Errorf("valency: vector cursor version %d, want %d", v, vectorCursorVersion)
+		return 0, explore.CannotResume(fmt.Errorf("valency: vector cursor version %d, want %d", v, vectorCursorVersion))
 	}
 	if h := r.Uvarint("job hash"); h != job {
-		return 0, errors.New("valency: vector cursor was written by a different job; refusing to resume")
+		return 0, explore.CannotResume(errors.New("valency: vector cursor was written by a different job; refusing to resume"))
 	}
 	next := int(r.Uvarint("next"))
 	agg.Configs = int(r.Uvarint("configs"))
@@ -265,7 +271,7 @@ func decodeVectorCursor(p []byte, job uint64, agg *Report) (int, error) {
 	agg.Complete, agg.Livelock = flags&1 != 0, flags&2 != 0
 	agg.Decisions = ReadDecisions(r)
 	if err := r.Err(); err != nil {
-		return 0, fmt.Errorf("valency: corrupt vector cursor: %w; refusing to resume", err)
+		return 0, explore.CannotResume(fmt.Errorf("valency: corrupt vector cursor: %w; refusing to resume", err))
 	}
 	return next, nil
 }
@@ -299,7 +305,7 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 	case !opts.SpillResume:
 		return nil, fmt.Errorf("valency: spill directory %s holds an unfinished sweep; resume it or use a clean directory", opts.SpillDir)
 	case err != nil:
-		return nil, fmt.Errorf("valency: vector cursor is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, cursorPath)
+		return nil, explore.CannotResume(fmt.Errorf("valency: vector cursor is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, cursorPath))
 	default:
 		if next, err = decodeVectorCursor(payload, job, agg); err != nil {
 			return nil, err

@@ -320,8 +320,8 @@ func TestVectorCursorCorruptionRefused(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: corrupt cursor resumed without error (report %+v)", tc.name, rep)
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		if !strings.Contains(err.Error(), tc.want) || !errors.Is(err, valency.ErrCannotResume) {
+			t.Errorf("%s: err = %v, want mention of %q matching ErrCannotResume", tc.name, err, tc.want)
 		}
 	}
 

@@ -212,15 +212,20 @@ stage="service smoke"
 # drills: no fsync under Server.mu or Store.mu (a lock-order mistake
 # there fails by name here instead of hanging a benchmark workload), a
 # disk kill at every operation of two concurrent jobs' lifecycle, one
-# writer per record, and coalesced artifact writes.  Then the
-# live-daemon drill: start
+# writer per record, and coalesced artifact writes.  The pass also
+# holds the restart drills (a checkpoint the daemon cannot resume —
+# another worker count, another manifest version, a cut-short vector
+# cursor — restarts the job from its spec to the serial verdict) and
+# the FS-seam test (every file under the data directory went through
+# Config.FS).  Then the live-daemon drill: start
 # checkd on an ephemeral port, probe it, run a job to its verdict
 # through the API, submit a second job asynchronously, SIGTERM the
 # daemon mid-run (graceful drain to checkpoints), restart it over the
-# same data directory, and require the drained job to resume and finish
-# with a verdict document served from the content-addressed store.
+# same data directory with another -workers, and require the drained
+# job to finish with a verdict document served from the
+# content-addressed store.
 go test -race -count=1 -timeout 10m \
-	-run 'TestTenantFairness|TestDuplicateSubmission|TestGracefulRestartResume|TestHardKillResume|TestEndToEndLifecycle|TestCheckSpillInterruptResume|TestLoopbackInterruptResume' \
+	-run 'TestTenantFairness|TestDuplicateSubmission|TestGracefulRestartResume|TestHardKillResume|TestEndToEndLifecycle|TestResumeOtherWorkersRestarts|TestStaleManifestRestarts|TestCorruptVectorCursorRestarts|TestFSSeamComplete|TestCheckSpillInterruptResume|TestLoopbackInterruptResume' \
 	./internal/service/ ./internal/valency/ ./internal/dist/
 go test -race -count=3 -timeout 10m \
 	-run 'TestNoFsyncUnderLock|TestCommitCrashSweep|TestCommitOneWriterPerRecord|TestStorePutCoalesces' \
@@ -241,7 +246,7 @@ jobid="$("$svcdir/distcheck" -submit "$addr" -tenant smoke -protocol counter-wal
 kill -TERM "$checkd_pid"
 wait "$checkd_pid"
 "$svcdir/checkd" -data "$svcdir/data" -listen 127.0.0.1:0 -addr-file "$svcdir/addr2" \
-	-max-active 1 -workers 1 &
+	-max-active 1 -workers 2 &
 checkd_pid=$!
 for _ in $(seq 1 100); do [ -s "$svcdir/addr2" ] && break; sleep 0.1; done
 addr="http://$(cat "$svcdir/addr2")"
