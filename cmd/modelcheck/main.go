@@ -9,6 +9,10 @@
 //	modelcheck -protocol counter-walk -n 3
 //	modelcheck -protocol flood-registers -r 2 -n 2      # exhibits the violation
 //	modelcheck -protocol register-consensus -n 2 -rounds 3 -bivalence
+//	modelcheck -protocol counter-walk -n 3 -workers 2 -mem-budget 65536 -spill-dir D -cpuprofile P
+//
+// -cpuprofile writes a pprof CPU profile of the whole run to P (read it
+// with `go tool pprof P`).
 package main
 
 import (
@@ -16,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"randsync/internal/valency"
 	"randsync/internal/zoo"
@@ -40,11 +45,23 @@ func run(args []string) error {
 	biv := fs.Bool("bivalence", false, "also run the bivalence analysis on mixed inputs")
 	nosym := fs.Bool("nosym", false, "disable identical-process symmetry reduction")
 	jsonOut := fs.Bool("json", false, "emit the verdict as JSON (suppresses -bivalence)")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *resume && *spillDir == "" {
 		return fmt.Errorf("-resume requires -spill-dir")
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
 	}
 
 	proto, err := zoo.Resolve(*spec)

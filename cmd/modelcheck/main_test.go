@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"randsync/internal/valency"
@@ -34,6 +37,29 @@ func TestSpecDefaultsShared(t *testing.T) {
 	j := runJSON(t, "-protocol", "scan-machine", "-r", "2", "-n", "2", "-workers", "1", "-json")
 	if j.Violation == nil || j.Violation.Steps != 11 || j.Repro["seed"] != float64(1) {
 		t.Fatalf("violation %+v, repro seed %v; want an 11-step trace under seed 1", j.Violation, j.Repro["seed"])
+	}
+}
+
+// TestCPUProfile: -cpuprofile writes the run's CPU profile in the
+// format pprof reads, a gzip stream, around a spill-tier run.
+func TestCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "cpu.pprof")
+	j := runJSON(t, "-protocol", "counter-walk", "-n", "2", "-workers", "2", "-mem-budget", "4096",
+		"-spill-dir", filepath.Join(dir, "spill"), "-cpuprofile", prof, "-json")
+	if j.Verdict != "safe" {
+		t.Fatalf("verdict %q, want safe", j.Verdict)
+	}
+	b, err := os.ReadFile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zr, err := gzip.NewReader(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("profile of %d bytes is not gzip: %v", len(b), err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Fatalf("profile holds %d bytes of gzip data, err %v", n, err)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"randsync/internal/valency"
 )
 
-// Checkpoint format: one frame (same [len][type][payload][fingerprint]
+// Checkpoint format: one frame (same [len][type][payload][checksum]
 // envelope as the wire, type msgCheckpoint) holding the coordinator's
 // entire authoritative state:
 //

@@ -9,15 +9,14 @@ import (
 
 // Wire format: length-prefixed binary frames over TCP.  A frame is
 //
-//	[4B big-endian length][1B type][payload][8B FNV-1a of type+payload]
+//	[4B big-endian length][1B type][payload][8B CRC-32C<<32 | CRC-32 of type+payload]
 //
 // where length counts everything after itself.  Payloads are varints
 // and uvarint-length-prefixed byte strings — the same primitives as the
 // compact configuration encoding, and keys travel as the verbatim
 // AppendVisitKey bytes, so the visited-set encoding IS the wire
-// encoding.  The trailing fingerprint (sim.FingerprintBytes, the same
-// hash the visited set probes by) rejects torn or corrupted frames
-// before they can poison the visited set.
+// encoding.  The trailer (package frame's checksum) rejects torn or
+// corrupted frames before they can poison the visited set.
 
 const (
 	msgHello byte = iota + 1 // worker→coord: wire version + stable identity
@@ -32,8 +31,12 @@ const (
 // Version 2 extended HELLO with the worker's stable identity, which is
 // what lets a reconnecting worker rejoin as itself instead of counting
 // as a new peer.  Version 3 dropped the JOB frame's shard count: the
-// coordinator's visited set is no longer partitioned.
-const wireVersion = 3
+// coordinator's visited set is no longer partitioned.  Version 4 is the
+// CRC frame trailer.  Frame still accepts a version-3 peer's FNV-1a
+// trailers, so its HELLO arrives intact and is refused by name here;
+// without the bump it would join, fail the checksum of every frame the
+// coordinator sends, and reconnect in a loop.
+const wireVersion = 4
 
 // helloMsg announces a worker: its wire version and its stable identity
 // (non-zero, constant across reconnects of the same worker).

@@ -126,6 +126,21 @@ func TestHelloCodec(t *testing.T) {
 	if _, err := decodeHello(helloMsg{Version: wireVersion + 1, Identity: 1}.encode()); err == nil {
 		t.Error("future wire version accepted")
 	}
+	// A version-3 worker writes FNV-1a trailers, which frame still
+	// reads, so its HELLO arrives intact and must be refused by name.
+	var legacy bytes.Buffer
+	if err := frame.Write(&legacy, msgHello, helloMsg{Version: 3, Identity: 1}.encode()); err != nil {
+		t.Fatal(err)
+	}
+	raw := legacy.Bytes()
+	binary.BigEndian.PutUint64(raw[len(raw)-8:], frame.Fingerprint(raw[4:len(raw)-8]))
+	typ, p, err := frame.Read(&legacy)
+	if err != nil || typ != msgHello {
+		t.Fatalf("a version-3 HELLO frame: type %d err %v", typ, err)
+	}
+	if _, err := decodeHello(p); err == nil || err.Error() != "dist: peer speaks wire version 3, want 4" {
+		t.Errorf("version-3 HELLO: err %v, want the refusal naming versions 3 and 4", err)
+	}
 	if _, err := decodeHello(helloMsg{Version: wireVersion, Identity: 0}.encode()); err == nil {
 		t.Error("zero identity accepted")
 	}

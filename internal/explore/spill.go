@@ -20,7 +20,7 @@ import (
 // outgrow the memory budget.
 //
 // Three structures live here, all speaking the internal/frame envelope
-// (the same checksummed [len][type][payload][fingerprint] format as the
+// (the same checksummed [len][type][payload][checksum] format as the
 // distributed wire protocol and its checkpoints):
 //
 //   - spillTier: the cold half of the visited set.  A shard owner

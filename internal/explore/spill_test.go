@@ -540,11 +540,64 @@ func rewriteRunLayout(t *testing.T, path string, per int) int {
 // chunks.
 func TestSpillResumeOtherBlockLayout(t *testing.T) {
 	for _, per := range []int{256, 32} {
-		t.Run(fmt.Sprintf("%d-entry-blocks", per), func(t *testing.T) { testSpillResumeOtherBlockLayout(t, per) })
+		t.Run(fmt.Sprintf("%d-entry-blocks", per), func(t *testing.T) {
+			testSpillResumeRewritten(t, func(dir string) {
+				runs, _ := filepath.Glob(filepath.Join(dir, "*.run"))
+				largest := 0
+				for _, path := range runs {
+					largest = max(largest, rewriteRunLayout(t, path, per))
+				}
+				if largest != per {
+					t.Fatalf("largest rewritten block holds %d entries in %d runs; the drill needs full %d-entry blocks", largest, len(runs), per)
+				}
+			})
+		})
 	}
 }
 
-func testSpillResumeOtherBlockLayout(t *testing.T, per int) {
+// TestSpillResumeLegacyTrailers: a spill directory whose every frame —
+// manifest, runs, frontier segments — carries the FNV-1a trailer earlier
+// builds wrote must resume, to the census and completion of an
+// uninterrupted run.
+func TestSpillResumeLegacyTrailers(t *testing.T) {
+	testSpillResumeRewritten(t, func(dir string) {
+		files, _ := filepath.Glob(filepath.Join(dir, "*"))
+		frames := 0
+		for _, path := range files {
+			frames += fnvTrailers(t, path)
+		}
+		if frames == 0 {
+			t.Fatalf("no frames to rewrite among %d files", len(files))
+		}
+	})
+}
+
+// fnvTrailers rewrites every frame of the file at path with the FNV-1a
+// trailer earlier builds wrote, and returns how many frames it rewrote.
+func fnvTrailers(t *testing.T, path string) int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for off := int64(0); off < int64(len(raw)); n++ {
+		_, _, next, err := frame.ReadAt(bytes.NewReader(raw), off)
+		if err != nil {
+			t.Fatalf("%s: frame %d: %v", path, n, err)
+		}
+		binary.BigEndian.PutUint64(raw[next-8:], frame.Fingerprint(raw[off+4:next-8]))
+		off = next
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// testSpillResumeRewritten kills a spill run midway, hands its directory
+// to rewrite, and resumes it to the uninterrupted run's census.
+func testSpillResumeRewritten(t *testing.T, rewrite func(dir string)) {
 	g := spillGraph{n: 4000}
 	ref := g.run(1, explore.ShardedOptions[uint64]{})
 
@@ -559,21 +612,13 @@ func testSpillResumeOtherBlockLayout(t *testing.T, per int) {
 	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); err != nil {
 		t.Fatalf("no manifest survived the kill: %v", err)
 	}
-
-	runs, _ := filepath.Glob(filepath.Join(dir, "*.run"))
-	largest := 0
-	for _, path := range runs {
-		largest = max(largest, rewriteRunLayout(t, path, per))
-	}
-	if largest != per {
-		t.Fatalf("largest rewritten block holds %d entries in %d runs; the drill needs full %d-entry blocks", largest, len(runs), per)
-	}
+	rewrite(dir)
 
 	cfg := spillCfg(dir, nil, 256)
 	cfg.Resume = true
 	res := g.run(1, capped(ref, cfg))
 	if res.Err != nil {
-		t.Fatalf("resume over rewritten runs failed: %v", res.Err)
+		t.Fatalf("resume over rewritten files failed: %v", res.Err)
 	}
 	st := res.Stats
 	if !st.Spill.Resumed || st.Incomplete {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"randsync/internal/frame"
 )
 
 // Network chaos: the wire-level extension of the package's seeded Plan
@@ -392,7 +394,7 @@ func (p *NetProxy) serve(client net.Conn) {
 	if err != nil {
 		return
 	}
-	key := fnv1a(first)
+	key := frame.Fingerprint(first)
 	session := p.chaos.session(key)
 	c2s := p.chaos.newStream(key, session, "c2s", true)
 	s2c := p.chaos.newStream(key, session, "s2c", false)
@@ -504,15 +506,4 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return buf, nil
-}
-
-// fnv1a is the same 64-bit FNV-1a the dist wire uses, duplicated here so
-// fault stays dependency-free of internal/sim.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
 }

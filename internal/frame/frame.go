@@ -7,13 +7,18 @@
 //
 // A frame is
 //
-//	[4B big-endian length][1B type][payload][8B big-endian FNV-1a of type+payload]
+//	[4B big-endian length][1B type][payload][8B big-endian CRC-32C<<32 | CRC-32 of type+payload]
 //
-// where length counts everything after itself.  The trailing fingerprint
-// is the same FNV-1a 64 hash the visited set fingerprints keys with
-// (sim.FingerprintBytes), so a torn, bit-flipped, or truncated frame is
-// rejected before its payload can poison an exploration — on the wire
-// and on disk alike.
+// where length counts everything after itself.  The trailer pairs two
+// CRCs with different generator polynomials, both hardware-accelerated
+// (SSE4.2 and carry-less multiply on amd64), so a torn, bit-flipped, or
+// truncated frame is rejected before its payload can poison an
+// exploration — on the wire and on disk alike — and every burst of up
+// to 32 bits is caught with certainty.  Readers also accept the trailer
+// earlier builds wrote, the FNV-1a 64 Fingerprint of the same bytes, so
+// their spill directories, records and checkpoints still load; the rule
+// is verify.  Fingerprint itself stays FNV-1a: it is the content address
+// of job ids, artifacts and manifests, not a frame checksum.
 //
 // The package owns both halves of every durable record.  The write half
 // is the atomic-durable file discipline: write to a temp sibling, fsync,
@@ -31,21 +36,23 @@ package frame
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"path/filepath"
 	"slices"
 )
 
-// FNV-1a 64 constants (hash/fnv's), inlined to keep the package
-// dependency-free; the values match sim.FingerprintBytes byte for byte,
-// which is what keeps the dist wire format unchanged.
+// FNV-1a 64 constants (hash/fnv's), inlined; the values match
+// sim.FingerprintBytes byte for byte.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
 // Fingerprint hashes b with FNV-1a 64 — identical to
-// sim.FingerprintBytes, re-stated here so frame has no dependencies.
+// sim.FingerprintBytes.  It is the repo's content address (job ids,
+// artifact names, manifest job hashes) and the frame trailer earlier
+// builds wrote; it must never change.
 func Fingerprint(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, c := range b {
@@ -53,6 +60,20 @@ func Fingerprint(b []byte) uint64 {
 		h *= fnvPrime64
 	}
 	return h
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// checksum is the trailer every frame is written with: CRC-32C in the
+// high word, CRC-32 (IEEE) in the low one.
+func checksum(b []byte) uint64 {
+	return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
+}
+
+// verify reports whether sum is a trailer of body: its checksum, or —
+// for frames written by earlier builds — its Fingerprint.
+func verify(body []byte, sum uint64) bool {
+	return checksum(body) == sum || Fingerprint(body) == sum
 }
 
 // MaxFrame bounds a frame so a corrupted length prefix cannot allocate
@@ -67,7 +88,7 @@ func Append(buf []byte, typ byte, payload []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(1+len(payload)+8))
 	buf = append(buf, typ)
 	buf = append(buf, payload...)
-	return binary.BigEndian.AppendUint64(buf, Fingerprint(buf[start+4:]))
+	return binary.BigEndian.AppendUint64(buf, checksum(buf[start+4:]))
 }
 
 // Write encodes one frame to w.
@@ -78,7 +99,7 @@ func Write(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// Read decodes one frame from r, verifying the embedded fingerprint.
+// Read decodes one frame from r, verifying its trailer.
 // io.EOF at a frame boundary is returned verbatim so callers can iterate
 // a file of concatenated frames to its end.
 func Read(r io.Reader) (byte, []byte, error) {
@@ -96,16 +117,16 @@ func Read(r io.Reader) (byte, []byte, error) {
 	}
 	sum := binary.BigEndian.Uint64(body[n-8:])
 	body = body[:n-8]
-	if Fingerprint(body) != sum {
+	if !verify(body, sum) {
 		return 0, nil, corruptf("frame: checksum mismatch")
 	}
 	return body[0], body[1:], nil
 }
 
-// ReadAt decodes the frame starting at offset off of f, verifying the
-// embedded fingerprint, and returns its type, payload, and the offset of
-// the byte after the frame.  The payload is freshly allocated; callers
-// on a hot path use ReadAtInto.
+// ReadAt decodes the frame starting at offset off of f, verifying its
+// trailer, and returns its type, payload, and the offset of the byte
+// after the frame.  The payload is freshly allocated; callers on a hot
+// path use ReadAtInto.
 func ReadAt(f io.ReaderAt, off int64) (typ byte, payload []byte, next int64, err error) {
 	var buf []byte
 	return ReadAtInto(f, off, 0, &buf)
@@ -147,7 +168,7 @@ func ReadAtInto(f io.ReaderAt, off int64, size int, buf *[]byte) (typ byte, payl
 		}
 	}
 	body := b[4 : need-8]
-	if Fingerprint(body) != binary.BigEndian.Uint64(b[need-8:]) {
+	if !verify(body, binary.BigEndian.Uint64(b[need-8:])) {
 		return 0, nil, 0, corruptf("frame: checksum mismatch at offset %d", off)
 	}
 	// Only a verified frame may leave the caller holding a larger buffer:

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	iofs "io/fs"
@@ -437,6 +438,79 @@ func TestJobRecordTrailingBytesSkipped(t *testing.T) {
 		}
 	}
 	t.Fatalf("no skip line naming the trailing bytes of job %s in the log: %q", ids[0], logs)
+}
+
+// TestLegacyTrailersServed: a data directory whose job records and
+// artifacts carry the FNV-1a frame trailer earlier builds wrote still
+// loads, and serves the job's verdict document byte for byte.
+func TestLegacyTrailersServed(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{DataDir: dir, MaxActive: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec("alice", 0)
+	st, _, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, s, st.ID)
+	if done.State != StateDone {
+		t.Fatalf("job %s ended %s: %s", st.ID, done.State, done.Error)
+	}
+	doc, err := s.Artifact(done.Artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	arts, _ := filepath.Glob(filepath.Join(dir, "artifacts", "*.art"))
+	if len(arts) != 1 {
+		t.Fatalf("%d artifacts on disk, want 1", len(arts))
+	}
+	for _, path := range append(arts, filepath.Join(dir, "jobs", st.ID, "job.rec")) {
+		fnvTrailers(t, path)
+	}
+
+	r, err := New(Config{DataDir: dir, MaxActive: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	c := &Client{Base: "http://checkd", HTTP: Inproc(Handler(r))}
+	got, err := c.Job(st.ID)
+	if err != nil || got.State != StateDone || got.Artifact != done.Artifact {
+		t.Fatalf("reloaded job: %+v err %v, want done with artifact %s", got, err, done.Artifact)
+	}
+	served, err := c.Artifact(got.Artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(served, doc) || !bytes.Equal(served, serialDoc(t, spec)) {
+		t.Fatalf("served document differs from the one written:\n%s\nvs\n%s", served, doc)
+	}
+}
+
+// fnvTrailers rewrites every frame of the file at path with the FNV-1a
+// trailer earlier builds wrote.
+func fnvTrailers(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off < int64(len(raw)); {
+		_, _, next, err := frame.ReadAt(bytes.NewReader(raw), off)
+		if err != nil {
+			t.Fatalf("%s at offset %d: %v", path, off, err)
+		}
+		binary.BigEndian.PutUint64(raw[next-8:], frame.Fingerprint(raw[off+4:next-8]))
+		off = next
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestHardKillResume: the disk dies under a running daemon (every

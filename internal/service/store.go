@@ -13,7 +13,7 @@ import (
 )
 
 // frameArtifact is the frame type of one stored artifact: the document
-// travels inside the standard [len][type][payload][fingerprint]
+// travels inside the standard [len][type][payload][checksum]
 // envelope, so truncation and bit rot are detected on every read.
 const frameArtifact byte = 0x41 // 'A'
 
@@ -23,10 +23,10 @@ var ErrNotFound = errors.New("service: artifact not found")
 // Store is the content-addressed artifact store: a flat directory of
 // frame-wrapped documents addressed by the FNV-1a 64 fingerprint of
 // their bytes (sixteen lowercase hex digits) — the same hash the
-// visited set fingerprints keys with and the frame envelope verifies
-// payloads with.  Identical documents share one file, so a duplicate
-// submission, a re-run after a crash, and a second tenant's copy of the
-// same logical job all dedup to a single stored verdict.
+// visited set fingerprints keys with.  Identical documents share one
+// file, so a duplicate submission, a re-run after a crash, and a second
+// tenant's copy of the same logical job all dedup to a single stored
+// verdict.
 //
 // Every operation goes through the frame.FS seam, so the kill drills
 // can interpose fault.DiskChaos; writes use WriteFileAtomic, so a crash
