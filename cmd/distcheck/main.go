@@ -209,7 +209,7 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("pick a mode: -loopback N, -listen addr, -join addr, or -submit URL")
 	}
-	if errors.Is(err, dist.ErrInterrupted) {
+	if errors.Is(err, valency.ErrInterrupted) {
 		if *checkpoint != "" {
 			fmt.Fprintf(os.Stderr, "distcheck: interrupted; checkpoint written to %s — rerun the same command (or add -resume) to continue\n", *checkpoint)
 		} else {

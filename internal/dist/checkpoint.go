@@ -1,12 +1,10 @@
 package dist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"slices"
 
 	"randsync/internal/explore"
@@ -15,14 +13,15 @@ import (
 	"randsync/internal/valency"
 )
 
-// Checkpoint format: one frame (same [len][type][payload][checksum]
-// envelope as the wire, type msgCheckpoint) holding the coordinator's
-// entire authoritative state:
+// Checkpoint format: one resume record (frame.Record: the same
+// [len][type][payload][checksum] envelope as the wire, type
+// msgCheckpoint, its payload led by the record's version and job hash)
+// holding the coordinator's entire authoritative state:
 //
-//	jobHash — fingerprint of the encoded job+options, so a snapshot
+//	job hash — fingerprint of the encoded job+options, so a snapshot
 //	          can only resume the job that wrote it
-//	aggregate so far (vector cursor, configs, complete, livelock,
-//	          decisions, harvested counters)
+//	aggregate so far (valency.AppendSweep: vector cursor, configs,
+//	          complete|livelock, decisions; then the harvested counters)
 //	current vector: inputs, visited keys in admission order (ids are
 //	          positional, so no ids are stored), edges,
 //	          decisions, flags, counters, and the outstanding frontier —
@@ -30,9 +29,8 @@ import (
 //	          the queue, since an unacknowledged batch is
 //	          indistinguishable from an undispatched one after restart
 //
-// The file is written to a temp sibling and renamed into place, so a
-// crash mid-snapshot leaves the previous snapshot intact.  Re-running a
-// frontier item that had in fact been processed before the snapshot is
+// A crash mid-snapshot leaves the previous snapshot intact.  Re-running
+// a frontier item that had in fact been processed before the snapshot is
 // harmless: emits dedup against the visited set, edges and decisions
 // are idempotent, only telemetry counters inflate.
 const msgCheckpoint byte = 0x43
@@ -45,60 +43,59 @@ const msgCheckpoint byte = 0x43
 // recovery counters; older snapshots are refused by version.
 const checkpointVersion = 3
 
-// jobHash fingerprints everything that determines the exploration
-// universe; a checkpoint from a different protocol, vector mode,
-// budget or crash schedule must not resume.
-func (co *coord) jobHash() uint64 {
+// snapshot is the checkpoint's resume record.  Its job hash
+// fingerprints everything that determines the exploration universe; a
+// checkpoint from a different protocol, vector mode, budget or crash
+// schedule must not resume.
+func (co *coord) snapshot() frame.Record {
 	b := jobMsg{
 		Spec:       co.job.Spec,
 		Inputs:     co.job.Inputs,
 		NoSymmetry: co.opts.Valency.NoSymmetry,
 		Crash:      co.opts.Valency.Crash,
 	}.encode()
-	b = putUvarint(b, uint64(co.opts.Valency.Budget()))
+	b = binary.AppendUvarint(b, uint64(co.opts.Valency.Budget()))
 	if co.job.AllInputs {
 		b = append(b, 1)
 	}
-	return sim.FingerprintBytes(b)
+	return frame.Record{
+		FS: co.opts.Valency.SpillFS, Path: co.opts.CheckpointPath, Type: msgCheckpoint,
+		Version: checkpointVersion, Job: sim.FingerprintBytes(b), Name: "dist: checkpoint",
+	}
 }
 
-func (co *coord) encodeCheckpoint() []byte {
-	b := putUvarint(nil, checkpointVersion)
-	b = putUvarint(b, co.jobHash())
-
+// appendCheckpoint appends the coordinator state to the record header.
+func (co *coord) appendCheckpoint(b []byte) []byte {
 	// Aggregate.
-	b = putUvarint(b, uint64(co.vecIdx))
-	b = putUvarint(b, uint64(co.agg.Configs))
-	b = putUvarint(b, boolBit(co.agg.Complete)|boolBit(co.agg.Livelock)<<1)
-	b = valency.AppendDecisions(b, co.agg.Decisions)
-	b = putUvarint(b, uint64(co.agg.Stats.Generated))
-	b = putUvarint(b, uint64(co.agg.Stats.DedupHits))
-	b = putUvarint(b, uint64(co.agg.Stats.KeyBytes))
-	b = putUvarint(b, uint64(co.agg.Stats.RemoteItems))
-	b = putUvarint(b, uint64(co.batches))
-	b = putUvarint(b, uint64(co.rec.Reconnects))
-	b = putUvarint(b, uint64(co.rec.WorkerDeaths))
-	b = putUvarint(b, uint64(co.rec.RequeuedBatches))
-	b = putUvarint(b, uint64(co.rec.CheckpointResumes))
-	b = putUvarint(b, uint64(co.rec.CheckpointsWritten))
+	b = valency.AppendSweep(b, co.vecIdx, co.agg)
+	b = binary.AppendUvarint(b, uint64(co.agg.Stats.Generated))
+	b = binary.AppendUvarint(b, uint64(co.agg.Stats.DedupHits))
+	b = binary.AppendUvarint(b, uint64(co.agg.Stats.KeyBytes))
+	b = binary.AppendUvarint(b, uint64(co.agg.Stats.RemoteItems))
+	b = binary.AppendUvarint(b, uint64(co.batches))
+	b = binary.AppendUvarint(b, uint64(co.rec.Reconnects))
+	b = binary.AppendUvarint(b, uint64(co.rec.WorkerDeaths))
+	b = binary.AppendUvarint(b, uint64(co.rec.RequeuedBatches))
+	b = binary.AppendUvarint(b, uint64(co.rec.CheckpointResumes))
+	b = binary.AppendUvarint(b, uint64(co.rec.CheckpointsWritten))
 
 	// Current vector.
 	v := co.vec
-	b = putUvarint(b, uint64(len(v.inputs)))
+	b = binary.AppendUvarint(b, uint64(len(v.inputs)))
 	for _, in := range v.inputs {
-		b = putVarint(b, in)
+		b = binary.AppendVarint(b, in)
 	}
-	b = putUvarint(b, boolBit(v.incomplete)|boolBit(v.violated)<<1)
-	b = putUvarint(b, uint64(v.generated))
-	b = putUvarint(b, uint64(v.dedupHits))
-	b = putUvarint(b, uint64(v.keyBytes))
-	b = putUvarint(b, uint64(v.remote))
-	b = putUvarint(b, uint64(v.keys.Len()))
+	b = binary.AppendUvarint(b, boolBit(v.incomplete)|boolBit(v.violated)<<1)
+	b = binary.AppendUvarint(b, uint64(v.generated))
+	b = binary.AppendUvarint(b, uint64(v.dedupHits))
+	b = binary.AppendUvarint(b, uint64(v.keyBytes))
+	b = binary.AppendUvarint(b, uint64(v.remote))
+	b = binary.AppendUvarint(b, uint64(v.keys.Len()))
 	v.keys.Keys(func(k []byte) { b = putBytes(b, k) })
-	b = putUvarint(b, uint64(len(v.edges)))
+	b = binary.AppendUvarint(b, uint64(len(v.edges)))
 	for _, e := range v.edges {
-		b = putUvarint(b, uint64(e.From))
-		b = putUvarint(b, uint64(e.To))
+		b = binary.AppendUvarint(b, uint64(e.From))
+		b = binary.AppendUvarint(b, uint64(e.To))
 	}
 	b = valency.AppendDecisions(b, v.decisions)
 
@@ -111,7 +108,7 @@ func (co *coord) encodeCheckpoint() []byte {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	b = putUvarint(b, uint64(n))
+	b = binary.AppendUvarint(b, uint64(n))
 	b = putItems(b, v.queue)
 	for _, id := range ids {
 		b = putItems(b, co.inflight[id].items)
@@ -119,21 +116,10 @@ func (co *coord) encodeCheckpoint() []byte {
 	return b
 }
 
-func (co *coord) decodeCheckpoint(p []byte) error {
-	r := frame.NewReader(p)
-	if v := r.Uvarint("ckpt version"); v != checkpointVersion {
-		return fmt.Errorf("dist: checkpoint version %d, want %d", v, checkpointVersion)
-	}
-	if h := r.Uvarint("ckpt job hash"); h != co.jobHash() {
-		return errors.New("dist: checkpoint was written by a different job")
-	}
-
-	co.vecIdx = int(r.Uvarint("ckpt vector cursor"))
-	co.agg.Configs = int(r.Uvarint("ckpt configs"))
-	flags := r.Uvarint("ckpt flags")
-	co.agg.Complete = flags&1 != 0
-	co.agg.Livelock = flags&2 != 0
-	co.agg.Decisions = valency.ReadDecisions(r)
+// decodeCheckpoint restores the coordinator state from a record body.
+// Its errors are refusals; frame.Record.Read names the record.
+func (co *coord) decodeCheckpoint(r *frame.Reader) error {
+	co.vecIdx = valency.ReadSweep(r, co.agg)
 	co.agg.Stats.Generated = int64(r.Uvarint("ckpt generated"))
 	co.agg.Stats.DedupHits = int64(r.Uvarint("ckpt dedup"))
 	co.agg.Stats.KeyBytes = int64(r.Uvarint("ckpt keybytes"))
@@ -161,7 +147,7 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	for i, nk := 0, r.Count("ckpt keys len"); i < nk; i++ {
 		k := r.Bytes("ckpt key")
 		if _, fresh := v.keys.Admit(sim.FingerprintBytes(k), k); !fresh && r.Err() == nil {
-			return errors.New("dist: checkpoint lists a visited key twice")
+			return errors.New("lists a visited key twice")
 		}
 	}
 	for i, ne := 0, r.Count("ckpt edges len"); i < ne; i++ {
@@ -180,12 +166,12 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 	n := int64(v.keys.Len())
 	for _, e := range v.edges {
 		if !validID(e.From, n) || !validID(e.To, n) {
-			return fmt.Errorf("dist: checkpoint edge %d→%d outside its %d visited keys", e.From, e.To, n)
+			return fmt.Errorf("edge %d→%d outside its %d visited keys", e.From, e.To, n)
 		}
 	}
 	for _, it := range v.queue {
 		if !validID(it.id, n) {
-			return fmt.Errorf("dist: checkpoint frontier item %d outside its %d visited keys", it.id, n)
+			return fmt.Errorf("frontier item %d outside its %d visited keys", it.id, n)
 		}
 	}
 	co.vec = v
@@ -195,22 +181,14 @@ func (co *coord) decodeCheckpoint(p []byte) error {
 // validID reports whether id names one of n admitted configurations.
 func validID(id, n int64) bool { return id >= 0 && id < n }
 
-// checkpointNow snapshots atomically and durably: the frame is written
-// to a temp sibling, fsync'd, renamed into place, and the directory is
-// fsync'd, so a machine crash at any instant leaves either the previous
-// snapshot or the new one — never a torn file.  Failures are reported
-// on stderr but never abort the run — a missed snapshot only costs
-// re-exploration after a crash.
+// checkpointNow snapshots atomically and durably (frame.Record.Write).
+// Failures are reported on stderr but never abort the run — a missed
+// snapshot only costs re-exploration after a crash.
 func (co *coord) checkpointNow() {
-	path := co.opts.CheckpointPath
-	if path == "" || co.vec == nil {
+	if co.opts.CheckpointPath == "" || co.vec == nil {
 		return
 	}
-	payload := co.encodeCheckpoint()
-	err := frame.WriteFileAtomic(frame.OS{}, path, func(w io.Writer) error {
-		return frame.Write(w, msgCheckpoint, payload)
-	})
-	if err != nil {
+	if err := co.snapshot().Write(co.appendCheckpoint); err != nil {
 		fmt.Fprintf(os.Stderr, "dist: checkpoint: %v\n", err)
 		return
 	}
@@ -218,27 +196,15 @@ func (co *coord) checkpointNow() {
 }
 
 // tryResume loads the checkpoint file if Options name one and it
-// exists; reports whether the coordinator state was restored.  The file
-// must be exactly one intact checkpoint frame (frame.ReadFile), and any
-// mismatch — truncation, bit flips, trailing garbage, another version,
-// a different job — refuses to resume with a diagnosable error rather
-// than silently exploring from a corrupt frontier.
+// exists; reports whether the coordinator state was restored.  A file
+// it cannot use is refused (frame.ErrCannotResume), never explored
+// from.
 func (co *coord) tryResume() (bool, error) {
-	path := co.opts.CheckpointPath
-	if path == "" {
+	if co.opts.CheckpointPath == "" {
 		return false, nil
 	}
-	payload, err := frame.ReadFile(frame.OS{}, path, msgCheckpoint, nil)
-	if errors.Is(err, fs.ErrNotExist) {
-		return false, nil
-	}
-	if err != nil && !errors.Is(err, frame.ErrCorrupt) {
-		return false, err
-	}
-	if err != nil {
-		return false, fmt.Errorf("dist: checkpoint %s is corrupt or truncated (%w); refusing to resume — delete it to restart the job from scratch", filepath.Base(path), err)
-	}
-	if err := co.decodeCheckpoint(payload); err != nil {
+	found, err := co.snapshot().Read(co.decodeCheckpoint)
+	if !found || err != nil {
 		return false, err
 	}
 	co.rec.CheckpointResumes++
@@ -247,7 +213,7 @@ func (co *coord) tryResume() (bool, error) {
 
 func (co *coord) removeCheckpoint() {
 	if co.opts.CheckpointPath != "" {
-		os.Remove(co.opts.CheckpointPath)
+		co.snapshot().Remove()
 	}
 }
 

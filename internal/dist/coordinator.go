@@ -2,6 +2,7 @@ package dist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"slices"
@@ -208,7 +209,7 @@ func (co *coord) waitForWorkers(expect int) error {
 		case <-co.opts.Interrupt:
 			// Nothing has started (run resumes, if at all, after this
 			// returns), so there is nothing to checkpoint yet.
-			return ErrInterrupted
+			return valency.ErrInterrupted
 		case <-ticker.C:
 			co.heartbeat()
 		}
@@ -445,10 +446,6 @@ func (co *coord) runVector() (*valency.Report, error) {
 		select {
 		case ev := <-co.events:
 			co.handle(ev)
-			if co.opts.AbortAfterBatches > 0 && co.batches >= co.opts.AbortAfterBatches {
-				co.checkpointNow()
-				return nil, ErrAborted
-			}
 			if co.vec.violated {
 				// Persist the verdict before reporting: a coordinator
 				// killed between discovery and the serial re-run resumes
@@ -461,7 +458,7 @@ func (co *coord) runVector() (*valency.Report, error) {
 			// batches flatten back into the frontier) and hand the caller
 			// the resumable-interrupt sentinel.
 			co.checkpointNow()
-			return nil, ErrInterrupted
+			return nil, valency.ErrInterrupted
 		case <-ticker.C:
 			co.heartbeat()
 		}
@@ -678,7 +675,7 @@ func (co *coord) heartbeat() {
 			continue
 		}
 		co.nextPing++
-		co.send(w, msgPing, putUvarint(nil, co.nextPing))
+		co.send(w, msgPing, binary.AppendUvarint(nil, co.nextPing))
 	}
 }
 

@@ -39,12 +39,13 @@
 // run's, regardless of cluster membership or timing (the same contract
 // the local parallel engine keeps).
 //
-// Periodically, and before an induced abort, the coordinator snapshots
-// its entire authoritative state to disk (see checkpoint.go); a
-// restarted coordinator resumes from the snapshot and finishes with the
-// same verdict.  The package writes its own payloads but reads none by
-// hand: the snapshot file is read by frame.ReadFile, and it and every
-// wire message are decoded by frame.Reader.  Worker-loss recovery is
+// Periodically, and when interrupted, the coordinator snapshots its
+// entire authoritative state to disk (see checkpoint.go); a restarted
+// coordinator resumes from the snapshot and finishes with the same
+// verdict.  The snapshot is a frame.Record, the resume record the spill
+// manifest and the vector cursor also are, so one rule refuses it
+// (frame.ErrCannotResume); it and every wire message are decoded by
+// frame.Reader.  Worker-loss recovery is
 // the in-memory special case of the same idea: the visited set is the
 // source of truth, workers are cache.
 //
@@ -89,9 +90,9 @@ type Options struct {
 	// (explore.Each).
 	Valency valency.Options
 	// CheckpointPath, when non-empty, enables periodic snapshots of the
-	// coordinator state; if the file already exists and matches the
-	// job, the run resumes from it.  The file is removed on successful
-	// completion.
+	// coordinator state through Valency.SpillFS (nil: the real disk); if
+	// the file already exists and matches the job, the run resumes from
+	// it.  The file is removed on successful completion.
 	CheckpointPath string
 	// CheckpointEvery is the number of acknowledged batches between
 	// snapshots (default 32 when CheckpointPath is set).  The cadence
@@ -106,14 +107,10 @@ type Options struct {
 	// treated exactly like a dead one: its batches re-queue.
 	HeartbeatEvery time.Duration
 	DeadAfter      time.Duration
-	// AbortAfterBatches, when positive, makes the coordinator write a
-	// final checkpoint and return ErrAborted after that many
-	// acknowledged batches — the kill/resume test seam.
-	AbortAfterBatches int64
 	// Interrupt, when non-nil, makes the coordinator write a final
-	// checkpoint and return ErrInterrupted as soon as the channel is
-	// closed — the graceful-shutdown seam behind the CLI's
-	// SIGINT/SIGTERM handling and the service daemon's drain.  With
+	// checkpoint and return valency.ErrInterrupted as soon as the
+	// channel is closed — the graceful-shutdown seam behind the CLI's
+	// SIGINT/SIGTERM handling and the tests' mid-run stops.  With
 	// CheckpointPath unset the run still stops promptly, but there is
 	// nothing durable to resume from.
 	Interrupt <-chan struct{}
@@ -128,15 +125,6 @@ type Options struct {
 	// worker drops, so even expiry loses at most the in-flight work.
 	RejoinGrace time.Duration
 }
-
-// ErrAborted reports an induced abort (Options.AbortAfterBatches): the
-// job state is checkpointed, not lost.
-var ErrAborted = errors.New("dist: aborted after batch quota; checkpoint written")
-
-// ErrInterrupted reports a graceful interrupt (Options.Interrupt): the
-// job state is checkpointed, not lost — rerun the same command (or
-// restart the daemon) to resume from the snapshot.
-var ErrInterrupted = errors.New("dist: interrupted; checkpoint written")
 
 // ErrAllWorkersLost reports that every worker died before the job
 // finished; with CheckpointPath set the partial state is on disk.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,6 +213,29 @@ func TestAllWorkersLost(t *testing.T) {
 	}
 }
 
+// holdBatch is how long interruptAt's hook keeps the batch it
+// interrupts at unacknowledged: the coordinator takes the interrupt
+// long before, so the snapshot holds that batch's items.
+const holdBatch = 100 * time.Millisecond
+
+// interruptAt returns opts with an Interrupt channel and the worker
+// batch hook that closes it when the cluster's k-th batch reaches a
+// worker, then holds that batch for holdBatch.  The coordinator
+// therefore writes its final snapshot with batch k outstanding: mid-
+// vector.  Install the hook on every worker: which worker gets batch k
+// is timing.
+func interruptAt(opts Options, k int64) (Options, func(int64)) {
+	intr := make(chan struct{})
+	opts.Interrupt = intr
+	var n atomic.Int64
+	return opts, func(int64) {
+		if n.Add(1) == k {
+			close(intr)
+			time.Sleep(holdBatch)
+		}
+	}
+}
+
 // checkpointFrontier loads the checkpoint opts names into a fresh
 // coordinator for job and returns its vector cursor and the number of
 // frontier items it holds (queued plus in-flight): a non-empty
@@ -228,9 +252,10 @@ func checkpointFrontier(t *testing.T, job Job, opts Options) (vecIdx, frontier i
 	return co.vecIdx, len(co.vec.queue)
 }
 
-// TestCheckpointKillResume: a run aborted mid-vector (checkpoint
-// written, ErrAborted) resumes from the snapshot and finishes with the
-// serial verdict.  The checkpoint file is removed on success.
+// TestCheckpointKillResume: a run interrupted mid-vector (checkpoint
+// written, valency.ErrInterrupted) resumes from the snapshot and
+// finishes with the serial verdict.  The checkpoint file is removed on
+// success.
 func TestCheckpointKillResume(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
 	proto, _ := zoo.Resolve(spec)
@@ -240,17 +265,16 @@ func TestCheckpointKillResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 
-	abort := opts
-	abort.AbortAfterBatches = 20 // < minBatches
-	_, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort)
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("err = %v, want ErrAborted", err)
+	first, stop := interruptAt(opts, 20) // < minBatches
+	_, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, first, stop, stop)
+	if !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("err = %v, want valency.ErrInterrupted", err)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint after abort: %v", err)
+		t.Fatalf("no checkpoint after the interrupt: %v", err)
 	}
 	if _, n := checkpointFrontier(t, Job{Spec: spec, Inputs: inputs}, opts); n == 0 {
-		t.Fatal("abort checkpoint holds an empty frontier: not mid-vector")
+		t.Fatal("interrupt checkpoint holds an empty frontier: not mid-vector")
 	}
 
 	rep, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts)
@@ -266,12 +290,12 @@ func TestCheckpointKillResume(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeAllInputs: abort and resume mid all-vectors
+// TestCheckpointResumeAllInputs: interrupt and resume mid all-vectors
 // sweep, inside its second vector; the aggregate still matches
 // CheckAllInputs.  cas n = 2's first vector has 6 configurations, so it
 // takes at most 6 batches; its second has BFS depth 4, so it takes at
-// least 5.  The seventh acknowledged batch is therefore always inside
-// the second vector and never its last.
+// least 5.  The seventh batch is therefore always inside the second
+// vector and never its last.
 func TestCheckpointResumeAllInputs(t *testing.T) {
 	spec := ProtoSpec{Name: "cas", N: 2}
 	proto, _ := zoo.Resolve(spec)
@@ -279,13 +303,12 @@ func TestCheckpointResumeAllInputs(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 2}
-	abort := opts
-	abort.AbortAfterBatches = 7
-	if _, err := Loopback(2, Job{Spec: spec, AllInputs: true}, abort); !errors.Is(err, ErrAborted) {
-		t.Fatalf("want ErrAborted")
+	first, stop := interruptAt(opts, 7)
+	if _, err := Loopback(2, Job{Spec: spec, AllInputs: true}, first, stop, stop); !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("err = %v, want valency.ErrInterrupted", err)
 	}
 	if vec, n := checkpointFrontier(t, Job{Spec: spec, AllInputs: true}, opts); vec != 1 || n == 0 {
-		t.Fatalf("abort checkpoint at vector %d with %d frontier items, want mid-vector 1", vec, n)
+		t.Fatalf("interrupt checkpoint at vector %d with %d frontier items, want mid-vector 1", vec, n)
 	}
 	rep, err := Loopback(2, Job{Spec: spec, AllInputs: true}, opts)
 	if err != nil {
@@ -295,19 +318,26 @@ func TestCheckpointResumeAllInputs(t *testing.T) {
 }
 
 // TestCheckpointJobMismatch: a snapshot from one job must not resume a
-// different one.
+// different one; the refusal matches frame.ErrCannotResume, and the
+// snapshot still resumes its own job to the serial verdict.
 func TestCheckpointJobMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 2}
-	abort := opts
-	abort.AbortAfterBatches = 6 // < minBatches
-	if _, err := Loopback(2, Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}, abort); !errors.Is(err, ErrAborted) {
-		t.Fatalf("want ErrAborted")
+	job := Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}
+	first, stop := interruptAt(opts, 6) // < minBatches
+	if _, err := Loopback(2, job, first, stop, stop); !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("err = %v, want valency.ErrInterrupted", err)
 	}
 	_, err := Loopback(2, Job{Spec: ProtoSpec{Name: "cas", N: 2}, Inputs: []int64{0, 1}}, opts)
-	if err == nil || !strings.Contains(err.Error(), "different job") {
-		t.Fatalf("err = %v, want job-mismatch rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "different job") || !errors.Is(err, frame.ErrCannotResume) {
+		t.Fatalf("err = %v, want job-mismatch rejection matching frame.ErrCannotResume", err)
 	}
+	proto, _ := zoo.Resolve(job.Spec)
+	rep, err := Loopback(2, job, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReport(t, "counter-walk/own-job-resume", valency.Check(proto, job.Inputs, valency.Options{}), rep)
 }
 
 // TestBudgetIncomplete: a starved budget yields an honest incomplete

@@ -5,7 +5,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"randsync/internal/valency"
@@ -13,11 +12,11 @@ import (
 )
 
 // TestLoopbackInterruptResume: closing Options.Interrupt mid-run makes
-// the coordinator write a final checkpoint and return ErrInterrupted;
-// re-running the same job resumes from that snapshot and finishes with
-// the serial verdict — the seam behind distcheck's SIGINT handling and
-// the service daemon's graceful drain.  The hook runs on both workers,
-// so the interrupt fires on the cluster's first batch, with at least
+// the coordinator write a final checkpoint and return
+// valency.ErrInterrupted; re-running the same job resumes from that
+// snapshot and finishes with the serial verdict — the seam behind
+// distcheck's SIGINT handling.  The hook runs on both workers, so the
+// interrupt fires on the cluster's first batch, with at least
 // minBatches-1 still to go.
 func TestLoopbackInterruptResume(t *testing.T) {
 	spec := ProtoSpec{Name: "counter-walk", N: 2}
@@ -25,16 +24,10 @@ func TestLoopbackInterruptResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 
-	intr := make(chan struct{})
-	var once sync.Once
-	first := opts
-	first.Interrupt = intr
-	interrupt := func(batchID int64) {
-		once.Do(func() { close(intr) })
-	}
+	first, interrupt := interruptAt(opts, 1)
 	_, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, first, interrupt, interrupt)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("first run: err = %v, want ErrInterrupted", err)
+	if !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("first run: err = %v, want valency.ErrInterrupted", err)
 	}
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("interrupt left no checkpoint: %v", err)
@@ -73,7 +66,7 @@ func TestLoopbackInterruptBeforeStart(t *testing.T) {
 	close(intr)
 	opts := Options{Interrupt: intr}
 	_, err := Loopback(2, Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}, opts)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
+	if !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("err = %v, want valency.ErrInterrupted", err)
 	}
 }

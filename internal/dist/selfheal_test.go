@@ -9,6 +9,7 @@ package dist
 // never correctness.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -190,6 +191,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "dist.ckpt")
 	opts.CheckpointEvery = 4
 
+	first, stop := interruptAt(opts, 10) // < minBatches
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -200,6 +202,7 @@ func TestCoordinatorRestartResume(t *testing.T) {
 			BaseBackoff: 2 * time.Millisecond,
 			MaxBackoff:  50 * time.Millisecond,
 			NetTimeout:  2 * time.Second,
+			Hook:        stop,
 		}
 		wg.Add(1)
 		go func() {
@@ -208,14 +211,12 @@ func TestCoordinatorRestartResume(t *testing.T) {
 		}()
 	}
 
-	abort := opts
-	abort.AbortAfterBatches = 10 // < minBatches
-	_, err = Serve(ln1, 2, Job{Spec: spec, Inputs: inputs}, abort)
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("first serve: err = %v, want ErrAborted", err)
+	_, err = Serve(ln1, 2, Job{Spec: spec, Inputs: inputs}, first)
+	if !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("first serve: err = %v, want valency.ErrInterrupted", err)
 	}
 	if _, n := checkpointFrontier(t, Job{Spec: spec, Inputs: inputs}, opts); n == 0 {
-		t.Fatal("abort checkpoint holds an empty frontier: not mid-vector")
+		t.Fatal("interrupt checkpoint holds an empty frontier: not mid-vector")
 	}
 	// Kill the coordinator: the listener goes down under the workers,
 	// which enter their backoff loops against the same address.
@@ -293,10 +294,9 @@ func TestCheckpointOldVersionRefused(t *testing.T) {
 
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
-	abort := opts
-	abort.AbortAfterBatches = 12 // < minBatches
-	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort); !errors.Is(err, ErrAborted) {
-		t.Fatalf("seeding abort: %v", err)
+	first, stop := interruptAt(opts, 12) // < minBatches
+	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, first, stop, stop); !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("seeding interrupt: err = %v, want valency.ErrInterrupted", err)
 	}
 	payload, err := frame.ReadFile(frame.OS{}, ckpt, msgCheckpoint, nil)
 	if err != nil {
@@ -306,14 +306,14 @@ func TestCheckpointOldVersionRefused(t *testing.T) {
 	if v := r.Uvarint("version"); v != checkpointVersion || checkpointVersion != 3 {
 		t.Fatalf("checkpoint written as version %d (current %d), want 3", v, checkpointVersion)
 	}
-	old := putUvarint(nil, 2)
+	old := binary.AppendUvarint(nil, 2)
 	old = append(old, r.Rest()...)
 	if err := os.WriteFile(ckpt, frame.Append(nil, msgCheckpoint, old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const want = "checkpoint version 2, want 3"
-	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("resume from a version-2 checkpoint: err %v, want %q", err, want)
+	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, opts); err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, frame.ErrCannotResume) {
+		t.Fatalf("resume from a version-2 checkpoint: err %v, want %q matching frame.ErrCannotResume", err, want)
 	}
 
 	if err := os.WriteFile(ckpt, frame.Append(nil, msgCheckpoint, payload), 0o644); err != nil {
@@ -338,10 +338,9 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "dist.ckpt")
 	opts := Options{CheckpointPath: ckpt, CheckpointEvery: 4}
 
-	abort := opts
-	abort.AbortAfterBatches = 12 // < minBatches
-	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, abort); !errors.Is(err, ErrAborted) {
-		t.Fatalf("seeding abort: %v", err)
+	first, stop := interruptAt(opts, 12) // < minBatches
+	if _, err := Loopback(2, Job{Spec: spec, Inputs: inputs}, first, stop, stop); !errors.Is(err, valency.ErrInterrupted) {
+		t.Fatalf("seeding interrupt: err = %v, want valency.ErrInterrupted", err)
 	}
 	good, err := os.ReadFile(ckpt)
 	if err != nil {
@@ -369,8 +368,8 @@ func TestCheckpointCorruptionRefused(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: corrupt checkpoint resumed without error", tc.name)
 		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
+		if !strings.Contains(err.Error(), tc.want) || !errors.Is(err, frame.ErrCannotResume) {
+			t.Errorf("%s: err = %v, want mention of %q matching frame.ErrCannotResume", tc.name, err, tc.want)
 		}
 	}
 
@@ -399,20 +398,20 @@ func TestCheckpointRefusesHugeCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := putUvarint(nil, checkpointVersion)
-	p = putUvarint(p, co.jobHash())
+	p := binary.AppendUvarint(nil, checkpointVersion)
+	p = binary.AppendUvarint(p, co.snapshot().Job)
 	for i := 0; i < 14; i++ {
 		// The aggregate: vector cursor, configs, flags, an empty
 		// decision set, four stats counters, batches and the recovery
 		// block.
-		p = putUvarint(p, 0)
+		p = binary.AppendUvarint(p, 0)
 	}
-	p = putUvarint(p, 1<<40) // inputs, and nothing after
+	p = binary.AppendUvarint(p, 1<<40) // inputs, and nothing after
 	if err := os.WriteFile(ckpt, frame.Append(nil, msgCheckpoint, p), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	const want = "ckpt inputs len 1099511627776 exceeds the 0 bytes left in payload"
-	if ok, err := co.tryResume(); ok || err == nil || !strings.Contains(err.Error(), want) {
+	if ok, err := co.tryResume(); ok || !strings.Contains(fmt.Sprint(err), want) || !errors.Is(err, frame.ErrCannotResume) {
 		t.Fatalf("resume from a checkpoint claiming 2^40 inputs: resumed %v, err %v, want %q", ok, err, want)
 	}
 }
@@ -452,5 +451,82 @@ func TestWorkerDoneCancels(t *testing.T) {
 	close(done)
 	if err := Work(dead, WorkerOptions{ID: 9, Done: done, BaseBackoff: time.Millisecond}); err != nil {
 		t.Fatalf("err = %v, want nil after Done", err)
+	}
+}
+
+// recordingFS logs every Create, Open, Rename and Remove by base name
+// and fails the first failCreates Creates.
+type recordingFS struct {
+	frame.FS
+	mu          sync.Mutex
+	ops         []string
+	failCreates int
+}
+
+func (f *recordingFS) note(op string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	fail := strings.HasPrefix(op, "create") && f.failCreates > 0
+	if fail {
+		f.failCreates--
+		op += " (failed)"
+	}
+	f.ops = append(f.ops, op)
+	return fail
+}
+
+func (f *recordingFS) Create(name string) (frame.File, error) {
+	if f.note("create " + filepath.Base(name)) {
+		return nil, errors.New("injected create failure")
+	}
+	return f.FS.Create(name)
+}
+
+func (f *recordingFS) Open(name string) (frame.File, error) {
+	f.note("open " + filepath.Base(name))
+	return f.FS.Open(name)
+}
+
+func (f *recordingFS) Rename(oldpath, newpath string) error {
+	f.note("rename " + filepath.Base(oldpath) + " " + filepath.Base(newpath))
+	return f.FS.Rename(oldpath, newpath)
+}
+
+func (f *recordingFS) Remove(name string) error {
+	f.note("remove " + filepath.Base(name))
+	return f.FS.Remove(name)
+}
+
+// TestCheckpointThroughSpillFS: the snapshot is read, written, renamed
+// into place and removed through Options.Valency.SpillFS, and its
+// writes retry under frame.Retry: a failed Create is tried again at
+// once, not left to the next snapshot.
+func TestCheckpointThroughSpillFS(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &recordingFS{FS: frame.OS{}, failCreates: 1}
+	opts := Options{CheckpointPath: filepath.Join(dir, "dist.ckpt"), CheckpointEvery: 4}
+	opts.Valency.SpillFS = fsys
+	rep, err := Loopback(2, Job{Spec: ProtoSpec{Name: "counter-walk", N: 2}, Inputs: []int64{0, 1}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, op := range fsys.ops {
+		count[op]++
+	}
+	written := int(rep.Stats.Recovery.CheckpointsWritten)
+	if written < 1 || count["rename dist.ckpt.tmp dist.ckpt"] != written || count["create dist.ckpt.tmp"] != written {
+		t.Fatalf("%d snapshots written, ops %v: want one create and one rename through SpillFS each", written, count)
+	}
+	if fsys.ops[0] != "open dist.ckpt" || count["remove dist.ckpt"] != 1 || fsys.ops[len(fsys.ops)-1] != "remove dist.ckpt" {
+		t.Fatalf("ops %v: want the resume read first and the removal last, through SpillFS", fsys.ops)
+	}
+	for i, op := range fsys.ops {
+		if op == "create dist.ckpt.tmp (failed)" && fsys.ops[i+1] != "create dist.ckpt.tmp" {
+			t.Fatalf("ops %v: the failed Create was not retried at once", fsys.ops)
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("finished run left %v (%v) behind", ents, err)
 	}
 }

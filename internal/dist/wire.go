@@ -46,8 +46,8 @@ type helloMsg struct {
 }
 
 func (m helloMsg) encode() []byte {
-	b := putUvarint(nil, m.Version)
-	return putUvarint(b, m.Identity)
+	b := binary.AppendUvarint(nil, m.Version)
+	return binary.AppendUvarint(b, m.Identity)
 }
 
 func decodeHello(p []byte) (helloMsg, error) {
@@ -70,10 +70,8 @@ func decodeHello(p []byte) (helloMsg, error) {
 // --- payload primitives ---
 //
 // Payloads are decoded by frame.Reader, the one sticky-error decoder;
-// these are its encoding halves.
-
-func putUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func putVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
+// integers are encoded by encoding/binary directly, and these are the
+// encoding halves of the composite reads.
 
 func putBytes(b, s []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
@@ -99,25 +97,25 @@ type jobMsg struct {
 
 func (m jobMsg) encode() []byte {
 	b := putBytes(nil, []byte(m.Spec.Name))
-	b = putUvarint(b, uint64(m.Spec.N))
-	b = putUvarint(b, uint64(m.Spec.R))
-	b = putVarint(b, m.Spec.Rounds)
-	b = putUvarint(b, m.Spec.Seed)
-	b = putUvarint(b, uint64(len(m.Inputs)))
+	b = binary.AppendUvarint(b, uint64(m.Spec.N))
+	b = binary.AppendUvarint(b, uint64(m.Spec.R))
+	b = binary.AppendVarint(b, m.Spec.Rounds)
+	b = binary.AppendUvarint(b, m.Spec.Seed)
+	b = binary.AppendUvarint(b, uint64(len(m.Inputs)))
 	for _, v := range m.Inputs {
-		b = putVarint(b, v)
+		b = binary.AppendVarint(b, v)
 	}
 	flags := uint64(0)
 	if m.NoSymmetry {
 		flags |= 1
 	}
-	b = putUvarint(b, flags)
-	b = putUvarint(b, uint64(len(m.Crash)))
+	b = binary.AppendUvarint(b, flags)
+	b = binary.AppendUvarint(b, uint64(len(m.Crash)))
 	for _, v := range m.Crash {
-		b = putVarint(b, int64(v))
+		b = binary.AppendVarint(b, int64(v))
 	}
-	b = putUvarint(b, uint64(m.Workers))
-	b = putUvarint(b, m.Epoch)
+	b = binary.AppendUvarint(b, uint64(m.Workers))
+	b = binary.AppendUvarint(b, m.Epoch)
 	return b
 }
 
@@ -159,9 +157,9 @@ type batchMsg struct {
 }
 
 func (m batchMsg) encode() []byte {
-	b := putUvarint(nil, uint64(m.ID))
-	b = putUvarint(b, m.Epoch)
-	b = putUvarint(b, uint64(len(m.Items)))
+	b := binary.AppendUvarint(nil, uint64(m.ID))
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = binary.AppendUvarint(b, uint64(len(m.Items)))
 	return putItems(b, m.Items)
 }
 
@@ -169,7 +167,7 @@ func (m batchMsg) encode() []byte {
 // checkpoint's frontier share.
 func putItems(b []byte, items []item) []byte {
 	for _, it := range items {
-		b = putUvarint(b, uint64(it.id))
+		b = binary.AppendUvarint(b, uint64(it.id))
 		b = putBytes(b, it.sched)
 	}
 	return b
@@ -218,21 +216,21 @@ type doneMsg struct {
 }
 
 func (m doneMsg) encode() []byte {
-	b := putUvarint(nil, uint64(m.ID))
-	b = putUvarint(b, m.Epoch)
-	b = putUvarint(b, uint64(m.Generated))
+	b := binary.AppendUvarint(nil, uint64(m.ID))
+	b = binary.AppendUvarint(b, m.Epoch)
+	b = binary.AppendUvarint(b, uint64(m.Generated))
 	v := uint64(0)
 	if m.Violated {
 		v = 1
 	}
-	b = putUvarint(b, v)
-	b = putUvarint(b, uint64(len(m.Decisions)))
+	b = binary.AppendUvarint(b, v)
+	b = binary.AppendUvarint(b, uint64(len(m.Decisions)))
 	for _, d := range m.Decisions {
-		b = putVarint(b, d)
+		b = binary.AppendVarint(b, d)
 	}
-	b = putUvarint(b, uint64(len(m.Emits)))
+	b = binary.AppendUvarint(b, uint64(len(m.Emits)))
 	for _, e := range m.Emits {
-		b = putUvarint(b, uint64(e.from))
+		b = binary.AppendUvarint(b, uint64(e.from))
 		b = putBytes(b, e.key)
 		b = putBytes(b, e.sched)
 	}

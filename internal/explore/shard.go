@@ -2,6 +2,7 @@ package explore
 
 import (
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -693,11 +694,7 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 		e.ws[i].out = make([]*shardBatch[T], workers)
 	}
 	if opts.Spill != nil {
-		sp := &spillRT[T]{cfg: *opts.Spill}
-		sp.fs = sp.cfg.FS
-		if sp.fs == nil {
-			sp.fs = frame.OS{}
-		}
+		sp := &spillRT[T]{cfg: *opts.Spill, fs: frame.OrOS(opts.Spill.FS)}
 		sp.bar.cond = sync.NewCond(&sp.bar.mu)
 		sp.bar.active = workers
 		sp.hotShard = 1 << 62
@@ -708,6 +705,11 @@ func RunSharded[T any](workers int, opts ShardedOptions[T], roots []ShardSeed[T]
 			}
 		}
 		sp.tier = newSpillTier(sp.fs, sp.cfg.Dir, workers, sp.cfg.CheckpointEvery > 0)
+		sp.manifest = frame.Record{
+			FS: sp.fs, Path: filepath.Join(sp.cfg.Dir, ManifestName), Type: frameManifest,
+			Version: spillVersion, Job: frame.Fingerprint(sp.cfg.Header),
+			Name: "explore: spill manifest", Retries: &sp.tier.retries,
+		}
 		sp.qs = make([]*spillQueue, workers)
 		for i := range sp.qs {
 			sp.qs[i] = newSpillQueue(sp.fs, sp.cfg.Dir, i, &sp.tier.retries)

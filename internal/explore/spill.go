@@ -50,8 +50,8 @@ import (
 //
 // Fault model: every disk operation goes through frame.FS (so the
 // seeded injector fault.DiskChaos can interpose) and is wrapped in
-// frame.Retry, and the manifest is read by frame.ReadFile; headers and
-// the manifest decode with frame.Reader, and only the block iterator
+// frame.Retry, and the manifest is a frame.Record; headers and the
+// manifest decode with frame.Reader, and only the block iterator
 // below, the lookup hot path, decodes by hand.  A fault that outlasts
 // the retries is unrecoverable; the engine then stops with the honest
 // "incomplete" verdict.  A read that succeeds but returns corrupted bytes is caught
@@ -104,13 +104,10 @@ const runWriteChunk = 64 << 10
 // bloom test per run, so unbounded run counts would decay probes.
 const maxRunsPerShard = 4
 
-// manifestName is the checkpoint manifest file within a spill directory.
-const manifestName = "MANIFEST"
-
-// ManifestName exposes the checkpoint manifest filename so callers can
-// detect a resumable spill directory (e.g. to refuse a non-resume run in
-// a directory that still holds a previous run's cut).
-const ManifestName = manifestName
+// ManifestName is the checkpoint manifest file within a spill
+// directory; callers detect a resumable directory by it (to refuse a
+// non-resume run where a previous run's cut still lies).
+const ManifestName = "MANIFEST"
 
 // SpillStats is the disk-tier telemetry of one sharded run; all zero
 // when tiering is off.

@@ -376,7 +376,7 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 			if res.Err == nil {
 				t.Fatalf("resume accepted a %s manifest (admitted %d)", name, res.Stats.Admitted)
 			}
-			if !errors.Is(res.Err, explore.ErrCannotResume) {
+			if !errors.Is(res.Err, frame.ErrCannotResume) {
 				t.Fatalf("refusal %v does not match ErrCannotResume", res.Err)
 			}
 			if !res.Stats.Incomplete {
@@ -418,7 +418,7 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	}
 	cfg := spillCfg(dir, nil, 256)
 	cfg.Resume = true
-	if res := g.run(1, capped(ref, cfg)); !errors.Is(res.Err, explore.ErrCannotResume) {
+	if res := g.run(1, capped(ref, cfg)); !errors.Is(res.Err, frame.ErrCannotResume) {
 		t.Fatalf("resume over cut-short runs: err %v, want a refusal matching ErrCannotResume", res.Err)
 	}
 	for path, b := range saved {
@@ -428,7 +428,7 @@ func TestSpillResumeRefusesCorruption(t *testing.T) {
 	}
 	cfg = spillCfg(dir, fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{ReadErr: 1000}), 256)
 	cfg.Resume = true
-	if res := g.run(1, capped(ref, cfg)); res.Err == nil || errors.Is(res.Err, explore.ErrCannotResume) {
+	if res := g.run(1, capped(ref, cfg)); res.Err == nil || errors.Is(res.Err, frame.ErrCannotResume) {
 		t.Fatalf("resume whose every read fails: err %v, want an I/O error that is no refusal", res.Err)
 	}
 
@@ -465,7 +465,7 @@ func TestSpillResumeRefusesHugeCount(t *testing.T) {
 	}
 	res := spillGraph{n: 100}.run(1, explore.ShardedOptions[uint64]{Spill: cfg})
 	const want = "manifest edges 1099511627776 exceeds the 0 bytes left in payload; refusing to resume"
-	if res.Err == nil || !strings.Contains(res.Err.Error(), want) || !errors.Is(res.Err, explore.ErrCannotResume) {
+	if res.Err == nil || !strings.Contains(res.Err.Error(), want) || !errors.Is(res.Err, frame.ErrCannotResume) {
 		t.Fatalf("resume from a manifest claiming 2^40 edges: err %v, want %q matching ErrCannotResume", res.Err, want)
 	}
 	if !res.Stats.Incomplete {
@@ -656,7 +656,7 @@ func TestSpillWorkerMismatchRefused(t *testing.T) {
 	}
 	cfg := spillCfg(dir, nil, 256)
 	cfg.Resume = true
-	if res := g.run(3, explore.ShardedOptions[uint64]{Spill: cfg}); !errors.Is(res.Err, explore.ErrCannotResume) {
+	if res := g.run(3, explore.ShardedOptions[uint64]{Spill: cfg}); !errors.Is(res.Err, frame.ErrCannotResume) {
 		t.Fatalf("resume with a different worker count: err %v, want a refusal matching ErrCannotResume", res.Err)
 	}
 }

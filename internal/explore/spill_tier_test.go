@@ -521,7 +521,7 @@ func TestSpillCheckpointPersistsOnce(t *testing.T) {
 		}
 		return typ, payload, f
 	}
-	typ, payload, mf := read(manifestName)
+	typ, payload, mf := read(ManifestName)
 	mf.Close()
 	if typ != frameManifest {
 		t.Fatalf("manifest frame type %d", typ)

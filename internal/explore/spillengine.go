@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	iofs "io/fs"
 	"path/filepath"
 	"strings"
@@ -79,22 +78,6 @@ type SpillConfig[T any] struct {
 // state is checkpointed, not lost — resume from the manifest.
 var ErrInterrupted = errors.New("explore: interrupted; checkpoint written")
 
-// ErrCannotResume is matched by every refusal to resume a checkpoint
-// this build cannot use (corrupt, another format version, another job
-// or worker count), whose text it leaves alone: a caller that keeps the
-// job's spec may delete the spill directory and start over.  A failed
-// read does not match; a retry may heal it.
-var ErrCannotResume = errors.New("explore: checkpoint cannot be resumed")
-
-// CannotResume marks err as a refusal to resume: the result matches
-// ErrCannotResume and reads and unwraps as err.
-func CannotResume(err error) error { return cannotResume{err} }
-
-type cannotResume struct{ error }
-
-func (e cannotResume) Is(target error) bool { return target == ErrCannotResume }
-func (e cannotResume) Unwrap() error        { return e.error }
-
 func (c *SpillConfig[T]) hotFrontier() int {
 	if c.HotFrontier <= 0 {
 		return 8192
@@ -104,10 +87,11 @@ func (c *SpillConfig[T]) hotFrontier() int {
 
 // spillRT is the engine-side runtime of one tiered run.
 type spillRT[T any] struct {
-	cfg  SpillConfig[T]
-	fs   frame.FS
-	tier *spillTier
-	qs   []*spillQueue
+	cfg      SpillConfig[T]
+	fs       frame.FS
+	manifest frame.Record // the checkpoint manifest: the cut a resume starts from
+	tier     *spillTier
+	qs       []*spillQueue
 
 	hotShard int64 // per-shard RAM key-byte budget
 
@@ -454,13 +438,7 @@ func (e *sharded[T]) doCheckpoint() {
 		}
 	}
 	// 4. Write the manifest naming the cut.
-	payload := e.encodeManifest()
-	err := frame.Retry(&sp.tier.retries, func() error {
-		return frame.WriteFileAtomic(sp.fs, filepath.Join(sp.cfg.Dir, manifestName), func(w io.Writer) error {
-			return frame.Write(w, frameManifest, payload)
-		})
-	})
-	if err != nil {
+	if err := sp.manifest.Write(e.appendManifest); err != nil {
 		sp.tier.softFails.Add(1)
 		return
 	}
@@ -472,11 +450,10 @@ func (e *sharded[T]) doCheckpoint() {
 	}
 }
 
-// encodeManifest serializes the cut (world must be parked or final).
-func (e *sharded[T]) encodeManifest() []byte {
+// appendManifest appends the cut to the manifest header (world must be
+// parked or final).
+func (e *sharded[T]) appendManifest(b []byte) []byte {
 	sp := e.sp
-	b := binary.AppendUvarint(nil, spillVersion)
-	b = binary.AppendUvarint(b, frame.Fingerprint(sp.cfg.Header))
 	b = binary.AppendUvarint(b, uint64(len(e.ws)))
 	b = binary.AppendUvarint(b, uint64(e.next.Load()))
 	var processed, dedup int64
@@ -531,63 +508,50 @@ func (e *sharded[T]) encodeManifest() []byte {
 // directory.  Returns false when no manifest exists (fresh start).  A
 // manifest that is corrupt, from a different job, or inconsistent with
 // its data files refuses to resume with a diagnosable error
-// (ErrCannotResume) rather than exploring from a wrong cut.
+// (frame.ErrCannotResume) rather than exploring from a wrong cut.
 func (e *sharded[T]) tryResume() (bool, error) {
 	sp := e.sp
-	path := filepath.Join(sp.cfg.Dir, manifestName)
-	payload, err := frame.ReadFile(sp.fs, path, frameManifest, &sp.tier.retries)
-	if errors.Is(err, iofs.ErrNotExist) {
-		return false, nil // no manifest: fresh start
-	}
-	if err != nil && !errors.Is(err, frame.ErrCorrupt) {
-		return false, fmt.Errorf("explore: read spill manifest: %w", err)
-	}
-	if err != nil {
-		return false, CannotResume(fmt.Errorf("explore: spill manifest is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, path))
-	}
-	r := frame.NewReader(payload)
-	if v := r.Uvarint("manifest version"); v != spillVersion {
-		return false, CannotResume(fmt.Errorf("explore: spill manifest version %d, want %d", v, spillVersion))
-	}
-	if h := r.Uvarint("manifest job hash"); h != frame.Fingerprint(sp.cfg.Header) {
-		return false, CannotResume(errors.New("explore: spill manifest was written by a different job; refusing to resume"))
-	}
-	if w := int(r.Uvarint("manifest workers")); w != len(e.ws) {
-		return false, CannotResume(fmt.Errorf("explore: spill manifest has %d workers, run has %d; refusing to resume", w, len(e.ws)))
-	}
-	e.next.Store(int64(r.Uvarint("manifest next id")))
-	sp.baseProcessed = int64(r.Uvarint("manifest processed"))
-	sp.baseDedup = int64(r.Uvarint("manifest dedup"))
-	sp.ckpts.Store(int64(r.Uvarint("manifest checkpoints")))
-	referenced := map[string]bool{manifestName: true}
-	for s := range e.ws {
-		sh := &sp.tier.shards[s]
-		sh.gen = int64(r.Uvarint("shard gen"))
-		for i, n := 0, r.Count("shard runs"); i < n; i++ {
-			// Opened below, once the whole manifest has decoded.
-			sh.runs = append(sh.runs, &tierRun{name: string(r.Bytes("run name")), count: int64(r.Uvarint("run count"))})
+	referenced := map[string]bool{ManifestName: true}
+	found, err := sp.manifest.Read(func(r *frame.Reader) error {
+		if w := int(r.Uvarint("manifest workers")); w != len(e.ws) {
+			return fmt.Errorf("written by %d workers, run has %d", w, len(e.ws))
 		}
-	}
-	for w := range e.ws {
-		q := sp.qs[w]
-		q.seq = int64(r.Uvarint("queue seq"))
-		for i, n := 0, r.Count("queue segs"); i < n; i++ {
-			seg := &spillSegment{name: string(r.Bytes("segment name")), count: int64(r.Uvarint("segment count"))}
-			q.segs = append(q.segs, seg)
-			referenced[seg.name] = true
+		e.next.Store(int64(r.Uvarint("manifest next id")))
+		sp.baseProcessed = int64(r.Uvarint("manifest processed"))
+		sp.baseDedup = int64(r.Uvarint("manifest dedup"))
+		sp.ckpts.Store(int64(r.Uvarint("manifest checkpoints")))
+		for s := range e.ws {
+			sh := &sp.tier.shards[s]
+			sh.gen = int64(r.Uvarint("shard gen"))
+			for i, n := 0, r.Count("shard runs"); i < n; i++ {
+				// Opened below, once the whole manifest has decoded.
+				sh.runs = append(sh.runs, &tierRun{name: string(r.Bytes("run name")), count: int64(r.Uvarint("run count"))})
+			}
 		}
-	}
-	nedges := r.Count("manifest edges")
-	sp.resumeEdges = make([]Edge, 0, nedges)
-	for i := 0; i < nedges; i++ {
-		sp.resumeEdges = append(sp.resumeEdges, Edge{
-			From: int64(r.Uvarint("edge from")),
-			To:   int64(r.Uvarint("edge to")),
-		})
-	}
-	aux := r.Bytes("manifest aux")
-	if err := r.Err(); err != nil {
-		return false, CannotResume(fmt.Errorf("explore: spill manifest: %w; refusing to resume", err))
+		for w := range e.ws {
+			q := sp.qs[w]
+			q.seq = int64(r.Uvarint("queue seq"))
+			for i, n := 0, r.Count("queue segs"); i < n; i++ {
+				seg := &spillSegment{name: string(r.Bytes("segment name")), count: int64(r.Uvarint("segment count"))}
+				q.segs = append(q.segs, seg)
+				referenced[seg.name] = true
+			}
+		}
+		nedges := r.Count("manifest edges")
+		sp.resumeEdges = make([]Edge, 0, nedges)
+		for i := 0; i < nedges; i++ {
+			sp.resumeEdges = append(sp.resumeEdges, Edge{
+				From: int64(r.Uvarint("edge from")),
+				To:   int64(r.Uvarint("edge to")),
+			})
+		}
+		if aux := r.Bytes("manifest aux"); sp.cfg.RestoreAux != nil && r.Err() == nil {
+			return sp.cfg.RestoreAux(aux)
+		}
+		return nil
+	})
+	if !found || err != nil {
+		return false, err
 	}
 	for s := range e.ws {
 		sh := &sp.tier.shards[s]
@@ -595,7 +559,7 @@ func (e *sharded[T]) tryResume() (bool, error) {
 			if sh.runs[i], err = sp.tier.openRun(s, run.name, run.count); err != nil {
 				sh.runs = sh.runs[:i]
 				if errors.Is(err, frame.ErrCorrupt) || errors.Is(err, iofs.ErrNotExist) {
-					err = CannotResume(err)
+					err = frame.CannotResume(err)
 				}
 				return false, fmt.Errorf("%w; refusing to resume — delete the spill directory to restart from scratch", err)
 			}
@@ -603,11 +567,6 @@ func (e *sharded[T]) tryResume() (bool, error) {
 		}
 		// The shard's keys are all on disk and none in RAM.
 		e.ws[s].cold = len(sh.runs) > 0
-	}
-	if sp.cfg.RestoreAux != nil {
-		if err := sp.cfg.RestoreAux(aux); err != nil {
-			return false, CannotResume(fmt.Errorf("explore: restore spill aux state: %w; refusing to resume", err))
-		}
 	}
 	// Post-cut debris: delete every spill artifact the manifest does not
 	// name (runs flushed after the cut, superseded compactions, consumed
@@ -666,7 +625,7 @@ func (e *sharded[T]) spillFinish(res *ShardedResult) {
 		// Clean completion: remove the manifest first so a crash mid-
 		// cleanup can only leave orphan data files (a later Resume then
 		// starts fresh), never a manifest pointing at deleted data.
-		sp.fs.Remove(filepath.Join(sp.cfg.Dir, manifestName))
+		sp.manifest.Remove()
 		sp.tier.prune()
 		for s := range sp.tier.shards {
 			for _, run := range sp.tier.shards[s].runs {

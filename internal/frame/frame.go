@@ -81,6 +81,19 @@ func verify(body []byte, sum uint64) bool {
 // tier produces.
 const MaxFrame = 1 << 26
 
+// extend lengthens b, which holds part of a frame of need bytes, before
+// the next read: to need itself up to 1 MiB, then by doubling.  Wire
+// messages, records and spill blocks are one exact allocation, and a
+// length prefix that lies costs at most 1 MiB plus twice the bytes that
+// actually arrive, not MaxFrame.
+func extend(b []byte, need int) []byte {
+	n := min(need, max(2*len(b), 1<<20))
+	if n <= cap(b) {
+		return b[:n]
+	}
+	return append(make([]byte, 0, n), b...)[:n]
+}
+
 // Append appends one encoded frame to buf and returns the extended
 // slice.
 func Append(buf []byte, typ byte, payload []byte) []byte {
@@ -111,9 +124,14 @@ func Read(r io.Reader) (byte, []byte, error) {
 	if n < 9 || n > MaxFrame {
 		return 0, nil, corruptf("frame: length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	body := extend(nil, int(n))
+	for have := 0; have < int(n); have, body = len(body), extend(body, int(n)) {
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			if err == io.EOF && have > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
 	}
 	sum := binary.BigEndian.Uint64(body[n-8:])
 	body = body[:n-8]
@@ -137,8 +155,8 @@ func ReadAt(f io.ReaderAt, off int64) (typ byte, payload []byte, next int64, err
 // returned payload aliases it, so it is valid only until *buf is used
 // again.  size is the frame's encoded length when the caller knows it
 // (the spill tier's block index does) and 0 otherwise: a correct size
-// fetches the whole frame with one f.ReadAt, any other value costs a
-// second read for the remainder, never a wrong result.  This is the
+// fetches the whole frame with one f.ReadAt, any other value costs
+// further reads for the remainder, never a wrong result.  This is the
 // random-access read the spill tier's block lookups use: one frame is
 // read, checksummed and returned without touching the rest of the file
 // or the heap.
@@ -157,15 +175,14 @@ func ReadAtInto(f io.ReaderAt, off int64, size int, buf *[]byte) (typ byte, payl
 		return 0, nil, 0, corruptf("frame: length %d out of range at offset %d", n, off)
 	}
 	need := 4 + int(n)
-	if got < need {
-		if got < size {
+	for got < need {
+		if got < len(b) {
 			return 0, nil, 0, shortRead(got, err) // the file ends inside the frame
 		}
-		b = slices.Grow(b, need-got)[:need]
-		more, err := f.ReadAt(b[got:], off+int64(got))
-		if more < need-got {
-			return 0, nil, 0, shortRead(got+more, err)
-		}
+		b = extend(b, need)
+		var more int
+		more, err = f.ReadAt(b[got:], off+int64(got))
+		got += more
 	}
 	body := b[4 : need-8]
 	if !verify(body, binary.BigEndian.Uint64(b[need-8:])) {

@@ -10,6 +10,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -99,10 +100,10 @@ func TestCorruptionRejected(t *testing.T) {
 		}
 
 		// A burst of length n flips its first and last bit and a seeded
-		// pattern between them.  Bursts start after the length prefix:
-		// the 32-bit burst guarantee is the CRCs', over type+payload+trailer.
+		// pattern between them, anywhere in the frame: one that lands in
+		// the length prefix is refused by the length or by a short read.
 		for range bursts {
-			start := 32 + rng.IntN(8*len(raw)-32)
+			start := rng.IntN(8 * len(raw))
 			for n := 1; n <= 32 && start+n <= 8*len(raw); n++ {
 				burst := []int{start}
 				for bit := start + 1; bit < start+n-1; bit++ {
@@ -134,6 +135,39 @@ func TestCorruptionRejected(t *testing.T) {
 		}
 		if _, p, err := Read(bytes.NewReader(raw)); err != nil || !bytes.Equal(p, payload) {
 			t.Fatalf("%d-byte payload: intact frame refused: %v", size, err)
+		}
+	}
+}
+
+// TestLyingLengthAllocatesLittle: a 100-byte stream whose length
+// prefix claims MaxFrame is refused by Read and ReadAtInto with under
+// 2 MiB allocated: a buffer past 1 MiB grows only as bytes arrive.  The
+// allocation is averaged over reads, after a GC, so that small objects
+// earlier tests allocated and the runtime has not yet counted do not
+// land in the delta.
+func TestLyingLengthAllocatesLittle(t *testing.T) {
+	data := make([]byte, 100)
+	binary.BigEndian.PutUint32(data, MaxFrame)
+	var buf []byte
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"Read", func() error { _, _, err := Read(bytes.NewReader(data)); return err }},
+		{"ReadAtInto", func() error { _, _, _, err := ReadAtInto(bytes.NewReader(data), 0, 0, &buf); return err }},
+	} {
+		const reads = 8
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range reads {
+			if err := tc.read(); err != io.ErrUnexpectedEOF {
+				t.Fatalf("%s: err %v, want io.ErrUnexpectedEOF", tc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if n := (after.TotalAlloc - before.TotalAlloc) / reads; n >= 2<<20 {
+			t.Fatalf("%s allocated %d bytes a read for a 100-byte stream claiming %d", tc.name, n, MaxFrame)
 		}
 	}
 }

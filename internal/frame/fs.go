@@ -30,6 +30,15 @@ type FS interface {
 	MkdirAll(path string) error
 }
 
+// OrOS returns fsys, or OS when fsys is nil: every FS option in the repo
+// takes nil for the real disk.
+func OrOS(fsys FS) FS {
+	if fsys == nil {
+		return OS{}
+	}
+	return fsys
+}
+
 // OS is the passthrough FS backed by package os.
 type OS struct{}
 

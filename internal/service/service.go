@@ -182,9 +182,7 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.FS == nil {
-		c.FS = frame.OS{}
-	}
+	c.FS = frame.OrOS(c.FS)
 	if c.MaxActive <= 0 {
 		c.MaxActive = 2
 	}

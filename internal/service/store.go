@@ -72,9 +72,7 @@ type putCall struct {
 // crash/restart cycles.  The sweep is best-effort: a file that cannot
 // be removed is skipped, not fatal.
 func NewStore(dir string, fsys frame.FS) (*Store, error) {
-	if fsys == nil {
-		fsys = frame.OS{}
-	}
+	fsys = frame.OrOS(fsys)
 	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("service: create artifact dir: %w", err)
 	}

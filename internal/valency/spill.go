@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	iofs "io/fs"
 	"path/filepath"
 	"slices"
 	"sync/atomic"
@@ -42,8 +40,8 @@ var ErrInterrupted = explore.ErrInterrupted
 // ErrCannotResume is matched by every refusal to resume a spill run or
 // an all-inputs sweep from a checkpoint this build cannot use: a
 // corrupt manifest, run or vector cursor, another format version,
-// another job or worker count.  It aliases the engine's sentinel.
-var ErrCannotResume = explore.ErrCannotResume
+// another job or worker count.  It aliases the resume record's sentinel.
+var ErrCannotResume = frame.ErrCannotResume
 
 // spillCheckpointDefault is the admissions-between-manifests default
 // when Options.SpillCheckpointEvery is 0.
@@ -143,6 +141,36 @@ func ReadDecisions(r *frame.Reader) map[int64]bool {
 	return d
 }
 
+// AppendSweep appends an all-inputs sweep's durable aggregate: vectors
+// [0, next) are fully explored and folded into agg, whose verdict
+// fields — configurations, complete|livelock<<1, decisions — follow.
+// The vector cursor and the cluster coordinator's snapshot both carry
+// it.
+func AppendSweep(b []byte, next int, agg *Report) []byte {
+	b = binary.AppendUvarint(b, uint64(next))
+	b = binary.AppendUvarint(b, uint64(agg.Configs))
+	var flags uint64
+	if agg.Complete {
+		flags |= 1
+	}
+	if agg.Livelock {
+		flags |= 2
+	}
+	b = binary.AppendUvarint(b, flags)
+	return AppendDecisions(b, agg.Decisions)
+}
+
+// ReadSweep restores an aggregate written by AppendSweep into agg and
+// returns the vector to resume at; a failure is left in r.
+func ReadSweep(r *frame.Reader, agg *Report) int {
+	next := int(r.Uvarint("next vector"))
+	agg.Configs = int(r.Uvarint("configs"))
+	flags := r.Uvarint("flags")
+	agg.Complete, agg.Livelock = flags&1 != 0, flags&2 != 0
+	agg.Decisions = ReadDecisions(r)
+	return next
+}
+
 // spillHeader identifies the exploration universe of one (protocol,
 // inputs, options) job: a manifest written under a different header
 // refuses to resume.  MemBudget is deliberately excluded — it moves the
@@ -151,13 +179,6 @@ func ReadDecisions(r *frame.Reader) map[int64]bool {
 func spillHeader(proto sim.Protocol, inputs []int64, opts Options) []byte {
 	return []byte(fmt.Sprintf("valency spill v1 proto=%s inputs=%v budget=%d crash=%v sym=%v",
 		proto.Name(), inputs, opts.Budget(), opts.Crash, opts.SymmetryOn()))
-}
-
-func (o Options) spillFS() frame.FS {
-	if o.SpillFS != nil {
-		return o.SpillFS
-	}
-	return frame.OS{}
 }
 
 // spillHotFrontier bounds the in-RAM frontier of a spill run by the
@@ -207,7 +228,7 @@ func CheckSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, erro
 		return nil, errors.New("valency: CheckSpill requires Options.SpillDir")
 	}
 	if !opts.SpillResume {
-		if f, err := opts.spillFS().Open(filepath.Join(opts.SpillDir, explore.ManifestName)); err == nil {
+		if f, err := frame.OrOS(opts.SpillFS).Open(filepath.Join(opts.SpillDir, explore.ManifestName)); err == nil {
 			f.Close()
 			return nil, fmt.Errorf("valency: spill directory %s holds a previous run's checkpoint; resume it or use a clean directory", opts.SpillDir)
 		}
@@ -220,10 +241,10 @@ func CheckSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, erro
 }
 
 // Cursor frame type for CheckAllInputsSpill: which input vectors are
-// done and the aggregate so far.  The cursor is read by frame.ReadFile
-// and its disk operations retry under frame.Retry, counted in
-// Stats.Spill.Retries with the engine's.  Distinct from every explore spill
-// frame type and every dist wire type.
+// done and the aggregate so far.  The cursor is a frame.Record, and its
+// disk operations retry under frame.Retry, counted in Stats.Spill.Retries
+// with the engine's.  Distinct from every explore spill frame type and
+// every dist wire type.
 const frameVectorCursor byte = 0x56 // 'V'
 
 // vectorCursorName is the cross-vector progress file in the spill root.
@@ -236,46 +257,6 @@ func allInputsHeader(proto sim.Protocol, n int, opts Options) []byte {
 		proto.Name(), n, opts.Budget(), opts.Crash, opts.SymmetryOn()))
 }
 
-// encodeVectorCursor writes the durable cross-vector state: vectors
-// [0, next) are fully explored and folded into agg, whose verdict
-// fields the cursor carries.
-func encodeVectorCursor(job uint64, next int, agg *Report) []byte {
-	b := binary.AppendUvarint(nil, vectorCursorVersion)
-	b = binary.AppendUvarint(b, job)
-	b = binary.AppendUvarint(b, uint64(next))
-	b = binary.AppendUvarint(b, uint64(agg.Configs))
-	var flags uint64
-	if agg.Complete {
-		flags |= 1
-	}
-	if agg.Livelock {
-		flags |= 2
-	}
-	b = binary.AppendUvarint(b, flags)
-	return AppendDecisions(b, agg.Decisions)
-}
-
-// decodeVectorCursor restores a cursor's verdict fields into agg and
-// returns the vector to resume at.
-func decodeVectorCursor(p []byte, job uint64, agg *Report) (int, error) {
-	r := frame.NewReader(p)
-	if v := r.Uvarint("version"); v != vectorCursorVersion {
-		return 0, explore.CannotResume(fmt.Errorf("valency: vector cursor version %d, want %d", v, vectorCursorVersion))
-	}
-	if h := r.Uvarint("job hash"); h != job {
-		return 0, explore.CannotResume(errors.New("valency: vector cursor was written by a different job; refusing to resume"))
-	}
-	next := int(r.Uvarint("next"))
-	agg.Configs = int(r.Uvarint("configs"))
-	flags := r.Uvarint("flags")
-	agg.Complete, agg.Livelock = flags&1 != 0, flags&2 != 0
-	agg.Decisions = ReadDecisions(r)
-	if err := r.Err(); err != nil {
-		return 0, explore.CannotResume(fmt.Errorf("valency: corrupt vector cursor: %w; refusing to resume", err))
-	}
-	return next, nil
-}
-
 // CheckAllInputsSpill runs CheckSpill over every binary input vector for
 // n processes, each in its own subdirectory of Options.SpillDir, with a
 // durable cross-vector cursor: a killed sweep resumes at the vector it
@@ -285,10 +266,13 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 	if opts.SpillDir == "" {
 		return nil, errors.New("valency: CheckAllInputsSpill requires Options.SpillDir")
 	}
-	fs := opts.spillFS()
-	job := frame.Fingerprint(allInputsHeader(proto, n, opts))
-	cursorPath := filepath.Join(opts.SpillDir, vectorCursorName)
+	fs := frame.OrOS(opts.SpillFS)
 	var retries atomic.Int64
+	cursor := frame.Record{
+		FS: fs, Path: filepath.Join(opts.SpillDir, vectorCursorName), Type: frameVectorCursor,
+		Version: vectorCursorVersion, Job: frame.Fingerprint(allInputsHeader(proto, n, opts)),
+		Name: "valency: vector cursor", Retries: &retries,
+	}
 	if err := frame.Retry(&retries, func() error { return fs.MkdirAll(opts.SpillDir) }); err != nil {
 		return nil, fmt.Errorf("valency: create spill dir: %w", err)
 	}
@@ -296,20 +280,12 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 	agg := newAggregate(opts.workers())
 	agg.Stats.Spill = &explore.SpillStats{}
 	next := 0
-	payload, err := frame.ReadFile(fs, cursorPath, frameVectorCursor, &retries)
+	found, err := cursor.Read(func(r *frame.Reader) error { next = ReadSweep(r, agg); return nil })
 	switch {
-	case errors.Is(err, iofs.ErrNotExist):
-		// No cursor: a fresh sweep.
-	case err != nil && !errors.Is(err, frame.ErrCorrupt):
-		return nil, fmt.Errorf("valency: read vector cursor: %w", err)
-	case !opts.SpillResume:
+	case found && !opts.SpillResume:
 		return nil, fmt.Errorf("valency: spill directory %s holds an unfinished sweep; resume it or use a clean directory", opts.SpillDir)
 	case err != nil:
-		return nil, explore.CannotResume(fmt.Errorf("valency: vector cursor is corrupt or truncated (%w); refusing to resume — delete %s to restart from scratch", err, cursorPath))
-	default:
-		if next, err = decodeVectorCursor(payload, job, agg); err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	start := time.Now()
 	defer func() { // the returned report shares agg.Stats
@@ -334,16 +310,11 @@ func CheckAllInputsSpill(proto sim.Protocol, n int, opts Options) (*Report, erro
 		fs.Remove(vopts.SpillDir) // completed vectors leave an empty subdir
 		// Fold the finished vector into the durable cursor before moving
 		// on; a crash between vectors then resumes exactly here.
-		payload := encodeVectorCursor(job, bits+1, agg)
-		if err := frame.Retry(&retries, func() error {
-			return frame.WriteFileAtomic(fs, cursorPath, func(w io.Writer) error {
-				return frame.Write(w, frameVectorCursor, payload)
-			})
-		}); err != nil {
+		if err := cursor.Write(func(b []byte) []byte { return AppendSweep(b, bits+1, agg) }); err != nil {
 			agg.Complete = false
 			return agg, fmt.Errorf("valency: write vector cursor: %w", err)
 		}
 	}
-	fs.Remove(cursorPath) // completed sweep: nothing left to resume
+	cursor.Remove() // completed sweep: nothing left to resume
 	return agg, nil
 }

@@ -320,9 +320,19 @@ func TestVectorCursorCorruptionRefused(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%s: corrupt cursor resumed without error (report %+v)", tc.name, rep)
 		}
-		if !strings.Contains(err.Error(), tc.want) || !errors.Is(err, valency.ErrCannotResume) {
+		if !strings.Contains(err.Error(), tc.want) || !errors.Is(err, frame.ErrCannotResume) {
 			t.Errorf("%s: err = %v, want mention of %q matching ErrCannotResume", tc.name, err, tc.want)
 		}
+	}
+
+	// A cursor that cannot be read is no refusal: a retry may heal it.
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "vectors.ckpt"), good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unreadable := fault.NewDiskChaos(frame.OS{}, fault.DiskPlan{ReadErr: 1000})
+	if _, err := valency.CheckAllInputsSpill(proto, n, valency.Options{SpillDir: dir, SpillFS: unreadable, SpillResume: true}); err == nil || errors.Is(err, frame.ErrCannotResume) {
+		t.Fatalf("resume whose every read fails: err %v, want an I/O error that is no refusal", err)
 	}
 
 	rep, err := resume(good)
