@@ -210,17 +210,27 @@ func run(args []string) error {
 		return fmt.Errorf("pick a mode: -loopback N, -listen addr, -join addr, or -submit URL")
 	}
 	if errors.Is(err, valency.ErrInterrupted) {
-		if *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "distcheck: interrupted; checkpoint written to %s — rerun the same command (or add -resume) to continue\n", *checkpoint)
-		} else {
-			fmt.Fprintln(os.Stderr, "distcheck: interrupted; no -checkpoint set, progress discarded")
-		}
+		fmt.Fprintln(os.Stderr, interruptedMessage(*checkpoint))
 		return nil
 	}
 	if err != nil {
 		return err
 	}
 	return report(rep, job, *jsonOut, args)
+}
+
+// interruptedMessage is what an interrupted coordinator tells the user.
+// It promises a checkpoint only if one is on disk: a run interrupted
+// before the cluster assembled never wrote one, and a -resume rerun
+// would find nothing to resume.
+func interruptedMessage(checkpoint string) string {
+	if checkpoint == "" {
+		return "distcheck: interrupted; no -checkpoint set, progress discarded"
+	}
+	if _, err := os.Stat(checkpoint); err != nil {
+		return fmt.Sprintf("distcheck: interrupted before the first checkpoint; nothing written to %s — a rerun starts over", checkpoint)
+	}
+	return fmt.Sprintf("distcheck: interrupted; checkpoint written to %s — rerun the same command (or add -resume) to continue", checkpoint)
 }
 
 // runClient is the -submit / -wait-job / -async path: hand the job to a

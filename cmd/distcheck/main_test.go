@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -33,6 +34,37 @@ func TestSpecDefaultsShared(t *testing.T) {
 	j := runJSON(t, "-loopback", "1", "-protocol", "scan-machine", "-r", "2", "-n", "2", "-all", "-json")
 	if j.Violation == nil || j.Violation.Steps != 11 {
 		t.Fatalf("violation %+v; want an 11-step trace under seed 1", j.Violation)
+	}
+}
+
+// TestInterruptedMessage: an interrupted coordinator names its
+// checkpoint only when the file exists; one interrupted before its first
+// snapshot says a rerun starts over, not that -resume will continue.
+func TestInterruptedMessage(t *testing.T) {
+	dir := t.TempDir()
+	written := filepath.Join(dir, "written.ckpt")
+	if err := os.WriteFile(written, []byte("snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "missing.ckpt")
+	for _, tc := range []struct {
+		path string
+		want []string
+		not  string
+	}{
+		{written, []string{"checkpoint written to " + written, "-resume"}, "starts over"},
+		{missing, []string{"before the first checkpoint", missing, "a rerun starts over"}, "-resume"},
+		{"", []string{"no -checkpoint set"}, "-resume"},
+	} {
+		msg := interruptedMessage(tc.path)
+		for _, w := range tc.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("interruptedMessage(%q) = %q, want it to contain %q", tc.path, msg, w)
+			}
+		}
+		if strings.Contains(msg, tc.not) {
+			t.Errorf("interruptedMessage(%q) = %q, must not contain %q", tc.path, msg, tc.not)
+		}
 	}
 }
 

@@ -37,7 +37,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("modelcheck", flag.ContinueOnError)
 	spec := zoo.Flags(fs)
 	budget := fs.Int("budget", 1<<22, "configuration budget")
-	memBudget := fs.Int64("mem-budget", 0, "retained-byte budget (0 = unlimited); truncates the run, or sets the hot tier under -spill-dir")
+	memBudget := fs.Int64("mem-budget", 0, "bytes of visited set the disk tier keeps in RAM (requires -spill-dir; 0 = all of it); beyond them keys evict to disk and the run still completes")
 	spillDir := fs.String("spill-dir", "", "enable the disk-tiered engine: spill cold visited-set shards and deep frontiers under this directory and write resumable checkpoints")
 	resume := fs.Bool("resume", false, "resume a killed -spill-dir run from its last durable checkpoint")
 	spillEvery := fs.Int64("spill-every", 0, "admissions between checkpoint manifests (0 = default 32768, negative = no checkpoints)")
@@ -51,6 +51,9 @@ func run(args []string) error {
 	}
 	if *resume && *spillDir == "" {
 		return fmt.Errorf("-resume requires -spill-dir")
+	}
+	if *memBudget != 0 && *spillDir == "" {
+		return fmt.Errorf("-mem-budget requires -spill-dir (it sizes the disk tier's hot set; -budget caps an in-RAM run)")
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

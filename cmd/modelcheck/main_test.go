@@ -7,23 +7,30 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"randsync/internal/valency"
 )
 
-// TestRunRejectsBadSpecs: an unknown name or an out-of-range parameter
-// is an error before anything is built — never a panic, and never a
-// vacuous certificate over zero processes.
+// TestRunRejectsBadSpecs: an unknown name, an out-of-range parameter or
+// a flag that needs -spill-dir is an error before anything is built —
+// never a panic, never a vacuous certificate over zero processes, and
+// never a run that -mem-budget would silently truncate.
 func TestRunRejectsBadSpecs(t *testing.T) {
-	for _, args := range [][]string{
-		{"-protocol", "no-such-protocol"},
-		{"-n", "0"},
-		{"-n", "-1"},
-		{"-protocol", "flood-swap", "-r", "-1"},
+	for _, tc := range []struct {
+		args []string
+		want string // a substring of the error
+	}{
+		{[]string{"-protocol", "no-such-protocol"}, "unknown protocol"},
+		{[]string{"-n", "0"}, "out of range"},
+		{[]string{"-n", "-1"}, "out of range"},
+		{[]string{"-protocol", "flood-swap", "-r", "-1"}, "out of range"},
+		{[]string{"-mem-budget", "4096"}, "-spill-dir"},
+		{[]string{"-resume"}, "-spill-dir"},
 	} {
-		if err := run(args); err == nil {
-			t.Errorf("modelcheck %v: no error", args)
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("modelcheck %v: error %v, want one naming %q", tc.args, err, tc.want)
 		}
 	}
 }

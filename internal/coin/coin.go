@@ -14,7 +14,6 @@ package coin
 import (
 	"math/rand/v2"
 
-	"randsync/internal/counting"
 	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
@@ -50,20 +49,6 @@ func (p CounterPosition) Add(proc int, delta int64) {
 // Read implements Position.
 func (p CounterPosition) Read(proc int) int64 { return p.C.Read(proc) }
 
-// CollectPosition adapts a register-based collect counter (n read-write
-// registers), the substrate of the register-only consensus protocol [9].
-type CollectPosition struct {
-	C *counting.CollectCounter
-}
-
-var _ Position = CollectPosition{}
-
-// Add implements Position.
-func (p CollectPosition) Add(proc int, delta int64) { p.C.Add(proc, delta) }
-
-// Read implements Position.
-func (p CollectPosition) Read(proc int) int64 { return p.C.Read() }
-
 // HookedPosition wraps a Position with an injection hook fired on the
 // calling process's goroutine before every Add and Read — the coin-layer
 // injection point used by package fault to crash, stall, or perturb a
@@ -94,22 +79,6 @@ func (p HookedPosition) Read(proc int) int64 {
 	}
 	return p.Pos.Read(proc)
 }
-
-// FetchAddPosition adapts a single fetch&add register (object.FetchAddType,
-// Theorem 4.4), moving it by one fetch&add of delta.
-type FetchAddPosition struct {
-	F *runtime.Object
-}
-
-var _ Position = FetchAddPosition{}
-
-// Add implements Position.
-func (p FetchAddPosition) Add(proc int, delta int64) {
-	p.F.Do(proc, object.Op{Kind: object.FetchAdd, Arg: delta})
-}
-
-// Read implements Position.
-func (p FetchAddPosition) Read(proc int) int64 { return p.F.Read(proc) }
 
 // WeakShared is a weak shared coin for n processes with absorbing barriers
 // at ±K·n.

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"randsync/internal/counting"
 	"randsync/internal/object"
 	"randsync/internal/runtime"
 )
@@ -35,46 +34,30 @@ func runTrial(t *testing.T, n int, mk func() Position, seed uint64) ([]int64, in
 	return outcomes, movesTotal
 }
 
-func positions() map[string]func(n int) func() Position {
-	return map[string]func(n int) func() Position{
-		"counter": func(n int) func() Position {
-			return func() Position { return counterPosition() }
-		},
-		"fetchadd": func(n int) func() Position {
-			return func() Position { return FetchAddPosition{F: runtime.NewObject(object.FetchAddType{}, nil)} }
-		},
-		"collect": func(n int) func() Position {
-			return func() Position { return CollectPosition{C: counting.NewCollectCounter(n)} }
-		},
-	}
-}
-
 // TestFlipTerminatesAndAgreesOften: the coin must terminate, and across
 // trials all processes must frequently agree (weak shared coin property).
 // With barrier 4n and benign scheduling, agreement is the overwhelmingly
 // common outcome; we assert a loose majority to keep the test robust.
 func TestFlipTerminatesAndAgreesOften(t *testing.T) {
 	const n, trials = 8, 30
-	for name, mkmk := range positions() {
-		t.Run(name, func(t *testing.T) {
-			agree := 0
-			for trial := 0; trial < trials; trial++ {
-				outcomes, _ := runTrial(t, n, mkmk(n), uint64(trial+1))
-				same := true
-				for _, o := range outcomes {
-					if o != outcomes[0] {
-						same = false
-					}
-				}
-				if same {
-					agree++
+	t.Run("counter", func(t *testing.T) {
+		agree := 0
+		for trial := 0; trial < trials; trial++ {
+			outcomes, _ := runTrial(t, n, func() Position { return counterPosition() }, uint64(trial+1))
+			same := true
+			for _, o := range outcomes {
+				if o != outcomes[0] {
+					same = false
 				}
 			}
-			if agree < trials/2 {
-				t.Errorf("%s: only %d/%d trials agreed", name, agree, trials)
+			if same {
+				agree++
 			}
-		})
-	}
+		}
+		if agree < trials/2 {
+			t.Errorf("only %d/%d trials agreed", agree, trials)
+		}
+	})
 }
 
 // TestFlipSoloIsFastEnough: a solo process must finish in O((Kn)²)

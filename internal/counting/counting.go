@@ -5,18 +5,11 @@
 // registers plugged into counter-based consensus multiplies the object
 // counts.
 //
-// Two counters are provided:
-//
-//   - SnapshotCounter: linearizable, built on a single-writer atomic
-//     snapshot (Afek, Attiya, Dolev, Gafni, Merritt, Shavit [3]) with
-//     helping, so both Inc and Read are wait-free.  It uses n registers
-//     (the paper's registers may hold values from any set, so a register
-//     holding a (value, sequence, embedded-view) triple is one object).
-//
-//   - CollectCounter: cheaper but only "regular" — Read sums a
-//     non-atomic collect.  It is what the weak-shared-coin random walk
-//     needs (the Aspnes–Herlihy analysis tolerates collect inaccuracy),
-//     at one register per process.
+// SnapshotCounter is linearizable, built on a single-writer atomic
+// snapshot (Afek, Attiya, Dolev, Gafni, Merritt, Shavit [3]) with
+// helping, so both Inc and Read are wait-free.  It uses n registers (the
+// paper's registers may hold values from any set, so a register holding a
+// (value, sequence, embedded-view) triple is one object).
 package counting
 
 import (
@@ -143,45 +136,6 @@ func (c *SnapshotCounter) Read(i int) int64 {
 	var sum int64
 	for _, v := range c.snap.Scan() {
 		sum += v
-	}
-	return sum
-}
-
-// CollectCounter is a wait-free counter from n single-writer registers
-// whose Read is a non-atomic collect: cheap, and sufficient for the
-// shared-coin random walk, whose drift analysis tolerates reads that are
-// off by in-flight updates.
-type CollectCounter struct {
-	cells []paddedInt64
-}
-
-// paddedInt64 avoids false sharing between per-process cells under the
-// write rates the coin generates.
-type paddedInt64 struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// NewCollectCounter returns a collect counter for n processes.
-func NewCollectCounter(n int) *CollectCounter {
-	return &CollectCounter{cells: make([]paddedInt64, n)}
-}
-
-// Registers returns the number of read-write registers used.
-func (c *CollectCounter) Registers() int { return len(c.cells) }
-
-// Add adds delta on behalf of process i.  Each process updates only its
-// own register (single-writer), so a read-modify-write is not needed.
-func (c *CollectCounter) Add(i int, delta int64) {
-	cell := &c.cells[i].v
-	cell.Store(cell.Load() + delta)
-}
-
-// Read sums a collect of all cells.
-func (c *CollectCounter) Read() int64 {
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
 	}
 	return sum
 }

@@ -151,31 +151,6 @@ func TestSnapshotCounterReadsMonotone(t *testing.T) {
 	}
 }
 
-func TestCollectCounter(t *testing.T) {
-	const procs, each = 8, 500
-	c := NewCollectCounter(procs)
-	var wg sync.WaitGroup
-	for p := 0; p < procs; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < each; i++ {
-				c.Add(p, 1)
-			}
-			for i := 0; i < each/4; i++ {
-				c.Add(p, -2)
-			}
-		}(p)
-	}
-	wg.Wait()
-	if got := c.Read(); got != procs*each/2 {
-		t.Fatalf("collect counter = %d, want %d", got, procs*each/2)
-	}
-	if c.Registers() != procs {
-		t.Fatalf("registers = %d", c.Registers())
-	}
-}
-
 // TestSnapshotQuickSequential property: any sequence of single-writer
 // updates followed by a scan returns exactly the last value per cell.
 func TestSnapshotQuickSequential(t *testing.T) {

@@ -89,13 +89,6 @@ type ShardedOptions[T any] struct {
 	// stopped run admits at most MaxItems + workers keys.  <= 0 means
 	// unlimited.
 	MaxItems int64
-	// OverBudget, when non-nil, is polled after each fresh admission;
-	// returning true marks the run Incomplete and stops it (the hook
-	// valency's MemBudget installs).
-	OverBudget func() bool
-	// OnBytes, when non-nil, observes every growth of the interned key
-	// bytes, with the delta; it must be safe for concurrent calls.
-	OnBytes func(delta int64)
 	// Recycle, when non-nil, is called exactly once per materialized
 	// payload the engine is done with: a deduplicated hand-off's payload
 	// (called by the shard owner) or an expanded task's payload (called
@@ -398,9 +391,6 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 		sw.keys.insert(probe, fp, key, id) // the arena holds the only copy
 		sw.bytes += int64(len(key))
 		fresh = true
-		if e.opts.OnBytes != nil {
-			e.opts.OnBytes(int64(len(key)))
-		}
 	}
 	if parent >= 0 {
 		sw.edges.add(Edge{From: parent, To: id})
@@ -409,8 +399,7 @@ func (e *sharded[T]) admit(w int, fp uint64, key []byte, parent int64) (id int64
 		sw.dedup++
 		return id, false
 	}
-	if (e.opts.MaxItems > 0 && id >= e.opts.MaxItems) ||
-		(e.opts.OverBudget != nil && e.opts.OverBudget()) {
+	if e.opts.MaxItems > 0 && id >= e.opts.MaxItems {
 		e.incomplete.Store(true)
 		e.stopped.Store(true)
 	}

@@ -165,22 +165,6 @@ func TestRunShardedBudget(t *testing.T) {
 	}
 }
 
-// TestRunShardedOverBudgetHook: the OverBudget/OnBytes seam truncates on
-// retained key bytes, like the memory watchdog does.
-func TestRunShardedOverBudgetHook(t *testing.T) {
-	var retained atomic.Int64
-	res, _ := runShardedGraph(2, 50000, ShardedOptions[int]{
-		OnBytes:    func(d int64) { retained.Add(d) },
-		OverBudget: func() bool { return retained.Load() >= 1024 },
-	})
-	if !res.Stats.Incomplete {
-		t.Fatal("byte-budgeted run not marked incomplete")
-	}
-	if retained.Load() < 1024 {
-		t.Fatalf("stopped before the byte budget: %d retained", retained.Load())
-	}
-}
-
 // TestRunShardedFingerprintCollision: distinct keys claiming the same
 // fingerprint must all be admitted with distinct ids (full-key overflow),
 // dedup on re-emission, and show up in the census collision counter.

@@ -196,13 +196,9 @@ func (e *sharded[T]) maybeEvict(w int) {
 	if sw.bytes < e.sp.hotShard || !e.persistNew(w) {
 		return
 	}
-	freed := sw.bytes
 	sw.keys.reset()
 	sw.bytes = 0
 	sw.cold = true
-	if e.opts.OnBytes != nil {
-		e.opts.OnBytes(-freed)
-	}
 }
 
 // maybeSpillFrontier moves the oldest (coldest) half of w's private

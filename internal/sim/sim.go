@@ -22,7 +22,6 @@ package sim
 import (
 	"fmt"
 	"strings"
-	"unsafe"
 
 	"randsync/internal/object"
 )
@@ -213,24 +212,6 @@ func (c *Config) CloneInto(dst *Config) *Config {
 	dst.Steps = append(dst.Steps[:0], c.Steps...)
 	dst.types = c.types
 	return dst
-}
-
-// MemBytes estimates the heap bytes this configuration retains: the
-// struct itself plus its slice storage (by capacity, since recycled
-// configurations keep their backing arrays).  States are counted as
-// interface headers only — state values are immutable and shared across
-// configurations, so charging them to each holder would overcount.
-// Exploration engines use this to include frontier configurations in
-// their memory-budget accounting alongside visited-set key bytes.
-func (c *Config) MemBytes() int64 {
-	n := int64(unsafe.Sizeof(*c))
-	n += int64(cap(c.Inputs)) * int64(unsafe.Sizeof(int64(0)))
-	n += int64(cap(c.States)) * 2 * int64(unsafe.Sizeof(uintptr(0))) // interface headers
-	n += int64(cap(c.Objects)) * int64(unsafe.Sizeof(int64(0)))
-	n += int64(cap(c.Decided))
-	n += int64(cap(c.Decision)) * int64(unsafe.Sizeof(int64(0)))
-	n += int64(cap(c.Steps)) * int64(unsafe.Sizeof(int(0)))
-	return n
 }
 
 // Pending returns the action process pid will perform when next scheduled.
@@ -442,16 +423,6 @@ func (c *Config) CloneProcess(src, dst int) error {
 // as CloneProcess apply and are not checked here.  Most callers want
 // CloneProcess.
 func (c *Config) SetState(pid int, s State) { c.States[pid] = s }
-
-// AnyDecision returns the pid and value of some decided process.
-func (c *Config) AnyDecision() (pid int, value int64, ok bool) {
-	for p, d := range c.Decided {
-		if d {
-			return p, c.Decision[p], true
-		}
-	}
-	return 0, 0, false
-}
 
 // Decisions returns the set of values decided by any process.
 func (c *Config) Decisions() map[int64][]int {

@@ -55,9 +55,7 @@ type shardItem struct {
 // is the in-RAM engine behind Check; with a spill tier (see spill.go)
 // it is the disk-tiered engine behind CheckSpill, and only there does
 // it attach the tier, track each item's schedule and report the tier's
-// telemetry.  MemBudget, when set, truncates the run; CheckSpill hands
-// its budget to the tier's hot set instead.  A worker panic comes back
-// as an *explore.PanicError.
+// telemetry.  A worker panic comes back as an *explore.PanicError.
 //
 // Determinism: a complete run admits exactly the reachable canonical key
 // set — each key once, by its shard owner — so Configs, Decisions and
@@ -84,26 +82,13 @@ func checkSharded(proto sim.Protocol, inputs []int64, opts Options, disk *spillT
 	}
 	var violated atomic.Bool
 
-	// The memory watchdog accounts both retained costs: interned
-	// visited-set key bytes (OnBytes) and the frontier's pending
-	// configuration clones, added at materialization and released when
-	// the engine retires the payload through Recycle.
-	var memBytes atomic.Int64
-	budgeted := opts.MemBudget > 0
 	sopts := explore.ShardedOptions[*shardItem]{
 		MaxItems: int64(opts.Budget()),
 		Recycle: func(worker int, it *shardItem) {
-			if budgeted {
-				memBytes.Add(-it.MemBytes())
-			}
 			if w := &ws[worker]; len(w.free) < sworkFreeCap {
 				w.free = append(w.free, it)
 			}
 		},
-	}
-	if budgeted {
-		sopts.OnBytes = func(d int64) { memBytes.Add(d) }
-		sopts.OverBudget = func() bool { return memBytes.Load() >= opts.MemBudget }
 	}
 	if disk != nil {
 		disk.ws = ws
@@ -136,9 +121,6 @@ func checkSharded(proto sim.Protocol, inputs []int64, opts Options, disk *spillT
 				ctx.Emit(sim.FingerprintBytes(w.buf), w.buf, id, func() *shardItem {
 					next := w.take()
 					c.CloneInto(&next.Config)
-					if budgeted {
-						memBytes.Add(next.MemBytes())
-					}
 					if disk != nil {
 						next.sched = sim.AppendScheduleStep(append(next.sched[:0], it.sched...), pid, out)
 					}

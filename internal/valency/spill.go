@@ -18,12 +18,13 @@ import (
 // disk-tiered exploration engine (explore.SpillConfig), driven by the
 // same front end as the RAM tier (checkSharded with a spillTier); what
 // lives here is the tier's setup, its checkpointed caller state and the
-// resumable all-inputs sweep.  A run whose visited set outgrows Options.MemBudget evicts cold shards to sorted
-// run files instead of truncating, deep frontiers spill to segment
-// files as compact schedule encodings (a configuration costs a few
-// bytes on disk — it is re-materialized by replaying its scheduler
-// choices from the initial configuration), and periodic checkpoint
-// manifests make a killed run resumable with Options.SpillResume.
+// resumable all-inputs sweep.  A run whose visited set outgrows
+// Options.MemBudget evicts cold shards to sorted run files, deep
+// frontiers spill to segment files as compact schedule encodings (a
+// configuration costs a few bytes on disk — it is re-materialized by
+// replaying its scheduler choices from the initial configuration), and
+// periodic checkpoint manifests make a killed run resumable with
+// Options.SpillResume.
 //
 // The verdict contract is the sharded engine's, extended to disk: a
 // complete run — even one interrupted and resumed — admits exactly the
@@ -213,11 +214,10 @@ func (o Options) spillCheckpointEvery() int64 {
 }
 
 // CheckSpill explores all executions of proto from the given inputs on
-// the disk-tiered engine rooted at Options.SpillDir.  Unlike Check,
-// Options.MemBudget does not truncate the exploration: it sets the hot
-// (RAM) share of the visited set, and everything beyond it lives in
-// spill files — a run that Check would mark incomplete under the same
-// budget completes here with the identical configuration count.
+// the disk-tiered engine rooted at Options.SpillDir.  Options.MemBudget
+// sets the hot (RAM) share of the visited set and everything beyond it
+// lives in spill files, so the run completes with Check's configuration
+// count however small the budget.
 //
 // The returned error is non-nil only for an unusable spill setup or an
 // unrecoverable disk fault; the accompanying report is then honestly
@@ -233,11 +233,7 @@ func CheckSpill(proto sim.Protocol, inputs []int64, opts Options) (*Report, erro
 			return nil, fmt.Errorf("valency: spill directory %s holds a previous run's checkpoint; resume it or use a clean directory", opts.SpillDir)
 		}
 	}
-	disk := newSpillTier(proto, inputs, opts)
-	// The budget now sizes the hot tier; left in opts, it would also
-	// truncate the run and the serial witness re-run.
-	opts.MemBudget = 0
-	return checkSharded(proto, inputs, opts, disk)
+	return checkSharded(proto, inputs, opts, newSpillTier(proto, inputs, opts))
 }
 
 // Cursor frame type for CheckAllInputsSpill: which input vectors are

@@ -44,7 +44,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-	"unsafe"
 
 	"randsync/internal/explore"
 	"randsync/internal/frame"
@@ -90,28 +89,32 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("%s violation: %s (trace of %d steps)", v.Kind, v.Detail, len(v.Trace))
 }
 
-// Options bound the exploration.
+// Options bound the exploration.  Which entry point reads which field:
+//
+//   - Check and CheckAllInputs read MaxConfigs, Workers, Crash and
+//     NoSymmetry, and nothing else; Bivalence reads the same minus
+//     Workers.  MaxConfigs is the one cap on an in-RAM run.
+//   - MemBudget, SpillDir, SpillResume, SpillFS, SpillCheckpointEvery
+//     and Interrupt belong to the disk tier, CheckSpill and
+//     CheckAllInputsSpill, which read the four above as well.
+//
+// The distributed engine (internal/dist) reads the in-RAM fields and
+// routes its checkpoint through SpillFS.
 type Options struct {
 	// MaxConfigs caps the number of distinct configurations explored;
 	// beyond it the report is marked incomplete.  0 means 1<<20.
 	MaxConfigs int
-	// MemBudget caps the exploration's retained bytes: the visited-set
-	// keys plus the frontier — the serial engine's DFS path, or the
-	// parallel engines' pending configuration clones.  Beyond it the
-	// report is marked incomplete, exactly like an exhausted MaxConfigs.
-	// 0 means unlimited.  The distributed engine (internal/dist) ignores
-	// it: beyond-RAM checking is the disk-tiered engine's job.
-	//
-	// Under the disk-tiered engine (CheckSpill / SpillDir) the budget
-	// changes meaning: it sets the hot (RAM) share of the visited set,
-	// and the exploration completes regardless — cold shards and deep
-	// frontiers spill to disk instead of truncating the run.
+	// MemBudget is the disk tier's hot set: the visited-set key bytes
+	// kept in RAM, which also scales the in-RAM frontier.  Beyond it
+	// cold shards and deep frontiers spill to disk and the run still
+	// completes; it never truncates a run.  0 keeps the whole visited
+	// set in RAM.
 	MemBudget int64
-	// SpillDir enables the disk-tiered engine in CheckSpill /
+	// SpillDir roots the disk-tiered engine in CheckSpill /
 	// CheckAllInputsSpill: visited-set shards beyond MemBudget evict to
 	// sorted run files under this directory, deep frontiers spill to
 	// segment files, and periodic checkpoint manifests make a killed run
-	// resumable.  Ignored by Check/CheckAllInputs.
+	// resumable.
 	SpillDir string
 	// SpillResume continues a killed spill run from the last durable
 	// checkpoint in SpillDir instead of starting fresh.
@@ -131,12 +134,11 @@ type Options struct {
 	// negative value means GOMAXPROCS.  Parallel and serial runs return
 	// identical verdicts (see checkSharded).
 	Workers int
-	// Interrupt, when non-nil, is polled by the spill engine (CheckSpill
-	// / CheckAllInputsSpill): the first true drains the run to a final
-	// checkpoint manifest and returns ErrInterrupted — resume later with
-	// SpillResume.  This is the graceful-shutdown seam the service
-	// daemon's drain and the CLI signal handlers use.  Check and
-	// CheckAllInputs ignore it: the in-RAM engines have no durable state
+	// Interrupt, when non-nil, is polled by the spill engine: the first
+	// true drains the run to a final checkpoint manifest and returns
+	// ErrInterrupted — resume later with SpillResume.  This is the
+	// graceful-shutdown seam the service daemon's drain and the CLI
+	// signal handlers use; the in-RAM engines have no durable state
 	// worth draining to.
 	Interrupt func() bool
 	// Crash is an explicit crash schedule, the simulator world's
@@ -453,7 +455,7 @@ func (ch *checker) explore(c *sim.Config) bool {
 		}
 		return false
 	}
-	if ch.visited.Len() >= ch.opts.Budget() || ch.overMemBudget() {
+	if ch.visited.Len() >= ch.opts.Budget() {
 		ch.rep.Complete = false
 		return true
 	}
@@ -463,21 +465,6 @@ func (ch *checker) explore(c *sim.Config) bool {
 	stop := ch.expand(c)
 	ch.colour[id] = 2
 	return stop
-}
-
-// eventBytes is the retained cost of one DFS path entry, the serial
-// engine's frontier analogue (the parallel engines count their pending
-// configuration clones instead).
-var eventBytes = int64(unsafe.Sizeof(sim.Event{}))
-
-// overMemBudget reports whether the retained bytes — interned visited
-// keys plus the DFS path — have exhausted the memory budget (MemBudget
-// 0 = unlimited).
-func (ch *checker) overMemBudget() bool {
-	if ch.opts.MemBudget <= 0 {
-		return false
-	}
-	return ch.keyBytes+int64(len(ch.path))*eventBytes >= ch.opts.MemBudget
 }
 
 // expand checks c for violations and branches over every move.  The

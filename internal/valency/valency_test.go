@@ -307,13 +307,12 @@ func TestSpillAuxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBudgetStopsPinned pins where each budget stops the serial engine
+// TestBudgetStopsPinned pins where MaxConfigs stops the serial engine
 // and Bivalence, in configurations and retained key bytes.  A key must
 // be tested against the budget before it is admitted: an engine that
-// admits first reports one configuration past MaxConfigs and more key
-// bytes than MemBudget allowed.  Bivalence tests its budget when it
-// dequeues a configuration, so it stops after admitting every successor
-// of the expansion that crossed MaxConfigs.
+// admits first reports one configuration past MaxConfigs.  Bivalence
+// tests its budget when it dequeues a configuration, so it stops after
+// admitting every successor of the expansion that crossed MaxConfigs.
 func TestBudgetStopsPinned(t *testing.T) {
 	p := protocol.NewCounterWalk(3)
 	inputs := []int64{0, 1, 0}
@@ -325,7 +324,6 @@ func TestBudgetStopsPinned(t *testing.T) {
 	}{
 		{"max-configs", Options{MaxConfigs: 1000}, 1000, 22026},
 		{"max-configs-nosym", Options{MaxConfigs: 1000, NoSymmetry: true}, 1000, 21840},
-		{"mem-budget", Options{MemBudget: 16384}, 650, 13866},
 	} {
 		rep := Check(p, inputs, tc.opts)
 		if rep.Complete || rep.Violation != nil || rep.Configs != tc.configs || rep.Stats.KeyBytes != tc.keyBytes {

@@ -213,8 +213,8 @@ stage_shard_race() {
 stage_spill() {
 	stage="spill smoke (beyond-RAM engine)"
 	# The disk-tiered engine's robustness drills, under the race detector:
-	# a run the in-RAM checker truncates under -mem-budget must complete
-	# exactly when spilling; a sweep killed at several disk-operation
+	# a run whose visited set outgrows its hot set must evict and complete
+	# exactly; a sweep killed at several disk-operation
 	# counts must degrade honestly and then resume to the uninterrupted
 	# verdict; the seeded disk-fault soak must never turn an injected
 	# fault into a wrong verdict; and stale or corrupt spill state must be
@@ -235,12 +235,15 @@ stage_spill() {
 	go test -race -short -count=1 -timeout 10m \
 		-run 'TestSpillKillResume|TestSpillFaultSoak|TestSpillResumeRefusesCorruption|TestSpillCheckpointCleanFinish|TestSpillCensusRetainedHotSet|TestSpillCheckpointPersistsOnce|TestSpillProbeBudget|TestCompactionMatchesFlushOfUnion|TestSpillResumeOtherBlockLayout' \
 		./internal/explore/
-	# End-to-end CLI drill: a budget that truncates the in-RAM run must
-	# complete exhaustively ("SAFE") through -spill-dir.
+	# End-to-end CLI drills: -mem-budget sizes the disk tier's hot set, so
+	# a 4 KiB hot set completes exhaustively ("SAFE") through -spill-dir,
+	# and the same flag without -spill-dir is refused before anything runs.
 	spilldir="$(mktemp -d)"
 	smoke 0 go run ./cmd/modelcheck -protocol counter-walk -n 2 -workers 2 -mem-budget 4096 -spill-dir "$spilldir"
 	expect "SAFE"
 	rm -rf "$spilldir"
+	smoke 1 go run ./cmd/modelcheck -protocol counter-walk -n 2 -workers 2 -mem-budget 4096
+	expect -e "-mem-budget requires -spill-dir"
 	# Every CLI resolves the one registry (internal/zoo): a machine
 	# coordinate, here the census's lowest-id sticky-bit solver, checks
 	# SAFE through modelcheck exactly as through distcheck and checkd.
